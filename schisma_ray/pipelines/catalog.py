@@ -63,10 +63,6 @@ def _img_dir(sf_dir: str) -> Path:
     return image_table.generate_for_sf(sf_dir)
 
 
-def _img_glob(sf_dir: str) -> str:
-    return str(_img_dir(sf_dir) / "images" / "*.parquet")
-
-
 def _ref_ids(sf_dir: str) -> str:
     return str(_img_dir(sf_dir) / "reference_ids.parquet")
 

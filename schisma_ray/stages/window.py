@@ -351,139 +351,6 @@ def grouped_rolling_mean(
     return narrow.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
 
 
-def session_spans(
-    ds,
-    *,
-    ts_col: str = "ts",
-    key_col: str = "user_id",
-    gap_s: int = 300,
-    num_buckets: int = 64,
-):
-    """Interval coalescing (gaps-and-islands): merge each key's
-    fixed-width event intervals ``[ts, ts + gap_s)`` into maximal
-    overlapping spans — one row per merged span with
-    ``(key, start_us, end_us, n_events)``.
-
-    Because every interval has the same width, intervals sorted by
-    start time have monotone ends, so "overlaps the running span" is
-    exactly "gap to the previous event <= gap_s" — the session_agg
-    break rule — and the whole merge is one segmented numpy scan per
-    hash bucket (never per key). end_us = last event + gap_s.
-    """
-    import numpy as np
-    import pandas as pd
-
-    gap_us = gap_s * 1_000_000
-
-    def prep(t: pa.Table) -> pa.Table:
-        key = t[key_col].combine_chunks()
-        return pa.table(
-            {
-                key_col: key,
-                "ts_us": pc.cast(t[ts_col], pa.int64()),
-                "bucket": _key_bucket(key, num_buckets),
-            }
-        )
-
-    narrow = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_col, "ts_us"])
-        k = g[key_col].to_numpy()
-        ts = g["ts_us"].to_numpy()
-        new_s = np.ones(len(g), dtype=np.int64)
-        if len(g) > 1:
-            same_key = k[1:] == k[:-1]
-            small_gap = (ts[1:] - ts[:-1]) <= gap_us
-            new_s[1:] = (~(same_key & small_gap)).astype(np.int64)
-        span = np.cumsum(new_s)  # bucket-global span id (keys don't straddle)
-        out = (
-            pd.DataFrame({key_col: k, "span": span, "ts_us": ts})
-            .groupby("span", sort=False)
-            .agg(
-                **{
-                    key_col: (key_col, "first"),
-                    "start_us": ("ts_us", "min"),
-                    "end_us": ("ts_us", "max"),
-                    "n_events": ("ts_us", "size"),
-                }
-            )
-            .reset_index(drop=True)
-        )
-        out["end_us"] = out["end_us"] + gap_us
-        out["n_events"] = out["n_events"].astype("int64")
-        return out
-
-    return narrow.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
-
-
-def grouped_locf(
-    ds,
-    *,
-    ts_col: str = "ts",
-    key_col: str = "user_id",
-    id_col: str = "event_id",
-    value_col: str = "value",
-    out_col: str = "filled",
-    num_buckets: int = 64,
-):
-    """Per-key last-observation-carried-forward: every row gets the most
-    recent non-null ``value_col`` at or before it within its key (SQL
-    ``LAST_VALUE(v IGNORE NULLS) OVER (PARTITION BY key ORDER BY ts, id
-    ROWS UNBOUNDED PRECEDING)``) — the time-series gap-fill / "state as
-    of event" feature shape.
-
-    Scale shape identical to session_ids: one shuffle carrying
-    (id, key, ts, v), hash buckets, and per bucket one vectorized fill:
-    sort by (key, ts, id), take ``maximum.accumulate`` over the indices
-    of non-null rows, and null out rows whose carried index precedes
-    their key's first row (rows are key-contiguous after the sort).
-    """
-    import numpy as np
-    import pandas as pd
-
-    def prep(t: pa.Table) -> pa.Table:
-        key = t[key_col].combine_chunks()
-        return pa.table(
-            {
-                id_col: t[id_col],
-                key_col: key,
-                "ts_us": pc.cast(t[ts_col], pa.int64()),
-                value_col: pc.cast(t[value_col], pa.float64()),
-                "bucket": _key_bucket(key, num_buckets),
-            }
-        )
-
-    narrow = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_col, "ts_us", id_col])
-        k = g[key_col].to_numpy()
-        v = g[value_col].to_numpy(dtype=np.float64)
-        n = len(g)
-        has = np.isfinite(v)
-        # index of the latest non-null row at or before each position
-        pos = np.where(has, np.arange(n), -1)
-        carried = np.maximum.accumulate(pos)
-        # first row index of each key segment (key-contiguous after sort)
-        key_start = np.ones(n, dtype=bool)
-        if n > 1:
-            key_start[1:] = k[1:] != k[:-1]
-        seg_start = np.arange(n)[key_start]
-        seg_idx = np.cumsum(key_start) - 1
-        valid = carried >= seg_start[seg_idx]
-        filled = np.where(valid, v[np.maximum(carried, 0)], np.nan)
-        return pd.DataFrame(
-            {
-                id_col: g[id_col].to_numpy(),
-                key_col: k,
-                out_col: filled,
-            }
-        )
-
-    return narrow.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
-
-
 def event_transitions(
     ds,
     *,
