@@ -28,20 +28,32 @@ def entry() -> Any:
     return validate_images(table_dir)
 
 
+#: a traceback's error line: "pkg.mod.SomeError: ..." / "ArrowInvalid: ..."
+_ERROR_LINE = r"^\s*[\w.]*(?:Error|Exception|Invalid)(?:\([\w.]*\))?: \S.*$"
+
+
 def _sanitize_error(name: str, ex: Exception) -> str:
     """Compress an exception into a diagnosable, data-free line.
 
-    Round-4 lesson: a failing query's err field was 1500 chars of raw
-    fixture document text with the exception type truncated away. This
+    A failing query's message can be a long task traceback full of raw
+    fixture text, with the error that started it deep inside. This
+    leads with that innermost error line (the last one of the message),
     elides long quoted data runs, collapses whitespace, caps the total,
     and states the exception class at BOTH ends so the row stays
     diagnosable whichever end the driver truncates."""
     import re
 
-    msg = re.sub(r"(['\"]).{60,}?\1", "'<data elided>'", str(ex), flags=re.S)
-    msg = re.sub(r"\s+", " ", msg).strip()
+    def clean(text: str) -> str:
+        text = re.sub(r"(['\"]).{60,}?\1", "'<data elided>'", text, flags=re.S)
+        return re.sub(r"\s+", " ", text).strip()
+
+    raw = str(ex)
+    msg = clean(raw)
     if len(msg) > 700:
         msg = msg[:350] + " <...> " + msg[-350:]
+    inner = re.findall(_ERROR_LINE, raw, flags=re.M)
+    if inner:
+        msg = f"{clean(inner[-1])[:300]} | {msg}"
     cls = type(ex).__name__
     return f"[{cls}] query={name}: {msg} [end {cls} query={name}]"
 

@@ -57,7 +57,7 @@ def corpus_audit(
     # 1. split fairness (per-stratum md5 train share vs global)
     sb = split_balance(
         ds, group_col=lang_col, id_col=id_col,
-        threshold_e6=max_split_diff_e6 or 20_000,
+        threshold_e6=20_000 if max_split_diff_e6 is None else max_split_diff_e6,
     )
     worst = int(pc.max(sb["diff_e6"]).as_py() or 0) if sb.num_rows else 0
     n_flagged = int(pc.sum(pc.cast(sb["flagged"], pa.int64())).as_py() or 0)

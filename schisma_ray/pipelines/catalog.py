@@ -27,6 +27,7 @@ import ray.data as rd
 from ..schema import BigInt, String
 from ..sources import image_table
 from ..stages import ColumnSpec, TableSchema, in_set, not_empty, range_check
+from ..stages._bucket import bucket_apply
 from ..stages.conform import TableConformer
 from ..stages.dedup import (
     content_fingerprint,
@@ -1766,7 +1767,7 @@ def _synth_order_updates(t: pa.Table) -> pa.Table:
         {
             "o_orderkey": u["o_orderkey"],
             "o_custkey": u["o_custkey"],
-            "o_orderstatus": pa.array(["U"] * u.num_rows),
+            "o_orderstatus": pa.array(["U"] * u.num_rows, pa.string()),
             "o_totalprice": pc.add(u["o_totalprice"], 10.0),
             "o_orderdate": pc.add(
                 u["o_orderdate"], pa.scalar(_dt.timedelta(days=30))
@@ -3651,43 +3652,42 @@ def q_license_tags(sf_dir: str):
         inject, batch_format="pyarrow", zero_copy_batch=True))
 
 
+def _with_text_variants(t: pa.Table) -> pa.Table:
+    """The documents of ``t`` plus, for every 9th doc id, a '### '-prefixed,
+    '!!!'-suffixed, double-spaced twin at id+1000000. Originals and
+    variants come from ONE map_batches (no Dataset.union — fewer
+    operators, no union cold-start edge; same multiset)."""
+    ids = t["doc_id"].combine_chunks()
+    base = pa.table({
+        "doc_id": ids,
+        "text": pc.fill_null(t["text"].combine_chunks(), ""),
+    })
+    sel = pa.array(ids.to_numpy(zero_copy_only=False) % 9 == 0)
+    v = base.filter(sel)
+    text = pc.replace_substring(v["text"].combine_chunks(), " ", "  ")
+    variants = pa.table({
+        "doc_id": pc.add(v["doc_id"], 1000000),
+        "text": pc.binary_join_element_wise(
+            pa.array(["### "] * len(v), pa.string()), text,
+            pa.array(["!!!"] * len(v), pa.string()), ""),
+    })
+    return pa.concat_tables([base, variants])
+
+
 def q_normalized_text_dups(sf_dir: str):
     """Casing/punctuation-invariant exact dedup: docs whose normalized
     text (lower, non-alnum stripped, spaces collapsed) collides, with
     the min-id keeper — the cheap screen between byte dedup and
-    MinHash. Falsifiable via injected variants (every 9th doc gets a
-    '### '-prefixed, '!!!'-suffixed, double-spaced twin at id+1000000 —
-    byte-distinct, normalized-identical; raw exact dedup provably
+    MinHash. Falsifiable via injected variants (``_with_text_variants``:
+    byte-distinct, normalized-identical twins; raw exact dedup provably
     misses them; casing untouched so no cross-engine unicode
     upper/lower round-trip is load-bearing). One norm-hash bucket
     shuffle."""
-    import pyarrow.compute as pc
-
     from ..stages.dedup import normalized_text_dups
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
-
-    def augment(t: pa.Table) -> pa.Table:
-        # originals + variants from ONE map_batches (no Dataset.union —
-        # fewer operators, no union cold-start edge; same multiset)
-        ids = t["doc_id"].combine_chunks()
-        base = pa.table({
-            "doc_id": ids,
-            "text": pc.fill_null(t["text"].combine_chunks(), ""),
-        })
-        sel = pa.array(ids.to_numpy(zero_copy_only=False) % 9 == 0)
-        v = base.filter(sel)
-        text = pc.replace_substring(v["text"].combine_chunks(), " ", "  ")
-        variants = pa.table({
-            "doc_id": pc.add(v["doc_id"], 1000000),
-            "text": pc.binary_join_element_wise(
-                pa.array(["### "] * len(v)), text,
-                pa.array(["!!!"] * len(v)), ""),
-        })
-        return pa.concat_tables([base, variants])
-
-    aug = ds.map_batches(augment, batch_format="pyarrow",
+    aug = ds.map_batches(_with_text_variants, batch_format="pyarrow",
                          zero_copy_batch=True)
     return _collect(normalized_text_dups(aug),
                     ["doc_id", "keeper", "group_size"])
@@ -3924,18 +3924,17 @@ def q_dataset_card(sf_dir: str):
 
     def digest(t: pa.Table) -> pa.Table:
         h = md5_hex(pc.fill_null(t["text"].combine_chunks(), ""))
-        hb = (pd.util.hash_array(h) % 32).astype("int32")
-        return pa.table({"h": pa.array(h, pa.string()),
-                         "hb": pa.array(hb, pa.int32())})
+        return pa.table({"h": pa.array(h, pa.string())})
 
-    def dup_partial(group: pd.DataFrame) -> pd.DataFrame:
-        size = group.groupby("h")["h"].transform("size")
-        return pd.DataFrame({"n_dup": [int((size > 1).sum())]})
+    def dup_partial(t: pa.Table) -> pa.Table:
+        counts = t.group_by("h").aggregate([([], "count_all")])["count_all"]
+        n_dup = pc.sum(pc.if_else(pc.greater(counts, 1), counts, 0))
+        return pa.table({"n_dup": [n_dup.as_py() or 0]})
 
-    n_dup = (ds.map_batches(digest, batch_format="pyarrow",
-                            zero_copy_batch=True)
-             .groupby("hb").map_groups(dup_partial, batch_format="pandas")
-             .sum("n_dup"))
+    n_dup = bucket_apply(ds.map_batches(digest, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                         "h", dup_partial, num_buckets=32,
+                         schema={"n_dup": pa.int64()}).sum("n_dup")
 
     return pa.table({
         "n_docs": pa.array([folded["sum(n_docs)"]], pa.int64()),
@@ -9536,29 +9535,38 @@ def q_orders_enriched_bucketed(sf_dir: str):
     to orders_enriched (shared oracle)."""
     import hashlib as _h
     import shutil
+    import tempfile
 
     from ..stages.bucketed import bucket_write, bucketed_join
 
-    tag = _h.md5(sf_dir.encode()).hexdigest()[:10]
-    cache = Path(f"/tmp/schisma_ray_cache/bucketed_{tag}")
-    od, cd = cache / "orders", cache / "customer"
-    if not od.exists() or not cd.exists():
-        shutil.rmtree(cache, ignore_errors=True)
-        tmp = cache.with_suffix(".tmp")
-        shutil.rmtree(tmp, ignore_errors=True)
-        bucket_write(
-            rd.read_parquet(f"{sf_dir}/orders.parquet",
-                            columns=["o_orderkey", "o_custkey",
-                                     "o_totalprice"]),
-            "o_custkey", str(tmp / "orders"))
-        bucket_write(
-            rd.read_parquet(f"{sf_dir}/customer.parquet",
-                            columns=["c_custkey", "c_name",
-                                     "c_mktsegment"]),
-            "c_custkey", str(tmp / "customer"))
-        tmp.rename(cache)
-    joined = bucketed_join(str(od), str(cd), on="o_custkey",
-                           right_on="c_custkey")
+    # the tag covers the inputs' sizes and mtimes: rewritten inputs at
+    # the same path get a fresh cache instead of stale buckets
+    stamp = [sf_dir] + [f"{p.stat().st_size}:{p.stat().st_mtime_ns}"
+                        for p in (Path(sf_dir, "orders.parquet"),
+                                  Path(sf_dir, "customer.parquet"))]
+    tag = _h.md5("|".join(stamp).encode()).hexdigest()[:10]
+    cache = image_table.CACHE_ROOT / f"bucketed_{tag}"
+    if not (cache / "_SUCCESS").exists():
+        cache.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(dir=cache.parent,
+                                    prefix=cache.name + ".tmp-"))
+        try:
+            bucket_write(
+                rd.read_parquet(f"{sf_dir}/orders.parquet",
+                                columns=["o_orderkey", "o_custkey",
+                                         "o_totalprice"]),
+                "o_custkey", str(tmp / "orders"))
+            bucket_write(
+                rd.read_parquet(f"{sf_dir}/customer.parquet",
+                                columns=["c_custkey", "c_name",
+                                         "c_mktsegment"]),
+                "c_custkey", str(tmp / "customer"))
+            (tmp / "_SUCCESS").touch()
+            image_table.publish_dir(tmp, cache)
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+    joined = bucketed_join(str(cache / "orders"), str(cache / "customer"),
+                           on="o_custkey", right_on="c_custkey")
 
     def final(t: pa.Table) -> pa.Table:
         return pa.table({

@@ -97,7 +97,7 @@ def curate_images(table_dir, *, max_hamming: int = 3,
             return pa.table({
                 "image_id": pc.binary_join_element_wise(
                     v["image_id"].combine_chunks(),
-                    pa.array(["-d"] * len(v)), ""),
+                    pa.array(["-d"] * len(v), pa.string()), ""),
                 "fingerprint": v["fingerprint"],
                 "phash": v["phash"],
             })

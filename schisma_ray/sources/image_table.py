@@ -40,8 +40,10 @@ concurrent callers and reruns are safe.
 
 from __future__ import annotations
 
+import errno
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -267,13 +269,27 @@ def rows_for_sf(sf_dir: str) -> int:
     return max(100, int(round(sf * 1_000_000)))
 
 
+def publish_dir(tmp: Path, out: Path) -> None:
+    """Rename the finished directory ``tmp`` to ``out``. A concurrent
+    writer of the same content may have published first: then its
+    complete copy (``out/_SUCCESS`` present) wins, and ``tmp`` is left
+    for the caller to delete."""
+    try:
+        os.rename(tmp, out)
+    except OSError as ex:
+        if (ex.errno not in (errno.EEXIST, errno.ENOTEMPTY)
+                or not (out / "_SUCCESS").exists()):
+            raise
+
+
 def generate(n: int, seed: int = 42, force: bool = False,
              px: tuple[int, int] = (8, 33)) -> Path:
     """Generate (or reuse cached) table files; returns the directory.
 
     Layout: ``{cache}/images_n{n}_s{seed}/{images,reference_ids,
     reference_profile,expected_violations}.parquet``. Written to a temp
-    dir then renamed, so partially-written caches are never observed.
+    dir of its own then renamed, so partially-written caches are never
+    observed and concurrent callers never touch each other's files.
     """
     suffix = "" if px == (8, 33) else f"_px{px[0]}-{px[1]}"
     # cache key includes the codec generation so codec changes invalidate
@@ -282,10 +298,19 @@ def generate(n: int, seed: int = 42, force: bool = False,
     done = out / "_SUCCESS"
     if done.exists() and not force:
         return out
-    tmp = out.with_name(out.name + ".tmp")
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(dir=out.parent, prefix=out.name + ".tmp-"))
+    try:
+        _write_table(tmp, n, seed, px)
+        if out.exists() and (force or not done.exists()):
+            shutil.rmtree(out, ignore_errors=True)
+        publish_dir(tmp, out)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return out
+
+
+def _write_table(tmp: Path, n: int, seed: int, px: tuple[int, int]) -> None:
 
     # images: one file per shard — shards are the unit of parallel read
     # AND of checkpoint/resume (state/checkpoint.py), mirroring how a
@@ -340,10 +365,6 @@ def generate(n: int, seed: int = 42, force: bool = False,
     pq.write_table(expected_violations_for(n, seed, px), tmp / "expected_violations.parquet")
     pq.write_table(expected_conform_for(n, seed, px), tmp / "expected_conform.parquet")
     (tmp / "_SUCCESS").touch()
-    if out.exists():
-        shutil.rmtree(out)
-    os.rename(tmp, out)
-    return out
 
 
 def generate_for_sf(sf_dir: str, seed: int = 42) -> Path:

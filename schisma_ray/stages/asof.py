@@ -27,7 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .components import _mix_bucket
+from ._bucket import bucket_apply
 
 
 def asof_join_latest(
@@ -51,15 +51,10 @@ def asof_join_latest(
 
     def prep(key_col: str, ts_col: str, id_col: str | None, side: int):
         def fn(t: pa.Table) -> pa.Table:
-            k = pc.cast(t[key_col].combine_chunks(), pa.int64())
-            kv = k.to_numpy(zero_copy_only=False)
-            bucket = _mix_bucket(
-                np.nan_to_num(kv).astype(np.int64), num_buckets
-            )
             n = t.num_rows
             return pa.table(
                 {
-                    "k": k,
+                    "k": pc.cast(t[key_col], pa.int64()),
                     "ts_us": pc.cast(t[ts_col], pa.int64()),
                     "row_id": (
                         pc.cast(t[id_col], pa.int64())
@@ -69,7 +64,6 @@ def asof_join_latest(
                     # right rows sort BEFORE left rows at equal (k, ts):
                     # an at-or-before match includes equal timestamps
                     "side": pa.array(np.full(n, side, np.int8), pa.int8()),
-                    "bucket": pa.array(bucket, pa.int32()),
                 }
             )
 
@@ -82,8 +76,8 @@ def asof_join_latest(
         prep(right_key, right_ts, None, 0), batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def resolve_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["k", "ts_us", "side"], kind="stable")
+    def resolve_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(["k", "ts_us", "side"], kind="stable")
         k = g["k"].to_numpy()
         ts = g["ts_us"].to_numpy()
         side = g["side"].to_numpy()
@@ -113,11 +107,10 @@ def asof_join_latest(
             }
         )
 
-    joined = (
-        left.union(right)
-        .groupby("bucket")
-        .map_groups(resolve_bucket, batch_format="pandas")
-    )
+    joined = bucket_apply(left.union(right), "k", resolve_bucket,
+                          num_buckets=num_buckets,
+                          schema={"row_id": pa.int64(), "k": pa.int64(),
+                                  "asof_ts_us": pa.float64()})
 
     def finalize(t: pa.Table) -> pa.Table:
         # float64 with NaN/null for no-match; trunc-to-int then integer
@@ -127,8 +120,8 @@ def asof_join_latest(
         secs = np.where(miss, 0.0, v).astype(np.int64) // 1_000_000
         return pa.table(
             {
-                "row_id": pc.cast(t["row_id"], pa.int64()),
-                "k": pc.cast(t["k"], pa.int64()),
+                "row_id": t["row_id"],
+                "k": t["k"],
                 "asof_epoch_s": pa.array(secs, pa.int64(), mask=miss),
             }
         )

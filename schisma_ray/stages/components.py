@@ -31,6 +31,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ._bucket import bucket_apply
+
 
 def derive_join_partitions(*datasets) -> int:
     """Partition count for Ray's native hash-shuffle join. Materialized
@@ -80,16 +82,6 @@ def _union_find(edges: list[tuple]) -> dict:
     return {x: find(x) for x in nodes}
 
 
-def _mix_bucket(node: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Deterministic splitmix-style hash -> bucket (skew-resistant even
-    for sequential ids)."""
-    x = node.astype(np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
-    return (x % np.uint64(num_buckets)).astype(np.int32)
-
-
 def components_distributed(pairs, *, num_buckets: int = 64,
                            max_rounds: int = 64):
     """(node, component) Dataset via bucketed min-label propagation.
@@ -112,7 +104,6 @@ def components_distributed(pairs, *, num_buckets: int = 64,
         other = np.concatenate([b, a])
         return pa.table(
             {
-                "bucket": pa.array(_mix_bucket(node, num_buckets), pa.int32()),
                 "node": pa.array(node, pa.int64()),
                 "other": pa.array(other, pa.int64()),
                 "label": pa.array(np.full(len(node), -1, np.int64), pa.int64()),
@@ -133,7 +124,6 @@ def components_distributed(pairs, *, num_buckets: int = 64,
         node = np.unique(t["node"].combine_chunks().to_numpy(zero_copy_only=False))
         return pa.table(
             {
-                "bucket": pa.array(_mix_bucket(node, num_buckets), pa.int32()),
                 "node": pa.array(node, pa.int64()),
                 "other": pa.array(np.full(len(node), -1, np.int64), pa.int64()),
                 "label": pa.array(node, pa.int64()),
@@ -143,11 +133,12 @@ def components_distributed(pairs, *, num_buckets: int = 64,
 
     labels = und.map_batches(init_labels, batch_format="pyarrow").materialize()
 
-    def send_min(group: pd.DataFrame) -> pd.DataFrame:
+    def send_min(t: pa.Table) -> pd.DataFrame:
         """One bucket: label rows (flag=1) + edge rows (flag=0) for every
         node hashing here. Emits (target, label) messages: each node's
         current min label to all neighbors, plus to itself (flagged, so
         the fold can detect change)."""
+        group = t.to_pandas()
         lab = group[group["flag"] == 1]
         cur = lab.groupby("node")["label"].min()
         edges = group[group["flag"] == 0]
@@ -158,31 +149,24 @@ def components_distributed(pairs, *, num_buckets: int = 64,
         flag = np.concatenate(
             [np.zeros(len(edges), np.int8), np.ones(len(cur), np.int8)]
         )
-        return pd.DataFrame(
-            {
-                "bucket": _mix_bucket(tgt.astype(np.int64), num_buckets),
-                "node": tgt.astype(np.int64),
-                "label": msg.astype(np.int64),
-                "flag": flag,
-            }
-        )
+        return pd.DataFrame({"node": tgt, "label": msg, "flag": flag})
 
-    def fold_min(group: pd.DataFrame) -> pd.DataFrame:
+    def fold_min(t: pa.Table) -> pd.DataFrame:
         """One bucket of messages: new label = min over messages per
         node; changed iff it beats the node's own previous label."""
+        group = t.to_pandas()
         g = group.groupby("node")
         new = g["label"].min()
         old = group[group["flag"] == 1].groupby("node")["label"].min()
         old = old.reindex(new.index).fillna(np.iinfo(np.int64).max)
-        node = new.index.to_numpy().astype(np.int64)
+        node = new.index.to_numpy()
         return pd.DataFrame(
             {
-                "bucket": _mix_bucket(node, num_buckets),
                 "node": node,
-                "other": np.full(len(node), -1, np.int64),
-                "label": new.to_numpy().astype(np.int64),
-                "flag": np.ones(len(node), np.int8),
-                "changed": (new.to_numpy() < old.to_numpy()).astype(np.int8),
+                "other": np.full(len(node), -1),
+                "label": new.to_numpy(),
+                "flag": np.ones(len(node)),
+                "changed": new.to_numpy() < old.to_numpy(),
             }
         )
 
@@ -198,7 +182,6 @@ def components_distributed(pairs, *, num_buckets: int = 64,
         dst = np.concatenate([lbl, node]).astype(np.int64)
         return pa.table(
             {
-                "bucket": pa.array(_mix_bucket(src, num_buckets), pa.int32()),
                 "node": pa.array(src, pa.int64()),
                 "other": pa.array(dst, pa.int64()),
                 "label": pa.array(np.full(len(src), -1, np.int64), pa.int64()),
@@ -216,10 +199,14 @@ def components_distributed(pairs, *, num_buckets: int = 64,
     for _ in range(max_rounds):
         ptr = labels.map_batches(pointer_edges, batch_format="pyarrow")
         merged = labels.union(und).union(ptr)
-        msgs = merged.groupby("bucket").map_groups(send_min, batch_format="pandas")
+        msgs = bucket_apply(merged, "node", send_min, num_buckets=num_buckets,
+                            schema={"node": pa.int64(), "label": pa.int64(),
+                                    "flag": pa.int8()})
         folded = (
-            msgs.groupby("bucket")
-            .map_groups(fold_min, batch_format="pandas")
+            bucket_apply(msgs, "node", fold_min, num_buckets=num_buckets,
+                         schema={"node": pa.int64(), "other": pa.int64(),
+                                 "label": pa.int64(), "flag": pa.int8(),
+                                 "changed": pa.int8()})
             .repartition(label_blocks)
             .materialize()
         )
@@ -318,13 +305,13 @@ def near_dedup_survivors(ds, pairs, id_col: str,
             batch_format="pyarrow", zero_copy_batch=True,
         )
         parts = derive_join_partitions(narrow, drop_ds)
-        # normalize to Arrow blocks before the hash-shuffle join: the
-        # label chain's pandas map_groups stages emit COLUMN-LESS empty
-        # DataFrame blocks (map stages skip empty blocks, so they reach
-        # here untouched) and the join aggregator raises "No match ...
-        # FieldRef.Name(node)" on any partition that only received one;
-        # a repartition in Arrow lineage rewrites every block with the
-        # real schema (empty Arrow blocks are join-safe)
+        # normalize the blocks before the hash-shuffle join: the label
+        # chain's sort exchanges emit a COLUMN-LESS block for every
+        # partition that receives no rows (map stages skip empty blocks,
+        # so they reach here untouched) and the join aggregator raises
+        # "No match ... FieldRef.Name(node)" on any partition that only
+        # received one; a repartition rewrites every block with the real
+        # schema (empty Arrow blocks are join-safe)
         drop_ds = drop_ds.repartition(parts)
         joined = narrow.join(
             drop_ds, join_type="left_outer",

@@ -97,7 +97,7 @@ class TableConformer:
     def _full_default(self, plan, n: int) -> pa.Array:
         v = self.defaults[plan.name]
         if plan.residual:
-            return pa.array([v] * n)
+            return pa.array([v] * n, pa.scalar(v).type)
         t = self._target_type(plan)
         if pa.types.is_null(t):
             return pa.nulls(n)

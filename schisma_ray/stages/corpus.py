@@ -443,12 +443,12 @@ def concat_chunks(ds, *, text_col: str = "text", id_col: str = "doc_id",
     Distributed shape: sort by id, ``zip_with_cumsum`` for global token
     offsets (O(num_blocks) driver ints), then each doc emits one PIECE
     row per chunk it intersects (almost always 1-2) and ONE
-    ``groupby(chunk-hash bucket)`` reassembles pieces — shuffle carries
+    ``bucket_apply`` keyed by chunk reassembles pieces — shuffle carries
     each token exactly once. The final chunk may be short.
     """
-    import pandas as pd
     import pyarrow.compute as pc
 
+    from ._bucket import bucket_apply
     from .rank import zip_with_cumsum
 
     def tokens(batch: pa.Table) -> pa.Table:
@@ -486,29 +486,26 @@ def concat_chunks(ds, *, text_col: str = "text", id_col: str = "doc_id",
                 g_offs.append(a)
                 p_texts.append(" ".join(words[a - int(s):b - int(s)]))
                 p_ns.append(b - a)
-        bucket = (np.asarray(c_ids, np.int64) % num_buckets
-                  if c_ids else np.array([], np.int64))
         return pa.table(
             {
                 "chunk_id": pa.array(c_ids, pa.int64()),
                 "g_off": pa.array(g_offs, pa.int64()),
                 "piece": pa.array(p_texts, pa.string()),
                 "n": pa.array(p_ns, pa.int64()),
-                "bucket": pa.array(bucket, pa.int64()),
             }
         )
 
     pcs = off.map_batches(pieces, batch_format="pyarrow", zero_copy_batch=True)
 
-    def assemble(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["chunk_id", "g_off"], kind="stable")
-        agg = g.groupby("chunk_id", sort=True).agg(
+    def assemble(t: pa.Table):
+        g = t.to_pandas().sort_values(["chunk_id", "g_off"], kind="stable")
+        return g.groupby("chunk_id", sort=True).agg(
             text=("piece", " ".join), n_tokens=("n", "sum")
-        )
-        agg["n_tokens"] = agg["n_tokens"].astype("int64")
-        return agg.reset_index()
+        ).reset_index()
 
-    return pcs.groupby("bucket").map_groups(assemble, batch_format="pandas")
+    return bucket_apply(pcs, "chunk_id", assemble, num_buckets=num_buckets,
+                        schema={"chunk_id": pa.int64(), "text": pa.string(),
+                                "n_tokens": pa.int64()})
 
 
 def token_budget_sample(ds, *, budget: int, group_col: str = "lang",

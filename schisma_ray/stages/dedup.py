@@ -29,6 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+from ._bucket import bucket_apply
 
 
 def _hash_tokens(tokens: Iterable[str]) -> np.ndarray:
@@ -528,11 +529,6 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
     """
     import ray.data as rd
 
-    def id_bucket(arr: pa.Array) -> np.ndarray:
-        # works for int AND string ids
-        h = pd.util.hash_array(arr.to_numpy(zero_copy_only=False))
-        return (h % num_buckets).astype(np.int32)
-
     if isinstance(cand, pa.Table):
         n = cand.num_rows
         id_type = cand["a"].type
@@ -547,7 +543,6 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
         ids = pa.concat_arrays([a, b])
         slot_tbl = pa.table(
             {
-                "bucket": pa.array(id_bucket(ids), pa.int32()),
                 "id": ids,
                 "pair_id": pa.array(np.concatenate([pair_id, pair_id]), pa.int64()),
                 "slot": pa.array(
@@ -570,16 +565,6 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
         need = _distinct_pair_ids(indexed)
 
         def make_slots(t: pa.Table) -> pa.Table:
-            if "a" not in t.column_names or t.num_rows == 0:
-                return pa.table(
-                    {
-                        "bucket": pa.array([], pa.int32()),
-                        "id": pa.array([], id_type),
-                        "pair_id": pa.array([], pa.int64()),
-                        "slot": pa.array([], pa.int8()),
-                        "payload": pa.array([], pa.string()),
-                    }
-                )
             a = t["a"].combine_chunks()
             b = t["b"].combine_chunks()
             pid = t["pair_id"].combine_chunks().to_numpy(zero_copy_only=False)
@@ -587,7 +572,6 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
             ids = pa.concat_arrays([a, b])
             return pa.table(
                 {
-                    "bucket": pa.array(id_bucket(ids), pa.int32()),
                     "id": ids,
                     "pair_id": pa.array(
                         np.concatenate([pid, pid]).astype(np.int64), pa.int64()
@@ -609,10 +593,8 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
         idc = pc.cast(t[id_col].combine_chunks(), id_type)
         keep = pc.fill_null(pc.is_in(idc, value_set=ray.get(need_ref)), False)
         t = pa.table({"id": idc, "payload": pc.cast(t[col].combine_chunks(), pa.string())}).filter(keep)
-        idn = t["id"].combine_chunks() if isinstance(t["id"], pa.ChunkedArray) else t["id"]
         return pa.table(
             {
-                "bucket": pa.array(id_bucket(idn), pa.int32()),
                 "id": t["id"],
                 "pair_id": pa.array(np.full(t.num_rows, -1, np.int64), pa.int64()),
                 "slot": pa.array(np.full(t.num_rows, -1, np.int8), pa.int8()),
@@ -622,26 +604,19 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
 
     payloads = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
-    def attach(group: pd.DataFrame) -> pd.DataFrame:
+    def attach(t: pa.Table) -> pd.DataFrame:
+        group = t.to_pandas()
         slots = group[group["slot"] >= 0][["id", "pair_id", "slot"]]
         texts = group[group["slot"] < 0][["id", "payload"]].drop_duplicates("id")
-        m = slots.merge(texts, on="id", how="left")
-        return pd.DataFrame(
-            {
-                "bucket": (m["pair_id"].to_numpy() % num_buckets).astype(np.int32),
-                "pair_id": m["pair_id"].to_numpy(),
-                "slot": m["slot"].to_numpy(),
-                "id": m["id"].to_numpy(),
-                "payload": m["payload"],
-            }
-        )
+        return slots.merge(texts, on="id", how="left")
 
-    attached = slots.union(payloads).groupby("bucket").map_groups(
-        attach, batch_format="pandas"
-    )
+    attached = bucket_apply(
+        slots.union(payloads), "id", attach, num_buckets=num_buckets,
+        schema={"id": "id", "pair_id": pa.int64(), "slot": pa.int8(),
+                "payload": pa.string()})
 
-    def verify(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["pair_id", "slot"]).reset_index(drop=True)
+    def verify(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(["pair_id", "slot"]).reset_index(drop=True)
         g0 = g.iloc[0::2]
         g1 = g.iloc[1::2]
         if prepare_fn is not None:
@@ -671,14 +646,11 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
                 for ta, tb in zip(g0["payload"], g1["payload"])
             ]
         return pd.DataFrame(
-            {
-                "a": g0["id"].to_numpy(),  # keeps int or string dtype
-                "b": g1["id"].to_numpy(),
-                "metric": np.asarray(metric, np.float64),
-            }
+            {"a": g0["id"].to_numpy(), "b": g1["id"].to_numpy(), "metric": metric}
         )
 
-    out = attached.groupby("bucket").map_groups(verify, batch_format="pandas")
+    out = bucket_apply(attached, "pair_id", verify, num_buckets=num_buckets,
+                       schema={"a": "id", "b": "id", "metric": pa.float64()})
     if as_dataset:
         return out
     folded = _fold_pairs(out)
@@ -713,8 +685,6 @@ def _distinct_pair_ids(pairs_ds) -> pa.Array:
     id_type = _pair_id_type(pairs_ds)
 
     def block_ids(t: pa.Table) -> pa.Table:
-        if "a" not in t.column_names or t.num_rows == 0:
-            return pa.table({"id": pa.array([], id_type)})
         return pa.table(
             {
                 "id": pc.unique(
@@ -876,19 +846,17 @@ def _verified_jaccard_pairs(ds, cand, col: str, id_col: str, *,
 
 # ------------------------------------- exact n-gram Jaccard (AllPairs)
 def _distinct_gram_rows(batch: pa.Table, col: str, id_col: str,
-                        shingle: int, num_buckets: int) -> pa.Table:
-    """Per-document DISTINCT word-shingle hash rows: ``(id, gram, n,
-    gb)`` where ``n`` is the doc's distinct-gram count (carried on every
-    row) and ``gb`` the gram-hash shuffle bucket. Per-batch distinct is
-    globally exact — a document lives in exactly one batch."""
-    nb = np.uint64(num_buckets)
+                        shingle: int) -> pa.Table:
+    """Per-document DISTINCT word-shingle hash rows: ``(id, gram, n)``
+    where ``n`` is the doc's distinct-gram count (carried on every row).
+    Per-batch distinct is globally exact — a document lives in exactly
+    one batch."""
     texts = batch[col].to_pylist()
     empty = pa.table(
         {
             id_col: pa.array([], batch.schema.field(id_col).type),
             "gram": pa.array([], pa.int64()),
             "n": pa.array([], pa.int64()),
-            "gb": pa.array([], pa.int32()),
         }
     )
     if not texts:
@@ -916,7 +884,6 @@ def _distinct_gram_rows(batch: pa.Table, col: str, id_col: str,
             id_col: ids,
             "gram": pa.array(grams.view(np.int64), pa.int64()),
             "n": pa.array(np.repeat(lens, lens), pa.int64()),
-            "gb": pa.array((grams % nb).astype(np.int32), pa.int32()),
         }
     )
 
@@ -945,31 +912,27 @@ def dup_gram_stats(ds, col: str, id_col: str, *, shingle: int = 3,
     from ._math import frac_e6
 
     grams = ds.map_batches(
-        lambda batch: _distinct_gram_rows(batch, col, id_col, shingle,
-                                          num_buckets),
+        lambda batch: _distinct_gram_rows(batch, col, id_col, shingle),
         batch_format="pyarrow", zero_copy_batch=True,
     )
 
-    def bucket_partials(group: pd.DataFrame) -> pd.DataFrame:
+    def bucket_partials(t: pa.Table) -> pd.DataFrame:
+        group = t.to_pandas()
         df = group.groupby("gram")["gram"].transform("size")
-        out = (
+        return (
             group.assign(dup=(df > 1).astype(np.int64))
             .groupby(id_col, sort=False)
             .agg(n_grams=("n", "first"), n_dup=("dup", "sum"))
             .reset_index()
         )
-        out["db"] = (
-            pd.util.hash_array(out[id_col].to_numpy()) % num_buckets
-        ).astype(np.int32)
-        return out
 
-    partials = grams.groupby("gb").map_groups(
-        bucket_partials, batch_format="pandas"
-    )
+    partials = bucket_apply(
+        grams, "gram", bucket_partials, num_buckets=num_buckets,
+        schema={id_col: id_col, "n_grams": pa.int64(), "n_dup": pa.int64()})
 
-    def fold_doc(group: pd.DataFrame) -> pd.DataFrame:
+    def fold_doc(t: pa.Table) -> pd.DataFrame:
         out = (
-            group.groupby(id_col, sort=False)
+            t.to_pandas().groupby(id_col, sort=False)
             .agg(n_grams=("n_grams", "first"), n_dup_grams=("n_dup", "sum"))
             .reset_index()
         )
@@ -979,13 +942,10 @@ def dup_gram_stats(ds, col: str, id_col: str, *, shingle: int = 3,
         )
         return out
 
-    return partials.groupby("db").map_groups(
-        fold_doc, batch_format="pandas"
-    ).map_batches(
-        lambda t: t.select([id_col, "n_grams", "n_dup_grams",
-                            "dup_frac_e6"]),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    return bucket_apply(
+        partials, id_col, fold_doc, num_buckets=num_buckets,
+        schema={id_col: id_col, "n_grams": pa.int64(),
+                "n_dup_grams": pa.int64(), "dup_frac_e6": pa.int64()})
 
 
 def ngram_jaccard_pairs(ds, col: str, id_col: str, *, threshold: float = 0.8,
@@ -1015,29 +975,26 @@ def ngram_jaccard_pairs(ds, col: str, id_col: str, *, threshold: float = 0.8,
     ``max_bucket`` caps degenerate all-identical groups exactly like the
     MinHash path."""
     grams = ds.map_batches(
-        lambda batch: _distinct_gram_rows(batch, col, id_col, shingle,
-                                          num_buckets),
+        lambda batch: _distinct_gram_rows(batch, col, id_col, shingle),
         batch_format="pyarrow", zero_copy_batch=True,
     )
 
     # all rows of one gram share a gb bucket, so the per-bucket count IS
     # the global document frequency — df without a join
-    def annotate_df(group: pd.DataFrame) -> pd.DataFrame:
-        group = group.copy()
+    def annotate_df(t: pa.Table) -> pd.DataFrame:
+        group = t.to_pandas()
         group["df"] = group.groupby("gram")["gram"].transform("size")
-        group["db"] = (
-            pd.util.hash_array(group[id_col].to_numpy()) % num_buckets
-        ).astype(np.int32)
-        return group.drop(columns=["gb"])
+        return group
 
-    with_df = grams.groupby("gb").map_groups(
-        annotate_df, batch_format="pandas"
-    )
+    with_df = bucket_apply(
+        grams, "gram", annotate_df, num_buckets=num_buckets,
+        schema={id_col: id_col, "gram": pa.int64(), "n": pa.int64(),
+                "df": pa.int64()})
 
-    # all rows of one doc share a db bucket: ONE vectorized sort +
-    # cumcount per bucket selects every doc's rarest-first prefix
-    def prefix(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([id_col, "df", "gram"], kind="mergesort")
+    # all rows of one doc share a bucket: ONE vectorized sort + cumcount
+    # per bucket selects every doc's rarest-first prefix
+    def prefix(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([id_col, "df", "gram"], kind="mergesort")
         pos = g.groupby(id_col, sort=False).cumcount().to_numpy()
         n = g["n"].to_numpy()
         # required overlap ceil(t*n), nudged DOWN so float error can only
@@ -1045,7 +1002,8 @@ def ngram_jaccard_pairs(ds, col: str, id_col: str, *, threshold: float = 0.8,
         req = np.ceil(threshold * n - 1e-9)
         return g.loc[pos < (n - req + 1), [id_col, "gram"]]
 
-    pref = with_df.groupby("db").map_groups(prefix, batch_format="pandas")
+    pref = bucket_apply(with_df, id_col, prefix, num_buckets=num_buckets,
+                        schema={id_col: id_col, "gram": pa.int64()})
 
     cand = _bucket_pairs(pref, ["gram"], id_col, max_bucket,
                          as_dataset=as_dataset)
@@ -1429,10 +1387,6 @@ def cross_corpus_duplicates(new_ds, base_ds, *, col: str = "text",
         return new_fp.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
 
     if strategy == "shuffle":
-        def fp_bucket(fp: pa.Array) -> pa.Array:
-            h = pd.util.hash_array(fp.to_numpy(zero_copy_only=False))
-            return pa.array((h % num_buckets).astype(np.int32), pa.int32())
-
         # the two sides union, so base rows need a typed null id column
         schema = new_fp.schema()
         base_schema = getattr(schema, "base_schema", schema)
@@ -1440,25 +1394,15 @@ def cross_corpus_duplicates(new_ds, base_ds, *, col: str = "text",
 
         def tag_new(t: pa.Table) -> pa.Table:
             fp = t["fingerprint"].combine_chunks()
-            keep = pc.is_valid(fp)
-            t = pa.table({id_col: t[id_col], "fingerprint": fp}).filter(keep)
-            fp = t["fingerprint"].combine_chunks()
-            return pa.table(
-                {
-                    "bucket": fp_bucket(fp),
-                    id_col: t[id_col],
-                    "fingerprint": fp,
-                    "side": pa.array(
-                        np.ones(t.num_rows, np.int8), pa.int8()
-                    ),
-                }
-            )
+            t = pa.table({id_col: t[id_col], "fingerprint": fp}).filter(
+                pc.is_valid(fp))
+            return t.append_column(
+                "side", pa.array(np.ones(t.num_rows, np.int8), pa.int8()))
 
         def tag_base(t: pa.Table) -> pa.Table:
             fp = t["fingerprint"].combine_chunks()
             return pa.table(
                 {
-                    "bucket": fp_bucket(fp),
                     id_col: pa.array([None] * len(fp), id_type),
                     "fingerprint": fp,
                     "side": pa.array(np.zeros(len(fp), np.int8), pa.int8()),
@@ -1475,13 +1419,6 @@ def cross_corpus_duplicates(new_ds, base_ds, *, col: str = "text",
         def semi(group: pa.Table) -> pa.Table:
             is_new = pc.equal(group["side"], 1)
             new_rows = group.filter(is_new)
-            if new_rows.num_rows == 0:
-                return pa.table(
-                    {
-                        id_col: pa.array([], group.schema.field(id_col).type),
-                        "fingerprint": pa.array([], pa.string()),
-                    }
-                )
             base_keys = pc.unique(
                 group.filter(pc.invert(is_new))["fingerprint"].combine_chunks()
             )
@@ -1491,33 +1428,27 @@ def cross_corpus_duplicates(new_ds, base_ds, *, col: str = "text",
                 ),
                 False,
             )
-            out = new_rows.filter(hit)
-            return pa.table(
-                {id_col: out[id_col], "fingerprint": out["fingerprint"]}
-            )
+            return new_rows.filter(hit)
 
-        return (
-            tagged_new.union(tagged_base)
-            .groupby("bucket")
-            .map_groups(semi, batch_format="pyarrow")
-        )
+        return bucket_apply(
+            tagged_new.union(tagged_base), "fingerprint", semi,
+            num_buckets=num_buckets,
+            schema={id_col: id_type, "fingerprint": pa.string()})
 
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
 # ------------------------------------------------------ exact substrings
 def _positioned_gram_rows(batch: pa.Table, col: str, id_col: str,
-                          k: int, num_buckets: int) -> pa.Table:
-    """Positional word-shingle hash rows ``(id, pos, gram, gb)`` — one
+                          k: int) -> pa.Table:
+    """Positional word-shingle hash rows ``(id, pos, gram)`` — one
     row per k-gram START position (0-based token index). Documents with
     fewer than ``k`` tokens emit nothing (they cannot hold a k-token
     span), unlike ``_distinct_gram_rows``'s whole-doc fallback."""
-    nb = np.uint64(num_buckets)
     empty = pa.table({
         id_col: pa.array([], batch.schema.field(id_col).type),
         "pos": pa.array([], pa.int64()),
         "gram": pa.array([], pa.int64()),
-        "gb": pa.array([], pa.int32()),
     })
     if not len(batch):
         return empty
@@ -1560,13 +1491,12 @@ def _positioned_gram_rows(batch: pa.Table, col: str, id_col: str,
         id_col: ids,
         "pos": pa.array(pos, pa.int64()),
         "gram": pa.array(h.view(np.int64), pa.int64()),
-        "gb": pa.array((h % nb).astype(np.int32), pa.int32()),
     })
 
 
 def _positioned_char_gram_rows(batch: pa.Table, col: str, id_col: str,
-                               k: int, num_buckets: int) -> pa.Table:
-    """Positional CHARACTER-shingle hash rows ``(id, pos, gram, gb)`` —
+                               k: int) -> pa.Table:
+    """Positional CHARACTER-shingle hash rows ``(id, pos, gram)`` —
     one row per k-codepoint window start (0-based codepoint index), the
     ExactSubstr emitter for unsegmented scripts (zh/ja/th), where
     ``utf8_split_whitespace`` would degrade to whole-line granularity
@@ -1575,12 +1505,10 @@ def _positioned_char_gram_rows(batch: pa.Table, col: str, id_col: str,
     join -> one utf-32 decode -> bijective odd-constant codepoint mix
     -> k-term polynomial rolling combine. Documents shorter than ``k``
     codepoints emit nothing."""
-    nb = np.uint64(num_buckets)
     empty = pa.table({
         id_col: pa.array([], batch.schema.field(id_col).type),
         "pos": pa.array([], pa.int64()),
         "gram": pa.array([], pa.int64()),
-        "gb": pa.array([], pa.int32()),
     })
     if not len(batch):
         return empty
@@ -1612,7 +1540,6 @@ def _positioned_char_gram_rows(batch: pa.Table, col: str, id_col: str,
         id_col: ids,
         "pos": pa.array(pos, pa.int64()),
         "gram": pa.array(h.view(np.int64), pa.int64()),
-        "gb": pa.array((h % nb).astype(np.int32), pa.int32()),
     })
 
 
@@ -1626,31 +1553,24 @@ def _gram_emitter(granularity: str):
 
 def _dup_positions(ds, col: str, id_col: str, k: int, num_buckets: int,
                    granularity: str = "word"):
-    """Dataset of ``(id, pos, db)`` — every k-gram start position whose
+    """Dataset of ``(id, pos)`` — every k-gram start position whose
     shingle occurs at >= 2 positions corpus-wide (cross- OR intra-doc:
     the ExactSubstr duplication criterion, unlike ``dup_gram_stats``'s
     other-doc-only df). One gram-hash bucket shuffle; a gram's rows all
     land in one bucket, so the in-bucket occurrence count IS global."""
     emit = _gram_emitter(granularity)
     grams = ds.map_batches(
-        lambda batch: emit(batch, col, id_col, k, num_buckets),
+        lambda batch: emit(batch, col, id_col, k),
         batch_format="pyarrow", zero_copy_batch=True,
     )
 
-    def bucket_dups(group: pd.DataFrame) -> pa.Table:
-        # explicitly-typed Arrow output: buckets with zero duplicated
-        # grams emit an empty block that must still carry the schema
+    def bucket_dups(t: pa.Table) -> pd.DataFrame:
+        group = t.to_pandas()
         cnt = group.groupby("gram")["gram"].transform("size")
-        out = group.loc[cnt > 1, [id_col, "pos"]]
-        db = (pd.util.hash_array(out[id_col].to_numpy()) % num_buckets)
-        id_type = pa.Array.from_pandas(group[id_col].iloc[:1]).type
-        return pa.table({
-            id_col: pa.Array.from_pandas(out[id_col], type=id_type),
-            "pos": pa.array(out["pos"].to_numpy(np.int64), pa.int64()),
-            "db": pa.array(db.astype(np.int32), pa.int32()),
-        })
+        return group.loc[cnt > 1, [id_col, "pos"]]
 
-    return grams.groupby("gb").map_groups(bucket_dups, batch_format="pandas")
+    return bucket_apply(grams, "gram", bucket_dups, num_buckets=num_buckets,
+                        schema={id_col: id_col, "pos": pa.int64()})
 
 
 from ._math import merge_constant_windows as _merge_spans  # shared kernel
@@ -1679,36 +1599,23 @@ def exact_substr_spans(ds, col: str, id_col: str, *, k: int = 5,
     dup = _dup_positions(ds, col, id_col, k, num_buckets,
                          granularity=granularity)
 
-    def fold_spans(group: pd.DataFrame) -> pa.Table:
-        # explicitly-typed Arrow output: zero-span buckets must still
-        # carry the schema (empty pandas blocks are schema-less through
-        # Ray's bundle path)
+    schema = {id_col: id_col, "span_start": pa.int64(), "span_end": pa.int64(),
+              "span_toks": pa.int64()}
+
+    def fold_spans(t: pa.Table) -> pd.DataFrame:
         outs = []
-        for doc, sub in group.groupby(id_col, sort=False):
+        for doc, sub in t.to_pandas().groupby(id_col, sort=False):
             p = np.sort(sub["pos"].to_numpy(np.int64))
             s, e = _merge_spans(p, k)
             outs.append(pd.DataFrame({
-                id_col: doc, "span_start": s, "span_end": e,
+                id_col: doc, "span_start": s, "span_end": e, "span_toks": e - s,
             }))
-        if not outs:
-            out = pd.DataFrame({id_col: pd.Series(dtype=group[id_col].dtype),
-                                "span_start": pd.Series(dtype="int64"),
-                                "span_end": pd.Series(dtype="int64")})
-        else:
-            out = pd.concat(outs, ignore_index=True)
-        start = out["span_start"].to_numpy(np.int64)
-        end = out["span_end"].to_numpy(np.int64)
-        # pin the id type from the (always non-empty) input group so an
-        # empty output block still carries it
-        id_type = pa.Array.from_pandas(group[id_col].iloc[:1]).type
-        return pa.table({
-            id_col: pa.Array.from_pandas(out[id_col], type=id_type),
-            "span_start": pa.array(start, pa.int64()),
-            "span_end": pa.array(end, pa.int64()),
-            "span_toks": pa.array(end - start, pa.int64()),
-        })
+        # a bucket whose ids are all null yields no spans
+        return (pd.concat(outs, ignore_index=True) if outs
+                else pd.DataFrame(columns=list(schema)))
 
-    return dup.groupby("db").map_groups(fold_spans, batch_format="pandas")
+    return bucket_apply(dup, id_col, fold_spans, num_buckets=num_buckets,
+                        schema=schema)
 
 
 def exact_substr_clean(ds, col: str, id_col: str, *, k: int = 5,
@@ -1738,18 +1645,14 @@ def exact_substr_clean(ds, col: str, id_col: str, *, k: int = 5,
             id_col: t[id_col], "pos": t["pos"],
             col: pa.nulls(len(t), pa.string()),
             **{c: pa.nulls(len(t), pa.string()) for c in carry_cols},
-            "db": t["db"],
         })
 
     def tag_text(t: pa.Table) -> pa.Table:
-        ids = t[id_col].combine_chunks()
-        db = pd.util.hash_array(ids.to_numpy(zero_copy_only=False)) % num_buckets
         return pa.table({
             id_col: t[id_col],
             "pos": pa.array(np.full(len(t), -1, np.int64)),
             col: t[col],
             **{c: t[c] for c in carry_cols},
-            "db": pa.array(db.astype(np.int32)),
         })
 
     both = dup.map_batches(
@@ -1758,7 +1661,8 @@ def exact_substr_clean(ds, col: str, id_col: str, *, k: int = 5,
         tag_text, batch_format="pyarrow", zero_copy_batch=True,
     ))
 
-    def rebuild(group: pd.DataFrame) -> pd.DataFrame:
+    def rebuild(t: pa.Table) -> pd.DataFrame:
+        group = t.to_pandas()
         ids_out, texts_out, removed = [], [], []
         carry_out: dict = {c: [] for c in carry_cols}
         has_dup = set(group.loc[group["pos"] >= 0, id_col])
@@ -1789,21 +1693,14 @@ def exact_substr_clean(ds, col: str, id_col: str, *, k: int = 5,
             removed.append(int(covered.sum()))
             for c in carry_cols:
                 carry_out[c].append(text_rows[c].iloc[0])
-        # explicitly-typed Arrow output (same empty-block lesson as
-        # fold_spans): buckets with no surviving docs keep the schema
-        id_type = pa.Array.from_pandas(group[id_col].iloc[:1]).type
-        return pa.table({
-            id_col: pa.Array.from_pandas(
-                pd.Series(ids_out, dtype=group[id_col].dtype),
-                type=id_type),
-            "clean_text": pa.array(texts_out, pa.string()),
-            "n_removed_toks": pa.array(
-                np.asarray(removed, np.int64), pa.int64()),
-            **{c: pa.array(carry_out[c], pa.string())
-               for c in carry_cols},
-        })
+        return pd.DataFrame({id_col: ids_out, "clean_text": texts_out,
+                             "n_removed_toks": removed, **carry_out})
 
-    return both.groupby("db").map_groups(rebuild, batch_format="pandas")
+    return bucket_apply(
+        both, id_col, rebuild, num_buckets=num_buckets,
+        schema={id_col: id_col, "clean_text": pa.string(),
+                "n_removed_toks": pa.int64(),
+                **{c: pa.string() for c in carry_cols}})
 
 
 def normalized_text_dups(ds, *, col: str = "text", id_col: str = "doc_id",
@@ -1828,35 +1725,20 @@ def normalized_text_dups(ds, *, col: str = "text", id_col: str = "doc_id",
         t = pc.replace_substring_regex(t, "[^a-z0-9 ]", "")
         t = pc.replace_substring_regex(t, " +", " ")
         t = pc.utf8_trim(t, " ")
-        h = md5_hex(t)
-        nb = (pd.util.hash_array(h) % num_buckets).astype(np.int32)
-        return pa.table({
-            id_col: batch[id_col],
-            "norm": pa.array(h, pa.string()),
-            "nb": pa.array(nb, pa.int32()),
-        })
+        return pa.table({id_col: batch[id_col],
+                         "norm": pa.array(md5_hex(t), pa.string())})
 
-    def dups(group: pd.DataFrame) -> pa.Table:
-        # return an explicitly-typed Arrow table: groups with zero dups
-        # emit an EMPTY block, and an empty pandas block is schema-less
-        # through Ray's bundle path ("new schema: ." warnings; ArrowInvalid
-        # on some lineages). Building from the always-non-empty group and
-        # filtering in Arrow keeps the schema pinned even at zero rows.
+    def dups(t: pa.Table) -> pd.DataFrame:
+        group = t.to_pandas()
         g = group.groupby("norm")
-        size = g["norm"].transform("size").to_numpy()
-        keeper = g[id_col].transform("min")
-        t = pa.table({
-            id_col: pa.Array.from_pandas(group[id_col]),
-            "keeper": pa.Array.from_pandas(keeper),
-            "group_size": pa.array(size.astype(np.int64), pa.int64()),
-        })
-        return t.filter(pa.array(size > 1))
+        group["keeper"] = g[id_col].transform("min")
+        group["group_size"] = g["norm"].transform("size")
+        return group[group["group_size"] > 1]
 
-    return (
-        ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("nb")
-        .map_groups(dups, batch_format="pandas")
-    )
+    return bucket_apply(
+        ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True),
+        "norm", dups, num_buckets=num_buckets,
+        schema={id_col: id_col, "keeper": id_col, "group_size": pa.int64()})
 
 
 def dedup_lang_shift(ds, *, key: str = "text", id_col: str = "doc_id",

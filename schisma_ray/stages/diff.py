@@ -18,6 +18,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ._bucket import bucket_apply
+
 _NULL = "\x00null"
 
 
@@ -52,23 +54,16 @@ def table_diff(ds_old, ds_new, key: str, columns: list[str],
     def tag(side: int):
         def fn(batch: pa.Table) -> pa.Table:
             t = row_hashes(batch, key, columns)
-            k = t[key].combine_chunks()
-            h = pd.util.hash_array(k.to_numpy(zero_copy_only=False))
-            return pa.table(
-                {
-                    "bucket": pa.array((h % num_buckets).astype(np.int32), pa.int32()),
-                    key: k,
-                    "h": t["h"],
-                    "side": pa.array([side] * t.num_rows, pa.int8()),
-                }
-            )
+            return t.append_column(
+                "side", pa.array([side] * t.num_rows, pa.int8()))
 
         return fn
 
     old = ds_old.map_batches(tag(0), batch_format="pyarrow", zero_copy_batch=True)
     new = ds_new.map_batches(tag(1), batch_format="pyarrow", zero_copy_batch=True)
 
-    def classify(group: pd.DataFrame) -> pd.DataFrame:
+    def classify(t: pa.Table) -> pd.DataFrame:
+        group = t.to_pandas()
         o = group[group["side"] == 0].drop_duplicates(key).set_index(key)["h"]
         n = group[group["side"] == 1].drop_duplicates(key).set_index(key)["h"]
         added = n.index.difference(o.index)
@@ -86,6 +81,5 @@ def table_diff(ds_old, ds_new, key: str, columns: list[str],
             }
         )
 
-    return old.union(new).groupby("bucket").map_groups(
-        classify, batch_format="pandas"
-    )
+    return bucket_apply(old.union(new), key, classify, num_buckets=num_buckets,
+                        schema={key: key, "change": pa.string()})

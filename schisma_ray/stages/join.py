@@ -280,17 +280,12 @@ def upsert_compact(base, updates, *, key: str, ts_col: str,
     stream; nothing is broadcast, so base and updates may each be
     corpus-sized. Equal (ts, source) ties within one side are not
     ordered — feed deduplicated snapshots."""
-    import pandas as pd
+    from ._bucket import bucket_apply
 
     def tag(src: int):
         def fn(t: pa.Table) -> pa.Table:
-            h = pd.util.hash_array(
-                t[key].combine_chunks().to_numpy(zero_copy_only=False)
-            )
             return t.append_column(
                 "_src", pa.array(np.full(t.num_rows, src, np.int8))
-            ).append_column(
-                "_kb", pa.array((h % num_buckets).astype(np.int32), pa.int32())
             )
 
         return fn
@@ -301,10 +296,10 @@ def upsert_compact(base, updates, *, key: str, ts_col: str,
                             zero_copy_batch=True)
     )
 
-    def latest(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key, ts_col, "_src"],
-                              ascending=[True, False, False],
-                              kind="mergesort")
-        return g[~g.duplicated(key)].drop(columns=["_src", "_kb"])
+    def latest(t: pa.Table):
+        g = t.to_pandas().sort_values([key, ts_col, "_src"],
+                                      ascending=[True, False, False],
+                                      kind="mergesort")
+        return g[~g.duplicated(key)].drop(columns=["_src"])
 
-    return u.groupby("_kb").map_groups(latest, batch_format="pandas")
+    return bucket_apply(u, key, latest, num_buckets=num_buckets, schema=None)

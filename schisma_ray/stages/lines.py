@@ -5,11 +5,11 @@ paragraphs), keeping the globally FIRST occurrence by (doc_id, pos),
 then reconstruct each document from its surviving lines.
 
 Scale shape: one explode pass (vectorized Arrow ``split_pattern`` +
-``list_flatten``), ONE ``groupby(line-hash bucket)`` — every occurrence
+``list_flatten``), ONE ``bucket_apply`` keyed by line — every occurrence
 of an identical line lands in the same bucket, so per-bucket
 ``drop_duplicates(keep="first")`` on the exact line string is globally
-correct (the hash only routes; equality decides) — and ONE
-``groupby(doc-hash bucket)`` to reassemble documents. No driver hop;
+correct (the hash only routes; equality decides) — and ONE keyed by
+doc id to reassemble documents. No driver hop;
 both shuffles carry only (id, pos, line) rows.
 
 Documents whose every line is dropped disappear from the output (same
@@ -23,9 +23,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ._bucket import bucket_apply
 
-def _explode_fn(text_col: str, id_col: str, sep: str, num_buckets: int,
-                carry_cols: tuple = ()):
+
+def _explode_fn(text_col: str, id_col: str, sep: str, carry_cols: tuple = ()):
     def explode(batch: pa.Table) -> pa.Table:
         # a null text contributes no lines (the doc vanishes, like the
         # SQL WHERE text IS NOT NULL); without this, list_value_length's
@@ -44,16 +45,11 @@ def _explode_fn(text_col: str, id_col: str, sep: str, num_buckets: int,
         if len(lens) > 1:
             starts[1:] = np.cumsum(lens)[:-1]
         pos = np.arange(len(flat), dtype=np.int64) - starts[parent]
-        bucket = (
-            pd.util.hash_array(flat.to_numpy(zero_copy_only=False))
-            % num_buckets
-        ).astype(np.int64)
         cols = {
             id_col: batch[id_col].take(pa.array(parent)),
             "pos": pa.array(pos, pa.int64()),
             "line": flat,
             "n_total": pa.array(lens[parent], pa.int64()),
-            "bucket": pa.array(bucket, pa.int64()),
         }
         for c in carry_cols:  # doc-level constants ride the explode
             cols[c] = batch[c].take(pa.array(parent))
@@ -72,41 +68,33 @@ def line_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
     are doc-level columns ferried through unchanged (e.g. lang/source
     for a downstream pipeline stage)."""
     exploded = ds.map_batches(
-        _explode_fn(text_col, id_col, sep, num_buckets, carry_cols),
+        _explode_fn(text_col, id_col, sep, carry_cols),
         batch_format="pyarrow", zero_copy_batch=True,
     )
+    carry = {c: c for c in carry_cols}
 
-    def keep_first(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([id_col, "pos"], kind="stable")
+    def keep_first(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([id_col, "pos"], kind="stable")
         return g.drop_duplicates(subset="line", keep="first")
 
-    kept = exploded.groupby("bucket").map_groups(keep_first, batch_format="pandas")
+    kept = bucket_apply(
+        exploded, "line", keep_first, num_buckets=num_buckets,
+        schema={id_col: id_col, "pos": pa.int64(), "line": "line",
+                "n_total": pa.int64(), **carry})
 
-    def doc_bucket(t: pa.Table) -> pa.Table:
-        h = (
-            pd.util.hash_array(t[id_col].to_numpy(zero_copy_only=False))
-            % num_buckets
-        ).astype(np.int64)
-        return t.set_column(
-            t.schema.get_field_index("bucket"), "bucket", pa.array(h, pa.int64())
-        )
-
-    rekeyed = kept.map_batches(doc_bucket, batch_format="pyarrow",
-                               zero_copy_batch=True)
-
-    def rebuild(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([id_col, "pos"], kind="stable")
-        agg = g.groupby(id_col, sort=True).agg(
+    def rebuild(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([id_col, "pos"], kind="stable")
+        return g.groupby(id_col, sort=True).agg(
             text=("line", sep.join),
             n_kept=("line", "size"),
             n_total=("n_total", "first"),
             **{c: (c, "first") for c in carry_cols},
-        )
-        agg["n_kept"] = agg["n_kept"].astype("int64")
-        agg["n_total"] = agg["n_total"].astype("int64")
-        return agg.reset_index()
+        ).reset_index()
 
-    return rekeyed.groupby("bucket").map_groups(rebuild, batch_format="pandas")
+    return bucket_apply(
+        kept, id_col, rebuild, num_buckets=num_buckets,
+        schema={id_col: id_col, "text": pa.string(), "n_kept": pa.int64(),
+                "n_total": pa.int64(), **carry})
 
 
 def c4_clean(ds, *, text_col: str = "text", id_col: str = "doc_id",
@@ -185,15 +173,14 @@ def duplicated_lines(ds, *, text_col: str = "text", id_col: str = "doc_id",
     the corpus (the boilerplate report). Per-bucket counts are globally
     exact — identical lines co-locate by hash."""
     exploded = ds.map_batches(
-        _explode_fn(text_col, id_col, sep, num_buckets),
+        _explode_fn(text_col, id_col, sep),
         batch_format="pyarrow", zero_copy_batch=True,
     )
 
-    def count_lines(group: pd.DataFrame) -> pd.DataFrame:
-        n = group.groupby("line", sort=True).size()
+    def count_lines(t: pa.Table) -> pd.DataFrame:
+        n = t.to_pandas().groupby("line", sort=True).size()
         n = n[n >= min_count]
-        return pd.DataFrame(
-            {"line": n.index.to_numpy(), "n": n.to_numpy().astype("int64")}
-        )
+        return pd.DataFrame({"line": n.index.to_numpy(), "n": n.to_numpy()})
 
-    return exploded.groupby("bucket").map_groups(count_lines, batch_format="pandas")
+    return bucket_apply(exploded, "line", count_lines, num_buckets=num_buckets,
+                        schema={"line": pa.string(), "n": pa.int64()})

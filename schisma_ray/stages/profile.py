@@ -147,32 +147,27 @@ def fd_violations(ds, *, lhs: str, rhs: str, min_group: int = 1,
     import numpy as np
     import pandas as pd
 
-    from ._bucket import key_bucket
+    from ._bucket import bucket_apply
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[lhs]))
         g = pa.table({lhs: t[lhs], rhs: t[rhs],
                       "one": pa.array(np.ones(t.num_rows, np.int64))})
-        pairs = g.group_by([lhs, rhs]).aggregate([("one", "sum")])
-        return pairs.append_column(
-            "bucket", key_bucket(pairs[lhs].combine_chunks(), num_buckets)
-        )
+        return g.group_by([lhs, rhs]).aggregate([("one", "sum")])
 
     pairs = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        agg = group.groupby(lhs).agg(
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        agg = t.to_pandas().groupby(lhs).agg(
             n_rhs=(rhs, "nunique"), n_rows=("one_sum", "sum")
         )
         bad = agg[(agg["n_rhs"] > 1) & (agg["n_rows"] >= min_group)]
-        out = bad.reset_index()[[lhs, "n_rows", "n_rhs"]]
-        out["n_rows"] = out["n_rows"].astype("int64")
-        out["n_rhs"] = out["n_rhs"].astype("int64")
-        return out
+        return bad.reset_index()
 
-    return pairs.groupby("bucket").map_groups(per_bucket,
-                                              batch_format="pandas")
+    return bucket_apply(pairs, lhs, per_bucket, num_buckets=num_buckets,
+                        schema={lhs: lhs, "n_rows": pa.int64(),
+                                "n_rhs": pa.int64()})
 
 
 def group_cardinality_violations(ds, *, key_cols: list[str],

@@ -450,34 +450,31 @@ def grouped_mode(ds, key_col: str, val_col: str, *, num_buckets: int = 64):
     import pandas as pd
     import pyarrow.compute as pc
 
-    from ._bucket import key_bucket
+    from ._bucket import bucket_apply
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.and_(pc.is_valid(t[key_col]),
                              pc.is_valid(t[val_col])))
-        agg = (
+        return (
             t.select([key_col, val_col])
             .group_by([key_col, val_col])
             .aggregate([([], "count_all")])
         ).rename_columns([key_col, val_col, "n"])
-        return agg.append_column(
-            "_b", key_bucket(agg[key_col].combine_chunks(), num_buckets)
-        )
 
     parts = ds.map_batches(partial, batch_format="pyarrow",
                            zero_copy_batch=True)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        c = (g.groupby([key_col, val_col], sort=False)["n"].sum()
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        c = (t.to_pandas().groupby([key_col, val_col], sort=False)["n"].sum()
              .reset_index())
         c = c.sort_values([key_col, "n", val_col],
                           ascending=[True, False, True], kind="mergesort")
-        top = c.drop_duplicates(key_col, keep="first").copy()
-        top["n"] = top["n"].astype(np.int64)
-        return (top[[key_col, val_col, "n"]]
+        return (c.drop_duplicates(key_col, keep="first")
                 .rename(columns={val_col: "mode"}))
 
-    return parts.groupby("_b").map_groups(per_bucket, batch_format="pandas")
+    return bucket_apply(parts, key_col, per_bucket, num_buckets=num_buckets,
+                        schema={key_col: key_col, "mode": val_col,
+                                "n": pa.int64()})
 
 
 def quantile_bins(ds, val_col: str, id_cols: list[str], *,

@@ -8,10 +8,10 @@ Two strategies (SURVEY.md §2 joins/lookups):
   Right whenever the id set fits comfortably in the object store (a
   10^9-id string set is a few tens of GB — prefer the shuffle path
   beyond that).
-* ``shuffle`` — both sides get a ``bucket = hash(key) % B`` column, are
-  unioned with a side tag, grouped by bucket, and each bucket performs
-  a local Arrow anti-join inside ``map_groups``. One all-to-all over
-  (key, tag) pairs only — bytes-light even at 10^12 rows.
+* ``shuffle`` — both sides are unioned with a side tag and exchanged
+  by key hash bucket (``bucket_apply``); each bucket performs a local
+  Arrow anti-join. One all-to-all over (key, tag) pairs only —
+  bytes-light even at 10^12 rows.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..sources.image_table import VIOLATION_SCHEMA
+from ._bucket import bucket_apply
 
 
 def _violation_table(ids: pa.Array, column: str) -> pa.Table:
@@ -87,10 +88,8 @@ def referential_violations(
             def fn(batch: pa.Table) -> pa.Table:
                 col = pc.cast(batch[column].combine_chunks(), pa.string())
                 col = col.filter(pc.is_valid(col))
-                bucket = pc.bit_wise_and(pc.hash_64(col) if hasattr(pc, "hash_64") else _hash64(col), num_buckets - 1)
-                return pa.table(
-                    {"key": col, "side": pa.array([side] * len(col)), "bucket": pc.cast(bucket, pa.int32())}
-                )
+                return pa.table({"key": col,
+                                 "side": pa.array([side] * len(col), pa.string())})
 
             return fn
 
@@ -104,8 +103,6 @@ def referential_violations(
             # one vectorized Arrow left-anti join per BUCKET (not per key):
             # num_buckets group tasks total, each O(bucket) hash-join work
             facts = group.filter(pc.equal(group["side"], "fact")).select(["key"])
-            if facts.num_rows == 0:
-                return VIOLATION_SCHEMA.empty_table()
             refs = (
                 group.filter(pc.equal(group["side"], "ref"))
                 .select(["key"])
@@ -113,21 +110,12 @@ def referential_violations(
                 .aggregate([])  # distinct — keeps the join build side minimal
             )
             orphans = facts.join(refs, keys="key", join_type="left anti")
-            if orphans.num_rows == 0:
-                return VIOLATION_SCHEMA.empty_table()
             return _violation_table(orphans["key"].combine_chunks(), column)
 
-        return fact.union(ref).groupby("bucket").map_groups(anti, batch_format="pyarrow")
+        return bucket_apply(fact.union(ref), "key", anti,
+                            num_buckets=num_buckets, schema=VIOLATION_SCHEMA)
 
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _hash64(col: pa.Array) -> pa.Array:
-    import numpy as np
-    import pandas as pd
-
-    h = pd.util.hash_array(col.to_numpy(zero_copy_only=False)).astype(np.int64)
-    return pa.array(np.abs(h))
 
 
 class BloomFilter:

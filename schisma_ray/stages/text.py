@@ -545,12 +545,10 @@ def bm25_topk(ds, query_terms, *, k: int = 10, k1: float = 1.5,
                      "score": pa.array(merged["score"].tolist(), pa.float64())})
 
 
-def _index_partial_fn(col: str, id_col: str, max_postings: int,
-                      num_buckets: int):
+def _index_partial_fn(col: str, id_col: str, max_postings: int):
     """Per-batch pre-capped posting partials for ``inverted_index`` —
     module-level so the skew bound (at most max_postings rows per term
     per batch entering the shuffle) is directly unit-testable."""
-    import pandas as pd
 
     def explode_partial(t: pa.Table) -> pa.Table:
         words = pc.split_pattern(t[col].combine_chunks(), " ")
@@ -576,9 +574,7 @@ def _index_partial_fn(col: str, id_col: str, max_postings: int,
         g = g.assign(
             df_part=np.where(rn == 0, size.to_numpy(np.int64), 0)
         )
-        out = g[rn < max_postings]
-        h = pd.util.hash_array(np.asarray(out["term"].to_numpy(), dtype=object))
-        return out.assign(tb=(h % num_buckets).astype(np.int32))
+        return g[rn < max_postings]
 
     return explode_partial
 
@@ -601,12 +597,15 @@ def inverted_index(ds, *, col: str = "text", id_col: str = "doc_id",
     O(terms x blocks x m) rows, never every (term, doc) pair — a stop
     word's posting traffic is bounded by blocks, not corpus size."""
     partials = ds.map_batches(
-        _index_partial_fn(col, id_col, max_postings, num_buckets),
+        _index_partial_fn(col, id_col, max_postings),
         batch_format="pyarrow", zero_copy_batch=True,
     )
     import pandas as pd
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
+    from ._bucket import bucket_apply
+
+    def merge(t: pa.Table) -> pd.DataFrame:
+        group = t.to_pandas()
         df_map = group.groupby("term", sort=False)["df_part"].sum()
         g = group.sort_values(["term", id_col], kind="mergesort")
         rn = g.groupby("term", sort=False).cumcount()
@@ -616,12 +615,14 @@ def inverted_index(ds, *, col: str = "text", id_col: str = "doc_id",
         return pd.DataFrame(
             {
                 "term": postings.index,
-                "df": df_map.loc[postings.index].to_numpy(np.int64),
+                "df": df_map.loc[postings.index].to_numpy(),
                 "postings": postings.to_numpy(),
             }
         )
 
-    return partials.groupby("tb").map_groups(merge, batch_format="pandas")
+    return bucket_apply(partials, "term", merge, num_buckets=num_buckets,
+                        schema={"term": pa.string(), "df": pa.int64(),
+                                "postings": pa.string()})
 
 
 GOPHER_STOPWORDS = ("the", "be", "to", "of", "and", "that", "have", "with")

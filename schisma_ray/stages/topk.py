@@ -206,7 +206,7 @@ def pivot_counts(ds, row_key: str, col_key: str, categories: list[str], *,
     with one Arrow group_by; the shuffle carries those partials
     bucketed by row-key hash; each bucket does one vectorized
     pandas pivot + reindex."""
-    import pandas as pd
+    from ._bucket import bucket_apply
 
     def partial(t: pa.Table) -> pa.Table:
         agg = (
@@ -214,26 +214,22 @@ def pivot_counts(ds, row_key: str, col_key: str, categories: list[str], *,
             .group_by([row_key, col_key])
             .aggregate([([], "count_all")])
         )
-        agg = agg.rename_columns([row_key, col_key, "n"])
-        h = pd.util.hash_array(
-            agg[row_key].combine_chunks().to_numpy(zero_copy_only=False)
-        )
-        return agg.append_column(
-            "_rb", pa.array((h % num_buckets).astype(np.int32), pa.int32())
-        )
+        return agg.rename_columns([row_key, col_key, "n"])
 
     partials = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    def merge(group: pd.DataFrame) -> pd.DataFrame:
-        wide = group.pivot_table(
+    def merge(t: pa.Table):
+        wide = t.to_pandas().pivot_table(
             index=row_key, columns=col_key, values="n",
             aggfunc="sum", fill_value=0,
-        ).reindex(columns=categories, fill_value=0).astype(np.int64)
+        ).reindex(columns=categories, fill_value=0)
         wide.columns = list(categories)
         return wide.reset_index()
 
-    return partials.groupby("_rb").map_groups(merge, batch_format="pandas")
+    return bucket_apply(partials, row_key, merge, num_buckets=num_buckets,
+                        schema={row_key: row_key,
+                                **{c: pa.int64() for c in categories}})
 
 
 def unpivot(ds, id_cols: list[str], value_cols: list[str], *,

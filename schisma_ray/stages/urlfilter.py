@@ -14,10 +14,11 @@ store.
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ._bucket import bucket_apply
 
 _HOST_RE = r"^[a-z][a-z0-9+.-]*://([^/?#]+)"
 
@@ -104,25 +105,16 @@ def url_canonical_dups(ds, *, url_col: str = "url", id_col: str = "doc_id",
     line_dedup contract). No driver folds, no pair explosion."""
 
     def canon(batch: pa.Table) -> pa.Table:
-        c = canonicalize_urls(batch[url_col])
-        cb = (
-            pd.util.hash_array(np.asarray(c.to_pylist(), dtype=object))
-            % num_buckets
-        ).astype(np.int32)
-        return pa.table({
-            id_col: batch[id_col],
-            "canon_url": c,
-            "cb": pa.array(cb, pa.int32()),
-        })
+        return pa.table({id_col: batch[id_col],
+                         "canon_url": canonicalize_urls(batch[url_col])})
 
-    def dups(group: pd.DataFrame) -> pd.DataFrame:
-        size = group.groupby("canon_url")["canon_url"].transform("size")
-        out = group.loc[size > 1, [id_col, "canon_url"]].copy()
-        out["group_size"] = size[size > 1].astype(np.int64)
-        return out
+    def dups(t: pa.Table) -> pd.DataFrame:
+        group = t.to_pandas()
+        group["group_size"] = group.groupby("canon_url")["canon_url"].transform("size")
+        return group[group["group_size"] > 1]
 
-    return (
-        ds.map_batches(canon, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cb")
-        .map_groups(dups, batch_format="pandas")
-    )
+    return bucket_apply(
+        ds.map_batches(canon, batch_format="pyarrow", zero_copy_batch=True),
+        "canon_url", dups, num_buckets=num_buckets,
+        schema={id_col: id_col, "canon_url": pa.string(),
+                "group_size": pa.int64()})

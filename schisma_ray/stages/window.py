@@ -17,7 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-from ._bucket import key_bucket as _key_bucket  # shared bucket helper
+from ._bucket import bucket_apply
 
 
 def session_agg(
@@ -44,19 +44,13 @@ def session_agg(
     gap_us = gap_s * 1_000_000
 
     def prep(t: pa.Table) -> pa.Table:
-        key = t[key_col].combine_chunks()
-        return pa.table(
-            {
-                key_col: key,
-                "ts_us": pc.cast(t[ts_col], pa.int64()),
-                "bucket": _key_bucket(key, num_buckets),
-            }
-        )
+        return pa.table({key_col: t[key_col],
+                         "ts_us": pc.cast(t[ts_col], pa.int64())})
 
     narrow = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_col, "ts_us"])
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key_col, "ts_us"])
         k = g[key_col].to_numpy()
         ts = g["ts_us"].to_numpy()
         new_s = np.ones(len(g), dtype=bool)
@@ -64,17 +58,16 @@ def session_agg(
             same_key = k[1:] == k[:-1]
             small_gap = (ts[1:] - ts[:-1]) <= gap_us
             new_s[1:] = ~(same_key & small_gap)
-        out = (
+        return (
             pd.DataFrame({key_col: k, "new_s": new_s})
             .groupby(key_col, sort=False)
             .agg(n_sessions=("new_s", "sum"), n_events=("new_s", "size"))
             .reset_index()
         )
-        out["n_sessions"] = out["n_sessions"].astype("int64")
-        out["n_events"] = out["n_events"].astype("int64")
-        return out
 
-    return narrow.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+                        schema={key_col: key_col, "n_sessions": pa.int64(),
+                                "n_events": pa.int64()})
 
 
 def hopping_window_agg(
@@ -238,20 +231,18 @@ def session_ids(
     gap_us = gap_s * 1_000_000
 
     def prep(t: pa.Table) -> pa.Table:
-        key = t[key_col].combine_chunks()
         return pa.table(
             {
                 id_col: t[id_col],
-                key_col: key,
+                key_col: t[key_col],
                 "ts_us": pc.cast(t[ts_col], pa.int64()),
-                "bucket": _key_bucket(key, num_buckets),
             }
         )
 
     narrow = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_col, "ts_us", id_col])
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key_col, "ts_us", id_col])
         k = g[key_col].to_numpy()
         ts = g["ts_us"].to_numpy()
         new_s = np.ones(len(g), dtype=np.int64)
@@ -276,7 +267,9 @@ def session_ids(
             }
         )
 
-    return narrow.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+                        schema={id_col: id_col, key_col: key_col,
+                                "session_id": pa.int64()})
 
 
 def grouped_rolling_mean(
@@ -303,21 +296,19 @@ def grouped_rolling_mean(
     import pandas as pd
 
     def prep(t: pa.Table) -> pa.Table:
-        key = t[key_col].combine_chunks()
         return pa.table(
             {
                 id_col: t[id_col],
-                key_col: key,
+                key_col: t[key_col],
                 "ts_us": pc.cast(t[ts_col], pa.int64()),
                 value_col: pc.cast(t[value_col], pa.float64()),
-                "bucket": _key_bucket(key, num_buckets),
             }
         )
 
     narrow = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_col, "ts_us", id_col])
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key_col, "ts_us", id_col])
         k = g[key_col].to_numpy()
         v = g[value_col].to_numpy(dtype=np.float64)
         n = len(g)
@@ -348,7 +339,9 @@ def grouped_rolling_mean(
             }
         )
 
-    return narrow.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+                        schema={id_col: id_col, key_col: key_col,
+                                "rolling_mean": pa.float64()})
 
 
 def event_transitions(
@@ -370,36 +363,26 @@ def event_transitions(
     before the shuffle — the global groupby carries one row per
     (prev, type) per bucket, never raw events.
     """
-    import numpy as np
     import pandas as pd
 
     def prep(t: pa.Table) -> pa.Table:
-        key = t[key_col].combine_chunks()
         return pa.table(
             {
-                key_col: key,
+                key_col: t[key_col],
                 id_col: t[id_col],
                 "ts_us": pc.cast(t[ts_col], pa.int64()),
                 type_col: t[type_col],
-                "bucket": _key_bucket(key, num_buckets),
             }
         )
 
     narrow = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_col, "ts_us", id_col])
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key_col, "ts_us", id_col])
         k = g[key_col].to_numpy()
         typ = g[type_col].to_numpy()
-        n = len(g)
-        if n < 2:
-            return pd.DataFrame(
-                {"prev_type": pd.Series([], dtype=object),
-                 type_col: pd.Series([], dtype=object),
-                 "n": pd.Series([], dtype="int64")}
-            )
         same_key = k[1:] == k[:-1]
-        out = (
+        return (
             pd.DataFrame({"prev_type": typ[:-1][same_key],
                           type_col: typ[1:][same_key]})
             .groupby(["prev_type", type_col], sort=False)
@@ -407,12 +390,10 @@ def event_transitions(
             .rename("n")
             .reset_index()
         )
-        out["n"] = out["n"].astype("int64")
-        return out
 
-    partials = narrow.groupby("bucket").map_groups(
-        per_bucket, batch_format="pandas"
-    )
+    partials = bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+                            schema={"prev_type": type_col, type_col: type_col,
+                                    "n": pa.int64()})
     total = partials.groupby(["prev_type", type_col]).sum("n")
     return total.map_batches(
         lambda t: pa.table(
@@ -452,19 +433,18 @@ def funnel_counts(
     def prep(t: pa.Table) -> pa.Table:
         typ = t[type_col].combine_chunks()
         keep = pc.fill_null(pc.is_in(typ, value_set=step_set), False)
-        t = pa.table(
+        return pa.table(
             {
                 key_col: t[key_col],
                 "ts_us": pc.cast(t[ts_col], pa.int64()),
                 type_col: typ,
             }
         ).filter(keep)
-        key = t[key_col].combine_chunks()
-        return t.append_column("bucket", _key_bucket(key, num_buckets))
 
     narrow = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
+    def per_bucket(rows: pa.Table) -> pd.DataFrame:
+        group = rows.to_pandas()
         out_step, out_name, out_users = [], [], []
         prev = None  # DataFrame(key, t_prev)
         for i, s in enumerate(steps):
@@ -482,28 +462,24 @@ def funnel_counts(
             out_users.append(len(t))
             prev = t
         return pd.DataFrame(
-            {
-                "step": np.asarray(out_step, np.int64),
-                "step_name": out_name,
-                "users": np.asarray(out_users, np.int64),
-            }
+            {"step": out_step, "step_name": out_name, "users": out_users}
         )
 
     import ray.data as rd
 
+    schema = {"step": pa.int64(), "step_name": pa.string(), "users": pa.int64()}
     # zero-row baseline keeps the 3-step output shape even when no
-    # event matches any funnel type (SQL returns count 0, not no rows);
-    # pandas block type to match the map_groups output blocks
-    zeros = rd.from_pandas(
-        pd.DataFrame(
-            {
-                "step": np.arange(1, len(steps) + 1, dtype=np.int64),
-                "step_name": list(steps),
-                "users": np.zeros(len(steps), np.int64),
-            }
-        )
-    )
-    per = narrow.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    # event matches any funnel type (SQL returns count 0, not no rows)
+    zeros = rd.from_arrow(pa.table(
+        {
+            "step": np.arange(1, len(steps) + 1, dtype=np.int64),
+            "step_name": list(steps),
+            "users": np.zeros(len(steps), np.int64),
+        },
+        schema=pa.schema(schema),
+    ))
+    per = bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+                       schema=schema)
     total = per.union(zeros).groupby(["step", "step_name"]).sum("users")
     return total.map_batches(
         lambda t: pa.table(
@@ -640,15 +616,12 @@ def event_time_dedup(
         cols = {id_col: t[id_col], "ts_us": pc.cast(t[ts_col], pa.int64())}
         for k in keys:
             cols[k] = t[k]
-        cols["bucket"] = _key_bucket(
-            [t[k].combine_chunks() for k in keys], num_buckets
-        )
         return pa.table(cols)
 
     narrow = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(keys + ["ts_us", id_col], kind="stable")
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values(keys + ["ts_us", id_col], kind="stable")
         ts = g["ts_us"].to_numpy()
         keep = np.ones(len(g), dtype=bool)
         if len(g) > 1:
@@ -657,10 +630,11 @@ def event_time_dedup(
                 col = g[k].to_numpy()
                 same &= col[1:] == col[:-1]
             keep[1:] = ~same | ((ts[1:] - ts[:-1]) > gap_us)
-        out = g.loc[keep, [id_col] + keys + ["ts_us"]]
-        return out
+        return g.loc[keep, [id_col] + keys + ["ts_us"]]
 
-    deduped = narrow.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    deduped = bucket_apply(
+        narrow, keys, per_bucket, num_buckets=num_buckets,
+        schema={id_col: id_col, **{k: k for k in keys}, "ts_us": pa.int64()})
 
     def restore_ts(t: pa.Table) -> pa.Table:
         cols = {
@@ -689,31 +663,25 @@ def event_gaps(
     (ts, id); gaps are exact microsecond diffs (== SQL
     ``date_diff('microsecond', ...)``). One narrow shuffle, segmented
     per-bucket scan — never per-key tasks."""
-    import numpy as np
     import pandas as pd
 
     gap_us = min_gap_s * 1_000_000
 
     def prep(t: pa.Table) -> pa.Table:
-        key = t[key_col].combine_chunks()
         return pa.table(
             {
-                key_col: key,
+                key_col: t[key_col],
                 id_col: t[id_col],
                 "ts_us": pc.cast(t[ts_col], pa.int64()),
-                "bucket": _key_bucket(key, num_buckets),
             }
         )
 
     narrow = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_col, "ts_us", id_col], kind="stable")
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key_col, "ts_us", id_col], kind="stable")
         k = g[key_col].to_numpy()
         ts = g["ts_us"].to_numpy()
-        if len(g) < 2:
-            return pd.DataFrame({key_col: k[:0], "start_us": ts[:0],
-                                 "gap_us": ts[:0]})
         same = k[1:] == k[:-1]
         diff = ts[1:] - ts[:-1]
         hit = same & (diff > gap_us)
@@ -721,11 +689,13 @@ def event_gaps(
             {
                 key_col: k[:-1][hit],
                 "start_us": ts[:-1][hit],
-                "gap_us": diff[hit].astype("int64"),
+                "gap_us": diff[hit],
             }
         )
 
-    gaps = narrow.groupby("bucket").map_groups(per_bucket, batch_format="pandas")
+    gaps = bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+                        schema={key_col: key_col, "start_us": pa.int64(),
+                                "gap_us": pa.int64()})
 
     def restore(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -772,21 +742,13 @@ def event_type_cooccurrence(
 
     def partial(t: pa.Table) -> pa.Table:
         g = pa.table({key_col: t[key_col], type_col: t[type_col]})
-        distinct = g.group_by([key_col, type_col]).aggregate([])
-        key = distinct[key_col].combine_chunks()
-        return distinct.append_column(
-            "bucket", _key_bucket(key, num_buckets)
-        )
+        return g.group_by([key_col, type_col]).aggregate([])
 
     pairs_in = ds.map_batches(partial, batch_format="pyarrow",
                               zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates([key_col, type_col])[[key_col, type_col]]
-        if len(g) == 0:
-            e = g[type_col].to_numpy()
-            return pd.DataFrame({"type_a": e, "type_b": e,
-                                 "n": np.zeros(0, np.int64)})
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().drop_duplicates([key_col, type_col])
         # sorted keys -> segment offsets -> per-segment upper triangle,
         # fully vectorized: row r pairs with rows r+1..seg_end-1; types
         # are sorted within a segment so type_a < type_b by construction
@@ -798,9 +760,6 @@ def event_type_cooccurrence(
 
         def segments(ks):
             m = len(ks)
-            if m == 0:
-                z = np.zeros(0, np.int64)
-                return z, z, z
             start = np.flatnonzero(
                 np.concatenate(([True], ks[1:] != ks[:-1]))
             )
@@ -823,17 +782,13 @@ def event_type_cooccurrence(
             if n_over:
                 marker = pd.DataFrame({
                     "type_a": [OVERFLOW_TYPE], "type_b": [OVERFLOW_TYPE],
-                    "n": np.array([n_over], np.int64),
+                    "n": [n_over],
                 })
                 return pd.concat([df, marker], ignore_index=True)
             return df
         # per-row count of partners to its right within the segment
         reps = np.repeat(seg_end, seg_len) - np.arange(n) - 1
         total = int(reps.sum())
-        if total == 0:
-            e = types[:0]
-            return with_overflow(pd.DataFrame(
-                {"type_a": e, "type_b": e, "n": np.zeros(0, np.int64)}))
         a_idx = np.repeat(np.arange(n), reps)
         cum = np.concatenate(([0], np.cumsum(reps)))
         b_idx = (np.arange(total) - np.repeat(cum[:-1], reps)
@@ -845,8 +800,9 @@ def event_type_cooccurrence(
         )
         return with_overflow(out)
 
-    per = pairs_in.groupby("bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
+    per = bucket_apply(pairs_in, key_col, per_bucket, num_buckets=num_buckets,
+                       schema={"type_a": type_col, "type_b": type_col,
+                               "n": pa.int64()})
     total = per.groupby(["type_a", "type_b"]).sum("n")
 
     def project(t: pa.Table) -> pa.Table:
@@ -885,7 +841,6 @@ def monotonic_violations(
     per-bucket vectorized lexsort + segmented lag compare (the
     ``event_gaps`` shape) — never per-key tasks, no values on the
     driver."""
-    import numpy as np
     import pandas as pd
 
     def prep(t: pa.Table) -> pa.Table:
@@ -894,27 +849,22 @@ def monotonic_violations(
             pc.is_valid(t[value_col]),
         )
         t = t.filter(mask)
-        key = t[key_col].combine_chunks()
         return pa.table(
             {
-                key_col: key,
+                key_col: t[key_col],
                 id_col: t[id_col],
                 "ts_us": pc.cast(t[ts_col], pa.int64()),
                 value_col: t[value_col],
-                "bucket": _key_bucket(key, num_buckets),
             }
         )
 
     narrow = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_col, "ts_us", id_col], kind="stable")
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key_col, "ts_us", id_col], kind="stable")
         k = g[key_col].to_numpy()
         v = g[value_col].to_numpy()
         ids = g[id_col].to_numpy()
-        if len(g) < 2:
-            return pd.DataFrame({key_col: k[:0], id_col: ids[:0],
-                                 value_col: v[:0], "prev_value": v[:0]})
         same = k[1:] == k[:-1]
         drop = (v[1:] <= v[:-1]) if strict else (v[1:] < v[:-1])
         hit = same & drop
@@ -927,8 +877,9 @@ def monotonic_violations(
             }
         )
 
-    return narrow.groupby("bucket").map_groups(per_bucket,
-                                               batch_format="pandas")
+    return bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+                        schema={key_col: key_col, id_col: id_col,
+                                value_col: value_col, "prev_value": value_col})
 
 
 def event_transition_counts(
@@ -947,50 +898,34 @@ def event_transition_counts(
     adjacency scan and collapses to per-bucket pair counts; a tiny
     global groupby folds them. Wire cost after the shuffle is
     O(type-vocab^2) per bucket, never per-event."""
-    import numpy as np
     import pandas as pd
 
     def prep(t: pa.Table) -> pa.Table:
-        key = t[key_col].combine_chunks()
         return pa.table({
-            key_col: key,
+            key_col: t[key_col],
             id_col: t[id_col],
             "ts_us": pc.cast(t[ts_col], pa.int64()),
             type_col: t[type_col],
-            "bucket": _key_bucket(key, num_buckets),
         })
 
     narrow = ds.map_batches(prep, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pa.Table:
-        g = group.sort_values([key_col, "ts_us", id_col], kind="stable")
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key_col, "ts_us", id_col], kind="stable")
         k = g[key_col].to_numpy()
         ty = g[type_col].to_numpy()
-        empty = pa.table({
-            "prev_type": pa.array([], pa.string()),
-            "next_type": pa.array([], pa.string()),
-            "n": pa.array([], pa.int64()),
-        })
-        if len(g) < 2:
-            return empty
         same = k[1:] == k[:-1]
-        if not same.any():
-            return empty
-        pairs = (
+        return (
             pd.DataFrame({"prev_type": ty[:-1][same],
                           "next_type": ty[1:][same]})
             .groupby(["prev_type", "next_type"], sort=True, dropna=False)
             .size().rename("n").reset_index()
         )
-        return pa.table({
-            "prev_type": pa.array(pairs["prev_type"], pa.string()),
-            "next_type": pa.array(pairs["next_type"], pa.string()),
-            "n": pa.array(pairs["n"].to_numpy(np.int64), pa.int64()),
-        })
 
-    per = narrow.groupby("bucket").map_groups(per_bucket,
-                                              batch_format="pandas")
+    per = bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+                       schema={"prev_type": pa.string(),
+                               "next_type": pa.string(), "n": pa.int64()})
     total = per.groupby(["prev_type", "next_type"]).sum("n")
 
     def project(t: pa.Table) -> pa.Table:
@@ -1021,41 +956,32 @@ def first_repeat_gap(
     import pandas as pd
 
     def prep(t: pa.Table) -> pa.Table:
-        key = t[key_col].combine_chunks()
         return pa.table({
-            key_col: key,
+            key_col: t[key_col],
             id_col: t[id_col],
             "ts_us": pc.cast(t[ts_col], pa.int64()),
-            "bucket": _key_bucket(key, num_buckets),
         })
 
     narrow = ds.map_batches(prep, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pa.Table:
-        g = group.sort_values([key_col, "ts_us", id_col], kind="stable")
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key_col, "ts_us", id_col], kind="stable")
         k = g[key_col].to_numpy()
         ts = g["ts_us"].to_numpy()
-        id_type = pa.Array.from_pandas(group[key_col].iloc[:1]).type
-        if len(g) < 2:
-            return pa.table({
-                key_col: pa.array([], id_type),
-                "gap_days": pa.array([], pa.int64()),
-            })
         starts = np.concatenate(([True], k[1:] != k[:-1]))
         second = np.concatenate(([False], starts[:-1]))  # row after a start
         # rows that are both "second row of a segment" and same key as prev
         hit = second & np.concatenate(([False], k[1:] == k[:-1]))
         gaps = np.zeros(len(g), np.int64)
         gaps[1:] = ts[1:] - ts[:-1]
-        return pa.table({
-            key_col: pa.Array.from_pandas(
-                pd.Series(k[hit], dtype=group[key_col].dtype), type=id_type),
-            "gap_days": pa.array(gaps[hit] // 86_400_000_000, pa.int64()),
+        return pd.DataFrame({
+            key_col: k[hit],
+            "gap_days": gaps[hit] // 86_400_000_000,
         })
 
-    return narrow.groupby("bucket").map_groups(per_bucket,
-                                               batch_format="pandas")
+    return bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+                        schema={key_col: key_col, "gap_days": pa.int64()})
 
 
 def session_bounce_by_day(
@@ -1092,27 +1018,19 @@ def session_bounce_by_day(
     day_us = 86_400_000_000
 
     def prep(t: pa.Table) -> pa.Table:
-        key = t[key_col].combine_chunks()
         return pa.table({
-            key_col: key,
+            key_col: t[key_col],
             "ts_us": pc.cast(t[ts_col], pa.int64()),
-            "bucket": _key_bucket(key, num_buckets),
         })
 
     narrow = ds.map_batches(prep, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([key_col, "ts_us"], kind="mergesort")
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([key_col, "ts_us"], kind="mergesort")
         k = g[key_col].to_numpy()
         ts = g["ts_us"].to_numpy()
         n = len(g)
-        if n == 0:
-            return pd.DataFrame({
-                "day": np.zeros(0, np.int64),
-                "n_sessions": np.zeros(0, np.int64),
-                "n_bounce": np.zeros(0, np.int64),
-            })
         new_s = np.ones(n, dtype=bool)
         if n > 1:
             new_s[1:] = ~((k[1:] == k[:-1]) & ((ts[1:] - ts[:-1]) <= gap_us))
@@ -1120,19 +1038,17 @@ def session_bounce_by_day(
         lengths = np.bincount(sid)
         first = np.flatnonzero(new_s)
         day = ts[first] // day_us
-        out = (
+        return (
             pd.DataFrame({"day": day, "bounce": (lengths == 1)})
             .groupby("day", sort=False)
             .agg(n_sessions=("bounce", "size"), n_bounce=("bounce", "sum"))
             .reset_index()
         )
-        out["n_sessions"] = out["n_sessions"].astype("int64")
-        out["n_bounce"] = out["n_bounce"].astype("int64")
-        return out
 
     folded = (
-        narrow.groupby("bucket").map_groups(per_bucket,
-                                            batch_format="pandas")
+        bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+                     schema={"day": pa.int64(), "n_sessions": pa.int64(),
+                             "n_bounce": pa.int64()})
         .groupby("day")
         .aggregate(Sum("n_sessions", alias_name="n_sessions"),
                    Sum("n_bounce", alias_name="n_bounce"))
@@ -1177,7 +1093,6 @@ def event_type_lift(
     extra pass over the same deduped (key, type) buckets — a key lives
     in one bucket, so per-bucket distinct counts sum exactly. Both
     folds are |types|- or |types|^2-bounded by contract."""
-    import numpy as np
     import pandas as pd
 
     from ._fold import fold_table
@@ -1189,31 +1104,23 @@ def event_type_lift(
 
     def partial(t: pa.Table) -> pa.Table:
         g = pa.table({key_col: t[key_col], type_col: t[type_col]})
-        distinct = g.group_by([key_col, type_col]).aggregate([])
-        key = distinct[key_col].combine_chunks()
-        return distinct.append_column(
-            "bucket", _key_bucket(key, num_buckets)
-        )
+        return g.group_by([key_col, type_col]).aggregate([])
 
     deduped = ds.map_batches(partial, batch_format="pyarrow",
                              zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates([key_col, type_col])
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().drop_duplicates([key_col, type_col])
         m = (g.groupby(type_col, sort=False).size()
              .rename("n").reset_index())
         m[type_col] = m[type_col].astype(str)
-        m["n"] = m["n"].astype("int64")
-        keys = pd.DataFrame({
-            type_col: ["__keys__"],
-            "n": np.array([g[key_col].nunique()], np.int64),
-        })
+        keys = pd.DataFrame({type_col: ["__keys__"],
+                             "n": [g[key_col].nunique()]})
         return pd.concat([m, keys], ignore_index=True)
 
-    marg = fold_table(
-        deduped.groupby("bucket").map_groups(per_bucket,
-                                             batch_format="pandas")
-    )
+    marg = fold_table(bucket_apply(
+        deduped, key_col, per_bucket, num_buckets=num_buckets,
+        schema={type_col: pa.string(), "n": pa.int64()}))
     n_of: dict[str, int] = {}
     n_keys = 0
     if marg is not None:
@@ -1281,19 +1188,17 @@ def late_events(ds, *, user_col: str = "user_id",
     def prep(t: pa.Table) -> pa.Table:
         mask = pc.and_(pc.is_valid(t[user_col]), pc.is_valid(t[ts_col]))
         t = t.filter(mask)
-        key = t[user_col].combine_chunks()
         return pa.table({
-            user_col: key,
+            user_col: t[user_col],
             order_col: t[order_col],
             "ts_us": pc.cast(t[ts_col], pa.int64()),
-            "bucket": _key_bucket(key, num_buckets),
         })
 
     narrow = ds.map_batches(prep, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values([user_col, order_col], kind="stable")
+    def per_bucket(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas().sort_values([user_col, order_col], kind="stable")
         grp = g.groupby(user_col, sort=False)
         cm = grp["ts_us"].cummax()
         g = g.assign(__cm=cm)
@@ -1309,5 +1214,6 @@ def late_events(ds, *, user_col: str = "user_id",
         agg["late_e6"] = (2_000_000 * d + n) // (2 * n)
         return agg
 
-    return narrow.groupby("bucket").map_groups(per_bucket,
-                                               batch_format="pandas")
+    return bucket_apply(narrow, user_col, per_bucket, num_buckets=num_buckets,
+                        schema={user_col: user_col, "n_events": pa.int64(),
+                                "n_late": pa.int64(), "late_e6": pa.int64()})

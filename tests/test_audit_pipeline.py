@@ -111,3 +111,23 @@ def test_audit_vocab_langs_match_input(ray_session):
     assert set(vs["languages"]) == {"en", "de"}
     en = vs["languages"]["en"]
     assert en["n_tokens"] > 0 and 0 < en["ttr_e6"] <= 1_000_000
+
+
+def test_audit_zero_split_threshold_is_kept(ray_session):
+    """A requested threshold of 0 gates on ANY split skew; it must not
+    fall back to the 2% default (``0 or 20_000``)."""
+    from schisma_ray.pipelines.audit import corpus_audit
+
+    n = 2000
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(1, n + 1), pa.int64()),
+        "text": pa.array([f"doc number {i}" for i in range(n)], pa.string()),
+        "lang": pa.array(["en", "de"] * (n // 2), pa.string()),
+    }))
+    split = next(c for c in corpus_audit(ds, max_split_diff_e6=0)["checks"]
+                 if c["check"] == "split_balance")
+    # both strata deviate from the global share, by less than 2%
+    assert 0 < split["worst_diff_e6"] <= 20_000
+    assert split["threshold_e6"] == 0
+    assert split["flagged_strata"] == 2
+    assert split["status"] == "FAIL"

@@ -63,6 +63,28 @@ def test_error_sanitizer_is_diagnosable():
     assert len(msg) < 900
 
 
+def test_error_sanitizer_leads_with_innermost_error_line():
+    """A task traceback is long and its root-cause line sits in the
+    middle: the sanitized row must lead with it, not cut it out."""
+    import __ray_entry__ as e
+
+    frames = "".join(f'  File "/site/pkg/mod{i}.py", line {i}, in fn{i}\n'
+                     f"    call_something(arg{i})\n" for i in range(40))
+    text = "x" * 200
+    ex = RuntimeError(
+        "ray::MapBatches(fn)() (pid=1)\n" + frames
+        + f"pyarrow.lib.ArrowInvalid: No match for FieldRef.Name(node) in '{text}'\n"
+        + "\nThe above exception was the direct cause of the following "
+        + "exception:\n\n" + frames)
+    msg = e._sanitize_error("components", ex)
+    assert msg.startswith("[RuntimeError] query=components: "
+                          "pyarrow.lib.ArrowInvalid: No match for "
+                          "FieldRef.Name(node)")
+    assert msg.endswith("[end RuntimeError query=components]")
+    assert text not in msg and "data elided" in msg
+    assert len(msg) < 1200
+
+
 def test_wrapped_query_raises_sanitized(ray_session):
     import pytest
 

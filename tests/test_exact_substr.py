@@ -188,7 +188,7 @@ def test_positioned_grams_match_bruteforce():
             "doc_id": pa.array(range(len(texts)), pa.int64()),
             "text": pa.array(texts, pa.string()),
         })
-        rows = _positioned_gram_rows(t, "text", "doc_id", k, 32)
+        rows = _positioned_gram_rows(t, "text", "doc_id", k)
         # brute force: every k-tuple with its (doc, pos); dup iff the
         # tuple occurs >= 2 times corpus-wide
         tuples = {}
@@ -236,7 +236,7 @@ def test_positioned_char_grams_match_bruteforce():
             "doc_id": pa.array(range(len(texts)), pa.int64()),
             "text": pa.array(texts, pa.string()),
         })
-        rows = _positioned_char_gram_rows(t, "text", "doc_id", k, 32)
+        rows = _positioned_char_gram_rows(t, "text", "doc_id", k)
         subs = {}
         for d, txt in enumerate(texts):
             for i in range(max(len(txt) - k + 1, 0)):

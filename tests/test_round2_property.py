@@ -3,7 +3,7 @@ randomized Ray-operator equivalences on a few seeds.
 
 * simhash64_batch == scalar simhash64 for arbitrary unicode text lists
 * MinHasher.signatures_batch == per-doc signature() (chunking included)
-* _mix_bucket stays in range and is deterministic
+* key_bucket stays in range and is deterministic
 * approx_quantiles tracks exact quantiles within one bin width
 """
 
@@ -14,7 +14,8 @@ import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schisma_ray.stages.components import _mix_bucket, _union_find
+from schisma_ray.stages._bucket import key_bucket
+from schisma_ray.stages.components import _union_find
 from schisma_ray.stages.dedup import MinHasher, simhash64, simhash64_batch
 
 texts_strategy = st.lists(
@@ -49,10 +50,10 @@ def test_minhash_batch_matches_scalar(texts):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=50),
        st.sampled_from([2, 16, 64, 100]))
-def test_mix_bucket_range_and_determinism(nodes, num_buckets):
-    arr = np.asarray(nodes, dtype=np.int64)
-    b1 = _mix_bucket(arr, num_buckets)
-    b2 = _mix_bucket(arr, num_buckets)
+def test_key_bucket_range_and_determinism(nodes, num_buckets):
+    arr = pa.array(np.asarray(nodes, dtype=np.int64))
+    b1 = key_bucket(arr, num_buckets).to_numpy()
+    b2 = key_bucket(arr, num_buckets).to_numpy()
     assert np.array_equal(b1, b2)
     assert b1.min() >= 0 and b1.max() < num_buckets
 

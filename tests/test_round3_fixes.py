@@ -128,13 +128,14 @@ def test_asof_segmented_key_boundary_and_ties(ray_session):
 
 
 def test_asof_no_per_key_groupby():
-    """The as-of source must group by hash bucket, not by raw key."""
+    """The as-of source must group by hash bucket (the shared
+    ``bucket_apply`` exchange), not by raw key."""
     import inspect
 
     from schisma_ray.stages import asof
 
     src = inspect.getsource(asof)
-    assert 'groupby("bucket")' in src
+    assert "bucket_apply(" in src
     assert 'groupby("k")' not in src
 
 

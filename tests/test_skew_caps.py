@@ -33,7 +33,7 @@ def test_inverted_index_partials_are_capped(ray_session):
     from schisma_ray.stages.text import _index_partial_fn
 
     m = 5
-    fn = _index_partial_fn("text", "doc_id", m, 8)
+    fn = _index_partial_fn("text", "doc_id", m)
     out = fn(_replicated_corpus())  # ONE batch holding all 40 docs
     sizes = out.groupby("term").size()
     assert len(sizes) == len(VOCAB)
