@@ -2,7 +2,8 @@
 
 Plain run: executes the headline pipelines over ``$GRAFT_SF_DIR``
 (default /root/testdata/sf0.1) under
-``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS or 32)`` and prints
+``ray.init(address="local", num_cpus=$RAY_GRAFT_CPUS)`` (default: the
+CPUs this process may run on) and prints
 ONE JSON line::
 
     {"metric": "...", "value": <total sec>, "unit": "sec",
@@ -29,7 +30,8 @@ import time
 from pathlib import Path
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 
 
 def _consume(result) -> int:
@@ -272,7 +274,7 @@ def run_scaling() -> dict:
     # pre-generate the scaling table once so neither level pays for it
     import ray
 
-    ray.init(address="local", num_cpus=32, include_dashboard=False,
+    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from schisma_ray.sources import image_table
 

@@ -461,6 +461,7 @@ def main(argv=None) -> int:
             print(json.dumps({"out": args.out}))
         elif args.cmd == "diff":
             from schisma_ray.sources.reader import read_table
+            from schisma_ray.stages._bucket import bucket_combine
             from schisma_ray.stages.diff import table_diff
 
             ds_old = read_table(args.old)
@@ -486,8 +487,10 @@ def main(argv=None) -> int:
             # files), and a later write doesn't re-execute the diff
             diff = table_diff(ds_old, ds_new, args.key, cols).materialize()
             tally = {"added": 0, "removed": 0, "changed": 0}
-            for row in diff.groupby("change").count().take_all():
-                tally[row["change"]] = int(row["count()"])
+            counts = bucket_combine(diff, "change",
+                                    {"n": ("change", "count_all")})
+            for row in counts.take_all():
+                tally[row["change"]] = int(row["n"])
             if args.out:
                 diff.write_parquet(args.out)
             print(json.dumps({**tally, "columns": cols,

@@ -27,7 +27,7 @@ import ray.data as rd
 from ..schema import BigInt, String
 from ..sources import image_table
 from ..stages import ColumnSpec, TableSchema, in_set, not_empty, range_check
-from ..stages._bucket import bucket_apply
+from ..stages._bucket import bucket_apply, bucket_combine
 from ..stages.conform import TableConformer
 from ..stages.dedup import (
     content_fingerprint,
@@ -719,45 +719,31 @@ def q_events_windowed(sf_dir: str):
 
 
 def q_fmt_stats_salted(sf_dir: str):
-    """Per-fmt stats via salted two-phase aggregation (fmt is 70% skewed)."""
-    from ..stages.salted import salted_aggregate
-
+    """Per-fmt stats over a 70%-skewed key: ``bucket_combine`` folds the
+    hot key to one row per batch before the exchange (what a salted
+    two-phase aggregate was for), and the mean is sum / count."""
     ds = read_images(_img_dir(sf_dir), ["fmt", "w"])
-    out = salted_aggregate(
-        ds, "fmt", {"n": ("fmt", "count"), "mean_w": ("w", "mean")}
-    )
+    out = bucket_combine(ds, "fmt", {"n": ("fmt", "count"),
+                                     "w_sum": ("w", "sum"),
+                                     "w_n": ("w", "count")})
 
-    def round_mean(t: pa.Table) -> pa.Table:
+    def mean(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        return t.set_column(
-            t.schema.get_field_index("mean_w"),
-            "mean_w",
-            pc.round(t["mean_w"], ndigits=6),
-        )
+        mean_w = pc.divide(pc.cast(t["w_sum"], pa.float64()),
+                           pc.cast(t["w_n"], pa.float64()))
+        return pa.table({"fmt": t["fmt"], "n": t["n"],
+                         "mean_w": pc.round(mean_w, ndigits=6)})
 
-    return out.map_batches(round_mean, batch_format="pyarrow", zero_copy_batch=True)
+    return out.map_batches(mean, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def q_violation_summary(sf_dir: str):
     """Grouped count of schema violations by (path, code) — the
     reporting aggregation from SURVEY.md §2 sorts/limits."""
     vio = q_image_schema_violations(sf_dir)
-
-    def partial(t: pa.Table) -> pa.Table:
-        out = t.select(["path", "code"]).group_by(["path", "code"]).aggregate(
-            [("code", "count")]
-        )
-        return out.rename_columns(["path", "code", "n"])
-
-    partials = vio.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    total = partials.groupby(["path", "code"]).sum("n")
     return _collect(
-        total.map_batches(
-            lambda t: pa.table({"path": t["path"], "code": t["code"], "n": t["sum(n)"]}),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        ),
+        bucket_combine(vio, ["path", "code"], {"n": ("code", "count")}),
         ["path", "code", "n"],
     )
 
@@ -812,8 +798,7 @@ def q_top_duplicated_phashes(sf_dir: str):
     dup = duplicate_keys(ds, "phash")
     # dup is bounded by the duplicated-key count (small by construction);
     # Arrow sort + slice on it, no pandas round-trip
-    n_col = "partial" if "partial" in dup.column_names else "sum(partial)"
-    dup = pa.table({"phash": dup["phash"], "n": dup[n_col]})
+    dup = dup.rename_columns(["phash", "n"])
     return dup.sort_by([("n", "descending"), ("phash", "ascending")]).slice(0, 10)
 
 
@@ -959,7 +944,6 @@ def q_orders_customer_full(sf_dir: str):
     dimension columns — both null sides are falsifiable (inner/left
     parity would lose rows)."""
     import pyarrow.compute as _pc
-    from ray.data.aggregate import Sum
 
     from ..stages.join import full_outer_join
 
@@ -968,23 +952,17 @@ def q_orders_customer_full(sf_dir: str):
         columns=["o_custkey", "o_totalprice", "o_orderstatus"],
     )
 
-    def partial(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         t = t.filter(_pc.equal(t["o_orderstatus"], "F"))
         cents = _pc.cast(
             _pc.round(_pc.multiply(t["o_totalprice"], 100.0)), pa.int64()
         )
-        g = pa.table({"o_custkey": t["o_custkey"], "cents": cents}).group_by(
-            "o_custkey"
-        ).aggregate([("cents", "sum"), ("cents", "count")])
-        return g.rename_columns(["o_custkey", "cents_sum", "n_part"])
+        return pa.table({"o_custkey": t["o_custkey"], "cents": cents})
 
-    rollup = (
-        orders.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby("o_custkey")
-        .aggregate(Sum("cents_sum", alias_name="total_cents"),
-                   Sum("n_part", alias_name="n_orders"))
-    )
+    rollup = bucket_combine(
+        orders.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        "o_custkey",
+        {"total_cents": ("cents", "sum"), "n_orders": ("cents", "count")})
     customers = rd.read_parquet(
         f"{sf_dir}/customer.parquet",
         columns=["c_custkey", "c_name", "c_mktsegment"],
@@ -2487,37 +2465,23 @@ def q_c4_clean(sf_dir: str):
 
 
 def _cents_rollup(ds, key_cols, money_col, money_out, count_out):
-    """Combiner-first grouped money rollup: per-batch group partials with
-    the money column in integer cents, a tiny groupby of partials, and
-    a rename projection. Shared by the TPC-H-style rollup queries."""
+    """Grouped money rollup: the money column in integer cents, summed
+    and counted per key by ``bucket_combine``. Shared by the
+    TPC-H-style rollup queries."""
     import pyarrow.compute as _pc
 
     keys = list(key_cols)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         cols = {k: t[k] for k in keys}
         cols["cents"] = _pc.cast(
             _pc.round(_pc.multiply(t[money_col], 100.0)), pa.int64()
         )
-        cols["one"] = pa.array(np.ones(t.num_rows, np.int64))
-        return pa.table(cols).group_by(keys).aggregate(
-            [("cents", "sum"), ("one", "sum")]
-        )
-
-    total = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(keys if len(keys) > 1 else keys[0])
-        .sum(["cents_sum", "one_sum"])
-    )
-
-    def project(t: pa.Table) -> pa.Table:
-        cols = {k: t[k] for k in keys}
-        cols[money_out] = t["sum(cents_sum)"]
-        cols[count_out] = t["sum(one_sum)"]
         return pa.table(cols)
 
-    out = total.map_batches(project, batch_format="pyarrow",
-                            zero_copy_batch=True)
+    out = bucket_combine(
+        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        keys, {money_out: ("cents", "sum"), count_out: ("cents", "count_all")})
     return _collect(out, keys + [money_out, count_out])
 
 
@@ -2670,24 +2634,19 @@ def q_top_tokens(sf_dir: str):
 
     docs = rd.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
 
-    def partial(t: pa.Table) -> pa.Table:
+    def tokens(t: pa.Table) -> pa.Table:
         words = _pc.split_pattern_regex(t["text"].combine_chunks(), r"\s+")
         flat = _pc.list_flatten(words)
-        flat = flat.filter(_pc.not_equal(flat, ""))
-        g = pa.table({"token": flat,
-                      "one": pa.array(np.ones(len(flat), np.int64))})
-        return g.group_by("token").aggregate([("one", "sum")])
+        return pa.table({"token": flat.filter(_pc.not_equal(flat, ""))})
 
-    total = (
-        docs.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("token").sum("one_sum")
-    )
+    total = bucket_combine(
+        docs.map_batches(tokens, batch_format="pyarrow", zero_copy_batch=True),
+        "token", {"n": ("token", "count_all")})
 
     def local_topk(t: pa.Table) -> pa.Table:
         # per-block top 25: the driver fold sees <= 25 x blocks rows,
         # never the vocabulary (counts are final post-groupby, so a
         # global top-25 member is in its block's top 25)
-        t = pa.table({"token": t["token"], "n": t["sum(one_sum)"]})
         idx = _pc.sort_indices(
             t, sort_keys=[("n", "descending"), ("token", "ascending")]
         )
@@ -2736,56 +2695,34 @@ def q_lineitem_pricing_summary(sf_dir: str):
     )
     cutoff = datetime.datetime(1998, 9, 2)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def prep(t: pa.Table) -> pa.Table:
         t = t.filter(_pc.less_equal(t["l_shipdate"], pa.scalar(cutoff)))
         cents = _pc.cast(_pc.round(_pc.multiply(t["l_extendedprice"], 100.0)),
                          pa.int64())
         disc = _pc.cast(_pc.round(_pc.multiply(t["l_discount"], 100.0)),
                         pa.int64())
         tax = _pc.cast(_pc.round(_pc.multiply(t["l_tax"], 100.0)), pa.int64())
-        qty = _pc.cast(_pc.round(t["l_quantity"]), pa.int64())
         disc_cp = _pc.multiply(cents, _pc.subtract(pa.scalar(100), disc))
-        charge_cpp = _pc.multiply(disc_cp, _pc.add(pa.scalar(100), tax))
-        g = pa.table(
-            {
-                "l_returnflag": t["l_returnflag"],
-                "l_linestatus": t["l_linestatus"],
-                "qty": qty,
-                "cents": cents,
-                "disc_cp": disc_cp,
-                "charge_cpp": charge_cpp,
-                "one": pa.array(np.ones(t.num_rows, np.int64)),
-            }
-        )
-        return g.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("cents", "sum"), ("disc_cp", "sum"),
-             ("charge_cpp", "sum"), ("one", "sum")]
-        )
-
-    partials = li.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    total = (
-        partials.groupby(["l_returnflag", "l_linestatus"])
-        .sum(["qty_sum", "cents_sum", "disc_cp_sum", "charge_cpp_sum",
-              "one_sum"])
-    )
-
-    def project(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "l_returnflag": t["l_returnflag"],
                 "l_linestatus": t["l_linestatus"],
-                "sum_qty": t["sum(qty_sum)"],
-                "sum_base_cents": t["sum(cents_sum)"],
-                "sum_disc_cp": t["sum(disc_cp_sum)"],
-                "sum_charge_cpp": t["sum(charge_cpp_sum)"],
-                "n": t["sum(one_sum)"],
+                "qty": _pc.cast(_pc.round(t["l_quantity"]), pa.int64()),
+                "cents": cents,
+                "disc_cp": disc_cp,
+                "charge_cpp": _pc.multiply(disc_cp,
+                                           _pc.add(pa.scalar(100), tax)),
             }
         )
 
     return _collect(
-        total.map_batches(project, batch_format="pyarrow",
-                          zero_copy_batch=True),
+        bucket_combine(
+            li.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+            ["l_returnflag", "l_linestatus"],
+            {"sum_qty": ("qty", "sum"), "sum_base_cents": ("cents", "sum"),
+             "sum_disc_cp": ("disc_cp", "sum"),
+             "sum_charge_cpp": ("charge_cpp", "sum"),
+             "n": ("qty", "count_all")}),
         ["l_returnflag", "l_linestatus", "sum_qty", "sum_base_cents",
          "sum_disc_cp", "sum_charge_cpp", "n"],
     )
@@ -2952,15 +2889,11 @@ def q_image_byte_dupes(sf_dir: str):
         batch_format="pyarrow", zero_copy_batch=True,
     )
     fps = binary_fingerprint(ds, col="bytes", id_col="image_id")
-    counts = (
-        fps.map_batches(lambda t: t.select(["fingerprint"]),
-                        batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fingerprint").count()
-    )
+    counts = bucket_combine(fps, "fingerprint",
+                            {"n": ("fingerprint", "count_all")})
     dupes = counts.map_batches(
-        lambda t: pa.table(
-            {"fp": t["fingerprint"], "n": _pc.cast(t["count()"], pa.int64())}
-        ).filter(_pc.greater_equal(t["count()"], 2)),
+        lambda t: t.rename_columns(["fp", "n"]).filter(
+            _pc.greater_equal(t["n"], 2)),
         batch_format="pyarrow", zero_copy_batch=True,
     )
     return _collect(dupes, ["fp", "n"])
@@ -3957,19 +3890,8 @@ def q_caption_lang_dist(sf_dir: str):
     pred = ds.map_batches(LangId, fn_constructor_args=("caption", "image_id"),
                           batch_format="pyarrow", concurrency=(2, 8))
 
-    def partial(t: pa.Table) -> pa.Table:
-        agg = (t.select(["lang_pred"]).group_by("lang_pred")
-               .aggregate([([], "count_all")]))
-        return agg.rename_columns(["lang_pred", "n"])
-
-    totals = (pred.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-              .groupby("lang_pred").sum("n"))
     return _collect(
-        totals.map_batches(
-            lambda t: pa.table({"lang_pred": t["lang_pred"],
-                                "n": t["sum(n)"]}),
-            batch_format="pyarrow", zero_copy_batch=True),
+        bucket_combine(pred, "lang_pred", {"n": ("lang_pred", "count_all")}),
         ["lang_pred", "n"],
     )
 
@@ -8306,25 +8228,21 @@ def q_order_totals_reconcile(sf_dir: str):
     orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
                              columns=["o_orderkey", "o_totalprice"])
 
-    def line_partial(t: pa.Table) -> pa.Table:
+    def line_cents(t: pa.Table) -> pa.Table:
         cents = np.floor(
             t["l_extendedprice"].combine_chunks().to_numpy(
                 zero_copy_only=False
             ) * 100.0 + 0.5
         ).astype(np.int64)
-        tt = pa.table({
+        return pa.table({
             "l_orderkey": t["l_orderkey"],
             "cents": pa.array(cents, pa.int64()),
         })
-        agg = tt.group_by("l_orderkey").aggregate([("cents", "sum")])
-        return agg.rename_columns(["l_orderkey", "cents"])
 
-    sums = (
-        line.map_batches(line_partial, batch_format="pyarrow",
-                         zero_copy_batch=True)
-        .groupby("l_orderkey")
-        .sum("cents")
-    )
+    sums = bucket_combine(
+        line.map_batches(line_cents, batch_format="pyarrow",
+                         zero_copy_batch=True),
+        "l_orderkey", {"line_cents": ("cents", "sum")})
 
     def o_partial(t: pa.Table) -> pa.Table:
         cents = np.floor(
@@ -8351,7 +8269,7 @@ def q_order_totals_reconcile(sf_dir: str):
                           num_partitions=parts)
 
     def finish(t: pa.Table) -> pa.Table:
-        line_cents = pc.fill_null(pc.cast(t["sum(cents)"], pa.int64()), 0)
+        line_cents = pc.fill_null(pc.cast(t["line_cents"], pa.int64()), 0)
         diff = pc.subtract(t["o_cents"], line_cents)
         return pa.table({
             "o_orderkey": t["o_orderkey"],
@@ -8666,15 +8584,12 @@ def q_dedup_yield_report(sf_dir: str):
     ])
     if pairs.count() == 0:
         return schema.empty_table()
-    sizes = components_distributed(pairs).groupby("component").count()
+    sizes = bucket_combine(components_distributed(pairs), "component",
+                           {"cluster_size": ("component", "count_all")})
 
     def hist_partial(t: pa.Table) -> pa.Table:
-        tt = pa.table({
-            "cluster_size": pc.cast(t["count()"], pa.int64()),
-            "one": pa.array(np.ones(t.num_rows, np.int64)),
-        })
-        agg = tt.group_by("cluster_size").aggregate([("one", "sum")])
-        return agg.rename_columns(["cluster_size", "n"])
+        return t.group_by("cluster_size").aggregate(
+            [([], "count_all")]).rename_columns(["cluster_size", "n"])
 
     folded = fold_table(
         sizes.map_batches(hist_partial, batch_format="pyarrow",
@@ -8957,7 +8872,7 @@ def q_shipping_priority(sf_dir: str):
                  "l_shipdate"],
     )
 
-    def rev_partial(t: pa.Table) -> pa.Table:
+    def line_rev(t: pa.Table) -> pa.Table:
         ship = pc.cast(t["l_shipdate"].combine_chunks(), pa.int64())
         t = t.filter(pc.greater(ship, _Q3_CUTOFF_US))
         cents = pc.cast(pc.round(pc.multiply(t["l_extendedprice"], 100.0)),
@@ -8966,17 +8881,11 @@ def q_shipping_priority(sf_dir: str):
                        pa.int64())
         rev = pc.multiply(cents, pc.subtract(pa.scalar(100, pa.int64()),
                                              disc))
-        g = pa.table({
-            "l_orderkey": t["l_orderkey"],
-            "rev": rev,
-        }).group_by("l_orderkey").aggregate([("rev", "sum")])
-        return g.rename_columns(["l_orderkey", "rev"])
+        return pa.table({"l_orderkey": t["l_orderkey"], "rev": rev})
 
-    rev = (
-        li.map_batches(rev_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("l_orderkey").sum("rev")
-    )
+    rev = bucket_combine(
+        li.map_batches(line_rev, batch_format="pyarrow", zero_copy_batch=True),
+        "l_orderkey", {"revenue_c4": ("rev", "sum")})
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -9011,13 +8920,13 @@ def q_shipping_priority(sf_dir: str):
 
     def local_topk(t: pa.Table) -> pa.Table:
         g = t.to_pandas().sort_values(
-            ["sum(rev)", "o_orderkey"], ascending=[False, True],
+            ["revenue_c4", "o_orderkey"], ascending=[False, True],
             kind="mergesort").head(10)
         return pa.table({
             "o_orderkey": pa.array(g["o_orderkey"].to_numpy(np.int64),
                                    pa.int64()),
             "o_orderpriority": pa.array(g["o_orderpriority"], pa.string()),
-            "revenue_c4": pa.array(g["sum(rev)"].to_numpy(np.int64),
+            "revenue_c4": pa.array(g["revenue_c4"].to_numpy(np.int64),
                                    pa.int64()),
         })
 
@@ -9055,7 +8964,7 @@ def q_promo_revenue_share(sf_dir: str):
     joined = shuffle_hash_join(li, part,
                                on="l_partkey", right_on="p_partkey")
 
-    def partial(t: pa.Table) -> pa.Table:
+    def line_rev(t: pa.Table) -> pa.Table:
         ship = t["l_shipdate"].combine_chunks()
         month = pc.add(
             pc.multiply(pc.cast(pc.year(ship), pa.int64()),
@@ -9069,24 +8978,13 @@ def q_promo_revenue_share(sf_dir: str):
         rev = pc.multiply(cents, pc.subtract(pa.scalar(100, pa.int64()),
                                              disc))
         promo = pc.cast(pc.equal(t["p_type"], "PROMO"), pa.int64())
-        g = pa.table({
-            "month": month,
-            "total_c4": rev,
-            "promo_c4": pc.multiply(rev, promo),
-        }).group_by("month").aggregate(
-            [("total_c4", "sum"), ("promo_c4", "sum")]
-        )
-        return g.rename_columns(["month", "total_c4", "promo_c4"])
+        return pa.table({"month": month, "rev": rev,
+                         "promo_rev": pc.multiply(rev, promo)})
 
-    from ray.data.aggregate import Sum
-
-    folded = (
-        joined.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby("month")
-        .aggregate(Sum("total_c4", alias_name="total_c4"),
-                   Sum("promo_c4", alias_name="promo_c4"))
-    )
+    folded = bucket_combine(
+        joined.map_batches(line_rev, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "month", {"total_c4": ("rev", "sum"), "promo_c4": ("promo_rev", "sum")})
 
     def final(t: pa.Table) -> pa.Table:
         tot = t["total_c4"].to_pylist()
@@ -9121,25 +9019,18 @@ def q_big_volume_orders(sf_dir: str):
         columns=["l_orderkey", "l_quantity"],
     )
 
-    def qty_partial(t: pa.Table) -> pa.Table:
+    def qty_c(t: pa.Table) -> pa.Table:
         qc = pc.cast(pc.round(pc.multiply(t["l_quantity"], 100.0)),
                      pa.int64())
-        g = pa.table({
-            "l_orderkey": t["l_orderkey"],
-            "qty_c": qc,
-        }).group_by("l_orderkey").aggregate([("qty_c", "sum")])
-        return g.rename_columns(["l_orderkey", "qty_c"])
+        return pa.table({"l_orderkey": t["l_orderkey"], "qty_c": qc})
 
     def having(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater(t["sum(qty_c)"], 20000))
+        return t.filter(pc.greater(t["total_qty_c"], 20000))
 
-    heavy = (
-        li.map_batches(qty_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("l_orderkey").sum("qty_c")
-        .map_batches(having, batch_format="pyarrow",
-                     zero_copy_batch=True)
-    )
+    heavy = bucket_combine(
+        li.map_batches(qty_c, batch_format="pyarrow", zero_copy_batch=True),
+        "l_orderkey", {"total_qty_c": ("qty_c", "sum")},
+    ).map_batches(having, batch_format="pyarrow", zero_copy_batch=True)
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
@@ -9156,7 +9047,7 @@ def q_big_volume_orders(sf_dir: str):
         return pa.table({
             "o_orderkey": pc.cast(t["l_orderkey"], pa.int64()),
             "c_name": pc.cast(t["c_name"], pa.string()),
-            "total_qty_c": pc.cast(t["sum(qty_c)"], pa.int64()),
+            "total_qty_c": pc.cast(t["total_qty_c"], pa.int64()),
         })
 
     return joined.map_batches(final, batch_format="pyarrow",
@@ -9303,42 +9194,29 @@ def q_returned_revenue_customers(sf_dir: str):
         columns=["l_orderkey", "l_extendedprice", "l_discount",
                  "l_returnflag"])
 
-    def rev_partial(t: pa.Table) -> pa.Table:
+    def line_rev(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["l_returnflag"].combine_chunks(), "R"))
         cents = pc.cast(pc.round(pc.multiply(t["l_extendedprice"], 100.0)),
                         pa.int64())
         disc = pc.cast(pc.round(pc.multiply(t["l_discount"], 100.0)),
                        pa.int64())
-        g = pa.table({
+        return pa.table({
             "l_orderkey": t["l_orderkey"],
             "rev": pc.multiply(cents, pc.subtract(
                 pa.scalar(100, pa.int64()), disc)),
-        }).group_by("l_orderkey").aggregate([("rev", "sum")])
-        return g.rename_columns(["l_orderkey", "rev"])
+        })
 
-    order_rev = (
-        li.map_batches(rev_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby("l_orderkey").sum("rev")
-    )
+    order_rev = bucket_combine(
+        li.map_batches(line_rev, batch_format="pyarrow", zero_copy_batch=True),
+        "l_orderkey", {"rev": ("rev", "sum")})
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"])
     with_cust = shuffle_hash_join(order_rev, orders,
                                   on="l_orderkey", right_on="o_orderkey")
 
-    def cust_partial(t: pa.Table) -> pa.Table:
-        g = pa.table({
-            "o_custkey": t["o_custkey"],
-            "rev": t["sum(rev)"],
-        }).group_by("o_custkey").aggregate([("rev", "sum")])
-        return g.rename_columns(["o_custkey", "rev"])
-
-    cust_rev = (
-        with_cust.map_batches(cust_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby("o_custkey").sum("rev")
-    )
+    cust_rev = bucket_combine(with_cust, "o_custkey",
+                              {"revenue_c4": ("rev", "sum")})
 
     cust = rd.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"])
@@ -9347,13 +9225,13 @@ def q_returned_revenue_customers(sf_dir: str):
 
     def local_topk(t: pa.Table) -> pa.Table:
         g = t.to_pandas().sort_values(
-            ["sum(rev)", "o_custkey"], ascending=[False, True],
+            ["revenue_c4", "o_custkey"], ascending=[False, True],
             kind="mergesort").head(20)
         return pa.table({
             "c_custkey": pa.array(g["o_custkey"].to_numpy(np.int64),
                                   pa.int64()),
             "c_name": pa.array(g["c_name"], pa.string()),
-            "revenue_c4": pa.array(g["sum(rev)"].to_numpy(np.int64),
+            "revenue_c4": pa.array(g["revenue_c4"].to_numpy(np.int64),
                                    pa.int64()),
         })
 

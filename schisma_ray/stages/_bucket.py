@@ -8,6 +8,14 @@ implementation: ``key_bucket`` routes each row, ``groupby(bucket)
 and the caller's function sees one bucket as a ``pa.Table``. The
 function's output is cast to a schema the caller declares once, so every
 block it returns, empty or not, carries the same columns and types.
+
+Keyed aggregation (sum/min/max/count per key) is ``bucket_combine``, the
+combiner pattern on the same exchange: an Arrow ``group_by`` per batch
+bounds every key to one row per batch before the shuffle, and one more
+``group_by`` per bucket finalizes. It replaces Ray's generic
+``groupby(...).aggregate``, whose sort aggregate calls each aggregate
+once per group in a Python loop, and which cannot sort a string key
+column that holds nulls.
 """
 
 from __future__ import annotations
@@ -16,6 +24,13 @@ import pyarrow as pa
 
 #: the routing column; dropped before the per-bucket function runs
 BUCKET = "__bucket"
+
+#: buckets of a ``bucket_combine`` exchange
+NUM_BUCKETS = 64
+
+#: the op that folds each aggregate's per-batch partials into its total
+_FINAL = {"sum": "sum", "count": "sum", "count_all": "sum",
+          "min": "min", "max": "max"}
 
 
 def key_bucket(key, num_buckets: int) -> pa.Array:
@@ -94,3 +109,46 @@ def bucket_apply(ds, key, fn, *, schema, num_buckets: int):
         .groupby(BUCKET)
         .map_groups(apply, batch_format="pyarrow")
     )
+
+
+def _group(t: pa.Table, keys: list, aggs: dict) -> pa.Table:
+    """``[*keys, *aggs]`` of one Arrow ``group_by`` over ``t``."""
+    out = t.group_by(keys, use_threads=False).aggregate([
+        ([], "count_all") if op == "count_all" else (col, op)
+        for col, op in aggs.values()
+    ])
+    # pyarrow puts the keys first, then one column per aggregate in order
+    return pa.Table.from_arrays(out.columns, names=[*keys, *aggs])
+
+
+def bucket_combine(ds, key, aggs: dict):
+    """Keyed aggregation: one row per distinct ``key`` (a column name or
+    a list of them) with the columns ``[*keys, *aggs]``.
+
+    ``aggs`` maps each output column to ``(input column, op)``, ``op``
+    one of ``sum``, ``min``, ``max``, ``count`` (non-null values) and
+    ``count_all`` (rows, nulls included; its input column is ignored).
+    Null keys form one group, as in pyarrow. Each batch is combined by
+    an Arrow ``group_by`` in a map that Ray fuses with the caller's
+    projection and ``bucket_apply``'s route, and each bucket finalizes
+    with one more ``group_by`` (counts are summed). Keys keep their
+    input types; aggregates carry the types of their per-batch partials
+    (``sum`` of int32 is int64, ``count`` is int64). Rows come out in no
+    particular order.
+    """
+    keys = [key] if isinstance(key, str) else list(key)
+    for col, op in aggs.values():
+        if op not in _FINAL:
+            raise ValueError(f"unknown aggregate op {op!r} for {col!r}")
+    final = {name: (name, _FINAL[op]) for name, (_, op) in aggs.items()}
+
+    def partial(t: pa.Table) -> pa.Table:
+        return _group(t, keys, aggs)
+
+    def combine(t: pa.Table) -> pa.Table:
+        return _group(t, keys, final)
+
+    partials = ds.map_batches(partial, batch_format="pyarrow",
+                              zero_copy_batch=True)
+    return bucket_apply(partials, keys, combine, num_buckets=NUM_BUCKETS,
+                        schema={name: name for name in [*keys, *aggs]})

@@ -32,6 +32,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from ._bucket import bucket_apply, bucket_combine
+
 
 def _word_ngrams(text: str, n: int) -> set:
     """Distinct word n-grams under the single-space split shared by the
@@ -448,7 +450,6 @@ def concat_chunks(ds, *, text_col: str = "text", id_col: str = "doc_id",
     """
     import pyarrow.compute as pc
 
-    from ._bucket import bucket_apply
     from .rank import zip_with_cumsum
 
     def tokens(batch: pa.Table) -> pa.Table:
@@ -752,38 +753,24 @@ def split_leakage(ds, *, key_col: str, id_col: str,
     Split rule is the engine's md5_u32 convention (``md5(id) % mod <
     train_pct`` -> train), so the audit reproduces whatever
     ``split_assign`` would have done without materializing the split.
-    Combiner-first: per-batch (key, split) partial counts, one
-    key-hash groupby of partials, filter to both-sides-positive."""
+    Combiner-first: per-key split counts by ``bucket_combine``, filter
+    to both-sides-positive."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     from ._digest import md5_u32
 
-    def partial(t: pa.Table) -> pa.Table:
+    def split(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[key_col]))
-        if t.num_rows == 0:
-            return pa.table({
-                key_col: pa.array([], pa.int64()),
-                "train_part": pa.array([], pa.int64()),
-                "val_part": pa.array([], pa.int64()),
-            })
-        u = md5_u32(t[id_col].combine_chunks())
-        is_train = (u % mod) < train_pct
-        g = pa.table({
+        is_train = (md5_u32(t[id_col].combine_chunks()) % mod) < train_pct
+        return pa.table({
             key_col: t[key_col],
-            "train_part": pa.array(is_train.astype(np.int64), pa.int64()),
-            "val_part": pa.array((~is_train).astype(np.int64), pa.int64()),
-        }).group_by(key_col).aggregate(
-            [("train_part", "sum"), ("val_part", "sum")]
-        )
-        return g.rename_columns([key_col, "train_part", "val_part"])
+            "train": pa.array(is_train.astype(np.int64), pa.int64()),
+            "val": pa.array((~is_train).astype(np.int64), pa.int64()),
+        })
 
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(key_col)
-        .aggregate(Sum("train_part", alias_name="train_n"),
-                   Sum("val_part", alias_name="val_n"))
-    )
+    merged = bucket_combine(
+        ds.map_batches(split, batch_format="pyarrow", zero_copy_batch=True),
+        key_col, {"train_n": ("train", "sum"), "val_n": ("val", "sum")})
 
     def leaks(t: pa.Table) -> pa.Table:
         return t.filter(pc.and_(pc.greater(t["train_n"], 0),
@@ -1038,36 +1025,29 @@ def source_overlap(ds, *, group_col: str = "source", col: str = "text",
             g = g + " " + w[j:m + j]
         srcs = t[group_col].combine_chunks().to_numpy(
             zero_copy_only=False)
-        tri = pa.table({
+        return pa.table({
             "g": pa.array(g[ok], pa.string()),
             group_col: pa.array(srcs[p[:m][ok]], pa.string()),
         })
-        return tri.group_by(["g", group_col]).aggregate([])
 
-    def mask_partial(t: pa.Table) -> pa.Table:
+    def source_bit(t: pa.Table) -> pa.Table:
         srcs = t[group_col].to_numpy(zero_copy_only=False)
         masks = np.array([1 << bit[s] for s in srcs], np.int64)
-        g = pa.table({
-            "g": t["g"],
-            "mask": pa.array(masks, pa.int64()),
-        }).group_by("g").aggregate([("mask", "sum")])
-        return g.rename_columns(["g", "mask"])
+        return pa.table({"g": t["g"], "mask": pa.array(masks, pa.int64())})
 
-    # distinct (gram, source) -> one gram groupby; rows now globally
-    # unique, so sum(bit) == OR of bits
-    masks = (
-        ds.map_batches(gram_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby(["g", group_col]).count()
-        .map_batches(mask_partial, batch_format="pyarrow",
-                     zero_copy_batch=True)
-        .groupby("g").sum("mask")
-    )
+    # distinct (gram, source) -> one gram sum; rows are globally unique
+    # after the first combine, so sum(bit) == OR of bits
+    masks = bucket_combine(
+        bucket_combine(ds.map_batches(gram_partial, batch_format="pyarrow",
+                                      zero_copy_batch=True),
+                       ["g", group_col], {})
+        .map_batches(source_bit, batch_format="pyarrow", zero_copy_batch=True),
+        "g", {"mask": ("mask", "sum")})
 
     k = len(sources)
 
     def pair_partial(t: pa.Table) -> pa.Table:
-        m = t["sum(mask)"].to_numpy(zero_copy_only=False).astype(
+        m = t["mask"].to_numpy(zero_copy_only=False).astype(
             np.int64)
         singles = np.array([((m >> i) & 1).sum() for i in range(k)],
                            np.int64)

@@ -29,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ._bucket import bucket_apply
+from ._bucket import bucket_apply, bucket_combine
 
 
 def _hash_tokens(tokens: Iterable[str]) -> np.ndarray:
@@ -50,22 +50,9 @@ def word_shingles(text: str, n: int = 3) -> list[str]:
 def exact_dedup_keep_first(ds, key: str, id_col: str):
     """Dataset of the surviving (minimum) id per distinct key value."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = (
-            batch.select([key, id_col])
-            .group_by(key)
-            .aggregate([(id_col, "min")])
-        )
-        return t.rename_columns([key, id_col])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    kept = partials.groupby(key).min(id_col)
-    # output column named like the input id column
-
-    def project(t: pa.Table) -> pa.Table:
-        return pa.table({id_col: t[f"min({id_col})"]})
-
-    return kept.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+    kept = bucket_combine(ds, key, {id_col: (id_col, "min")})
+    return kept.map_batches(lambda t: t.select([id_col]),
+                            batch_format="pyarrow", zero_copy_batch=True)
 
 
 _ROLL_B = np.uint64(1000003)  # odd -> invertible mod 2^64
@@ -660,12 +647,7 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
 def _distinct_pairs_ds(pairs_ds):
     """Distributed distinct over (a, b) — one aggregate row per pair
     (a proper shuffle aggregate, NOT a per-pair map_groups)."""
-    counted = pairs_ds.groupby(["a", "b"]).count()
-    return counted.map_batches(
-        lambda t: t.select(["a", "b"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    return bucket_combine(pairs_ds, ["a", "b"], {})
 
 
 def _pair_id_type(pairs_ds) -> pa.DataType:
@@ -1741,6 +1723,18 @@ def normalized_text_dups(ds, *, col: str = "text", id_col: str = "doc_id",
         schema={id_col: id_col, "keeper": id_col, "group_size": pa.int64()})
 
 
+def _ordered_digits(ids: pa.Array) -> pa.Array:
+    """Integer ids as 20-digit strings whose lexicographic order is the
+    ids' numeric order: a signed id's sign bit is flipped into a uint64
+    (so -1 sorts just below 0), which has at most 20 decimal digits."""
+    if pa.types.is_signed_integer(ids.type):
+        u = (pc.cast(ids, pa.int64()).to_numpy(zero_copy_only=False)
+             .view(np.uint64) ^ np.uint64(1 << 63))
+    else:
+        u = pc.cast(ids, pa.uint64()).to_numpy(zero_copy_only=False)
+    return pc.utf8_lpad(pc.cast(pa.array(u, pa.uint64()), pa.string()), 20, "0")
+
+
 def dedup_lang_shift(ds, *, key: str = "text", id_col: str = "doc_id",
                      group_col: str = "lang"):
     """Dedup survivorship-bias audit: per stratum (language, source),
@@ -1751,65 +1745,48 @@ def dedup_lang_shift(ds, *, key: str = "text", id_col: str = "doc_id",
     mixture tuned on pre-dedup shares is then wrong).
 
     The survivor of a key group is the minimum id; its stratum must
-    ride the min aggregation, so the per-batch partial packs
-    ``(zero-padded id | stratum)`` into one string whose lexicographic
-    min IS the numeric id min — an exact argmin through a plain string
-    ``min`` aggregate, no join back to the corpus. Null key / stratum
-    rows are excluded on both sides. Combiner-first everywhere: batch
-    partials collapse before the one key-hash groupby; the final table
-    is |strata| rows."""
-    from ray.data.aggregate import Sum
+    ride the min aggregation, so each row packs ``(id digits |
+    stratum)`` into one string whose lexicographic min IS the numeric
+    id min (``_ordered_digits``; ids must be integers) — an exact argmin
+    through a plain string ``min`` aggregate, no join back to the
+    corpus. Null key / stratum rows are excluded on both sides, null
+    ids on the survivor side. Every count is a ``bucket_combine``; the
+    final table is |strata| rows."""
+    schema = ds.schema()
+    id_type = schema.types[schema.names.index(id_col)]
+    if not (isinstance(id_type, pa.DataType) and pa.types.is_integer(id_type)):
+        raise TypeError(f"dedup_lang_shift needs integer ids, "
+                        f"{id_col!r} is {id_type}")
 
-    def before_partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.and_(pc.is_valid(t[key]),
-                             pc.is_valid(t[group_col])))
-        g = pa.table({
-            group_col: t[group_col],
-            "n_before": pa.array(np.ones(t.num_rows, np.int64), pa.int64()),
-        }).group_by(group_col).aggregate([("n_before", "sum")])
-        return g.rename_columns([group_col, "n_before"])
+    def valid(t: pa.Table) -> pa.Table:
+        return t.filter(pc.and_(pc.is_valid(t[key]),
+                                pc.is_valid(t[group_col])))
 
-    before = (
-        ds.map_batches(before_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby(group_col).sum("n_before")
-    )
+    before = bucket_combine(
+        ds.map_batches(valid, batch_format="pyarrow", zero_copy_batch=True),
+        group_col, {"n_before": (group_col, "count_all")})
 
-    def pack_partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.and_(pc.is_valid(t[key]),
-                             pc.is_valid(t[group_col])))
-        if t.num_rows == 0:
-            return pa.schema(
-                [(key, pa.string()), ("packed", pa.string())]
-            ).empty_table()
-        ids = pc.cast(t[id_col], pa.string())
-        padded = pc.utf8_lpad(ids, 20, "0")
+    def pack(t: pa.Table) -> pa.Table:
+        t = valid(t)
+        t = t.filter(pc.is_valid(t[id_col]))
         packed = pc.binary_join_element_wise(
-            padded, pc.cast(t[group_col], pa.string()), "|")
-        g = pa.table({key: t[key], "packed": packed}).group_by(
-            key).aggregate([("packed", "min")])
-        return g.rename_columns([key, "packed"])
+            _ordered_digits(t[id_col].combine_chunks()),
+            pc.cast(t[group_col], pa.string()), "|")
+        return pa.table({key: t[key], "packed": packed})
 
-    survivors = (
-        ds.map_batches(pack_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby(key).min("packed")
-    )
+    survivors = bucket_combine(
+        ds.map_batches(pack, batch_format="pyarrow", zero_copy_batch=True),
+        key, {"packed": ("packed", "min")})
 
-    def after_partial(t: pa.Table) -> pa.Table:
-        packed = t["min(packed)"].combine_chunks()
-        lang = pc.utf8_slice_codeunits(packed, 21, 2_147_483_647)
-        g = pa.table({
-            group_col: lang,
-            "n_after": pa.array(np.ones(len(lang), np.int64), pa.int64()),
-        }).group_by(group_col).aggregate([("n_after", "sum")])
-        return g.rename_columns([group_col, "n_after"])
+    def stratum(t: pa.Table) -> pa.Table:
+        packed = t["packed"].combine_chunks()
+        return pa.table(
+            {group_col: pc.utf8_slice_codeunits(packed, 21, 2_147_483_647)})
 
-    after = (
-        survivors.map_batches(after_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-        .groupby(group_col).sum("n_after")
-    )
+    after = bucket_combine(
+        survivors.map_batches(stratum, batch_format="pyarrow",
+                              zero_copy_batch=True),
+        group_col, {"n_after": (group_col, "count_all")})
 
     from ._fold import fold_table
 
@@ -1818,11 +1795,11 @@ def dedup_lang_shift(ds, *, key: str = "text", id_col: str = "doc_id",
     per: dict[str, list[int]] = {}
     if bt is not None:
         for lang, n in zip(bt[group_col].to_pylist(),
-                           bt["sum(n_before)"].to_pylist()):
+                           bt["n_before"].to_pylist()):
             per.setdefault(lang, [0, 0])[0] = int(n)
     if at is not None:
         for lang, n in zip(at[group_col].to_pylist(),
-                           at["sum(n_after)"].to_pylist()):
+                           at["n_after"].to_pylist()):
             per.setdefault(lang, [0, 0])[1] = int(n)
     langs = sorted(per)
     tot_b = sum(v[0] for v in per.values())
@@ -2037,19 +2014,28 @@ def record_linkage_scores(ds, *, id_col: str, name_col: str,
     ``value_col`` integers sit within ``value_tol`` — so near-duplicate
     CUSTOMERS (not just near-duplicate strings) rank to the top. The
     multi-field payload rides the candidate-sized bucket shuffles as
-    one ``\\x1f``-joined string (fields must not contain the
-    separator); nothing record-shaped touches the driver.
+    one ``\\x1f``-joined string; nothing record-shaped touches the
+    driver. ``ValueError`` when there are more than 9 ``exact_cols``
+    (the agreement count is packed as one decimal digit) or a field
+    holds the separator.
 
     Returns (a, b, name_dist, n_exact_agree, value_close, score)."""
     import pyarrow.compute as pc
 
+    if len(exact_cols) > 9:
+        raise ValueError(f"record_linkage_scores packs at most 9 exact_cols, "
+                         f"got {len(exact_cols)}")
+
     def pack(t: pa.Table) -> pa.Table:
         cents = pc.cast(t[value_col], pa.int64())
-        cols = [pc.fill_null(pc.cast(t[c], pa.string()), "")
-                for c in exact_cols]
+        fields = [pc.fill_null(pc.cast(t[c], pa.string()), "")
+                  for c in [name_col, *exact_cols]]
+        for c, f in zip([name_col, *exact_cols], fields):
+            if pc.any(pc.match_substring(f, _LINK_SEP)).as_py():
+                raise ValueError(f"column {c!r} holds the payload "
+                                 f"separator {_LINK_SEP!r}")
         payload = pc.binary_join_element_wise(
-            pc.fill_null(t[name_col], ""),
-            *cols,
+            *fields,
             pc.cast(pc.fill_null(cents, 0), pa.string()),
             _LINK_SEP,
         )

@@ -593,9 +593,9 @@ def aspect_bucket_waste(ds, *, w_col: str = "w", h_col: str = "h",
     on padding" report that decides whether the bucket set needs more
     shapes.
 
-    Combiner-first: per-batch partials collapse to at most
-    ``len(buckets)`` rows before the (tiny) global groupby."""
-    from ray.data.aggregate import Max, Sum
+    Combiner-first: ``bucket_combine`` collapses each batch to at most
+    ``len(buckets)`` rows before the (tiny) exchange."""
+    from ._bucket import bucket_combine
 
     b_e6 = np.array(
         [int(np.floor(bw * 1_000_000.0 / bh + 0.5)) for bw, bh in buckets],
@@ -604,7 +604,7 @@ def aspect_bucket_waste(ds, *, w_col: str = "w", h_col: str = "h",
     b_w = np.array([b[0] for b in buckets], np.int64)
     b_h = np.array([b[1] for b in buckets], np.int64)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def waste(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         w = batch[w_col].combine_chunks()
@@ -615,14 +615,6 @@ def aspect_bucket_waste(ds, *, w_col: str = "w", h_col: str = "h",
                     pc.greater(pc.fill_null(h, 0), 0)),
         )
         t = batch.filter(valid)
-        if t.num_rows == 0:
-            return pa.table({
-                "bucket_w": pa.array([], pa.int64()),
-                "bucket_h": pa.array([], pa.int64()),
-                "n_part": pa.array([], pa.int64()),
-                "waste_part": pa.array([], pa.int64()),
-                "waste_max_part": pa.array([], pa.int64()),
-            })
         wv = t[w_col].to_numpy(zero_copy_only=False).astype(np.int64)
         hv = t[h_col].to_numpy(zero_copy_only=False).astype(np.int64)
         ar = np.floor(
@@ -633,26 +625,17 @@ def aspect_bucket_waste(ds, *, w_col: str = "w", h_col: str = "h",
         width_bound = wv * bh >= hv * bw
         sw = np.where(width_bound, bw, (wv * bh) // hv)
         sh = np.where(width_bound, (hv * bw) // wv, bh)
-        waste = bw * bh - sw * sh
-        g = pa.table({
+        return pa.table({
             "bucket_w": pa.array(bw, pa.int64()),
             "bucket_h": pa.array(bh, pa.int64()),
-            "waste": pa.array(waste, pa.int64()),
-        }).group_by(["bucket_w", "bucket_h"]).aggregate(
-            [("waste", "count"), ("waste", "sum"), ("waste", "max")]
-        )
-        return g.rename_columns(
-            ["bucket_w", "bucket_h", "n_part", "waste_part",
-             "waste_max_part"]
-        )
+            "waste": pa.array(bw * bh - sw * sh, pa.int64()),
+        })
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return partials.groupby(["bucket_w", "bucket_h"]).aggregate(
-        Sum("n_part", alias_name="n_images"),
-        Sum("waste_part", alias_name="total_waste_px"),
-        Max("waste_max_part", alias_name="max_waste_px"),
-    )
+    return bucket_combine(
+        ds.map_batches(waste, batch_format="pyarrow", zero_copy_batch=True),
+        ["bucket_w", "bucket_h"],
+        {"n_images": ("waste", "count"), "total_waste_px": ("waste", "sum"),
+         "max_waste_px": ("waste", "max")})
 
 
 def scene_cuts(ds, *, threshold_e6: int = 20_000_000,

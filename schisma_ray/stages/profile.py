@@ -2,7 +2,7 @@
 
 ``profile_table`` computes (column, n_rows, n_nulls, null_rate) for every
 column in ONE streaming pass — per-batch partials are a handful of ints
-per column, folded by a tiny groupby. ``expect_null_rates`` turns a
+per column, folded by ``bucket_combine``. ``expect_null_rates`` turns a
 profile into schisma-style ``invalid`` violations when a column's
 null-rate exceeds its budget (the table-level analogue of a ``$validate``
 hook on presence).
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from ._bucket import bucket_apply, bucket_combine
 
 
 def profile_table(ds, columns: list[str] | None = None):
@@ -32,23 +34,31 @@ def profile_table(ds, columns: list[str] | None = None):
             }
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    total = partials.groupby("column").sum(["n_rows", "n_nulls"])
+    total = bucket_combine(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "column", {"n_rows": ("n_rows", "sum"), "n_nulls": ("n_nulls", "sum")})
 
     def finalize(t: pa.Table) -> pa.Table:
-        n = pc.cast(t["sum(n_rows)"], pa.float64())
-        nn = pc.cast(t["sum(n_nulls)"], pa.float64())
+        n = pc.cast(t["n_rows"], pa.float64())
+        nn = pc.cast(t["n_nulls"], pa.float64())
         rate = pc.round(pc.divide(nn, pc.max_element_wise(n, 1.0)), ndigits=6)
-        return pa.table(
-            {
-                "column": t["column"],
-                "n_rows": t["sum(n_rows)"],
-                "n_nulls": t["sum(n_nulls)"],
-                "null_rate": rate,
-            }
-        )
+        return t.append_column("null_rate", rate)
 
     return total.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
+
+
+def _valid_rows(cols: list):
+    """Batch map: ``cols`` of the rows with no null in any of them."""
+
+    def fn(t: pa.Table) -> pa.Table:
+        sub = t.select(cols)
+        mask = None
+        for c in cols:
+            v = pc.is_valid(sub[c])
+            mask = v if mask is None else pc.and_(mask, v)
+        return sub.filter(mask)
+
+    return fn
 
 
 def expect_null_rates(ds, budgets: dict[str, float]):
@@ -104,21 +114,10 @@ def coverage_gaps(ds, *, cols: list[str], expected: dict[str, list]):
 
     import pandas as pd
 
-    def partial(t: pa.Table) -> pa.Table:
-        sub = t.select(cols)
-        mask = None
-        for c in cols:
-            v = pc.is_valid(sub[c])
-            mask = v if mask is None else pc.and_(mask, v)
-        sub = sub.filter(mask)
-        return sub.group_by(cols).aggregate([])
-
-    observed = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(cols)
-        .count()
-        .to_pandas()
-    )
+    observed = bucket_combine(
+        ds.map_batches(_valid_rows(cols), batch_format="pyarrow",
+                       zero_copy_batch=True),
+        cols, {}).to_pandas()
     if observed.empty or not set(cols).issubset(observed.columns):
         seen = set()  # zero observed combos (e.g. all-null strata)
     else:
@@ -146,8 +145,6 @@ def fd_violations(ds, *, lhs: str, rhs: str, min_group: int = 1,
     Null lhs rows are excluded (no key, no dependency)."""
     import numpy as np
     import pandas as pd
-
-    from ._bucket import bucket_apply
 
     def partial(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[lhs]))
@@ -180,32 +177,18 @@ def group_cardinality_violations(ds, *, key_cols: list[str],
     may exceed M rows"). Rows with a null in any key column carry no
     group and are excluded, like ``coverage_gaps``.
 
-    Scale shape: per-batch combiner collapses to (key..., partial
-    count) — bounded by the batch's distinct keys — then ONE groupby
-    folds partials; the violation filter is vectorized in the finalize
-    map. Nothing reaches the driver."""
+    Scale shape: one ``bucket_combine`` row count per key; the
+    violation filter is vectorized in the finalize map. Nothing reaches
+    the driver."""
     import numpy as np
 
-    def partial(t: pa.Table) -> pa.Table:
-        sub = t.select(key_cols)
-        mask = None
-        for c in key_cols:
-            v = pc.is_valid(sub[c])
-            mask = v if mask is None else pc.and_(mask, v)
-        sub = sub.filter(mask)
-        g = sub.append_column(
-            "one", pa.array(np.ones(sub.num_rows, np.int64))
-        )
-        return g.group_by(key_cols).aggregate([("one", "sum")])
-
-    totals = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(key_cols)
-        .sum("one_sum")
-    )
+    totals = bucket_combine(
+        ds.map_batches(_valid_rows(key_cols), batch_format="pyarrow",
+                       zero_copy_batch=True),
+        key_cols, {"n_rows": (key_cols[0], "count_all")})
 
     def finalize(t: pa.Table) -> pa.Table:
-        n = pc.cast(t["sum(one_sum)"], pa.int64())
+        n = t["n_rows"]
         small = (pc.less(n, min_count) if min_count > 0
                  else pa.array(np.zeros(len(t), bool)))
         large = (pc.greater(n, max_count) if max_count > 0
@@ -394,20 +377,13 @@ def join_cardinality(left, right, *, left_key: str, right_key: str):
     from .join import shuffle_hash_join
 
     def counts(ds, key):
-        def partial(t: pa.Table) -> pa.Table:
+        def keys(t: pa.Table) -> pa.Table:
             t = t.filter(pc.is_valid(t[key]))
-            g = pa.table({
-                "k": pc.cast(t[key], pa.int64()),
-                "n": pa.array(np.ones(t.num_rows, np.int64),
-                              pa.int64()),
-            }).group_by("k").aggregate([("n", "sum")])
-            return g.rename_columns(["k", "n"])
+            return pa.table({"k": pc.cast(t[key], pa.int64())})
 
-        return (
-            ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("k").sum("n")
-        )
+        return bucket_combine(
+            ds.map_batches(keys, batch_format="pyarrow", zero_copy_batch=True),
+            "k", {"n": ("k", "count_all")})
 
     lc = counts(left, left_key)
     rc = counts(right, right_key)
@@ -415,7 +391,7 @@ def join_cardinality(left, right, *, left_key: str, right_key: str):
     def side_total(cds):
         def p(t: pa.Table) -> pa.Table:
             return pa.table({
-                "rows": pa.array([int(pc.sum(t["sum(n)"]).as_py() or 0)],
+                "rows": pa.array([int(pc.sum(t["n"]).as_py() or 0)],
                                  pa.int64()),
                 "keys": pa.array([t.num_rows], pa.int64()),
             })

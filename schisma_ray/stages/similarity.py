@@ -409,14 +409,9 @@ def cosine_near_dup_pairs(ds, *, col: str = "embedding", id_col: str = "vec_id",
     if as_dataset:
         # the same pair can surface in several tables — a distributed
         # max(sim) groupby dedupes without any driver hop
-        deduped = pairs.groupby(["a", "b"]).max("sim")
-        return deduped.map_batches(
-            lambda t: pa.table(
-                {"a": t["a"], "b": t["b"], "sim": t["max(sim)"]}
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
+        from ._bucket import bucket_combine
+
+        return bucket_combine(pairs, ["a", "b"], {"sim": ("sim", "max")})
     from ._fold import fold_table
 
     tbl = fold_table(pairs)

@@ -20,6 +20,7 @@ import pandas as pd
 import pyarrow as pa
 from ray.data.aggregate import AggregateFn, Count, Max, Mean, Min, Std
 
+from ._bucket import bucket_combine
 from ._math import chi2_sf, frac_e6 as _share_e6, ks_pvalue
 
 
@@ -692,37 +693,28 @@ def _exact_dot(n: np.ndarray) -> int:
 
 def key_skew_report(ds, key_col: str) -> pa.Table:
     """One-row key-distribution skew report — the "should I salt this
-    shuffle?" advisor that pairs with salted_aggregate /
-    salted_shuffle_join: distinct keys, total rows, the heaviest key's
+    shuffle?" advisor that pairs with salted_shuffle_join (keyed
+    aggregation needs no salt: ``bucket_combine`` folds a hot key to one
+    row per batch): distinct keys, total rows, the heaviest key's
     count, the Herfindahl concentration index (sum over keys of
     (n_i/N)^2; 1e6/n_keys = uniform, 1e6 = one key owns everything)
     and the imbalance factor max/mean — all as exact e6 integers
     (half-up integer divides, no float anywhere).
 
-    Two combiner passes: per-batch (key, n) partials -> one
-    key-cardinality groupby -> per-block (cnt, sum, sum-of-squares,
-    max) moment partials folded driver-side with Python ints (the
-    grouped_moments overflow-free recipe). Null keys dropped."""
+    Two combiner passes: ``bucket_combine`` key counts -> per-block
+    (cnt, sum, sum-of-squares, max) moment partials folded driver-side
+    with Python ints (the grouped_moments overflow-free recipe). Null
+    keys dropped."""
     import pyarrow.compute as pc
 
     from ._fold import fold_table
 
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_valid(t[key_col]))
-        agg = (
-            t.select([key_col]).group_by(key_col)
-            .aggregate([([], "count_all")])
-        )
-        return agg.rename_columns([key_col, "n"])
+    def valid(t: pa.Table) -> pa.Table:
+        return t.select([key_col]).filter(pc.is_valid(t[key_col]))
 
-    from ray.data.aggregate import Sum
-
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby(key_col)
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    counts = bucket_combine(
+        ds.map_batches(valid, batch_format="pyarrow", zero_copy_batch=True),
+        key_col, {"n": (key_col, "count_all")})
 
     def moments(t: pa.Table) -> pa.Table:
         n = pc.cast(t["n"], pa.int64()).to_numpy(zero_copy_only=False)
@@ -1019,24 +1011,21 @@ def daily_active_users(ds, ts_col: str, user_col: str, *,
 
     def pairs(t: pa.Table) -> pa.Table:
         us = pc.cast(t[ts_col].combine_chunks(), pa.int64())
-        tt = pa.table({
+        return pa.table({
             "day_idx": pc.divide(us, day_us),
             user_col: t[user_col],
         }).filter(
             pc.and_(pc.is_valid(us),
                     pc.is_valid(t[user_col].combine_chunks()))
         )
-        return tt.group_by(["day_idx", user_col]).aggregate([])
 
     # materialized: BOTH the per-day fold and the first-seen branch
     # consume it — without this the read + dedup + distinct shuffle
     # would re-execute per consumer (the multi-consumer lesson)
-    distinct = (
-        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["day_idx", user_col])
-        .count()
-        .materialize()
-    )
+    distinct = bucket_combine(
+        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True),
+        ["day_idx", user_col], {},
+    ).materialize()
 
     def day_partial(t: pa.Table) -> pa.Table:
         agg = t.select(["day_idx"]).group_by("day_idx").aggregate(
@@ -1057,13 +1046,10 @@ def daily_active_users(ds, ts_col: str, user_col: str, *,
     m = (dau_folded.group_by("day_idx").aggregate([("n", "sum")])
          .rename_columns(["day_idx", "n"]))
     dau = dict(zip(m["day_idx"].to_pylist(), m["n"].to_pylist()))
-    first = distinct.groupby(user_col).min("day_idx")
+    first = bucket_combine(distinct, user_col, {"day_idx": ("day_idx", "min")})
 
     def first_partial(t: pa.Table) -> pa.Table:
-        agg = (
-            pa.table({"day_idx": t["min(day_idx)"]})
-            .group_by("day_idx").aggregate([([], "count_all")])
-        )
+        agg = t.group_by("day_idx").aggregate([([], "count_all")])
         return agg.rename_columns(["day_idx", "n"])
 
     new_folded = fold_table(
@@ -1290,28 +1276,22 @@ def grouped_key_entropy(ds, group_col: str, key_col: str,
     L = np.concatenate(([0], log2_e12)).astype(np.int64)
     L_ref = ray.put(L)
 
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table({
+    def valid(t: pa.Table) -> pa.Table:
+        return pa.table({
             group_col: t[group_col],
             key_col: t[key_col],
         }).filter(
             pc.and_(pc.is_valid(t[group_col].combine_chunks()),
                     pc.is_valid(t[key_col].combine_chunks()))
         )
-        agg = tt.group_by([group_col, key_col]).aggregate(
-            [([], "count_all")]
-        )
-        return agg.rename_columns([group_col, key_col, "c"])
 
-    counts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby([group_col, key_col])
-        .sum("c")
-    )
+    counts = bucket_combine(
+        ds.map_batches(valid, batch_format="pyarrow", zero_copy_batch=True),
+        [group_col, key_col], {"c": (key_col, "count_all")})
 
     def to_cl(t: pa.Table) -> pa.Table:
         Lw = ray.get(L_ref)
-        c = pc.cast(t["sum(c)"], pa.int64()).to_numpy(zero_copy_only=False)
+        c = t["c"].to_numpy(zero_copy_only=False)
         if len(c) and int(c.max()) >= len(Lw):
             raise ValueError(
                 f"count {int(c.max())} exceeds the log2 artifact range "
@@ -1321,25 +1301,19 @@ def grouped_key_entropy(ds, group_col: str, key_col: str,
             group_col: t[group_col],
             "c": pa.array(c, pa.int64()),
             "cl": pa.array(c * Lw[c], pa.int64()),
-            "one": pa.array(np.ones(len(c), np.int64)),
         })
 
-    per = (
+    per = bucket_combine(
         counts.map_batches(to_cl, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby(group_col)
-        .sum(["c", "cl", "one"])
-    )
+                           zero_copy_batch=True),
+        group_col, {"n": ("c", "sum"), "scl": ("cl", "sum"),
+                    "n_keys": ("c", "count_all")})
 
     def finish(t: pa.Table) -> pa.Table:
         Lw = ray.get(L_ref)
-        n = pc.cast(t["sum(c)"], pa.int64()).to_numpy(zero_copy_only=False)
-        scl = pc.cast(t["sum(cl)"], pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        keys = pc.cast(t["sum(one)"], pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
+        n = t["n"].to_numpy(zero_copy_only=False)
+        scl = t["scl"].to_numpy(zero_copy_only=False)
+        keys = t["n_keys"].to_numpy(zero_copy_only=False)
         if len(n) and int(n.max()) >= len(Lw):
             raise ValueError(
                 f"group size {int(n.max())} exceeds the log2 artifact "
@@ -1378,20 +1352,19 @@ def grouped_trend_slope(ds, group_col: str, ts_col: str = "ts"):
 
     day_us = 86_400_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def day(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch[ts_col].combine_chunks(), pa.int64())
-        day = pc.divide(ts, day_us)  # integer division on int64
-        t = pa.table({group_col: batch[group_col], "day": day})
-        agg = t.group_by([group_col, "day"]).aggregate([([], "count_all")])
-        return agg.rename_columns([group_col, "day", "cnt"])
+        # integer division on int64
+        return pa.table({group_col: batch[group_col],
+                         "day": pc.divide(ts, day_us)})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    totals = partials.groupby([group_col, "day"]).sum("cnt")
+    totals = bucket_combine(
+        ds.map_batches(day, batch_format="pyarrow", zero_copy_batch=True),
+        [group_col, "day"], {"cnt": ("day", "count_all")})
 
     def slope(group: pd.DataFrame) -> pa.Table:
         days = [int(v) for v in group["day"]]
-        cnts = [int(v) for v in group["sum(cnt)"]]
+        cnts = [int(v) for v in group["cnt"]]
         n = len(days)
         gtype = pa.Array.from_pandas(group[group_col].iloc[:1]).type
         empty = pa.table({group_col: pa.array([], gtype),

@@ -4,8 +4,9 @@
   are deliberately chosen to be ANSI-SQL-reproducible (the DuckDB
   oracle mirrors them exactly): char length, single-space word split,
   uppercase count.
-* ``token_count_by_lang`` — per-batch partial sums -> tiny groupby
-  (combiner pattern; the shuffle carries one row per lang per batch).
+* ``token_count_by_lang`` — per-document token counts summed per
+  language by ``bucket_combine`` (combiner pattern; the shuffle carries
+  one row per lang per batch).
 * ``lang_id`` — n-gram/stopword heuristic language identifier (actor
   pool; tables compiled once per actor).
 * ``quality_score`` — composite quality scoring from the metrics.
@@ -17,6 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ._bucket import bucket_apply, bucket_combine
 from ._math import frac_e6 as _frac_e6
 
 _STOPWORDS = {
@@ -55,22 +57,16 @@ def text_metrics(ds, col: str = "text", id_col: str = "doc_id"):
 def token_count_by_lang(ds, col: str = "text", lang_col: str = "lang"):
     """(lang, tokens) — total single-space tokens per language."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def tokens(batch: pa.Table) -> pa.Table:
         text = batch[col].combine_chunks()
         n_words = pc.cast(
             pc.list_value_length(pc.split_pattern(text, " ")), pa.int64()
         )
-        t = pa.table({lang_col: batch[lang_col], "tokens": n_words})
-        out = t.group_by(lang_col).aggregate([("tokens", "sum")])
-        return out.rename_columns([lang_col, "tokens"])
+        return pa.table({lang_col: batch[lang_col], "tokens": n_words})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    total = partials.groupby(lang_col).sum("tokens")
-
-    def project(t: pa.Table) -> pa.Table:
-        return pa.table({lang_col: t[lang_col], "tokens": t["sum(tokens)"]})
-
-    return total.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_combine(
+        ds.map_batches(tokens, batch_format="pyarrow", zero_copy_batch=True),
+        lang_col, {"tokens": ("tokens", "sum")})
 
 
 BPE_ISH_PATTERN = r"'[a-z]+| ?[A-Za-z]+| ?[0-9]+| ?[^A-Za-z0-9\s]+"
@@ -282,8 +278,8 @@ def _tfidf_local_topk_fn(n_docs_ref, k: int, lang_col: str):
         nd = ray.get(n_docs_ref)
         n = g[lang_col].map(lambda x: float(nd.get(x, 1))).to_numpy(np.float64)
         g["score"] = np.round(
-            g["sum(tf)"].to_numpy(np.float64)
-            * np.log(n / g["sum(df)"].to_numpy(np.float64)),
+            g["tf"].to_numpy(np.float64)
+            * np.log(n / g["df"].to_numpy(np.float64)),
             6,
         )
         g = g.sort_values(["score", "word"], ascending=[False, True],
@@ -331,7 +327,8 @@ def tfidf_top_terms(ds, *, k: int = 5, col: str = "text",
     partials = ds.map_batches(
         explode_partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    totals = partials.groupby([lang_col, "word"]).sum(["tf", "df"])
+    totals = bucket_combine(partials, [lang_col, "word"],
+                            {"tf": ("tf", "sum"), "df": ("df", "sum")})
 
     # per-language doc totals: one combiner pass -> 5-row driver fold
     def lang_counts(t: pa.Table) -> pa.Table:
@@ -601,8 +598,6 @@ def inverted_index(ds, *, col: str = "text", id_col: str = "doc_id",
         batch_format="pyarrow", zero_copy_batch=True,
     )
     import pandas as pd
-
-    from ._bucket import bucket_apply
 
     def merge(t: pa.Table) -> pd.DataFrame:
         group = t.to_pandas()
@@ -1730,18 +1725,14 @@ def word_pmi_top(ds, *, col: str = "text", id_col: str = "doc_id",
         agg = tri.group_by("word").aggregate([(id_col, "count_distinct")])
         return agg.rename_columns(["word", "df"])
 
-    totals = ds.map_batches(
-        df_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("word").sum("df")
+    totals = bucket_combine(
+        ds.map_batches(df_partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "word", {"df": ("df", "sum")})
 
     def local_topk(t: pa.Table) -> pa.Table:
-        g = t.to_pandas().sort_values(["sum(df)", "word"],
-                                      ascending=[False, True],
-                                      kind="mergesort").head(vocab_k)
-        return pa.table({
-            "word": pa.array(g["word"], pa.string()),
-            "df": pa.array(g["sum(df)"].to_numpy(np.int64), pa.int64()),
-        })
+        return t.sort_by([("df", "descending"),
+                          ("word", "ascending")]).slice(0, vocab_k)
 
     vocab_rows = []
     for b in totals.map_batches(
@@ -1827,58 +1818,30 @@ def vocab_stats(ds, *, col: str = "text", lang_col: str = "lang"):
     tokens are excluded on both sides (oracle parity with DuckDB
     ``string_split_regex``). Ratios are exact half-up integer math:
     ``(2e6*x + d) // (2d)``."""
-    from ray.data.aggregate import Sum
 
-    def pair_partial(t: pa.Table) -> pa.Table:
-        lang = t[lang_col].combine_chunks()
-        keep = pc.is_valid(lang)
-        t = t.filter(keep)
-        if t.num_rows == 0:
-            return pa.schema(
-                [(lang_col, pa.string()), ("word", pa.string()),
-                 ("n", pa.int64())]
-            ).empty_table()
+    def lang_words(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.is_valid(t[lang_col]))
         words = pc.split_pattern_regex(
             pc.fill_null(t[col].combine_chunks(), ""), r"\s+")
         flat = pc.list_flatten(words)
         parent = pc.list_parent_indices(words)
-        tri = pa.table({
+        return pa.table({
             lang_col: t[lang_col].combine_chunks().take(parent),
             "word": flat,
         }).filter(pc.not_equal(flat, ""))
-        agg = tri.group_by([lang_col, "word"]).aggregate(
-            [("word", "count")]
-        )
-        return agg.rename_columns([lang_col, "word", "n"])
 
-    totals = (
-        ds.map_batches(pair_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-        .groupby([lang_col, "word"]).sum("n")
-    )
+    totals = bucket_combine(
+        ds.map_batches(lang_words, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        [lang_col, "word"], {"n": ("word", "count_all")})
 
-    def lang_partial(t: pa.Table) -> pa.Table:
-        n = t["sum(n)"].combine_chunks()
-        g = pa.table({
-            lang_col: t[lang_col],
-            "n_tokens": n,
-            "n_types": pa.array(np.ones(len(n), np.int64), pa.int64()),
-            "n_hapax": pc.cast(pc.equal(n, 1), pa.int64()),
-        })
-        agg = g.group_by(lang_col).aggregate(
-            [("n_tokens", "sum"), ("n_types", "sum"), ("n_hapax", "sum")]
-        )
-        return agg.rename_columns([lang_col, "n_tokens", "n_types",
-                                   "n_hapax"])
+    def hapax(t: pa.Table) -> pa.Table:
+        return t.append_column("hapax", pc.cast(pc.equal(t["n"], 1), pa.int64()))
 
-    folded = (
-        totals.map_batches(lang_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        .groupby(lang_col)
-        .aggregate(Sum("n_tokens", alias_name="n_tokens"),
-                   Sum("n_types", alias_name="n_types"),
-                   Sum("n_hapax", alias_name="n_hapax"))
-    )
+    folded = bucket_combine(
+        totals.map_batches(hapax, batch_format="pyarrow", zero_copy_batch=True),
+        lang_col, {"n_tokens": ("n", "sum"), "n_types": ("n", "count_all"),
+                   "n_hapax": ("hapax", "sum")})
 
     def final(t: pa.Table) -> pa.Table:
         tok = t["n_tokens"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1918,7 +1881,6 @@ def doc_novelty(ds, *, col: str = "text", id_col: str = "doc_id",
     owner doc_id out of that groupby for free (``min(doc_id)`` of a
     df==1 gram IS the owner), so no text-to-gram join is ever needed.
     The final (doc_id) groupby folds |docs|-sized partial rows."""
-    from ray.data.aggregate import Count, Min, Sum
 
     def grams_partial(t: pa.Table) -> pa.Table:
         empty = pa.schema(
@@ -1951,46 +1913,32 @@ def doc_novelty(ds, *, col: str = "text", id_col: str = "doc_id",
     grams = ds.map_batches(grams_partial, batch_format="pyarrow",
                            zero_copy_batch=True)
 
-    totals = grams.groupby(id_col).aggregate(
-        Count(alias_name="n_grams"))
-
-    dfreq = grams.groupby("g").aggregate(
-        Count(alias_name="df"), Min(id_col, alias_name="owner"))
-
-    def novel_partial(t: pa.Table) -> pa.Table:
-        hit = t.filter(pc.equal(t["df"], 1))
-        g = pa.table({
-            id_col: pc.cast(hit["owner"], pa.int64()),
-            "one": pa.array(np.ones(hit.num_rows, np.int64), pa.int64()),
-        }).group_by(id_col).aggregate([("one", "sum")])
-        return g.rename_columns([id_col, "n_novel"])
-
-    novel = dfreq.map_batches(novel_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    totals = bucket_combine(grams, id_col, {"n_grams": ("g", "count_all")})
+    dfreq = bucket_combine(grams, "g", {"df": ("g", "count_all"),
+                                        "owner": (id_col, "min")})
 
     def as_tot(t: pa.Table) -> pa.Table:
         return pa.table({
             id_col: pc.cast(t[id_col], pa.int64()),
-            "n_grams": pc.cast(t["n_grams"], pa.int64()),
+            "n_grams": t["n_grams"],
             "n_novel": pa.array(np.zeros(t.num_rows, np.int64), pa.int64()),
         })
 
     def as_nov(t: pa.Table) -> pa.Table:
+        # one row per novel gram, credited to its single owner doc
+        hit = t.filter(pc.equal(t["df"], 1))
         return pa.table({
-            id_col: pc.cast(t[id_col], pa.int64()),
-            "n_grams": pa.array(np.zeros(t.num_rows, np.int64), pa.int64()),
-            "n_novel": pc.cast(t["n_novel"], pa.int64()),
+            id_col: pc.cast(hit["owner"], pa.int64()),
+            "n_grams": pa.array(np.zeros(hit.num_rows, np.int64), pa.int64()),
+            "n_novel": pa.array(np.ones(hit.num_rows, np.int64), pa.int64()),
         })
 
-    merged = (
+    merged = bucket_combine(
         totals.map_batches(as_tot, batch_format="pyarrow",
                            zero_copy_batch=True)
-        .union(novel.map_batches(as_nov, batch_format="pyarrow",
-                                 zero_copy_batch=True))
-        .groupby(id_col)
-        .aggregate(Sum("n_grams", alias_name="n_grams"),
-                   Sum("n_novel", alias_name="n_novel"))
-    )
+        .union(dfreq.map_batches(as_nov, batch_format="pyarrow",
+                                 zero_copy_batch=True)),
+        id_col, {"n_grams": ("n_grams", "sum"), "n_novel": ("n_novel", "sum")})
 
     def final(t: pa.Table) -> pa.Table:
         ng = t["n_grams"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2047,20 +1995,14 @@ def word_pagerank(ds, *, col: str = "text", id_col: str = "doc_id",
         agg = tri.group_by("word").aggregate([(id_col, "count_distinct")])
         return agg.rename_columns(["word", "df"])
 
-    totals = ds.map_batches(
-        df_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("word").sum("df")
+    totals = bucket_combine(
+        ds.map_batches(df_partial, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        "word", {"df": ("df", "sum")})
 
     def local_topk(t: pa.Table) -> pa.Table:
-        import pandas as pd  # noqa: F401  (sort via pandas mergesort)
-
-        g = t.to_pandas().sort_values(["sum(df)", "word"],
-                                      ascending=[False, True],
-                                      kind="mergesort").head(vocab_k)
-        return pa.table({
-            "word": pa.array(g["word"], pa.string()),
-            "df": pa.array(g["sum(df)"].to_numpy(np.int64), pa.int64()),
-        })
+        return t.sort_by([("df", "descending"),
+                          ("word", "ascending")]).slice(0, vocab_k)
 
     from ._fold import fold_table
 

@@ -1,12 +1,11 @@
 """Grouped top-k: the per-group reporting pattern (top offenders per
 code, heaviest users per event type, ...).
 
-Combiner-first (SURVEY.md §2.4 sorts/limits): per-batch Arrow
-``group_by(group, item).count`` partials collapse duplicates before the
-shuffle; the global groupby then carries one row per (group, item) per
-batch, and the final per-group top-k is a vectorized sort + head inside
-``map_groups`` (one call per GROUP KEY — group count is the operator's
-cardinality, small by definition for reporting).
+Combiner-first (SURVEY.md §2.4 sorts/limits): ``bucket_combine``
+counts (group, item) pairs, collapsing duplicates per batch before the
+shuffle so it carries one row per (group, item) per batch, and the
+final per-group top-k is a vectorized sort + per-group head over each
+hash bucket of groups in ``bucket_apply``.
 """
 
 from __future__ import annotations
@@ -14,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
 
 
 def _count_local_topk_fn(group_col: str, item_col: str, k: int):
@@ -26,10 +27,11 @@ def _count_local_topk_fn(group_col: str, item_col: str, k: int):
 
     def local_topk(t: pa.Table) -> pa.Table:
         g = t.to_pandas()
-        g = g.sort_values(["sum(n)", item_col], ascending=[False, True],
+        g = g.sort_values(["n", item_col], ascending=[False, True],
                           kind="mergesort")
         return pa.Table.from_pandas(
-            g.groupby(group_col, sort=False).head(k), preserve_index=False
+            g.groupby(group_col, sort=False, dropna=False).head(k),
+            preserve_index=False,
         )
 
     return local_topk
@@ -46,35 +48,16 @@ def grouped_count_topk(ds, group_col: str, item_col: str, *, k: int = 3):
     per-group task never receives a hot group's full distinct-item set
     — each block of the collapsed totals keeps only its local top k
     per group first, so the merge group is bounded by k x blocks, not
-    by the group's item cardinality.
+    by the group's item cardinality. The merge is the same local top k
+    over each hash bucket of groups (null groups included).
     """
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = (
-            batch.select([group_col, item_col])
-            .group_by([group_col, item_col])
-            .aggregate([(item_col, "count")])
-        )
-        return t.rename_columns([group_col, item_col, "n"])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    totals = partials.groupby([group_col, item_col]).sum("n")
-    locals_ds = totals.map_batches(
-        _count_local_topk_fn(group_col, item_col, k), batch_format="pyarrow"
-    )
-
-    def topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["sum(n)", item_col], ascending=[False, True],
-                              kind="mergesort").head(k)
-        return pd.DataFrame(
-            {
-                group_col: g[group_col].to_numpy(),
-                item_col: g[item_col].to_numpy(),
-                "n": g["sum(n)"].to_numpy("int64"),
-            }
-        )
-
-    return locals_ds.groupby(group_col).map_groups(topk, batch_format="pandas")
+    totals = bucket_combine(ds, [group_col, item_col],
+                            {"n": (item_col, "count")})
+    local_topk = _count_local_topk_fn(group_col, item_col, k)
+    locals_ds = totals.map_batches(local_topk, batch_format="pyarrow")
+    return bucket_apply(locals_ds, group_col, local_topk,
+                        num_buckets=NUM_BUCKETS, schema=None)
 
 
 def grouped_vector_mean(ds, group_col: str, vec_col: str):
@@ -132,43 +115,27 @@ def grouped_vector_mean(ds, group_col: str, vec_col: str):
 def grouped_distinct_count(ds, group_col: str, item_col: str):
     """(group, n_distinct): EXACT distinct items per group.
 
-    Two-level combiner: per-batch distinct (group, item) pairs shrink
-    the shuffle to unique pairs per batch; the global groupby dedupes
-    across batches; a per-batch count partial + tiny final sum produces
-    the per-group cardinality. Memory floor is O(distinct pairs) spread
-    over the cluster — the exact-distinct lower bound (use the HLL
-    aggregate when an estimate suffices).
+    Two ``bucket_combine`` passes: distinct (group, item) pairs (unique
+    pairs per batch before the shuffle), then a row count per group.
+    Memory floor is O(distinct pairs) spread over the cluster — the
+    exact-distinct lower bound (use the HLL aggregate when an estimate
+    suffices).
     """
 
-    def pair_partial(batch: pa.Table) -> pa.Table:
+    def valid_items(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         t = batch.select([group_col, item_col])
         # null items don't count (SQL COUNT(DISTINCT) semantics); null
         # groups are kept as their own group (SQL GROUP BY semantics)
-        t = t.filter(pc.is_valid(t[item_col]))
-        return t.group_by([group_col, item_col]).aggregate([])
+        return t.filter(pc.is_valid(t[item_col]))
 
-    pairs = ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-    distinct_pairs = pairs.groupby([group_col, item_col]).count()
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        # count_all, not count(group_col): a NULL group key must still
-        # count its rows (count(col) skips nulls)
-        t = batch.select([group_col]).group_by(group_col).aggregate(
-            [([], "count_all")]
-        )
-        return pa.table({group_col: t[group_col], "partial": t["count_all"]})
-
-    partials = distinct_pairs.map_batches(
-        count_partial, batch_format="pyarrow", zero_copy_batch=True
-    )
-    total = partials.groupby(group_col).sum("partial")
-    return total.map_batches(
-        lambda t: pa.table({group_col: t[group_col], "n_distinct": t["sum(partial)"]}),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    distinct_pairs = bucket_combine(
+        ds.map_batches(valid_items, batch_format="pyarrow", zero_copy_batch=True),
+        [group_col, item_col], {})
+    # count_all, not count(group_col): a NULL group key must still count
+    return bucket_combine(distinct_pairs, group_col,
+                          {"n_distinct": (group_col, "count_all")})
 
 
 def grouped_distinct_hll(ds, group_col: str, item_col: str, *, p: int = 12):
@@ -206,7 +173,6 @@ def pivot_counts(ds, row_key: str, col_key: str, categories: list[str], *,
     with one Arrow group_by; the shuffle carries those partials
     bucketed by row-key hash; each bucket does one vectorized
     pandas pivot + reindex."""
-    from ._bucket import bucket_apply
 
     def partial(t: pa.Table) -> pa.Table:
         agg = (

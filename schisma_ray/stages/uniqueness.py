@@ -5,7 +5,7 @@ row by the key (a full all-to-all on, say, ``phash`` at 10^12 rows), we
 
 1. **pre-aggregate per batch** — one (key, partial_count) row per
    distinct key per batch (`map_batches`, vectorized Arrow group_by);
-2. **small shuffle** — `groupby(key).sum(partial)` over the much smaller
+2. **small shuffle** — ``bucket_combine`` sums the much smaller
    partials; skew-safe because identical keys collapse within every
    batch first (the classic combiner; a hot key contributes at most one
    row per batch);
@@ -26,6 +26,8 @@ import pyarrow.compute as pc
 import ray
 
 from ..sources.image_table import VIOLATION_SCHEMA
+from ._bucket import bucket_combine
+from ._fold import fold_table
 
 
 def _partial_counts(column: str):
@@ -46,10 +48,9 @@ def duplicate_keys(ds, column: str, *, driver_merge_limit: int = 2_000_000) -> p
       ``group_by`` every few batches. Memory is O(distinct keys) — the
       floor for any exact distinct count — and it avoids Ray's sort
       shuffle entirely (which has seconds of fixed cost).
-    * **Ray groupby** fallback when the running distinct count exceeds
-      the limit: the partials (already combined per batch) go through
-      ``groupby(key).sum`` — the scalable all-to-all for key spaces
-      that don't fit one machine.
+    * **keyed exchange** fallback when the running distinct count
+      exceeds the limit: ``bucket_combine`` counts every key — the
+      scalable all-to-all for key spaces that don't fit one machine.
     """
     partials = ds.map_batches(
         _partial_counts(column), batch_format="pyarrow", zero_copy_batch=True
@@ -73,15 +74,8 @@ def duplicate_keys(ds, column: str, *, driver_merge_limit: int = 2_000_000) -> p
                 overflow = True
                 break
     if overflow:
-        totals = partials.groupby(column).sum("partial")
-        dup = totals.map_batches(
-            lambda t: t.filter(
-                pc.fill_null(pc.greater(t["sum(partial)"], 1), False)
-            ),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        return pa.Table.from_pandas(dup.to_pandas(), preserve_index=False)
+        return _dups(bucket_combine(ds, column, {"partial": (column, "count")}),
+                     column)
     parts = ([merged] if merged is not None else []) + pending
     if not parts:
         return pa.table({column: pa.array([]), "partial": pa.array([], pa.int64())})
@@ -238,32 +232,24 @@ def duplicate_keys_bloom(ds, column: str, *, bits: int = 1 << 22,
         return t.filter(pa.array(ok))
 
     cand = ds.map_batches(pass2, batch_format="pyarrow", zero_copy_batch=True)
-    totals = cand.groupby(column).sum("partial")
-    parts = [
-        t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
-        for t in totals.iter_batches(batch_format="pyarrow", batch_size=None)
-    ]
-    if not parts:
+    return _dups(bucket_combine(cand, column, {"partial": ("partial", "sum")}),
+                 column)
+
+
+def _dups(totals, column: str) -> pa.Table:
+    """The (key, partial > 1) rows of a keyed count, collected."""
+    merged = fold_table(totals)
+    if merged is None:
         return pa.table({column: pa.array([]), "partial": pa.array([], pa.int64())})
-    merged = pa.concat_tables(parts).rename_columns([column, "partial"])
-    merged = merged.set_column(
-        1, "partial", pc.cast(merged["partial"], pa.int64())
-    )
     return merged.filter(pc.greater(merged["partial"], 1))
 
 
 def duplicate_keys_ds(ds, column: str):
     """Dataset of (column, n) for keys appearing more than once — the
-    never-materialize variant of ``duplicate_keys``: per-batch partials
-    -> Ray groupby sum -> filter, everything stays distributed."""
-    partials = ds.map_batches(
-        _partial_counts(column), batch_format="pyarrow", zero_copy_batch=True
-    )
-    totals = partials.groupby(column).sum("partial")
-    return totals.map_batches(
-        lambda t: pa.table(
-            {column: t[column], "n": t["sum(partial)"]}
-        ).filter(pc.fill_null(pc.greater(t["sum(partial)"], 1), False)),
+    never-materialize variant of ``duplicate_keys``: ``bucket_combine``
+    counts -> filter, everything stays distributed."""
+    return bucket_combine(ds, column, {"n": (column, "count")}).map_batches(
+        lambda t: t.filter(pc.greater(t["n"], 1)),
         batch_format="pyarrow",
         zero_copy_batch=True,
     )

@@ -2,13 +2,16 @@
 
 Ray Data has no event-time windows; a tumbling window IS a grouped
 aggregation on ``(key, floor(ts / width))`` (SURVEY.md §2:
-streaming-shaped workloads), so the implementation is the combiner
-pattern: per-batch Arrow ``group_by`` partials -> small global groupby.
-Hopping windows emit width/slide (key, window) rows per event before
-the same combine; sessions are a per-key sorted gap scan inside
-``map_groups``. No cross-batch ordering assumption anywhere: rows may
-arrive in any order across blocks (late data is just another row in its
-window/session group).
+streaming-shaped workloads), so the implementation is a per-batch
+window projection into ``_bucket.bucket_combine``: an Arrow
+``group_by`` per batch, the hash-bucket exchange, an Arrow ``group_by``
+per bucket. Hopping windows emit width/slide (key, window) rows per
+event before the same combine; sessions and the other per-key scans
+(transitions, funnels, gaps, bounces) are segmented numpy scans per
+hash bucket in ``bucket_apply``, and their per-bucket counts fold
+through ``bucket_combine``. No cross-batch ordering assumption
+anywhere: rows may arrive in any order across blocks (late data is
+just another row in its window/session group).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-from ._bucket import bucket_apply
+from ._bucket import bucket_apply, bucket_combine
 
 
 def session_agg(
@@ -79,15 +82,14 @@ def hopping_window_agg(
     slide_s: int = 1800,
 ):
     """Hopping (sliding) windows: each event lands in width/slide
-    overlapping windows; per-batch the (key, window) partials combine
-    before the small global groupby (same combiner shape as tumbling)."""
+    overlapping windows, counted per (key, window) by ``bucket_combine``
+    (same shape as tumbling)."""
     if width_s % slide_s:
         raise ValueError("width must be a multiple of slide")
     k = width_s // slide_s
     slide_us = slide_s * 1_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
-
+    def prep(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch[ts_col].combine_chunks(), pa.int64()).to_numpy()
         base = (ts // slide_us) * slide_s  # seconds
         pieces = []
@@ -96,23 +98,12 @@ def hopping_window_agg(
             if key_col:
                 cols[key_col] = batch[key_col]
             pieces.append(pa.table(cols))
-        t = pa.concat_tables(pieces)
-        group_keys = ([key_col] if key_col else []) + ["window_start"]
-        out = t.group_by(group_keys).aggregate([("window_start", "count")])
-        return out.rename_columns(group_keys + ["n"])
+        return pa.concat_tables(pieces)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    group_keys = ([key_col] if key_col else []) + ["window_start"]
-    from ray.data.aggregate import Sum
-
-    total = partials.groupby(group_keys).aggregate(Sum("n", alias_name="n"))
-
-    def project(t: pa.Table) -> pa.Table:
-        cols = {kc: t[kc] for kc in group_keys}
-        cols["n"] = t["n"]
-        return pa.table(cols)
-
-    return total.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_combine(
+        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        ([key_col] if key_col else []) + ["window_start"],
+        {"n": ("window_start", "count")})
 
 
 def tumbling_window_agg(
@@ -130,44 +121,23 @@ def tumbling_window_agg(
     """
     width_us = width_s * 1_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         # floor division (numpy //), matching the hopping path: negative
         # timestamps land in the window at-or-before them, not after
         ts = pc.cast(batch[ts_col].combine_chunks(), pa.int64()).to_numpy()
-        window = (ts // width_us) * width_s
-        cols = {"window_start": pa.array(window, pa.int64())}
+        cols = {"window_start": pa.array((ts // width_us) * width_s, pa.int64())}
         if key_col:
             cols[key_col] = batch[key_col]
-        group_keys = ([key_col] if key_col else []) + ["window_start"]
-        aggs = [("window_start", "count")]
         if value_col:
             cols[value_col] = batch[value_col]
-            aggs.append((value_col, "sum"))
-        t = pa.table(cols)
-        out = t.group_by(group_keys).aggregate(aggs)
-        names = group_keys + ["n"] + (["value_sum"] if value_col else [])
-        return out.rename_columns(names)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    group_keys = ([key_col] if key_col else []) + ["window_start"]
-    gb = partials.groupby(group_keys)
-    from ray.data.aggregate import Sum
-
-    aggs = [Sum("n", alias_name="n")]
-    if value_col:
-        aggs.append(Sum("value_sum", alias_name="value_sum"))
-    total = gb.aggregate(*aggs)
-
-    def project(t: pa.Table) -> pa.Table:
-        cols = {}
-        for k in group_keys:
-            cols[k] = t[k]
-        cols["n"] = t["n"]
-        if value_col:
-            cols["value_sum"] = t["value_sum"]
         return pa.table(cols)
 
-    return total.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+    aggs = {"n": ("window_start", "count")}
+    if value_col:
+        aggs["value_sum"] = (value_col, "sum")
+    return bucket_combine(
+        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        ([key_col] if key_col else []) + ["window_start"], aggs)
 
 
 def windowed_topk(
@@ -394,15 +364,8 @@ def event_transitions(
     partials = bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
                             schema={"prev_type": type_col, type_col: type_col,
                                     "n": pa.int64()})
-    total = partials.groupby(["prev_type", type_col]).sum("n")
-    return total.map_batches(
-        lambda t: pa.table(
-            {"prev_type": t["prev_type"], type_col: t[type_col],
-             "n": t["sum(n)"]}
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    return bucket_combine(partials, ["prev_type", type_col],
+                          {"n": ("n", "sum")})
 
 
 def funnel_counts(
@@ -480,18 +443,8 @@ def funnel_counts(
     ))
     per = bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
                        schema=schema)
-    total = per.union(zeros).groupby(["step", "step_name"]).sum("users")
-    return total.map_batches(
-        lambda t: pa.table(
-            {
-                "step": t["step"],
-                "step_name": t["step_name"],
-                "users": t["sum(users)"],
-            }
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
+    return bucket_combine(per.union(zeros), ["step", "step_name"],
+                          {"users": ("users", "sum")})
 
 
 def retention_cohorts(
@@ -520,16 +473,11 @@ def retention_cohorts(
     def prep(t: pa.Table) -> pa.Table:
         ts = pc.cast(t[ts_col].combine_chunks(), pa.int64()).to_numpy()
         week = (ts // period_us) * period_s
-        out = pa.table(
-            {
-                key_col: t[key_col],
-                "week": pa.array(week, pa.int64()),
-            }
-        )
-        return out.group_by([key_col, "week"]).aggregate([])
+        return pa.table({key_col: t[key_col], "week": pa.array(week, pa.int64())})
 
-    uw = ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True)
-    distinct = uw.groupby([key_col, "week"]).count()
+    distinct = bucket_combine(
+        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
+        [key_col, "week"], {})
 
     def emit_flags(t: pa.Table) -> pa.Table:
         user = t[key_col].combine_chunks()
@@ -554,33 +502,26 @@ def retention_cohorts(
 
     flags = distinct.map_batches(emit_flags, batch_format="pyarrow",
                                  zero_copy_batch=True)
-    merged = flags.groupby([key_col, "week"]).max(["is_active", "is_next"])
+    merged = bucket_combine(flags, [key_col, "week"],
+                            {"is_active": ("is_active", "max"),
+                             "is_next": ("is_next", "max")})
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        active = pc.cast(t["max(is_active)"], pa.int64())
-        nxt = pc.cast(t["max(is_next)"], pa.int64())
-        both = pc.multiply(active, nxt)
-        out = pa.table(
-            {"week": t["week"], "active": active, "retained": both}
-        )
-        agg = out.group_by("week").aggregate([("active", "sum"), ("retained", "sum")])
-        return agg.rename_columns(["week", "active_users", "retained_users"])
+    def flag_counts(t: pa.Table) -> pa.Table:
+        active = pc.cast(t["is_active"], pa.int64())
+        return pa.table({"week": t["week"], "active": active,
+                         "retained": pc.multiply(
+                             active, pc.cast(t["is_next"], pa.int64()))})
 
-    partials = merged.map_batches(count_partial, batch_format="pyarrow",
-                                  zero_copy_batch=True)
-    total = partials.groupby("week").sum(["active_users", "retained_users"])
+    total = bucket_combine(
+        merged.map_batches(flag_counts, batch_format="pyarrow",
+                           zero_copy_batch=True),
+        "week", {"active_users": ("active", "sum"),
+                 "retained_users": ("retained", "sum")})
 
     def project(t: pa.Table) -> pa.Table:
         # periods that only appeared as someone's "previous week" have
         # zero active users — not real cohorts
-        out = pa.table(
-            {
-                "week": t["week"],
-                "active_users": t["sum(active_users)"],
-                "retained_users": t["sum(retained_users)"],
-            }
-        )
-        return out.filter(pc.greater(out["active_users"], 0))
+        return t.filter(pc.greater(t["active_users"], 0))
 
     return total.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -803,21 +744,7 @@ def event_type_cooccurrence(
     per = bucket_apply(pairs_in, key_col, per_bucket, num_buckets=num_buckets,
                        schema={"type_a": type_col, "type_b": type_col,
                                "n": pa.int64()})
-    total = per.groupby(["type_a", "type_b"]).sum("n")
-
-    def project(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-
-        return pa.table(
-            {
-                "type_a": t["type_a"],
-                "type_b": t["type_b"],
-                "n_users": _pc.cast(t["sum(n)"], pa.int64()),
-            }
-        )
-
-    return total.map_batches(project, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    return bucket_combine(per, ["type_a", "type_b"], {"n_users": ("n", "sum")})
 
 
 def monotonic_violations(
@@ -926,17 +853,7 @@ def event_transition_counts(
     per = bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
                        schema={"prev_type": pa.string(),
                                "next_type": pa.string(), "n": pa.int64()})
-    total = per.groupby(["prev_type", "next_type"]).sum("n")
-
-    def project(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "prev_type": t["prev_type"],
-            "next_type": t["next_type"],
-            "n": pc.cast(t["sum(n)"], pa.int64()),
-        })
-
-    return total.map_batches(project, batch_format="pyarrow",
-                             zero_copy_batch=True)
+    return bucket_combine(per, ["prev_type", "next_type"], {"n": ("n", "sum")})
 
 
 def first_repeat_gap(
@@ -1012,8 +929,6 @@ def session_bounce_by_day(
     import numpy as np
     import pandas as pd
 
-    from ray.data.aggregate import Sum
-
     gap_us = gap_s * 1_000_000
     day_us = 86_400_000_000
 
@@ -1045,14 +960,12 @@ def session_bounce_by_day(
             .reset_index()
         )
 
-    folded = (
+    folded = bucket_combine(
         bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
                      schema={"day": pa.int64(), "n_sessions": pa.int64(),
-                             "n_bounce": pa.int64()})
-        .groupby("day")
-        .aggregate(Sum("n_sessions", alias_name="n_sessions"),
-                   Sum("n_bounce", alias_name="n_bounce"))
-    )
+                             "n_bounce": pa.int64()}),
+        "day", {"n_sessions": ("n_sessions", "sum"),
+                "n_bounce": ("n_bounce", "sum")})
 
     def final(t: pa.Table) -> pa.Table:
         import numpy as np
@@ -1111,6 +1024,11 @@ def event_type_lift(
 
     def per_bucket(t: pa.Table) -> pd.DataFrame:
         g = t.to_pandas().drop_duplicates([key_col, type_col])
+        if max_types_per_key is not None:
+            # the keys the pair pass caps out leave the marginals and the
+            # key universe too, so every share counts one population
+            size = g.groupby(key_col, dropna=False)[type_col].transform("size")
+            g = g[size <= max_types_per_key]
         m = (g.groupby(type_col, sort=False).size()
              .rename("n").reset_index())
         m[type_col] = m[type_col].astype(str)

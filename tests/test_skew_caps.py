@@ -66,9 +66,9 @@ def test_tfidf_local_topk_is_capped(ray_session):
     totals = pa.table({
         "lang": pa.array(["en"] * len(VOCAB) + ["fr"] * 10),
         "word": pa.array(VOCAB + [f"f{i}" for i in range(10)]),
-        "sum(tf)": pa.array(
+        "tf": pa.array(
             list(range(1, len(VOCAB) + 1)) + [3] * 10, pa.int64()),
-        "sum(df)": pa.array([1] * (len(VOCAB) + 10), pa.int64()),
+        "df": pa.array([1] * (len(VOCAB) + 10), pa.int64()),
     })
     fn = _tfidf_local_topk_fn(ray.put({"en": 100, "fr": 100}), k, "lang")
     out = fn(totals)
@@ -110,7 +110,7 @@ def test_grouped_count_topk_local_stage_is_capped(ray_session):
     hot = pa.table({
         "g": pa.array(["hot"] * 500 + ["cold"] * 4),
         "u": pa.array([f"u{i:04d}" for i in range(500)] + list("abcd")),
-        "sum(n)": pa.array(list(range(1, 501)) + [9, 9, 9, 9], pa.int64()),
+        "n": pa.array(list(range(1, 501)) + [9, 9, 9, 9], pa.int64()),
     })
     out = _count_local_topk_fn("g", "u", k)(hot).to_pandas()
     assert out.groupby("g").size().max() == k
