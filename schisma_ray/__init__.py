@@ -8,7 +8,7 @@ distributed Ray Data pipeline engine:
   reference's validate/conform/create semantics (the semantic oracle).
 * :mod:`schisma_ray.stages` — vectorized Arrow batch stages
   (map_batches planners), wide checks (uniqueness, referential,
-  stats/drift aggregates) and actor-pool stages (image decoding).
+  stats/drift aggregates) and decode stages (image bytes).
 * :mod:`schisma_ray.sources` — deterministic synthetic image+caption
   table generator and readers.
 * :mod:`schisma_ray.pipelines` — end-to-end validation pipelines.

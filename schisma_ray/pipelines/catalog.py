@@ -103,11 +103,7 @@ def q_image_decode_violations(sf_dir: str):
 
     ds = read_images(_img_dir(sf_dir), ["image_id", "bytes", "w", "h", "fmt"])
     vio = ds.map_batches(
-        DecodeValidator,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=256,
-        concurrency=(2, 16),
+        DecodeValidator(), batch_format="pyarrow", zero_copy_batch=True
     )
     return _project_violations(vio)
 
@@ -362,11 +358,7 @@ def q_image_features(sf_dir: str):
 
     ds = read_images(_img_dir(sf_dir), ["image_id", "bytes"])
     feats = ds.map_batches(
-        ImageFeatures,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=512,
-        concurrency=(2, 8),
+        ImageFeatures(), batch_format="pyarrow", zero_copy_batch=True
     )
 
     # driver-friendly projection: nullable list<float> breaks pandas
@@ -407,14 +399,13 @@ def _video_dir(sf_dir: str):
 
 def q_audio_decode_violations(sf_dir: str):
     """Audio analogue of the image decode check: stored sample_rate /
-    n_samples vs the decoded truth (actor pool; seeded defects oracled
-    against the generator's expected_violations)."""
+    n_samples vs the decoded truth (seeded defects oracled against the
+    generator's expected_violations)."""
     from ..stages.multimodal import AudioDecodeValidator
 
     ds = rd.read_parquet(str(_audio_dir(sf_dir) / "audio.parquet"))
     vio = ds.map_batches(
-        AudioDecodeValidator, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 4),
+        AudioDecodeValidator(), batch_format="pyarrow", zero_copy_batch=True
     )
     return _collect(_project_violations(vio), _VIO_COLS)
 
@@ -426,8 +417,7 @@ def q_audio_features(sf_dir: str):
     ds = rd.read_parquet(str(_audio_dir(sf_dir) / "audio.parquet"),
                          columns=["audio_id", "bytes"])
     feats = ds.map_batches(
-        AudioFeatures, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 4),
+        AudioFeatures(), batch_format="pyarrow", zero_copy_batch=True
     )
 
     def project(t: pa.Table) -> pa.Table:
@@ -452,7 +442,7 @@ def _scene_video_dir(sf_dir: str):
 def q_video_scene_cuts(sf_dir: str):
     """Scene-boundary detection over the scene-structured video fixture
     (1-4 planted scenes per video): adjacent-frame exact-integer mean
-    |Δ| above 20 levels marks a cut. Actor pool decode; oracled against
+    |Δ| above 20 levels marks a cut. Oracled against
     the generator's independently-recorded planted cut positions —
     intra-scene jitter + lossy-codec noise sit far below the
     threshold, fresh scene bases far above, so detection must recover
@@ -461,7 +451,7 @@ def q_video_scene_cuts(sf_dir: str):
 
     ds = rd.read_parquet(str(_scene_video_dir(sf_dir) / "scene_video.parquet"),
                          columns=["video_id", "bytes"])
-    cuts = scene_cuts(ds, concurrency=(1, 4))
+    cuts = scene_cuts(ds)
     return cuts.map_batches(
         lambda t: t.select(["video_id", "frame_idx"]),
         batch_format="pyarrow", zero_copy_batch=True,
@@ -478,13 +468,12 @@ def _silence_audio_dir(sf_dir: str):
 def q_audio_silence_runs(sf_dir: str):
     """Silence segmentation over the planted-gap audio fixture: runs of
     160-sample windows whose max |sample| is under 300 (true zeros vs
-    thousands-amplitude tone). Actor pool decode, integer compares;
-    oracled against the generator's planted gap positions."""
+    thousands-amplitude tone). Integer compares; oracled against the generator's planted gap positions."""
     from ..stages.multimodal import silence_runs
 
     ds = rd.read_parquet(
         str(_silence_audio_dir(sf_dir) / "silence_audio.parquet"))
-    return silence_runs(ds, concurrency=(1, 4))
+    return silence_runs(ds)
 
 
 def q_video_frame_explode(sf_dir: str):
@@ -495,11 +484,7 @@ def q_video_frame_explode(sf_dir: str):
     ds = rd.read_parquet(str(_video_dir(sf_dir) / "video.parquet"),
                          columns=["video_id", "bytes"])
     frames = ds.map_batches(
-        VideoFrameSampler,
-        fn_constructor_args=(3,),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        concurrency=(1, 4),
+        VideoFrameSampler(3), batch_format="pyarrow", zero_copy_batch=True
     )
     return frames.map_batches(
         lambda t: t.select(["video_id", "frame_idx", "w", "h", "fmt"]),
@@ -644,11 +629,9 @@ def q_validate_event_props(sf_dir: str):
     schema = {"k": {"$type": Number, "$validate": _props_k_range}}
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "props"])
     vio = ds.map_batches(
-        JsonColumnValidator,
-        fn_constructor_args=(schema, "props", "event_id"),
+        JsonColumnValidator(schema, "props", "event_id"),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=(1, 4),
     )
     return vio.map_batches(
         lambda t: t.select(["row_ref", "path", "code", "message"]),
@@ -668,11 +651,9 @@ def q_conform_event_props(sf_dir: str):
     schema = {"k": Number, "m": Number}
     ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "props"])
     return ds.map_batches(
-        JsonColumnConformer,
-        fn_constructor_args=(schema, "props", "event_id"),
+        JsonColumnConformer(schema, "props", "event_id"),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=(1, 4),
     )
 
 
@@ -3881,14 +3862,14 @@ def q_dataset_card(sf_dir: str):
 
 def q_caption_lang_dist(sf_dir: str):
     """Caption language profile of the image table: the n-gram LangId
-    heuristic applied per caption (actor pool, compiled word sets in
-    __init__), collapsed to (lang_pred, n) by a combiner-first
+    heuristic applied per caption (compiled word sets in __init__),
+    collapsed to (lang_pred, n) by a combiner-first
     groupby — text analysis on the image axis."""
     from ..stages.text import LangId
 
     ds = read_images(_img_dir(sf_dir), ["image_id", "caption"])
-    pred = ds.map_batches(LangId, fn_constructor_args=("caption", "image_id"),
-                          batch_format="pyarrow", concurrency=(2, 8))
+    pred = ds.map_batches(LangId("caption", "image_id"),
+                          batch_format="pyarrow")
 
     return _collect(
         bucket_combine(pred, "lang_pred", {"n": ("lang_pred", "count_all")}),
@@ -4006,8 +3987,8 @@ def q_html_extracted(sf_dir: str):
 
 
 def q_image_brightness(sf_dir: str):
-    """Decode-based EXACT integer brightness stats per image (actor
-    pool; state-in-__init__ model-stage signature): pixel count, int64
+    """Decode-based EXACT integer brightness stats per image
+    (state-in-__init__ model-stage signature): pixel count, int64
     channel sums, e6 floor means. Oracled against the generator's
     independent bookkeeping — a decode-COMPUTE op whose distributed
     plumbing is bit-checkable, unlike the float feature vectors."""
@@ -4015,11 +3996,7 @@ def q_image_brightness(sf_dir: str):
 
     ds = read_images(_img_dir(sf_dir), ["image_id", "bytes"])
     return ds.map_batches(
-        BrightnessStats,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=512,
-        concurrency=(2, 8),
+        BrightnessStats(), batch_format="pyarrow", zero_copy_batch=True
     )
 
 
@@ -4028,19 +4005,15 @@ def q_pair_fidelity(sf_dir: str):
     fidelity fixture: decoded-pixel PSNR >= 40 dB (lossy re-encodes
     pass, planted-noise rows fail) + caption equality — verdicts and
     SSE evaluated in exact integer arithmetic on both sides (the
-    10^(D/10) freeze, stages/multimodal.PairFidelity). Actor pool,
-    state-free decode, zero shuffle."""
+    10^(D/10) freeze, stages/multimodal.PairFidelity). State-free
+    decode, zero shuffle."""
     from ..sources.fidelity_fixture import fidelity_pairs
     from ..stages.multimodal import PairFidelity
 
     ds = rd.read_parquet(str(fidelity_pairs(sf_dir)))
     return _collect(
         ds.map_batches(
-            PairFidelity,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=512,
-            concurrency=(2, 8),
+            PairFidelity(), batch_format="pyarrow", zero_copy_batch=True
         ),
         ["image_id", "sse", "n_samples", "psnr_ok", "caption_ok", "ok"],
     )
@@ -4048,7 +4021,7 @@ def q_pair_fidelity(sf_dir: str):
 
 def q_image_resized(sf_dir: str):
     """Thumbnail pipeline plumbing check: resize every decodable image
-    to 32x32 in an actor pool and report the metadata surface
+    to 32x32 and report the metadata surface
     (undecodable rows keep null dims). The pixel payload is
     codec-defined; the oracle pins WHICH rows resize and the output
     schema via the independent decodability bookkeeping."""
@@ -4056,11 +4029,7 @@ def q_image_resized(sf_dir: str):
 
     ds = read_images(_img_dir(sf_dir), ["image_id", "bytes", "w", "h"])
     out = ds.map_batches(
-        ImageResize,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=512,
-        concurrency=(2, 8),
+        ImageResize(), batch_format="pyarrow", zero_copy_batch=True
     )
 
     def project(t: pa.Table) -> pa.Table:
@@ -8332,7 +8301,7 @@ def q_conform_repair_summary(sf_dir: str):
     column had REPAIRED by the full conform pass — the aggregate 'what
     did conform actually do' report behind the row-level conform-diff
     query (the number a schema owner reads before trusting auto-repair
-    in production). Actor-pool conformer (state per actor), null-aware
+    in production). The conformer runs fused into the read, null-aware
     vectorized compare per batch, 5-int partials folded driver-side."""
     import pyarrow.compute as pc
 
@@ -8341,28 +8310,25 @@ def q_conform_repair_summary(sf_dir: str):
 
     cols = ["w", "h", "fmt", "caption", "phash"]
 
-    class RepairCount:
-        def __init__(self):
-            self.conform = FusedConformer()
+    conform = FusedConformer()
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            out = self.conform(t)  # row order preserved (pure map)
-            counts = {}
-            for c in cols:
-                a = t[c].combine_chunks()
-                b = out[c].combine_chunks()
-                both_null = pc.and_(pc.is_null(a), pc.is_null(b))
-                neq = pc.fill_null(pc.not_equal(a, b), True)
-                changed = pc.and_(neq, pc.invert(both_null))
-                counts[c] = pa.array(
-                    [int(pc.sum(changed).as_py() or 0)], pa.int64()
-                )
-            return pa.table(counts)
+    def repair_count(t: pa.Table) -> pa.Table:
+        out = conform(t)  # row order preserved (pure map)
+        counts = {}
+        for c in cols:
+            a = t[c].combine_chunks()
+            b = out[c].combine_chunks()
+            both_null = pc.and_(pc.is_null(a), pc.is_null(b))
+            neq = pc.fill_null(pc.not_equal(a, b), True)
+            changed = pc.and_(neq, pc.invert(both_null))
+            counts[c] = pa.array(
+                [int(pc.sum(changed).as_py() or 0)], pa.int64()
+            )
+        return pa.table(counts)
 
     folded = fold_table(
         read_images(_img_dir(sf_dir)).map_batches(
-            RepairCount, batch_format="pyarrow", zero_copy_batch=True,
-            concurrency=(1, 4),
+            repair_count, batch_format="pyarrow", zero_copy_batch=True
         )
     )
     totals = {
@@ -8549,7 +8515,7 @@ def q_null_cooccurrence(sf_dir: str):
 
 def q_lang_confusion(sf_dir: str):
     """Declared-vs-predicted language confusion matrix (langs^2 cells,
-    actor-pool partials + bounded driver fold)."""
+    per-batch partials + bounded driver fold)."""
     from ..stages.text import lang_confusion
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
@@ -9069,7 +9035,6 @@ def q_regional_revenue(sf_dir: str):
     the same batch pass that computes the exact-cents revenue partials;
     one |nations|-row groupby finishes. The co-nation equality filter
     never shuffles anything."""
-    import ray
     import pyarrow.parquet as pq
 
     from ..stages._fold import fold_table
@@ -9085,9 +9050,9 @@ def q_regional_revenue(sf_dir: str):
         zero_copy_only=False)
     order = np.argsort(sup_keys, kind="mergesort")
     # sorted (key, nationkey) arrays: the broadcast is two dense numpy
-    # vectors and the per-batch lookup one vectorized searchsorted —
-    # no Python dict probe per row
-    sup_ref = ray.put((sup_keys[order], sup_vals[order]))
+    # vectors shipped with the task and the per-batch lookup one
+    # vectorized searchsorted — no Python dict probe per row
+    sup_keys, sup_vals = sup_keys[order], sup_vals[order]
     names = {int(k): str(v) for k, v in zip(nat["n_nationkey"].to_pylist(),
                                             nat["n_name"].to_pylist())}
 
@@ -9132,37 +9097,28 @@ def q_regional_revenue(sf_dir: str):
         cust, on="o_custkey", right_on="c_custkey",
     )
 
-    class ConationPartial:
-        def __init__(self, sup_ref):
-            import ray as _ray
-
-            self.keys, self.vals = _ray.get(sup_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            sk = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(
-                np.int64)
-            if len(self.keys) == 0:
-                s_nat = np.full(len(sk), -1, np.int64)
-            else:
-                pos = np.searchsorted(self.keys, sk)
-                pos_c = np.minimum(pos, len(self.keys) - 1)
-                hit = self.keys[pos_c] == sk
-                s_nat = np.where(hit, self.vals[pos_c], -1)
-            c_nat = pc.cast(t["c_nationkey"], pa.int64()).to_numpy(
-                zero_copy_only=False)
-            keep = s_nat == c_nat
-            g = pa.table({
-                "n_nationkey": pa.array(c_nat[keep], pa.int64()),
-                "revenue_c4": pa.array(
-                    t["rev"].to_numpy(zero_copy_only=False)[keep],
-                    pa.int64()),
-            }).group_by("n_nationkey").aggregate([("revenue_c4", "sum")])
-            return g.rename_columns(["n_nationkey", "revenue_c4"])
+    def conation_partial(t: pa.Table) -> pa.Table:
+        sk = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
+        if len(sup_keys) == 0:
+            s_nat = np.full(len(sk), -1, np.int64)
+        else:
+            pos = np.searchsorted(sup_keys, sk)
+            pos_c = np.minimum(pos, len(sup_keys) - 1)
+            hit = sup_keys[pos_c] == sk
+            s_nat = np.where(hit, sup_vals[pos_c], -1)
+        c_nat = pc.cast(t["c_nationkey"], pa.int64()).to_numpy(
+            zero_copy_only=False)
+        keep = s_nat == c_nat
+        g = pa.table({
+            "n_nationkey": pa.array(c_nat[keep], pa.int64()),
+            "revenue_c4": pa.array(
+                t["rev"].to_numpy(zero_copy_only=False)[keep],
+                pa.int64()),
+        }).group_by("n_nationkey").aggregate([("revenue_c4", "sum")])
+        return g.rename_columns(["n_nationkey", "revenue_c4"])
 
     folded = fold_table(
-        joined.map_batches(
-            ConationPartial, fn_constructor_args=(sup_ref,),
-            concurrency=(1, 4), batch_format="pyarrow")
+        joined.map_batches(conation_partial, batch_format="pyarrow")
     )
     if folded is None or folded.num_rows == 0:
         return pa.table({

@@ -3,14 +3,18 @@
 Composes every check family over one streaming read:
 
   read_parquet (column-pruned per stage)
-    ├─ schema stage      map_batches(TableValidator)     [stateless tasks]
-    ├─ decode stage      map_batches(DecodeValidator)    [actor pool]
+    ├─ schema stage      map_batches(TableValidator)     [task]
+    ├─ decode stage      map_batches(DecodeValidator)    [task]
     ├─ uniqueness stage  partial-agg -> groupby -> broadcast re-scan
     └─ referential stage broadcast anti-join
   -> union -> one violations Dataset (schema sources/image_table.VIOLATION_SCHEMA)
 
 Column pruning matters: the schema/uniqueness/referential stages never
 read ``bytes`` (the heavy column); only the decode stage does.
+
+Every per-batch stage is a callable instance, not a class, so Ray runs
+it as a task fused into its read and a batch is the read block.
+``fused=True`` runs schema and decode in one such task over one read.
 """
 
 from __future__ import annotations
@@ -66,8 +70,8 @@ class FusedValidator:
 
     One read of the (bytes-heavy) table instead of two, one stage in the
     plan instead of a union branch — the right shape when the decode
-    stage touches every row anyway. Runs as an actor pool like the
-    decoder it embeds.
+    stage touches every row anyway. Runs as a task fused into the read
+    (see the NOTE in ``validate_images``).
     """
 
     def __init__(self, full_decode: bool = True):
@@ -88,8 +92,6 @@ def validate_images(
     decode: bool = True,
     uniqueness: bool = True,
     referential: bool = True,
-    decode_batch_size: int = 256,
-    decode_concurrency=None,
     fused: bool = False,
 ):
     """Violations Dataset for every enabled check family (streaming)."""
@@ -121,15 +123,11 @@ def validate_images(
         ]
         if decode:
             heavy = read_images(table_dir, DECODE_COLUMNS)
-            # the decoder is a stateful stage: pass the CLASS so Ray runs
-            # an autoscaling actor pool (codec state built once per actor)
             parts.append(
                 heavy.map_batches(
-                    DecodeValidator,
+                    DecodeValidator(),
                     batch_format="pyarrow",
                     zero_copy_batch=True,
-                    batch_size=decode_batch_size,
-                    concurrency=decode_concurrency or (2, 16),
                 )
             )
     if uniqueness:
@@ -160,36 +158,10 @@ class FusedConformer:
         return self.decode_c(self.schema_c(batch))
 
 
-def conform_images(
-    table_dir: str | Path,
-    *,
-    fused: bool = True,
-    decode_batch_size: int = 256,
-    decode_concurrency=None,
-):
-    """Repaired table Dataset: schema conform then decode conform.
-
-    ``fused=True`` (default) runs both repairs inside the read task
-    (operator fusion; bytes never round-trip the object store).
-    ``fused=False`` keeps the decode conform as a separate actor pool —
-    the right shape when the decoder holds heavy state (real codecs,
-    models) worth amortizing across many batches.
-    """
-    from ..stages.conform import TableConformer
-
-    ds = read_images(table_dir)
-    if fused:
-        return ds.map_batches(
-            FusedConformer(), batch_format="pyarrow", zero_copy_batch=True
-        )
-    ts = image_table_schema()
-    ds = ds.map_batches(
-        TableConformer(ts), batch_format="pyarrow", zero_copy_batch=True
-    )
-    return ds.map_batches(
-        DecodeConformer,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=decode_batch_size,
-        concurrency=decode_concurrency or (2, 16),
+def conform_images(table_dir: str | Path):
+    """Repaired table Dataset: schema conform then decode conform, both
+    inside the read task (operator fusion; bytes never round-trip the
+    object store)."""
+    return read_images(table_dir).map_batches(
+        FusedConformer(), batch_format="pyarrow", zero_copy_batch=True
     )

@@ -44,22 +44,23 @@ def _word_ngrams(text: str, n: int) -> set:
 
 class _ContaminationCounter:
     """Per-batch counter of benchmark n-gram hits. The benchmark gram
-    set arrives as an object-store ref (one ``ray.put`` on the driver,
-    zero-copy reads in every task)."""
+    set arrives as an object-store ref (one ``ray.put`` on the driver),
+    fetched in the task that calls the instance."""
 
     def __init__(self, bench_ref, n: int, col: str, id_col: str):
-        self.bench = ray.get(bench_ref) if not isinstance(bench_ref, frozenset) else bench_ref
+        self.bench_ref = bench_ref
         self.n = n
         self.col = col
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        bench = ray.get(self.bench_ref)
         ids, hits = [], []
         texts = batch[self.col].to_pylist()
         for rid, text in zip(batch[self.id_col].to_pylist(), texts):
             if not text:
                 continue
-            n_hits = len(_word_ngrams(text, self.n) & self.bench)
+            n_hits = len(_word_ngrams(text, self.n) & bench)
             if n_hits:
                 ids.append(rid)
                 hits.append(n_hits)
@@ -91,11 +92,9 @@ def decontaminate(corpus, bench, *, n: int = 4, col: str = "text",
                 grams |= _word_ngrams(text, n)
     bench_ref = ray.put(frozenset(grams))
     return corpus.map_batches(
-        _ContaminationCounter,
-        fn_constructor_args=(bench_ref, n, col, id_col),
+        _ContaminationCounter(bench_ref, n, col, id_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=(1, 8),
     )
 
 
@@ -388,10 +387,9 @@ def decontam_attribution(corpus, bench, *, n: int = 4, col: str = "text",
 
     Same broadcast shape: the bench side folds to a gram -> bench-ids
     inverted index (benchmarks are MBs; the corpus is the 100-TB side)
-    and ships once; the corpus streams through one actor-pool pass.
+    and ships once; the corpus streams through one ``map_batches``
+    pass fused into its read.
     """
-    import ray
-
     index: dict = {}
     for b in bench.select_columns([col, id_col]).iter_batches(
         batch_format="pyarrow"
@@ -403,33 +401,29 @@ def decontam_attribution(corpus, bench, *, n: int = 4, col: str = "text",
                 index.setdefault(g, set()).add(rid)
     index_ref = ray.put({g: tuple(sorted(v)) for g, v in index.items()})
 
-    class Attributor:
-        def __init__(self):
-            self.index = ray.get(index_ref)
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            ids_out, bench_out = [], []
-            for rid, text in zip(batch[id_col].to_pylist(),
-                                 batch[col].to_pylist()):
-                if not text:
-                    continue
-                hits: set = set()
-                for g in _word_ngrams(text, n) & self.index.keys():
-                    hits.update(self.index[g])
-                for bid in sorted(hits):
-                    ids_out.append(rid)
-                    bench_out.append(bid)
-            id_type = batch[id_col].type
-            return pa.table(
-                {
-                    id_col: pa.array(ids_out, id_type),
-                    "bench_id": pa.array(bench_out, id_type),
-                }
-            )
+    def attribute(batch: pa.Table) -> pa.Table:
+        index = ray.get(index_ref)
+        ids_out, bench_out = [], []
+        for rid, text in zip(batch[id_col].to_pylist(),
+                             batch[col].to_pylist()):
+            if not text:
+                continue
+            hits: set = set()
+            for g in _word_ngrams(text, n) & index.keys():
+                hits.update(index[g])
+            for bid in sorted(hits):
+                ids_out.append(rid)
+                bench_out.append(bid)
+        id_type = batch[id_col].type
+        return pa.table(
+            {
+                id_col: pa.array(ids_out, id_type),
+                "bench_id": pa.array(bench_out, id_type),
+            }
+        )
 
     return corpus.map_batches(
-        Attributor, batch_format="pyarrow", zero_copy_batch=True,
-        concurrency=(1, 8),
+        attribute, batch_format="pyarrow", zero_copy_batch=True
     )
 
 

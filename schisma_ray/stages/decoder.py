@@ -1,12 +1,13 @@
-"""Decoder stage: actor-pool validation/conform of image bytes.
+"""Decoder stage: validation/conform of image bytes.
 
 The reference's ``$unmarshal`` + ``$validate`` pair (src/schisma.mjs:
 138-172, test/class.mjs:31-62) is how one validates "a value that must
 be constructed before checking"; for the image table that construction
-is *decoding*, so it runs as a stateful ``map_batches`` actor pool:
+is *decoding*, so it runs as a ``map_batches`` callable instance that
+Ray fuses into the read task:
 
     ds.map_batches(DecodeValidator(), batch_format="pyarrow",
-                   batch_size=256, concurrency=(2, 8), num_cpus=1)
+                   zero_copy_batch=True)
 
 * ``DecodeValidator`` — decodes ``bytes`` and checks the stored
   ``w``/``h``/``fmt`` against the decoded truth; emits ``invalid`` rows
@@ -15,13 +16,14 @@ is *decoding*, so it runs as a stateful ``map_batches`` actor pool:
   conform direction: coerce the value to satisfy the invariant), and
   replaces undecodable payloads with a deterministic placeholder.
 
-Batch size should stay small (bytes-heavy rows); the actor pool isolates
-codec state and lets Ray scale the pool independently of the cheap
-schema stage. Decoded pixels never leave the stage (no pixel
-materialization across stage boundaries).
+Both constructors only store flags, so an instance costs nothing to
+ship with each task. A batch is the read block; the image bytes never
+leave the read task and decoded pixels never leave the stage.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 import pyarrow as pa
@@ -32,13 +34,29 @@ from ..sources.image_table import VIOLATION_SCHEMA
 _PLACEHOLDER_FMT = "png"
 
 
+@contextmanager
+def _codec_backend(name: str | None):
+    """Run the body on codec backend ``name`` (None: the current one) and
+    restore the previous backend afterwards. The stages apply their
+    ``backend`` per call because the call, not the constructor, runs in
+    the worker process."""
+    if name is None:
+        yield
+        return
+    prev = codec.set_backend(name)
+    try:
+        yield
+    finally:
+        codec.set_backend(prev)
+
+
 def _placeholder() -> tuple[bytes, int, int, int]:
     px = np.zeros((8, 8, 3), dtype=np.uint8)
     return codec.encode(px, _PLACEHOLDER_FMT), 8, 8, codec.phash64(px)
 
 
 class DecodeValidator:
-    """Actor: decode + invariant checks -> violations table."""
+    """Decode + invariant checks -> violations table."""
 
     def __init__(self, full_decode: bool = True, report_missing_bytes: bool = True,
                  backend: str | None = None):
@@ -46,16 +64,17 @@ class DecodeValidator:
         # the cheap path for when only dims/format labels are audited.
         # report_missing_bytes=False when a fused schema stage already
         # owns the bytes null check (avoids duplicate rows).
-        # backend selects the codec implementation ("builtin"/"pil") and
-        # is applied HERE — actor constructors run once per worker
-        # process, which is where module state must be set (a driver-side
-        # set_backend never reaches the pool).
-        if backend is not None:
-            codec.set_backend(backend)
+        # backend selects the codec implementation ("builtin"/"pil") for
+        # the calls of this instance only
+        self.backend = backend
         self.full_decode = full_decode
         self.report_missing_bytes = report_missing_bytes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        with _codec_backend(self.backend):
+            return self._validate(batch)
+
+    def _validate(self, batch: pa.Table) -> pa.Table:
         ids = batch["image_id"].to_pylist()
         blobs = batch["bytes"].to_pylist()
         ws = batch["w"].to_pylist()
@@ -115,7 +134,7 @@ class DecodeValidator:
 
 
 class DecodeConformer:
-    """Actor: repair w/h/fmt/phash from the decoded truth.
+    """Repair w/h/fmt/phash from the decoded truth.
 
     Undecodable payloads become a deterministic placeholder image (the
     conform-with-default path, C4). Pixels of decodable rows are never
@@ -124,12 +143,16 @@ class DecodeConformer:
     """
 
     def __init__(self, fix_phash: bool = False, backend: str | None = None):
-        if backend is not None:
-            codec.set_backend(backend)
+        self.backend = backend
         self.fix_phash = fix_phash
-        self.placeholder = _placeholder()
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        with _codec_backend(self.backend):
+            return self._conform(batch)
+
+    def _conform(self, batch: pa.Table) -> pa.Table:
+        # encoded per call: the placeholder takes this call's backend
+        placeholder = _placeholder()
         blobs = batch["bytes"].to_pylist()
         ws = batch["w"].to_pylist()
         hs = batch["h"].to_pylist()
@@ -137,14 +160,14 @@ class DecodeConformer:
         phashes = batch["phash"].to_pylist()
         for i, blob in enumerate(blobs):
             if blob is None:
-                blob, aw, ah, ph = self.placeholder
+                blob, aw, ah, ph = placeholder
                 blobs[i], ws[i], hs[i] = blob, aw, ah
                 fmts[i], phashes[i] = _PLACEHOLDER_FMT, ph
                 continue
             try:
                 pixels, actual_fmt = codec.decode(blob)
             except codec.CodecError:
-                blob, aw, ah, ph = self.placeholder
+                blob, aw, ah, ph = placeholder
                 blobs[i], ws[i], hs[i] = blob, aw, ah
                 fmts[i], phashes[i] = _PLACEHOLDER_FMT, ph
                 continue

@@ -209,10 +209,10 @@ def binary_fingerprint(ds, col: str, id_col: str):
 
 # --------------------------------------------------------------- MinHash
 class MinHasher:
-    """Actor-pool stage: per-row MinHash signature over word shingles.
+    """Per-row MinHash signature over word shingles.
 
-    Permutation parameters are generated once per actor in ``__init__``
-    (seeded), not per batch.
+    Permutation parameters are generated once per instance in
+    ``__init__`` (seeded), not per batch.
     """
 
     def __init__(self, col: str, id_col: str, num_perm: int = 64,
@@ -359,31 +359,19 @@ def _fold_pairs(pairs_ds) -> pa.Table:
 
 def minhash_candidate_pairs(ds, col: str, id_col: str, *, num_perm: int = 64,
                             bands: int = 16, shingle: int = 3, seed: int = 1234,
-                            max_bucket: int = 1000, actor_pool: bool = False,
-                            as_dataset: bool = False):
+                            max_bucket: int = 1000, as_dataset: bool = False):
     """LSH candidate pairs (a < b) from banded MinHash signatures.
 
-    Default is task mode (the signature stage fuses into the read; the
-    permutation table costs microseconds to build). ``actor_pool=True``
-    switches to an autoscaling pool — the right shape if the hasher ever
-    grows heavy state (e.g. a tokenizer model). ``as_dataset=True``
-    returns the pair Dataset without any driver fold (the 100-TB path).
+    The signature stage is a task fused into the read (the permutation
+    table costs microseconds to build). ``as_dataset=True`` returns the
+    pair Dataset without any driver fold (the 100-TB path).
     """
     rows_per_band = num_perm // bands
-    if actor_pool:
-        sigs = ds.map_batches(
-            MinHasher,
-            fn_constructor_args=(col, id_col, num_perm, shingle, seed),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            concurrency=(1, 8),
-        )
-    else:
-        sigs = ds.map_batches(
-            MinHasher(col, id_col, num_perm, shingle, seed),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
+    sigs = ds.map_batches(
+        MinHasher(col, id_col, num_perm, shingle, seed),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
     band_rows = sigs.map_batches(
         lambda b: _band_rows(b, id_col, bands, rows_per_band),
         batch_format="pyarrow",

@@ -2,14 +2,16 @@
 
 Image/audio/video payloads are opaque ``binary`` columns with typed
 metadata (the input_hint shape). These stages implement the standard
-multimodal pipeline verbs as actor-pool ``map_batches`` transforms:
+multimodal pipeline verbs as ``map_batches`` callables. Each class
+stores its configuration in ``__init__`` and decodes in ``__call__``;
+an instance runs as a task fused into the read:
 
 * ``ImageResize`` — decode, box-filter resample to a target size,
   re-encode (same format). Metadata (w/h/phash) updated in place.
 * ``ImageFeatures`` — decode and emit a small dense feature vector
   (channel means/stds, luma histogram, phash bits) as ``list<float>`` —
   the shape an embedding model stage would produce, with the same
-  actor signature (swap ``features_of`` for a model forward pass).
+  callable signature (swap ``features_of`` for a model forward pass).
 * ``frame_sample`` — treat a binary payload as a frame container and
   emit every k-th frame as its own row (flat_map-style row explosion);
   here frames are the rows themselves (one image per row), so the
@@ -54,7 +56,7 @@ def _resize_box(pixels: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
 
 
 class ImageResize:
-    """Actor: resize every decodable image to (target_w, target_h)."""
+    """Resize every decodable image to (target_w, target_h)."""
 
     def __init__(self, target_w: int = 32, target_h: int = 32):
         self.tw = target_w
@@ -104,11 +106,11 @@ def features_of(pixels: np.ndarray, hist_bins: int = 8) -> np.ndarray:
 
 
 class ImageFeatures:
-    """Actor: decode -> feature vector (list<float>) per row.
+    """Decode -> feature vector (list<float>) per row.
 
-    The actor signature matches a model-inference stage: state (here the
-    histogram config; in production the model) is built once per actor,
-    batches stream through ``__call__``.
+    The callable signature matches a model-inference stage: state (here
+    the histogram config; in production the model) is built in
+    ``__init__``, batches stream through ``__call__``.
     """
 
     def __init__(self, hist_bins: int = 8, id_col: str = "image_id"):
@@ -134,7 +136,7 @@ class ImageFeatures:
 
 
 class BrightnessStats:
-    """Actor: decode -> EXACT integer per-channel brightness stats per
+    """Decode -> EXACT integer per-channel brightness stats per
     row: pixel count plus int64 channel sums and e6 floor means. All
     integers, so the distributed plumbing (routing, skips, aggregation)
     is oracle-checkable bit-for-bit against the generator's independent
@@ -169,7 +171,7 @@ class BrightnessStats:
 
 
 class PairFidelity:
-    """Actor: decode BOTH payloads of an (a, b) image pair and emit the
+    """Decode BOTH payloads of an (a, b) image pair and emit the
     north-rule per-row conform invariant — decoded-pixel fidelity
     (PSNR >= ``min_psnr_db``, lossy re-encodes allowed) plus caption
     equality — as exact integers: SSE between the two pixel arrays,
@@ -243,10 +245,10 @@ class PairFidelity:
 
 
 class AudioFeatures:
-    """Actor: decode audio bytes -> dense feature vector per row
-    (duration, RMS, zero-crossing rate, FFT band energies). Same actor
-    signature as a real embedding/ASR front-end: per-actor state in
-    ``__init__``, batches through ``__call__``; undecodable rows -> null.
+    """Decode audio bytes -> dense feature vector per row (duration,
+    RMS, zero-crossing rate, FFT band energies). Same callable
+    signature as a real embedding/ASR front-end: state in ``__init__``,
+    batches through ``__call__``; undecodable rows -> null.
     """
 
     def __init__(self, n_bands: int = 8, id_col: str = "audio_id"):
@@ -291,7 +293,7 @@ class AudioFeatures:
 
 
 class AudioDecodeValidator:
-    """Actor: audio analogue of DecodeValidator — stored sample_rate /
+    """Audio analogue of DecodeValidator — stored sample_rate /
     n_samples metadata checked against the decoded truth; undecodable
     payloads -> one ``bytes`` violation (schisma's ``invalid`` code)."""
 
@@ -337,7 +339,7 @@ class AudioDecodeValidator:
 
 
 class VideoFrameSampler:
-    """Actor: true frame explosion — decode every k-th frame of a video
+    """True frame explosion — decode every k-th frame of a video
     container into its own row (video_id, frame_idx, w, h, fmt, bytes).
     Length-prefixed frames mean skipped frames are seeks, not decodes;
     re-encoding keeps pixel payloads out of long-lived batch memory."""
@@ -461,7 +463,7 @@ def aspect_bucket_assign(ds, *, w_col: str = "w", h_col: str = "h",
 
 
 class SceneCutDetector:
-    """Actor: detect scene boundaries by mean absolute pixel difference
+    """Detect scene boundaries by mean absolute pixel difference
     between adjacent frames — a cut is a frame whose exact-integer
     e6-scaled mean |Δ| versus its predecessor exceeds ``threshold_e6``
     (half-up integer divide, no floats anywhere). Intra-scene jitter
@@ -469,9 +471,9 @@ class SceneCutDetector:
     scene change, so the threshold separates cleanly. Undecodable
     videos emit nothing.
 
-    Actor-pool stage: decode state-free but CPU-heavy; batches of
-    videos stream through ``__call__``; emits (video_id, frame_idx,
-    diff_e6) per detected cut."""
+    Decode is state-free but CPU-heavy; batches of videos stream
+    through ``__call__``; emits (video_id, frame_idx, diff_e6) per
+    detected cut."""
 
     def __init__(self, threshold_e6: int = 20_000_000,
                  id_col: str = "video_id"):
@@ -518,7 +520,7 @@ def tile_grid(ds, *, tile: int = 64, w_col: str = "w", h_col: str = "h",
 
     Decode-free: the plan is pure metadata arithmetic on (w, h), so it
     runs BEFORE bytes ever move — at 10^12 images the planner's output
-    feeds the decode actor pool with exact work items instead of
+    feeds the decode stage with exact work items instead of
     decoding first and tiling after. Fully vectorized explode
     (np.repeat + offset-subtracted arange, the list-explode idiom used
     across this repo); zero shuffle. Rows with null / non-positive
@@ -639,20 +641,16 @@ def aspect_bucket_waste(ds, *, w_col: str = "w", h_col: str = "h",
 
 
 def scene_cuts(ds, *, threshold_e6: int = 20_000_000,
-               id_col: str = "video_id", concurrency=(2, 8)):
+               id_col: str = "video_id"):
     return ds.map_batches(
-        SceneCutDetector,
-        fn_constructor_kwargs={"threshold_e6": threshold_e6,
-                               "id_col": id_col},
+        SceneCutDetector(threshold_e6, id_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=32,
-        concurrency=concurrency,
     )
 
 
 class SilenceRunDetector:
-    """Actor: detect runs of silent fixed-size windows in an audio
+    """Detect runs of silent fixed-size windows in an audio
     payload — per window, silent iff max |sample| (across channels)
     is below ``threshold``; consecutive silent windows merge to
     (audio_id, win_start, win_end), end exclusive. Pure integer
@@ -700,15 +698,11 @@ class SilenceRunDetector:
 
 
 def silence_runs(ds, *, window: int = 160, threshold: int = 300,
-                 id_col: str = "audio_id", concurrency=(2, 8)):
+                 id_col: str = "audio_id"):
     return ds.map_batches(
-        SilenceRunDetector,
-        fn_constructor_kwargs={"window": window, "threshold": threshold,
-                               "id_col": id_col},
+        SilenceRunDetector(window, threshold, id_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=64,
-        concurrency=concurrency,
     )
 
 

@@ -20,7 +20,7 @@ import pandas as pd
 import pyarrow as pa
 from ray.data.aggregate import AggregateFn, Count, Max, Mean, Min, Std
 
-from ._bucket import bucket_combine
+from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
 from ._math import chi2_sf, frac_e6 as _share_e6, ks_pvalue
 
 
@@ -1344,10 +1344,11 @@ def grouped_trend_slope(ds, group_col: str, ts_col: str = "ts"):
     Combiner-first: per-batch Arrow (group, day) count partials -> one
     small groupby-sum (rows bounded by groups x days) -> per-group
     Python-int moments (n*Sxy overflows int64 at 100 TB daily counts;
-    exact big-int == the oracle's HUGEINT) and ONE float divide.
+    exact big-int == the oracle's HUGEINT) and ONE float divide, per
+    hash bucket of groups in ``bucket_apply``. A null group is one
+    group, as in SQL ``GROUP BY``.
     Groups with < 2 distinct days (or zero day variance) are omitted —
     a slope needs two x values."""
-    import pandas as pd
     import pyarrow.compute as pc
 
     day_us = 86_400_000_000
@@ -1362,31 +1363,33 @@ def grouped_trend_slope(ds, group_col: str, ts_col: str = "ts"):
         ds.map_batches(day, batch_format="pyarrow", zero_copy_batch=True),
         [group_col, "day"], {"cnt": ("day", "count_all")})
 
-    def slope(group: pd.DataFrame) -> pa.Table:
-        days = [int(v) for v in group["day"]]
-        cnts = [int(v) for v in group["cnt"]]
-        n = len(days)
-        gtype = pa.Array.from_pandas(group[group_col].iloc[:1]).type
-        empty = pa.table({group_col: pa.array([], gtype),
-                          "slope": pa.array([], pa.float64())})
-        if n < 2:
-            return empty
-        sx = sum(days)
-        sy = sum(cnts)
-        sxy = sum(d * c for d, c in zip(days, cnts))
-        sxx = sum(d * d for d in days)
-        den = n * sxx - sx * sx
-        if den == 0:
-            return empty
-        val = round(float(n * sxy - sx * sy) / float(den), 6)
+    def slopes(t: pa.Table) -> pa.Table:
+        # one row per (group, day): collect each group's points by the
+        # index of its first row, so the output keeps the input's type
+        points: dict = {}
+        for i, (g, d, c) in enumerate(zip(t[group_col].to_pylist(),
+                                          t["day"].to_pylist(),
+                                          t["cnt"].to_pylist())):
+            points.setdefault(g, (i, []))[1].append((d, c))
+        first, vals = [], []
+        for i, pts in points.values():
+            n = len(pts)
+            sx = sum(d for d, _ in pts)
+            sy = sum(c for _, c in pts)
+            sxy = sum(d * c for d, c in pts)
+            sxx = sum(d * d for d, _ in pts)
+            den = n * sxx - sx * sx
+            if n < 2 or den == 0:
+                continue
+            first.append(i)
+            vals.append(round(float(n * sxy - sx * sy) / float(den), 6))
         return pa.table({
-            group_col: pa.Array.from_pandas(group[group_col].iloc[:1],
-                                            type=gtype),
-            "slope": pa.array([val], pa.float64()),
+            group_col: t[group_col].take(pa.array(first, pa.int64())),
+            "slope": pa.array(vals, pa.float64()),
         })
 
-    return totals.groupby(group_col).map_groups(slope,
-                                                batch_format="pandas")
+    return bucket_apply(totals, group_col, slopes, num_buckets=NUM_BUCKETS,
+                        schema={group_col: group_col, "slope": pa.float64()})
 
 
 def neyman_allocation(ds, *, group_col: str = "lang",

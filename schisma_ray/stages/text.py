@@ -7,8 +7,8 @@
 * ``token_count_by_lang`` — per-document token counts summed per
   language by ``bucket_combine`` (combiner pattern; the shuffle carries
   one row per lang per batch).
-* ``lang_id`` — n-gram/stopword heuristic language identifier (actor
-  pool; tables compiled once per actor).
+* ``lang_id`` — n-gram/stopword heuristic language identifier (a task
+  fused into the read; tables compiled once per instance).
 * ``quality_score`` — composite quality scoring from the metrics.
 """
 
@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._bucket import bucket_apply, bucket_combine
+from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
 from ._math import frac_e6 as _frac_e6
 
 _STOPWORDS = {
@@ -73,9 +73,9 @@ BPE_ISH_PATTERN = r"'[a-z]+| ?[A-Za-z]+| ?[0-9]+| ?[^A-Za-z0-9\s]+"
 
 
 class BpeTokenCounter:
-    """Actor-pool BPE-style token counter (GPT-2-ish regex pre-tokenizer
-    split: contraction suffixes, words, numbers, punctuation runs). The
-    compiled pattern lives once per actor; counts match DuckDB's RE2
+    """BPE-style token counter (GPT-2-ish regex pre-tokenizer split:
+    contraction suffixes, words, numbers, punctuation runs). The
+    compiled pattern lives once per instance; counts match DuckDB's RE2
     ``regexp_extract_all`` on the same pattern (oracle-verified)."""
 
     def __init__(self, col: str = "text", id_col: str = "doc_id"):
@@ -98,20 +98,17 @@ class BpeTokenCounter:
         )
 
 
-def bpe_token_counts(ds, col: str = "text", id_col: str = "doc_id",
-                     concurrency=(1, 8)):
+def bpe_token_counts(ds, col: str = "text", id_col: str = "doc_id"):
     return ds.map_batches(
-        BpeTokenCounter,
-        fn_constructor_args=(col, id_col),
+        BpeTokenCounter(col, id_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
 
 
 class LangId:
-    """Actor-pool heuristic language identifier (stopword voting with a
-    CJK-codepoint shortcut). Tables are built once per actor."""
+    """Heuristic language identifier (stopword voting with a
+    CJK-codepoint shortcut). Tables are built once per instance."""
 
     def __init__(self, col: str = "text", id_col: str = "doc_id"):
         self.col = col
@@ -139,13 +136,11 @@ class LangId:
         )
 
 
-def lang_id(ds, col: str = "text", id_col: str = "doc_id", concurrency=(1, 8)):
+def lang_id(ds, col: str = "text", id_col: str = "doc_id"):
     return ds.map_batches(
-        LangId,
-        fn_constructor_args=(col, id_col),
+        LangId(col, id_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
 
 
@@ -266,6 +261,16 @@ def quality_score(ds, col: str = "text", id_col: str = "doc_id"):
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _top_terms(g, k: int, lang_col: str):
+    """The k best (score desc, word asc) rows of each language in the
+    pandas frame ``g``; a null language is one group, as in SQL."""
+    g = g.sort_values(["score", "word"], ascending=[False, True],
+                      kind="mergesort")
+    return g.groupby(lang_col, sort=False, dropna=False).head(k)[
+        [lang_col, "word", "score"]
+    ]
+
+
 def _tfidf_local_topk_fn(n_docs_ref, k: int, lang_col: str):
     """Per-block score + local top-k per language for
     ``tfidf_top_terms`` — module-level so the skew bound (at most k
@@ -282,11 +287,7 @@ def _tfidf_local_topk_fn(n_docs_ref, k: int, lang_col: str):
             * np.log(n / g["df"].to_numpy(np.float64)),
             6,
         )
-        g = g.sort_values(["score", "word"], ascending=[False, True],
-                          kind="mergesort")
-        return g.groupby(lang_col, sort=False).head(k)[
-            [lang_col, "word", "score"]
-        ]
+        return _top_terms(g, k, lang_col)
 
     return local_topk
 
@@ -305,7 +306,6 @@ def tfidf_top_terms(ds, *, k: int = 5, col: str = "text",
     batch. The only shuffle carries those collapsed partials; the
     per-language doc totals are a 5-row fold.
     """
-    import pandas as pd
     import ray
 
     def explode_partial(t: pa.Table) -> pa.Table:
@@ -354,15 +354,12 @@ def tfidf_top_terms(ds, *, k: int = 5, col: str = "text",
         _tfidf_local_topk_fn(n_ref, k, lang_col), batch_format="pyarrow"
     )
 
-    def merge_topk(group: "pd.DataFrame") -> "pd.DataFrame":
-        return group.sort_values(
-            ["score", "word"], ascending=[False, True], kind="mergesort"
-        ).head(k)
+    def merge_topk(t: pa.Table):
+        return _top_terms(t.to_pandas(), k, lang_col)
 
-    # group size here is bounded by k * blocks, not vocab
-    return locals_ds.groupby(lang_col).map_groups(
-        merge_topk, batch_format="pandas"
-    )
+    # a language's rows here are bounded by k * blocks, not vocab
+    return bucket_apply(locals_ds, lang_col, merge_topk,
+                        num_buckets=NUM_BUCKETS, schema=None)
 
 
 def redact_all(ds, patterns, *, col: str = "text", id_col: str = "doc_id"):
@@ -1313,10 +1310,9 @@ def classifier_score_values(texts: pa.Array, vocab: pa.Array,
 
 
 class LangMismatch(LangId):
-    """Actor-pool label-consistency audit: rows whose DECLARED language
-    disagrees with the heuristic prediction — the classic mislabeled-
-    data sweep before per-language processing. Reuses LangId's tables
-    (built once per actor)."""
+    """Label-consistency audit: rows whose DECLARED language disagrees
+    with the heuristic prediction — the classic mislabeled-data sweep
+    before per-language processing. Reuses LangId's tables."""
 
     def __init__(self, col: str = "text", id_col: str = "doc_id",
                  lang_col: str = "lang"):
@@ -1338,13 +1334,11 @@ class LangMismatch(LangId):
 
 
 def lang_mismatches(ds, col: str = "text", id_col: str = "doc_id",
-                    lang_col: str = "lang", concurrency=(1, 8)):
+                    lang_col: str = "lang"):
     return ds.map_batches(
-        LangMismatch,
-        fn_constructor_args=(col, id_col, lang_col),
+        LangMismatch(col, id_col, lang_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
 
 
@@ -1606,21 +1600,18 @@ class LangConfusion(LangId):
 
 
 def lang_confusion(ds, *, col: str = "text", id_col: str = "doc_id",
-                   lang_col: str = "lang", concurrency=(1, 8)) -> pa.Table:
+                   lang_col: str = "lang") -> pa.Table:
     """Declared-vs-predicted language confusion matrix: (lang,
     lang_pred, n) — the label-quality summary behind the
     ``lang_mismatches`` row-level audit (which cell is big tells you
-    WHICH mislabeling happened, not just how much). Actor-pool
-    partials (stopword tables built once per actor), driver fold
-    bounded by langs^2."""
+    WHICH mislabeling happened, not just how much). Per-batch partials
+    in a task fused into the read, driver fold bounded by langs^2."""
     from ._fold import fold_table
 
     partials = ds.map_batches(
-        LangConfusion,
-        fn_constructor_args=(col, id_col, lang_col),
+        LangConfusion(col, id_col, lang_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        concurrency=concurrency,
     )
     folded = fold_table(partials)
     schema = pa.schema([
@@ -2085,7 +2076,7 @@ def compression_ratio(ds, *, col: str = "text", id_col: str = "doc_id",
     invariance, byte-exact recompute) rather than oracled — the one
     stage in the battery whose semantics ARE the codec. Per-doc
     ``zlib.compress`` is a Python call per row by necessity (no Arrow
-    kernel); it is the decoder-actor shape: CPU-bound, stateless,
+    kernel); it is the decoder's shape: CPU-bound, stateless,
     embarrassingly parallel, and the emitted row is three ints."""
     import zlib
 

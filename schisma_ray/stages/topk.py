@@ -64,52 +64,52 @@ def grouped_vector_mean(ds, group_col: str, vec_col: str):
     """(group, dim, mean_v): per-group centroid of an embedding column —
     the class-centroid / cluster-profile aggregation. Combiner-first:
     each batch emits one (sum-vector, count) partial per group (numpy
-    matmul-free segment sums); the global fold is over
-    groups x batches tiny partials; division happens once at the end.
+    segment sums); ``bucket_apply`` folds the groups x batches tiny
+    partials per hash bucket of groups; division happens once at the
+    end. A null group is one group, as in SQL ``GROUP BY``.
     Output is long-format (1-based dim) so a SQL oracle can reproduce it
     via unnest + generate_subscripts.
     """
-    import numpy as np
+
+    def segment_sums(t: pa.Table, vecs: pa.ChunkedArray, counts):
+        """(each group's first key, per-group vector sums, per-group
+        counts) over the rows of ``t``."""
+        keys = t[group_col].combine_chunks()
+        vecs = vecs.combine_chunks()
+        flat = vecs.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
+        mat = flat.reshape(len(vecs), len(flat) // len(vecs) if len(vecs) else 0)
+        codes, _ = pd.factorize(keys.to_numpy(zero_copy_only=False),
+                                use_na_sentinel=False)
+        # codes number the groups in order of first appearance
+        first = np.unique(codes, return_index=True)[1]
+        sums = np.zeros((len(first), mat.shape[1]))
+        np.add.at(sums, codes, mat)
+        n = np.bincount(codes, weights=counts, minlength=len(first))
+        return keys.take(pa.array(first, pa.int64())), sums, n.astype(np.int64)
 
     def partial(batch: pa.Table) -> pa.Table:
-        arr = batch[vec_col].combine_chunks()
-        flat = arr.flatten().to_numpy(zero_copy_only=False).astype(np.float64)
-        dim = len(flat) // len(arr) if len(arr) else 0
-        mat = flat.reshape(len(arr), dim)
-        groups = batch[group_col].to_pandas()
-        out_g, out_sum, out_n = [], [], []
-        df = pd.DataFrame({"g": groups})
-        for g, idx in df.groupby("g", sort=False).groups.items():
-            out_g.append(g)
-            out_sum.append(mat[np.asarray(idx)].sum(axis=0).tolist())
-            out_n.append(len(idx))
-        return pa.table(
-            {
-                group_col: pa.array(out_g),
-                "vsum": pa.array(out_sum, pa.list_(pa.float64())),
-                "n": pa.array(out_n, pa.int64()),
-            }
-        )
+        keys, sums, n = segment_sums(batch, batch[vec_col],
+                                     np.ones(batch.num_rows))
+        return pa.table({
+            group_col: keys,
+            "vsum": pa.array(sums.tolist(), pa.list_(pa.float64())),
+            "n": pa.array(n, pa.int64()),
+        })
+
+    def fold(t: pa.Table) -> pa.Table:
+        keys, total, n = segment_sums(t, t["vsum"], t["n"].to_numpy())
+        mean = np.round(total / np.maximum(n, 1)[:, None], 6)
+        dim = mean.shape[1]
+        return pa.table({
+            group_col: keys.take(pa.array(np.repeat(np.arange(len(keys)), dim))),
+            "dim": pa.array(np.tile(np.arange(1, dim + 1), len(keys)), pa.int64()),
+            "mean_v": pa.array(mean.ravel(), pa.float64()),
+        })
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-
-    def fold(group: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-
-        vs = np.stack([np.asarray(v, dtype=np.float64) for v in group["vsum"]])
-        total = vs.sum(axis=0)
-        n = int(group["n"].sum())
-        mean = np.round(total / max(n, 1), 6)
-        g = group[group_col].iloc[0]
-        return pd.DataFrame(
-            {
-                group_col: [g] * len(mean),
-                "dim": np.arange(1, len(mean) + 1, dtype=np.int64),
-                "mean_v": mean,
-            }
-        )
-
-    return partials.groupby(group_col).map_groups(fold, batch_format="pandas")
+    return bucket_apply(partials, group_col, fold, num_buckets=NUM_BUCKETS,
+                        schema={group_col: group_col, "dim": pa.int64(),
+                                "mean_v": pa.float64()})
 
 
 def grouped_distinct_count(ds, group_col: str, item_col: str):

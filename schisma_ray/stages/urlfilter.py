@@ -8,8 +8,7 @@ batch does vectorized work only: one RE2 host extraction, then at most
 ``max_depth`` successive leading-label strips, each probed with
 ``pc.is_in`` against the broadcast set — never a per-row Python loop
 and never a shuffle. At 100 TB this stage stays embarrassingly
-parallel; the blocklist ships to each actor once through the object
-store.
+parallel; the blocklist ships once through the object store.
 """
 
 from __future__ import annotations

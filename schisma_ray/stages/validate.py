@@ -289,7 +289,7 @@ def violations_dataset(ds, table_schema: TableSchema, **map_kwargs):
 
 
 class JsonColumnConformer:
-    """Actor: the reference's conform over a JSON string column — parse
+    """The reference's conform over a JSON string column — parse
     with JS number semantics, repair via the full kernel (coercions,
     default insertion, unexpected-key removal, ``__typeIndex`` union
     dispatch), re-serialize with ``JSON.stringify`` formatting (compact,
@@ -335,14 +335,14 @@ class JsonColumnConformer:
 
 
 class JsonColumnValidator:
-    """Actor: the reference's FULL row kernel over a JSON string column.
+    """The reference's FULL row kernel over a JSON string column.
 
     The table checks above vectorize flat columns; semi-structured
     payload columns (event properties, API blobs) are where the actual
     schisma semantics — nested descent, unions, ``$validate`` hooks,
     regex keys, dot-paths — run per document. JSON is parsed with JS
     number semantics (every number -> float, as ``JSON.parse`` yields
-    JS numbers); the compiled ``SchemaNode`` lives once per actor;
+    JS numbers); the ``SchemaNode`` is compiled once per instance;
     violations come out dot-prefixed with the column name
     (``props.k``), codes/strings identical to the reference.
     """

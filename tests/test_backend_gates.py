@@ -99,9 +99,10 @@ def test_codec_pil_backend_switches(fake_pil):
 
 
 def test_decode_stage_runs_on_pil_backend(fake_pil):
-    """The decode stage's backend parameter must flip the codec inside
-    the stage (the actor-constructor path) and produce the same
-    violation semantics over PIL-encoded payloads."""
+    """The decode stages' backend parameter must flip the codec inside
+    each call (the call, not the constructor, runs in the worker that
+    executes the stage), restore the caller's backend afterwards, and
+    produce the same violation semantics over PIL-encoded payloads."""
     from schisma_ray.sources import codec
     from schisma_ray.stages.decoder import DecodeConformer, DecodeValidator
 
@@ -109,24 +110,33 @@ def test_decode_stage_runs_on_pil_backend(fake_pil):
     try:
         px = np.zeros((8, 6, 3), dtype=np.uint8)
         good = codec.encode(px, "jpeg")
-        batch = pa.table(
-            {
-                "image_id": pa.array(["ok", "wrong-w", "bad"], pa.string()),
-                "bytes": pa.array([good, good, b"junk"], pa.binary()),
-                "w": pa.array([6, 11, 6], pa.int32()),
-                "h": pa.array([8, 8, 8], pa.int32()),
-                "fmt": pa.array(["jpeg", "jpeg", "jpeg"], pa.string()),
-                "phash": pa.array([0, 0, 0], pa.int64()),
-            }
-        )
-        vio = DecodeValidator(backend="pil")(batch).to_pydict()
-        got = set(zip(vio["row_ref"], vio["path"], vio["received"]))
-        assert got == {("wrong-w", "w", "11"), ("bad", "bytes", "undecodable")}
-        conf = DecodeConformer(backend="pil")(batch)
-        assert conf["w"].to_pylist() == [6, 6, 8]  # repaired from decode; placeholder 8x8
-        assert conf["fmt"].to_pylist() == ["jpeg", "jpeg", "png"]
     finally:
         codec.set_backend(prev)
+    batch = pa.table(
+        {
+            "image_id": pa.array(["ok", "wrong-w", "bad"], pa.string()),
+            "bytes": pa.array([good, good, b"junk"], pa.binary()),
+            "w": pa.array([6, 11, 6], pa.int32()),
+            "h": pa.array([8, 8, 8], pa.int32()),
+            "fmt": pa.array(["jpeg", "jpeg", "jpeg"], pa.string()),
+            "phash": pa.array([0, 0, 0], pa.int64()),
+        }
+    )
+    validator = DecodeValidator(backend="pil")
+    conformer = DecodeConformer(backend="pil")
+    # constructing a stage leaves the process-wide backend alone
+    assert codec.get_backend() == prev == "builtin"
+    vio = validator(batch).to_pydict()
+    got = set(zip(vio["row_ref"], vio["path"], vio["received"]))
+    # the builtin codec cannot read the pil payloads: these rows prove
+    # the call decoded through pil
+    assert got == {("wrong-w", "w", "11"), ("bad", "bytes", "undecodable")}
+    conf = conformer(batch)
+    assert conf["w"].to_pylist() == [6, 6, 8]  # repaired from decode; placeholder 8x8
+    assert conf["fmt"].to_pylist() == ["jpeg", "jpeg", "png"]
+    # the placeholder is encoded by the call's backend too
+    assert conf["bytes"].to_pylist()[2].startswith(_MAGIC)
+    assert codec.get_backend() == "builtin"
 
 
 def test_set_backend_pil_requires_pil():

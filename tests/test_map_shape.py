@@ -1,0 +1,74 @@
+"""One map shape: every per-batch operator in ``schisma_ray`` is a
+function or a callable INSTANCE, which Ray runs as a task fused into
+its read. A class handed to ``map_batches`` (with ``concurrency=``,
+``fn_constructor_args=`` or ``compute=``) starts an actor pool instead:
+its actors start up on every execution, which costs more than any
+constructor in this package saves.
+
+A pool that a measurement justifies goes into ``MEASURED_POOLS``
+(``"<module path>:<function>"`` -> the measurement), and only there.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "schisma_ray"
+
+#: pools kept on purpose, each with the measurement that justifies it
+MEASURED_POOLS: dict[str, str] = {}
+
+POOL_KEYWORDS = {"concurrency", "fn_constructor_args",
+                 "fn_constructor_kwargs", "compute"}
+
+
+def _functions(tree: ast.AST):
+    """(enclosing top-level function or class name, node) for every node."""
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            yield name, node
+
+
+def _sources():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE.parent).as_posix()
+        yield rel, ast.parse(path.read_text(), filename=rel)
+
+
+def test_map_batches_never_starts_an_actor_pool():
+    found = []
+    for rel, tree in _sources():
+        for owner, node in _functions(tree):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_batches"):
+                continue
+            site = f"{rel}:{owner}"
+            if site in MEASURED_POOLS:
+                continue
+            bad = sorted(kw.arg for kw in node.keywords
+                         if kw.arg in POOL_KEYWORDS)
+            # a class passed uncalled (CamelCase name) is an actor pool
+            fn = node.args[0] if node.args else None
+            fn_name = (fn.id if isinstance(fn, ast.Name)
+                       else fn.attr if isinstance(fn, ast.Attribute) else "")
+            if fn_name[:1].isupper():
+                bad.append(f"class {fn_name}")
+            if bad:
+                found.append(f"{site}:{node.lineno} {', '.join(bad)}")
+    assert not found, "map_batches actor pools:\n" + "\n".join(found)
+
+
+def test_no_stage_function_takes_concurrency():
+    found = []
+    for rel, tree in _sources():
+        for owner, node in _functions(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            if "concurrency" in names and f"{rel}:{owner}" not in MEASURED_POOLS:
+                found.append(f"{rel}:{node.lineno} {node.name}")
+    assert not found, "functions with a concurrency knob:\n" + "\n".join(found)

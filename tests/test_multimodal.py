@@ -89,7 +89,7 @@ def test_scene_cut_detector(ray_session):
         "video_id": pa.array(["v1", "v2"], pa.string()),
         "bytes": pa.array([blob, None], pa.binary()),  # null -> skipped
     })
-    out = scene_cuts(rd.from_arrow(t), concurrency=1).to_pandas()
+    out = scene_cuts(rd.from_arrow(t)).to_pandas()
     assert list(out["video_id"]) == ["v1"]
     assert list(out["frame_idx"]) == [3]
     assert (out["diff_e6"] > 20_000_000).all()
@@ -112,8 +112,7 @@ def test_silence_run_detector(ray_session):
         "audio_id": pa.array(["a", "b"], pa.string()),
         "bytes": pa.array([blob, b"bogus"], pa.binary()),  # b undecodable
     })
-    out = silence_runs(rd.from_arrow(t), window=W,
-                       concurrency=1).to_pandas()
+    out = silence_runs(rd.from_arrow(t), window=W).to_pandas()
     got = {(r.audio_id, r.win_start, r.win_end)
            for r in out.itertuples(index=False)}
     assert got == {("a", 2, 4), ("a", 7, 8)}
