@@ -2,12 +2,17 @@
 
 Every keyed check that needs all rows of a key in one place (sessions,
 as-of joins, diffs, line and text dedup, the referential shuffle, FD
-audits) has the same shape, and ``bucket_apply`` is its one
+audits, LSH band and k-means cluster pairs, per-query top-k merges,
+per-key caps) has the same shape, and ``bucket_apply`` is its one
 implementation: ``key_bucket`` routes each row, ``groupby(bucket)
 .map_groups`` under Ray's default sort shuffle co-locates each bucket,
-and the caller's function sees one bucket as a ``pa.Table``. The
+and the caller's function sees one bucket as a ``pa.Table``. A bucket
+holds many keys, so the function splits it by key itself (a sort plus
+segment bounds, or a pandas ``groupby(..., dropna=False)``). The
 function's output is cast to a schema the caller declares once, so every
 block it returns, empty or not, carries the same columns and types.
+This module is the only caller of Ray's ``map_groups`` in the package:
+the sort it runs compares bucket numbers, never a nullable key.
 
 Keyed aggregation (sum/min/max/count per key) is ``bucket_combine``, the
 combiner pattern on the same exchange: an Arrow ``group_by`` per batch

@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ._bucket import bucket_apply, bucket_combine
+from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
 
 
 def _word_ngrams(text: str, n: int) -> set:
@@ -199,9 +199,11 @@ def cap_per_key(ds, *, key_col: str = "source", id_col: str = "doc_id",
 
     Combiner-first: each batch keeps its local n smallest (key, md5)
     rows, so the shuffle carries <= n * keys * batches tiny rows — raw
-    rows never move. Output: (key, id) plus any ``carry_cols``
-    (columns ferried through the cap unchanged, e.g. the text for a
-    downstream chunker — only surviving rows ride the shuffle).
+    rows never move — and each hash bucket of the key keeps the n
+    smallest of every key it holds (a null key is one key). Output:
+    (key, id) plus any ``carry_cols`` (columns ferried through the cap
+    unchanged, e.g. the text for a downstream chunker — only surviving
+    rows ride the shuffle).
     """
     import pandas as pd
 
@@ -228,11 +230,13 @@ def cap_per_key(ds, *, key_col: str = "source", id_col: str = "doc_id",
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
 
-    def merge(group: "pd.DataFrame") -> "pd.DataFrame":
-        g = group.sort_values(["h", id_col]).head(n)
-        return g[[key_col, id_col] + carry]
+    def merge(t: pa.Table) -> "pd.DataFrame":
+        df = t.to_pandas().sort_values(["h", id_col])
+        kept = df.groupby(key_col, sort=False, dropna=False).head(n)
+        return kept[[key_col, id_col] + carry]
 
-    return partials.groupby(key_col).map_groups(merge, batch_format="pandas")
+    return bucket_apply(partials, key_col, merge, schema=None,
+                        num_buckets=NUM_BUCKETS)
 
 
 def split_assign(ds, fractions: dict, *, id_col: str = "doc_id",

@@ -7,7 +7,7 @@ Four families (the dedup battery a training-data pipeline needs):
   small global groupby — a hot key contributes one row per batch, not
   one per duplicate, so the shuffle carries distinct keys only.
 * **MinHash + LSH** — word-shingle sets -> k-permutation MinHash
-  signature -> banded LSH buckets (groupby on (band, band_hash)) ->
+  signature -> banded LSH buckets (keyed on (band, band_hash)) ->
   candidate pairs -> exact-Jaccard verification. Candidates, not the
   corpus, go through the pairwise stage.
 * **SimHash** — 64-bit SimHash of token hashes; banded into 4x16-bit
@@ -29,7 +29,14 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ._bucket import bucket_apply, bucket_combine
+from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
+
+#: banded rows a pair stage folds on the driver; beyond it the stage runs
+#: per bucket on the keyed exchange and folds only its pairs
+_DRIVER_FOLD_ROWS = 5_000_000
+
+#: the empty (a, b) id-pair table
+_NO_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())]).empty_table()
 
 
 def _hash_tokens(tokens: Iterable[str]) -> np.ndarray:
@@ -381,56 +388,41 @@ def minhash_candidate_pairs(ds, col: str, id_col: str, *, num_perm: int = 64,
                          as_dataset=as_dataset)
 
 
-_EMPTY_PAIRS = None
-
-
-def _empty_pairs() -> pa.Table:
-    global _EMPTY_PAIRS
-    if _EMPTY_PAIRS is None:
-        _EMPTY_PAIRS = pa.table({"a": pa.array([], pa.int64()),
-                                 "b": pa.array([], pa.int64())})
-    return _EMPTY_PAIRS
-
-
-def _pair_shapes(banded_ds, group_cols: list[str], id_col: str, emit,
-                 driver_limit: int = 5_000_000, as_dataset: bool = False):
-    """The shared three-shape harness for bucketed pair emission
-    (``emit(ids) -> (a, b)`` numpy arrays, possibly empty):
-
-    * ``as_dataset=True`` — ``groupby(bucket).map_groups`` pair Dataset,
-      no driver hop at any size (the end-to-end Dataset chain);
-    * small banded sets (<= driver_limit rows) fold on the driver with
-      a pandas groupby — Ray's sort shuffle has seconds of fixed cost
-      that dwarfs corpora below millions of rows;
-    * larger sets run the scalable map_groups path and fold only the
-      (bounded-by-emit) pair set as Arrow."""
-
-    def pairs(group: pa.Table) -> pa.Table:
-        a_out, b_out = emit(group[id_col].to_pylist())
-        if len(a_out) == 0:
-            return _empty_pairs()
-        return pa.table({"a": pa.array(a_out), "b": pa.array(b_out)})
-
-    if as_dataset:
-        return banded_ds.groupby(group_cols).map_groups(
-            pairs, batch_format="pyarrow"
-        )
-
+def _fold_banded(banded_ds, body, per_bucket) -> pa.Table | None:
+    """``body`` run once over all rows of ``banded_ds`` on the driver,
+    or, once those pass ``_DRIVER_FOLD_ROWS``, the driver fold of
+    ``per_bucket`` (the same body run per bucket); ``None`` for no
+    rows."""
     collected: list[pa.Table] = []
     total = 0
-    overflow = False
     for batch in banded_ds.iter_batches(batch_format="pyarrow", batch_size=None):
         t = batch if isinstance(batch, pa.Table) else pa.Table.from_batches([batch])
         collected.append(t)
         total += t.num_rows
-        if total > driver_limit:
-            overflow = True
-            break
+        if total > _DRIVER_FOLD_ROWS:
+            return _fold_pairs(per_bucket)
+    return body(pa.concat_tables(collected)) if collected else None
 
-    if not overflow:
-        if not collected:
-            return _empty_pairs()
-        df = pa.concat_tables(collected).to_pandas()
+
+def _pair_shapes(banded_ds, group_cols: list[str], id_col: str, emit,
+                 as_dataset: bool = False):
+    """The shared harness for bucketed pair emission. One body turns
+    banded rows into the (a, b) pairs of every ``group_cols`` group they
+    hold: singleton groups are dropped, then ``emit(ids) -> (a, b)``
+    (numpy arrays, possibly empty) runs per colliding group. The body
+    runs three ways:
+
+    * ``as_dataset=True`` — per hash bucket of ``group_cols`` on
+      ``bucket_apply``: a pair Dataset, no driver hop at any size (the
+      end-to-end Dataset chain);
+    * up to ``_DRIVER_FOLD_ROWS`` banded rows — once, over all of them,
+      on the driver (Ray's sort shuffle has seconds of fixed cost that
+      dwarfs corpora below millions of rows);
+    * beyond that — per bucket, and only the (bounded-by-emit) pair set
+      folds to the driver."""
+
+    def pairs(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         # singleton buckets emit nothing; dropping them first turns a
         # loop over ~n_keys groups (65k+ per band, mostly singletons —
         # measured 75 s at 100k sigs) into one over just the colliding
@@ -443,20 +435,21 @@ def _pair_shapes(banded_ds, group_cols: list[str], id_col: str, emit,
                 a_all.append(a_out)
                 b_all.append(b_out)
         if not a_all:
-            return _empty_pairs()
+            return _NO_PAIRS
         return pa.table({"a": pa.array(np.concatenate(a_all)),
                          "b": pa.array(np.concatenate(b_all))})
 
-    cand = banded_ds.groupby(group_cols).map_groups(pairs, batch_format="pyarrow")
-    folded = _fold_pairs(cand)
-    if folded is None:
-        return _empty_pairs()
-    return folded
+    per_bucket = bucket_apply(banded_ds, group_cols, pairs,
+                              schema={"a": id_col, "b": id_col},
+                              num_buckets=NUM_BUCKETS)
+    if as_dataset:
+        return per_bucket
+    out = _fold_banded(banded_ds, pairs, per_bucket)
+    return _NO_PAIRS if out is None else out
 
 
 def _bucket_pairs(banded_ds, group_cols: list[str], id_col: str,
-                  max_bucket: int, driver_limit: int = 5_000_000,
-                  as_dataset: bool = False):
+                  max_bucket: int, as_dataset: bool = False):
     """(a, b) id pairs per bucket, a < b (the within-corpus shape).
     Buckets larger than ``max_bucket`` are truncated (degenerate
     all-identical content). Shapes: see ``_pair_shapes``."""
@@ -473,7 +466,7 @@ def _bucket_pairs(banded_ds, group_cols: list[str], id_col: str,
         return ids[iu], ids[ju]
 
     return _pair_shapes(banded_ds, group_cols, id_col, emit,
-                        driver_limit=driver_limit, as_dataset=as_dataset)
+                        as_dataset=as_dataset)
 
 
 def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
@@ -633,16 +626,16 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
 
 
 def _distinct_pairs_ds(pairs_ds):
-    """Distributed distinct over (a, b) — one aggregate row per pair
-    (a proper shuffle aggregate, NOT a per-pair map_groups)."""
+    """Distributed distinct over (a, b) — one ``bucket_combine`` row
+    per pair."""
     return bucket_combine(pairs_ds, ["a", "b"], {})
 
 
 def _pair_id_type(pairs_ds) -> pa.DataType:
     schema = pairs_ds.schema()
     base = getattr(schema, "base_schema", schema)
-    # an empty upstream map_groups can surface its INPUT schema; pairs
-    # default to int64 ids in that case
+    # a pair Dataset whose every bucket came out empty holds only Ray's
+    # column-less sort blocks (see ``bucket_apply``): ids default to int64
     if base is None or "a" not in base.names:
         return pa.int64()
     return base.field("a").type
@@ -1042,15 +1035,15 @@ def simhash_dup_pairs(ds, col: str, id_col: str, *, max_hamming: int = 3,
                       as_dataset: bool = False):
     """Near-dup pairs by SimHash banding (4 x 16-bit) + Hamming verify.
 
-    Verification mirrors minhash: ``as_dataset=True`` keeps the whole
-    chain a Dataset (no pair row on the driver); otherwise a driver
-    lookup of the (small) int64 signature map below
-    ``verify_driver_limit`` candidates, the bucketed pair-join
-    (`_verify_pairs_bucketed` over stringified signatures) beyond it.
+    Each band group verifies in place (``hamming_near_dup_pairs``):
+    ``as_dataset=True`` keeps the whole chain a Dataset (no pair row on
+    the driver); otherwise the banded rows fold on the driver, or run
+    per bucket when they are too many (``verify_driver_limit`` is
+    unused).
 
-    Signatures are used twice (banding, then verification lookup), so
-    the narrow (id, int64) signature table is materialized once instead
-    of recomputing the text hashing pass — 16 bytes/row, object-store
+    That overflow reads the signatures a second time, so the narrow
+    (id, int64) signature table is materialized once instead of
+    recomputing the text hashing pass — 16 bytes/row, object-store
     resident (spills at extreme scale rather than re-hashing the corpus).
     """
     sigs = simhash_signatures(ds, col, id_col).materialize()
@@ -1072,10 +1065,20 @@ def hamming_near_dup_pairs(sigs, *, sig_col: str, id_col: str,
     intact and the pair always surfaces as a candidate.
 
     ``sigs``: Dataset of (id_col, sig_col int64). Banding is fully
-    vectorized (numpy shifts, no per-row loop). Verification mirrors
-    minhash: ``as_dataset=True`` keeps the whole chain a Dataset; else
-    a driver signature lookup below ``verify_driver_limit`` candidates
-    and the bucketed pair-join beyond it.
+    vectorized (numpy shifts, no per-row loop), and banded rows carry
+    the signature, so each (band, key) group verifies its own triangle
+    with one vectorized xor+popcount and only SURVIVING pairs
+    materialize. A skewed band key can generate millions of candidates
+    that verify down to almost nothing (measured: 5.1M cands -> 1040
+    pairs at 100k image phashes; routing them through a separate
+    bucketed-verify shuffle cost ~50 s), so the cost follows the
+    candidates touched, never shuffled. That body runs as
+    ``_pair_shapes`` runs its own: per ``(band, key)`` hash bucket on
+    ``bucket_apply`` followed by one ``bucket_combine`` distinct over
+    (a, b) (``as_dataset=True``, and folded on the driver beyond
+    ``_DRIVER_FOLD_ROWS`` banded rows), or once over all banded rows on
+    the driver. ``verify_driver_limit`` is accepted and unused: no
+    verification step ever looks signatures up.
     """
 
     def bands(batch: pa.Table) -> pa.Table:
@@ -1098,127 +1101,63 @@ def hamming_near_dup_pairs(sigs, *, sig_col: str, id_col: str,
             }
         )
 
+    empty = pa.schema([("a", pa.int64()), ("b", pa.int64()),
+                       ("hamming", pa.int32())]).empty_table()
+
+    def verify(t: pa.Table) -> pa.Table:
+        band_np = t["band"].to_numpy()
+        key_np = t["key"].to_numpy()
+        ids_np = t[id_col].to_numpy()
+        sig_np = t[sig_col].to_numpy().astype(np.int64).view(np.uint64)
+        # one lexsort groups AND orders ids within each (band, key) segment
+        order = np.lexsort((ids_np, key_np, band_np))
+        band_s, key_s = band_np[order], key_np[order]
+        ids_s, sig_s = ids_np[order], sig_np[order]
+        change = np.flatnonzero(
+            (band_s[1:] != band_s[:-1]) | (key_s[1:] != key_s[:-1]))
+        starts = np.r_[0, change + 1]
+        lens = np.minimum(np.diff(np.r_[starts, len(band_s)]), max_bucket)
+        # batch all groups of equal (capped) size m: (G, m) gathers, one
+        # triangle per size — no per-group Python (80k colliding groups
+        # at 100k sigs made the group loop the whole cost)
+        a_all, b_all, d_all = [], [], []
+        for m in np.unique(lens[lens >= 2]):
+            g_starts = starts[lens == m]
+            mat = g_starts[:, None] + np.arange(m)[None, :]
+            ids_m = ids_s[mat]
+            sig_m = sig_s[mat]
+            iu, ju = np.triu_indices(int(m), k=1)
+            d = _popcount64((sig_m[:, iu] ^ sig_m[:, ju]).ravel())
+            keep = d <= max_hamming
+            if keep.any():
+                a_all.append(ids_m[:, iu].ravel()[keep])
+                b_all.append(ids_m[:, ju].ravel()[keep])
+                d_all.append(d[keep])
+        if not a_all:
+            return empty
+        # a pair sharing several band keys is found once per key
+        return pa.table({
+            "a": pa.array(np.concatenate(a_all)),
+            "b": pa.array(np.concatenate(b_all)),
+            "hamming": pa.array(np.concatenate(d_all), pa.int32()),
+        }).group_by(["a", "b"], use_threads=False).aggregate(
+            [("hamming", "min")]).rename_columns(["a", "b", "hamming"])
+
     banded = sigs.map_batches(bands, batch_format="pyarrow")
-    empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                      "hamming": pa.array([], pa.int32())})
+    per_bucket = bucket_apply(
+        banded, ["band", "key"], verify, num_buckets=NUM_BUCKETS,
+        schema={"a": id_col, "b": id_col, "hamming": pa.int32()})
+    pairs = bucket_combine(per_bucket, ["a", "b"],
+                           {"hamming": ("hamming", "min")})
     if as_dataset:
-        cand_ds = _bucket_pairs(
-            banded, ["band", "key"], id_col, max_bucket=max_bucket,
-            as_dataset=True,
-        )
-        verified = _verify_pairs_bucketed(
-            sigs, _distinct_pairs_ds(cand_ds), sig_col, id_col,
-            prepare_fn=lambda s_: int(s_ or 0),
-            pair_fn=lambda a_, b_: float(_hamming64(a_, b_)),
-            as_dataset=True,
-        )
-
-        def thresh(t: pa.Table) -> pa.Table:
-            hit = t.filter(pc.less_equal(t["metric"], float(max_hamming)))
-            return pa.table(
-                {
-                    "a": hit["a"],
-                    "b": hit["b"],
-                    "hamming": pc.cast(hit["metric"], pa.int32()),
-                }
-            )
-
-        return verified.map_batches(
-            thresh, batch_format="pyarrow", zero_copy_batch=True
-        )
-    # driver fold WITH INLINE verification: banded rows already carry
-    # the signature, so each (band, key) group verifies its own
-    # triangle with one vectorized xor+popcount and only SURVIVING
-    # pairs materialize. A skewed band key can generate millions of
-    # candidates that verify down to almost nothing (measured: 5.1M
-    # cands -> 1040 pairs at 100k image phashes; routing them through
-    # the separate bucketed-verify shuffle cost ~50 s) — verifying
-    # in-group makes the cost proportional to the candidates TOUCHED,
-    # never shuffled.
-    collected: list[pa.Table] = []
-    total = 0
-    overflow = False
-    for batch in banded.iter_batches(batch_format="pyarrow", batch_size=None):
-        t = batch if isinstance(batch, pa.Table) else pa.Table.from_batches([batch])
-        collected.append(t)
-        total += t.num_rows
-        if total > 5_000_000:
-            overflow = True
-            break
-    if overflow:
-        # banded set too big for a driver fold: scalable candidate
-        # emission + bucketed pair verify (payloads never on driver)
-        cand = _bucket_pairs(banded, ["band", "key"], id_col,
-                             max_bucket=max_bucket)
-        if cand.num_rows == 0:
-            return empty
-        cand = cand.group_by(["a", "b"]).aggregate([])
-        verified = _verify_pairs_bucketed(
-            sigs, cand, sig_col, id_col,
-            prepare_fn=lambda s_: int(s_ or 0),
-            pair_fn=lambda a_, b_: float(_hamming64(a_, b_)),
-        )
-        hit = verified.filter(
-            pc.less_equal(verified["metric"], float(max_hamming))
-        )
-        if hit.num_rows == 0:
-            return empty
-        return pa.table(
-            {
-                "a": hit["a"],
-                "b": hit["b"],
-                "hamming": pc.cast(hit["metric"], pa.int32()),
-            }
-        ).sort_by([("a", "ascending"), ("b", "ascending")])
-
-    if not collected:
+        return pairs
+    out = _fold_banded(banded, verify, pairs)
+    if out is None or out.num_rows == 0:
         return empty
-    big = pa.concat_tables(collected)
-    band_np = big["band"].to_numpy(zero_copy_only=False)
-    key_np = big["key"].to_numpy(zero_copy_only=False)
-    ids_np = big[id_col].to_numpy(zero_copy_only=False)
-    sig_np = (big[sig_col].to_numpy(zero_copy_only=False)
-              .astype(np.int64).view(np.uint64))
-    # one lexsort groups AND orders ids within each (band, key) segment
-    order = np.lexsort((ids_np, key_np, band_np))
-    band_s, key_s = band_np[order], key_np[order]
-    ids_s, sig_s = ids_np[order], sig_np[order]
-    change = np.flatnonzero(
-        (band_s[1:] != band_s[:-1]) | (key_s[1:] != key_s[:-1]))
-    starts = np.r_[0, change + 1]
-    lens = np.minimum(np.diff(np.r_[starts, len(band_s)]), max_bucket)
-    # batch all groups of equal (capped) size m: (G, m) gathers, one
-    # triangle per size — no per-group Python (80k colliding groups at
-    # 100k sigs made the group loop the whole cost)
-    a_all, b_all, d_all = [], [], []
-    for m in np.unique(lens[lens >= 2]):
-        g_starts = starts[lens == m]
-        mat = g_starts[:, None] + np.arange(m)[None, :]
-        ids_m = ids_s[mat]
-        sig_m = sig_s[mat]
-        iu, ju = np.triu_indices(int(m), k=1)
-        d = _popcount64((sig_m[:, iu] ^ sig_m[:, ju]).ravel())
-        keep = d <= max_hamming
-        if keep.any():
-            a_all.append(ids_m[:, iu].ravel()[keep])
-            b_all.append(ids_m[:, ju].ravel()[keep])
-            d_all.append(d[keep])
-    if not a_all:
-        return empty
-    out = pd.DataFrame({
-        "a": np.concatenate(a_all),
-        "b": np.concatenate(b_all),
-        "hamming": np.concatenate(d_all).astype("int32"),
-    }).drop_duplicates(subset=["a", "b"]).sort_values(["a", "b"])
-    return pa.table({
-        "a": pa.array(out["a"]),
-        "b": pa.array(out["b"]),
-        "hamming": pa.array(out["hamming"], pa.int32()),
-    })
+    return out.sort_by([("a", "ascending"), ("b", "ascending")])
 
 def _bucket_cross_pairs(banded_ds, group_cols: list[str], id_col: str,
-                        max_bucket: int, driver_limit: int = 5_000_000,
-                        as_dataset: bool = False):
+                        max_bucket: int, as_dataset: bool = False):
     """(a, b) CROSS pairs per bucket for parity-encoded two-corpus
     banding (even ids = new side, odd ids = base side): every bucket
     emits new x base pairs only — never new x new or base x base.
@@ -1235,7 +1174,7 @@ def _bucket_cross_pairs(banded_ds, group_cols: list[str], id_col: str,
         return np.repeat(new, len(base)), np.tile(base, len(new))
 
     return _pair_shapes(banded_ds, group_cols, id_col, emit,
-                        driver_limit=driver_limit, as_dataset=as_dataset)
+                        as_dataset=as_dataset)
 
 
 def cross_corpus_near_duplicates(new_ds, base_ds, *, col: str = "text",

@@ -2,14 +2,16 @@
 
 * ``knn_brute_force`` — the exact baseline: the (small) query matrix is
   ``ray.put`` once; each batch does one numpy matmul against it and
-  emits only its local top-k per query; a tiny global
-  ``groupby(query).map_groups`` keeps the overall top-k. Wire cost per
-  batch is O(q x k), never O(rows).
+  emits only its local top-k per query; ``_merge_topk`` keeps the
+  overall top-k per query on ``bucket_apply``'s keyed exchange (each
+  hash bucket holds many queries). Wire cost per batch is O(q x k),
+  never O(rows).
 * ``ann_lsh`` — the scale path: seeded random-hyperplane signatures
   bucket the corpus; queries probe their own bucket plus all buckets at
   Hamming distance 1. Recall/latency tunable via ``n_bits``.
 * ``cosine_near_dup_pairs`` — embedding near-duplicate detection: LSH
-  buckets -> in-bucket pairwise cosine -> threshold.
+  buckets -> in-bucket pairwise cosine -> threshold. ``semdedup_pairs``
+  runs the same ``_cosine_pairs`` body over k-means clusters.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+
+from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -34,6 +38,104 @@ def _batch_matrix(batch: pa.Table, col: str) -> np.ndarray:
     return flat.reshape(len(arr), dim)
 
 
+def _cosine(q: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """(queries x rows) cosine, dot(a, b) / (|a| * |b|) with the norms
+    applied after the dot product (the arithmetic shape SQL engines use,
+    so the DuckDB oracles agree to float64 rounding)."""
+    if len(mat) == 0:
+        return np.empty((len(q), 0))
+    qn = np.linalg.norm(q, axis=1)
+    mn = np.linalg.norm(mat, axis=1)
+    qn[qn == 0] = 1.0
+    mn[mn == 0] = 1.0
+    return (q @ mat.T) / (qn[:, None] * mn[None, :])
+
+
+def _local_topk(sims: np.ndarray, k: int, qids: list, ids: np.ndarray,
+                **extra: np.ndarray) -> pa.Table:
+    """The per-batch half of a top-k search: (query_id, neighbor_id,
+    *extra, sim) rows holding each query's ``k`` largest finite entries
+    of its ``sims`` row (queries x batch rows). ``-inf`` masks an entry
+    out, and a query keeps at most the entries left. ``extra`` maps a
+    column name to a per-batch-row array carried along."""
+    rows, cols = [], []
+    for qi, row in enumerate(sims):
+        kk = min(k, int(np.isfinite(row).sum()))
+        if kk:
+            rows.append(np.full(kk, qi))
+            cols.append(np.argpartition(-row, kk - 1)[:kk])
+    if not rows:
+        return pa.schema([("query_id", pa.int64()), ("neighbor_id", pa.int64()),
+                          *[(name, pa.int64()) for name in extra],
+                          ("sim", pa.float64())]).empty_table()
+    qi, ci = np.concatenate(rows), np.concatenate(cols)
+    return pa.table({
+        "query_id": pa.array([qids[i] for i in qi]),
+        "neighbor_id": pa.array(ids[ci].tolist()),
+        **{name: pa.array(v[ci].tolist()) for name, v in extra.items()},
+        "sim": pa.array(sims[qi, ci], pa.float64()),
+    })
+
+
+def _merge_topk(locals_, k: int):
+    """The global half: each query's overall top ``k`` of its local
+    top-k rows, on ``bucket_apply``'s keyed exchange (a bucket holds
+    many queries). Ties break on sim desc, then neighbor id asc (the
+    order the SQL oracles' ``row_number()`` uses); sims round to 6 dp."""
+
+    def merge_topk(t: pa.Table) -> pd.DataFrame:
+        df = t.to_pandas().sort_values(["sim", "neighbor_id"],
+                                       ascending=[False, True])
+        out = df.groupby("query_id", sort=False, dropna=False).head(k).copy()
+        out["sim"] = out["sim"].round(6)
+        return out
+
+    return bucket_apply(locals_, "query_id", merge_topk, schema=None,
+                        num_buckets=NUM_BUCKETS)
+
+
+#: the output of both embedding pair producers
+_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64()), ("sim", pa.float64())])
+
+
+def _cosine_pairs(group_cols: list, col: str, id_col: str,
+                  threshold: float, cap: int | None):
+    """Per-bucket body of the embedding pair producers: the bucket
+    splits into its ``group_cols`` groups, each truncated to its ``cap``
+    smallest ids (a skew guard against one degenerate group going
+    O(group^2); ``None`` keeps every row), and each pair within a group
+    whose cosine is at or above ``threshold`` becomes an (a < b, sim)
+    row, sim rounded to 6 dp."""
+
+    def cosine_pairs(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(c, "ascending") for c in [*group_cols, id_col]])
+        mat = _batch_matrix(t, col)
+        norms = np.linalg.norm(mat, axis=1)
+        norms[norms == 0] = 1.0
+        ids = np.asarray(t[id_col].to_pylist(), dtype=np.int64)
+        change = np.zeros(max(len(ids) - 1, 0), bool)
+        for c in group_cols:
+            key = t[c].to_numpy()
+            change |= key[1:] != key[:-1]
+        starts = np.r_[0, np.flatnonzero(change) + 1]
+        a, b, sim = [], [], []
+        for lo, hi in zip(starts, np.r_[starts[1:], len(ids)]):
+            if cap is not None:
+                hi = min(hi, lo + cap)
+            m, nm = mat[lo:hi], norms[lo:hi]
+            sims = (m @ m.T) / (nm[:, None] * nm[None, :])
+            iu, ju = np.triu_indices(hi - lo, k=1)
+            hit = sims[iu, ju] >= threshold
+            iu, ju = iu[hit], ju[hit]
+            a.append(ids[lo:hi][iu])
+            b.append(ids[lo:hi][ju])
+            sim.append(np.round(sims[iu, ju], 6))
+        return pa.table([np.concatenate(a), np.concatenate(b),
+                         np.concatenate(sim)], schema=_PAIRS)
+
+    return cosine_pairs
+
+
 def knn_brute_force(ds, queries: np.ndarray, query_ids: list, *, col: str = "embedding",
                     id_col: str = "vec_id", k: int = 10):
     """Exact cosine top-k: Dataset of (query_id, neighbor_id, sim).
@@ -47,40 +149,12 @@ def knn_brute_force(ds, queries: np.ndarray, query_ids: list, *, col: str = "emb
     qids = list(query_ids)
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        q = ray.get(q_ref)
-        mat = _batch_matrix(batch, col)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        qn = np.linalg.norm(q, axis=1)
-        mn = np.linalg.norm(mat, axis=1)
-        qn[qn == 0] = 1.0
-        mn[mn == 0] = 1.0
-        sims = (q @ mat.T) / (qn[:, None] * mn[None, :])  # (nq, nb)
-        kk = min(k, sims.shape[1])
-        out_q, out_n, out_s = [], [], []
-        for qi in range(sims.shape[0]):
-            idx = np.argpartition(-sims[qi], kk - 1)[:kk]
-            out_q.extend([qids[qi]] * kk)
-            out_n.extend(ids[idx].tolist())
-            out_s.extend(sims[qi, idx].tolist())
-        return pa.table(
-            {
-                "query_id": pa.array(out_q),
-                "neighbor_id": pa.array(out_n),
-                "sim": pa.array(out_s, pa.float64()),
-            }
-        )
+        sims = _cosine(ray.get(q_ref), _batch_matrix(batch, col))
+        return _local_topk(sims, k, qids,
+                           batch[id_col].to_numpy(zero_copy_only=False))
 
     locals_ = ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
-
-    def global_topk(group: pd.DataFrame) -> pd.DataFrame:
-        # deterministic tie-break: sim desc, then neighbor id asc (the
-        # same ordering the SQL oracle's row_number() uses)
-        g = group.sort_values(["sim", "neighbor_id"],
-                              ascending=[False, True]).head(k).copy()
-        g["sim"] = g["sim"].round(6)
-        return g
-
-    return locals_.groupby("query_id").map_groups(global_topk, batch_format="pandas")
+    return _merge_topk(locals_, k)
 
 
 def _lsh_planes(dim: int, n_bits: int, seed: int) -> np.ndarray:
@@ -116,36 +190,11 @@ def ann_lsh(ds, queries: np.ndarray, query_ids: list, *, col: str = "embedding",
         mat = _normalize(_batch_matrix(batch, col))
         buckets = _bucket_of(mat, pl)
         keep = np.isin(buckets, probes)
-        if not keep.any():
-            return pa.table(
-                {"query_id": pa.array([], pa.int64()),
-                 "neighbor_id": pa.array([], pa.int64()),
-                 "sim": pa.array([], pa.float64())}
-            )
-        mat = mat[keep]
         ids = batch[id_col].to_numpy(zero_copy_only=False)[keep]
-        sims = q @ mat.T
-        kk = min(k, sims.shape[1])
-        out_q, out_n, out_s = [], [], []
-        for qi in range(sims.shape[0]):
-            idx = np.argpartition(-sims[qi], kk - 1)[:kk]
-            out_q.extend([qids[qi]] * kk)
-            out_n.extend(ids[idx].tolist())
-            out_s.extend(sims[qi, idx].tolist())
-        return pa.table(
-            {"query_id": pa.array(out_q), "neighbor_id": pa.array(out_n),
-             "sim": pa.array(out_s, pa.float64())}
-        )
+        return _local_topk(q @ mat[keep].T, k, qids, ids)
 
     locals_ = ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
-
-    def global_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["sim", "neighbor_id"],
-                              ascending=[False, True]).head(k).copy()
-        g["sim"] = g["sim"].round(6)
-        return g
-
-    return locals_.groupby("query_id").map_groups(global_topk, batch_format="pandas")
+    return _merge_topk(locals_, k)
 
 
 def ivf_train(train: np.ndarray, n_centroids: int, iters: int,
@@ -302,40 +351,11 @@ def ann_ivf(ds, queries: np.ndarray, query_ids: list, *, col: str = "embedding",
         mat = _batch_matrix(batch, col)
         cells = np.argmax(_normalize(mat) @ cents.T, axis=1)
         keep = np.isin(cells, probes)
-        empty = pa.table(
-            {"query_id": pa.array([], pa.int64()),
-             "neighbor_id": pa.array([], pa.int64()),
-             "sim": pa.array([], pa.float64())}
-        )
-        if not keep.any():
-            return empty
-        mat = mat[keep]
         ids = batch[id_col].to_numpy(zero_copy_only=False)[keep]
-        qnorm = np.linalg.norm(q, axis=1)
-        mnorm = np.linalg.norm(mat, axis=1)
-        qnorm[qnorm == 0] = 1.0
-        mnorm[mnorm == 0] = 1.0
-        sims = (q @ mat.T) / (qnorm[:, None] * mnorm[None, :])
-        kk = min(k, sims.shape[1])
-        out_q, out_n, out_s = [], [], []
-        for qi in range(sims.shape[0]):
-            idx = np.argpartition(-sims[qi], kk - 1)[:kk]
-            out_q.extend([qids[qi]] * kk)
-            out_n.extend(ids[idx].tolist())
-            out_s.extend(sims[qi, idx].tolist())
-        return pa.table(
-            {"query_id": pa.array(out_q), "neighbor_id": pa.array(out_n),
-             "sim": pa.array(out_s, pa.float64())}
-        )
+        return _local_topk(_cosine(q, mat[keep]), k, qids, ids)
 
     locals_ = ds.map_batches(local_topk, batch_format="pyarrow", zero_copy_batch=True)
-
-    def global_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["sim", "neighbor_id"], ascending=[False, True]).head(k).copy()
-        g["sim"] = g["sim"].round(6)
-        return g
-
-    return locals_.groupby("query_id").map_groups(global_topk, batch_format="pandas")
+    return _merge_topk(locals_, k)
 
 
 def cosine_near_dup_pairs(ds, *, col: str = "embedding", id_col: str = "vec_id",
@@ -383,41 +403,20 @@ def cosine_near_dup_pairs(ds, *, col: str = "embedding", id_col: str = "vec_id",
         return pa.concat_tables(pieces)
 
     bucketed = ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-
-    def verify(group: pa.Table) -> pa.Table:
-        if group.num_rows > max_bucket:
-            group = group.sort_by(id_col).slice(0, max_bucket)
-        mat = _batch_matrix(group, col)
-        norms = np.linalg.norm(mat, axis=1)
-        norms[norms == 0] = 1.0
-        ids = np.asarray(group[id_col].to_pylist(), dtype=np.int64)
-        order = np.argsort(ids)
-        mat, norms, ids = mat[order], norms[order], ids[order]
-        sims = (mat @ mat.T) / (norms[:, None] * norms[None, :])
-        iu, ju = np.triu_indices(len(ids), k=1)
-        hit = sims[iu, ju] >= threshold
-        iu, ju = iu[hit], ju[hit]
-        return pa.table({"a": pa.array(ids[iu], pa.int64()),
-                         "b": pa.array(ids[ju], pa.int64()),
-                         "sim": pa.array(
-                             np.round(sims[iu, ju].astype(np.float64), 6),
-                             pa.float64())})
-
-    pairs = bucketed.groupby(["table_id", "bucket"]).map_groups(
-        verify, batch_format="pyarrow"
-    )
+    group_cols = ["table_id", "bucket"]
+    pairs = bucket_apply(
+        bucketed, group_cols,
+        _cosine_pairs(group_cols, col, id_col, threshold, max_bucket),
+        schema=_PAIRS, num_buckets=NUM_BUCKETS)
     if as_dataset:
         # the same pair can surface in several tables — a distributed
         # max(sim) groupby dedupes without any driver hop
-        from ._bucket import bucket_combine
-
         return bucket_combine(pairs, ["a", "b"], {"sim": ("sim", "max")})
     from ._fold import fold_table
 
     tbl = fold_table(pairs)
     if tbl is None:
-        return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                         "sim": pa.array([], pa.float64())})
+        return _PAIRS.empty_table()
     # the same pair can surface in several tables — max(sim) dedupes
     # (sims are identical across tables; max is just the dedup fold)
     return tbl.group_by(["a", "b"]).aggregate([("sim", "max")]).rename_columns(
@@ -436,8 +435,8 @@ def semdedup_pairs(ds, centroids: np.ndarray, *, col: str = "embedding",
 
     Scale shape: the centroid matrix is broadcast once (``ray.put``);
     assignment is a streaming matmul per batch (zero shuffle); the only
-    exchange is ONE ``groupby(cluster)`` whose per-group work is a
-    vectorized m x m matmul. Cross-cluster near-dups are invisible by
+    exchange is ONE ``bucket_apply`` on the cluster, whose per-cluster
+    work is a vectorized m x m matmul. Cross-cluster near-dups are invisible by
     construction — that is SemDeDup's accepted approximation; pick
     ``k ~ N / target_cluster_size`` so clusters stay matmul-sized, and
     ``max_cluster`` guards a degenerate cluster (truncated on sorted
@@ -478,35 +477,17 @@ def semdedup_pairs(ds, centroids: np.ndarray, *, col: str = "embedding",
 
     assigned = ds.map_batches(assign_carry, batch_format="pyarrow",
                               zero_copy_batch=True)
-
-    def verify(group: pa.Table) -> pa.Table:
-        if max_cluster is not None and group.num_rows > max_cluster:
-            group = group.sort_by(id_col).slice(0, max_cluster)
-        mat = _batch_matrix(group, col)
-        norms = np.linalg.norm(mat, axis=1)
-        norms[norms == 0] = 1.0
-        ids = np.asarray(group[id_col].to_pylist(), dtype=np.int64)
-        order = np.argsort(ids)
-        mat, norms, ids = mat[order], norms[order], ids[order]
-        sims = (mat @ mat.T) / (norms[:, None] * norms[None, :])
-        iu, ju = np.triu_indices(len(ids), k=1)
-        hit = sims[iu, ju] >= threshold
-        iu, ju = iu[hit], ju[hit]
-        s = np.round(sims[iu, ju].astype(np.float64), 6)
-        return pa.table({"a": pa.array(ids[iu], pa.int64()),
-                         "b": pa.array(ids[ju], pa.int64()),
-                         "sim": pa.array(s, pa.float64())})
-
-    pairs = assigned.groupby("cluster").map_groups(verify, batch_format="pyarrow")
+    pairs = bucket_apply(
+        assigned, "cluster",
+        _cosine_pairs(["cluster"], col, id_col, threshold, max_cluster),
+        schema=_PAIRS, num_buckets=NUM_BUCKETS)
     if as_dataset:
         return pairs
     from ._fold import fold_table
 
     tbl = fold_table(pairs)
     if tbl is None:
-        return pa.table({"a": pa.array([], pa.int64()),
-                         "b": pa.array([], pa.int64()),
-                         "sim": pa.array([], pa.float64())})
+        return _PAIRS.empty_table()
     return tbl.sort_by([("a", "ascending"), ("b", "ascending")])
 
 
@@ -783,8 +764,6 @@ def knn_label_disagreement(ds, queries: np.ndarray, query_ids: list,
     as long as the (sim desc, id asc) ranking agrees, the same
     arithmetic contract knn_brute_force pins (norms applied after the
     dot product). Null-label corpus rows are excluded on both sides."""
-    import pyarrow.compute as pc
-
     from ._fold import fold_table
 
     qmat = np.asarray(queries, dtype=np.float64)
@@ -793,45 +772,13 @@ def knn_label_disagreement(ds, queries: np.ndarray, query_ids: list,
     qlabels = [int(v) for v in query_labels]
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        lab = batch[label_col].combine_chunks()
-        keep = pc.is_valid(lab)
-        batch = batch.filter(keep)
-        empty = pa.schema([
-            ("query_id", pa.int64()), ("neighbor_id", pa.int64()),
-            ("neighbor_label", pa.int64()), ("sim", pa.float64()),
-        ]).empty_table()
-        if batch.num_rows == 0:
-            return empty
-        q = ray.get(q_ref)
-        mat = _batch_matrix(batch, col)
+        batch = batch.filter(pc.is_valid(batch[label_col].combine_chunks()))
+        sims = _cosine(ray.get(q_ref), _batch_matrix(batch, col))
         ids = batch[id_col].to_numpy(zero_copy_only=False)
+        sims[np.asarray(qids)[:, None] == ids[None, :]] = -np.inf  # self
         labs = pc.cast(batch[label_col], pa.int64()).to_numpy(
             zero_copy_only=False)
-        qn = np.linalg.norm(q, axis=1)
-        mn = np.linalg.norm(mat, axis=1)
-        qn[qn == 0] = 1.0
-        mn[mn == 0] = 1.0
-        sims = (q @ mat.T) / (qn[:, None] * mn[None, :])
-        out_q, out_n, out_l, out_s = [], [], [], []
-        for qi in range(sims.shape[0]):
-            row = sims[qi].copy()
-            row[ids == qids[qi]] = -np.inf        # self excluded
-            kk = min(k, int(np.isfinite(row).sum()))
-            if kk == 0:
-                continue
-            idx = np.argpartition(-row, kk - 1)[:kk]
-            out_q.extend([qids[qi]] * kk)
-            out_n.extend(ids[idx].tolist())
-            out_l.extend(labs[idx].tolist())
-            out_s.extend(row[idx].tolist())
-        if not out_q:
-            return empty
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "neighbor_id": pa.array(out_n, pa.int64()),
-            "neighbor_label": pa.array(out_l, pa.int64()),
-            "sim": pa.array(out_s, pa.float64()),
-        })
+        return _local_topk(sims, k, qids, ids, neighbor_label=labs)
 
     folded = fold_table(
         ds.map_batches(local_topk, batch_format="pyarrow",
@@ -880,59 +827,20 @@ def hard_negative_mining(ds, queries: np.ndarray, query_ids: list,
     label), so it rides the matmul mask inside the same batch pass
     instead of a pre-filter. Broadcast queries, per-block local top-k,
     per-query bounded merge — the knn_brute_force shape."""
-    import pyarrow.compute as pc
-
     qmat = np.asarray(queries, dtype=np.float64)
     q_ref = ray.put(qmat)
     qids = list(query_ids)
     qlabels = [int(v) for v in query_labels]
 
     def local_topk(batch: pa.Table) -> pa.Table:
-        lab = batch[label_col].combine_chunks()
-        batch = batch.filter(pc.is_valid(lab))
-        empty = pa.schema([
-            ("query_id", pa.int64()), ("neighbor_id", pa.int64()),
-            ("sim", pa.float64()),
-        ]).empty_table()
-        if batch.num_rows == 0:
-            return empty
-        q = ray.get(q_ref)
-        mat = _batch_matrix(batch, col)
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        batch = batch.filter(pc.is_valid(batch[label_col].combine_chunks()))
+        sims = _cosine(ray.get(q_ref), _batch_matrix(batch, col))
         labs = pc.cast(batch[label_col], pa.int64()).to_numpy(
             zero_copy_only=False)
-        qn = np.linalg.norm(q, axis=1)
-        mn = np.linalg.norm(mat, axis=1)
-        qn[qn == 0] = 1.0
-        mn[mn == 0] = 1.0
-        sims = (q @ mat.T) / (qn[:, None] * mn[None, :])
-        out_q, out_n, out_s = [], [], []
-        for qi in range(sims.shape[0]):
-            row = sims[qi].copy()
-            row[labs == qlabels[qi]] = -np.inf
-            kk = min(k, int(np.isfinite(row).sum()))
-            if kk == 0:
-                continue
-            idx = np.argpartition(-row, kk - 1)[:kk]
-            out_q.extend([qids[qi]] * kk)
-            out_n.extend(ids[idx].tolist())
-            out_s.extend(row[idx].tolist())
-        if not out_q:
-            return empty
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            "neighbor_id": pa.array(out_n, pa.int64()),
-            "sim": pa.array(out_s, pa.float64()),
-        })
+        sims[np.asarray(qlabels)[:, None] == labs[None, :]] = -np.inf
+        return _local_topk(sims, k, qids,
+                           batch[id_col].to_numpy(zero_copy_only=False))
 
     locals_ = ds.map_batches(local_topk, batch_format="pyarrow",
                              zero_copy_batch=True)
-
-    def global_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["sim", "neighbor_id"],
-                              ascending=[False, True]).head(k).copy()
-        g["sim"] = g["sim"].round(6)
-        return g
-
-    return locals_.groupby("query_id").map_groups(global_topk,
-                                                  batch_format="pandas")
+    return _merge_topk(locals_, k)

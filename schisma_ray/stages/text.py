@@ -1779,18 +1779,13 @@ def word_pmi_top(ds, *, col: str = "text", id_col: str = "doc_id",
     scored = pairs.map_batches(score, batch_format="pyarrow",
                                zero_copy_batch=True)
 
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["pmi", "word_a", "word_b"],
-                              ascending=[False, True, True],
-                              kind="mergesort").head(top_pairs)
-        return g[["word_a", "word_b", "n_ab", "pmi"]]
+    def final_topk(t: pa.Table) -> pa.Table:
+        return t.sort_by([("pmi", "descending"), ("word_a", "ascending"),
+                          ("word_b", "ascending")]).slice(0, top_pairs)
 
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("one", pa.array([1] * len(t), pa.int8()))
-
-    return (scored.map_batches(tag, batch_format="pyarrow",
-                               zero_copy_batch=True)
-            .groupby("one").map_groups(final_topk, batch_format="pandas"))
+    # one bucket: the final top-k sees every scored pair
+    return bucket_apply(scored, "word_a", final_topk, schema=None,
+                        num_buckets=1)
 
 
 def vocab_stats(ds, *, col: str = "text", lang_col: str = "lang"):

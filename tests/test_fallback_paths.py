@@ -27,10 +27,10 @@ def test_duplicate_keys_groupby_fallback(ray_session):
     assert len(as_set(big)) == 500  # every key appears 4x -> all duplicated
 
 
-def test_bucket_pairs_groupby_fallback(ray_session):
+def test_bucket_pairs_groupby_fallback(ray_session, monkeypatch):
     import ray.data as rd
 
-    from schisma_ray.stages.dedup import _bucket_pairs
+    from schisma_ray.stages import dedup
 
     t = pa.table(
         {
@@ -40,13 +40,40 @@ def test_bucket_pairs_groupby_fallback(ray_session):
         }
     )
     ds = rd.from_arrow(t)
-    driver = _bucket_pairs(ds, ["band", "band_hash"], "doc_id", max_bucket=100)
-    fallback = _bucket_pairs(
-        ds, ["band", "band_hash"], "doc_id", max_bucket=100, driver_limit=1
-    )
+    driver = dedup._bucket_pairs(ds, ["band", "band_hash"], "doc_id", max_bucket=100)
+    monkeypatch.setattr(dedup, "_DRIVER_FOLD_ROWS", 1)  # overflow
+    fallback = dedup._bucket_pairs(ds, ["band", "band_hash"], "doc_id", max_bucket=100)
     key = lambda tbl: {(a, b) for a, b in zip(tbl["a"].to_pylist(), tbl["b"].to_pylist())}
     assert key(driver) == key(fallback)
     assert len(key(driver)) == 5 * 6  # 5 buckets x C(4,2)=6 pairs
+
+
+def test_hamming_pairs_overflow_matches_driver(ray_session, monkeypatch):
+    """The per-bucket path that runs past the driver-fold limit gives the
+    driver fold's pairs, distances, types and order."""
+    import numpy as np
+    import ray.data as rd
+
+    from schisma_ray.stages import dedup
+
+    rng = np.random.default_rng(11)
+    base = rng.integers(0, 2**64 - 1, 12, dtype=np.uint64)
+    flips = np.zeros(120, np.uint64)
+    for i in range(120):  # 12 families of 10 signatures 0-4 bits apart
+        for bit in rng.choice(64, size=i % 5, replace=False):
+            flips[i] |= np.uint64(1) << np.uint64(bit)
+    sigs = (base[np.arange(120) % 12] ^ flips).view(np.int64).tolist()
+    ds = rd.from_arrow(pa.table({
+        "id": pa.array(range(len(sigs)), pa.int64()),
+        "sig": pa.array(sigs, pa.int64()),
+    })).repartition(4)
+    driver = dedup.hamming_near_dup_pairs(ds, sig_col="sig", id_col="id")
+    monkeypatch.setattr(dedup, "_DRIVER_FOLD_ROWS", 1)  # overflow
+    overflow = dedup.hamming_near_dup_pairs(ds, sig_col="sig", id_col="id")
+    assert driver.num_rows > 0
+    assert overflow.equals(driver)
+    for a, b, d in zip(*(driver[c].to_pylist() for c in ("a", "b", "hamming"))):
+        assert a < b and d == dedup._hamming64(sigs[a], sigs[b]) <= 3
 
 
 def test_validator_and_conformer_on_empty_batch(ray_session):

@@ -7,6 +7,11 @@ constructor in this package saves.
 
 A pool that a measurement justifies goes into ``MEASURED_POOLS``
 (``"<module path>:<function>"`` -> the measurement), and only there.
+
+One keyed exchange: Ray's ``groupby(key).map_groups`` runs only inside
+``stages/_bucket.py``. Every other keyed step goes through
+``bucket_apply`` or ``bucket_combine``, which hash the key into a
+bucket, so a nullable key never reaches Ray's sort comparisons.
 """
 
 from __future__ import annotations
@@ -72,3 +77,20 @@ def test_no_stage_function_takes_concurrency():
             if "concurrency" in names and f"{rel}:{owner}" not in MEASURED_POOLS:
                 found.append(f"{rel}:{node.lineno} {node.name}")
     assert not found, "functions with a concurrency knob:\n" + "\n".join(found)
+
+
+#: the one module that calls Ray's ``map_groups``
+EXCHANGE = "schisma_ray/stages/_bucket.py"
+
+
+def test_map_groups_only_in_the_keyed_exchange():
+    found = []
+    for rel, tree in _sources():
+        if rel == EXCHANGE:
+            continue
+        for owner, node in _functions(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "map_groups"):
+                found.append(f"{rel}:{node.lineno} {owner}")
+    assert not found, "map_groups outside the keyed exchange:\n" + "\n".join(found)

@@ -83,3 +83,24 @@ def test_tfidf_top_terms_keeps_null_language(ray_session):
         assert got["word"].tolist() == sorted(
             f"{prefix}{i}" for i in range(12) if GROUPS[i % 3] == g)[:2]
         assert (got["score"] == rare).all()
+
+
+def test_cap_per_key_keeps_null_group(ray_session):
+    from schisma_ray.stages.corpus import cap_per_key
+    from schisma_ray.stages._digest import md5_hex
+
+    n = 4
+    sources = [GROUPS[i % 3] for i in range(36)]
+    ds = rd.from_arrow(pa.table({
+        "doc_id": pa.array(range(len(sources)), pa.int64()),
+        "source": pa.array(sources, pa.string()),
+    })).repartition(3)
+    out = cap_per_key(ds, key_col="source", n=n).to_pandas()
+    hexes = md5_hex(pa.array(range(len(sources)), pa.int64())).tolist()
+    for g in GROUPS:
+        ids = [i for i, s in enumerate(sources) if s == g]
+        sel = out["source"].isna() if g is None else out["source"] == g
+        # the n smallest (md5(id), id) of the group
+        assert sorted(out[sel]["doc_id"]) == sorted(
+            sorted(ids, key=lambda i: (hexes[i], i))[:n]), g
+    assert len(out) == n * len(GROUPS)

@@ -3,7 +3,13 @@
 Runs every ``queries()`` entry at sf0.01 and compares row count, sorted
 column names and an order-insensitive value hash against the matching
 ``oracle_sql()`` DuckDB result. Queries without an oracle get a
-rows-only sanity check.
+rows-only sanity check. Every query that runs prints its own rows and
+value hash (columns included), so two checkouts compare by diffing their runs with the
+trailing seconds cut:
+
+    diff <(sed 's/ *[0-9.]*s$//' a.log) <(sed 's/ *[0-9.]*s$//' b.log)
+
+Ray gets one CPU per core this process may run on.
 
 Usage: python tools/check_oracle.py [--sf DIR] [--only SUBSTR]
 """
@@ -12,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -34,11 +41,14 @@ def to_pandas(result) -> pd.DataFrame:
 
 
 def value_hash(df: pd.DataFrame) -> str:
-    df = df[sorted(df.columns)].copy()
+    """sha256 over the sorted column names and the rows in sorted order."""
+    df = df[sorted(df.columns, key=str)].copy()
     for c in df.columns:
         df[c] = df[c].map(lambda v: repr(v))
     rows = sorted(tuple(r) for r in df.itertuples(index=False, name=None))
     h = hashlib.sha256()
+    h.update("\x1f".join(map(str, df.columns)).encode())
+    h.update(b"\x1d")
     for r in rows:
         h.update("\x1f".join(r).encode())
         h.update(b"\x1e")
@@ -54,7 +64,8 @@ def main() -> int:
     import ray
 
     if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
+        ray.init(address="local", num_cpus=len(os.sched_getaffinity(0)),
+                 include_dashboard=False,
                  logging_level="ERROR")
     from ray.data import DataContext
 
@@ -84,13 +95,15 @@ def main() -> int:
             failures += 1
             continue
         dt = time.monotonic() - t0
+        mine_hash = value_hash(mine)
+        got = f"rows={len(mine):6d} hash={mine_hash[:16]}"
         if name not in oracles:
-            print(f"ok   {name:32s} rows={len(mine):6d} (rows-only) {dt:5.1f}s")
+            print(f"ok   {name:32s} {got} (rows-only) {dt:5.1f}s")
             continue
         try:
             ref = con.execute(oracles[name]).df()
         except Exception as ex:
-            print(f"FAIL {name}: oracle raised {ex}")
+            print(f"FAIL {name}: oracle raised {ex} ({got}) {dt:5.1f}s")
             failures += 1
             continue
         problems = []
@@ -98,11 +111,11 @@ def main() -> int:
             problems.append(f"rows {len(mine)} != {len(ref)}")
         if sorted(map(str, mine.columns)) != sorted(map(str, ref.columns)):
             problems.append(f"cols {sorted(mine.columns)} != {sorted(ref.columns)}")
-        elif value_hash(mine) != value_hash(ref):
+        elif mine_hash != value_hash(ref):
             problems.append("value-hash mismatch")
         if problems:
             failures += 1
-            print(f"FAIL {name}: {'; '.join(problems)}")
+            print(f"FAIL {name}: {'; '.join(problems)} ({got}) {dt:5.1f}s")
             if "value-hash mismatch" in problems or len(mine) != len(ref):
                 m = mine[sorted(mine.columns)]
                 r = ref[sorted(ref.columns)]
@@ -111,7 +124,7 @@ def main() -> int:
                 print("   mine-only:", sorted(ms - rs)[:3])
                 print("   ref-only: ", sorted(rs - ms)[:3])
         else:
-            print(f"ok   {name:32s} rows={len(mine):6d} (oracle)    {dt:5.1f}s")
+            print(f"ok   {name:32s} {got} (oracle)    {dt:5.1f}s")
     print(f"{failures} failures")
     ray.shutdown()
     return 1 if failures else 0
