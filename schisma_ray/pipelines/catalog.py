@@ -860,8 +860,9 @@ def q_orders_left_enriched(sf_dir: str):
 
 
 def q_orders_enriched_shuffle(sf_dir: str):
-    """Same join through Ray Data's native hash-shuffle Dataset.join —
-    the path for a dimension side too big to broadcast."""
+    """Same join through the bucketed shuffle join (both sides hash the
+    key into buckets, one Arrow join per bucket) — the path for a
+    dimension side too big to broadcast."""
     from ..stages.join import shuffle_hash_join
 
     orders = rd.read_parquet(
@@ -894,7 +895,7 @@ def q_events_enriched_salted(sf_dir: str):
     """SKEWED-key enrichment via the salted shuffle join: events carry
     only ~150 distinct user ids over the whole table (every key is hot
     relative to the key space — at web scale this is the bot-user /
-    top-domain shape), so a plain hash-shuffle join concentrates each
+    top-domain shape), so a plain bucketed shuffle join concentrates each
     key's full volume in one task. Salting on the fact primary key
     spreads each user over 8 sub-keys; the customer dimension ships 8
     replicas. Output is byte-identical to the unsalted join."""
@@ -926,7 +927,7 @@ def q_orders_customer_full(sf_dir: str):
     parity would lose rows)."""
     import pyarrow.compute as _pc
 
-    from ..stages.join import full_outer_join
+    from ..stages.join import shuffle_hash_join
 
     orders = rd.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -951,10 +952,10 @@ def q_orders_customer_full(sf_dir: str):
         lambda t: t.filter(_pc.equal(t["c_mktsegment"], "BUILDING")),
         batch_format="pyarrow", zero_copy_batch=True,
     )
-    out = full_outer_join(rollup, customers, on="o_custkey",
-                          right_on="c_custkey")
-    # Ray's full_outer coalesces the right key into o_custkey (right-only
-    # rows carry their c_custkey there) — the oracle COALESCEs to match.
+    out = shuffle_hash_join(rollup, customers, on="o_custkey",
+                            right_on="c_custkey", how="full outer")
+    # the join coalesces the right key into o_custkey (right-only rows
+    # carry their c_custkey there) — the oracle COALESCEs to match.
     return _collect(
         out,
         ["o_custkey", "n_orders", "total_cents", "c_name", "c_mktsegment"],
@@ -1597,11 +1598,12 @@ def q_corpus_clean(sf_dir: str):
 def q_corpus_clean_join(sf_dir: str):
     """corpus_clean through a distributed semi-join instead of the
     survivor-set broadcast: the dedup-survivor ids join the scored+
-    filtered docs via Ray's native hash-shuffle Dataset.join — the path
+    filtered docs per hash bucket (``shuffle_hash_join``) — the path
     for when the survivor set itself is too big to broadcast (it is
     O(distinct texts): at 100 TB that can be most of the corpus)."""
     import pyarrow.compute as pc
 
+    from ..stages.join import shuffle_hash_join
     from ..stages.text import quality_score_values
 
     docs = _t(sf_dir, "documents")
@@ -1620,11 +1622,7 @@ def q_corpus_clean_join(sf_dir: str):
 
     scored = docs.map_batches(score_filter, batch_format="pyarrow",
                               zero_copy_batch=True)
-    from ..stages.components import derive_join_partitions
-
-    return scored.join(kept, join_type="inner",
-                       num_partitions=derive_join_partitions(scored, kept),
-                       on=("doc_id",))
+    return shuffle_hash_join(scored, kept, "doc_id")
 
 
 def q_corpus_rejected(sf_dir: str):
@@ -2246,7 +2244,7 @@ def q_minhash_dedup_ds(sf_dir: str):
 
 def q_minhash_dedup_groups_ds(sf_dir: str):
     """Near-dup survivors with the pair DATASET fed straight into the
-    distributed components + native hash-shuffle anti-join — the full
+    distributed components + the bucketed shuffle anti-join — the full
     pairs -> components -> survivors chain without any driver pa.Table
     hop (VERDICT r2 #1); same oracle as minhash_dedup_groups."""
     from ..stages.components import near_dedup_survivors
@@ -8185,7 +8183,7 @@ def q_order_totals_reconcile(sf_dir: str):
     total vs the integer-cents sum of its lineitems — the classic
     ingest-audit invariant (fact rows must roll up to the manifest).
     Combiner-first per-batch lineitem partials -> one grouped sum ->
-    LEFT OUTER hash-shuffle join with the orders header (orders with no
+    LEFT OUTER bucketed shuffle join with the orders header (orders with no
     lineitems reconcile against 0). All money frozen as
     floor(x*100+0.5) cents so diff/matched are integer-exact."""
     import pyarrow.compute as pc
@@ -8226,16 +8224,8 @@ def q_order_totals_reconcile(sf_dir: str):
 
     o = orders.map_batches(o_partial, batch_format="pyarrow",
                            zero_copy_batch=True)
-    from ..stages.components import derive_join_partitions
-
-    # normalize the aggregated side to Arrow-lineage blocks before the
-    # hash-shuffle join — the aggregate can emit column-less empty
-    # blocks that the join aggregator rejects (the components.py fix)
-    parts = derive_join_partitions(o, sums)
-    sums = sums.repartition(parts)
     j = shuffle_hash_join(o, sums, on="o_orderkey",
-                          right_on="l_orderkey", how="left outer",
-                          num_partitions=parts)
+                          right_on="l_orderkey", how="left outer")
 
     def finish(t: pa.Table) -> pa.Table:
         line_cents = pc.fill_null(pc.cast(t["line_cents"], pa.int64()), 0)
@@ -8593,7 +8583,7 @@ def q_lineitem_shipdate_violations(sf_dir: str):
     """Cross-table temporal-order constraint: lineitems shipped BEFORE
     their order's date (physically impossible — an ingest-corruption
     signature). The row-level complement of the control-total
-    reconciliation: one hash-shuffle equi-join of the two fact tables
+    reconciliation: one bucketed shuffle equi-join of the two fact tables
     on the order key, then a vectorized timestamp compare; output is
     the violating rows with both timestamps for triage."""
     import pyarrow.compute as pc
@@ -8826,7 +8816,7 @@ def q_shipping_priority(sf_dir: str):
     shipped after the cutoff. Revenue is exact integer hundredths of
     cents (cents * (100 - discount_pct)). Plan: combiner-first revenue
     rollup on lineitem (filter at the read, per-batch partials), two
-    hash-shuffle equi-joins on narrow projections, then per-block local
+    bucketed shuffle equi-joins on narrow projections, then per-block local
     top-10 with a bounded driver merge — no full sort, no broadcast of
     a large side."""
     from ..stages._fold import fold_table
@@ -8913,7 +8903,7 @@ def q_shipping_priority(sf_dir: str):
 
 def q_promo_revenue_share(sf_dir: str):
     """TPC-H Q14 shape: per ship month, the e6 share of revenue coming
-    from PROMO-type parts. One hash-shuffle join of narrow lineitem
+    from PROMO-type parts. One bucketed shuffle join of narrow lineitem
     and part projections, then per-batch (month, promo/total) integer
     partials into a |months|-row groupby — exact hundredths-of-cents
     arithmetic end to end."""
@@ -9027,7 +9017,7 @@ _Q5_HI_US = 852_076_800_000_000   # 1997-01-01
 def q_regional_revenue(sf_dir: str):
     """TPC-H Q5 shape (local-supplier revenue): 1996 revenue per
     nation counting only lineitems whose SUPPLIER sits in the ordering
-    customer's own nation. Plan: two fact-side hash-shuffle joins
+    customer's own nation. Plan: two fact-side bucketed shuffle joins
     (lineitem->1996 orders, ->customer) on narrow projections; the
     supplier->nation side is a BROADCAST dict (suppkey->nationkey,
     nationkey->name — supplier is orders-of-magnitude smaller than the

@@ -240,8 +240,8 @@ def prepare_corpus(
     * ``broadcast`` (default) — survivor ids fold on the driver and
       broadcast once; right while the survivor set fits the object
       store (low duplicate rates, modest corpora).
-    * ``join`` — the survivor-id Dataset semi-joins the corpus through
-      Ray's native hash-shuffle join; the path for corpora whose
+    * ``join`` — the survivor-id Dataset joins the corpus per hash
+      bucket (``join.shuffle_hash_join``); the path for corpora whose
       survivor set is itself corpus-sized (at 100 TB, most texts are
       unique, so O(distinct texts) ids can't broadcast).
     * ``minhash`` — FUZZY dedup replaces the exact pass: MinHash+LSH
@@ -249,8 +249,8 @@ def prepare_corpus(
       (redacted, filtered) text, distributed connected components, and
       the min-id survivor per component, all as Datasets end-to-end
       (exact duplicates are Jaccard 1, so this subsumes exact dedup for
-      non-empty texts); survivors attach through the hash-shuffle
-      semi-join like ``join``.
+      non-empty texts); survivors attach through the same bucketed
+      join as ``join``.
     """
     import pyarrow.compute as pc
     import ray
@@ -335,11 +335,9 @@ def prepare_corpus(
         )
 
     if dedup == "minhash":
-        from ..stages.components import (
-            derive_join_partitions,
-            near_dedup_survivors,
-        )
+        from ..stages.components import near_dedup_survivors
         from ..stages.dedup import minhash_dedup_pairs
+        from ..stages.join import shuffle_hash_join
 
         pairs = minhash_dedup_pairs(
             prepped, col=text_col, id_col=id_col,
@@ -348,27 +346,13 @@ def prepare_corpus(
         surv_ids = near_dedup_survivors(
             prepped, pairs, id_col, strategy="join"
         )
-        parts = derive_join_partitions(prepped, surv_ids)
-        # Arrow-normalize before the hash-shuffle join: upstream
-        # shuffle stages can emit column-less empty blocks that the
-        # join aggregator rejects (see near_dedup_survivors)
-        return finish(prepped.join(
-            surv_ids.repartition(parts),
-            join_type="inner",
-            num_partitions=parts,
-            on=(id_col,),
-        ))
+        return finish(shuffle_hash_join(prepped, surv_ids, id_col))
 
     if dedup == "join":
-        from ..stages.components import derive_join_partitions
+        from ..stages.join import shuffle_hash_join
 
         kept = exact_dedup_keep_first(prepped, key=text_col, id_col=id_col)
-        return finish(prepped.join(
-            kept,
-            join_type="inner",
-            num_partitions=derive_join_partitions(prepped, kept),
-            on=(id_col,),
-        ))
+        return finish(shuffle_hash_join(prepped, kept, id_col))
     if dedup != "broadcast":
         raise ValueError(f"unknown dedup strategy {dedup!r}")
 

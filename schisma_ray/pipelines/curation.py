@@ -12,7 +12,7 @@ survivor set.
 
 Every stage is an existing oracled primitive; the composite is oracled
 end-to-end (catalog ``image_curation``) by chaining the same SQL
-fragments. Scale shape: two hash-shuffle semi-joins on narrow id sets,
+fragments. Scale shape: two bucketed shuffle joins on narrow id sets,
 the fingerprint groupby, and the banded pair chain — the corpus bytes
 are read once and never shuffled.
 """
@@ -33,14 +33,12 @@ def curate_images(table_dir, *, max_hamming: int = 3,
     valid by construction, so the quarantine semantics are unchanged
     while the byte-dedup stage provably fires (the oracle injects the
     same twins)."""
-    from ..stages.components import (
-        derive_join_partitions,
-        near_dedup_survivors,
-    )
+    from ..stages.components import near_dedup_survivors
     from ..stages.dedup import (
         exact_dedup_keep_first,
         hamming_near_dup_pairs,
     )
+    from ..stages.join import shuffle_hash_join
     from ..stages.referential import referential_violations
     from .validate_pipeline import read_images, validate_images
 
@@ -55,10 +53,7 @@ def curate_images(table_dir, *, max_hamming: int = 3,
     ).map_batches(
         lambda t: pa.table({"image_id": t["row_ref"]}),
         batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()
-    # ^ consumed twice (partition sizing + the join); materializing the
-    # id-only projection stops the fused validate from re-executing per
-    # consumer — narrow columns only, object-store-spill backed
+    )
 
     # fingerprint AT THE READ: bytes never leave the read task (a
     # bytes-heavy block re-serializes its parent buffer on every
@@ -78,9 +73,7 @@ def curate_images(table_dir, *, max_hamming: int = 3,
         fingerprint_narrow, batch_format="pyarrow", zero_copy_batch=True,
     ).materialize()  # bytes read + hashed exactly once
 
-    parts = derive_join_partitions(narrow, clean_ids)
-    clean = narrow.join(clean_ids.repartition(parts), join_type="inner",
-                        num_partitions=parts, on=("image_id",))
+    clean = shuffle_hash_join(narrow, clean_ids, "image_id")
 
     if inject_dup_every > 0:
         n = inject_dup_every
@@ -113,13 +106,9 @@ def curate_images(table_dir, *, max_hamming: int = 3,
     fps = clean.map_batches(
         lambda t: t.filter(pc.is_valid(t["fingerprint"])),
         batch_format="pyarrow", zero_copy_batch=True,
-    ).materialize()  # consumed by keep-first, sizing, and the semi-join
-    keepers = exact_dedup_keep_first(
-        fps, key="fingerprint", id_col="image_id",
-    ).materialize()  # id-only; sized AND joined (two consumers)
-    kparts = derive_join_partitions(fps, keepers)
-    kept = fps.join(keepers.repartition(kparts), join_type="inner",
-                    num_partitions=kparts, on=("image_id",))
+    ).materialize()  # consumed by keep-first and the join
+    keepers = exact_dedup_keep_first(fps, key="fingerprint", id_col="image_id")
+    kept = shuffle_hash_join(fps, keepers, "image_id")
 
     sigs = kept.map_batches(
         lambda t: pa.table({

@@ -1,9 +1,9 @@
 """Keyed exchange: hash a key into a bucket, shuffle, run a function per bucket.
 
 Every keyed check that needs all rows of a key in one place (sessions,
-as-of joins, diffs, line and text dedup, the referential shuffle, FD
-audits, LSH band and k-means cluster pairs, per-query top-k merges,
-per-key caps) has the same shape, and ``bucket_apply`` is its one
+as-of joins, diffs, line and text dedup, FD audits, LSH band and
+k-means cluster pairs, per-query top-k merges, per-key caps) has the
+same shape, and ``bucket_apply`` is its one
 implementation: ``key_bucket`` routes each row, ``groupby(bucket)
 .map_groups`` under Ray's default sort shuffle co-locates each bucket,
 and the caller's function sees one bucket as a ``pa.Table``. A bucket
@@ -21,6 +21,14 @@ bounds every key to one row per batch before the shuffle, and one more
 ``groupby(...).aggregate``, whose sort aggregate calls each aggregate
 once per group in a Python loop, and which cannot sort a string key
 column that holds nulls.
+
+Two-sided keyed work (equi-joins, the referential anti-join, semi-joins,
+attaching payloads to pair slots) is ``bucket_cogroup``: both sides
+route by their own keys into the same buckets on the same exchange, and
+the caller's function sees one bucket's rows of each side. It replaces
+Ray's hash-shuffle ``Dataset.join``, a second exchange on aggregator
+actors that hung on a 1-CPU session and raised ``ArrowInvalid`` on an
+empty side.
 """
 
 from __future__ import annotations
@@ -30,8 +38,13 @@ import pyarrow as pa
 #: the routing column; dropped before the per-bucket function runs
 BUCKET = "__bucket"
 
-#: buckets of a ``bucket_combine`` exchange
+#: buckets of a ``bucket_combine`` or ``bucket_cogroup`` exchange
 NUM_BUCKETS = 64
+
+#: ``bucket_cogroup``'s packed columns: the side (0 left, 1 right) and
+#: one bucket's rows of one batch of that side as an Arrow IPC stream
+_SIDE = "__side"
+_PAYLOAD = "__payload"
 
 #: the op that folds each aggregate's per-batch partials into its total
 _FINAL = {"sum": "sum", "count": "sum", "count_all": "sum",
@@ -94,26 +107,120 @@ def bucket_apply(ds, key, fn, *, schema, num_buckets: int):
         cols = [t[k].combine_chunks() for k in keys]
         return t.append_column(BUCKET, key_bucket(cols, num_buckets))
 
-    if isinstance(schema, pa.Schema):
-        schema = dict(zip(schema.names, schema.types))
-
     def apply(t: pa.Table) -> pa.Table:
         body = t.drop_columns([BUCKET])
-        out = fn(body)
-        if not isinstance(out, pa.Table):
-            out = pa.Table.from_pandas(out, preserve_index=False)
-        declared = schema or {name: name for name in out.column_names}
-        return out.select(list(declared)).cast(pa.schema([
-            (name, body.schema.field(typ).type if isinstance(typ, str) else typ)
-            for name, typ in declared.items()
-        ]))
+        return _cast(fn(body), schema, [body.schema])
 
-    apply.__name__ = fn.__name__  # names the operator in Ray's stats
-    return (
-        ds.map_batches(route, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(BUCKET)
-        .map_groups(apply, batch_format="pyarrow")
-    )
+    routed = ds.map_batches(route, batch_format="pyarrow", zero_copy_batch=True)
+    return _exchange(routed, apply, fn.__name__)
+
+
+def _cast(out, schema, inputs: list) -> pa.Table:
+    """``out`` (a ``pa.Table`` or pandas DataFrame) as the declared
+    ``schema``: a ``pa.Schema``, or a dict of output column ->
+    ``pa.DataType`` or the name of the input column whose type it
+    carries, looked up in the first of the ``inputs`` schemas that holds
+    it; ``None`` keeps ``out``'s columns, each typed as the input column
+    of that name."""
+    if not isinstance(out, pa.Table):
+        out = pa.Table.from_pandas(out, preserve_index=False)
+    if isinstance(schema, pa.Schema):
+        schema = dict(zip(schema.names, schema.types))
+    declared = schema or {name: name for name in out.column_names}
+
+    def typed(typ):
+        if not isinstance(typ, str):
+            return typ
+        for s in inputs:
+            if typ in s.names:
+                return s.field(typ).type
+        raise KeyError(f"no input column {typ!r} to take a type from")
+
+    return out.select(list(declared)).cast(pa.schema([
+        (name, typed(typ)) for name, typ in declared.items()
+    ]))
+
+
+def _exchange(routed, apply, name: str):
+    """Run ``apply`` once per value of the ``BUCKET`` column that
+    ``routed`` already carries: the one sort shuffle of this module."""
+    apply.__name__ = name  # names the operator in Ray's stats
+    return routed.groupby(BUCKET).map_groups(apply, batch_format="pyarrow")
+
+
+def _pack(t: pa.Table, keys: list, side: int, num_buckets: int) -> pa.Table:
+    """One ``(BUCKET, _SIDE, _PAYLOAD)`` row per bucket: the rows of
+    ``t`` whose ``keys`` hash into it, as an Arrow IPC stream. Empty
+    slices are packed too, so each bucket learns the side's schema."""
+    import numpy as np
+
+    bucket = key_bucket([t[k].combine_chunks() for k in keys],
+                        num_buckets).to_numpy()
+    t = t.take(np.argsort(bucket, kind="stable"))
+    ends = np.cumsum(np.bincount(bucket, minlength=num_buckets))
+    payloads = []
+    for end, n in zip(ends, np.diff(ends, prepend=0)):
+        sink = pa.BufferOutputStream()
+        with pa.ipc.new_stream(sink, t.schema) as writer:
+            writer.write_table(t.slice(end - n, n))
+        payloads.append(sink.getvalue().to_pybytes())
+    return pa.table({
+        BUCKET: pa.array(np.arange(num_buckets, dtype=np.int32)),
+        _SIDE: pa.array(np.full(num_buckets, side, np.int8)),
+        _PAYLOAD: pa.array(payloads, pa.large_binary()),
+    })
+
+
+def bucket_cogroup(left, right, keys, right_keys, fn, *, num_buckets: int,
+                   schema=None):
+    """Run ``fn(l, r)`` on every hash bucket of two Datasets and return
+    the union of its outputs: ``l`` holds the bucket's rows of ``left``
+    by ``keys`` and ``r`` those of ``right`` by ``right_keys`` (a column
+    name or a list of them each), so rows with equal keys on either side
+    meet in one call (the two sides' keys have the same types, as an
+    Arrow join requires). Each is a ``pa.Table`` with its own side's
+    schema, or ``None`` when that side produced no rows at all.
+
+    Each batch is packed into one ``(BUCKET, side, Arrow IPC payload)``
+    row per bucket, empty slices included, and both sides' packed rows
+    run through ``bucket_apply``'s exchange. Ray's sort drops zero-row
+    blocks before it concatenates a partition, so a bucket that received
+    only empty slices of one side would otherwise never see that side's
+    columns; packed, every routed block has the same three columns and
+    every bucket sees both schemas whenever both sides have rows.
+
+    ``fn`` returns a ``pa.Table`` (or a pandas DataFrame when ``schema``
+    is given), or ``None`` for no rows, which becomes a column-less
+    block like the ones Ray's sort emits. ``schema`` declares the output
+    as in ``bucket_apply`` (a name stands for that column of ``l``, else
+    of ``r``); ``None`` keeps the table ``fn`` returns.
+    """
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    right_keys = [right_keys] if isinstance(right_keys, str) else list(right_keys)
+
+    def packer(side: int, on: list):
+        def pack(t: pa.Table) -> pa.Table:
+            return _pack(t, on, side, num_buckets)
+
+        return pack
+
+    def apply(t: pa.Table) -> pa.Table:
+        sides = ([], [])
+        for side, payload in zip(t[_SIDE].to_pylist(),
+                                 t[_PAYLOAD].combine_chunks()):
+            sides[side].append(pa.ipc.open_stream(payload.as_buffer()).read_all())
+        l, r = (pa.concat_tables(parts, promote_options="permissive")
+                if parts else None for parts in sides)
+        out = fn(l, r)
+        if out is None:
+            return pa.table({})
+        if schema is None:
+            return out
+        return _cast(out, schema, [s.schema for s in (l, r) if s is not None])
+
+    packed = left.map_batches(packer(0, keys), batch_format="pyarrow").union(
+        right.map_batches(packer(1, right_keys), batch_format="pyarrow"))
+    return _exchange(packed, apply, fn.__name__)
 
 
 def _group(t: pa.Table, keys: list, aggs: dict) -> pa.Table:

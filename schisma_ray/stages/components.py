@@ -34,31 +34,6 @@ import pyarrow as pa
 from ._bucket import bucket_apply
 
 
-def derive_join_partitions(*datasets) -> int:
-    """Partition count for Ray's native hash-shuffle join. Materialized
-    inputs contribute their known block count; LAZY inputs raise inside
-    num_blocks() and fall back to cluster CPUs — still per-cluster-size
-    rather than a hardcoded constant, so the same call site works at
-    sf0.01 and at 40x without retuning. (Most call sites pass lazy
-    datasets, so CPU count is the common path.)"""
-    best = 0
-    for ds in datasets:
-        try:
-            n = ds.num_blocks()
-        except Exception:
-            n = None
-        if n:
-            best = max(best, int(n))
-    if not best:
-        try:
-            import ray
-
-            best = int(ray.cluster_resources().get("CPU", 8))
-        except Exception:
-            best = 8
-    return max(2, min(256, best))
-
-
 def _union_find(edges: list[tuple]) -> dict:
     parent: dict = {}
     nodes: set = set()
@@ -275,28 +250,21 @@ def near_dedup_survivors(ds, pairs, id_col: str,
       non-keeper LABEL ids (small by construction) are collected.
     * ``join``: the labels stay a DATASET end-to-end — the distributed
       component labels are filtered to non-keepers and anti-joined
-      against the corpus via Ray's native hash-shuffle join (left outer
-      + null-marker filter). The path for duplicate-heavy corpora where
-      the drop set is itself corpus-sized.
+      against the corpus per hash bucket (``join.shuffle_hash_join``,
+      left anti). The path for duplicate-heavy corpora where the drop
+      set is itself corpus-sized.
     """
     import pyarrow.compute as pc
     import ray
 
     pairs_is_table = isinstance(pairs, pa.Table)
     if strategy == "join":
-        if pairs_is_table and pairs.num_rows == 0:
-            return ds.map_batches(
-                lambda t: t.select([id_col]),
-                batch_format="pyarrow", zero_copy_batch=True,
-            )
+        from .join import shuffle_hash_join
+
         labels = components_distributed(pairs)
         drop_ds = labels.map_batches(
-            lambda t: pa.table(
-                {
-                    "node": t["node"],
-                    "__dup": pa.array([1] * t.num_rows, pa.int8()),
-                }
-            ).filter(pc.invert(pc.equal(t["node"], t["component"]))),
+            lambda t: t.filter(pc.invert(pc.equal(t["node"], t["component"])))
+            .select(["node"]),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
@@ -304,25 +272,8 @@ def near_dedup_survivors(ds, pairs, id_col: str,
             lambda t: t.select([id_col]),
             batch_format="pyarrow", zero_copy_batch=True,
         )
-        parts = derive_join_partitions(narrow, drop_ds)
-        # normalize the blocks before the hash-shuffle join: the label
-        # chain's sort exchanges emit a COLUMN-LESS block for every
-        # partition that receives no rows (map stages skip empty blocks,
-        # so they reach here untouched) and the join aggregator raises
-        # "No match ... FieldRef.Name(node)" on any partition that only
-        # received one; a repartition rewrites every block with the real
-        # schema (empty Arrow blocks are join-safe)
-        drop_ds = drop_ds.repartition(parts)
-        joined = narrow.join(
-            drop_ds, join_type="left_outer",
-            num_partitions=parts,
-            on=(id_col,), right_on=("node",),
-        )
-        return joined.map_batches(
-            lambda t: t.filter(pc.is_null(t["__dup"])).select([id_col]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
+        return shuffle_hash_join(narrow, drop_ds, id_col, "node",
+                                 how="left anti")
 
     if pairs_is_table:
         comp = components_from_pairs(pairs, driver_limit=driver_limit)

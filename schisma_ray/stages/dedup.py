@@ -29,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
+from ._bucket import NUM_BUCKETS, bucket_apply, bucket_cogroup, bucket_combine
 
 #: banded rows a pair stage folds on the driver; beyond it the stage runs
 #: per bucket on the keyed exchange and folds only its pairs
@@ -483,8 +483,9 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
     1. each pair (a, b) becomes two slot rows (id, pair_id, slot),
        hash-bucketed by id;
     2. the corpus projection (id, payload), pre-filtered to candidate
-       ids with one broadcast ``is_in``, is bucketed the same way; a
-       per-bucket vectorized merge attaches the payload to each slot row;
+       ids with one broadcast ``is_in``, meets the slot rows per id
+       bucket (``bucket_cogroup``); a per-bucket Arrow left join
+       attaches each id's payload to its slot rows;
     3. slot rows re-bucket by pair_id; each pair's two rows meet in one
        bucket where ``verify_fn`` runs.
 
@@ -517,7 +518,6 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
                     np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)]),
                     pa.int8(),
                 ),
-                "payload": pa.array([None] * (2 * n), pa.string()),
             }
         )
         slots = rd.from_arrow(slot_tbl)
@@ -548,7 +548,6 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
                         np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)]),
                         pa.int8(),
                     ),
-                    "payload": pa.array([None] * (2 * n), pa.string()),
                 }
             )
 
@@ -560,26 +559,23 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
     def project(t: pa.Table) -> pa.Table:
         idc = pc.cast(t[id_col].combine_chunks(), id_type)
         keep = pc.fill_null(pc.is_in(idc, value_set=ray.get(need_ref)), False)
-        t = pa.table({"id": idc, "payload": pc.cast(t[col].combine_chunks(), pa.string())}).filter(keep)
-        return pa.table(
-            {
-                "id": t["id"],
-                "pair_id": pa.array(np.full(t.num_rows, -1, np.int64), pa.int64()),
-                "slot": pa.array(np.full(t.num_rows, -1, np.int8), pa.int8()),
-                "payload": t["payload"],
-            }
-        )
+        return pa.table({"id": idc, "payload": pc.cast(t[col].combine_chunks(), pa.string())}).filter(keep)
 
     payloads = ds.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
 
-    def attach(t: pa.Table) -> pd.DataFrame:
-        group = t.to_pandas()
-        slots = group[group["slot"] >= 0][["id", "pair_id", "slot"]]
-        texts = group[group["slot"] < 0][["id", "payload"]].drop_duplicates("id")
-        return slots.merge(texts, on="id", how="left")
+    def attach(slots: pa.Table, texts: pa.Table | None) -> pa.Table:
+        # texts hold only slot ids, so a bucket with texts has slots;
+        # each id's first payload joins its slot rows
+        if texts is None:
+            return slots.append_column("payload",
+                                       pa.nulls(slots.num_rows, pa.string()))
+        first = texts.group_by("id", use_threads=False).aggregate(
+            [("payload", "first")])
+        first = pa.table({"id": first["id"], "payload": first["payload_first"]})
+        return slots.join(first, "id", join_type="left outer")
 
-    attached = bucket_apply(
-        slots.union(payloads), "id", attach, num_buckets=num_buckets,
+    attached = bucket_cogroup(
+        slots, payloads, "id", "id", attach, num_buckets=num_buckets,
         schema={"id": "id", "pair_id": pa.int64(), "slot": pa.int8(),
                 "payload": pa.string()})
 
@@ -705,9 +701,10 @@ def minhash_dedup_pairs(ds, col: str, id_col: str, *, threshold: float = 0.8,
       driver-Table case — the pair set is small by construction): the
       candidate texts are fetched with one broadcast-filtered scan and
       verified locally;
-    * beyond it, ``_verify_pairs_bucketed`` joins texts to pairs with
-      two candidate-sized bucketed shuffles — texts never accumulate on
-      the driver (force with verify_driver_limit=0).
+    * beyond it, ``_verify_pairs_bucketed`` attaches texts to pairs
+      per id bucket (``bucket_cogroup``) and verifies per pair bucket,
+      both candidate-sized — texts never accumulate on the driver
+      (force with verify_driver_limit=0).
     """
     if as_dataset:
         cand_ds = minhash_candidate_pairs(
@@ -1031,15 +1028,13 @@ def _hamming64(a: int, b: int) -> int:
 
 
 def simhash_dup_pairs(ds, col: str, id_col: str, *, max_hamming: int = 3,
-                      verify_driver_limit: int = 100_000,
                       as_dataset: bool = False):
     """Near-dup pairs by SimHash banding (4 x 16-bit) + Hamming verify.
 
     Each band group verifies in place (``hamming_near_dup_pairs``):
     ``as_dataset=True`` keeps the whole chain a Dataset (no pair row on
     the driver); otherwise the banded rows fold on the driver, or run
-    per bucket when they are too many (``verify_driver_limit`` is
-    unused).
+    per bucket when they are too many.
 
     That overflow reads the signatures a second time, so the narrow
     (id, int64) signature table is materialized once instead of
@@ -1049,13 +1044,12 @@ def simhash_dup_pairs(ds, col: str, id_col: str, *, max_hamming: int = 3,
     sigs = simhash_signatures(ds, col, id_col).materialize()
     return hamming_near_dup_pairs(
         sigs, sig_col="simhash", id_col=id_col, max_hamming=max_hamming,
-        verify_driver_limit=verify_driver_limit, as_dataset=as_dataset,
+        as_dataset=as_dataset,
     )
 
 
 def hamming_near_dup_pairs(sigs, *, sig_col: str, id_col: str,
                            max_hamming: int = 3, max_bucket: int = 1000,
-                           verify_driver_limit: int = 100_000,
                            as_dataset: bool = False):
     """Near-dup pairs among 64-bit signatures by 4 x 16-bit banding +
     exact Hamming verify — the generalized core behind SimHash text
@@ -1077,8 +1071,7 @@ def hamming_near_dup_pairs(sigs, *, sig_col: str, id_col: str,
     ``bucket_apply`` followed by one ``bucket_combine`` distinct over
     (a, b) (``as_dataset=True``, and folded on the driver beyond
     ``_DRIVER_FOLD_ROWS`` banded rows), or once over all banded rows on
-    the driver. ``verify_driver_limit`` is accepted and unused: no
-    verification step ever looks signatures up.
+    the driver.
     """
 
     def bands(batch: pa.Table) -> pa.Table:
@@ -1260,8 +1253,8 @@ def cross_corpus_duplicates(new_ds, base_ds, *, col: str = "text",
       10^9-doc corpus is ~16 GB, still broadcastable) and ``ray.put``
       once; the new corpus streams through one vectorized ``is_in``.
     * ``shuffle``: for base corpora too big to broadcast — both sides'
-      fingerprints hash-bucket, and each bucket runs one vectorized
-      semi-join (``is_in`` against the bucket's distinct base set).
+      fingerprints meet per hash bucket (``bucket_cogroup``), and each
+      bucket runs one Arrow semi-join against its base fingerprints.
       One all-to-all over (id, fingerprint) narrow rows only.
     """
     import pyarrow.compute as pc
@@ -1296,53 +1289,14 @@ def cross_corpus_duplicates(new_ds, base_ds, *, col: str = "text",
         return new_fp.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
 
     if strategy == "shuffle":
-        # the two sides union, so base rows need a typed null id column
-        schema = new_fp.schema()
-        base_schema = getattr(schema, "base_schema", schema)
-        id_type = base_schema.field(id_col).type
+        def semi(new: pa.Table | None, base: pa.Table | None):
+            # a side without fingerprints at all leaves no duplicate
+            if new is None or base is None:
+                return None
+            return new.join(base, "fingerprint", join_type="left semi")
 
-        def tag_new(t: pa.Table) -> pa.Table:
-            fp = t["fingerprint"].combine_chunks()
-            t = pa.table({id_col: t[id_col], "fingerprint": fp}).filter(
-                pc.is_valid(fp))
-            return t.append_column(
-                "side", pa.array(np.ones(t.num_rows, np.int8), pa.int8()))
-
-        def tag_base(t: pa.Table) -> pa.Table:
-            fp = t["fingerprint"].combine_chunks()
-            return pa.table(
-                {
-                    id_col: pa.array([None] * len(fp), id_type),
-                    "fingerprint": fp,
-                    "side": pa.array(np.zeros(len(fp), np.int8), pa.int8()),
-                }
-            )
-
-        tagged_new = new_fp.map_batches(
-            tag_new, batch_format="pyarrow", zero_copy_batch=True
-        )
-        tagged_base = base_fp.map_batches(
-            tag_base, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-        def semi(group: pa.Table) -> pa.Table:
-            is_new = pc.equal(group["side"], 1)
-            new_rows = group.filter(is_new)
-            base_keys = pc.unique(
-                group.filter(pc.invert(is_new))["fingerprint"].combine_chunks()
-            )
-            hit = pc.fill_null(
-                pc.is_in(
-                    new_rows["fingerprint"].combine_chunks(), value_set=base_keys
-                ),
-                False,
-            )
-            return new_rows.filter(hit)
-
-        return bucket_apply(
-            tagged_new.union(tagged_base), "fingerprint", semi,
-            num_buckets=num_buckets,
-            schema={id_col: id_type, "fingerprint": pa.string()})
+        return bucket_cogroup(new_fp, base_fp, "fingerprint", "fingerprint",
+                              semi, num_buckets=num_buckets)
 
     raise ValueError(f"unknown strategy {strategy!r}")
 

@@ -10,13 +10,15 @@ attaching columns of a dimension table to a fact stream:
   probe. The right shape whenever the dimension side fits the object
   store (the common case: dimensions are orders of magnitude smaller
   than facts).
-* ``shuffle_hash_join`` — delegates to Ray Data's native hash-shuffle
-  ``Dataset.join`` (both sides repartition on the key, per-partition
-  hash joins). The fallback when the dimension side outgrows a
-  broadcast; ``num_partitions`` is the shuffle width.
+* ``shuffle_hash_join`` — both sides hash their key into
+  ``_bucket.NUM_BUCKETS`` buckets and meet per bucket on
+  ``bucket_cogroup``, the package's one keyed exchange; each bucket runs
+  one Arrow join (inner, left outer, full outer, left semi, left anti).
+  The path when the dimension side outgrows a broadcast.
+  ``salted_shuffle_join`` is its skew-aware form.
 
-Both match ANSI inner/left-outer semantics (duplicate right keys
-multiply rows), verified against DuckDB oracles.
+Both match ANSI semantics (duplicate right keys multiply rows, null
+keys never match), verified against DuckDB oracles.
 """
 
 from __future__ import annotations
@@ -54,34 +56,74 @@ def broadcast_hash_join(ds, ref, on: str, right_on: str | None = None,
     return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def shuffle_hash_join(ds, ref, on: str, right_on: str | None = None,
-                      *, how: str = "inner", num_partitions: int | None = None):
-    """Hash-shuffle equi-join via Ray Data's native ``Dataset.join``.
-    ``num_partitions=None`` derives the shuffle width from input blocks
-    / cluster CPUs instead of a hardcoded constant."""
+def _known_schema(ds) -> pa.Schema | None:
+    """The schema of an Arrow table, or the Arrow schema Ray knows for
+    a Dataset without executing it."""
+    if isinstance(ds, pa.Table):
+        return ds.schema
+    schema = ds.schema(fetch_if_missing=False)
+    schema = getattr(schema, "base_schema", schema)
+    return schema if isinstance(schema, pa.Schema) else None
+
+
+def shuffle_hash_join(ds, ref, on, right_on=None, *, how: str = "inner"):
+    """Equi-join ``ds`` with ``ref`` (a Dataset or an Arrow table) on
+    ``on`` = ``right_on`` (a column name or a list of them): both sides
+    meet per hash bucket on ``bucket_cogroup`` and each bucket runs one
+    Arrow join. ``how`` is an Arrow join type: "inner", "left outer",
+    "full outer", "left semi" or "left anti". Keys are coalesced into
+    the left's key columns, null keys never match and duplicate right
+    keys multiply rows.
+
+    A side that produced no rows at all joins as an empty table of its
+    schema: an Arrow table's, or the one Ray knows for a Dataset without
+    executing it (often none for a lazy or empty one). Without one, the
+    side's key columns stand in for it, unless the join keeps the other
+    side's unmatched rows (left outer, full outer), whose columns from
+    the empty side could then not be typed: that raises a ValueError.
+    """
     import ray.data as rd
 
-    from .components import derive_join_partitions
+    from ._bucket import NUM_BUCKETS, bucket_cogroup
 
-    if not hasattr(ref, "join"):
+    known = _known_schema(ds), _known_schema(ref)
+    if not hasattr(ref, "map_batches"):
         ref = rd.from_arrow(ref)
-    return ds.join(
-        ref,
-        join_type=("left_outer" if how == "left outer" else how),
-        num_partitions=num_partitions or derive_join_partitions(ds, ref),
-        on=(on,),
-        right_on=(right_on or on,),
-    )
+    keys = [on] if isinstance(on, str) else list(on)
+    right_keys = (keys if right_on is None else
+                  [right_on] if isinstance(right_on, str) else list(right_on))
+    keeps_unmatched = {"left outer": ("right",),
+                       "full outer": ("left", "right")}.get(how, ())
+
+    def stand_in(side: str, schema, other: pa.Table, own_keys, other_keys):
+        if schema is not None:
+            return schema.empty_table()
+        if side in keeps_unmatched:
+            raise ValueError(
+                f"the {side} side of a {how} join produced no rows and its "
+                "schema is unknown, so its columns cannot be typed; pass "
+                "an Arrow table or a Dataset whose schema Ray knows")
+        return pa.table({k: other[o].slice(0, 0)
+                         for k, o in zip(own_keys, other_keys)})
+
+    def join(l: pa.Table | None, r: pa.Table | None) -> pa.Table:
+        if l is None:
+            l = stand_in("left", known[0], r, keys, right_keys)
+        if r is None:
+            r = stand_in("right", known[1], l, right_keys, keys)
+        return l.join(r, keys=keys, right_keys=right_keys, join_type=how)
+
+    return bucket_cogroup(ds, ref, keys, right_keys, join,
+                          num_buckets=NUM_BUCKETS)
 
 
 def salted_shuffle_join(ds, ref, on: str, right_on: str | None = None,
-                        *, salt_on: str, salt: int = 8, how: str = "inner",
-                        num_partitions: int | None = None):
-    """Skew-aware hash-shuffle equi-join: a HOT join key no longer lands
-    in one straggler partition.
+                        *, salt_on: str, salt: int = 8, how: str = "inner"):
+    """Skew-aware shuffle equi-join: a HOT join key no longer lands
+    in one straggler bucket.
 
-    A plain hash-shuffle join routes every fact row for a key to one
-    partition — at web scale one dominant key (the top domain, the bot
+    A plain shuffle join routes every fact row for a key to one
+    bucket — at web scale one dominant key (the top domain, the bot
     user) turns the join into a single-task tail. Salting splits it:
 
     * fact side gets ``_salt = hash(salt_on) % salt`` — ``salt_on`` is a
@@ -91,8 +133,8 @@ def salted_shuffle_join(ds, ref, on: str, right_on: str | None = None,
     * dimension side is replicated once per salt value (cost: the
       explicit ``salt``x dimension shuffle traffic traded against the
       hot key's entire fact volume in one task);
-    * the join runs on the composite ``(key, _salt)`` and the salt
-      columns are dropped — output rows are exactly the unsalted
+    * ``shuffle_hash_join`` runs on the composite ``(key, _salt)`` and
+      the salt column is dropped — output rows are exactly the unsalted
       join's, every fact row probes exactly one replica of its key.
 
     ``how``: "inner" or "left outer" (each left row still finds its
@@ -100,7 +142,6 @@ def salted_shuffle_join(ds, ref, on: str, right_on: str | None = None,
     import ray.data as rd
 
     from ._bucket import key_bucket
-    from .components import derive_join_partitions
 
     if not hasattr(ref, "map_batches"):
         ref = rd.from_arrow(ref)
@@ -120,46 +161,11 @@ def salted_shuffle_join(ds, ref, on: str, right_on: str | None = None,
                           zero_copy_batch=True)
     right = ref.map_batches(replicate_dim, batch_format="pyarrow",
                             zero_copy_batch=True)
-    joined = left.join(
-        right,
-        join_type=("left_outer" if how == "left outer" else how),
-        num_partitions=num_partitions or derive_join_partitions(ds, ref),
-        on=(on, "_salt"),
-        right_on=((right_on or on), "_salt_r"),
-    )
-
-    # Ray's join coalesces right keys into the left's columns, so only
-    # the left "_salt" survives — drop whichever salt columns exist.
-    def drop_salt(t: pa.Table) -> pa.Table:
-        return t.drop_columns(
-            [c for c in ("_salt", "_salt_r") if c in t.column_names]
-        )
-
-    return joined.map_batches(drop_salt, batch_format="pyarrow",
-                              zero_copy_batch=True)
-
-
-def full_outer_join(ds, ref, on: str, right_on: str | None = None,
-                    *, num_partitions: int | None = None):
-    """FULL OUTER hash-shuffle equi-join: rows of either side without a
-    partner survive with the other side's columns null — the
-    reconciliation shape (expected-vs-observed manifests, two snapshot
-    versions). Thin wrapper over Ray Data's native ``full_outer`` join
-    so the join-type matrix (inner / left / full / semi / anti) is
-    complete in one module."""
-    import ray.data as rd
-
-    from .components import derive_join_partitions
-
-    if not hasattr(ref, "join"):
-        ref = rd.from_arrow(ref)
-    return ds.join(
-        ref,
-        join_type="full_outer",
-        num_partitions=num_partitions or derive_join_partitions(ds, ref),
-        on=(on,),
-        right_on=(right_on or on,),
-    )
+    joined = shuffle_hash_join(left, right, [on, "_salt"],
+                               [right_on or on, "_salt_r"], how=how)
+    # the right "_salt_r" key is coalesced into the left's "_salt"
+    return joined.map_batches(lambda t: t.drop_columns(["_salt"]),
+                              batch_format="pyarrow", zero_copy_batch=True)
 
 
 def range_join(ds, intervals, *, ts_col: str, start_col: str, end_col: str,

@@ -8,10 +8,10 @@ Two strategies (SURVEY.md §2 joins/lookups):
   Right whenever the id set fits comfortably in the object store (a
   10^9-id string set is a few tens of GB — prefer the shuffle path
   beyond that).
-* ``shuffle`` — both sides are unioned with a side tag and exchanged
-  by key hash bucket (``bucket_apply``); each bucket performs a local
-  Arrow anti-join. One all-to-all over (key, tag) pairs only —
-  bytes-light even at 10^12 rows.
+* ``shuffle`` — both sides' keys meet per hash bucket
+  (``bucket_cogroup``); each bucket performs a local Arrow anti-join.
+  One all-to-all over the key columns only — bytes-light even at
+  10^12 rows.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..sources.image_table import VIOLATION_SCHEMA
-from ._bucket import bucket_apply
+from ._bucket import bucket_cogroup
 
 
 def _violation_table(ids: pa.Array, column: str) -> pa.Table:
@@ -84,36 +84,27 @@ def referential_violations(
     if strategy == "shuffle":
         import ray.data as rd
 
-        def tag(side: str):
-            def fn(batch: pa.Table) -> pa.Table:
-                col = pc.cast(batch[column].combine_chunks(), pa.string())
-                col = col.filter(pc.is_valid(col))
-                return pa.table({"key": col,
-                                 "side": pa.array([side] * len(col), pa.string())})
+        def keys(batch: pa.Table) -> pa.Table:
+            col = pc.cast(batch[column].combine_chunks(), pa.string())
+            return pa.table({"key": col.filter(pc.is_valid(col))})
 
-            return fn
-
-        fact = ds.map_batches(tag("fact"), batch_format="pyarrow")
         if not hasattr(reference_ids, "map_batches"):
             tbl = reference_ids if isinstance(reference_ids, pa.Table) else pa.table({column: reference_ids})
             reference_ids = rd.from_arrow(tbl)
-        ref = reference_ids.map_batches(tag("ref"), batch_format="pyarrow")
 
-        def anti(group: pa.Table) -> pa.Table:
-            # one vectorized Arrow left-anti join per BUCKET (not per key):
-            # num_buckets group tasks total, each O(bucket) hash-join work
-            facts = group.filter(pc.equal(group["side"], "fact")).select(["key"])
-            refs = (
-                group.filter(pc.equal(group["side"], "ref"))
-                .select(["key"])
-                .group_by("key")
-                .aggregate([])  # distinct — keeps the join build side minimal
-            )
-            orphans = facts.join(refs, keys="key", join_type="left anti")
-            return _violation_table(orphans["key"].combine_chunks(), column)
+        def anti(facts: pa.Table | None, refs: pa.Table | None) -> pa.Table:
+            # one vectorized Arrow left-anti join per BUCKET (not per key)
+            if facts is None:
+                return VIOLATION_SCHEMA.empty_table()
+            if refs is not None:
+                facts = facts.join(refs, keys="key", join_type="left anti")
+            return _violation_table(facts["key"].combine_chunks(), column)
 
-        return bucket_apply(fact.union(ref), "key", anti,
-                            num_buckets=num_buckets, schema=VIOLATION_SCHEMA)
+        return bucket_cogroup(
+            ds.map_batches(keys, batch_format="pyarrow"),
+            reference_ids.map_batches(keys, batch_format="pyarrow"),
+            "key", "key", anti, num_buckets=num_buckets,
+            schema=VIOLATION_SCHEMA)
 
     raise ValueError(f"unknown strategy {strategy!r}")
 

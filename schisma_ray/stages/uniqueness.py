@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..sources.image_table import VIOLATION_SCHEMA
-from ._bucket import bucket_combine
+from ._bucket import NUM_BUCKETS, bucket_cogroup, bucket_combine
 from ._fold import fold_table
 
 
@@ -263,35 +263,25 @@ def uniqueness_violations(ds, column: str, id_column: str = "image_id",
       broadcast; one vectorized ``is_in`` re-scan emits violations. Right
       while duplicates are rare (the common case for a uniqueness check).
     * ``join``: the duplicate keys stay a DATASET and semi-join the
-      input via Ray's native hash-shuffle join — the path for
+      input per hash bucket (``bucket_cogroup``) — the path for
       duplicate-heavy tables where the dup-key set outgrows a broadcast.
     * ``bloom``: counting-Bloom prefilter (``duplicate_keys_bloom``) —
       the extreme-cardinality path where even per-batch partials are too
       much traffic; exact after the second pass.
     """
     if strategy == "join":
-        # materialize the (bounded: distinct duplicated keys) dup set:
-        # Ray's join cannot digest schema-less empty blocks, and the
-        # 0-duplicate case must short-circuit rather than join
-        dup_ds = duplicate_keys_ds(ds, column).materialize()
-        if dup_ds.count() == 0:
-            import ray.data as rd
-
-            return rd.from_arrow(VIOLATION_SCHEMA.empty_table())
         narrow = ds.map_batches(
             lambda t: t.select([id_column, column]),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        from .components import derive_join_partitions
 
-        hit = narrow.join(dup_ds, join_type="inner",
-                          num_partitions=derive_join_partitions(narrow, dup_ds),
-                          on=(column,))
-
-        def emit_rows(t: pa.Table) -> pa.Table:
+        def emit_rows(rows: pa.Table | None, dups: pa.Table | None) -> pa.Table:
             from .validate import stringify_column
 
+            if rows is None or dups is None:
+                return VIOLATION_SCHEMA.empty_table()
+            t = rows.join(dups, column, join_type="left semi")
             n = t.num_rows
             return pa.Table.from_arrays(
                 [
@@ -306,8 +296,9 @@ def uniqueness_violations(ds, column: str, id_column: str = "image_id",
                 schema=VIOLATION_SCHEMA,
             )
 
-        return hit.map_batches(emit_rows, batch_format="pyarrow",
-                               zero_copy_batch=True)
+        return bucket_cogroup(narrow, duplicate_keys_ds(ds, column), column,
+                              column, emit_rows, num_buckets=NUM_BUCKETS,
+                              schema=VIOLATION_SCHEMA)
 
     if strategy == "bloom":
         dup = duplicate_keys_bloom(ds, column)

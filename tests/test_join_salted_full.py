@@ -1,5 +1,6 @@
-"""Round-4 join additions: skew-aware salted shuffle join and the
-full-outer reconciliation join (completing the join-type matrix)."""
+"""Shuffle joins: the skew-aware salted join, the full-outer
+reconciliation join, and the bucketed shuffle join's edge cases (empty
+sides, buckets without right rows, null and duplicate keys)."""
 
 import numpy as np
 import pyarrow as pa
@@ -82,7 +83,7 @@ def test_salted_join_spreads_hot_key(ray_session):
 
 
 def test_full_outer_join_both_null_sides(ray_session):
-    from schisma_ray.stages.join import full_outer_join
+    from schisma_ray.stages.join import shuffle_hash_join
 
     left = pa.table(
         {"k": pa.array([1, 2, 3], pa.int64()),
@@ -92,8 +93,9 @@ def test_full_outer_join_both_null_sides(ray_session):
         {"rk": pa.array([2, 3, 4], pa.int64()),
          "w": pa.array(["x", "y", "z"])}
     )
-    out = full_outer_join(
+    out = shuffle_hash_join(
         rd.from_arrow(left), rd.from_arrow(right), on="k", right_on="rk",
+        how="full outer",
     ).to_pandas().sort_values("k").reset_index(drop=True)
     assert out.k.tolist() == [1, 2, 3, 4]  # right key coalesced into k
     assert out.v.tolist()[:3] == ["a", "b", "c"] and out.v.isna().tolist()[3]
@@ -132,3 +134,133 @@ def test_winsorize_known_values(ray_session):
     assert w[0] == 5.0 and w[-1] == 95.0 and w[49] == 50.0
     # untouched middle stays identical to the input
     assert out.v.tolist()[10:90] == w[10:90]
+
+
+# --------------------------------------------- shuffle join edge cases
+# Each case is checked against the same join in DuckDB, whose null keys
+# never match.
+
+_LEFT = pa.table({"k": pa.array([1, 2, 2, 3, None, 5], pa.int64()),
+                  "v": pa.array(list("abcdef"))})
+_EMPTY = pa.table({"k2": pa.array([], pa.int64()),
+                   "w": pa.array([], pa.float64())})
+
+
+def _duck(sql: str, **tables) -> list:
+    import duckdb
+
+    con = duckdb.connect()
+    for name, t in tables.items():
+        con.register(name, t)
+    return sorted(con.execute(sql).fetchall(), key=repr)
+
+
+def _rows(ds, cols) -> list:
+    return sorted((tuple(r[c] for c in cols) for r in ds.take_all()), key=repr)
+
+
+def _empty_rights():
+    return {
+        "from_arrow": rd.from_arrow(_EMPTY),
+        "filtered": rd.from_arrow(pa.table({"k2": pa.array([1], pa.int64()),
+                                            "w": pa.array([1.0])}))
+        .filter(lambda row: False),
+    }
+
+
+def test_shuffle_join_empty_right_inner(ray_session):
+    from schisma_ray.stages.join import shuffle_hash_join
+
+    want = _duck("SELECT l.k FROM l JOIN r ON l.k = r.k2", l=_LEFT, r=_EMPTY)
+    assert want == []
+    for name, right in _empty_rights().items():
+        out = shuffle_hash_join(rd.from_arrow(_LEFT).repartition(3), right,
+                                on="k", right_on="k2")
+        assert out.count() == 0, name
+
+
+def test_shuffle_join_empty_right_left_anti(ray_session):
+    from schisma_ray.stages.join import shuffle_hash_join
+
+    want = _duck("SELECT k, v FROM l WHERE NOT EXISTS "
+                 "(SELECT 1 FROM r WHERE r.k2 = l.k)", l=_LEFT, r=_EMPTY)
+    assert len(want) == _LEFT.num_rows
+    for name, right in _empty_rights().items():
+        out = shuffle_hash_join(rd.from_arrow(_LEFT).repartition(3), right,
+                                on="k", right_on="k2", how="left anti")
+        assert _rows(out, ["k", "v"]) == want, name
+
+
+def test_shuffle_join_empty_right_left_outer(ray_session):
+    import pytest
+
+    from schisma_ray.stages.join import shuffle_hash_join
+
+    want = _duck("SELECT l.k, v, w FROM l LEFT JOIN r ON l.k = r.k2",
+                 l=_LEFT, r=_EMPTY)
+    # an Arrow table carries its schema: the right's columns come back
+    # null with their own types
+    out = shuffle_hash_join(rd.from_arrow(_LEFT).repartition(3), _EMPTY,
+                            on="k", right_on="k2", how="left outer")
+    assert _rows(out, ["k", "v", "w"]) == want
+    assert out.schema().base_schema.field("w").type == pa.float64()
+    # a Dataset whose schema Ray does not know: the columns cannot be
+    # typed, which names the empty side instead of hanging or failing
+    # inside Arrow
+    for name, right in _empty_rights().items():
+        out = shuffle_hash_join(rd.from_arrow(_LEFT).repartition(3), right,
+                                on="k", right_on="k2", how="left outer")
+        with pytest.raises(ValueError, match="right side"):
+            out.to_pandas()
+
+
+def test_shuffle_join_buckets_without_right_rows_keep_types(ray_session):
+    """Most buckets get no right row; under left outer their rows still
+    carry the right's typed (null) columns."""
+    from schisma_ray.stages.join import shuffle_hash_join
+
+    left = pa.table({"k": pa.array(range(200), pa.int64()),
+                     "v": pa.array([f"v{i}" for i in range(200)])})
+    right = pa.table({"k2": pa.array([7, 7, 150], pa.int64()),
+                      "w": pa.array([0.5, 1.5, 2.5]),
+                      "tag": pa.array(["x", "y", "z"])})
+    out = shuffle_hash_join(
+        rd.from_arrow(left).repartition(4),
+        rd.from_arrow(right).map_batches(lambda t: t, batch_format="pyarrow"),
+        on="k", right_on="k2", how="left outer").materialize()
+    want = _duck("SELECT l.k, v, w, tag FROM l LEFT JOIN r ON l.k = r.k2",
+                 l=left, r=right)
+    assert _rows(out, ["k", "v", "w", "tag"]) == want
+    for block in out.iter_batches(batch_format="pyarrow", batch_size=None):
+        if block.num_rows:
+            assert block.schema.field("w").type == pa.float64()
+            assert block.schema.field("tag").type == pa.string()
+
+
+def test_shuffle_join_null_keys_never_match(ray_session):
+    from schisma_ray.stages.join import shuffle_hash_join
+
+    right = pa.table({"k2": pa.array([None, 2, 5, None], pa.int64()),
+                      "w": pa.array([1.0, 2.0, 5.0, 9.0])})
+    for how, sql in [("inner", "JOIN"), ("left outer", "LEFT JOIN")]:
+        out = shuffle_hash_join(rd.from_arrow(_LEFT).repartition(2),
+                                rd.from_arrow(right), on="k", right_on="k2",
+                                how=how)
+        want = _duck(f"SELECT l.k, v, w FROM l {sql} r ON l.k = r.k2",
+                     l=_LEFT, r=right)
+        assert _rows(out, ["k", "v", "w"]) == want, how
+    # the null-key left row comes back unmatched under left outer
+    assert (None, "e", None) in want
+
+
+def test_shuffle_join_duplicate_right_keys_multiply(ray_session):
+    from schisma_ray.stages.join import shuffle_hash_join
+
+    right = pa.table({"k2": pa.array([2, 2, 2, 3], pa.int64()),
+                      "w": pa.array([1.0, 2.0, 3.0, 4.0])})
+    out = shuffle_hash_join(rd.from_arrow(_LEFT).repartition(2),
+                            rd.from_arrow(right), on="k", right_on="k2")
+    want = _duck("SELECT l.k, v, w FROM l JOIN r ON l.k = r.k2",
+                 l=_LEFT, r=right)
+    assert len(want) == 7  # two left rows of key 2 times three right rows
+    assert _rows(out, ["k", "v", "w"]) == want

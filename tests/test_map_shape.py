@@ -10,8 +10,12 @@ A pool that a measurement justifies goes into ``MEASURED_POOLS``
 
 One keyed exchange: Ray's ``groupby(key).map_groups`` runs only inside
 ``stages/_bucket.py``. Every other keyed step goes through
-``bucket_apply`` or ``bucket_combine``, which hash the key into a
-bucket, so a nullable key never reaches Ray's sort comparisons.
+``bucket_apply``, ``bucket_combine`` or ``bucket_cogroup``, which hash
+the key into a bucket, so a nullable key never reaches Ray's sort
+comparisons. Joins too: a two-sided keyed step runs on
+``bucket_cogroup`` (``join.shuffle_hash_join`` for a plain equi-join),
+never on Ray's ``Dataset.join``, whose hash shuffle runs on a second
+exchange of aggregator actors.
 """
 
 from __future__ import annotations
@@ -94,3 +98,20 @@ def test_map_groups_only_in_the_keyed_exchange():
                     and node.func.attr == "map_groups"):
                 found.append(f"{rel}:{node.lineno} {owner}")
     assert not found, "map_groups outside the keyed exchange:\n" + "\n".join(found)
+
+
+#: keywords of Ray's ``Dataset.join``; Arrow's ``Table.join`` takes ``keys=``
+RAY_JOIN_KEYWORDS = {"on", "right_on", "num_partitions"}
+
+
+def test_no_ray_dataset_join():
+    found = []
+    for rel, tree in _sources():
+        for owner, node in _functions(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "join"
+                    and any(kw.arg in RAY_JOIN_KEYWORDS
+                            for kw in node.keywords)):
+                found.append(f"{rel}:{node.lineno} {owner}")
+    assert not found, "Ray Dataset.join calls:\n" + "\n".join(found)

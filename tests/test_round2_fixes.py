@@ -193,9 +193,12 @@ def test_minhash_verify_bucketed_matches_driver(ray_session):
     assert drv.num_rows > 0
     assert key(drv) == key(dist)
 
+    # the simhash pairs verify inside their band buckets: the Dataset
+    # chain must give the driver fold's pair set
     drv_s = simhash_dup_pairs(ds, "text", "doc_id", max_hamming=10)
-    dist_s = simhash_dup_pairs(ds, "text", "doc_id", max_hamming=10,
-                               verify_driver_limit=0)
+    dist_s = pa.Table.from_pandas(
+        simhash_dup_pairs(ds, "text", "doc_id", max_hamming=10,
+                          as_dataset=True).to_pandas())
     key_s = lambda t: sorted(zip(t["a"].to_pylist(), t["b"].to_pylist(),
                                  t["hamming"].to_pylist()))
     assert drv_s.num_rows > 0
@@ -219,7 +222,7 @@ def test_join_operators(ray_session):
     left = broadcast_hash_join(l, r, on="k", how="left outer").to_pandas()
     assert len(left) == 6 and left["w"].isna().sum() == 2
     # native shuffle join agrees with the broadcast result
-    sh = shuffle_hash_join(l, rd.from_arrow(r), on="k", num_partitions=4).to_pandas()
+    sh = shuffle_hash_join(l, rd.from_arrow(r), on="k").to_pandas()
     assert sorted(zip(sh["k"], sh["v"], sh["w"])) == sorted(
         zip(inner["k"], inner["v"], inner["w"]))
 
