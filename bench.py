@@ -84,8 +84,8 @@ def run_bench() -> dict:
     from schisma_ray.stages.dedup import minhash_dedup_pairs, simhash_dup_pairs
 
     warm_docs = rd.read_parquet(f"{SF_DIR}/documents.parquet").limit(200).materialize()
-    minhash_dedup_pairs(warm_docs, col="text", id_col="doc_id")
-    simhash_dup_pairs(warm_docs, col="text", id_col="doc_id")
+    minhash_dedup_pairs(warm_docs, col="text", id_col="doc_id").materialize()
+    simhash_dup_pairs(warm_docs, col="text", id_col="doc_id").materialize()
     # start the FULL worker pool (one concurrent sleeping block per CPU):
     # worker process launch + imports are a per-process constant that the
     # first wide stage would otherwise pay inside its timing window

@@ -168,7 +168,7 @@ def q_image_near_dedup_survivors(sf_dir: str):
         sigs, sig_col="phash", id_col="image_id", max_hamming=3
     )
     return _collect(
-        near_dedup_survivors(sigs, pairs.select(["a", "b"]), "image_id"),
+        near_dedup_survivors(sigs, pairs, "image_id"),
         ["image_id"],
     )
 
@@ -2232,27 +2232,22 @@ def q_pack_sequences(sf_dir: str):
 
 
 def q_minhash_dedup_ds(sf_dir: str):
-    """minhash_dedup through the end-to-end DATASET chain (banded pairs
-    -> distributed distinct -> bucketed verify, no pair row ever folded
-    to the driver inside the operator) — same oracle as minhash_dedup,
-    proving the 100-TB path returns identical values."""
+    """The same run as minhash_dedup (the pair producer has one path, a
+    Dataset at every size); same oracle as minhash_dedup."""
     return minhash_dedup_pairs(
         _t(sf_dir, "documents"), col="text", id_col="doc_id", threshold=0.8,
-        as_dataset=True,
     )
 
 
 def q_minhash_dedup_groups_ds(sf_dir: str):
-    """Near-dup survivors with the pair DATASET fed straight into the
-    distributed components + the bucketed shuffle anti-join — the full
-    pairs -> components -> survivors chain without any driver pa.Table
-    hop (VERDICT r2 #1); same oracle as minhash_dedup_groups."""
+    """Near-dup survivors with the pair Dataset fed into the distributed
+    components + the bucketed shuffle anti-join (``strategy="join"``);
+    same oracle as minhash_dedup_groups."""
     from ..stages.components import near_dedup_survivors
 
     docs = _t(sf_dir, "documents")
-    pairs = minhash_dedup_pairs(
-        docs, col="text", id_col="doc_id", threshold=0.8, as_dataset=True
-    )
+    pairs = minhash_dedup_pairs(docs, col="text", id_col="doc_id",
+                                threshold=0.8)
     return _collect(
         near_dedup_survivors(docs, pairs, "doc_id", strategy="join"), ["doc_id"]
     )
@@ -2342,9 +2337,7 @@ def q_embedding_dedup_survivors(sf_dir: str):
     path = seeded_near_dup_embeddings(sf_dir)
     ds = rd.read_parquet(str(path))
     pairs = cosine_near_dup_pairs(ds, threshold=0.9)
-    return _collect(
-        near_dedup_survivors(ds, pairs.select(["a", "b"]), "vec_id"), ["vec_id"]
-    )
+    return _collect(near_dedup_survivors(ds, pairs, "vec_id"), ["vec_id"])
 
 
 def q_embedding_near_dups_seeded(sf_dir: str):
@@ -2391,25 +2384,14 @@ def q_semdedup_survivors(sf_dir: str):
     """SemDeDup end-to-end: within-cluster pairs -> connected components
     -> keep-min-id survivors (the paper keeps one exemplar per semantic
     duplicate group; min-id is the deterministic stand-in for its
-    random/centroid-distance choice). Pairs stay a Dataset into the
-    distributed components path — no driver hop."""
+    random/centroid-distance choice)."""
     from ..stages.components import near_dedup_survivors
     from ..stages.similarity import semdedup_pairs
 
     path, c = _semdedup_inputs(sf_dir)
     ds = rd.read_parquet(str(path))
-    pairs = semdedup_pairs(ds, c, threshold=0.9, max_cluster=None,
-                           as_dataset=True)
-    return _collect(
-        near_dedup_survivors(
-            ds, pairs.map_batches(
-                lambda t: t.select(["a", "b"]),
-                batch_format="pyarrow", zero_copy_batch=True,
-            ),
-            "vec_id",
-        ),
-        ["vec_id"],
-    )
+    pairs = semdedup_pairs(ds, c, threshold=0.9, max_cluster=None)
+    return _collect(near_dedup_survivors(ds, pairs, "vec_id"), ["vec_id"])
 
 
 def q_line_dedup_docs(sf_dir: str):
@@ -8529,7 +8511,7 @@ def q_dedup_yield_report(sf_dir: str):
 
     docs = _t(sf_dir, "documents")
     pairs = minhash_dedup_pairs(docs, col="text", id_col="doc_id",
-                                threshold=0.8, as_dataset=True)
+                                threshold=0.8)
     # bounded by construction (verified near-dup pairs); materialized
     # once so the emptiness probe and the components chain don't
     # re-execute the LSH pipeline (the multi-consumer lesson)
@@ -8713,10 +8695,8 @@ def q_split_leakage_near(sf_dir: str):
             "jaccard": t["jaccard"],
         }).filter(cross)
 
-    if isinstance(pairs, rd.Dataset):
-        return pairs.map_batches(tag, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-    return tag(pairs)
+    return pairs.map_batches(tag, batch_format="pyarrow",
+                             zero_copy_batch=True)
 
 
 def q_split_balance(sf_dir: str):

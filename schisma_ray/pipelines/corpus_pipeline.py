@@ -341,7 +341,7 @@ def prepare_corpus(
 
         pairs = minhash_dedup_pairs(
             prepped, col=text_col, id_col=id_col,
-            threshold=minhash_threshold, as_dataset=True,
+            threshold=minhash_threshold,
         )
         surv_ids = near_dedup_survivors(
             prepped, pairs, id_col, strategy="join"

@@ -120,4 +120,4 @@ def curate_images(table_dir, *, max_hamming: int = 3,
     pairs = hamming_near_dup_pairs(
         sigs, sig_col="phash", id_col="image_id", max_hamming=max_hamming
     )
-    return near_dedup_survivors(sigs, pairs.select(["a", "b"]), "image_id")
+    return near_dedup_survivors(sigs, pairs, "image_id")

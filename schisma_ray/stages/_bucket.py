@@ -29,6 +29,13 @@ the caller's function sees one bucket's rows of each side. It replaces
 Ray's hash-shuffle ``Dataset.join``, a second exchange on aggregator
 actors that hung on a 1-CPU session and raised ``ArrowInvalid`` on an
 empty side.
+
+A keyed step whose input is small runs faster without the exchange:
+Ray's sort shuffle has seconds of fixed cost that dwarfs inputs below
+millions of rows. ``fold_or_apply`` is the one switch between the two:
+it materializes its input once, and by the row count in the block
+metadata either runs the function once on the driver over every row or
+hands the same blocks to ``bucket_apply``.
 """
 
 from __future__ import annotations
@@ -45,6 +52,11 @@ NUM_BUCKETS = 64
 #: one bucket's rows of one batch of that side as an Arrow IPC stream
 _SIDE = "__side"
 _PAYLOAD = "__payload"
+
+#: rows (and bytes) a ``fold_small`` input may hold to fold onto the
+#: driver; beyond either, ``fold_or_apply`` runs per bucket instead
+_DRIVER_FOLD_ROWS = 5_000_000
+_DRIVER_FOLD_BYTES = 1 << 30
 
 #: the op that folds each aggregate's per-batch partials into its total
 _FINAL = {"sum": "sum", "count": "sum", "count_all": "sum",
@@ -117,16 +129,22 @@ def bucket_apply(ds, key, fn, *, schema, num_buckets: int):
 
 def _cast(out, schema, inputs: list) -> pa.Table:
     """``out`` (a ``pa.Table`` or pandas DataFrame) as the declared
-    ``schema``: a ``pa.Schema``, or a dict of output column ->
-    ``pa.DataType`` or the name of the input column whose type it
-    carries, looked up in the first of the ``inputs`` schemas that holds
-    it; ``None`` keeps ``out``'s columns, each typed as the input column
-    of that name."""
+    ``schema`` (see ``resolve_schema``); ``None`` keeps ``out``'s
+    columns, each typed as the input column of that name."""
     if not isinstance(out, pa.Table):
         out = pa.Table.from_pandas(out, preserve_index=False)
+    declared = resolve_schema(
+        schema or {name: name for name in out.column_names}, inputs)
+    return out.select(declared.names).cast(declared)
+
+
+def resolve_schema(schema, inputs: list) -> pa.Schema:
+    """A declared output ``schema`` as a ``pa.Schema``: ``schema`` is a
+    ``pa.Schema``, or a dict of output column -> ``pa.DataType`` or the
+    name of the input column whose type it carries, looked up in the
+    first of the ``inputs`` schemas that holds it."""
     if isinstance(schema, pa.Schema):
-        schema = dict(zip(schema.names, schema.types))
-    declared = schema or {name: name for name in out.column_names}
+        return schema
 
     def typed(typ):
         if not isinstance(typ, str):
@@ -136,9 +154,19 @@ def _cast(out, schema, inputs: list) -> pa.Table:
                 return s.field(typ).type
         raise KeyError(f"no input column {typ!r} to take a type from")
 
-    return out.select(list(declared)).cast(pa.schema([
-        (name, typed(typ)) for name, typ in declared.items()
-    ]))
+    return pa.schema([(name, typed(typ)) for name, typ in schema.items()])
+
+
+def keep_columns(ds, schema: pa.Schema):
+    """``ds`` plus one typed empty block of ``schema``, so an exchange
+    result whose every bucket came out empty (only Ray's column-less
+    sort blocks) still reports ``schema``. The extra operator costs
+    about 0.17 s per exchange on a 4-CPU session (0.40 vs 0.23 s for a
+    20k-row ``bucket_apply``), so only the exchange side of a size
+    switch, where the input is large, pays it."""
+    import ray.data as rd
+
+    return ds.union(rd.from_arrow(schema.empty_table()))
 
 
 def _exchange(routed, apply, name: str):
@@ -264,3 +292,67 @@ def bucket_combine(ds, key, aggs: dict):
                               zero_copy_batch=True)
     return bucket_apply(partials, keys, combine, num_buckets=NUM_BUCKETS,
                         schema={name: name for name in [*keys, *aggs]})
+
+
+def fold_small(ds, limit: int | None = None):
+    """``(mat, rows)``: ``ds`` materialized once, and all its rows as one
+    ``pa.Table`` when the block metadata counts at most ``limit`` of
+    them (``_DRIVER_FOLD_ROWS`` by default) in at most
+    ``_DRIVER_FOLD_BYTES``; else ``rows`` is None and only ``mat`` is
+    left to run on. Neither the count nor a later run on ``mat`` reads
+    ``ds`` again. With no rows, ``rows`` is an empty table of ``ds``'s
+    columns, or of none when no block carries any."""
+    import ray
+
+    mat = ds.materialize()
+    limit = _DRIVER_FOLD_ROWS if limit is None else limit
+    if mat.count() > limit or mat.size_bytes() > _DRIVER_FOLD_BYTES:
+        return mat, None
+    blocks = [t for t in ray.get(mat.to_arrow_refs()) if t.num_columns]
+    full = [t for t in blocks if t.num_rows] or blocks[:1]
+    return mat, pa.concat_tables(full) if full else pa.table({})
+
+
+def fold_or_apply(ds, key, fn, *, schema, combine=None,
+                  num_buckets: int = NUM_BUCKETS):
+    """``bucket_apply(ds, key, fn, schema=schema)``, or ``fn`` run once
+    on the driver over every row of ``ds`` when ``fold_small`` folds
+    them: the same function on both sides of the switch, chosen by the
+    size the materialized input reports, never by a flag. Either way the
+    result is a Dataset of the declared ``schema`` (as in
+    ``bucket_apply``), empty ones included, and ``ds`` runs once.
+
+    One driver call sees every key, so it also folds rows that a
+    per-bucket run emits once per bucket (a pair found under several
+    band keys); on the exchange side ``combine=(keys, aggs)`` folds
+    those with one more exchange on ``keys``, whose buckets each run an
+    Arrow ``group_by(keys)`` with ``aggs`` (as in ``bucket_combine``,
+    each output column named after its input column). Without rows
+    ``fn`` does not run; a column typed by an input column that no
+    block carries (an input without columns, as an all-empty exchange
+    leaves) falls back to int64. The exchange side carries the declared
+    columns through ``keep_columns`` even when no bucket emits a row.
+    """
+    import ray.data as rd
+
+    mat, rows = fold_small(ds)
+    if rows is None:
+        declared = resolve_schema(schema, [mat.schema().base_schema])
+        out = bucket_apply(mat, key, fn, schema=declared,
+                           num_buckets=num_buckets)
+        if combine is not None:
+            keys, aggs = combine
+
+            def fold(t: pa.Table) -> pa.Table:
+                return _group(t, keys, aggs)
+
+            out = bucket_apply(out, keys, fold, schema=declared,
+                               num_buckets=num_buckets)
+        return keep_columns(out, declared)
+    if rows.num_rows:
+        return rd.from_arrow(_cast(fn(rows), schema, [rows.schema]))
+    names = [] if isinstance(schema, pa.Schema) else [
+        t for t in schema.values() if isinstance(t, str)]
+    fallback = pa.schema([(n, pa.int64()) for n in dict.fromkeys(names)])
+    return rd.from_arrow(
+        resolve_schema(schema, [rows.schema, fallback]).empty_table())

@@ -4,8 +4,9 @@ Several operators end with a deliberately SMALL driver-resident result
 (local top-k rows per block, distinct-id arrays, non-keeper label ids,
 |terms|-row partials). They all fold the same way; keeping one
 implementation stops the copies from drifting and gives tests a single
-place to reason about. Never use this on anything O(rows-of-corpus) —
-the Dataset paths exist for that.
+place to reason about. Never use this on anything O(rows-of-corpus):
+a keyed step whose input may be large picks the driver or the keyed
+exchange by its observed size through ``_bucket.fold_or_apply``.
 """
 
 from __future__ import annotations
@@ -21,3 +22,14 @@ def fold_table(ds) -> pa.Table | None:
     ]
     parts = [t for t in parts if t.num_rows]
     return pa.concat_tables(parts) if parts else None
+
+
+def column_type(ds, column: str) -> pa.DataType:
+    """The type of ``column`` in ``ds``, for an empty fold result that
+    must keep its key's type (``pc.is_in`` rejects a null-typed value
+    set); null when no block of ``ds`` carries columns."""
+    schema = ds.schema()
+    base = getattr(schema, "base_schema", schema)
+    if base is None or column not in base.names:
+        return pa.null()
+    return base.field(column).type

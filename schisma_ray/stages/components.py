@@ -4,10 +4,11 @@ Near-dup pairs (MinHash/SimHash/embedding) form a graph; the dedup
 decision needs its connected components (a ~ b ~ c collapses to one
 keeper). Two paths:
 
-* **driver union-find** (default below ``driver_limit`` edges): the
-  verified pair set is orders of magnitude smaller than the corpus by
-  construction, so a path-compressed union-find on the driver is the
-  right tool.
+* **driver union-find** (``components_from_pairs``, and
+  ``near_dedup_survivors`` whenever ``_bucket.fold_small`` folds the
+  pairs): the verified pair set is orders of magnitude smaller than the
+  corpus by construction, so a path-compressed union-find on the driver
+  is the right tool.
 * **distributed min-label propagation with pointer doubling**
   (``components_distributed``) for giant edge sets: labels start as the
   node id; each round co-locates every node's label row with its
@@ -31,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._bucket import bucket_apply
+from ._bucket import bucket_apply, fold_small
 
 
 def _union_find(edges: list[tuple]) -> dict:
@@ -233,20 +234,20 @@ def components_from_pairs(pairs: pa.Table, *, driver_limit: int = 10_000_000) ->
     return tbl.sort_by("node")
 
 
-def near_dedup_survivors(ds, pairs, id_col: str,
-                         *, driver_limit: int = 10_000_000,
+def near_dedup_survivors(ds, pairs, id_col: str, *,
                          strategy: str = "broadcast"):
     """Dataset of surviving ids: every id minus non-keeper dup-group members.
 
-    ``pairs`` may be a driver pa.Table or a pair DATASET (the output of
-    ``minhash_dedup_pairs(as_dataset=True)`` etc.) — with a Dataset the
-    pair rows never land on the driver under either strategy.
+    ``pairs`` is a pair Dataset with columns ``a`` and ``b`` (the output
+    of ``minhash_dedup_pairs`` etc.; other columns are ignored).
 
     * ``broadcast`` (default): the non-survivor set (group members that
       are not the minimum id) is broadcast and filtered out in one
       vectorized pass — the corpus never shuffles. Right while the
       non-survivor set fits the object store (low duplicate rates).
-      With Dataset pairs, components run distributed and only the
+      The components come from one size switch (``_bucket.fold_small``):
+      up to ``_bucket._DRIVER_FOLD_ROWS`` pairs fold into a driver
+      union-find; beyond it they run distributed, and only the
       non-keeper LABEL ids (small by construction) are collected.
     * ``join``: the labels stay a DATASET end-to-end — the distributed
       component labels are filtered to non-keepers and anti-joined
@@ -257,7 +258,6 @@ def near_dedup_survivors(ds, pairs, id_col: str,
     import pyarrow.compute as pc
     import ray
 
-    pairs_is_table = isinstance(pairs, pa.Table)
     if strategy == "join":
         from .join import shuffle_hash_join
 
@@ -275,15 +275,16 @@ def near_dedup_survivors(ds, pairs, id_col: str,
         return shuffle_hash_join(narrow, drop_ds, id_col, "node",
                                  how="left anti")
 
-    if pairs_is_table:
-        comp = components_from_pairs(pairs, driver_limit=driver_limit)
+    mat, rows = fold_small(pairs)
+    if rows is not None:
+        comp = components_from_pairs(rows)
         keep_mask = pc.equal(comp["node"], comp["component"])
         drop_tbl = comp.filter(pc.invert(keep_mask))
         drop_nodes = drop_tbl["node"].combine_chunks()
     else:
-        # Dataset pairs: components run distributed; collect only the
-        # non-keeper label ids (never the pair rows)
-        labels = components_distributed(pairs)
+        # too many pairs to fold: components run distributed; collect
+        # only the non-keeper label ids (never the pair rows)
+        labels = components_distributed(mat)
         non_keepers = labels.map_batches(
             lambda t: pa.table(
                 {"node": t.filter(

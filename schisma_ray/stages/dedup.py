@@ -15,6 +15,15 @@ Four families (the dedup battery a training-data pipeline needs):
   hole); candidates verified by true Hamming distance.
 * **n-gram Jaccard** — the verification kernel, exposed standalone.
 
+Every pair producer returns a Dataset with its declared columns, empty
+or not, at every size. Two size switches pick where the work runs, by
+what the materialized input reports, never by a flag: pair emission
+runs through ``_bucket.fold_or_apply`` (once on the driver up to
+``_bucket._DRIVER_FOLD_ROWS`` banded rows, else per hash bucket), and
+candidate verification through ``_verify_candidates`` (a driver
+broadcast fetch up to ``_VERIFY_DRIVER_PAIRS`` candidates, else
+``_verify_pairs_bucketed``).
+
 All hashing is seeded/deterministic (pandas hash_array + splitmix-style
 mixing), so outputs are reproducible across runs and cluster sizes.
 """
@@ -29,11 +38,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ._bucket import NUM_BUCKETS, bucket_apply, bucket_cogroup, bucket_combine
+from ._bucket import (bucket_apply, bucket_cogroup, bucket_combine,
+                      fold_or_apply, fold_small, keep_columns, resolve_schema)
 
-#: banded rows a pair stage folds on the driver; beyond it the stage runs
-#: per bucket on the keyed exchange and folds only its pairs
-_DRIVER_FOLD_ROWS = 5_000_000
+#: candidate pairs whose payloads the driver fetches and verifies itself;
+#: beyond it each pair verifies in a bucket (``_verify_pairs_bucketed``)
+_VERIFY_DRIVER_PAIRS = 100_000
 
 #: the empty (a, b) id-pair table
 _NO_PAIRS = pa.schema([("a", pa.int64()), ("b", pa.int64())]).empty_table()
@@ -153,9 +163,11 @@ def winnow_overlap_pairs(ds, col: str, id_col: str, *, k: int = 8,
     """Candidate near-dup/plagiarism pairs: docs sharing >= min_shared
     winnow fingerprints. Same banded-bucket shape as MinHash LSH — the
     all-to-all carries (fingerprint, id) rows only."""
+    from ._fold import fold_table
+
     fps = winnow_fingerprints(ds, col, id_col, k=k, window=window)
-    cand = _bucket_pairs(fps, ["fingerprint"], id_col, max_bucket)
-    if cand.num_rows == 0:
+    cand = fold_table(_bucket_pairs(fps, ["fingerprint"], id_col, max_bucket))
+    if cand is None:
         return pa.table({"a": pa.array([], pa.int64()),
                          "b": pa.array([], pa.int64()),
                          "shared": pa.array([], pa.int64())})
@@ -354,24 +366,14 @@ def _band_rows(batch: pa.Table, id_col: str, bands: int, rows_per_band: int) -> 
     )
 
 
-def _fold_pairs(pairs_ds) -> pa.Table:
-    """Driver fold of a PAIR dataset -> pa.Table. Every driver hop for
-    candidate/verified pair tables in this module goes through here, so
-    tests can disable it outright and prove the ``as_dataset`` chain
-    never collects pairs (VERDICT r2 #1)."""
-    from ._fold import fold_table
-
-    return fold_table(pairs_ds)
-
-
 def minhash_candidate_pairs(ds, col: str, id_col: str, *, num_perm: int = 64,
                             bands: int = 16, shingle: int = 3, seed: int = 1234,
-                            max_bucket: int = 1000, as_dataset: bool = False):
-    """LSH candidate pairs (a < b) from banded MinHash signatures.
+                            max_bucket: int = 1000):
+    """LSH candidate pairs (a < b) from banded MinHash signatures, as a
+    Dataset (see ``_pair_shapes``).
 
     The signature stage is a task fused into the read (the permutation
-    table costs microseconds to build). ``as_dataset=True`` returns the
-    pair Dataset without any driver fold (the 100-TB path).
+    table costs microseconds to build).
     """
     rows_per_band = num_perm // bands
     sigs = ds.map_batches(
@@ -384,42 +386,17 @@ def minhash_candidate_pairs(ds, col: str, id_col: str, *, num_perm: int = 64,
         batch_format="pyarrow",
     )
 
-    return _bucket_pairs(band_rows, ["band", "band_hash"], id_col, max_bucket,
-                         as_dataset=as_dataset)
+    return _bucket_pairs(band_rows, ["band", "band_hash"], id_col, max_bucket)
 
 
-def _fold_banded(banded_ds, body, per_bucket) -> pa.Table | None:
-    """``body`` run once over all rows of ``banded_ds`` on the driver,
-    or, once those pass ``_DRIVER_FOLD_ROWS``, the driver fold of
-    ``per_bucket`` (the same body run per bucket); ``None`` for no
-    rows."""
-    collected: list[pa.Table] = []
-    total = 0
-    for batch in banded_ds.iter_batches(batch_format="pyarrow", batch_size=None):
-        t = batch if isinstance(batch, pa.Table) else pa.Table.from_batches([batch])
-        collected.append(t)
-        total += t.num_rows
-        if total > _DRIVER_FOLD_ROWS:
-            return _fold_pairs(per_bucket)
-    return body(pa.concat_tables(collected)) if collected else None
-
-
-def _pair_shapes(banded_ds, group_cols: list[str], id_col: str, emit,
-                 as_dataset: bool = False):
-    """The shared harness for bucketed pair emission. One body turns
-    banded rows into the (a, b) pairs of every ``group_cols`` group they
-    hold: singleton groups are dropped, then ``emit(ids) -> (a, b)``
-    (numpy arrays, possibly empty) runs per colliding group. The body
-    runs three ways:
-
-    * ``as_dataset=True`` — per hash bucket of ``group_cols`` on
-      ``bucket_apply``: a pair Dataset, no driver hop at any size (the
-      end-to-end Dataset chain);
-    * up to ``_DRIVER_FOLD_ROWS`` banded rows — once, over all of them,
-      on the driver (Ray's sort shuffle has seconds of fixed cost that
-      dwarfs corpora below millions of rows);
-    * beyond that — per bucket, and only the (bounded-by-emit) pair set
-      folds to the driver."""
+def _pair_shapes(banded_ds, group_cols: list[str], id_col: str, emit):
+    """The shared harness for bucketed pair emission: a Dataset of the
+    (a, b) pairs of every ``group_cols`` group of banded rows. One body
+    drops singleton groups, then runs ``emit(ids) -> (a, b)`` (numpy
+    arrays, possibly empty) per colliding group; ``fold_or_apply`` runs
+    it once on the driver over every banded row, or per hash bucket of
+    ``group_cols`` beyond ``_bucket._DRIVER_FOLD_ROWS`` of them. A pair
+    that several groups hold comes out once per group."""
 
     def pairs(t: pa.Table) -> pa.Table:
         df = t.to_pandas()
@@ -439,20 +416,15 @@ def _pair_shapes(banded_ds, group_cols: list[str], id_col: str, emit,
         return pa.table({"a": pa.array(np.concatenate(a_all)),
                          "b": pa.array(np.concatenate(b_all))})
 
-    per_bucket = bucket_apply(banded_ds, group_cols, pairs,
-                              schema={"a": id_col, "b": id_col},
-                              num_buckets=NUM_BUCKETS)
-    if as_dataset:
-        return per_bucket
-    out = _fold_banded(banded_ds, pairs, per_bucket)
-    return _NO_PAIRS if out is None else out
+    return fold_or_apply(banded_ds, group_cols, pairs,
+                         schema={"a": id_col, "b": id_col})
 
 
 def _bucket_pairs(banded_ds, group_cols: list[str], id_col: str,
-                  max_bucket: int, as_dataset: bool = False):
+                  max_bucket: int):
     """(a, b) id pairs per bucket, a < b (the within-corpus shape).
     Buckets larger than ``max_bucket`` are truncated (degenerate
-    all-identical content). Shapes: see ``_pair_shapes``."""
+    all-identical content). See ``_pair_shapes``."""
 
     def emit(ids) -> tuple[np.ndarray, np.ndarray]:
         # vectorized upper-triangle pairing: a bucket of m ids emits
@@ -465,96 +437,139 @@ def _bucket_pairs(banded_ds, group_cols: list[str], id_col: str,
         iu, ju = np.triu_indices(len(ids), k=1)
         return ids[iu], ids[ju]
 
-    return _pair_shapes(banded_ds, group_cols, id_col, emit,
-                        as_dataset=as_dataset)
+    return _pair_shapes(banded_ds, group_cols, id_col, emit)
 
 
-def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
-                           verify_fn=None, *, num_buckets: int = 64,
-                           as_dataset: bool = False,
-                           prepare_fn=None, pair_fn=None):
+def _prepared(prepare_fn):
+    """``prepare_fn`` memoized per distinct payload, a null payload
+    read as "": with duplicate-heavy content a payload appears in
+    hundreds of pairs, so each is tokenized/parsed once and pairs
+    compare prepared objects."""
+    cache: dict = {}
+
+    def prep(p):
+        p = "" if pd.isna(p) else p
+        got = cache.get(p)
+        if got is None:
+            got = cache[p] = prepare_fn(p)
+        return got
+
+    return prep
+
+
+def _verify_candidates(ds, cand, col: str, id_col: str, pair_fn, finish,
+                       schema: dict, *, prepare_fn=None):
+    """Verified candidate pairs as a Dataset of the declared ``schema``:
+    ``finish`` of the ``(a, b, metric)`` table, where ``metric`` is
+    ``pair_fn(prepare_fn(payload_a), prepare_fn(payload_b))`` over the
+    ``col`` payloads of every DISTINCT pair of the candidate Dataset
+    ``cand`` (a missing payload reads as ""). ``schema`` is a dict as in
+    ``bucket_apply``, a name standing for that column of the (a, b,
+    metric) table.
+
+    The size of ``cand`` picks one of two bodies. Up to
+    ``_VERIFY_DRIVER_PAIRS`` candidates, the driver fetches their
+    payloads with one broadcast-filtered scan and verifies them itself;
+    beyond it ``_verify_pairs_bucketed`` attaches payloads to pairs per
+    id bucket and verifies per pair bucket, so neither pairs nor
+    payloads ever accumulate on the driver."""
+    import ray.data as rd
+
+    prepare_fn = prepare_fn or (lambda p: p)
+    mat, rows = fold_small(cand, _VERIFY_DRIVER_PAIRS)
+    id_type = (mat.schema().base_schema if rows is None
+               else rows.schema).field("a").type
+    metric = pa.schema([("a", id_type), ("b", id_type),
+                        ("metric", pa.float64())])
+    declared = resolve_schema(schema, [metric])
+    if rows is None:
+        return keep_columns(_verify_pairs_bucketed(
+            ds, _distinct_pairs_ds(mat), col, id_col, id_type,
+            lambda t: finish(pa.Table.from_pandas(t, schema=metric,
+                                                  preserve_index=False)),
+            pair_fn, prepare_fn, declared), declared)
+    if rows.num_rows == 0:
+        return rd.from_arrow(declared.empty_table())
+    rows = rows.group_by(["a", "b"], use_threads=False).aggregate([])
+    need = pc.unique(pa.concat_arrays([rows["a"].combine_chunks(),
+                                       rows["b"].combine_chunks()]))
+
+    def fetch(t: pa.Table) -> pa.Table:
+        ids = pc.cast(t[id_col].combine_chunks(), id_type)
+        return pa.table({"id": ids, "payload": t[col]}).filter(
+            pc.fill_null(pc.is_in(ids, value_set=need), False))
+
+    prep = _prepared(prepare_fn)
+    payloads: dict = {}
+    for batch in ds.map_batches(fetch, batch_format="pyarrow",
+                                zero_copy_batch=True).iter_batches(
+                                    batch_format="pyarrow"):
+        for rid, p in zip(batch["id"].to_pylist(), batch["payload"].to_pylist()):
+            if rid not in payloads:  # an id's first payload, as per bucket
+                payloads[rid] = prep(p)
+    missing = prep("")
+    out = pa.table({
+        "a": rows["a"], "b": rows["b"],
+        "metric": pa.array([
+            pair_fn(payloads.get(a, missing), payloads.get(b, missing))
+            for a, b in zip(rows["a"].to_pylist(), rows["b"].to_pylist())
+        ], pa.float64()),
+    })
+    return rd.from_arrow(finish(out).cast(declared))
+
+
+def _verify_pairs_bucketed(ds, cand, col: str, id_col: str, id_type,
+                           finish, pair_fn, prepare_fn, schema: pa.Schema,
+                           *, num_buckets: int = 64):
     """Distributed pair verification: attach both payloads of every
     candidate pair via two bucketed shuffles over CANDIDATE-sized data,
-    then run ``verify_fn(payload_a, payload_b)`` inside buckets.
+    then run ``pair_fn`` on the prepared payloads inside buckets.
 
     The 100-TB path (SURVEY.md §2 joins/lookups): payloads (texts) are
     never driver-resident —
 
-    1. each pair (a, b) becomes two slot rows (id, pair_id, slot),
-       hash-bucketed by id;
+    1. each pair (a, b) of the Dataset ``cand`` becomes two slot rows
+       (id, pair_id, slot), hash-bucketed by id;
     2. the corpus projection (id, payload), pre-filtered to candidate
        ids with one broadcast ``is_in``, meets the slot rows per id
        bucket (``bucket_cogroup``); a per-bucket Arrow left join
        attaches each id's payload to its slot rows;
     3. slot rows re-bucket by pair_id; each pair's two rows meet in one
-       bucket where ``verify_fn`` runs.
+       bucket, whose (a, b, metric) pandas frame ``finish`` turns into
+       a table of ``schema``.
 
-    ``cand`` may be a driver pa.Table or a pair DATASET; with
-    ``as_dataset=True`` the (a, b, metric) result is returned as a
-    Dataset too — the only driver-resident state on that path is the
-    distinct candidate-ID array broadcast for the corpus prune (ids,
-    never pairs and never payloads). Metric is unfiltered — the caller
-    applies its threshold.
+    The only driver-resident state is the distinct candidate-ID array
+    broadcast for the corpus prune (ids, never pairs and never
+    payloads).
     """
-    import ray.data as rd
+    from .rank import zip_with_index
 
-    if isinstance(cand, pa.Table):
-        n = cand.num_rows
-        id_type = cand["a"].type
-        empty = pa.table({"a": pa.array([], id_type),
-                          "b": pa.array([], id_type),
-                          "metric": pa.array([], pa.float64())})
-        if n == 0:
-            return rd.from_arrow(empty) if as_dataset else empty
-        a = cand["a"].combine_chunks() if isinstance(cand["a"], pa.ChunkedArray) else cand["a"]
-        b = cand["b"].combine_chunks() if isinstance(cand["b"], pa.ChunkedArray) else cand["b"]
-        pair_id = np.arange(n, dtype=np.int64)
-        ids = pa.concat_arrays([a, b])
-        slot_tbl = pa.table(
+    # pair_id = global ordinal via block-offset prefix sums (rows
+    # never touch the driver); materialized once, read twice below
+    indexed = zip_with_index(cand, index_col="pair_id", start=0)
+    need_ref = ray.put(_distinct_pair_ids(indexed, id_type))
+
+    def make_slots(t: pa.Table) -> pa.Table:
+        a = t["a"].combine_chunks()
+        b = t["b"].combine_chunks()
+        pid = t["pair_id"].combine_chunks().to_numpy(zero_copy_only=False)
+        n = t.num_rows
+        return pa.table(
             {
-                "id": ids,
-                "pair_id": pa.array(np.concatenate([pair_id, pair_id]), pa.int64()),
+                "id": pa.concat_arrays([a, b]),
+                "pair_id": pa.array(
+                    np.concatenate([pid, pid]).astype(np.int64), pa.int64()
+                ),
                 "slot": pa.array(
                     np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)]),
                     pa.int8(),
                 ),
             }
         )
-        slots = rd.from_arrow(slot_tbl)
-        need = pc.unique(ids)
-    else:
-        from .rank import zip_with_index
 
-        empty = None
-        # pair_id = global ordinal via block-offset prefix sums (rows
-        # never touch the driver); materialized once, read twice below
-        indexed = zip_with_index(cand, index_col="pair_id", start=0)
-        id_type = _pair_id_type(indexed)
-        need = _distinct_pair_ids(indexed)
-
-        def make_slots(t: pa.Table) -> pa.Table:
-            a = t["a"].combine_chunks()
-            b = t["b"].combine_chunks()
-            pid = t["pair_id"].combine_chunks().to_numpy(zero_copy_only=False)
-            n = t.num_rows
-            ids = pa.concat_arrays([a, b])
-            return pa.table(
-                {
-                    "id": ids,
-                    "pair_id": pa.array(
-                        np.concatenate([pid, pid]).astype(np.int64), pa.int64()
-                    ),
-                    "slot": pa.array(
-                        np.concatenate([np.zeros(n, np.int8), np.ones(n, np.int8)]),
-                        pa.int8(),
-                    ),
-                }
-            )
-
-        slots = indexed.map_batches(
-            make_slots, batch_format="pyarrow", zero_copy_batch=True
-        )
-    need_ref = ray.put(need)
+    slots = indexed.map_batches(
+        make_slots, batch_format="pyarrow", zero_copy_batch=True
+    )
 
     def project(t: pa.Table) -> pa.Table:
         idc = pc.cast(t[id_col].combine_chunks(), id_type)
@@ -579,46 +594,19 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str,
         schema={"id": "id", "pair_id": pa.int64(), "slot": pa.int8(),
                 "payload": pa.string()})
 
-    def verify(t: pa.Table) -> pd.DataFrame:
+    def verify(t: pa.Table) -> pa.Table:
         g = t.to_pandas().sort_values(["pair_id", "slot"]).reset_index(drop=True)
         g0 = g.iloc[0::2]
         g1 = g.iloc[1::2]
-        if prepare_fn is not None:
-            # payload-level memoization: each DISTINCT payload in the
-            # bucket is prepared (tokenized/parsed) once, then pairs
-            # compare prepared objects — with duplicate-heavy content a
-            # payload appears in hundreds of pairs, so this turns the
-            # dominant cost from O(pairs) tokenizations into O(distinct
-            # payloads)
-            cache: dict = {}
-
-            def prep(p):
-                p = "" if pd.isna(p) else p
-                got = cache.get(p)
-                if got is None:
-                    got = prepare_fn(p)
-                    cache[p] = got
-                return got
-
-            metric = [
-                pair_fn(prep(ta), prep(tb))
-                for ta, tb in zip(g0["payload"], g1["payload"])
-            ]
-        else:
-            metric = [
-                verify_fn("" if pd.isna(ta) else ta, "" if pd.isna(tb) else tb)
-                for ta, tb in zip(g0["payload"], g1["payload"])
-            ]
-        return pd.DataFrame(
+        prep = _prepared(prepare_fn)
+        metric = [pair_fn(prep(ta), prep(tb))
+                  for ta, tb in zip(g0["payload"], g1["payload"])]
+        return finish(pd.DataFrame(
             {"a": g0["id"].to_numpy(), "b": g1["id"].to_numpy(), "metric": metric}
-        )
+        ))
 
-    out = bucket_apply(attached, "pair_id", verify, num_buckets=num_buckets,
-                       schema={"a": "id", "b": "id", "metric": pa.float64()})
-    if as_dataset:
-        return out
-    folded = _fold_pairs(out)
-    return folded if folded is not None else empty
+    return bucket_apply(attached, "pair_id", verify, num_buckets=num_buckets,
+                        schema=schema)
 
 
 def _distinct_pairs_ds(pairs_ds):
@@ -627,21 +615,10 @@ def _distinct_pairs_ds(pairs_ds):
     return bucket_combine(pairs_ds, ["a", "b"], {})
 
 
-def _pair_id_type(pairs_ds) -> pa.DataType:
-    schema = pairs_ds.schema()
-    base = getattr(schema, "base_schema", schema)
-    # a pair Dataset whose every bucket came out empty holds only Ray's
-    # column-less sort blocks (see ``bucket_apply``): ids default to int64
-    if base is None or "a" not in base.names:
-        return pa.int64()
-    return base.field("a").type
-
-
-def _distinct_pair_ids(pairs_ds) -> pa.Array:
+def _distinct_pair_ids(pairs_ds, id_type: pa.DataType) -> pa.Array:
     """Distinct ids appearing in a pair Dataset — the broadcast side of
     the corpus prune. This collects IDS (O(distinct candidate ids), the
     same scale class as a survivor broadcast), never pair rows."""
-    id_type = _pair_id_type(pairs_ds)
 
     def block_ids(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -685,123 +662,47 @@ def jaccard(text_a: str, text_b: str, shingle: int = 3) -> float:
 
 def minhash_dedup_pairs(ds, col: str, id_col: str, *, threshold: float = 0.8,
                         num_perm: int = 64, bands: int = 16, shingle: int = 3,
-                        seed: int = 1234,
-                        verify_driver_limit: int = 100_000,
-                        as_dataset: bool = False):
-    """Verified near-duplicate pairs (a, b, jaccard >= threshold).
+                        seed: int = 1234):
+    """Verified near-duplicate pairs (a, b, jaccard >= threshold), a
+    Dataset at every size (feedable straight into
+    ``near_dedup_survivors``).
 
-    Candidates come from LSH banding. Verification has three shapes:
-
-    * ``as_dataset=True`` — the whole chain stays a Dataset: banded
-      pairs -> distributed distinct -> ``_verify_pairs_bucketed``
-      Dataset output. No pair row ever lands on the driver (feedable
-      straight into ``components_distributed`` /
-      ``near_dedup_survivors(strategy="join")``);
-    * up to ``verify_driver_limit`` candidate pairs (the common
-      driver-Table case — the pair set is small by construction): the
-      candidate texts are fetched with one broadcast-filtered scan and
-      verified locally;
-    * beyond it, ``_verify_pairs_bucketed`` attaches texts to pairs
-      per id bucket (``bucket_cogroup``) and verifies per pair bucket,
-      both candidate-sized — texts never accumulate on the driver
-      (force with verify_driver_limit=0).
+    Candidates come from LSH banding (``minhash_candidate_pairs``) and
+    are verified by exact shingle-set Jaccard (``_verified_jaccard_pairs``).
+    Each stage picks its driver or bucketed body by the size it
+    observes, never by a flag.
     """
-    if as_dataset:
-        cand_ds = minhash_candidate_pairs(
-            ds, col, id_col, num_perm=num_perm, bands=bands,
-            shingle=shingle, seed=seed, as_dataset=True,
-        )
-    else:
-        cand_ds = minhash_candidate_pairs(
-            ds, col, id_col, num_perm=num_perm, bands=bands,
-            shingle=shingle, seed=seed,
-        )
-    return _verified_jaccard_pairs(
-        ds, cand_ds, col, id_col, threshold=threshold, shingle=shingle,
-        verify_driver_limit=verify_driver_limit, as_dataset=as_dataset,
+    cand = minhash_candidate_pairs(
+        ds, col, id_col, num_perm=num_perm, bands=bands,
+        shingle=shingle, seed=seed,
     )
+    return _verified_jaccard_pairs(ds, cand, col, id_col,
+                                   threshold=threshold, shingle=shingle)
+
+
+def _jaccard_at_least(threshold: float):
+    """``finish`` of a Jaccard verify: pairs at or above ``threshold``
+    as (a, b, jaccard), jaccard rounded to 6 dp."""
+
+    def finish(t: pa.Table) -> pa.Table:
+        hit = t.filter(pc.greater_equal(t["metric"], threshold))
+        return pa.table({"a": hit["a"], "b": hit["b"],
+                         "jaccard": pc.round(hit["metric"], ndigits=6)})
+
+    return finish
 
 
 def _verified_jaccard_pairs(ds, cand, col: str, id_col: str, *,
-                            threshold: float, shingle: int,
-                            verify_driver_limit: int = 100_000,
-                            as_dataset: bool = False):
+                            threshold: float, shingle: int):
     """Shared verification tail for candidate-pair producers whose
     exact metric is n-gram Jaccard (MinHash LSH banding, prefix-filtered
     AllPairs): distinct candidates -> exact set Jaccard (payloads
-    memoized per bucket) -> threshold -> (a, b, jaccard)."""
-    if as_dataset:
-        distinct = _distinct_pairs_ds(cand)
-        verified = _verify_pairs_bucketed(
-            ds, distinct, col, id_col,
-            prepare_fn=lambda t: frozenset(word_shingles(t, shingle)),
-            pair_fn=_jaccard_sets,
-            as_dataset=True,
-        )
-
-        def thresh(t: pa.Table) -> pa.Table:
-            hit = t.filter(pc.greater_equal(t["metric"], threshold))
-            return pa.table(
-                {
-                    "a": hit["a"],
-                    "b": hit["b"],
-                    "jaccard": pc.round(hit["metric"], ndigits=6),
-                }
-            )
-
-        return verified.map_batches(
-            thresh, batch_format="pyarrow", zero_copy_batch=True
-        )
-
-    cand_tbl = cand
-    empty = pa.table({"a": pa.array([], pa.int64()),
-                      "b": pa.array([], pa.int64()),
-                      "jaccard": pa.array([], pa.float64())})
-    if cand_tbl.num_rows == 0:
-        return empty
-    # distinct pairs
-    cand_tbl = cand_tbl.group_by(["a", "b"]).aggregate([])
-
-    if cand_tbl.num_rows > verify_driver_limit:
-        verified = _verify_pairs_bucketed(
-            ds, cand_tbl, col, id_col,
-            prepare_fn=lambda t: frozenset(word_shingles(t, shingle)),
-            pair_fn=_jaccard_sets,
-        )
-        keep = pc.greater_equal(verified["metric"], threshold)
-        hit = verified.filter(keep)
-        return pa.table(
-            {
-                "a": hit["a"],
-                "b": hit["b"],
-                "jaccard": pc.round(hit["metric"], ndigits=6),
-            }
-        ).sort_by([("a", "ascending"), ("b", "ascending")])
-
-    need = set(cand_tbl["a"].to_pylist()) | set(cand_tbl["b"].to_pylist())
-    need_arr = pa.array(sorted(need))
-    texts_ds = ds.map_batches(
-        lambda t: t.select([id_col, col]).filter(
-            pc.is_in(t[id_col].combine_chunks(), value_set=need_arr)
-        ),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    prepared once each) -> threshold -> (a, b, jaccard)."""
+    return _verify_candidates(
+        ds, cand, col, id_col, _jaccard_sets, _jaccard_at_least(threshold),
+        {"a": "a", "b": "b", "jaccard": pa.float64()},
+        prepare_fn=lambda t: frozenset(word_shingles(t, shingle)),
     )
-    # each candidate text is tokenized ONCE (ids appear in many pairs)
-    sets: dict = {}
-    for batch in texts_ds.iter_batches(batch_format="pyarrow"):
-        for rid, txt in zip(batch[id_col].to_pylist(), batch[col].to_pylist()):
-            sets[rid] = frozenset(word_shingles(txt or "", shingle))
-    nothing: frozenset = frozenset()
-    a_out, b_out, j_out = [], [], []
-    for a, b in zip(cand_tbl["a"].to_pylist(), cand_tbl["b"].to_pylist()):
-        j = _jaccard_sets(sets.get(a, nothing), sets.get(b, nothing))
-        if j >= threshold:
-            a_out.append(a)
-            b_out.append(b)
-            j_out.append(round(j, 6))
-    return pa.table({"a": pa.array(a_out), "b": pa.array(b_out),
-                     "jaccard": pa.array(j_out, pa.float64())})
 
 
 # ------------------------------------- exact n-gram Jaccard (AllPairs)
@@ -910,9 +811,7 @@ def dup_gram_stats(ds, col: str, id_col: str, *, shingle: int = 3,
 
 def ngram_jaccard_pairs(ds, col: str, id_col: str, *, threshold: float = 0.8,
                         shingle: int = 3, num_buckets: int = 32,
-                        max_bucket: int = 1000,
-                        verify_driver_limit: int = 100_000,
-                        as_dataset: bool = False):
+                        max_bucket: int = 1000):
     """Exact n-gram Jaccard near-dup pairs WITHOUT sketching — the
     prefix-filtered AllPairs set-similarity join (Bayardo et al., WWW'07
     "Scaling Up All Pairs Similarity Search"; public algorithm).
@@ -965,12 +864,9 @@ def ngram_jaccard_pairs(ds, col: str, id_col: str, *, threshold: float = 0.8,
     pref = bucket_apply(with_df, id_col, prefix, num_buckets=num_buckets,
                         schema={id_col: id_col, "gram": pa.int64()})
 
-    cand = _bucket_pairs(pref, ["gram"], id_col, max_bucket,
-                         as_dataset=as_dataset)
-    return _verified_jaccard_pairs(
-        ds, cand, col, id_col, threshold=threshold, shingle=shingle,
-        verify_driver_limit=verify_driver_limit, as_dataset=as_dataset,
-    )
+    cand = _bucket_pairs(pref, ["gram"], id_col, max_bucket)
+    return _verified_jaccard_pairs(ds, cand, col, id_col,
+                                   threshold=threshold, shingle=shingle)
 
 
 # --------------------------------------------------------------- SimHash
@@ -1027,30 +923,18 @@ def _hamming64(a: int, b: int) -> int:
     return bin((a ^ b) & ((1 << 64) - 1)).count("1")
 
 
-def simhash_dup_pairs(ds, col: str, id_col: str, *, max_hamming: int = 3,
-                      as_dataset: bool = False):
-    """Near-dup pairs by SimHash banding (4 x 16-bit) + Hamming verify.
-
-    Each band group verifies in place (``hamming_near_dup_pairs``):
-    ``as_dataset=True`` keeps the whole chain a Dataset (no pair row on
-    the driver); otherwise the banded rows fold on the driver, or run
-    per bucket when they are too many.
-
-    That overflow reads the signatures a second time, so the narrow
-    (id, int64) signature table is materialized once instead of
-    recomputing the text hashing pass — 16 bytes/row, object-store
-    resident (spills at extreme scale rather than re-hashing the corpus).
-    """
-    sigs = simhash_signatures(ds, col, id_col).materialize()
+def simhash_dup_pairs(ds, col: str, id_col: str, *, max_hamming: int = 3):
+    """Near-dup pairs by SimHash banding (4 x 16-bit) + Hamming verify:
+    a Dataset of (a, b, hamming); each band group verifies in place
+    (``hamming_near_dup_pairs``)."""
     return hamming_near_dup_pairs(
-        sigs, sig_col="simhash", id_col=id_col, max_hamming=max_hamming,
-        as_dataset=as_dataset,
+        simhash_signatures(ds, col, id_col), sig_col="simhash",
+        id_col=id_col, max_hamming=max_hamming,
     )
 
 
 def hamming_near_dup_pairs(sigs, *, sig_col: str, id_col: str,
-                           max_hamming: int = 3, max_bucket: int = 1000,
-                           as_dataset: bool = False):
+                           max_hamming: int = 3, max_bucket: int = 1000):
     """Near-dup pairs among 64-bit signatures by 4 x 16-bit banding +
     exact Hamming verify — the generalized core behind SimHash text
     dedup AND stored-hash near-dup detection (e.g. an image table's
@@ -1066,12 +950,11 @@ def hamming_near_dup_pairs(sigs, *, sig_col: str, id_col: str,
     that verify down to almost nothing (measured: 5.1M cands -> 1040
     pairs at 100k image phashes; routing them through a separate
     bucketed-verify shuffle cost ~50 s), so the cost follows the
-    candidates touched, never shuffled. That body runs as
-    ``_pair_shapes`` runs its own: per ``(band, key)`` hash bucket on
-    ``bucket_apply`` followed by one ``bucket_combine`` distinct over
-    (a, b) (``as_dataset=True``, and folded on the driver beyond
-    ``_DRIVER_FOLD_ROWS`` banded rows), or once over all banded rows on
-    the driver.
+    candidates touched, never shuffled. ``fold_or_apply`` runs that
+    body once on the driver over every banded row, or per ``(band,
+    key)`` hash bucket beyond ``_bucket._DRIVER_FOLD_ROWS`` of them, a
+    pair found under several band keys then folding to its min distance
+    per (a, b) bucket. Returns a Dataset of (a, b, hamming).
     """
 
     def bands(batch: pa.Table) -> pa.Table:
@@ -1137,25 +1020,18 @@ def hamming_near_dup_pairs(sigs, *, sig_col: str, id_col: str,
             [("hamming", "min")]).rename_columns(["a", "b", "hamming"])
 
     banded = sigs.map_batches(bands, batch_format="pyarrow")
-    per_bucket = bucket_apply(
-        banded, ["band", "key"], verify, num_buckets=NUM_BUCKETS,
-        schema={"a": id_col, "b": id_col, "hamming": pa.int32()})
-    pairs = bucket_combine(per_bucket, ["a", "b"],
-                           {"hamming": ("hamming", "min")})
-    if as_dataset:
-        return pairs
-    out = _fold_banded(banded, verify, pairs)
-    if out is None or out.num_rows == 0:
-        return empty
-    return out.sort_by([("a", "ascending"), ("b", "ascending")])
+    return fold_or_apply(
+        banded, ["band", "key"], verify,
+        schema={"a": id_col, "b": id_col, "hamming": pa.int32()},
+        combine=(["a", "b"], {"hamming": ("hamming", "min")}))
+
 
 def _bucket_cross_pairs(banded_ds, group_cols: list[str], id_col: str,
-                        max_bucket: int, as_dataset: bool = False):
+                        max_bucket: int):
     """(a, b) CROSS pairs per bucket for parity-encoded two-corpus
     banding (even ids = new side, odd ids = base side): every bucket
     emits new x base pairs only — never new x new or base x base.
-    Each side is capped at ``max_bucket``. Shapes: see
-    ``_pair_shapes``."""
+    Each side is capped at ``max_bucket``. See ``_pair_shapes``."""
 
     def emit(ids) -> tuple[np.ndarray, np.ndarray]:
         ids = np.unique(np.asarray(ids, np.int64))
@@ -1166,8 +1042,7 @@ def _bucket_cross_pairs(banded_ds, group_cols: list[str], id_col: str,
             return z, z
         return np.repeat(new, len(base)), np.tile(base, len(new))
 
-    return _pair_shapes(banded_ds, group_cols, id_col, emit,
-                        as_dataset=as_dataset)
+    return _pair_shapes(banded_ds, group_cols, id_col, emit)
 
 
 def cross_corpus_near_duplicates(new_ds, base_ds, *, col: str = "text",
@@ -1175,9 +1050,7 @@ def cross_corpus_near_duplicates(new_ds, base_ds, *, col: str = "text",
                                  threshold: float = 0.8,
                                  num_perm: int = 64, bands: int = 16,
                                  shingle: int = 3, seed: int = 1234,
-                                 max_bucket: int = 1000,
-                                 verify_driver_limit: int = 100_000,
-                                 as_dataset: bool = False):
+                                 max_bucket: int = 1000):
     """Incremental FUZZY dedup: (new_id, base_id, jaccard >= threshold)
     pairs between a new crawl and the existing corpus — the near-dup
     analogue of ``cross_corpus_duplicates``. Both sides sign with the
@@ -1185,14 +1058,12 @@ def cross_corpus_near_duplicates(new_ds, base_ds, *, col: str = "text",
     lands in the same LSH buckets it did when the base corpus was
     built; buckets emit CROSS pairs only (never within-side), and the
     exact n-gram Jaccard verify runs over the union corpus through the
-    standard bucketed machinery.
+    standard verification switch (``_verify_candidates``).
 
     Scale shape: one banding pass per side (per-batch, zero shuffle),
     one bucket groupby over band rows, candidate-sized verify shuffles.
     Integer ids required (the side rides in the id's parity bit:
-    ``id * 2 + side``)."""
-    import pyarrow.compute as pc
-
+    ``id * 2 + side``). Returns a Dataset."""
     rows_per_band = num_perm // bands
 
     def enc_fn(side: int):
@@ -1214,16 +1085,12 @@ def cross_corpus_near_duplicates(new_ds, base_ds, *, col: str = "text",
         lambda b: _band_rows(b, id_col, bands, rows_per_band),
         batch_format="pyarrow",
     )
-    cand = _bucket_cross_pairs(
-        banded, ["band", "band_hash"], id_col, max_bucket,
-        as_dataset=as_dataset,
-    )
-    verified = _verified_jaccard_pairs(
-        corpus, cand, col, id_col, threshold=threshold, shingle=shingle,
-        verify_driver_limit=verify_driver_limit, as_dataset=as_dataset,
-    )
+    cand = _bucket_cross_pairs(banded, ["band", "band_hash"], id_col,
+                               max_bucket)
+    jaccard_at_least = _jaccard_at_least(threshold)
 
     def decode(t: pa.Table) -> pa.Table:
+        t = jaccard_at_least(t)
         return pa.table(
             {
                 "new_id": pc.divide(t["a"], 2),
@@ -1232,11 +1099,11 @@ def cross_corpus_near_duplicates(new_ds, base_ds, *, col: str = "text",
             }
         )
 
-    if as_dataset:
-        return verified.map_batches(
-            decode, batch_format="pyarrow", zero_copy_batch=True
-        )
-    return decode(verified)
+    return _verify_candidates(
+        corpus, cand, col, id_col, _jaccard_sets, decode,
+        {"new_id": "a", "base_id": "b", "jaccard": pa.float64()},
+        prepare_fn=lambda t: frozenset(word_shingles(t, shingle)),
+    )
 
 
 def cross_corpus_duplicates(new_ds, base_ds, *, col: str = "text",
@@ -1807,9 +1674,7 @@ def _deletion_variant_rows(col: str, id_col: str, max_len: int,
 
 
 def edit_distance_pairs(ds, col: str, id_col: str, *, max_dist: int = 1,
-                        max_len: int = 64, max_bucket: int = 1000,
-                        verify_driver_limit: int = 100_000,
-                        as_dataset: bool = False):
+                        max_len: int = 64, max_bucket: int = 1000):
     """Fuzzy string matching: id pairs whose ``col`` values are within
     Levenshtein distance ``max_dist`` (currently 1 — the FastSS
     deletion-variant blocking below is complete only for one edit;
@@ -1822,12 +1687,13 @@ def edit_distance_pairs(ds, col: str, id_col: str, *, max_dist: int = 1,
     the DuckDB-oracled semantics are both length-bounded); one
     variant-keyed groupby yields candidate buckets (capped at
     ``max_bucket`` like every banding stage); candidates dedup to
-    distinct pairs; the exact banded-DP distance runs inside
-    ``_verify_pairs_bucketed`` so payloads ride two candidate-sized
-    bucket shuffles, never the driver. Reference parity: validate-style
-    cross-field checks (stages/crossfield.py) flag rows; this flags
-    near-duplicate row PAIRS, completing the dedup family
-    (/root/reference/src/schisma.mjs has no distributed analogue)."""
+    distinct pairs; the exact banded-DP distance runs in the
+    verification switch (``_verify_candidates``), whose bucketed body
+    carries payloads through two candidate-sized bucket shuffles, never
+    the driver. Reference parity: validate-style cross-field checks
+    (stages/crossfield.py) flag rows; this flags near-duplicate row
+    PAIRS, completing the dedup family (the reference schisma library
+    has no distributed analogue). Returns a Dataset of (a, b, dist)."""
     if max_dist not in (1, 2):
         raise ValueError("edit_distance_pairs: k-deletion blocking is "
                          "implemented for max_dist in (1, 2)")
@@ -1840,43 +1706,21 @@ def edit_distance_pairs(ds, col: str, id_col: str, *, max_dist: int = 1,
     variants = narrow.map_batches(
         _deletion_variant_rows(col, id_col, max_len, k=max_dist),
         batch_format="pyarrow", zero_copy_batch=True)
-    cand = _bucket_pairs(variants, ["variant"], id_col, max_bucket,
-                         as_dataset=as_dataset)
+    cand = _bucket_pairs(variants, ["variant"], id_col, max_bucket)
 
     def dist(a: str, b: str) -> float:
         return float(_edit_distance_capped(a, b, max_dist))
 
-    if as_dataset:
-        distinct = _distinct_pairs_ds(cand)
-        verified = _verify_pairs_bucketed(
-            ds, distinct, col, id_col, verify_fn=dist, as_dataset=True)
+    def within(t: pa.Table) -> pa.Table:
+        hit = t.filter(pc.less_equal(t["metric"], float(max_dist)))
+        return pa.table({
+            "a": hit["a"],
+            "b": hit["b"],
+            "dist": pc.cast(hit["metric"], pa.int64()),
+        })
 
-        def thresh(t: pa.Table) -> pa.Table:
-            hit = t.filter(pc.less_equal(t["metric"], float(max_dist)))
-            return pa.table({
-                "a": hit["a"],
-                "b": hit["b"],
-                "dist": pc.cast(hit["metric"], pa.int64()),
-            })
-
-        return verified.map_batches(thresh, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-
-    empty = pa.table({"a": pa.array([], pa.int64()),
-                      "b": pa.array([], pa.int64()),
-                      "dist": pa.array([], pa.int64())})
-    if cand.num_rows == 0:
-        return empty
-    cand = cand.group_by(["a", "b"]).aggregate([])
-    verified = _verify_pairs_bucketed(ds, cand, col, id_col,
-                                      verify_fn=dist)
-    hit = verified.filter(
-        pc.less_equal(verified["metric"], float(max_dist)))
-    return pa.table({
-        "a": hit["a"],
-        "b": hit["b"],
-        "dist": pc.cast(hit["metric"], pa.int64()),
-    })
+    return _verify_candidates(ds, cand, col, id_col, dist, within,
+                              {"a": "a", "b": "b", "dist": pa.int64()})
 
 
 _LINK_SEP = "\x1f"
@@ -1885,8 +1729,7 @@ _LINK_SEP = "\x1f"
 def record_linkage_scores(ds, *, id_col: str, name_col: str,
                           exact_cols: list, value_col: str,
                           value_tol: int, max_len: int = 64,
-                          max_bucket: int = 1000,
-                          as_dataset: bool = False):
+                          max_bucket: int = 1000):
     """Entity resolution (Fellegi–Sunter-style deterministic scoring):
     candidate record pairs from the FastSS name blocking
     (``edit_distance_pairs`` machinery), each scored by an integer
@@ -1894,15 +1737,13 @@ def record_linkage_scores(ds, *, id_col: str, name_col: str,
     point per agreeing ``exact_cols`` field, one point when the two
     ``value_col`` integers sit within ``value_tol`` — so near-duplicate
     CUSTOMERS (not just near-duplicate strings) rank to the top. The
-    multi-field payload rides the candidate-sized bucket shuffles as
-    one ``\\x1f``-joined string; nothing record-shaped touches the
-    driver. ``ValueError`` when there are more than 9 ``exact_cols``
-    (the agreement count is packed as one decimal digit) or a field
-    holds the separator.
+    multi-field payload rides the verification switch as one
+    ``\\x1f``-joined string. ``ValueError`` when there are more than 9
+    ``exact_cols`` (the agreement count is packed as one decimal digit)
+    or a field holds the separator.
 
-    Returns (a, b, name_dist, n_exact_agree, value_close, score)."""
-    import pyarrow.compute as pc
-
+    Returns a Dataset of (a, b, name_dist, n_exact_agree, value_close,
+    score)."""
     if len(exact_cols) > 9:
         raise ValueError(f"record_linkage_scores packs at most 9 exact_cols, "
                          f"got {len(exact_cols)}")
@@ -1931,19 +1772,7 @@ def record_linkage_scores(ds, *, id_col: str, name_col: str,
     variants = narrow.map_batches(
         _deletion_variant_rows(name_col, id_col, max_len),
         batch_format="pyarrow", zero_copy_batch=True)
-    cand = _bucket_pairs(variants, ["variant"], id_col, max_bucket,
-                         as_dataset=as_dataset)
-    empty = pa.table({
-        "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-        "name_dist": pa.array([], pa.int64()),
-        "n_exact_agree": pa.array([], pa.int64()),
-        "value_close": pa.array([], pa.int64()),
-        "score": pa.array([], pa.int64()),
-    })
-    if not as_dataset:
-        if cand.num_rows == 0:
-            return empty
-        cand = cand.group_by(["a", "b"]).aggregate([])
+    cand = _bucket_pairs(variants, ["variant"], id_col, max_bucket)
 
     n_fields = len(exact_cols)
 
@@ -1961,45 +1790,21 @@ def record_linkage_scores(ds, *, id_col: str, name_col: str,
         return float(((2 - d) * 100 + agree * 10 + close) * 1000
                      + (s + agree + close))
 
-    if as_dataset:
-        # corpus-sized path: pair rows never touch the driver — distinct
-        # candidates, bucketed verify and the unpack all stay Datasets
-        distinct = _distinct_pairs_ds(cand)
-        verified = _verify_pairs_bucketed(packed, distinct, "__payload",
-                                          id_col, verify_fn=score,
-                                          as_dataset=True)
+    def unpack(t: pa.Table) -> pa.Table:
+        hit = t.filter(pc.greater_equal(t["metric"], 0.0))
+        m = hit["metric"].to_numpy(zero_copy_only=False).astype(np.int64)
+        code = m // 1000
+        return pa.table({
+            "a": hit["a"],
+            "b": hit["b"],
+            "name_dist": pa.array(2 - (code // 100), pa.int64()),
+            "n_exact_agree": pa.array((code % 100) // 10, pa.int64()),
+            "value_close": pa.array(code % 10, pa.int64()),
+            "score": pa.array(m % 1000, pa.int64()),
+        })
 
-        def unpack(t: pa.Table) -> pa.Table:
-            hit = t.filter(pc.greater_equal(t["metric"], 0.0))
-            m = hit["metric"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-            code = m // 1000
-            return pa.table({
-                "a": hit["a"],
-                "b": hit["b"],
-                "name_dist": pa.array(2 - (code // 100), pa.int64()),
-                "n_exact_agree": pa.array((code % 100) // 10,
-                                          pa.int64()),
-                "value_close": pa.array(code % 10, pa.int64()),
-                "score": pa.array(m % 1000, pa.int64()),
-            })
-
-        return verified.map_batches(unpack, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-
-    verified = _verify_pairs_bucketed(packed, cand, "__payload", id_col,
-                                      verify_fn=score)
-    hit = verified.filter(pc.greater_equal(verified["metric"], 0.0))
-    m = hit["metric"].to_numpy(zero_copy_only=False).astype(np.int64)
-    code = m // 1000
-    name_dist = 2 - (code // 100)
-    agree = (code % 100) // 10
-    close = code % 10
-    return pa.table({
-        "a": hit["a"],
-        "b": hit["b"],
-        "name_dist": pa.array(name_dist, pa.int64()),
-        "n_exact_agree": pa.array(agree, pa.int64()),
-        "value_close": pa.array(close, pa.int64()),
-        "score": pa.array(m % 1000, pa.int64()),
-    })
+    return _verify_candidates(
+        packed, cand, "__payload", id_col, score, unpack,
+        {"a": "a", "b": "b", "name_dist": pa.int64(),
+         "n_exact_agree": pa.int64(), "value_close": pa.int64(),
+         "score": pa.int64()})

@@ -11,7 +11,9 @@
   Hamming distance 1. Recall/latency tunable via ``n_bits``.
 * ``cosine_near_dup_pairs`` — embedding near-duplicate detection: LSH
   buckets -> in-bucket pairwise cosine -> threshold. ``semdedup_pairs``
-  runs the same ``_cosine_pairs`` body over k-means clusters.
+  runs the same ``_cosine_pairs`` body over k-means clusters. Both run
+  it through ``_bucket.fold_or_apply``: once on the driver over a small
+  input, per hash bucket over a large one; a Dataset either way.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
+from ._bucket import NUM_BUCKETS, bucket_apply, fold_or_apply
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -361,9 +363,9 @@ def ann_ivf(ds, queries: np.ndarray, query_ids: list, *, col: str = "embedding",
 def cosine_near_dup_pairs(ds, *, col: str = "embedding", id_col: str = "vec_id",
                           threshold: float = 0.95, n_bits: int = 10,
                           n_tables: int = 4, seed: int = 7,
-                          max_bucket: int = 1000, as_dataset: bool = False):
+                          max_bucket: int = 1000):
     """Pairs (a, b, sim >= threshold) via MULTI-TABLE LSH bucketing +
-    in-bucket verify.
+    in-bucket verify, as a Dataset.
 
     OR-amplification: ``n_tables`` independent hyperplane sets; a pair
     split by one table's bucket boundary is caught by another, so the
@@ -404,30 +406,21 @@ def cosine_near_dup_pairs(ds, *, col: str = "embedding", id_col: str = "vec_id",
 
     bucketed = ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
     group_cols = ["table_id", "bucket"]
-    pairs = bucket_apply(
-        bucketed, group_cols,
-        _cosine_pairs(group_cols, col, id_col, threshold, max_bucket),
-        schema=_PAIRS, num_buckets=NUM_BUCKETS)
-    if as_dataset:
-        # the same pair can surface in several tables — a distributed
-        # max(sim) groupby dedupes without any driver hop
-        return bucket_combine(pairs, ["a", "b"], {"sim": ("sim", "max")})
-    from ._fold import fold_table
+    cosine_pairs = _cosine_pairs(group_cols, col, id_col, threshold, max_bucket)
 
-    tbl = fold_table(pairs)
-    if tbl is None:
-        return _PAIRS.empty_table()
-    # the same pair can surface in several tables — max(sim) dedupes
-    # (sims are identical across tables; max is just the dedup fold)
-    return tbl.group_by(["a", "b"]).aggregate([("sim", "max")]).rename_columns(
-        ["a", "b", "sim"]
-    )
+    def pairs(t: pa.Table) -> pa.Table:
+        # the same pair can surface in several tables — max(sim) dedupes
+        # (sims are identical across tables; max is just the dedup fold)
+        return cosine_pairs(t).group_by(["a", "b"], use_threads=False).aggregate(
+            [("sim", "max")]).rename_columns(_PAIRS.names)
+
+    return fold_or_apply(bucketed, group_cols, pairs, schema=_PAIRS,
+                         combine=(["a", "b"], {"sim": ("sim", "max")}))
 
 
 def semdedup_pairs(ds, centroids: np.ndarray, *, col: str = "embedding",
                    id_col: str = "vec_id", threshold: float = 0.95,
-                   max_cluster: int | None = 100_000,
-                   as_dataset: bool = False):
+                   max_cluster: int | None = 100_000):
     """SemDeDup-style semantic near-duplicate pairs (Abbas et al. 2023,
     arXiv:2303.09540): assign every vector to its nearest k-means
     centroid, then compute exact pairwise cosine WITHIN each cluster
@@ -435,12 +428,14 @@ def semdedup_pairs(ds, centroids: np.ndarray, *, col: str = "embedding",
 
     Scale shape: the centroid matrix is broadcast once (``ray.put``);
     assignment is a streaming matmul per batch (zero shuffle); the only
-    exchange is ONE ``bucket_apply`` on the cluster, whose per-cluster
-    work is a vectorized m x m matmul. Cross-cluster near-dups are invisible by
+    exchange, which ``fold_or_apply`` skips for a small input, is ONE
+    ``bucket_apply`` on the cluster, whose per-cluster work is a
+    vectorized m x m matmul. Cross-cluster near-dups are invisible by
     construction — that is SemDeDup's accepted approximation; pick
     ``k ~ N / target_cluster_size`` so clusters stay matmul-sized, and
     ``max_cluster`` guards a degenerate cluster (truncated on sorted
-    ids, the same skew cap as ``cosine_near_dup_pairs``).
+    ids, the same skew cap as ``cosine_near_dup_pairs``). Returns a
+    Dataset of (a, b, sim).
 
     Assignment uses ``argmax(x . c - 0.5 |c|^2)`` with numpy's
     first-max (= lowest cid) tie-break — the same convention as
@@ -477,18 +472,10 @@ def semdedup_pairs(ds, centroids: np.ndarray, *, col: str = "embedding",
 
     assigned = ds.map_batches(assign_carry, batch_format="pyarrow",
                               zero_copy_batch=True)
-    pairs = bucket_apply(
+    return fold_or_apply(
         assigned, "cluster",
         _cosine_pairs(["cluster"], col, id_col, threshold, max_cluster),
-        schema=_PAIRS, num_buckets=NUM_BUCKETS)
-    if as_dataset:
-        return pairs
-    from ._fold import fold_table
-
-    tbl = fold_table(pairs)
-    if tbl is None:
-        return _PAIRS.empty_table()
-    return tbl.sort_by([("a", "ascending"), ("b", "ascending")])
+        schema=_PAIRS)
 
 
 def paired_cosine_filter(ds, *, col_a: str = "img_emb", col_b: str = "cap_emb",

@@ -340,7 +340,10 @@ def heavy_hitters_cm(ds, col: str, *, k: int = 10, w: int = 4096, d: int = 4,
     ]
     cand_parts = [t for t in cand_parts if t.num_rows]
     if not cand_parts:
-        return pa.table({col: pa.array([]), "est_n": pa.array([], pa.int64())})
+        from ._fold import column_type
+
+        return pa.table({col: pa.array([], column_type(ds, col)),
+                         "est_n": pa.array([], pa.int64())})
     cand = pc.unique(pa.concat_tables(cand_parts)[col].combine_chunks())
 
     mat = np.asarray(ds.aggregate(CountMin(col, w=w, d=d, alias_name="cm"))["cm"])

@@ -27,7 +27,7 @@ import ray
 
 from ..sources.image_table import VIOLATION_SCHEMA
 from ._bucket import NUM_BUCKETS, bucket_cogroup, bucket_combine
-from ._fold import fold_table
+from ._fold import column_type, fold_table
 
 
 def _partial_counts(column: str):
@@ -75,10 +75,10 @@ def duplicate_keys(ds, column: str, *, driver_merge_limit: int = 2_000_000) -> p
                 break
     if overflow:
         return _dups(bucket_combine(ds, column, {"partial": (column, "count")}),
-                     column)
+                     ds, column)
     parts = ([merged] if merged is not None else []) + pending
     if not parts:
-        return pa.table({column: pa.array([]), "partial": pa.array([], pa.int64())})
+        return _no_dups(ds, column)
     merged = (
         pa.concat_tables(parts)
         .group_by(column)
@@ -207,7 +207,7 @@ def duplicate_keys_bloom(ds, column: str, *, bits: int = 1 << 22,
     )
     state = agg["cb"] if agg else None
     if state is None:
-        return pa.table({column: pa.array([]), "partial": pa.array([], pa.int64())})
+        return _no_dups(ds, column)
     dup_bits = np.asarray(state["dup"], dtype=np.uint8)
     # set membership only — order irrelevant (and None-safe, unlike sort)
     definite_vals = list(set(state["definite"])) or None
@@ -233,14 +233,20 @@ def duplicate_keys_bloom(ds, column: str, *, bits: int = 1 << 22,
 
     cand = ds.map_batches(pass2, batch_format="pyarrow", zero_copy_batch=True)
     return _dups(bucket_combine(cand, column, {"partial": ("partial", "sum")}),
-                 column)
+                 ds, column)
 
 
-def _dups(totals, column: str) -> pa.Table:
-    """The (key, partial > 1) rows of a keyed count, collected."""
+def _no_dups(ds, column: str) -> pa.Table:
+    """The empty (key, partial) result, the key typed as in ``ds``."""
+    return pa.table({column: pa.array([], column_type(ds, column)),
+                     "partial": pa.array([], pa.int64())})
+
+
+def _dups(totals, ds, column: str) -> pa.Table:
+    """The (key, partial > 1) rows of a keyed count of ``ds``, collected."""
     merged = fold_table(totals)
     if merged is None:
-        return pa.table({column: pa.array([]), "partial": pa.array([], pa.int64())})
+        return _no_dups(ds, column)
     return merged.filter(pc.greater(merged["partial"], 1))
 
 

@@ -59,7 +59,7 @@ def test_audio_stages(ray_session):
 
     ds = rd.from_arrow(_audio_batch())
     vio = ds.map_batches(
-        AudioDecodeValidator, batch_format="pyarrow", concurrency=(1, 2)
+        AudioDecodeValidator(), batch_format="pyarrow"
     ).to_pandas()
     got = set(zip(vio["row_ref"], vio["path"]))
     assert got == {("a1", "sample_rate"), ("a2", "bytes")}
@@ -74,17 +74,13 @@ def test_audio_stages(ray_session):
         t = pa.concat_tables([p for p in parts if p.num_rows])
         return dict(zip(t["audio_id"].to_pylist(), t["features"].to_pylist()))
 
-    by_id = collect(
-        ds.map_batches(AudioFeatures, batch_format="pyarrow", concurrency=(1, 2))
-    )
+    by_id = collect(ds.map_batches(AudioFeatures(), batch_format="pyarrow"))
     assert by_id["a2"] is None  # undecodable -> null
     v0 = np.asarray(by_id["a0"], dtype=np.float32)
     assert len(v0) == 11 and abs(v0[0] - 0.2) < 1e-3  # duration feature
     assert 0.0 < v0[1] < 1.0  # rms in range
     # deterministic: same input -> same features
-    by_id2 = collect(
-        ds.map_batches(AudioFeatures, batch_format="pyarrow", concurrency=(1, 2))
-    )
+    by_id2 = collect(ds.map_batches(AudioFeatures(), batch_format="pyarrow"))
     assert np.array_equal(v0, np.asarray(by_id2["a0"], dtype=np.float32))
 
 
@@ -108,10 +104,7 @@ def test_video_frame_sampler(ray_session):
         )
     )
     out = ds.map_batches(
-        VideoFrameSampler,
-        fn_constructor_args=(2,),
-        batch_format="pyarrow",
-        concurrency=(1, 2),
+        VideoFrameSampler(2), batch_format="pyarrow"
     ).to_pandas()
     # frames 0, 2, 4, 6 per good video; bad container contributes nothing
     assert sorted(set(out["video_id"])) == ["v0", "v1", "v2"]

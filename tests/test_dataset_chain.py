@@ -1,10 +1,11 @@
-"""End-to-end Dataset dedup chain (VERDICT r2 #1): pairs -> components
--> survivors with NO driver pa.Table hop for pair rows anywhere.
+"""The pair chain past the driver limit: pairs -> components ->
+survivors with NO driver pa.Table hop for pair rows anywhere.
 
-The proof is structural: ``dedup._fold_pairs`` — the single chokepoint
-every driver pair fold in the module goes through — is monkeypatched to
-raise, and the whole as_dataset chain still produces results identical
-to the driver-Table path.
+The proof is structural: every driver fold a pair producer or
+``near_dedup_survivors`` may take goes through ``_bucket.fold_small``.
+With the fold limits forced to 0, a spy on it asserts that it never
+hands back a row, and the chain still produces the results of the
+default (driver-fold) path.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pyarrow as pa
 import pytest
 import ray.data as rd
 
-from schisma_ray.stages import dedup
+from schisma_ray.stages import _bucket, components, dedup
 
 
 def _docs():
@@ -28,41 +29,44 @@ def _docs():
 
 @pytest.fixture
 def no_pair_folds(monkeypatch):
-    def boom(*a, **k):
-        raise AssertionError("driver pair fold reached on the as_dataset path")
+    fold_small = _bucket.fold_small
 
-    monkeypatch.setattr(dedup, "_fold_pairs", boom)
+    def spy(ds, limit=None):
+        mat, rows = fold_small(ds, limit)
+        assert rows is None or rows.num_rows == 0, "pair rows folded on the driver"
+        return mat, rows
+
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    monkeypatch.setattr(dedup, "_VERIFY_DRIVER_PAIRS", 0)
+    for module in (_bucket, dedup, components):
+        monkeypatch.setattr(module, "fold_small", spy)
 
 
 def _pairs_key(t):
-    return sorted(zip(t["a"].to_pylist(), t["b"].to_pylist()))
+    return sorted(zip(t["a"], t["b"]))
 
 
 def test_minhash_pairs_dataset_parity(ray_session, no_pair_folds):
     ds = _docs()
-    got = dedup.minhash_dedup_pairs(
-        ds, "text", "doc_id", threshold=0.8, as_dataset=True
-    )
+    got = dedup.minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.8)
     assert hasattr(got, "map_batches")  # a Dataset, not a table
-    got_tbl = pa.Table.from_pandas(got.to_pandas())
+    got_tbl = got.to_pandas()
     # the driver path is parity-tested elsewhere; pin the expected pairs
     assert _pairs_key(got_tbl) == [(i, i + 24) for i in range(5)]
-    assert all(j >= 0.8 for j in got_tbl["jaccard"].to_pylist())
+    assert all(j >= 0.8 for j in got_tbl["jaccard"])
 
 
 def test_simhash_pairs_dataset_parity(ray_session, no_pair_folds, monkeypatch):
     ds = _docs()
-    got = dedup.simhash_dup_pairs(
-        ds, "text", "doc_id", max_hamming=3, as_dataset=True
-    )
+    got = dedup.simhash_dup_pairs(ds, "text", "doc_id", max_hamming=3)
     assert hasattr(got, "map_batches")
-    got_tbl = pa.Table.from_pandas(got.to_pandas())
+    got_tbl = got.to_pandas()
     # planted near-dups must be found...
     planted = set((i, i + 24) for i in range(5))
     assert planted <= set(_pairs_key(got_tbl))
-    # ...and the pair set must match the driver-Table path exactly
-    monkeypatch.undo()  # restore _fold_pairs for the reference run
-    drv = dedup.simhash_dup_pairs(ds, "text", "doc_id", max_hamming=3)
+    # ...and the pair set must match the driver-fold path exactly
+    monkeypatch.undo()  # restore the limits and fold_small for the reference
+    drv = dedup.simhash_dup_pairs(ds, "text", "doc_id", max_hamming=3).to_pandas()
     assert _pairs_key(drv) == _pairs_key(got_tbl)
 
 
@@ -72,9 +76,7 @@ def test_full_chain_pairs_to_survivors_no_driver_hop(ray_session, no_pair_folds)
     from schisma_ray.stages.components import near_dedup_survivors
 
     ds = _docs()
-    pairs_ds = dedup.minhash_dedup_pairs(
-        ds, "text", "doc_id", threshold=0.8, as_dataset=True
-    )
+    pairs_ds = dedup.minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.8)
     survivors = near_dedup_survivors(ds, pairs_ds, "doc_id", strategy="join")
     got = sorted(survivors.to_pandas()["doc_id"].tolist())
     # dups 24..28 collapse onto keepers 0..4 -> all originals survive
@@ -85,30 +87,25 @@ def test_chain_broadcast_strategy_with_dataset_pairs(ray_session, no_pair_folds)
     from schisma_ray.stages.components import near_dedup_survivors
 
     ds = _docs()
-    pairs_ds = dedup.minhash_dedup_pairs(
-        ds, "text", "doc_id", threshold=0.8, as_dataset=True
-    )
+    pairs_ds = dedup.minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.8)
     survivors = near_dedup_survivors(ds, pairs_ds, "doc_id", strategy="broadcast")
     assert sorted(survivors.to_pandas()["doc_id"].tolist()) == list(range(24))
 
 
-def test_dataset_path_matches_table_path(ray_session):
-    """Value parity between the as_dataset chain and the (oracled)
-    driver-Table chain, including jaccard metrics."""
+def test_dataset_path_matches_table_path(ray_session, monkeypatch):
+    """Value parity between the per-bucket side of both switches and the
+    (oracled) driver-fold side, including jaccard metrics."""
     ds = _docs()
-    tbl = dedup.minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.8)
-    ds_out = pa.Table.from_pandas(
-        dedup.minhash_dedup_pairs(
-            ds, "text", "doc_id", threshold=0.8, as_dataset=True
-        ).to_pandas()
-    )
-    key = lambda t: sorted(
-        zip(t["a"].to_pylist(), t["b"].to_pylist(), t["jaccard"].to_pylist())
-    )
-    assert key(tbl) == key(ds_out)
+    tbl = dedup.minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.8).to_pandas()
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    monkeypatch.setattr(dedup, "_VERIFY_DRIVER_PAIRS", 0)
+    ds_out = dedup.minhash_dedup_pairs(ds, "text", "doc_id",
+                                       threshold=0.8).to_pandas()
+    key = lambda t: sorted(zip(t["a"], t["b"], t["jaccard"]))
+    assert len(tbl) and key(tbl) == key(ds_out)
 
 
-def test_cosine_pairs_dataset_parity(ray_session):
+def test_cosine_pairs_dataset_parity(ray_session, monkeypatch):
     from schisma_ray.stages.similarity import cosine_near_dup_pairs
 
     rng = np.random.default_rng(11)
@@ -122,11 +119,10 @@ def test_cosine_pairs_dataset_parity(ray_session):
         }
     )
     ds = rd.from_arrow(tbl)
-    drv = cosine_near_dup_pairs(ds, threshold=0.99)
-    dist = pa.Table.from_pandas(
-        cosine_near_dup_pairs(ds, threshold=0.99, as_dataset=True).to_pandas()
-    )
-    key = lambda t: sorted(zip(t["a"].to_pylist(), t["b"].to_pylist()))
+    drv = cosine_near_dup_pairs(ds, threshold=0.99).to_pandas()
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    dist = cosine_near_dup_pairs(ds, threshold=0.99).to_pandas()
+    key = lambda t: sorted(zip(t["a"], t["b"]))
     assert key(drv) == key(dist) == [(0, 20)]
 
 
@@ -135,7 +131,6 @@ def test_empty_corpus_dataset_chain(ray_session, no_pair_folds):
         pa.table({"doc_id": pa.array([], pa.int64()),
                   "text": pa.array([], pa.string())})
     )
-    out = dedup.minhash_dedup_pairs(
-        empty, "text", "doc_id", threshold=0.8, as_dataset=True
-    )
+    out = dedup.minhash_dedup_pairs(empty, "text", "doc_id", threshold=0.8)
     assert out.count() == 0
+    assert out.schema().names == ["a", "b", "jaccard"]

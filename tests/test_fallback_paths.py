@@ -4,6 +4,15 @@ import pyarrow as pa
 import pytest
 
 
+def _sorted(pairs) -> pa.Table:
+    """A pair Dataset's rows as one table in (a, b) order."""
+    import ray
+
+    blocks = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_columns]
+    return pa.concat_tables(blocks).sort_by([("a", "ascending"),
+                                             ("b", "ascending")])
+
+
 def test_duplicate_keys_groupby_fallback(ray_session):
     """Force the Ray-groupby path by setting a tiny driver-merge limit;
     results must match the driver-merge path exactly."""
@@ -30,7 +39,7 @@ def test_duplicate_keys_groupby_fallback(ray_session):
 def test_bucket_pairs_groupby_fallback(ray_session, monkeypatch):
     import ray.data as rd
 
-    from schisma_ray.stages import dedup
+    from schisma_ray.stages import _bucket, dedup
 
     t = pa.table(
         {
@@ -40,9 +49,11 @@ def test_bucket_pairs_groupby_fallback(ray_session, monkeypatch):
         }
     )
     ds = rd.from_arrow(t)
-    driver = dedup._bucket_pairs(ds, ["band", "band_hash"], "doc_id", max_bucket=100)
-    monkeypatch.setattr(dedup, "_DRIVER_FOLD_ROWS", 1)  # overflow
-    fallback = dedup._bucket_pairs(ds, ["band", "band_hash"], "doc_id", max_bucket=100)
+    driver = _sorted(dedup._bucket_pairs(ds, ["band", "band_hash"], "doc_id",
+                                         max_bucket=100))
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)  # overflow
+    fallback = _sorted(dedup._bucket_pairs(ds, ["band", "band_hash"], "doc_id",
+                                           max_bucket=100))
     key = lambda tbl: {(a, b) for a, b in zip(tbl["a"].to_pylist(), tbl["b"].to_pylist())}
     assert key(driver) == key(fallback)
     assert len(key(driver)) == 5 * 6  # 5 buckets x C(4,2)=6 pairs
@@ -50,11 +61,11 @@ def test_bucket_pairs_groupby_fallback(ray_session, monkeypatch):
 
 def test_hamming_pairs_overflow_matches_driver(ray_session, monkeypatch):
     """The per-bucket path that runs past the driver-fold limit gives the
-    driver fold's pairs, distances, types and order."""
+    driver fold's pairs, distances and types."""
     import numpy as np
     import ray.data as rd
 
-    from schisma_ray.stages import dedup
+    from schisma_ray.stages import _bucket, dedup
 
     rng = np.random.default_rng(11)
     base = rng.integers(0, 2**64 - 1, 12, dtype=np.uint64)
@@ -67,9 +78,10 @@ def test_hamming_pairs_overflow_matches_driver(ray_session, monkeypatch):
         "id": pa.array(range(len(sigs)), pa.int64()),
         "sig": pa.array(sigs, pa.int64()),
     })).repartition(4)
-    driver = dedup.hamming_near_dup_pairs(ds, sig_col="sig", id_col="id")
-    monkeypatch.setattr(dedup, "_DRIVER_FOLD_ROWS", 1)  # overflow
-    overflow = dedup.hamming_near_dup_pairs(ds, sig_col="sig", id_col="id")
+    driver = _sorted(dedup.hamming_near_dup_pairs(ds, sig_col="sig", id_col="id"))
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)  # overflow
+    overflow = _sorted(dedup.hamming_near_dup_pairs(ds, sig_col="sig",
+                                                    id_col="id"))
     assert driver.num_rows > 0
     assert overflow.equals(driver)
     for a, b, d in zip(*(driver[c].to_pylist() for c in ("a", "b", "hamming"))):

@@ -7,6 +7,8 @@ constructor in this package saves.
 
 A pool that a measurement justifies goes into ``MEASURED_POOLS``
 (``"<module path>:<function>"`` -> the measurement), and only there.
+The tests are scanned too: a test that starts a pool pays its start-up
+on every run.
 
 One keyed exchange: Ray's ``groupby(key).map_groups`` runs only inside
 ``stages/_bucket.py``. Every other keyed step goes through
@@ -16,6 +18,10 @@ comparisons. Joins too: a two-sided keyed step runs on
 ``bucket_cogroup`` (``join.shuffle_hash_join`` for a plain equi-join),
 never on Ray's ``Dataset.join``, whose hash shuffle runs on a second
 exchange of aggregator actors.
+
+One pair path: a pair producer picks its driver or bucketed body by the
+size it observes (``_bucket.fold_or_apply``, ``_bucket.fold_small``),
+so no function takes a flag that picks the body or its return type.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "schisma_ray"
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "schisma_ray"
+TESTS = REPO / "tests"
 
 #: pools kept on purpose, each with the measurement that justifies it
 MEASURED_POOLS: dict[str, str] = {}
@@ -40,10 +48,16 @@ def _functions(tree: ast.AST):
             yield name, node
 
 
-def _sources():
-    for path in sorted(PACKAGE.rglob("*.py")):
-        rel = path.relative_to(PACKAGE.parent).as_posix()
-        yield rel, ast.parse(path.read_text(), filename=rel)
+def _sources(roots=(PACKAGE, TESTS)):
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(REPO).as_posix()
+            yield rel, ast.parse(path.read_text(), filename=rel)
+
+
+def _params(node) -> list[str]:
+    a = node.args
+    return [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
 
 
 def test_map_batches_never_starts_an_actor_pool():
@@ -76,8 +90,7 @@ def test_no_stage_function_takes_concurrency():
         for owner, node in _functions(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            a = node.args
-            names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            names = _params(node)
             if "concurrency" in names and f"{rel}:{owner}" not in MEASURED_POOLS:
                 found.append(f"{rel}:{node.lineno} {node.name}")
     assert not found, "functions with a concurrency knob:\n" + "\n".join(found)
@@ -115,3 +128,22 @@ def test_no_ray_dataset_join():
                             for kw in node.keywords)):
                 found.append(f"{rel}:{node.lineno} {owner}")
     assert not found, "Ray Dataset.join calls:\n" + "\n".join(found)
+
+
+#: flags that picked a pair producer's body or its return type; the
+#: observed size picks the body now, and the result is always a Dataset
+PATH_FLAGS = {"as_dataset", "verify_driver_limit"}
+
+
+def test_no_function_takes_a_path_flag():
+    found = []
+    for rel, tree in _sources((PACKAGE,)):
+        for _, node in _functions(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = sorted(PATH_FLAGS.intersection(_params(node)))
+            if node.name == "near_dedup_survivors" and "driver_limit" in _params(node):
+                names.append("driver_limit")
+            if names:
+                found.append(f"{rel}:{node.lineno} {node.name} {', '.join(names)}")
+    assert not found, "functions with a path flag:\n" + "\n".join(found)

@@ -18,10 +18,8 @@ def test_image_resize(images):
     from schisma_ray.stages.multimodal import ImageResize
 
     out = images.map_batches(
-        ImageResize,
-        fn_constructor_kwargs={"target_w": 16, "target_h": 16},
+        ImageResize(target_w=16, target_h=16),
         batch_format="pyarrow",
-        concurrency=2,
         batch_size=128,
     ).to_pandas()
     ok = out[out["bytes"].notna()]
@@ -37,9 +35,8 @@ def test_image_features(images):
     from schisma_ray.stages.multimodal import ImageFeatures, features_of
 
     ds = images.map_batches(
-        ImageFeatures,
+        ImageFeatures(),
         batch_format="pyarrow",
-        concurrency=2,
         batch_size=128,
     )
     vecs = []

@@ -45,8 +45,8 @@ def test_fingerprints(docs):
 def test_minhash_dedup(docs):
     from schisma_ray.stages.dedup import minhash_dedup_pairs
 
-    pairs = minhash_dedup_pairs(docs, "text", "doc_id", threshold=0.5)
-    got = {(a, b) for a, b in zip(pairs["a"].to_pylist(), pairs["b"].to_pylist())}
+    pairs = minhash_dedup_pairs(docs, "text", "doc_id", threshold=0.5).to_pandas()
+    got = {(a, b) for a, b in zip(pairs["a"], pairs["b"])}
     assert (0, 3) in got  # exact dup -> jaccard 1.0
     assert (0, 1) in got and (1, 3) in got  # near dups
     assert all(a < b for a, b in got)
@@ -57,11 +57,11 @@ def test_minhash_dedup(docs):
 def test_simhash_dedup(docs):
     from schisma_ray.stages.dedup import simhash_dup_pairs
 
-    pairs = simhash_dup_pairs(docs, "text", "doc_id", max_hamming=3)
-    got = {(a, b) for a, b in zip(pairs["a"].to_pylist(), pairs["b"].to_pylist())}
+    pairs = simhash_dup_pairs(docs, "text", "doc_id", max_hamming=3).to_pandas()
+    got = {(a, b) for a, b in zip(pairs["a"], pairs["b"])}
     assert (0, 3) in got  # identical -> hamming 0
-    hamming = dict(zip(zip(pairs["a"].to_pylist(), pairs["b"].to_pylist()),
-                       pairs["hamming"].to_pylist()))
+    hamming = dict(zip(zip(pairs["a"], pairs["b"]),
+                       pairs["hamming"]))
     assert hamming[(0, 3)] == 0
 
 
@@ -114,8 +114,8 @@ def test_ann_lsh_recall(vectors):
 def test_embedding_near_dups(vectors):
     from schisma_ray.stages.similarity import cosine_near_dup_pairs
 
-    pairs = cosine_near_dup_pairs(vectors, threshold=0.99)
-    got = {(a, b) for a, b in zip(pairs["a"].to_pylist(), pairs["b"].to_pylist())}
+    pairs = cosine_near_dup_pairs(vectors, threshold=0.99).to_pandas()
+    got = {(a, b) for a, b in zip(pairs["a"], pairs["b"])}
     assert (3, 7) in got
 
 
@@ -203,6 +203,7 @@ def test_kernel_batch_parity(ray_session):
 
 def test_connected_components_and_survivors(docs):
     import pyarrow as pa
+    import ray.data as rd
 
     from schisma_ray.stages.components import (
         components_from_pairs,
@@ -219,7 +220,8 @@ def test_connected_components_and_survivors(docs):
     m2 = dict(zip(comp2["node"].to_pylist(), comp2["component"].to_pylist()))
     assert m2 == m
     survivors = sorted(
-        near_dedup_survivors(docs, pairs, "doc_id").to_pandas()["doc_id"]
+        near_dedup_survivors(docs, rd.from_arrow(pairs), "doc_id")
+        .to_pandas()["doc_id"]
     )
     assert survivors == [0, 2, 4]  # 1,3 fold into 0; 5 folds into 4
 

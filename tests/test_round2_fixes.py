@@ -172,11 +172,12 @@ def test_components_distributed_matches_union_find(ray_session):
     assert truth.sort_by("node").equals(dist.sort_by("node"))
 
 
-def test_minhash_verify_bucketed_matches_driver(ray_session):
-    """Forcing the bucketed-join verification (verify_driver_limit=0)
-    must yield exactly the driver-path pair set."""
+def test_minhash_verify_bucketed_matches_driver(ray_session, monkeypatch):
+    """Forcing the bucketed-join verification (a verify limit of 0
+    candidates) must yield exactly the driver-path pair set."""
     import ray.data as rd
 
+    from schisma_ray.stages import _bucket, dedup
     from schisma_ray.stages.dedup import minhash_dedup_pairs, simhash_dup_pairs
 
     texts = [f"the quick brown fox jumps over dog number {i} " * 4 for i in range(40)]
@@ -185,23 +186,20 @@ def test_minhash_verify_bucketed_matches_driver(ray_session):
         pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
                   "text": pa.array(texts, pa.string())})
     )
-    drv = minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.5)
-    dist = minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.5,
-                               verify_driver_limit=0)
-    key = lambda t: sorted(zip(t["a"].to_pylist(), t["b"].to_pylist(),
-                               t["jaccard"].to_pylist()))
-    assert drv.num_rows > 0
+    drv = minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.5).to_pandas()
+    monkeypatch.setattr(dedup, "_VERIFY_DRIVER_PAIRS", 0)
+    dist = minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.5).to_pandas()
+    key = lambda t: sorted(zip(t["a"], t["b"], t["jaccard"]))
+    assert len(drv) > 0
     assert key(drv) == key(dist)
 
-    # the simhash pairs verify inside their band buckets: the Dataset
-    # chain must give the driver fold's pair set
-    drv_s = simhash_dup_pairs(ds, "text", "doc_id", max_hamming=10)
-    dist_s = pa.Table.from_pandas(
-        simhash_dup_pairs(ds, "text", "doc_id", max_hamming=10,
-                          as_dataset=True).to_pandas())
-    key_s = lambda t: sorted(zip(t["a"].to_pylist(), t["b"].to_pylist(),
-                                 t["hamming"].to_pylist()))
-    assert drv_s.num_rows > 0
+    # the simhash pairs verify inside their band buckets: the per-bucket
+    # side of the switch must give the driver fold's pair set
+    drv_s = simhash_dup_pairs(ds, "text", "doc_id", max_hamming=10).to_pandas()
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    dist_s = simhash_dup_pairs(ds, "text", "doc_id", max_hamming=10).to_pandas()
+    key_s = lambda t: sorted(zip(t["a"], t["b"], t["hamming"]))
+    assert len(drv_s) > 0
     assert key_s(drv_s) == key_s(dist_s)
 
 
@@ -325,11 +323,12 @@ def test_partitioned_writer_roundtrip(ray_session, tmp_path):
     assert sorted(en["doc_id"]) == [1, 3]
 
 
-def test_minhash_verify_bucketed_string_ids(ray_session):
+def test_minhash_verify_bucketed_string_ids(ray_session, monkeypatch):
     """The bucketed pair-verify must support string ids (the image_id
     shape), not just int64 doc ids."""
     import ray.data as rd
 
+    from schisma_ray.stages import dedup
     from schisma_ray.stages.dedup import minhash_dedup_pairs
 
     texts = [f"quick brown fox jumps over lazy dog {i} " * 5 for i in range(20)]
@@ -337,12 +336,11 @@ def test_minhash_verify_bucketed_string_ids(ray_session):
     ids = [f"doc-{i:03d}" for i in range(len(texts))]
     ds = rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.string()),
                                  "text": pa.array(texts, pa.string())}))
-    drv = minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.5)
-    dist = minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.5,
-                               verify_driver_limit=0)
-    key = lambda t: sorted(zip(t["a"].to_pylist(), t["b"].to_pylist(),
-                               t["jaccard"].to_pylist()))
-    assert drv.num_rows > 0 and key(drv) == key(dist)
+    drv = minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.5).to_pandas()
+    monkeypatch.setattr(dedup, "_VERIFY_DRIVER_PAIRS", 0)
+    dist = minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.5).to_pandas()
+    key = lambda t: sorted(zip(t["a"], t["b"], t["jaccard"]))
+    assert len(drv) > 0 and key(drv) == key(dist)
 
 
 def test_table_diff_classification(ray_session):
@@ -366,15 +364,16 @@ def test_near_dedup_survivors_join_strategy(ray_session):
     from schisma_ray.stages.components import near_dedup_survivors
 
     docs = rd.from_arrow(pa.table({"doc_id": pa.array(range(20), pa.int64())}))
-    pairs = pa.table({"a": pa.array([1, 2, 7], pa.int64()),
-                      "b": pa.array([2, 3, 8], pa.int64())})
+    pairs = rd.from_arrow(pa.table({"a": pa.array([1, 2, 7], pa.int64()),
+                                    "b": pa.array([2, 3, 8], pa.int64())}))
     # components: {1,2,3} keeper 1; {7,8} keeper 7 -> drop 2,3,8
     bc = sorted(near_dedup_survivors(docs, pairs, "doc_id").to_pandas()["doc_id"])
     jn = sorted(near_dedup_survivors(docs, pairs, "doc_id",
                                      strategy="join").to_pandas()["doc_id"])
     assert bc == jn == [i for i in range(20) if i not in (2, 3, 8)]
     # empty pair set: everything survives, both strategies
-    e = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
+    e = rd.from_arrow(pa.table({"a": pa.array([], pa.int64()),
+                                "b": pa.array([], pa.int64())}))
     assert sorted(near_dedup_survivors(docs, e, "doc_id",
                                        strategy="join").to_pandas()["doc_id"]) == list(range(20))
 
@@ -412,10 +411,8 @@ def test_json_column_validator_edges(ray_session):
         }
     )
     out = rd.from_arrow(t).map_batches(
-        JsonColumnValidator,
-        fn_constructor_args=(schema, "props", "event_id"),
+        JsonColumnValidator(schema, "props", "event_id"),
         batch_format="pyarrow",
-        concurrency=(1, 2),
     ).to_pandas()
     got = set(zip(out["row_ref"], out["path"], out["code"]))
     # JS numbers: json 5 -> 5.0 passes Number; unparseable -> invalid;
@@ -444,10 +441,8 @@ def test_json_column_conformer_repairs(ray_session):
         }
     )
     out = rd.from_arrow(t).map_batches(
-        JsonColumnConformer,
-        fn_constructor_args=(schema, "props", "event_id"),
+        JsonColumnConformer(schema, "props", "event_id"),
         batch_format="pyarrow",
-        concurrency=(1, 2),
     ).to_pandas()
     got = dict(zip(out["event_id"], out["props"]))
     assert got[1] == '{"k":7,"m":0}'        # insert-missing default

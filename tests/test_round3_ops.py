@@ -29,9 +29,8 @@ def test_hamming_near_dup_pairs_stored_column(ray_session):
     })
     out = hamming_near_dup_pairs(
         rd.from_arrow(sigs), sig_col="phash", id_col="image_id", max_hamming=3
-    )
-    got = sorted(zip(out["a"].to_pylist(), out["b"].to_pylist(),
-                     out["hamming"].to_pylist()))
+    ).to_pandas()
+    got = sorted(zip(out["a"], out["b"], out["hamming"]))
     assert got == [("a", "b", 3)]
 
 
@@ -49,8 +48,8 @@ def test_hamming_banding_vectorized_matches_python(ray_session):
                      "sig": pa.array(vals, pa.int64())})
     out = hamming_near_dup_pairs(
         rd.from_arrow(sigs), sig_col="sig", id_col="id", max_hamming=3
-    )
-    pairs = set(zip(out["a"].to_pylist(), out["b"].to_pylist()))
+    ).to_pandas()
+    pairs = set(zip(out["a"], out["b"]))
     assert (0, 10) in pairs and (1, 11) in pairs
 
 
@@ -454,8 +453,8 @@ def test_semdedup_pairs_bruteforce_within_clusters(ray_session):
         pa.table({"vec_id": pa.array(ids, pa.int64()),
                   "embedding": pa.array(x.tolist(), pa.list_(pa.float64()))})
     ).repartition(5)
-    got = semdedup_pairs(ds, cents, threshold=0.999, max_cluster=None)
-    got_pairs = set(zip(got["a"].to_pylist(), got["b"].to_pylist()))
+    got = semdedup_pairs(ds, cents, threshold=0.999, max_cluster=None).to_pandas()
+    got_pairs = set(zip(got["a"], got["b"]))
 
     # brute force with the operator's own cluster-partitioned semantics
     n = x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -485,10 +484,7 @@ def test_semdedup_survivors_drop_non_keepers(ray_session):
         pa.table({"vec_id": pa.array(np.arange(20), pa.int64()),
                   "embedding": pa.array(x.tolist(), pa.list_(pa.float64()))})
     ).repartition(3)
-    pairs = semdedup_pairs(ds, cents, threshold=0.9999, max_cluster=None,
-                           as_dataset=True)
-    pairs = pairs.map_batches(lambda t: t.select(["a", "b"]),
-                              batch_format="pyarrow", zero_copy_batch=True)
+    pairs = semdedup_pairs(ds, cents, threshold=0.9999, max_cluster=None)
     kept = sorted(
         near_dedup_survivors(ds, pairs, "vec_id").to_pandas()["vec_id"]
     )

@@ -137,8 +137,8 @@ def test_hamming_banding_full_recall(ray_session, seed):
 
     got = hamming_near_dup_pairs(
         rd.from_arrow(tbl), sig_col="sig", id_col="id", max_hamming=3
-    )
-    got_pairs = set(zip(got["a"].to_pylist(), got["b"].to_pylist()))
+    ).to_pandas()
+    got_pairs = set(zip(got["a"], got["b"]))
     # brute force ALL pairs
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
@@ -220,14 +220,15 @@ def test_ngram_jaccard_matches_bruteforce(ray_session, seed, threshold):
     ).repartition(4)
     got = ngram_jaccard_pairs(
         ds, "text", "doc_id", threshold=threshold, num_buckets=4
-    )
-    got_pairs = set(zip(got["a"].to_pylist(), got["b"].to_pylist()))
+    ).to_pandas()
+    got_pairs = set(zip(got["a"], got["b"]))
     assert got_pairs == _brute_jaccard_pairs(texts, threshold)
 
 
-def test_ngram_jaccard_dataset_chain_parity(ray_session):
-    """as_dataset=True (zero driver pair hops) returns the same pair set
-    as the driver path."""
+def test_ngram_jaccard_dataset_chain_parity(ray_session, monkeypatch):
+    """Both sides of every size switch (pair emission and verification
+    forced per bucket) return the driver side's pair set."""
+    from schisma_ray.stages import _bucket, dedup
     from schisma_ray.stages.dedup import ngram_jaccard_pairs
 
     rng = np.random.default_rng(7)
@@ -240,12 +241,13 @@ def test_ngram_jaccard_dataset_chain_parity(ray_session):
                   "text": pa.array([texts[k] for k in sorted(texts)])})
     ).repartition(3)
     drv = ngram_jaccard_pairs(ds, "text", "doc_id", threshold=0.8,
-                              num_buckets=4)
+                              num_buckets=4).to_pandas()
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    monkeypatch.setattr(dedup, "_VERIFY_DRIVER_PAIRS", 0)
     chain = ngram_jaccard_pairs(ds, "text", "doc_id", threshold=0.8,
-                                num_buckets=4, as_dataset=True)
-    drv_pairs = set(zip(drv["a"].to_pylist(), drv["b"].to_pylist()))
-    ct = chain.to_pandas()
-    assert set(zip(ct["a"], ct["b"])) == drv_pairs
+                                num_buckets=4).to_pandas()
+    drv_pairs = set(zip(drv["a"], drv["b"]))
+    assert drv_pairs and set(zip(chain["a"], chain["b"])) == drv_pairs
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

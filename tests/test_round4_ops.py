@@ -372,9 +372,10 @@ def test_prepare_corpus_minhash_fuzzy_dedup(ray_session):
     assert set(out["doc_id"]) == {0, 3}
 
 
-def test_cross_corpus_near_duplicates(ray_session):
-    """Near-dups across the corpus boundary only; as_dataset twin must
-    return identical pairs."""
+def test_cross_corpus_near_duplicates(ray_session, monkeypatch):
+    """Near-dups across the corpus boundary only; the per-bucket side of
+    both size switches must return identical pairs."""
+    from schisma_ray.stages import _bucket, dedup
     from schisma_ray.stages.dedup import cross_corpus_near_duplicates
 
     body = ("alpha beta gamma delta epsilon zeta eta theta iota kappa "
@@ -392,15 +393,15 @@ def test_cross_corpus_near_duplicates(ray_session):
     ]
     new = rd.from_arrow(pa.Table.from_pylist(new_rows)).repartition(2)
     base = rd.from_arrow(pa.Table.from_pylist(base_rows)).repartition(2)
-    out = cross_corpus_near_duplicates(new, base, threshold=0.8)
-    got = sorted(zip(out["new_id"].to_pylist(), out["base_id"].to_pylist()))
+    out = cross_corpus_near_duplicates(new, base, threshold=0.8).to_pandas()
+    got = sorted(zip(out["new_id"], out["base_id"]))
     # cross pairs only: (20,10) and (20,12); base-side dup 10~12 NOT emitted
     assert got == [(20, 10), (20, 12)]
-    assert all(j >= 0.8 for j in out["jaccard"].to_pylist())
+    assert all(j >= 0.8 for j in out["jaccard"])
 
-    ds_out = cross_corpus_near_duplicates(
-        new, base, threshold=0.8, as_dataset=True
-    ).to_pandas()
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    monkeypatch.setattr(dedup, "_VERIFY_DRIVER_PAIRS", 0)
+    ds_out = cross_corpus_near_duplicates(new, base, threshold=0.8).to_pandas()
     assert sorted(zip(ds_out["new_id"], ds_out["base_id"])) == got
 
 
@@ -475,9 +476,9 @@ def test_minhash_blank_docs_never_pair(ray_session):
         "text": pa.array(["", "   ", None], pa.string()),
     })
     ds = rd.from_arrow(t)
-    assert minhash_dedup_pairs(ds, col="text", id_col="doc_id").num_rows == 0
+    assert minhash_dedup_pairs(ds, col="text", id_col="doc_id").count() == 0
     out = cross_corpus_near_duplicates(ds, ds, threshold=0.5)
-    assert out.num_rows == 0
+    assert out.count() == 0
 
 
 def test_text_hygiene_known_values(ray_session):

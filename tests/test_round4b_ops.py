@@ -297,8 +297,8 @@ def test_brightness_stats_exact(ray_session):
         "image_id": pa.array(["a", "b", "c", "bad"], pa.string()),
         "bytes": pa.array(blobs, pa.binary()),
     }))
-    out = ds.map_batches(BrightnessStats, batch_format="pyarrow",
-                         zero_copy_batch=True, concurrency=2).to_pandas()
+    out = ds.map_batches(BrightnessStats(), batch_format="pyarrow",
+                         zero_copy_batch=True).to_pandas()
     assert list(out.image_id) == ["a", "b", "c"]
     for row, blob in zip(out.itertuples(), blobs):
         pixels, _ = codec.decode(blob)

@@ -136,7 +136,7 @@ def test_pair_fidelity_bruteforce(ray_session):
                               pa.string()),
     })
     out = (rd.from_arrow(t).repartition(2)
-           .map_batches(PairFidelity, batch_format="pyarrow", concurrency=2)
+           .map_batches(PairFidelity(), batch_format="pyarrow")
            .to_pandas().set_index("image_id"))
     assert out.loc["same", "sse"] == 0 and out.loc["same", "ok"]
     assert out.loc["lossy", "psnr_ok"] and out.loc["lossy", "sse"] > 0

@@ -182,15 +182,17 @@ def test_edit_distance_pairs_bruteforce_and_layout(ray_session):
     outs = []
     for rep in (1, 5):
         ds = rd.from_arrow(tbl).repartition(rep)
-        t = edit_distance_pairs(ds, "name", "key", max_dist=1)
-        outs.append(set(zip(t["a"].to_pylist(), t["b"].to_pylist(),
-                            t["dist"].to_pylist())))
+        t = edit_distance_pairs(ds, "name", "key", max_dist=1).to_pandas()
+        outs.append(set(zip(t["a"], t["b"], t["dist"])))
     assert outs[0] == outs[1] == want
     # the >max_len strings are excluded even though they are 1 apart
     assert not any(a >= 14 for a, _, _ in outs[0])
 
 
-def test_edit_distance_pairs_dataset_twin(ray_session):
+def test_edit_distance_pairs_dataset_twin(ray_session, monkeypatch):
+    """The per-bucket side of both size switches gives the driver
+    side's pairs."""
+    from schisma_ray.stages import _bucket, dedup
     from schisma_ray.stages.dedup import edit_distance_pairs
 
     names = [f"node{i:03d}" for i in range(40)] + ["node00x", "node01x"]
@@ -199,12 +201,11 @@ def test_edit_distance_pairs_dataset_twin(ray_session):
         "name": pa.array(names, pa.string()),
     })
     ds = rd.from_arrow(tbl).repartition(3)
-    drv = edit_distance_pairs(ds, "name", "key", max_dist=1)
-    chain = edit_distance_pairs(ds, "name", "key", max_dist=1,
-                                as_dataset=True)
-    got_drv = set(zip(drv["a"].to_pylist(), drv["b"].to_pylist(),
-                      drv["dist"].to_pylist()))
-    ct = chain.to_pandas()
+    drv = edit_distance_pairs(ds, "name", "key", max_dist=1).to_pandas()
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    monkeypatch.setattr(dedup, "_VERIFY_DRIVER_PAIRS", 0)
+    ct = edit_distance_pairs(ds, "name", "key", max_dist=1).to_pandas()
+    got_drv = set(zip(drv["a"], drv["b"], drv["dist"]))
     got_chain = set(zip(ct["a"], ct["b"], ct["dist"]))
     assert got_drv == got_chain and len(got_drv) > 0
 
@@ -410,7 +411,7 @@ def test_record_linkage_scores_bruteforce(ray_session):
     got = {(r["a"], r["b"]):
            (r["name_dist"], r["n_exact_agree"], r["value_close"],
             r["score"])
-           for r in t.to_pylist()}
+           for r in t.take_all()}
     # (1,2): dist1, seg agree, |500|<=1000 -> score 1+1+1=3
     # (1,3): dist0, seg differ, far -> 2+0+0=2
     # (2,3): dist1, differ, far -> 1
@@ -668,7 +669,10 @@ def test_grouped_quantiles_select_matches_bruteforce(ray_session):
     assert outs[0] == sorted(want)
 
 
-def test_record_linkage_dataset_twin(ray_session):
+def test_record_linkage_dataset_twin(ray_session, monkeypatch):
+    """The per-bucket side of both size switches gives the driver
+    side's scores."""
+    from schisma_ray.stages import _bucket, dedup
     from schisma_ray.stages.dedup import record_linkage_scores
 
     tbl = pa.table({
@@ -682,10 +686,12 @@ def test_record_linkage_dataset_twin(ray_session):
     ds = rd.from_arrow(tbl).repartition(3)
     kw = dict(id_col="key", name_col="name", exact_cols=["seg"],
               value_col="cents", value_tol=1000)
-    drv = record_linkage_scores(ds, **kw)
-    chain = record_linkage_scores(ds, as_dataset=True, **kw).to_pandas()
+    drv = record_linkage_scores(ds, **kw).to_pandas()
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    monkeypatch.setattr(dedup, "_VERIFY_DRIVER_PAIRS", 0)
+    chain = record_linkage_scores(ds, **kw).to_pandas()
     key = lambda rows: sorted(map(tuple, rows))
-    assert key(drv.to_pandas().values) == key(chain.values)
+    assert key(drv.values) == key(chain.values)
     assert len(chain) == 4
 
 
