@@ -8679,7 +8679,12 @@ def q_split_leakage_near(sf_dir: str):
     crawl = base.map_batches(_synth_new_crawl, batch_format="pyarrow",
                              zero_copy_batch=True)
     pairs = minhash_dedup_pairs(base.union(crawl), col="text",
-                                id_col="doc_id", threshold=0.8)
+                                id_col="doc_id", threshold=0.8).materialize()
+    if not pairs.count():
+        # a map hands an empty block on without its columns
+        return rd.from_arrow(pa.schema([
+            ("train_id", pa.int64()), ("val_id", pa.int64()),
+            ("jaccard", pa.float64())]).empty_table())
 
     def tag(t: pa.Table) -> pa.Table:
         a = t["a"].combine_chunks()

@@ -21,8 +21,8 @@ what the materialized input reports, never by a flag: pair emission
 runs through ``_bucket.fold_or_apply`` (once on the driver up to
 ``_bucket._DRIVER_FOLD_ROWS`` banded rows, else per hash bucket), and
 candidate verification through ``_verify_candidates`` (a driver
-broadcast fetch up to ``_VERIFY_DRIVER_PAIRS`` candidates, else
-``_verify_pairs_bucketed``).
+broadcast fetch up to ``_VERIFY_DRIVER_PAIRS`` distinct candidate
+pairs, else ``_verify_pairs_bucketed``).
 
 All hashing is seeded/deterministic (pandas hash_array + splitmix-style
 mixing), so outputs are reproducible across runs and cluster sizes.
@@ -41,8 +41,9 @@ import ray
 from ._bucket import (bucket_apply, bucket_cogroup, bucket_combine,
                       fold_or_apply, fold_small, keep_columns, resolve_schema)
 
-#: candidate pairs whose payloads the driver fetches and verifies itself;
-#: beyond it each pair verifies in a bucket (``_verify_pairs_bucketed``)
+#: distinct candidate pairs whose payloads the driver fetches and
+#: verifies itself; beyond it each pair verifies in a bucket
+#: (``_verify_pairs_bucketed``)
 _VERIFY_DRIVER_PAIRS = 100_000
 
 #: the empty (a, b) id-pair table
@@ -467,30 +468,37 @@ def _verify_candidates(ds, cand, col: str, id_col: str, pair_fn, finish,
     ``bucket_apply``, a name standing for that column of the (a, b,
     metric) table.
 
-    The size of ``cand`` picks one of two bodies. Up to
-    ``_VERIFY_DRIVER_PAIRS`` candidates, the driver fetches their
+    The number of distinct candidate pairs picks one of two bodies. Up
+    to ``_VERIFY_DRIVER_PAIRS`` of them, the driver fetches their
     payloads with one broadcast-filtered scan and verifies them itself;
     beyond it ``_verify_pairs_bucketed`` attaches payloads to pairs per
     id bucket and verifies per pair bucket, so neither pairs nor
-    payloads ever accumulate on the driver."""
+    payloads ever accumulate on the driver. Candidates that
+    ``fold_small`` folds are made distinct on the driver before they are
+    counted (a pair found under several band keys counts once); larger
+    candidate sets go to the bucketed body through an exchange
+    distinct."""
     import ray.data as rd
 
     prepare_fn = prepare_fn or (lambda p: p)
-    mat, rows = fold_small(cand, _VERIFY_DRIVER_PAIRS)
+    mat, rows = fold_small(cand)
     id_type = (mat.schema().base_schema if rows is None
                else rows.schema).field("a").type
     metric = pa.schema([("a", id_type), ("b", id_type),
                         ("metric", pa.float64())])
     declared = resolve_schema(schema, [metric])
-    if rows is None:
+    if rows is not None:
+        rows = rows.group_by(["a", "b"], use_threads=False).aggregate([])
+    if rows is None or rows.num_rows > _VERIFY_DRIVER_PAIRS:
+        distinct = (_distinct_pairs_ds(mat) if rows is None
+                    else rd.from_arrow(rows))
         return keep_columns(_verify_pairs_bucketed(
-            ds, _distinct_pairs_ds(mat), col, id_col, id_type,
+            ds, distinct, col, id_col, id_type,
             lambda t: finish(pa.Table.from_pandas(t, schema=metric,
                                                   preserve_index=False)),
             pair_fn, prepare_fn, declared), declared)
     if rows.num_rows == 0:
         return rd.from_arrow(declared.empty_table())
-    rows = rows.group_by(["a", "b"], use_threads=False).aggregate([])
     need = pc.unique(pa.concat_arrays([rows["a"].combine_chunks(),
                                        rows["b"].combine_chunks()]))
 

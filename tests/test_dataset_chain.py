@@ -31,13 +31,14 @@ def _docs():
 def no_pair_folds(monkeypatch):
     fold_small = _bucket.fold_small
 
-    def spy(ds, limit=None):
-        mat, rows = fold_small(ds, limit)
+    def spy(ds, limit=None, max_bytes=None):
+        mat, rows = fold_small(ds, limit, max_bytes)
         assert rows is None or rows.num_rows == 0, "pair rows folded on the driver"
         return mat, rows
 
     monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
     monkeypatch.setattr(dedup, "_VERIFY_DRIVER_PAIRS", 0)
+    monkeypatch.setattr(components, "_UNION_FIND_PAIRS", 0)
     for module in (_bucket, dedup, components):
         monkeypatch.setattr(module, "fold_small", spy)
 

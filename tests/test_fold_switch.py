@@ -46,8 +46,11 @@ def test_fold_or_apply_sides_agree(ray_session, monkeypatch):
         return out.to_pandas().sort_values("k").values.tolist()
 
     driver = run()
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_BYTES", 0)
+    by_bytes = run()
+    monkeypatch.undo()
     monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
-    assert run() == driver == [[k, 55 + k] for k in range(5)]
+    assert run() == by_bytes == driver == [[k, 55 + k] for k in range(5)]
 
 
 def _counted(ds, path: Path):
@@ -98,6 +101,31 @@ def test_overflow_reads_hamming_input_once(ray_session, monkeypatch, tmp_path):
     assert sorted(zip(out["a"], out["b"], out["hamming"])) == [
         w for w in want if w[2] <= 3]
     assert _calls(calls) == sigs.num_blocks()
+
+
+def test_verify_switch_counts_distinct_pairs(ray_session, monkeypatch):
+    """Three identical docs collide in all 16 MinHash bands: 48 candidate
+    rows, 3 distinct pairs. The verification limit applies to the 3."""
+    texts = ["the same sentence about rivers and hills"] * 3
+    texts += ["an unrelated line on cooking pasta slowly"]
+    ds = rd.from_arrow(pa.table({"doc_id": pa.array(range(4), pa.int64()),
+                                 "text": pa.array(texts, pa.string())}))
+    assert dedup.minhash_candidate_pairs(ds, "text", "doc_id").count() == 48
+    bucketed = []
+    verify = dedup._verify_pairs_bucketed
+
+    def spy(*args, **kwargs):
+        bucketed.append(1)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(dedup, "_verify_pairs_bucketed", spy)
+    want = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
+    for limit, used in ((3, []), (2, [1])):
+        bucketed.clear()
+        monkeypatch.setattr(dedup, "_VERIFY_DRIVER_PAIRS", limit)
+        out = dedup.minhash_dedup_pairs(ds, "text", "doc_id").to_pandas()
+        assert sorted(zip(out["a"], out["b"], out["jaccard"])) == want
+        assert bucketed == used
 
 
 # ------------------------------------- empty pair results, both sides

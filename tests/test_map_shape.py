@@ -142,7 +142,8 @@ def test_no_function_takes_a_path_flag():
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             names = sorted(PATH_FLAGS.intersection(_params(node)))
-            if node.name == "near_dedup_survivors" and "driver_limit" in _params(node):
+            if (node.name in {"near_dedup_survivors", "components_from_pairs"}
+                    and "driver_limit" in _params(node)):
                 names.append("driver_limit")
             if names:
                 found.append(f"{rel}:{node.lineno} {node.name} {', '.join(names)}")

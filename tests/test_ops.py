@@ -205,7 +205,9 @@ def test_connected_components_and_survivors(docs):
     import pyarrow as pa
     import ray.data as rd
 
+    from schisma_ray.stages._fold import fold_table
     from schisma_ray.stages.components import (
+        components_distributed,
         components_from_pairs,
         near_dedup_survivors,
     )
@@ -216,7 +218,7 @@ def test_connected_components_and_survivors(docs):
     m = dict(zip(comp["node"].to_pylist(), comp["component"].to_pylist()))
     assert m == {0: 0, 1: 0, 3: 0, 4: 4, 5: 4}
     # propagation path must agree with union-find
-    comp2 = components_from_pairs(pairs, driver_limit=0)
+    comp2 = fold_table(components_distributed(pairs))
     m2 = dict(zip(comp2["node"].to_pylist(), comp2["component"].to_pylist()))
     assert m2 == m
     survivors = sorted(

@@ -144,7 +144,8 @@ def test_checkpoint_crash_hygiene_and_identity(ray_session, tmp_path):
 def test_components_distributed_pointer_doubling(ray_session):
     """A path graph (worst-case diameter) must converge in O(log V)
     rounds via the pointer-doubling edges, matching union-find."""
-    from schisma_ray.stages.components import components_from_pairs
+    from schisma_ray.stages._fold import fold_table
+    from schisma_ray.stages.components import components_distributed
 
     chain = pa.table(
         {
@@ -152,7 +153,7 @@ def test_components_distributed_pointer_doubling(ray_session):
             "b": pa.array(list(range(1, 200)), pa.int64()),
         }
     )
-    out = components_from_pairs(chain, driver_limit=0)  # force distributed
+    out = fold_table(components_distributed(chain))
     assert out.num_rows == 200
     assert set(out["component"].to_pylist()) == {0}
 
@@ -160,7 +161,11 @@ def test_components_distributed_pointer_doubling(ray_session):
 def test_components_distributed_matches_union_find(ray_session):
     import numpy as np
 
-    from schisma_ray.stages.components import components_from_pairs
+    from schisma_ray.stages._fold import fold_table
+    from schisma_ray.stages.components import (
+        components_distributed,
+        components_from_pairs,
+    )
 
     rng = np.random.default_rng(11)
     a = rng.integers(0, 500, 400).astype("int64")
@@ -168,7 +173,7 @@ def test_components_distributed_matches_union_find(ray_session):
     keep = a != b
     pairs = pa.table({"a": pa.array(a[keep]), "b": pa.array(b[keep])})
     truth = components_from_pairs(pairs)
-    dist = components_from_pairs(pairs, driver_limit=0)
+    dist = fold_table(components_distributed(pairs))
     assert truth.sort_by("node").equals(dist.sort_by("node"))
 
 

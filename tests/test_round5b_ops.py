@@ -203,6 +203,22 @@ def test_split_leakage_near_tags_cross_split_only(ray_session):
         assert not _md5_train(r.val_id)
 
 
+def test_split_leakage_near_keeps_columns_without_pairs(ray_session, tmp_path):
+    """A corpus without near-duplicates (no id the synthetic crawl
+    re-keys) still reports the query's three columns."""
+    import pyarrow.parquet as pq
+
+    from schisma_ray.pipelines.catalog import q_split_leakage_near
+
+    docs = pa.table({"doc_id": pa.array([2, 3, 4, 7], pa.int64()),
+                     "text": ["alpha beta gamma delta", "one two three four",
+                              "red green blue cyan", "north south east west"]})
+    pq.write_table(docs, tmp_path / "documents.parquet")
+    out = q_split_leakage_near(str(tmp_path))
+    assert out.count() == 0
+    assert out.schema().names == ["train_id", "val_id", "jaccard"]
+
+
 def test_session_bounce_bruteforce(ray_session):
     from schisma_ray.stages.window import session_bounce_by_day
 
