@@ -101,8 +101,8 @@ def run_bench() -> dict:
 
     n_images = image_table.rows_for_sf(SF_DIR)
     bench_queries = {
-        # fused: schema+decode in the read task (no object-store round
-        # trip for bytes), plus the uniqueness/referential union branches
+        # fused: schema, decode, uniqueness and referential checks in one
+        # read task (no object-store round trip for bytes, no union)
         "image_validate_full": lambda: validate_images(table_dir, fused=True),
         "image_conform_full": lambda: catalog.q_image_conform_full(SF_DIR),
         "image_stats": lambda: catalog.q_image_stats(SF_DIR),

@@ -551,12 +551,10 @@ def main(argv=None) -> int:
                 right_key=args.right_key or args.left_key,
             ).to_pylist()[0]
             tgt = max(1, args.target_rows_per_partition)
-            parts = max(1, -(-card["est_rows"] // tgt))
             hot_share = (card["max_key_rows"] / card["est_rows"]
                          if card["est_rows"] else 0.0)
             salt = card["max_key_rows"] > args.salt_threshold * tgt
             card["recommendation"] = {
-                "num_partitions": parts,
                 "salt_hot_keys": bool(salt),
                 "hot_key_share": round(hot_share, 6),
                 "note": ("hot key alone exceeds "

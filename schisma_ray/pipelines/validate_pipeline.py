@@ -1,34 +1,36 @@
 """Flagship pipeline: full validation of the image+caption table.
 
-Composes every check family over one streaming read:
+Runs every check family in ONE read task, with no union:
 
-  read_parquet (column-pruned per stage)
-    ├─ schema stage      map_batches(TableValidator)     [task]
-    ├─ decode stage      map_batches(DecodeValidator)    [task]
-    ├─ uniqueness stage  partial-agg -> groupby -> broadcast re-scan
-    └─ referential stage broadcast anti-join
-  -> union -> one violations Dataset (schema sources/image_table.VIOLATION_SCHEMA)
+  duplicate_keys(read ["phash"])         narrow key fold -> dup keys
+  pq.read_table(reference_ids.parquet)   driver read -> reference ids
+  read_parquet (all columns)
+    -> map_batches(Checks: TableValidator + DecodeValidator
+                   + DuplicateRows(dup keys) + OrphanRows(reference ids))
+  -> one violations Dataset (schema sources/image_table.VIOLATION_SCHEMA)
 
-Column pruning matters: the schema/uniqueness/referential stages never
-read ``bytes`` (the heavy column); only the decode stage does.
+Both key sets are collected while the plan is built and ``ray.put``
+once; each batch then tests its keys with a vectorized ``is_in``. So
+the image table is read once in full, plus the narrow ``phash`` fold.
 
-Every per-batch stage is a callable instance, not a class, so Ray runs
+Every per-batch check is a callable instance, not a class, so Ray runs
 it as a task fused into its read and a batch is the read block.
-``fused=True`` runs schema and decode in one such task over one read.
+``fused=False`` runs the row checks over the light columns instead and
+decodes in a second read, unioned in.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import ray.data as rd
+import pyarrow.parquet as pq
 
 from ..schema import BigInt, String
 from ..sources import image_table
 from ..stages import ColumnSpec, TableSchema, in_set, range_check
 from ..stages.decoder import DecodeConformer, DecodeValidator
-from ..stages.referential import referential_violations
-from ..stages.uniqueness import uniqueness_violations
+from ..stages.referential import OrphanRows
+from ..stages.uniqueness import DuplicateRows, duplicate_keys
 from ..stages.validate import TableValidator
 
 LIGHT_COLUMNS = ["image_id", "w", "h", "fmt", "caption", "phash"]
@@ -65,25 +67,30 @@ def read_images(table_dir: str | Path, columns: list[str] | None = None):
     return read_table(Path(table_dir) / "images", columns=columns)
 
 
-class FusedValidator:
-    """Schema + decode validation in ONE pass over the full row.
+class Checks:
+    """Several per-batch checks as one callable: their violation tables,
+    concatenated. Runs as a task fused into the read (see the NOTE in
+    ``validate_images``)."""
 
-    One read of the (bytes-heavy) table instead of two, one stage in the
-    plan instead of a union branch — the right shape when the decode
-    stage touches every row anyway. Runs as a task fused into the read
-    (see the NOTE in ``validate_images``).
-    """
-
-    def __init__(self, full_decode: bool = True):
-        import pyarrow as _pa  # noqa: F401 (worker import warm-up)
-
-        self.schema_v = TableValidator(image_table_schema())
-        self.decode_v = DecodeValidator(full_decode, report_missing_bytes=False)
+    def __init__(self, *checks):
+        self.checks = checks
 
     def __call__(self, batch):
         import pyarrow as pa
 
-        return pa.concat_tables([self.schema_v(batch), self.decode_v(batch)])
+        return pa.concat_tables([check(batch) for check in self.checks])
+
+
+class FusedValidator(Checks):
+    """Schema + decode validation in ONE pass over the full row.
+
+    One read of the (bytes-heavy) table instead of two — the right shape
+    when the decode stage touches every row anyway.
+    """
+
+    def __init__(self, full_decode: bool = True):
+        super().__init__(TableValidator(image_table_schema()),
+                         DecodeValidator(full_decode, report_missing_bytes=False))
 
 
 def validate_images(
@@ -96,52 +103,30 @@ def validate_images(
 ):
     """Violations Dataset for every enabled check family (streaming)."""
     table_dir = Path(table_dir)
-    ts = image_table_schema()
-
     if fused and decode:
-        # NOTE: no explicit batch_size and no actor pool here — both break
-        # Ray's read->map operator fusion, which would push every bytes
-        # block through the object store (measured 20x read-CPU inflation
-        # from concurrent plasma puts). Fused, the image bytes never
-        # leave the read task; a fragment (~24 MB) is the batch.
-        full = read_images(table_dir)
-        parts = [
-            full.map_batches(
-                FusedValidator(),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        ]
+        read, checks = read_images(table_dir), [FusedValidator()]
     else:
-        light = read_images(table_dir, LIGHT_COLUMNS)
-        parts = [
-            light.map_batches(
-                TableValidator(ts.subset(LIGHT_COLUMNS)),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        ]
-        if decode:
-            heavy = read_images(table_dir, DECODE_COLUMNS)
-            parts.append(
-                heavy.map_batches(
-                    DecodeValidator(),
-                    batch_format="pyarrow",
-                    zero_copy_batch=True,
-                )
-            )
+        read = read_images(table_dir, LIGHT_COLUMNS)
+        checks = [TableValidator(image_table_schema().subset(LIGHT_COLUMNS))]
     if uniqueness:
-        keys = read_images(table_dir, ["image_id", "phash"])
-        parts.append(uniqueness_violations(keys, "phash", id_column="image_id"))
+        dup = duplicate_keys(read_images(table_dir, ["phash"]), "phash")
+        if dup.num_rows:
+            checks.append(DuplicateRows(dup, "phash", "image_id"))
     if referential:
-        ref = rd.read_parquet(str(table_dir / "reference_ids.parquet"))
-        ids = read_images(table_dir, ["image_id"])
-        parts.append(
-            referential_violations(ids, "image_id", ref, strategy="broadcast")
-        )
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.union(p)
+        # the broadcast folds every id onto the driver anyway: read them there
+        ref = pq.read_table(table_dir / "reference_ids.parquet")
+        checks.append(OrphanRows(ref, "image_id"))
+    # NOTE: no explicit batch_size and no actor pool here — both break
+    # Ray's read->map operator fusion, which would push every bytes
+    # block through the object store (measured 20x read-CPU inflation
+    # from concurrent plasma puts). Fused, the image bytes never leave
+    # the read task; a fragment (~24 MB) is the batch.
+    out = read.map_batches(Checks(*checks), batch_format="pyarrow",
+                           zero_copy_batch=True)
+    if decode and not fused:
+        heavy = read_images(table_dir, DECODE_COLUMNS)
+        out = out.union(heavy.map_batches(DecodeValidator(), batch_format="pyarrow",
+                                          zero_copy_batch=True))
     return out
 
 

@@ -4,7 +4,9 @@ id set -> ``invalid`` violations for orphans.
 Two strategies (SURVEY.md §2 joins/lookups):
 
 * ``broadcast`` (default) — the reference side is ``ray.put`` once and
-  each batch filters with a vectorized ``is_in``; no shuffle at all.
+  each batch filters with a vectorized ``is_in`` (``OrphanRows``, which
+  ``validate_images`` runs in the read task of its other checks); no
+  shuffle at all.
   Right whenever the id set fits comfortably in the object store (a
   10^9-id string set is a few tens of GB — prefer the shuffle path
   beyond that).
@@ -40,6 +42,45 @@ def _violation_table(ids: pa.Array, column: str) -> pa.Table:
     )
 
 
+def _id_array(reference_ids) -> pa.Array:
+    """The reference ids as one array: the first column of a table, or
+    of a Dataset folded on the driver (an empty one keeps its key type)."""
+    if hasattr(reference_ids, "to_pandas") and not isinstance(
+        reference_ids, (pa.Table, pa.Array, pa.ChunkedArray)
+    ):
+        from ._fold import fold_table
+
+        folded = fold_table(reference_ids)
+        if folded is None:
+            pa_sch = getattr(reference_ids.schema(), "base_schema", None)
+            folded = (
+                pa_sch.empty_table()
+                if pa_sch is not None
+                else pa.table({"id": pa.array([], pa.string())})
+            )
+        reference_ids = folded
+    if isinstance(reference_ids, pa.Table):
+        return reference_ids.column(0).combine_chunks()
+    return reference_ids
+
+
+class OrphanRows:
+    """Per-batch referential check: one violation per non-null ``column``
+    value missing from ``reference_ids`` (a Dataset, table or array of
+    ids, folded and ``ray.put`` once, here). A callable instance, so Ray
+    runs it as a task fused into its read."""
+
+    def __init__(self, reference_ids, column: str):
+        self.ids_ref = ray.put(_id_array(reference_ids))
+        self.column = column
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        col = batch[self.column]
+        orphan = pc.and_not(pc.is_valid(col),
+                            pc.is_in(col, value_set=ray.get(self.ids_ref)))
+        return _violation_table(col.filter(orphan).combine_chunks(), self.column)
+
+
 def referential_violations(
     ds,
     column: str,
@@ -50,36 +91,8 @@ def referential_violations(
 ):
     """`reference_ids`: pa.Table/Array of valid ids, or a Dataset of them."""
     if strategy == "broadcast":
-        if hasattr(reference_ids, "to_pandas") and not isinstance(
-            reference_ids, (pa.Table, pa.Array, pa.ChunkedArray)
-        ):
-            from ._fold import fold_table
-
-            folded = fold_table(reference_ids)
-            if folded is None:  # empty reference Dataset: keep its key type
-                pa_sch = getattr(reference_ids.schema(), "base_schema", None)
-                folded = (
-                    pa_sch.empty_table()
-                    if pa_sch is not None
-                    else pa.table({"id": pa.array([], pa.string())})
-                )
-            reference_ids = folded
-        if isinstance(reference_ids, pa.Table):
-            reference_ids = reference_ids.column(0).combine_chunks()
-        ref = ray.put(reference_ids)
-
-        def emit(batch: pa.Table) -> pa.Table:
-            keys = ray.get(ref)
-            col = batch[column].combine_chunks()
-            known = pc.fill_null(pc.is_in(col, value_set=keys), False)
-            present = pc.is_valid(col)
-            orphan = pc.and_(pc.invert(known), present)
-            hit = batch.filter(orphan)
-            if hit.num_rows == 0:
-                return VIOLATION_SCHEMA.empty_table()
-            return _violation_table(hit[column].combine_chunks(), column)
-
-        return ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
+        return ds.map_batches(OrphanRows(reference_ids, column),
+                              batch_format="pyarrow", zero_copy_batch=True)
 
     if strategy == "shuffle":
         import ray.data as rd

@@ -9,14 +9,17 @@ row by the key (a full all-to-all on, say, ``phash`` at 10^12 rows), we
    partials; skew-safe because identical keys collapse within every
    batch first (the classic combiner; a hot key contributes at most one
    row per batch);
-3. **broadcast the duplicate key set** (`ray.put`) and re-scan the input
-   with a vectorized ``is_in`` filter to emit one violation per member
-   row.
+3. **broadcast the duplicate key set** (`ray.put`) into the per-batch
+   ``DuplicateRows`` check, a vectorized ``is_in`` that emits one
+   violation per member row.
 
-This re-reads the input once instead of shuffling it, which is the right
-trade at 100 TB when the duplicate rate is low (columnar re-read of one
-key column + id column). The violation rows match the reference's
-``$validate``-style code ``invalid`` (path = key column).
+Step 3 needs no pass of its own: ``DuplicateRows`` is a callable that
+runs in whatever read task already scans the rows (``validate_images``
+runs it next to the schema and decode checks), so only the narrow key
+fold of steps 1-2 reads the input apart. The violation rows match the
+reference's ``$validate``-style code ``invalid`` (path = key column). A
+null key is never a duplicate, as in SQL's ``UNIQUE``: the counts skip
+nulls, so no key set holds one.
 """
 
 from __future__ import annotations
@@ -261,13 +264,48 @@ def duplicate_keys_ds(ds, column: str):
     )
 
 
+def _violation_table(ids: pa.Array, column: str) -> pa.Table:
+    """One ``invalid`` uniqueness violation per id in ``ids``."""
+    from .validate import stringify_column
+
+    n = len(ids)
+    return pa.Table.from_arrays(
+        [
+            stringify_column(ids),
+            pa.array([column] * n, pa.string()),
+            pa.array(["invalid"] * n, pa.string()),
+            pa.array(["unique"] * n, pa.string()),
+            pa.array([None] * n, pa.string()),
+            pa.array([None] * n, pa.string()),
+            pa.array(["uniqueness"] * n, pa.string()),
+        ],
+        schema=VIOLATION_SCHEMA,
+    )
+
+
+class DuplicateRows:
+    """Per-batch uniqueness check: one violation per row whose ``column``
+    value is in ``dup`` (a ``duplicate_keys`` result), which is
+    ``ray.put`` once, here. A callable instance, so Ray runs it as a task
+    fused into its read."""
+
+    def __init__(self, dup: pa.Table, column: str, id_column: str):
+        self.keys_ref = ray.put(dup[column].combine_chunks())
+        self.column, self.id_column = column, id_column
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        hit = pc.is_in(batch[self.column], value_set=ray.get(self.keys_ref))
+        ids = batch[self.id_column].filter(hit).combine_chunks()
+        return _violation_table(ids, self.column)
+
+
 def uniqueness_violations(ds, column: str, id_column: str = "image_id",
                           *, strategy: str = "broadcast"):
     """Dataset of violations for rows whose ``column`` value is duplicated.
 
     * ``broadcast`` (default): the duplicate-key set is collected and
-      broadcast; one vectorized ``is_in`` re-scan emits violations. Right
-      while duplicates are rare (the common case for a uniqueness check).
+      broadcast; ``DuplicateRows`` maps over the input. Right while
+      duplicates are rare (the common case for a uniqueness check).
     * ``join``: the duplicate keys stay a DATASET and semi-join the
       input per hash bucket (``bucket_cogroup``) — the path for
       duplicate-heavy tables where the dup-key set outgrows a broadcast.
@@ -283,24 +321,10 @@ def uniqueness_violations(ds, column: str, id_column: str = "image_id",
         )
 
         def emit_rows(rows: pa.Table | None, dups: pa.Table | None) -> pa.Table:
-            from .validate import stringify_column
-
             if rows is None or dups is None:
                 return VIOLATION_SCHEMA.empty_table()
             t = rows.join(dups, column, join_type="left semi")
-            n = t.num_rows
-            return pa.Table.from_arrays(
-                [
-                    stringify_column(t[id_column].combine_chunks()),
-                    pa.array([column] * n, pa.string()),
-                    pa.array(["invalid"] * n, pa.string()),
-                    pa.array(["unique"] * n, pa.string()),
-                    pa.array([None] * n, pa.string()),
-                    pa.array([None] * n, pa.string()),
-                    pa.array(["uniqueness"] * n, pa.string()),
-                ],
-                schema=VIOLATION_SCHEMA,
-            )
+            return _violation_table(t[id_column].combine_chunks(), column)
 
         return bucket_cogroup(narrow, duplicate_keys_ds(ds, column), column,
                               column, emit_rows, num_buckets=NUM_BUCKETS,
@@ -314,30 +338,5 @@ def uniqueness_violations(ds, column: str, id_column: str = "image_id",
         import ray.data as rd
 
         return rd.from_arrow(VIOLATION_SCHEMA.empty_table())
-    dup_ref = ray.put(dup[column].combine_chunks())
-
-    def emit(batch: pa.Table) -> pa.Table:
-        keys = ray.get(dup_ref)
-        col = batch[column].combine_chunks()
-        mask = pc.is_in(col, value_set=keys)
-        mask = pc.fill_null(mask, False)
-        hit = batch.filter(mask)
-        n = hit.num_rows
-        if n == 0:
-            return VIOLATION_SCHEMA.empty_table()
-        from .validate import stringify_column
-
-        return pa.Table.from_arrays(
-            [
-                stringify_column(hit[id_column].combine_chunks()),
-                pa.array([column] * n, pa.string()),
-                pa.array(["invalid"] * n, pa.string()),
-                pa.array(["unique"] * n, pa.string()),
-                pa.array([None] * n, pa.string()),
-                pa.array([None] * n, pa.string()),
-                pa.array(["uniqueness"] * n, pa.string()),
-            ],
-            schema=VIOLATION_SCHEMA,
-        )
-
-    return ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
+    return ds.map_batches(DuplicateRows(dup, column, id_column),
+                          batch_format="pyarrow", zero_copy_batch=True)

@@ -387,5 +387,5 @@ def test_cli_plan():
     plan = json.loads(res.stdout)
     assert plan["est_rows"] == plan["left_rows"]  # FK join: 1:N
     rec = plan["recommendation"]
-    assert rec["num_partitions"] == -(-plan["est_rows"] // 1000)
+    assert "num_partitions" not in rec  # no join reads a partition count
     assert rec["salt_hot_keys"] is False
