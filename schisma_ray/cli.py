@@ -97,12 +97,13 @@ def main(argv=None) -> int:
     p.add_argument("--cap-per-source", type=int, default=0)
     p.add_argument("--chunk-size", type=int, default=512)
     p.add_argument("--chunk-stride", type=int, default=384)
-    p.add_argument("--dedup", default="broadcast",
-                   choices=["broadcast", "join", "minhash"],
-                   help="survivor attachment: broadcast ids once, "
-                        "hash-shuffle semi-join for corpus-sized survivor "
-                        "sets, or MinHash+LSH FUZZY dedup (near-dup "
-                        "components, min-id survivor)")
+    p.add_argument("--dedup", default="exact",
+                   choices=["exact", "minhash"],
+                   help="exact keep-first dedup (min id per distinct "
+                        "text), or MinHash+LSH FUZZY dedup (near-dup "
+                        "components, min-id survivor); survivor ids "
+                        "broadcast when they fit the driver fold, else "
+                        "semi-join the corpus per hash bucket")
     p.add_argument("--c4-min-lines", type=int, default=0,
                    help="> 0 prepends C4 page cleaning with this "
                         "surviving-line floor")
@@ -144,8 +145,8 @@ def main(argv=None) -> int:
                         "directory of parquet fragments; survivor ids "
                         "commit once under {out}/_plan, then each input "
                         "partition commits independently and a re-run "
-                        "skips committed partitions (broadcast-dedup "
-                        "feature set; incompatible with --dedup join/"
+                        "skips committed partitions (exact-dedup "
+                        "feature set; incompatible with --dedup "
                         "minhash, --line-dedup, --exact-substr-k, "
                         "--shards)")
     p.add_argument("--files-per-partition", type=int, default=4,
@@ -355,7 +356,7 @@ def main(argv=None) -> int:
                 )
 
                 incompatible = []
-                if args.dedup != "broadcast":
+                if args.dedup != "exact":
                     incompatible.append(f"--dedup {args.dedup}")
                 if args.line_dedup:
                     incompatible.append("--line-dedup")

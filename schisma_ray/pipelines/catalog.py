@@ -174,12 +174,12 @@ def q_image_near_dedup_survivors(sf_dir: str):
 
 
 def q_image_phash_duplicates_bloom(sf_dir: str):
-    """Uniqueness through the counting-Bloom prefilter strategy — the
-    extreme-cardinality path (per-batch singleton keys never leave the
-    node as rows; a fixed-size bit vector rides back instead)."""
+    """``image_phash_duplicates`` under a former variant's name: the one
+    ``uniqueness_violations`` path, whose partials and duplicate keys
+    pick the driver fold or the keyed exchange by their size. Same
+    oracle."""
     ds = read_images(_img_dir(sf_dir), ["image_id", "phash"])
-    vio = uniqueness_violations(ds, "phash", id_column="image_id",
-                                strategy="bloom")
+    vio = uniqueness_violations(ds, "phash", id_column="image_id")
     return vio.map_batches(
         lambda t: t.select(["row_ref", "path", "code", "expected"]),
         batch_format="pyarrow",
@@ -188,11 +188,12 @@ def q_image_phash_duplicates_bloom(sf_dir: str):
 
 
 def q_image_phash_duplicates_join(sf_dir: str):
-    """Uniqueness through the semi-join strategy: the duplicate-key set
-    stays a Dataset (the duplicate-heavy-table path; no broadcast)."""
+    """``image_phash_duplicates`` under a former variant's name: the one
+    ``uniqueness_violations`` path semi-joins the rows against the
+    duplicate keys on the keyed exchange whenever those keys do not
+    fold on the driver. Same oracle."""
     ds = read_images(_img_dir(sf_dir), ["image_id", "phash"])
-    vio = uniqueness_violations(ds, "phash", id_column="image_id",
-                                strategy="join")
+    vio = uniqueness_violations(ds, "phash", id_column="image_id")
     return vio.map_batches(
         lambda t: t.select(["row_ref", "path", "code", "expected"]),
         batch_format="pyarrow",
@@ -204,30 +205,25 @@ def q_image_referential_orphans(sf_dir: str):
     ref = rd.read_parquet(_ref_ids(sf_dir))
     ids = read_images(_img_dir(sf_dir), ["image_id"])
     return _project_violations(
-        referential_violations(ids, "image_id", ref, strategy="broadcast")
+        referential_violations(ids, "image_id", ref)
     )
 
 
 def q_image_referential_orphans_shuffle(sf_dir: str):
-    """Same anti-join through the bucketed-shuffle strategy (the 100-TB
-    path when the reference id set outgrows a broadcast): one all-to-all
-    over (key, side, bucket) and one vectorized Arrow left-anti join per
-    bucket."""
+    """``image_referential_orphans`` under a former variant's name: the
+    one ``referential_violations`` path meets the ids per hash bucket
+    whenever the reference ids do not fold on the driver. Same oracle."""
     ref = rd.read_parquet(_ref_ids(sf_dir))
     ids = read_images(_img_dir(sf_dir), ["image_id"])
-    return _project_violations(
-        referential_violations(ids, "image_id", ref, strategy="shuffle")
-    )
+    return _project_violations(referential_violations(ids, "image_id", ref))
 
 
 def q_image_referential_orphans_bloom(sf_dir: str):
-    """Bloom-prefilter variant: certain orphans flagged with no shuffle;
-    only the maybe-present residual goes through the bucketed exact join."""
-    from ..stages.referential import referential_violations_bloom
-
+    """``image_referential_orphans`` under a former variant's name: the
+    one ``referential_violations`` path. Same oracle."""
     ref = rd.read_parquet(_ref_ids(sf_dir))
     ids = read_images(_img_dir(sf_dir), ["image_id"])
-    return _project_violations(referential_violations_bloom(ids, "image_id", ref))
+    return _project_violations(referential_violations(ids, "image_id", ref))
 
 
 def q_image_stats(sf_dir: str):
@@ -551,7 +547,7 @@ def q_referential_orders_customers(sf_dir: str):
     customers = rd.read_parquet(f"{sf_dir}/customer.parquet", columns=["c_custkey"])
     return _collect(
         _project_violations(
-            referential_violations(orders, "o_custkey", customers, strategy="broadcast")
+            referential_violations(orders, "o_custkey", customers)
         ),
         _VIO_COLS,
     )
@@ -1915,7 +1911,8 @@ def q_split_leakage(sf_dir: str):
 
 def q_cross_corpus_dups(sf_dir: str):
     """Incremental dedup of a 'new crawl' against the existing corpus —
-    base fingerprints broadcast once (Arrow fold), new side streams."""
+    base fingerprints semi-joined (broadcast once while they fold on the
+    driver), new side streams."""
     from ..stages.dedup import cross_corpus_duplicates
 
     base = _t(sf_dir, "documents")
@@ -1925,14 +1922,16 @@ def q_cross_corpus_dups(sf_dir: str):
 
 
 def q_cross_corpus_dups_shuffle(sf_dir: str):
-    """Same incremental dedup through the bucketed semi-join shuffle —
-    the path for base corpora too big to broadcast; same oracle."""
+    """``cross_corpus_dups`` under a former variant's name: the one
+    ``cross_corpus_duplicates`` path meets both sides per hash bucket
+    whenever the base fingerprints do not fold on the driver. Same
+    oracle."""
     from ..stages.dedup import cross_corpus_duplicates
 
     base = _t(sf_dir, "documents")
     new = base.map_batches(_synth_new_crawl, batch_format="pyarrow",
                            zero_copy_batch=True)
-    return cross_corpus_duplicates(new, base, strategy="shuffle")
+    return cross_corpus_duplicates(new, base)
 
 
 def _simhash_sigs_file(sf_dir: str) -> Path:
@@ -2240,17 +2239,16 @@ def q_minhash_dedup_ds(sf_dir: str):
 
 
 def q_minhash_dedup_groups_ds(sf_dir: str):
-    """Near-dup survivors with the pair Dataset fed into the distributed
-    components + the bucketed shuffle anti-join (``strategy="join"``);
-    same oracle as minhash_dedup_groups."""
+    """``minhash_dedup_groups`` under a former variant's name: the one
+    ``near_dedup_survivors`` path picks union-find or distributed
+    components, and a broadcast or bucketed anti-join, by observed
+    size. Same oracle."""
     from ..stages.components import near_dedup_survivors
 
     docs = _t(sf_dir, "documents")
     pairs = minhash_dedup_pairs(docs, col="text", id_col="doc_id",
                                 threshold=0.8)
-    return _collect(
-        near_dedup_survivors(docs, pairs, "doc_id", strategy="join"), ["doc_id"]
-    )
+    return _collect(near_dedup_survivors(docs, pairs, "doc_id"), ["doc_id"])
 
 
 def q_embedding_kmeans(sf_dir: str):
@@ -3889,23 +3887,12 @@ def q_image_caption_conform(sf_dir: str):
 
 
 def q_image_clean_ids(sf_dir: str):
-    """Quarantine split, clean side: ids of rows with ZERO violations
-    of any check — a bucketed anti-join of the id column against the
-    violation row_refs (the referential shuffle machinery reused with
-    the violation set as the exclusion list; right side scales with
-    data, so broadcast would be the wrong default at 100 TB)."""
-    vio = _project_violations(validate_images(_img_dir(sf_dir), fused=True))
-    refs = vio.map_batches(
-        lambda t: pa.table({"image_id": t["row_ref"]}),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    imgs = read_images(_img_dir(sf_dir), ["image_id"])
-    clean = referential_violations(imgs, "image_id", refs,
-                                   strategy="shuffle")
-    return clean.map_batches(
-        lambda t: pa.table({"image_id": t["row_ref"]}),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    """Quarantine split, clean side: ids of rows with ZERO violations of
+    any check (``curation.clean_image_ids``, the quarantine step of
+    ``image_curation``)."""
+    from .curation import clean_image_ids
+
+    return clean_image_ids(_img_dir(sf_dir))
 
 
 def q_image_curation(sf_dir: str):

@@ -7,7 +7,7 @@ caller-supplied table instead of a doc_id residue class):
     [optional] decontaminate vs a benchmark table (grams broadcast)
     -> PII email redaction (RE2, in place)
     -> language allow-list + quality threshold
-    -> exact dedup keep-first (survivor ids broadcast)
+    -> exact dedup keep-first (survivor ids semi-joined)
     -> per-source cap (md5 order)
     -> fixed-size context-window chunking
 
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from ..stages._bucket import semi_join
 
 EMAIL_PATTERN = r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"
 
@@ -188,7 +190,7 @@ def prepare_corpus(
     text_col: str = "text",
     lang_col: str = "lang",
     source_col: str = "source",
-    dedup: str = "broadcast",
+    dedup: str = "exact",
     c4_min_lines: int = 0,
     gopher: bool = False,
     line_dedup: bool = False,
@@ -235,25 +237,20 @@ def prepare_corpus(
     kernel — vectorized, zero shuffle, applied with the other row-local
     predicates BEFORE dedup.
 
-    ``dedup`` picks the exact-dedup survivor attachment:
+    ``dedup`` picks the dedup pass; either way the corpus is
+    semi-joined against the survivor ids (``_bucket.semi_join``), which
+    broadcasts them when they fold on the driver and meets the corpus
+    per hash bucket when they do not:
 
-    * ``broadcast`` (default) — survivor ids fold on the driver and
-      broadcast once; right while the survivor set fits the object
-      store (low duplicate rates, modest corpora).
-    * ``join`` — the survivor-id Dataset joins the corpus per hash
-      bucket (``join.shuffle_hash_join``); the path for corpora whose
-      survivor set is itself corpus-sized (at 100 TB, most texts are
-      unique, so O(distinct texts) ids can't broadcast).
+    * ``exact`` (default) — keep-first exact dedup: the minimum id per
+      distinct text survives.
     * ``minhash`` — FUZZY dedup replaces the exact pass: MinHash+LSH
       near-dup pairs at ``minhash_threshold`` Jaccard over the prepped
-      (redacted, filtered) text, distributed connected components, and
-      the min-id survivor per component, all as Datasets end-to-end
-      (exact duplicates are Jaccard 1, so this subsumes exact dedup for
-      non-empty texts); survivors attach through the same bucketed
-      join as ``join``.
+      (redacted, filtered) text, connected components, and the min-id
+      survivor per component (exact duplicates are Jaccard 1, so this
+      subsumes exact dedup for non-empty texts).
     """
     import pyarrow.compute as pc
-    import ray
 
     from ..stages.corpus import cap_per_key, chunk_text
     from ..stages.dedup import exact_dedup_keep_first
@@ -337,55 +334,17 @@ def prepare_corpus(
     if dedup == "minhash":
         from ..stages.components import near_dedup_survivors
         from ..stages.dedup import minhash_dedup_pairs
-        from ..stages.join import shuffle_hash_join
 
         pairs = minhash_dedup_pairs(
             prepped, col=text_col, id_col=id_col,
             threshold=minhash_threshold,
         )
-        surv_ids = near_dedup_survivors(
-            prepped, pairs, id_col, strategy="join"
-        )
-        return finish(shuffle_hash_join(prepped, surv_ids, id_col))
-
-    if dedup == "join":
-        from ..stages.join import shuffle_hash_join
-
+        kept = near_dedup_survivors(prepped, pairs, id_col)
+    elif dedup == "exact":
         kept = exact_dedup_keep_first(prepped, key=text_col, id_col=id_col)
-        return finish(shuffle_hash_join(prepped, kept, id_col))
-    if dedup != "broadcast":
-        raise ValueError(f"unknown dedup strategy {dedup!r}")
-
-    kept_parts = []
-    for b in exact_dedup_keep_first(prepped, key=text_col, id_col=id_col).iter_batches(
-        batch_format="pyarrow", batch_size=None
-    ):
-        t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-        if t.num_rows:
-            kept_parts.append(t[id_col].combine_chunks())
-    if not kept_parts:
-        return prepped.map_batches(
-            lambda t: pa.table(
-                {
-                    id_col: pa.array([], t.schema.field(id_col).type),
-                    "chunk_idx": pa.array([], pa.int64()),
-                    "chunk_text": pa.array([], pa.string()),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    kept_ref = ray.put(pa.concat_arrays(kept_parts))
-
-    def dedup_filter(t: pa.Table) -> pa.Table:
-        import ray
-
-        return t.filter(
-            pc.is_in(t[id_col].combine_chunks(), value_set=ray.get(kept_ref))
-        )
-
-    return finish(prepped.map_batches(
-        dedup_filter, batch_format="pyarrow", zero_copy_batch=True
-    ))
+    else:
+        raise ValueError(f"unknown dedup {dedup!r}")
+    return finish(semi_join(prepped, id_col, kept))
 
 
 def prepare_resumable(

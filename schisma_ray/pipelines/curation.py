@@ -3,8 +3,9 @@
 survivor set.
 
     validate (fused schema + decode + cross-field)
-      -> quarantine every row with ANY violation (bucketed anti-join —
-         the violation set scales with data, so no broadcast)
+      -> quarantine every row with ANY violation (anti-join against
+         the violation row refs, per hash bucket once they outgrow
+         the driver fold)
       -> byte-exact dedup keep-first (md5-of-payload fingerprints, one
          fingerprint groupby; identical encoded files collapse)
       -> pHash near-dup survivors (banded Hamming pairs -> distributed
@@ -12,15 +13,36 @@ survivor set.
 
 Every stage is an existing oracled primitive; the composite is oracled
 end-to-end (catalog ``image_curation``) by chaining the same SQL
-fragments. Scale shape: two bucketed shuffle joins on narrow id sets,
-the fingerprint groupby, and the banded pair chain — the corpus bytes
-are read once and never shuffled.
+fragments. Scale shape: the quarantine anti-join and two bucketed
+shuffle joins on narrow id sets, the fingerprint groupby, and the
+banded pair chain — the corpus bytes are read once and never shuffled.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
+
+
+def _non_null_ids(t: pa.Table) -> pa.Table:
+    return t.filter(pc.is_valid(t["image_id"]))
+
+
+def clean_image_ids(table_dir):
+    """Quarantine split, clean side: Dataset of the non-null
+    ``image_id`` values of rows with no violation of any check, by one
+    anti-join of the id column against the violation row refs
+    (``_bucket.semi_join``: broadcast while they fold on the driver,
+    per hash bucket past that)."""
+    from ..stages._bucket import semi_join
+    from .validate_pipeline import read_images, validate_images
+
+    vio_refs = validate_images(table_dir, fused=True).map_batches(
+        lambda t: pa.table({"image_id": t["row_ref"]}),
+        batch_format="pyarrow", zero_copy_batch=True,
+    )
+    return semi_join(read_images(table_dir, ["image_id"]), "image_id",
+                     vio_refs, _non_null_ids, anti=True)
 
 
 def curate_images(table_dir, *, max_hamming: int = 3,
@@ -39,21 +61,9 @@ def curate_images(table_dir, *, max_hamming: int = 3,
         hamming_near_dup_pairs,
     )
     from ..stages.join import shuffle_hash_join
-    from ..stages.referential import referential_violations
-    from .validate_pipeline import read_images, validate_images
+    from .validate_pipeline import read_images
 
-    vio_refs = validate_images(table_dir, fused=True).map_batches(
-        lambda t: pa.table({"image_id": t["row_ref"]}),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
-    ids = read_images(table_dir, ["image_id"])
-    # rows NOT appearing in the violation set = the clean side
-    clean_ids = referential_violations(
-        ids, "image_id", vio_refs, strategy="shuffle"
-    ).map_batches(
-        lambda t: pa.table({"image_id": t["row_ref"]}),
-        batch_format="pyarrow", zero_copy_batch=True,
-    )
+    clean_ids = clean_image_ids(table_dir)
 
     # fingerprint AT THE READ: bytes never leave the read task (a
     # bytes-heavy block re-serializes its parent buffer on every

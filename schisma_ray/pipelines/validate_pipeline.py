@@ -6,11 +6,12 @@ Runs every check family in ONE read task, with no union:
   pq.read_table(reference_ids.parquet)   driver read -> reference ids
   read_parquet (all columns)
     -> map_batches(Checks: TableValidator + DecodeValidator
-                   + DuplicateRows(dup keys) + OrphanRows(reference ids))
+                   + duplicate_rows(dup keys) + orphan_rows(reference ids))
   -> one violations Dataset (schema sources/image_table.VIOLATION_SCHEMA)
 
 Both key sets are collected while the plan is built and ``ray.put``
-once; each batch then tests its keys with a vectorized ``is_in``. So
+once; each batch then tests its keys with a vectorized ``is_in`` (the
+broadcast side of ``_bucket.semi_join``, ``_bucket.KeyFilter``). So
 the image table is read once in full, plus the narrow ``phash`` fold.
 
 Every per-batch check is a callable instance, not a class, so Ray runs
@@ -29,8 +30,8 @@ from ..schema import BigInt, String
 from ..sources import image_table
 from ..stages import ColumnSpec, TableSchema, in_set, range_check
 from ..stages.decoder import DecodeConformer, DecodeValidator
-from ..stages.referential import OrphanRows
-from ..stages.uniqueness import DuplicateRows, duplicate_keys
+from ..stages.referential import orphan_rows
+from ..stages.uniqueness import duplicate_keys, duplicate_rows
 from ..stages.validate import TableValidator
 
 LIGHT_COLUMNS = ["image_id", "w", "h", "fmt", "caption", "phash"]
@@ -111,11 +112,11 @@ def validate_images(
     if uniqueness:
         dup = duplicate_keys(read_images(table_dir, ["phash"]), "phash")
         if dup.num_rows:
-            checks.append(DuplicateRows(dup, "phash", "image_id"))
+            checks.append(duplicate_rows(dup, "phash", "image_id"))
     if referential:
         # the broadcast folds every id onto the driver anyway: read them there
         ref = pq.read_table(table_dir / "reference_ids.parquet")
-        checks.append(OrphanRows(ref, "image_id"))
+        checks.append(orphan_rows(ref, "image_id"))
     # NOTE: no explicit batch_size and no actor pool here — both break
     # Ray's read->map operator fusion, which would push every bytes
     # block through the object store (measured 20x read-CPU inflation

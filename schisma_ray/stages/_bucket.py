@@ -36,11 +36,20 @@ millions of rows. ``fold_or_apply`` is the one switch between the two:
 it materializes its input once, and by the row count and bytes in the
 block metadata either runs the function once on the driver over every
 row or hands the same blocks to ``bucket_apply``.
+
+Every membership check (uniqueness, referential, cross-corpus and
+near-dup survivors, clean ids, dedup survivors) asks one question, "is
+this row's key in that key set?", and ``semi_join`` is its one
+implementation, switched the same way: a key set that ``fold_small``
+folds is ``ray.put`` once into a per-batch ``is_in`` (``KeyFilter``)
+that Ray fuses into the probe's read; a larger one meets the probe per
+bucket on ``bucket_cogroup``, where each bucket runs the same ``is_in``.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 #: the routing column; dropped before the per-bucket function runs
 BUCKET = "__bucket"
@@ -84,6 +93,11 @@ def key_bucket(key, num_buckets: int) -> pa.Array:
     arrays = key if isinstance(key, (list, tuple)) else [key]
     h = np.zeros(len(arrays[0]), np.uint64)
     for i, a in enumerate(arrays):
+        if pa.types.is_integer(a.type) and a.type not in (pa.int64(),
+                                                          pa.uint64()):
+            # int32 -1 and int64 -1 hash apart as numpy values: hash every
+            # integer width as int64, so equal keys of two sides meet
+            a = a.cast(pa.int64())
         if a.null_count and (pa.types.is_integer(a.type)
                              or pa.types.is_boolean(a.type)):
             # nulls turn an int/bool array into float/object numpy, which
@@ -356,3 +370,109 @@ def fold_or_apply(ds, key, fn, *, schema, combine=None):
     fallback = pa.schema([(n, pa.int64()) for n in dict.fromkeys(names)])
     return rd.from_arrow(
         resolve_schema(schema, [rows.schema, fallback]).empty_table())
+
+
+def _key_array(keys) -> pa.Array:
+    """The keys of a key side without nulls: the first column of a
+    table (none when it has no columns), or the array itself."""
+    if isinstance(keys, pa.Table):
+        keys = keys.column(0) if keys.num_columns else pa.array([], pa.null())
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    return keys.drop_null()
+
+
+def _matched(t: pa.Table, column: str, keys: pa.Array, anti: bool,
+             columns) -> pa.Table:
+    """The rows of ``t`` (its ``columns``, all when None) whose
+    ``column`` value is in ``keys`` (a null-free array), or with
+    ``anti`` those whose value is not: a null key never matches, so a
+    semi join drops its row and an anti join keeps it."""
+    col = t[column]
+    if keys.type != col.type:
+        keys = keys.cast(col.type) if len(keys) else pa.array([], col.type)
+    hit = pc.is_in(col, value_set=keys)
+    if anti:
+        hit = pc.invert(hit)
+    return (t if columns is None else t.select(columns)).filter(hit)
+
+
+def _rows(t: pa.Table) -> pa.Table:
+    return t
+
+
+class KeyFilter:
+    """The broadcast side of ``semi_join``: per batch, ``emit`` of the
+    rows whose ``column`` value is in ``keys`` (not in them with
+    ``anti``), restricted to ``columns``. ``keys`` is a table (its first
+    column) or an array, ``ray.put`` once, here; nulls never match. A
+    callable instance, so Ray runs it as a task fused into its read."""
+
+    def __init__(self, keys, column: str, emit=_rows, *, anti: bool = False,
+                 columns=None):
+        import ray
+
+        self.keys_ref = ray.put(_key_array(keys))
+        self.column, self.emit, self.anti = column, emit, anti
+        self.columns = columns
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        import ray
+
+        return self.emit(_matched(batch, self.column, ray.get(self.keys_ref),
+                                  self.anti, self.columns))
+
+
+def semi_join(ds, column: str, keys, emit=_rows, *, anti: bool = False,
+              columns=None):
+    """``emit`` of the rows of ``ds`` whose ``column`` value is in the
+    key side ``keys`` (a left semi join), or with ``anti`` of those
+    whose value is not (a left anti join), restricted to ``columns``
+    (all when None). ``keys`` is a Dataset, or a ``pa.Table`` or array
+    already on the driver; its first column holds the keys, under any
+    name. A null key never matches: a semi join drops a null-key row
+    and an anti join keeps it. The keys are cast to ``column``'s type.
+
+    A key Dataset runs through ``fold_small``: keys that fold, like a
+    key table of at most ``_DRIVER_FOLD_ROWS`` rows, are ``ray.put``
+    once into one ``KeyFilter`` that Ray fuses into ``ds``'s read; past
+    the limit, ``ds`` (its ``column`` and ``columns``) and the keys meet
+    per bucket on ``bucket_cogroup`` and each bucket runs the same
+    ``is_in`` (an Arrow semi or anti join would reject list-typed
+    columns, such as embeddings, among the probe's columns). Either
+    way ``emit`` sees the matched rows of one batch or bucket as a
+    ``pa.Table`` and returns the output rows, so both sides give the
+    same rows and columns. ``emit`` must keep an empty input's output
+    typed; a bucket that holds no row of ``ds`` emits nothing.
+    """
+    import ray.data as rd
+
+    if hasattr(keys, "map_batches"):
+        mat, rows = fold_small(keys)
+    else:
+        rows = keys if isinstance(keys, pa.Table) else pa.table({column: keys})
+        if rows.num_rows > _DRIVER_FOLD_ROWS:
+            mat, rows = rd.from_arrow(rows), None
+    if rows is not None:
+        return ds.map_batches(
+            KeyFilter(rows, column, emit, anti=anti, columns=columns),
+            batch_format="pyarrow", zero_copy_batch=True)
+    key_column = mat.schema().names[0]
+
+    def select(cols):
+        return lambda t: t.select(cols)
+
+    def match(l: pa.Table | None, r: pa.Table | None):
+        if l is None:
+            return None
+        found = (_key_array(r) if r is not None else pa.array([], pa.null()))
+        return emit(_matched(l, column, found, anti, columns))
+
+    match.__name__ = "anti_join" if anti else "semi_join"
+    if columns is not None:
+        ds = ds.map_batches(select(list(dict.fromkeys([column, *columns]))),
+                            batch_format="pyarrow", zero_copy_batch=True)
+    keys = mat.map_batches(select([key_column]), batch_format="pyarrow",
+                           zero_copy_batch=True)
+    return bucket_cogroup(ds, keys, column, key_column, match,
+                          num_buckets=NUM_BUCKETS)

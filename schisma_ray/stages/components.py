@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ._bucket import bucket_apply, fold_small
+from ._bucket import bucket_apply, fold_small, semi_join
 
 #: pairs ``near_dedup_survivors`` folds into the driver union-find. On 1M
 #: random int64 edges in a 4-CPU session the union-find took 3.7 s (driver
@@ -230,84 +230,28 @@ def components_from_pairs(pairs: pa.Table) -> pa.Table:
     )
 
 
-def near_dedup_survivors(ds, pairs, id_col: str, *,
-                         strategy: str = "broadcast"):
+def near_dedup_survivors(ds, pairs, id_col: str):
     """Dataset of surviving ids: every id minus non-keeper dup-group members.
 
     ``pairs`` is a pair Dataset with columns ``a`` and ``b`` (the output
-    of ``minhash_dedup_pairs`` etc.; other columns are ignored).
-
-    * ``broadcast`` (default): the non-survivor set (group members that
-      are not the minimum id) is broadcast and filtered out in one
-      vectorized pass — the corpus never shuffles. Right while the
-      non-survivor set fits the object store (low duplicate rates).
-      The components come from one size switch (``_bucket.fold_small``):
-      up to ``_UNION_FIND_PAIRS`` pairs fold into a driver
-      union-find; beyond it they run distributed, and only the
-      non-keeper LABEL ids (small by construction) are collected.
-    * ``join``: the labels stay a DATASET end-to-end — the distributed
-      component labels are filtered to non-keepers and anti-joined
-      against the corpus per hash bucket (``join.shuffle_hash_join``,
-      left anti). The path for duplicate-heavy corpora where the drop
-      set is itself corpus-sized.
+    of ``minhash_dedup_pairs`` etc.; other columns are ignored). The
+    components come from one size switch (``_bucket.fold_small``): up to
+    ``_UNION_FIND_PAIRS`` pairs fold into a driver union-find; beyond it
+    they run distributed (``components_distributed``) and the non-keeper
+    labels stay a Dataset. Either way the ids of ``ds`` are anti-joined
+    against the non-keepers (``_bucket.semi_join``), broadcast when they
+    fold and per hash bucket when they do not. A null id survives.
     """
     import pyarrow.compute as pc
-    import ray
-
-    if strategy == "join":
-        from .join import shuffle_hash_join
-
-        labels = components_distributed(pairs)
-        drop_ds = labels.map_batches(
-            lambda t: t.filter(pc.invert(pc.equal(t["node"], t["component"])))
-            .select(["node"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        narrow = ds.map_batches(
-            lambda t: t.select([id_col]),
-            batch_format="pyarrow", zero_copy_batch=True,
-        )
-        return shuffle_hash_join(narrow, drop_ds, id_col, "node",
-                                 how="left anti")
 
     mat, rows = fold_small(pairs, _UNION_FIND_PAIRS)
     if rows is not None:
         comp = components_from_pairs(rows)
-        keep_mask = pc.equal(comp["node"], comp["component"])
-        drop_tbl = comp.filter(pc.invert(keep_mask))
-        drop_nodes = drop_tbl["node"].combine_chunks()
+        drop = comp.filter(pc.not_equal(comp["node"], comp["component"]))
     else:
-        # too many pairs to fold: components run distributed; collect
-        # only the non-keeper label ids (never the pair rows)
-        labels = components_distributed(mat)
-        non_keepers = labels.map_batches(
-            lambda t: pa.table(
-                {"node": t.filter(
-                    pc.invert(pc.equal(t["node"], t["component"]))
-                )["node"]}
-            ),
+        drop = components_distributed(mat).map_batches(
+            lambda t: t.filter(pc.not_equal(t["node"], t["component"])),
             batch_format="pyarrow",
             zero_copy_batch=True,
         )
-        from ._fold import fold_table
-
-        folded = fold_table(non_keepers)
-        drop_nodes = (
-            folded["node"].combine_chunks()
-            if folded is not None
-            else pa.array([], pa.int64())
-        )
-    drop_ref = ray.put(drop_nodes)
-
-    def keep(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].combine_chunks()
-        drop = ray.get(drop_ref)
-        if len(drop) == 0:
-            # an empty drop set may carry a default dtype (int64) that
-            # mismatches string ids — and there is nothing to drop
-            return batch.select([id_col])
-        bad = pc.fill_null(pc.is_in(ids, value_set=drop), False)
-        return batch.filter(pc.invert(bad)).select([id_col])
-
-    return ds.map_batches(keep, batch_format="pyarrow", zero_copy_batch=True)
+    return semi_join(ds, id_col, drop, anti=True, columns=[id_col])

@@ -39,7 +39,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ._bucket import (bucket_apply, bucket_cogroup, bucket_combine,
-                      fold_or_apply, fold_small, keep_columns, resolve_schema)
+                      fold_or_apply, fold_small, keep_columns, resolve_schema,
+                      semi_join)
 
 #: distinct candidate pairs whose payloads the driver fetches and
 #: verifies itself; beyond it each pair verifies in a bucket
@@ -1115,27 +1116,18 @@ def cross_corpus_near_duplicates(new_ds, base_ds, *, col: str = "text",
 
 
 def cross_corpus_duplicates(new_ds, base_ds, *, col: str = "text",
-                            id_col: str = "doc_id",
-                            strategy: str = "broadcast",
-                            num_buckets: int = 64):
+                            id_col: str = "doc_id"):
     """Incremental dedup: rows of ``new_ds`` whose content md5 already
     exists in ``base_ds`` — the "dedup the new crawl against the
     existing corpus" direction. Output: (id, fingerprint).
 
-    * ``broadcast`` (default): the base side is reduced to its DISTINCT
-      md5 fingerprints (per-batch ``pc.unique`` partials, one Arrow
-      concat+unique fold — never Python objects; 16 bytes/doc means a
-      10^9-doc corpus is ~16 GB, still broadcastable) and ``ray.put``
-      once; the new corpus streams through one vectorized ``is_in``.
-    * ``shuffle``: for base corpora too big to broadcast — both sides'
-      fingerprints meet per hash bucket (``bucket_cogroup``), and each
-      bucket runs one Arrow semi-join against its base fingerprints.
-      One all-to-all over (id, fingerprint) narrow rows only.
+    One semi-join of the new fingerprints against the base side's
+    per-batch DISTINCT fingerprints (``_bucket.semi_join``): when they
+    fold they are ``ray.put`` once and the new corpus streams through
+    one vectorized ``is_in``; past the fold limit both sides meet per
+    hash bucket, one all-to-all over narrow fingerprint rows. A null
+    text has no fingerprint and never matches.
     """
-    import pyarrow.compute as pc
-    import ray
-
-    new_fp = content_fingerprint(new_ds, col, id_col)
 
     def batch_unique(t: pa.Table) -> pa.Table:
         fp = t["fingerprint"].combine_chunks().drop_null()
@@ -1144,36 +1136,8 @@ def cross_corpus_duplicates(new_ds, base_ds, *, col: str = "text",
     base_fp = content_fingerprint(base_ds, col, id_col).map_batches(
         batch_unique, batch_format="pyarrow", zero_copy_batch=True
     )
-
-    if strategy == "broadcast":
-        from ._fold import fold_table
-
-        folded = fold_table(base_fp)
-        fps_all = (
-            pc.unique(folded["fingerprint"].combine_chunks())
-            if folded is not None
-            else pa.array([], pa.string())
-        )
-        fp_ref = ray.put(fps_all)
-
-        def flag(t: pa.Table) -> pa.Table:
-            fps = t["fingerprint"].combine_chunks()
-            hit = pc.fill_null(pc.is_in(fps, value_set=ray.get(fp_ref)), False)
-            return t.filter(hit)
-
-        return new_fp.map_batches(flag, batch_format="pyarrow", zero_copy_batch=True)
-
-    if strategy == "shuffle":
-        def semi(new: pa.Table | None, base: pa.Table | None):
-            # a side without fingerprints at all leaves no duplicate
-            if new is None or base is None:
-                return None
-            return new.join(base, "fingerprint", join_type="left semi")
-
-        return bucket_cogroup(new_fp, base_fp, "fingerprint", "fingerprint",
-                              semi, num_buckets=num_buckets)
-
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return semi_join(content_fingerprint(new_ds, col, id_col), "fingerprint",
+                     base_fp)
 
 
 # ------------------------------------------------------ exact substrings

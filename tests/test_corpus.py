@@ -302,66 +302,6 @@ def test_read_table_csv_and_jsonl(ray_session, tmp_path):
     assert sorted(out.columns) == ["a"] and len(out) == 3
 
 
-# ------------------------------------------------------- bloom uniqueness
-@pytest.mark.parametrize("bits", [1 << 8, 1 << 16])  # tiny filter -> FP pressure
-def test_duplicate_keys_bloom_matches_exact(ray_session, bits):
-    import ray.data as rd
-    from schisma_ray.stages.uniqueness import duplicate_keys, duplicate_keys_bloom
-
-    # cross-batch dups (same key in different blocks) + in-batch dups +
-    # a large unique majority; 16 blocks so singletons split across batches
-    keys = (
-        [f"dup-cross-{i}" for i in range(10)] * 2
-        + ["dup-inbatch"] * 3
-        + [f"uniq-{i}" for i in range(500)]
-    )
-    ds = rd.from_arrow(pa.table({"k": pa.array(keys)})).repartition(16)
-    exact = duplicate_keys(ds, "k")
-    bloom = duplicate_keys_bloom(ds, "k", bits=bits)
-    want = sorted(zip(exact["k"].to_pylist(), exact["partial"].to_pylist()))
-    got = sorted(zip(bloom["k"].to_pylist(), bloom["partial"].to_pylist()))
-    assert got == want
-    assert ("dup-inbatch", 3) in got and ("dup-cross-0", 2) in got
-
-
-def test_duplicate_keys_bloom_int_keys_and_no_dups(ray_session):
-    import ray.data as rd
-    from schisma_ray.stages.uniqueness import duplicate_keys_bloom
-
-    ds = rd.from_arrow(
-        pa.table({"k": pa.array(list(range(300)), pa.int64())})
-    ).repartition(8)
-    out = duplicate_keys_bloom(ds, "k", bits=1 << 12)
-    assert out.num_rows == 0  # FPs must die in the exact pass
-
-    ds2 = rd.from_arrow(
-        pa.table({"k": pa.array([1, 2, 3, 2, 1, 4], pa.int64())})
-    ).repartition(3)
-    out2 = duplicate_keys_bloom(ds2, "k", bits=1 << 12)
-    assert sorted(zip(out2["k"].to_pylist(), out2["partial"].to_pylist())) == [
-        (1, 2), (2, 2)
-    ]
-
-
-def test_duplicate_keys_bloom_null_inbatch_dup(ray_session):
-    """A null key duplicated within a block rides the definite list
-    (None among strings must not break the driver-side set fold).
-    Null keys are never REPORTED as duplicates — Arrow's only-valid
-    count gives the null group partial 0 in the exact path too — but
-    the run must not crash and real dups must survive."""
-    import ray.data as rd
-    from schisma_ray.stages.uniqueness import duplicate_keys, duplicate_keys_bloom
-
-    tbl = pa.table({"k": pa.array([None, None, "a", "b", "a"])})
-    ds = rd.from_arrow(tbl).repartition(1)
-    out = duplicate_keys_bloom(ds, "k", bits=1 << 12)
-    got = dict(zip(out["k"].to_pylist(), out["partial"].to_pylist()))
-    exact = duplicate_keys(rd.from_arrow(tbl).repartition(1), "k")
-    want = dict(zip(exact["k"].to_pylist(), exact["partial"].to_pylist()))
-    assert got == want
-    assert got["a"] == 2 and "b" not in got and None not in got
-
-
 # -------------------------------------------------------- range join
 def test_range_join_half_open_and_overlaps(ray_session):
     import ray.data as rd
@@ -799,6 +739,30 @@ def test_asof_tolerance(ray_session):
 
 
 # ------------------------------------------------- review-fix regressions
+def test_prepare_corpus_exact_dedup(ray_session):
+    """``dedup="exact"`` keeps the minimum id per distinct text: the
+    rows the former ``broadcast`` and ``join`` values gave alike. The
+    former values are gone."""
+    import ray.data as rd
+    from schisma_ray.pipelines.corpus_pipeline import prepare_corpus
+
+    rows = [{"doc_id": i, "text": f"the same english page about topic {i % 4} " * 3,
+             "lang": "en", "source": f"s{i % 2}"} for i in range(12)]
+    docs = rd.from_arrow(pa.Table.from_pylist(rows)).repartition(3)
+    kw = dict(langs=("en",), min_quality=0.0, chunk_size=50, chunk_stride=40)
+    out = prepare_corpus(docs, dedup="exact", **kw).to_pandas()
+    out = out.sort_values(["doc_id", "chunk_idx"])
+    page = "the same english page about topic {0} "
+    assert out.values.tolist() == [
+        row for i in range(4) for row in (
+            [i, 0, (page.format(i) * 2)[:50]],
+            [i, 1, (page.format(i) * 3)[40:90]],
+            [i, 2, (page.format(i) * 3)[80:]])]
+    for gone in ("join", "broadcast"):
+        with pytest.raises(ValueError, match="unknown dedup"):
+            prepare_corpus(docs, dedup=gone, **kw)
+
+
 def test_prepare_corpus_with_bench_and_empty_blocks(ray_session):
     import ray.data as rd
     from schisma_ray.pipelines.corpus_pipeline import prepare_corpus

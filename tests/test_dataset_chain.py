@@ -72,25 +72,40 @@ def test_simhash_pairs_dataset_parity(ray_session, no_pair_folds, monkeypatch):
 
 
 def test_full_chain_pairs_to_survivors_no_driver_hop(ray_session, no_pair_folds):
-    """pairs (Dataset) -> components_distributed -> survivors(join):
-    every stage a Dataset; pair rows provably never folded."""
+    """pairs (Dataset) -> components_distributed -> survivors, anti-joined
+    on the keyed exchange: every stage a Dataset; pair rows and
+    non-keeper ids provably never folded."""
     from schisma_ray.stages.components import near_dedup_survivors
 
     ds = _docs()
     pairs_ds = dedup.minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.8)
-    survivors = near_dedup_survivors(ds, pairs_ds, "doc_id", strategy="join")
+    survivors = near_dedup_survivors(ds, pairs_ds, "doc_id")
     got = sorted(survivors.to_pandas()["doc_id"].tolist())
     # dups 24..28 collapse onto keepers 0..4 -> all originals survive
     assert got == list(range(24))
 
 
-def test_chain_broadcast_strategy_with_dataset_pairs(ray_session, no_pair_folds):
+def test_chain_broadcast_strategy_with_dataset_pairs(ray_session, monkeypatch):
+    """Distributed components whose non-keeper ids fold: the anti-join
+    broadcasts them, with no exchange, and agrees with the union-find."""
     from schisma_ray.stages.components import near_dedup_survivors
 
     ds = _docs()
     pairs_ds = dedup.minhash_dedup_pairs(ds, "text", "doc_id", threshold=0.8)
-    survivors = near_dedup_survivors(ds, pairs_ds, "doc_id", strategy="broadcast")
+    union_find = near_dedup_survivors(ds, pairs_ds, "doc_id")
+    monkeypatch.setattr(components, "_UNION_FIND_PAIRS", 0)
+    exchanges = []
+    cogroup = _bucket.bucket_cogroup
+
+    def spy(*args, **kwargs):
+        exchanges.append(args[4].__name__)
+        return cogroup(*args, **kwargs)
+
+    monkeypatch.setattr(_bucket, "bucket_cogroup", spy)
+    survivors = near_dedup_survivors(ds, pairs_ds, "doc_id")
     assert sorted(survivors.to_pandas()["doc_id"].tolist()) == list(range(24))
+    assert sorted(union_find.to_pandas()["doc_id"].tolist()) == list(range(24))
+    assert "anti_join" not in exchanges
 
 
 def test_dataset_path_matches_table_path(ray_session, monkeypatch):

@@ -13,11 +13,12 @@ def _sorted(pairs) -> pa.Table:
                                              ("b", "ascending")])
 
 
-def test_duplicate_keys_groupby_fallback(ray_session):
-    """Force the Ray-groupby path by setting a tiny driver-merge limit;
-    results must match the driver-merge path exactly."""
+def test_duplicate_keys_groupby_fallback(ray_session, monkeypatch):
+    """Past the fold limit the per-batch partials are summed on the keyed
+    exchange; results must match the driver fold exactly."""
     import ray.data as rd
 
+    from schisma_ray.stages import _bucket
     from schisma_ray.stages.uniqueness import duplicate_keys
 
     t = pa.table(
@@ -27,8 +28,9 @@ def test_duplicate_keys_groupby_fallback(ray_session):
         }
     )
     ds = rd.from_arrow(t).repartition(8)
-    small = duplicate_keys(ds, "phash", driver_merge_limit=10)  # overflow
-    big = duplicate_keys(ds, "phash", driver_merge_limit=10_000_000)
+    big = duplicate_keys(ds, "phash")
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 10)  # overflow
+    small = duplicate_keys(ds, "phash")
     as_set = lambda tbl: {
         (k, n) for k, n in zip(tbl["phash"].to_pylist(), tbl["partial"].to_pylist())
     }
@@ -112,37 +114,19 @@ def test_decoder_on_empty_batch(ray_session):
     assert DecodeConformer()(empty).num_rows == 0
 
 
-def test_referential_shuffle_matches_broadcast_midsize(ray_session):
+def test_referential_shuffle_matches_broadcast_midsize(ray_session, monkeypatch):
     import ray.data as rd
 
+    from schisma_ray.stages import _bucket
     from schisma_ray.stages.referential import referential_violations
 
     ids = pa.table({"image_id": pa.array([f"k{i}" for i in range(5000)])})
     ref = pa.table({"image_id": pa.array([f"k{i}" for i in range(0, 5000, 2)])})
     ds = rd.from_arrow(ids).repartition(4)
-    b = referential_violations(ds, "image_id", ref, strategy="broadcast").to_pandas()
+    b = referential_violations(ds, "image_id", ref).to_pandas()
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
     s = referential_violations(
-        rd.from_arrow(ids).repartition(4), "image_id", ref, strategy="shuffle"
+        rd.from_arrow(ids).repartition(4), "image_id", ref
     ).to_pandas()
     assert set(b["row_ref"]) == set(s["row_ref"])
     assert len(set(b["row_ref"])) == 2500
-
-
-def test_referential_bloom_matches_broadcast(ray_session):
-    import ray.data as rd
-
-    from schisma_ray.stages.referential import (
-        referential_violations,
-        referential_violations_bloom,
-    )
-
-    ids = pa.table({"image_id": pa.array([f"k{i}" for i in range(4000)])})
-    ref = pa.table({"image_id": pa.array([f"k{i}" for i in range(0, 4000, 3)])})
-    exact = referential_violations(
-        rd.from_arrow(ids).repartition(4), "image_id", ref, strategy="broadcast"
-    ).to_pandas()
-    bloom = referential_violations_bloom(
-        rd.from_arrow(ids).repartition(4), "image_id", ref, n_bits=1 << 16
-    ).to_pandas()
-    assert set(bloom["row_ref"]) == set(exact["row_ref"])
-    assert len(set(exact["row_ref"])) == 4000 - len(range(0, 4000, 3))

@@ -209,3 +209,137 @@ def test_duplicate_keys_of_empty_string_keys_feed_is_in(ray_session):
     ids = pa.array(["a", "b"], pa.string())
     keys = dup["image_id"].combine_chunks()
     assert pc.is_in(ids, value_set=keys).to_pylist() == [False, False]
+
+
+# -------------------------------------- one semi/anti-join, both sides
+#: probe keys: a duplicated key, and blocks that are empty or all null
+_PROBE_BLOCKS = ([0, 1, 2, 3], [], [None, None], [4, 5, 5, 6])
+
+
+def _key(kind: str, values) -> pa.Array:
+    if kind == "int":
+        return pa.array(values, pa.int64())
+    return pa.array([None if v is None else f"k{v}" for v in values], pa.string())
+
+
+def _probe(kind: str, make) -> rd.Dataset:
+    """One block per entry of ``_PROBE_BLOCKS``, each ``make(keys)``."""
+    return rd.from_arrow([make(_key(kind, vals)) for vals in _PROBE_BLOCKS])
+
+
+def _docs_of(ids: pa.Array) -> pa.Table:
+    texts = [f"shared document text number {i % 3} about rivers and hills"
+             for i in range(len(ids))]
+    return pa.table({"doc_id": ids, "text": pa.array(texts, pa.string()),
+                     "lang": pa.array(["en"] * len(ids), pa.string()),
+                     "source": pa.array(["s"] * len(ids), pa.string())})
+
+
+def _membership_callers():
+    """caller name -> run(kind, empty_keys) giving a Dataset."""
+    from schisma_ray.pipelines.corpus_pipeline import prepare_corpus
+    from schisma_ray.stages.components import near_dedup_survivors
+    from schisma_ray.stages.referential import referential_violations
+    from schisma_ray.stages.uniqueness import uniqueness_violations
+
+    def referential(kind, empty):
+        # differently named key columns; the reference side holds a null
+        ref = pa.table({"c_custkey": _key(kind, [] if empty else [0, 2, 5, None])})
+        return referential_violations(
+            _probe(kind, lambda k: pa.table({"o_custkey": k})), "o_custkey",
+            rd.from_arrow(ref))
+
+    def uniqueness(kind, empty):
+        def rows(k):
+            k = pc.unique(k) if empty else k  # no key side: no duplicates
+            return pa.table({"row": pc.cast(k, pa.string()), "key": k})
+
+        return uniqueness_violations(_probe(kind, rows), "key", id_column="row")
+
+    def cross_corpus(kind, empty):
+        def new(k):  # a null id comes with a null text: no fingerprint
+            t = _docs_of(k)
+            return t.set_column(1, "text", pc.if_else(
+                pc.is_valid(k), t["text"], pa.scalar(None, pa.string())))
+
+        texts = [] if empty else [_docs_of(_key(kind, [0, 1]))["text"][1].as_py(),
+                                  None]
+        base = pa.table({"doc_id": _key(kind, range(len(texts))),
+                         "text": pa.array(texts, pa.string())})
+        return dedup.cross_corpus_duplicates(_probe(kind, new), rd.from_arrow(base))
+
+    def near_dedup(kind, empty):
+        pairs = pa.table({"a": _key(kind, [] if empty else [1, 4]),
+                          "b": _key(kind, [] if empty else [2, 6])})
+        return near_dedup_survivors(
+            _probe(kind, lambda k: pa.table({"doc_id": k})), rd.from_arrow(pairs),
+            "doc_id")
+
+    def prepare(kind, empty):
+        # no key side: every document filtered out, so no survivor ids
+        return prepare_corpus(_probe(kind, _docs_of),
+                              langs=("fr",) if empty else ("en",),
+                              min_quality=0.0, chunk_size=40, chunk_stride=30,
+                              dedup="exact")
+
+    return {"referential_violations": referential,
+            "uniqueness_violations": uniqueness,
+            "cross_corpus_duplicates": cross_corpus,
+            "near_dedup_survivors": near_dedup,
+            "prepare_corpus": prepare}
+
+
+def _rows_and_columns(ds):
+    import ray
+
+    # materialized first: ``to_arrow_refs`` of a lazy Dataset runs its plan twice
+    blocks = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_columns]
+    names = [b.schema.names for b in blocks]
+    assert all(n == names[0] for n in names)
+    rows = sorted(repr(sorted(r.items())) for b in blocks for r in b.to_pylist())
+    return rows, names[:1]
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["keys", "no_keys"])
+@pytest.mark.parametrize("kind", ["int", "str"])
+@pytest.mark.parametrize("caller", sorted(_membership_callers()))
+def test_membership_sides_agree(ray_session, monkeypatch, caller, kind, empty):
+    """Every membership check gives the same rows and columns on both
+    sides of the key-side switch: folded and broadcast by default, on
+    the keyed exchange with ``_DRIVER_FOLD_ROWS`` patched to 0 (a spy on
+    ``bucket_cogroup`` shows the exchange ran whenever there are keys;
+    an empty key side always folds)."""
+    run = _membership_callers()[caller]
+    exchanges = []
+    cogroup = _bucket.bucket_cogroup
+
+    def spy(*args, **kwargs):
+        exchanges.append(args[4].__name__)
+        return cogroup(*args, **kwargs)
+
+    monkeypatch.setattr(_bucket, "bucket_cogroup", spy)
+    driver = _rows_and_columns(run(kind, empty))
+    assert not [e for e in exchanges if e.endswith("_join")]
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    exchange = _rows_and_columns(run(kind, empty))
+    assert exchange == driver
+    assert driver[0] or empty
+    assert bool([e for e in exchanges if e.endswith("_join")]) == (not empty)
+
+
+@pytest.mark.parametrize("anti", [False, True], ids=["semi", "anti"])
+def test_semi_join_null_and_type_rules(ray_session, side, anti):
+    """A null key never matches, whether in the probe or the key side,
+    and int64 keys meet an int32 probe column of another name (a
+    negative key hashes apart across widths unless routed as int64)."""
+    probe = rd.from_arrow([
+        pa.table({"k": pa.array([-1, 2, None], pa.int32()),
+                  "v": pa.array(["a", "b", "c"])}),
+        pa.table({"k": pa.array([], pa.int32()), "v": pa.array([], pa.string())}),
+        pa.table({"k": pa.array([3, -5], pa.int32()), "v": pa.array(["d", "e"])}),
+    ])
+    keys = rd.from_arrow(pa.table({"key": pa.array([-1, 3, None, 7], pa.int64())}))
+    rows, columns = _rows_and_columns(_bucket.semi_join(probe, "k", keys, anti=anti))
+    want = ([("b", 2), ("c", None), ("e", -5)] if anti else [("a", -1), ("d", 3)])
+    assert rows == sorted(repr(sorted({"k": k, "v": v}.items())) for v, k in want)
+    assert columns == [["k", "v"]]

@@ -125,10 +125,13 @@ def test_resume_skips_committed_partitions(table_dir, tmp_path):
     assert checkpoint.run_resumable(table_dir, out, pipe, files_per_partition=1) == []
 
 
-def test_uniqueness_and_referential_units(ray_session):
+def test_uniqueness_and_referential_units(ray_session, monkeypatch):
+    """Both checks give the same violations with their key sets folded
+    and broadcast (the default) and on the keyed exchange (fold limit 0)."""
     import pyarrow as pa
     import ray.data as rd
 
+    from schisma_ray.stages import _bucket
     from schisma_ray.stages.referential import referential_violations
     from schisma_ray.stages.uniqueness import uniqueness_violations
 
@@ -138,18 +141,17 @@ def test_uniqueness_and_referential_units(ray_session):
             "phash": pa.array([1, 2, 2, 3, 1, 4], pa.int64()),
         }
     )
-    ds = rd.from_arrow(t)
-    vio = uniqueness_violations(ds, "phash").to_pandas()
-    assert sorted(vio["row_ref"]) == ["i0", "i1", "i2", "i4"]
-    assert set(vio["code"]) == {"invalid"} and set(vio["path"]) == {"phash"}
-
     ref = pa.table({"image_id": pa.array(["i0", "i1", "i2", "i3"])})
-    ids = rd.from_arrow(t.select(["image_id"]))
-    for strategy in ("broadcast", "shuffle"):
-        orphans = referential_violations(
-            ids, "image_id", ref, strategy=strategy
-        ).to_pandas()
-        assert sorted(orphans["row_ref"]) == ["i4", "i5"], strategy
+    for limit in (None, 0):
+        if limit is not None:
+            monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", limit)
+        vio = uniqueness_violations(rd.from_arrow(t), "phash").to_pandas()
+        assert sorted(vio["row_ref"]) == ["i0", "i1", "i2", "i4"], limit
+        assert set(vio["code"]) == {"invalid"} and set(vio["path"]) == {"phash"}
+
+        ids = rd.from_arrow(t.select(["image_id"]))
+        orphans = referential_violations(ids, "image_id", ref).to_pandas()
+        assert sorted(orphans["row_ref"]) == ["i4", "i5"], limit
         assert set(orphans["code"]) == {"invalid"}
 
 

@@ -363,39 +363,44 @@ def test_table_diff_classification(ray_session):
     assert got == {1: "removed", 4: "removed", 5: "added", 3: "changed"}
 
 
-def test_near_dedup_survivors_join_strategy(ray_session):
+def test_near_dedup_survivors_join_strategy(ray_session, monkeypatch):
+    """The non-keeper ids anti-join the corpus broadcast (default) and on
+    the keyed exchange (fold limit 0) alike."""
     import ray.data as rd
 
+    from schisma_ray.stages import _bucket
     from schisma_ray.stages.components import near_dedup_survivors
 
     docs = rd.from_arrow(pa.table({"doc_id": pa.array(range(20), pa.int64())}))
     pairs = rd.from_arrow(pa.table({"a": pa.array([1, 2, 7], pa.int64()),
                                     "b": pa.array([2, 3, 8], pa.int64())}))
-    # components: {1,2,3} keeper 1; {7,8} keeper 7 -> drop 2,3,8
-    bc = sorted(near_dedup_survivors(docs, pairs, "doc_id").to_pandas()["doc_id"])
-    jn = sorted(near_dedup_survivors(docs, pairs, "doc_id",
-                                     strategy="join").to_pandas()["doc_id"])
-    assert bc == jn == [i for i in range(20) if i not in (2, 3, 8)]
-    # empty pair set: everything survives, both strategies
     e = rd.from_arrow(pa.table({"a": pa.array([], pa.int64()),
                                 "b": pa.array([], pa.int64())}))
-    assert sorted(near_dedup_survivors(docs, e, "doc_id",
-                                       strategy="join").to_pandas()["doc_id"]) == list(range(20))
+    # components: {1,2,3} keeper 1; {7,8} keeper 7 -> drop 2,3,8
+    bc = sorted(near_dedup_survivors(docs, pairs, "doc_id").to_pandas()["doc_id"])
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    jn = sorted(near_dedup_survivors(docs, pairs, "doc_id").to_pandas()["doc_id"])
+    assert bc == jn == [i for i in range(20) if i not in (2, 3, 8)]
+    # empty pair set: everything survives
+    assert sorted(near_dedup_survivors(docs, e, "doc_id")
+                  .to_pandas()["doc_id"]) == list(range(20))
 
 
-def test_uniqueness_join_strategy_edges(ray_session):
+def test_uniqueness_join_strategy_edges(ray_session, monkeypatch):
+    """Past the fold limit the rows semi-join the duplicate keys on the
+    keyed exchange: no duplicates, and a duplicate-heavy key."""
     import ray.data as rd
 
+    from schisma_ray.stages import _bucket
     from schisma_ray.stages.uniqueness import uniqueness_violations
 
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
     nodup = pa.table({"image_id": pa.array(["i1", "i2", "i3"]),
                       "phash": pa.array([1, 2, 3], pa.int64())})
-    assert uniqueness_violations(rd.from_arrow(nodup), "phash",
-                                 strategy="join").count() == 0
+    assert uniqueness_violations(rd.from_arrow(nodup), "phash").count() == 0
     heavy = pa.table({"image_id": pa.array(["i1", "i2", "i3", "i4"]),
                       "phash": pa.array([1, 1, 1, 2], pa.int64())})
-    out = uniqueness_violations(rd.from_arrow(heavy), "phash",
-                                strategy="join").to_pandas()
+    out = uniqueness_violations(rd.from_arrow(heavy), "phash").to_pandas()
     assert sorted(out["row_ref"]) == ["i1", "i2", "i3"]
 
 

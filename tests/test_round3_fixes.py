@@ -139,32 +139,12 @@ def test_asof_no_per_key_groupby():
     assert 'groupby("k")' not in src
 
 
-def test_referential_bloom_distributed_build(ray_session):
-    """Bloom bits build via a mergeable aggregate — the reference side is
-    a Dataset never collected, and int keys stringify consistently on
-    both build and probe sides (previously int refs hashed as ints but
-    probes as strings)."""
+def test_cross_corpus_duplicates_strategies_parity(ray_session, monkeypatch):
+    """Broadcast fold vs bucketed semi-join on the keyed exchange (fold
+    limit 0): same duplicate set; no Python-set fold anywhere."""
     import inspect
 
-    from schisma_ray.stages import referential
-    from schisma_ray.stages.referential import referential_violations_bloom
-
-    src = inspect.getsource(referential.referential_violations_bloom)
-    assert "to_pylist" not in src and "to_pandas" not in src
-
-    ids = rd.from_arrow(pa.table({"k": pa.array(range(100), pa.int64())}))
-    ref = rd.from_arrow(
-        pa.table({"k": pa.array(range(0, 100, 2), pa.int64())})
-    ).repartition(4)
-    out = referential_violations_bloom(ids, "k", ref, n_bits=1 << 14).to_pandas()
-    assert set(out["row_ref"]) == {str(i) for i in range(1, 100, 2)}
-
-
-def test_cross_corpus_duplicates_strategies_parity(ray_session):
-    """Arrow-native broadcast fold vs bucketed semi-join shuffle: same
-    duplicate set; no Python-set fold anywhere (VERDICT r2 #4)."""
-    import inspect
-
+    from schisma_ray.stages import _bucket
     from schisma_ray.stages import dedup as dd
 
     src = inspect.getsource(dd.cross_corpus_duplicates)
@@ -182,15 +162,18 @@ def test_cross_corpus_duplicates_strategies_parity(ray_session):
             + [f"fresh content {i}" for i in range(5)], pa.string()),
     })).repartition(3)
     b = dd.cross_corpus_duplicates(new, base).to_pandas()
-    s = dd.cross_corpus_duplicates(new, base, strategy="shuffle").to_pandas()
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    s = dd.cross_corpus_duplicates(new, base).to_pandas()
     assert sorted(b["doc_id"]) == sorted(s["doc_id"]) == list(range(100, 105))
     assert sorted(b["fingerprint"]) == sorted(s["fingerprint"])
 
 
-def test_prepare_corpus_join_dedup_parity(ray_session):
-    """prepare_corpus(dedup='join') must produce byte-identical chunks to
-    the broadcast path (VERDICT r2 #5)."""
+def test_prepare_corpus_join_dedup_parity(ray_session, monkeypatch):
+    """prepare_corpus(dedup='exact') produces byte-identical chunks with
+    the survivor ids broadcast (default) and semi-joined on the keyed
+    exchange (fold limit 0)."""
     from schisma_ray.pipelines.corpus_pipeline import prepare_corpus
+    from schisma_ray.stages import _bucket
 
     rows = []
     for i in range(30):
@@ -204,8 +187,9 @@ def test_prepare_corpus_join_dedup_parity(ray_session):
     docs = rd.from_arrow(pa.Table.from_pylist(rows)).repartition(4)
     kw = dict(langs=("en",), min_quality=0.0, cap_per_source=0,
               chunk_size=40, chunk_stride=30)
-    b = prepare_corpus(docs, dedup="broadcast", **kw).to_pandas()
-    j = prepare_corpus(docs, dedup="join", **kw).to_pandas()
+    b = prepare_corpus(docs, dedup="exact", **kw).to_pandas()
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    j = prepare_corpus(docs, dedup="exact", **kw).to_pandas()
     key = ["doc_id", "chunk_idx"]
     b = b.sort_values(key).reset_index(drop=True)
     j = j.sort_values(key).reset_index(drop=True)
