@@ -7,7 +7,7 @@ Runs every check family in ONE read task, with no union:
   read_parquet (all columns)
     -> map_batches(Checks: TableValidator + DecodeValidator
                    + duplicate_rows(dup keys) + orphan_rows(reference ids))
-  -> one violations Dataset (schema sources/image_table.VIOLATION_SCHEMA)
+  -> one violations Dataset (schema schema/result.VIOLATION_SCHEMA)
 
 Both key sets are collected while the plan is built and ``ray.put``
 once; each batch then tests its keys with a vectorized ``is_in`` (the
@@ -16,8 +16,6 @@ the image table is read once in full, plus the narrow ``phash`` fold.
 
 Every per-batch check is a callable instance, not a class, so Ray runs
 it as a task fused into its read and a batch is the read block.
-``fused=False`` runs the row checks over the light columns instead and
-decodes in a second read, unioned in.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from ..stages.uniqueness import duplicate_keys, duplicate_rows
 from ..stages.validate import TableValidator
 
 LIGHT_COLUMNS = ["image_id", "w", "h", "fmt", "caption", "phash"]
-DECODE_COLUMNS = ["image_id", "bytes", "w", "h", "fmt"]
 
 
 def image_table_schema() -> TableSchema:
@@ -89,9 +86,9 @@ class FusedValidator(Checks):
     when the decode stage touches every row anyway.
     """
 
-    def __init__(self, full_decode: bool = True):
+    def __init__(self):
         super().__init__(TableValidator(image_table_schema()),
-                         DecodeValidator(full_decode, report_missing_bytes=False))
+                         DecodeValidator(report_missing_bytes=False))
 
 
 def validate_images(
@@ -102,9 +99,16 @@ def validate_images(
     referential: bool = True,
     fused: bool = False,
 ):
-    """Violations Dataset for every enabled check family (streaming)."""
+    """Violations Dataset for every enabled check family (streaming).
+    With ``decode`` the one read is the full table and runs
+    ``FusedValidator``; without it, the light columns.
+
+    ``fused`` is read by no code; it stays only because
+    ``perfbench/workloads.py:86`` and ``perfbench/layers.py`` pass
+    ``fused=True``.
+    """
     table_dir = Path(table_dir)
-    if fused and decode:
+    if decode:
         read, checks = read_images(table_dir), [FusedValidator()]
     else:
         read = read_images(table_dir, LIGHT_COLUMNS)
@@ -122,13 +126,8 @@ def validate_images(
     # block through the object store (measured 20x read-CPU inflation
     # from concurrent plasma puts). Fused, the image bytes never leave
     # the read task; a fragment (~24 MB) is the batch.
-    out = read.map_batches(Checks(*checks), batch_format="pyarrow",
-                           zero_copy_batch=True)
-    if decode and not fused:
-        heavy = read_images(table_dir, DECODE_COLUMNS)
-        out = out.union(heavy.map_batches(DecodeValidator(), batch_format="pyarrow",
-                                          zero_copy_batch=True))
-    return out
+    return read.map_batches(Checks(*checks), batch_format="pyarrow",
+                            zero_copy_batch=True)
 
 
 class FusedConformer:

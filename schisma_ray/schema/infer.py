@@ -18,7 +18,9 @@ from Dataset metadata, NO data scan — onto the kernel's literal form:
                                       deeper checks)
 
 The output literal round-trips through ``schema()`` so the inferred
-node can be handed straight to ``TableValidator`` / ``JsonColumnValidator``.
+node can be handed straight to ``TableValidator`` / ``JsonColumnValidator``;
+a nested (struct or list) column runs on the row kernel through their
+one bridge, ``stages.table_schema.validate_values``.
 """
 
 from __future__ import annotations

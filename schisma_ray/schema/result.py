@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import pyarrow as pa
+
 UNHANDLED = "unhandled"
 PARTIAL_MATCH = "partial match"
 EXACT_MATCH = "exact match"
@@ -121,3 +123,36 @@ class SchemaResult:
 
     def __repr__(self):  # pragma: no cover
         return f"SchemaResult({self.to_dict()!r})"
+
+
+#: One row per (row, problem): the shape every validation stage emits.
+VIOLATION_SCHEMA = pa.schema(
+    [
+        ("row_ref", pa.string()),
+        ("path", pa.string()),
+        ("code", pa.string()),
+        ("expected", pa.string()),
+        ("received", pa.string()),
+        ("message", pa.string()),
+        ("check", pa.string()),
+    ]
+)
+
+
+def violation_table(row_ref, path, code, *, expected=None, received=None,
+                    message=None, check) -> pa.Table:
+    """The violation rows of ``row_ref`` (an Arrow string array or a list
+    of str): one per entry. Every other field is an array or list of the
+    same length, or one value (str or None) broadcast to every row."""
+    n = len(row_ref)
+
+    def col(v):
+        if isinstance(v, (pa.Array, pa.ChunkedArray)):
+            return v
+        return pa.array(v if isinstance(v, list) else [v] * n, pa.string())
+
+    return pa.Table.from_arrays(
+        [col(row_ref), col(path), col(code), col(expected), col(received),
+         col(message), col(check)],
+        schema=VIOLATION_SCHEMA,
+    )

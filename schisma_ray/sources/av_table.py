@@ -22,8 +22,9 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..schema.result import VIOLATION_SCHEMA
 from . import av_codec
-from .image_table import CACHE_ROOT, VIOLATION_SCHEMA
+from .image_table import CACHE_ROOT
 
 
 def rows_for_sf(sf_dir: str, per_unit: int) -> int:

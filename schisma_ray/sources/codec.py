@@ -9,7 +9,7 @@ conform-fidelity bar from BASELINE.md), ``png`` is lossless.
 
 The Ray-side plumbing (schemas, batch sizes, actor signatures, output
 layout) is identical to what a real codec would need: the public
-``encode``/``decode``/``sniff_*`` functions dispatch on a backend
+``encode``/``decode`` functions dispatch on a backend
 selected with ``set_backend("builtin" | "pil")``. The ``pil`` backend
 implements the same contract over Pillow (real PNG/JPEG/WEBP); it is
 selectable whenever ``HAVE_PIL`` is true and is covered by a contract
@@ -40,7 +40,7 @@ def set_backend(name: str) -> str:
 
     ``pil`` requires an importable ``PIL.Image`` (raises ImportError
     otherwise). All decode/conform stages call only the public
-    ``encode``/``decode``/``sniff_*`` functions, so flipping the backend
+    ``encode``/``decode`` functions, so flipping the backend
     swaps the codec under every pipeline with no other change.
     """
     global _BACKEND
@@ -111,20 +111,6 @@ def decode(data: bytes) -> tuple[np.ndarray, str]:
     return _builtin_decode(data)
 
 
-def sniff_format(data: bytes) -> str | None:
-    """Cheap format detection from the magic header (no decompress)."""
-    if _BACKEND == "pil":
-        return _pil_sniff(data)[0]
-    return _builtin_sniff_format(data)
-
-
-def sniff_dims(data: bytes) -> tuple[int, int] | None:
-    """Cheap (w, h) from the header (no decompress); None if unreadable."""
-    if _BACKEND == "pil":
-        return _pil_sniff(data)[1]
-    return _builtin_sniff_dims(data)
-
-
 # ------------------------------------------------------------ pil backend
 _PIL_FMT = {"png": "PNG", "jpeg": "JPEG", "webp": "WEBP"}
 
@@ -163,24 +149,6 @@ def _pil_decode(data: bytes) -> tuple[np.ndarray, str]:
     if fmt not in _PIL_FMT:
         raise CodecError(f"unsupported format {fmt!r}")
     return out, fmt
-
-
-def _pil_sniff(data: bytes) -> tuple[str | None, tuple[int, int] | None]:
-    import io
-
-    import PIL.Image
-
-    if data is None or len(data) == 0:
-        return None, None
-    try:
-        # lazy open: Pillow parses only the header — no pixel decode
-        img = PIL.Image.open(io.BytesIO(bytes(data)))
-        fmt = (img.format or "").lower()
-        if fmt not in _PIL_FMT:
-            return None, None
-        return fmt, (img.size[0], img.size[1])
-    except Exception:
-        return None, None
 
 
 # -------------------------------------------------------- builtin backend
@@ -232,21 +200,6 @@ def _builtin_decode(data: bytes) -> tuple[np.ndarray, str]:
         plane = _from_blocks(blocks, hb, wb, h, w) + 128.0
         out[:, :, ch] = np.clip(np.round(plane), 0, 255).astype(np.uint8)
     return out, fmt
-
-
-def _builtin_sniff_format(data: bytes) -> str | None:
-    if data is None or len(data) < 4:
-        return None
-    return _FMT_BY_MAGIC.get(bytes(data[:4]))
-
-
-def _builtin_sniff_dims(data: bytes) -> tuple[int, int] | None:
-    if data is None or len(data) < _HEADER.size:
-        return None
-    magic, w, h, _ = _HEADER.unpack_from(data)
-    if magic not in _FMT_BY_MAGIC:
-        return None
-    return w, h
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

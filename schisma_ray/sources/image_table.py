@@ -50,6 +50,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..schema.result import VIOLATION_SCHEMA
 from . import codec
 
 CACHE_ROOT = Path(os.environ.get("SCHISMA_RAY_CACHE", "/tmp/schisma_ray_cache"))
@@ -66,17 +67,6 @@ IMAGE_SCHEMA = pa.schema(
     ]
 )
 
-VIOLATION_SCHEMA = pa.schema(
-    [
-        ("row_ref", pa.string()),
-        ("path", pa.string()),
-        ("code", pa.string()),
-        ("expected", pa.string()),
-        ("received", pa.string()),
-        ("message", pa.string()),
-        ("check", pa.string()),
-    ]
-)
 
 #: skewed on purpose (exercises salted groupby); profile table mirrors it
 FMT_PROBS = {"png": 0.70, "jpeg": 0.25, "webp": 0.05}

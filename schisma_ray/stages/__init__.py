@@ -10,5 +10,5 @@ from .table_schema import (  # noqa: F401
     regex_match,
     str_len_between,
 )
-from .validate import TableValidator, violations_dataset  # noqa: F401
-from .conform import TableConformer, conformed_dataset  # noqa: F401
+from .validate import TableValidator  # noqa: F401
+from .conform import TableConformer  # noqa: F401

@@ -10,15 +10,19 @@ granularity:
       Boolean()/BigInt() semantics; NaN/throw falls back to the default,
       mirroring src/schisma.mjs:579-607)
 * residual columns       -> row kernel ``conform`` per value (exact
-      reference semantics for unions/nested/arrays)
+      reference semantics for unions/nested/arrays), through
+      ``table_schema.conform_values``, the conform a JSON column runs too;
+      a null struct member is an absent key there, as in validate
 
 Engine-defined divergences (documented, reference-verified):
 * the reference *throws* on a failed ``$validate`` during conform
-  ("Unhandled: invalid:..."); the batch conformer instead leaves the
-  value in place (validation reports it; conform is total). The row
-  kernel keeps the reference throw.
+  ("Unhandled: invalid:..."); the batch conformer instead repairs the
+  value with the column default (validation reports it; conform is
+  total). The row kernel keeps the reference throw.
 * JS BigInt() throws on junk; the batch conformer repairs with the
-  column default instead of failing the whole batch.
+  column default instead of failing the whole batch. A residual or JSON
+  value the row kernel throws on (``JSError``) takes the default the
+  same way.
 
 Output column order is the schema's declaration order; Arrow types are
 preserved when compatible, canonicalized when coerced.
@@ -42,7 +46,7 @@ from ..schema.jstypes import (
     js_number,
     js_string,
 )
-from .table_schema import TableSchema, arrow_js_typeof
+from .table_schema import TableSchema, arrow_js_typeof, conform_values, js_values
 
 _CANONICAL = {
     "Number": pa.float64(),
@@ -126,12 +130,6 @@ class TableConformer:
         if kind == "BigInt":
             if pa.types.is_boolean(t):
                 return pc.cast(col, pa.int64())
-            if pa.types.is_floating(t):
-                vals = col.to_pylist()
-                return pa.array(
-                    [None if v is None else _bigint_or(default, v) for v in vals],
-                    pa.int64(),
-                )
             vals = col.to_pylist()
             return pa.array(
                 [None if v is None else _bigint_or(default, v) for v in vals],
@@ -183,17 +181,13 @@ class TableConformer:
         )
 
     def _conform_residual(self, plan, col: pa.Array) -> pa.Array:
-        vals = col.to_pylist()
-        out = []
         default = self.defaults[plan.name]
-        for v in vals:
-            if v is None:
-                out.append(default if plan.required else None)
-                continue
-            try:
-                out.append(plan.node.conform(v, self.conf))
-            except JSError:
-                out.append(default)
+        values = js_values(col)
+        at = [i for i, v in enumerate(values) if v is not None]
+        out = [default if plan.required else None] * len(values)
+        conformed = conform_values(plan.node, [values[i] for i in at], default, self.conf)
+        for i, v in zip(at, conformed):
+            out[i] = v
         return pa.array(out)
 
 
@@ -213,9 +207,3 @@ def _mask_nulls(out: pa.Array, src: pa.Array) -> pa.Array:
     if src.null_count == 0:
         return out
     return pc.if_else(pc.is_null(src), pa.scalar(None, out.type), out)
-
-
-def conformed_dataset(ds, table_schema: TableSchema, conf: dict | None = None, **map_kwargs):
-    kwargs = dict(batch_format="pyarrow", zero_copy_batch=True)
-    kwargs.update(map_kwargs)
-    return ds.map_batches(TableConformer(table_schema, conf), **kwargs)

@@ -28,8 +28,8 @@ from contextlib import contextmanager
 import numpy as np
 import pyarrow as pa
 
+from ..schema.result import violation_table
 from ..sources import codec
-from ..sources.image_table import VIOLATION_SCHEMA
 
 _PLACEHOLDER_FMT = "png"
 
@@ -58,23 +58,19 @@ def _placeholder() -> tuple[bytes, int, int, int]:
 class DecodeValidator:
     """Decode + invariant checks -> violations table."""
 
-    def __init__(self, full_decode: bool = True, report_missing_bytes: bool = True,
-                 backend: str | None = None):
-        # full_decode=False uses header sniffing only (no decompression):
-        # the cheap path for when only dims/format labels are audited.
+    def __init__(self, report_missing_bytes: bool = True, backend: str | None = None):
         # report_missing_bytes=False when a fused schema stage already
         # owns the bytes null check (avoids duplicate rows).
         # backend selects the codec implementation ("builtin"/"pil") for
         # the calls of this instance only
         self.backend = backend
-        self.full_decode = full_decode
         self.report_missing_bytes = report_missing_bytes
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         with _codec_backend(self.backend):
-            return self._validate(batch)
+            return self._check(batch)
 
-    def _validate(self, batch: pa.Table) -> pa.Table:
+    def _check(self, batch: pa.Table) -> pa.Table:
         ids = batch["image_id"].to_pylist()
         blobs = batch["bytes"].to_pylist()
         ws = batch["w"].to_pylist()
@@ -98,39 +94,20 @@ class DecodeValidator:
                 if self.report_missing_bytes:
                     add(i, "bytes", None, None, code="missing key", check="schema")
                 continue
-            if self.full_decode:
-                try:
-                    pixels, actual_fmt = codec.decode(blob)
-                    ah, aw = pixels.shape[0], pixels.shape[1]
-                except codec.CodecError:
-                    add(i, "bytes", "decodable image", "undecodable")
-                    continue
-            else:
-                dims = codec.sniff_dims(blob)
-                actual_fmt = codec.sniff_format(blob)
-                if dims is None or actual_fmt is None:
-                    add(i, "bytes", "decodable image", "undecodable")
-                    continue
-                aw, ah = dims
+            try:
+                pixels, actual_fmt = codec.decode(blob)
+            except codec.CodecError:
+                add(i, "bytes", "decodable image", "undecodable")
+                continue
+            ah, aw = pixels.shape[0], pixels.shape[1]
             if ws[i] is not None and ws[i] != aw:
                 add(i, "w", str(aw), str(ws[i]))
             if hs[i] is not None and hs[i] != ah:
                 add(i, "h", str(ah), str(hs[i]))
             if fmts[i] is not None and fmts[i] != actual_fmt:
                 add(i, "fmt", actual_fmt, fmts[i])
-        n = len(refs)
-        return pa.Table.from_arrays(
-            [
-                pa.array(refs, pa.string()),
-                pa.array(paths, pa.string()),
-                pa.array(codes, pa.string()),
-                pa.array(exps, pa.string()),
-                pa.array(recs, pa.string()),
-                pa.array([None] * n, pa.string()),
-                pa.array(checks, pa.string()),
-            ],
-            schema=VIOLATION_SCHEMA,
-        )
+        return violation_table(refs, paths, codes, expected=exps, received=recs,
+                               check=checks)
 
 
 class DecodeConformer:

@@ -301,8 +301,8 @@ class AudioDecodeValidator:
         self.id_col = id_col
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        from ..schema.result import violation_table
         from ..sources import av_codec
-        from ..sources.image_table import VIOLATION_SCHEMA
 
         ids = batch[self.id_col].to_pylist()
         srs = batch["sample_rate"].to_pylist() if "sample_rate" in batch.column_names else [None] * len(ids)
@@ -323,19 +323,8 @@ class AudioDecodeValidator:
             if ns[i] is not None and ns[i] != len(samples):
                 refs.append(ids[i]); paths.append("n_samples")
                 exps.append(str(len(samples))); recs.append(str(ns[i]))
-        n = len(refs)
-        return pa.Table.from_arrays(
-            [
-                pa.array([str(r) for r in refs], pa.string()),
-                pa.array(paths, pa.string()),
-                pa.array(["invalid"] * n, pa.string()),
-                pa.array(exps, pa.string()),
-                pa.array(recs, pa.string()),
-                pa.array([None] * n, pa.string()),
-                pa.array(["decode"] * n, pa.string()),
-            ],
-            schema=VIOLATION_SCHEMA,
-        )
+        return violation_table([str(r) for r in refs], paths, "invalid",
+                               expected=exps, received=recs, check="decode")
 
 
 class VideoFrameSampler:

@@ -15,31 +15,17 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sources.image_table import VIOLATION_SCHEMA
+from ..schema.result import violation_table
 from ._bucket import KeyFilter, semi_join
-
-
-def _violation_table(ids: pa.Array, column: str) -> pa.Table:
-    n = len(ids)
-    return pa.Table.from_arrays(
-        [
-            pc.cast(ids, pa.string()),
-            pa.array([column] * n, pa.string()),
-            pa.array(["invalid"] * n, pa.string()),
-            pa.array([f"known {column}"] * n, pa.string()),
-            pc.cast(ids, pa.string()),
-            pa.array([None] * n, pa.string()),
-            pa.array(["referential"] * n, pa.string()),
-        ],
-        schema=VIOLATION_SCHEMA,
-    )
 
 
 def _orphans(column: str):
     """The ``emit`` of the anti-join: one violation per non-null key."""
 
     def emit(rows: pa.Table) -> pa.Table:
-        return _violation_table(rows[column].combine_chunks().drop_null(), column)
+        ids = pc.cast(rows[column].combine_chunks().drop_null(), pa.string())
+        return violation_table(ids, column, "invalid", expected=f"known {column}",
+                               received=ids, check="referential")
 
     return emit
 

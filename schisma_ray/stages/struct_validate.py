@@ -2,13 +2,14 @@
 
 SURVEY.md §1.4 maps schisma's nested objects to Arrow struct columns;
 the row kernel handles them as Python dicts (exact reference
-semantics), and ``JsonColumnValidator`` handles JSON-string columns.
-This stage is the third shape: a REAL struct column validated without
-leaving Arrow — every field check is one compute-kernel pass over the
-child array (``pc.struct_field``), nested structs recurse with dotted
-paths, and a null child under a non-null parent is schisma's
-``missing key`` (the same null-as-undefined convention as
-table_schema.py).
+semantics) through ``table_schema.validate_values``, the one bridge
+that a residual struct column and a ``JsonColumnValidator`` JSON-string
+column share. This stage is the other shape: a REAL struct column
+validated without leaving Arrow — every field check is one
+compute-kernel pass over the child array (``pc.struct_field``), nested
+structs recurse with dotted paths, and a null child under a non-null
+parent is schisma's ``missing key`` (the same null-as-undefined
+convention as table_schema.py and its ``js_values``).
 
 Scale shape: pure ``map_batches``, zero shuffle; violations emit as
 (id, path, code, expected) rows — the reference's flattened result

@@ -11,11 +11,18 @@ classified:
   ``$validate``/``$unmarshal`` hooks: values fall back to the row kernel
   (exact reference semantics), still batched inside the same function.
 
+The row-kernel fallback is written once, here: ``validate_values`` turns
+kernel results into violation rows and ``conform_values`` conforms
+values through the kernel. A residual column (``js_values`` of its Arrow
+cells) and a JSON column (``json.loads`` of its text) both run them.
+
 Null mapping (engine decision, documented in SURVEY.md §7 hard parts):
 an Arrow **null cell is JS `undefined`** (the key is absent), so a null
 in a required column emits ``missing key`` — Arrow has no undefined/null
 distinction, and "absent" is what a null cell means in a table. A
-schema can still model explicit JS ``null`` with the ``Null`` type.
+schema can still model explicit JS ``null`` with the ``Null`` type. The
+same holds one level down: a null struct member is an absent key
+(``js_values``). A JSON ``null`` is JS ``null``.
 
 Vectorized checks are the engine's ``$validate`` equivalent: they take
 the whole column and return a violation mask, and emit rows with code
@@ -32,8 +39,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import SchemaNode
-from ..schema.jstypes import BigInt, Boolean, JSType, Null, Number, String
+from ..schema import PROBLEM_CODES, SchemaNode
+from ..schema.jstypes import (BigInt, Boolean, JSError, JSType, Null, Number,
+                              String, js_string)
+from ..schema.result import UNSET, violation_table
 
 #: JSType -> acceptable Arrow types (fast-path type check)
 _JS_NAME = {
@@ -77,6 +86,71 @@ def _expected_name(alt: Any) -> str:
     if isinstance(alt, JSType):
         return alt.name
     return getattr(alt, "__name__", str(alt))
+
+
+def _text(v: Any) -> str | None:
+    """A kernel result field as violation-row text: a type by its name,
+    a value as JS ``String()``."""
+    if v is UNSET:
+        return None
+    if isinstance(v, str):
+        return v
+    if isinstance(v, JSType) or callable(v):
+        return _expected_name(v)
+    return js_string(v)
+
+
+def _drop_null_members(v: Any) -> Any:
+    if isinstance(v, dict):
+        return {k: _drop_null_members(x) for k, x in v.items() if x is not None}
+    if isinstance(v, list):
+        return [_drop_null_members(x) for x in v]
+    return v
+
+
+def js_values(col: pa.Array) -> list:
+    """An Arrow column's cells in the kernel's value model. A null struct
+    member is JS ``undefined``, so its key is absent; a null cell stays
+    ``None`` for the caller's null rule."""
+    return [_drop_null_members(v) for v in col.to_pylist()]
+
+
+def validate_values(node: SchemaNode, values: list, refs: pa.Array, root: str,
+                    conf: dict | None, check: str) -> pa.Table:
+    """The row kernel's problems with ``values`` as violation rows:
+    ``node.validate`` on each value, its paths rooted at ``root`` (the
+    kernel's ``dot`` roots only the top result), ``refs[i]`` the
+    ``row_ref`` of every row of ``values[i]``."""
+    # a violation row is one flat problem, whatever the caller's conf asks
+    conf = {**(conf or {}), "flattenErrors": True, "filterNonErrors": True}
+    at, paths, codes, exps, recs, msgs = [], [], [], [], [], []
+    for i, v in enumerate(values):
+        for r in node.validate(v, conf):
+            if r.code not in PROBLEM_CODES:
+                continue
+            where = "" if r.where is UNSET else str(r.where)
+            at.append(i)
+            paths.append(f"{root}.{where}" if where else root)
+            codes.append(r.code)
+            exps.append(_text(r.expected))
+            recs.append(_text(r.received))
+            msgs.append(str(r.message) if r.message else None)
+    return violation_table(refs.take(pa.array(at, pa.int64())), paths, codes,
+                           expected=exps, received=recs, message=msgs,
+                           check=check)
+
+
+def conform_values(node: SchemaNode, values: list, default: Any,
+                   conf: dict | None) -> list:
+    """``values`` conformed through the row kernel. Conform is total: a
+    value the kernel throws on (``JSError``) becomes ``default``."""
+    out = []
+    for v in values:
+        try:
+            out.append(node.conform(v, conf))
+        except JSError:
+            out.append(default)
+    return out
 
 
 @dataclass

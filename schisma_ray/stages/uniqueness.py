@@ -32,9 +32,10 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sources.image_table import VIOLATION_SCHEMA
+from ..schema.result import VIOLATION_SCHEMA, violation_table
 from ._bucket import KeyFilter, bucket_combine, fold_small, semi_join
 from ._fold import column_type, fold_table
+from .validate import stringify_column
 
 
 def _partial_counts(column: str):
@@ -87,30 +88,13 @@ def duplicate_keys(ds, column: str) -> pa.Table:
     return _no_dups(ds, column) if folded is None else folded
 
 
-def _violation_table(ids: pa.Array, column: str) -> pa.Table:
-    """One ``invalid`` uniqueness violation per id in ``ids``."""
-    from .validate import stringify_column
-
-    n = len(ids)
-    return pa.Table.from_arrays(
-        [
-            stringify_column(ids),
-            pa.array([column] * n, pa.string()),
-            pa.array(["invalid"] * n, pa.string()),
-            pa.array(["unique"] * n, pa.string()),
-            pa.array([None] * n, pa.string()),
-            pa.array([None] * n, pa.string()),
-            pa.array(["uniqueness"] * n, pa.string()),
-        ],
-        schema=VIOLATION_SCHEMA,
-    )
-
-
 def _members(column: str, id_column: str):
     """The ``emit`` of the semi-join: one violation per member row."""
 
     def emit(rows: pa.Table) -> pa.Table:
-        return _violation_table(rows[id_column].combine_chunks(), column)
+        return violation_table(stringify_column(rows[id_column].combine_chunks()),
+                               column, "invalid", expected="unique",
+                               check="uniqueness")
 
     return emit
 

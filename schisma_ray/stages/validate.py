@@ -3,7 +3,8 @@
 Emits one violation row per (row, problem), with the reference's exact
 result codes and dot-paths (see schema/result.py). Vectorized Arrow
 kernels handle nulls/types/invariants; only residual columns (unions,
-nested values, hooks) drop to the row kernel.
+nested values, hooks) and JSON columns drop to the row kernel, both
+through ``table_schema.validate_values``.
 
 Reference parity notes (SURVEY.md §2 V5):
 * unexpected / missing COLUMNS are detected once per batch (Arrow
@@ -15,17 +16,17 @@ Reference parity notes (SURVEY.md §2 V5):
 
 from __future__ import annotations
 
-from typing import Any
+import json
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..schema import PROBLEM_CODES, SchemaNode, SchemaResult
-from ..schema.jstypes import format_number
-from ..schema.result import PARTIAL_MATCH, UNSET
-from ..sources.image_table import VIOLATION_SCHEMA
-from .table_schema import TableSchema, arrow_js_typeof, _expected_name
+from ..schema import SchemaNode
+from ..schema.jstypes import format_number, js_json_stringify
+from ..schema.result import VIOLATION_SCHEMA, violation_table
+from .table_schema import (TableSchema, _expected_name, arrow_js_typeof,
+                           conform_values, js_values, validate_values)
 
 
 def stringify_column(col: pa.Array) -> pa.Array:
@@ -48,48 +49,8 @@ def stringify_column(col: pa.Array) -> pa.Array:
         )
 
 
-def flatten_rooted(node: SchemaNode, value: Any, root_where: str, conf: dict | None = None):
-    """Validate one value as if it were field ``root_where`` of a row.
-
-    Returns flat problem results with dot-paths prefixed by the column
-    name — identical to what the reference produces when validating the
-    whole row object (flatten logic of src/schisma.mjs:117-133 applied
-    to the column's subtree).
-    """
-    res = node._validate(value, {**_VCONF, **(conf or {})}, root_where)
-    if not res.is_problem():
-        return []
-    flat: list[SchemaResult] = []
-
-    def add_children(err: SchemaResult) -> None:
-        if err.errors is not None:
-            next_errors = err.errors
-            for e in next_errors:
-                e.where = f"{err.where}.{e.where}"
-            err.errors = None
-            flat.append(err)
-            for e in next_errors:
-                add_children(e)
-        else:
-            flat.append(err)
-
-    add_children(res)
-    return [e for e in flat if e.code != PARTIAL_MATCH]
-
-
-_VCONF = {
-    "ignoreUnexpected": False,
-    "ignoreRequired": False,
-    "ignoreShortArrays": True,
-    "ignoreLongArrays": True,
-    "matchArray": "any",
-    "flattenErrors": False,
-    "filterNonErrors": False,
-}
-
-
 class _Builder:
-    """Accumulates violation pieces as arrays; concatenated once per batch."""
+    """Accumulates violation pieces as tables; concatenated once per batch."""
 
     __slots__ = ("refs", "pieces")
 
@@ -97,57 +58,18 @@ class _Builder:
         self.refs = refs
         self.pieces: list[pa.Table] = []
 
-    def _mk(self, refs, n, path, code, expected, received, message, check):
-        def col(v, is_array_ok=True):
-            if isinstance(v, (pa.Array, pa.ChunkedArray)):
-                return v
-            return pa.array([v] * n, pa.string())
+    def all_rows(self, path, code, **fields):
+        self.pieces.append(violation_table(self.refs, path, code, **fields))
 
-        self.pieces.append(
-            pa.Table.from_arrays(
-                [
-                    refs,
-                    col(path),
-                    col(code),
-                    col(expected),
-                    col(received),
-                    col(message),
-                    col(check),
-                ],
-                schema=VIOLATION_SCHEMA,
-            )
-        )
-
-    def all_rows(self, path, code, *, expected=None, received=None, message=None, check="schema"):
-        n = len(self.refs)
-        self._mk(self.refs, n, path, code, expected, received, message, check)
-
-    def mask(self, mask: np.ndarray, path, code, *, expected=None, received=None, message=None, check="schema"):
+    def mask(self, mask: np.ndarray, path, code, *, received=None, **fields):
         idx = np.nonzero(mask)[0]
         if len(idx) == 0:
             return
         take = pa.array(idx, pa.int64())
-        refs = pc.take(self.refs, take)
         if isinstance(received, (pa.Array, pa.ChunkedArray)):
             received = pc.take(received, take)
-        self._mk(refs, len(idx), path, code, expected, received, message, check)
-
-    def rows(self, indices: list[int], columns: dict[str, list]):
-        if not indices:
-            return
-        take = pa.array(indices, pa.int64())
-        refs = pc.take(self.refs, take)
-        n = len(indices)
-        self._mk(
-            refs,
-            n,
-            pa.array(columns["path"], pa.string()),
-            pa.array(columns["code"], pa.string()),
-            pa.array(columns["expected"], pa.string()),
-            pa.array(columns["received"], pa.string()),
-            pa.array(columns["message"], pa.string()),
-            pa.array(columns["check"], pa.string()),
-        )
+        self.pieces.append(violation_table(pc.take(self.refs, take), path, code,
+                                           received=received, **fields))
 
     def table(self) -> pa.Table:
         if not self.pieces:
@@ -245,47 +167,32 @@ class TableValidator:
             )
 
     def _run_residual(self, b: _Builder, plan, col: pa.Array, null_mask: np.ndarray):
-        values = col.to_pylist()
-        idx: list[int] = []
-        cols = {k: [] for k in ("path", "code", "expected", "received", "message", "check")}
-        for i, v in enumerate(values):
-            if null_mask[i]:
-                continue
-            for err in flatten_rooted(plan.node, _to_js(v), plan.name, self.conf):
-                if err.code not in PROBLEM_CODES:
-                    continue
-                idx.append(i)
-                cols["path"].append(str(err.where))
-                cols["code"].append(err.code)
-                exp = err.expected
-                cols["expected"].append(
-                    None if exp is UNSET else _expected_name(exp) if not isinstance(exp, str) else exp
-                )
-                rec = err.received
-                cols["received"].append(
-                    None if rec is UNSET else rec if isinstance(rec, str) else _js_str(rec)
-                )
-                cols["message"].append(err.message if err.message else None)
-                cols["check"].append(self.check_label)
-        b.rows(idx, cols)
+        idx = np.nonzero(~null_mask)[0]
+        values = js_values(col.take(pa.array(idx, pa.int64())))
+        b.pieces.append(validate_values(plan.node, values, b.refs.take(idx), plan.name,
+                                        self.conf, self.check_label))
 
 
-def _to_js(v: Any) -> Any:
-    """Arrow pylist value -> kernel value model (already aligned)."""
-    return v
+def _parse_json(texts: list) -> tuple[list, list[int], list[int]]:
+    """JSON texts parsed with JS number semantics (every number a float,
+    as ``JSON.parse`` yields JS numbers): (documents, their positions,
+    the positions of unparseable texts). A null cell is in neither."""
+    docs, at, bad = [], [], []
+    for i, s in enumerate(texts):
+        if s is None:
+            continue
+        try:
+            docs.append(json.loads(s, parse_int=float))
+            at.append(i)
+        except ValueError:
+            bad.append(i)
+    return docs, at, bad
 
 
-def _js_str(v: Any) -> str:
-    from ..schema.jstypes import js_string
-
-    return js_string(v)
-
-
-def violations_dataset(ds, table_schema: TableSchema, **map_kwargs):
-    """`ds` (Arrow batches) -> violations Dataset (streaming)."""
-    kwargs = dict(batch_format="pyarrow", zero_copy_batch=True)
-    kwargs.update(map_kwargs)
-    return ds.map_batches(TableValidator(table_schema), **kwargs)
+def _node(schema_literal) -> SchemaNode:
+    if isinstance(schema_literal, SchemaNode):
+        return schema_literal
+    return SchemaNode(schema_literal)
 
 
 class JsonColumnConformer:
@@ -293,39 +200,27 @@ class JsonColumnConformer:
     with JS number semantics, repair via the full kernel (coercions,
     default insertion, unexpected-key removal, ``__typeIndex`` union
     dispatch), re-serialize with ``JSON.stringify`` formatting (compact,
-    JS number strings). Null cells stay null; unparseable payloads
-    conform to the schema's default instance (the create() path)."""
+    JS number strings). Null cells stay null; unparseable payloads, and
+    documents the kernel throws on, conform to the schema's default
+    instance (the create() path)."""
 
     def __init__(self, schema_literal, col: str, id_col: str,
                  conf: dict | None = None, out_col: str | None = None):
-        self.node = (
-            schema_literal
-            if isinstance(schema_literal, SchemaNode)
-            else SchemaNode(schema_literal)
-        )
+        self.node = _node(schema_literal)
         self.col = col
         self.id_col = id_col
         self.conf = dict(conf or {})
         self.out_col = out_col or col
+        self.default = self.node.create(dict(self.conf))
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import json
-
-        from ..schema.jstypes import js_json_stringify
-
-        out = []
-        for s in batch[self.col].to_pylist():
-            if s is None:
-                out.append(None)
-                continue
-            try:
-                doc = json.loads(s, parse_int=float)
-            except ValueError:
-                out.append(js_json_stringify(self.node.create(dict(self.conf))))
-                continue
-            out.append(
-                js_json_stringify(self.node.conform(doc, dict(self.conf)))
-            )
+        texts = batch[self.col].to_pylist()
+        docs, at, bad = _parse_json(texts)
+        out = [None] * len(texts)
+        for i in bad:
+            out[i] = js_json_stringify(self.default)
+        for i, doc in zip(at, conform_values(self.node, docs, self.default, self.conf)):
+            out[i] = js_json_stringify(doc)
         return pa.table(
             {
                 self.id_col: batch[self.id_col],
@@ -341,64 +236,29 @@ class JsonColumnValidator:
     payload columns (event properties, API blobs) are where the actual
     schisma semantics — nested descent, unions, ``$validate`` hooks,
     regex keys, dot-paths — run per document. JSON is parsed with JS
-    number semantics (every number -> float, as ``JSON.parse`` yields
-    JS numbers); the ``SchemaNode`` is compiled once per instance;
-    violations come out dot-prefixed with the column name
-    (``props.k``), codes/strings identical to the reference.
+    number semantics; the ``SchemaNode`` is compiled once per instance;
+    violations come out of ``validate_values``, dot-prefixed with the
+    column name (``props.k``), the same rows a residual column gives.
+    An unparseable document is one ``invalid`` row at the column.
     """
 
     def __init__(self, schema_literal, col: str, id_col: str,
                  conf: dict | None = None, check: str = "json"):
-        self.node = (
-            schema_literal
-            if isinstance(schema_literal, SchemaNode)
-            else SchemaNode(schema_literal)
-        )
+        self.node = _node(schema_literal)
         self.col = col
         self.id_col = id_col
         self.conf = dict(conf or {})
         self.check = check
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import json
-
-        ids = stringify_column(batch[self.id_col].combine_chunks()).to_pylist()
-        texts = batch[self.col].to_pylist()
-        refs, paths, codes, exps, recs, msgs = [], [], [], [], [], []
-
-        def emit(rid, path, code, expected, received, message):
-            refs.append(rid)
-            paths.append(path)
-            codes.append(code)
-            exps.append(expected)
-            recs.append(received)
-            msgs.append(message)
-
-        for rid, s in zip(ids, texts):
-            if s is None:
-                continue  # column-level null checks belong to the schema stage
-            try:
-                doc = json.loads(s, parse_int=float)
-            except ValueError:
-                emit(rid, self.col, "invalid", "valid JSON", "unparseable", None)
-                continue
-            for r in self.node.validate(doc, dict(self.conf)):
-                where = "" if r.where is UNSET else str(r.where)
-                path = f"{self.col}.{where}" if where else self.col
-                exp = None if r.expected is UNSET else _js_str(r.expected)
-                rec = None if r.received is UNSET else _js_str(r.received)
-                msg = None if r.message is UNSET or r.message is None else str(r.message)
-                emit(rid, path, r.code, exp, rec, msg)
-        n = len(refs)
-        return pa.Table.from_arrays(
-            [
-                pa.array(refs, pa.string()),
-                pa.array(paths, pa.string()),
-                pa.array(codes, pa.string()),
-                pa.array(exps, pa.string()),
-                pa.array(recs, pa.string()),
-                pa.array(msgs, pa.string()),
-                pa.array([self.check] * n, pa.string()),
-            ],
-            schema=VIOLATION_SCHEMA,
-        )
+        refs = stringify_column(batch[self.id_col].combine_chunks())
+        # column-level null checks belong to the schema stage
+        docs, at, bad = _parse_json(batch[self.col].to_pylist())
+        rows = validate_values(self.node, docs, refs.take(pa.array(at, pa.int64())),
+                               self.col, self.conf, self.check)
+        if not bad:
+            return rows
+        unparseable = violation_table(refs.take(pa.array(bad, pa.int64())), self.col,
+                                      "invalid", expected="valid JSON",
+                                      received="unparseable", check=self.check)
+        return pa.concat_tables([rows, unparseable])

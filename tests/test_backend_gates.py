@@ -86,8 +86,6 @@ def test_codec_pil_backend_switches(fake_pil):
         assert data.startswith(_MAGIC)  # really produced by the pil path
         out, fmt = codec.decode(data)
         assert fmt == "png" and np.array_equal(out, px)
-        assert codec.sniff_format(data) == "png"
-        assert codec.sniff_dims(data) == (7, 9)
         with pytest.raises(codec.CodecError):
             codec.decode(b"not an image")
         with pytest.raises(codec.CodecError):

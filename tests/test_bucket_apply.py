@@ -93,7 +93,8 @@ def test_reblocking_invariance_string_key(ray_session):
 
 
 def _blocks_of(ds) -> list:
-    return [ray.get(ref) for ref in ds.to_arrow_refs()]
+    # materialized first: ``to_arrow_refs`` of a lazy Dataset runs its plan twice
+    return [ray.get(ref) for ref in ds.materialize().to_arrow_refs()]
 
 
 def test_every_produced_block_carries_the_declared_schema(ray_session):

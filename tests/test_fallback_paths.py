@@ -8,7 +8,9 @@ def _sorted(pairs) -> pa.Table:
     """A pair Dataset's rows as one table in (a, b) order."""
     import ray
 
-    blocks = [t for t in ray.get(pairs.to_arrow_refs()) if t.num_columns]
+    # materialized first: ``to_arrow_refs`` of a lazy Dataset runs its plan twice
+    blocks = [t for t in ray.get(pairs.materialize().to_arrow_refs())
+              if t.num_columns]
     return pa.concat_tables(blocks).sort_by([("a", "ascending"),
                                              ("b", "ascending")])
 

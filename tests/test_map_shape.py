@@ -155,3 +155,50 @@ def test_no_function_takes_a_path_flag():
             if names:
                 found.append(f"{rel}:{node.lineno} {node.name} {', '.join(names)}")
     assert not found, "functions with a path flag:\n" + "\n".join(found)
+
+
+#: the one constructor of violation tables, and the fixture oracles,
+#: which keep their own bookkeeping on purpose
+VIOLATION_BUILDERS = {"schisma_ray/schema/result.py:violation_table",
+                      "schisma_ray/sources/image_table.py",
+                      "schisma_ray/sources/av_table.py"}
+
+
+def test_one_violation_table_constructor():
+    """Only ``schema/result.violation_table`` (and the fixture oracles)
+    pass ``schema=VIOLATION_SCHEMA`` to a table builder."""
+    found = []
+    for rel, tree in _sources((PACKAGE,)):
+        for owner, node in _functions(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            for kw in node.keywords:
+                v = kw.value
+                name = (v.id if isinstance(v, ast.Name)
+                        else v.attr if isinstance(v, ast.Attribute) else "")
+                if (kw.arg == "schema" and name == "VIOLATION_SCHEMA"
+                        and rel not in VIOLATION_BUILDERS
+                        and f"{rel}:{owner}" not in VIOLATION_BUILDERS):
+                    found.append(f"{rel}:{node.lineno} {owner}")
+    assert not found, "violation tables built by hand:\n" + "\n".join(found)
+
+
+#: the bridge: the one function that turns kernel results into violation
+#: rows and the one that conforms values through the kernel
+KERNEL_BRIDGE = {"schisma_ray/stages/table_schema.py:validate_values",
+                 "schisma_ray/stages/table_schema.py:conform_values"}
+
+
+def test_one_row_kernel_bridge():
+    """Outside the bridge no batch stage or pipeline calls the row
+    kernel's ``validate``, ``conform`` or ``_validate``."""
+    found = []
+    roots = (PACKAGE / "stages", PACKAGE / "pipelines")
+    for rel, tree in _sources(roots):
+        for owner, node in _functions(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in {"validate", "conform", "_validate"}
+                    and f"{rel}:{owner}" not in KERNEL_BRIDGE):
+                found.append(f"{rel}:{node.lineno} {owner}.{node.func.attr}")
+    assert not found, "row kernel calls outside the bridge:\n" + "\n".join(found)

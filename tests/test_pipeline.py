@@ -55,13 +55,13 @@ def test_conform_round_trip_fidelity(table_dir):
 
 
 def test_fused_matches_unfused(table_dir):
-    """The fused read (every check family in one task) emits exactly the
-    same violation rows as the light read plus its separate decode read."""
+    """``fused`` selects nothing: ``validate_images(fused=True)`` runs the
+    one read of every check family and emits exactly the seeded rows."""
     from schisma_ray.pipelines import validate_images
 
     fused = _vio_set(validate_images(table_dir, fused=True).to_pandas())
-    unfused = _vio_set(validate_images(table_dir).to_pandas())
-    assert fused == unfused
+    exp = _vio_set(pq.read_table(table_dir / "expected_violations.parquet").to_pandas())
+    assert fused == exp
     assert {c for *_, c in fused} == {"schema", "decode", "uniqueness", "referential"}
 
 
@@ -216,9 +216,6 @@ def test_codec_malformed_payloads():
     # codecs ignoring bytes after the end-of-image marker
     out, _ = codec.decode(good + b"extra")
     assert out.shape == (9, 9, 3)
-    # sniffing never raises
-    assert codec.sniff_format(b"") is None
-    assert codec.sniff_dims(None) is None
     out, fmt = codec.decode(good)
     assert fmt == "jpeg" and out.shape == (9, 9, 3)  # non-multiple-of-8 dims
 

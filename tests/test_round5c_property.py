@@ -15,7 +15,8 @@ def _table(ds) -> pa.Table:
     (``to_pandas`` drops the columns of a Dataset without rows)."""
     import ray
 
-    return pa.concat_tables([t for t in ray.get(ds.to_arrow_refs())
+    # materialized first: ``to_arrow_refs`` of a lazy Dataset runs its plan twice
+    return pa.concat_tables([t for t in ray.get(ds.materialize().to_arrow_refs())
                              if t.num_columns])
 
 

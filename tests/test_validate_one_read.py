@@ -1,9 +1,10 @@
 """``validate_images`` runs every check family in one read task.
 
-Its rows must equal the check families run one by one (the per-batch
-validators, ``uniqueness_violations``, ``referential_violations``) on
-edge-case tables, for both read shapes; and its plan must read the image
-table once in full, with no union.
+Its rows must equal the check families run one by one (the schema check
+over the light columns, the decode check over the decode columns,
+``uniqueness_violations``, ``referential_violations``) on edge-case
+tables, whatever ``fused`` says; and its plan must read the image table
+once in full, with no union.
 """
 
 import pyarrow as pa
@@ -11,6 +12,9 @@ import pyarrow.parquet as pq
 import pytest
 
 from schisma_ray.sources import image_table
+
+#: the columns the decode check reads
+DECODE_COLUMNS = ["image_id", "bytes", "w", "h", "fmt"]
 
 CASES = ["seeded", "no_dup_keys", "null_phash_shard", "null_image_id",
          "empty_reference"]
@@ -56,12 +60,10 @@ def _case(base, out, case):
     return out
 
 
-def _one_by_one(d, fused):
+def _one_by_one(d):
     import ray.data as rd
 
-    from schisma_ray.pipelines.validate_pipeline import (DECODE_COLUMNS,
-                                                         LIGHT_COLUMNS,
-                                                         FusedValidator,
+    from schisma_ray.pipelines.validate_pipeline import (LIGHT_COLUMNS,
                                                          image_table_schema,
                                                          read_images)
     from schisma_ray.stages.decoder import DecodeValidator
@@ -72,12 +74,9 @@ def _one_by_one(d, fused):
     def run(ds, fn):
         return _rows(ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True))
 
-    if fused:
-        rows = run(read_images(d), FusedValidator())
-    else:
-        light = TableValidator(image_table_schema().subset(LIGHT_COLUMNS))
-        rows = (run(read_images(d, LIGHT_COLUMNS), light)
-                + run(read_images(d, DECODE_COLUMNS), DecodeValidator()))
+    light = TableValidator(image_table_schema().subset(LIGHT_COLUMNS))
+    rows = (run(read_images(d, LIGHT_COLUMNS), light)
+            + run(read_images(d, DECODE_COLUMNS), DecodeValidator()))
     rows += _rows(uniqueness_violations(read_images(d, ["image_id", "phash"]),
                                         "phash", id_column="image_id"))
     rows += _rows(referential_violations(
@@ -91,9 +90,10 @@ def test_one_read_matches_families_one_by_one(base, tmp_path, case):
     from schisma_ray.pipelines import validate_images
 
     d = _case(base, tmp_path, case)
+    reference = _one_by_one(d)
     for fused in (True, False):
         got = _rows(validate_images(d, fused=fused))
-        assert got == _one_by_one(d, fused), (case, fused)
+        assert got == reference, (case, fused)
 
     t = pq.read_table(d / "images")
     uniq = [r for r in got if r[6] == "uniqueness"]
