@@ -27,7 +27,8 @@ import ray.data as rd
 from ..schema import BigInt, String
 from ..sources import image_table
 from ..stages import ColumnSpec, TableSchema, in_set, not_empty, range_check
-from ..stages._bucket import bucket_apply, bucket_combine
+from ..stages._bucket import bucket_apply, bucket_combine, fold_combine
+from ..stages._fold import fold_column, fold_table
 from ..stages.conform import TableConformer
 from ..stages.dedup import (
     content_fingerprint,
@@ -81,13 +82,10 @@ def _project_violations(ds):
 def _collect(ds, columns: list[str]) -> pa.Table:
     """Materialize a small result with a guaranteed schema even when empty
     (an empty Dataset loses its schema through to_pandas)."""
-    tables = list(ds.iter_batches(batch_format="pyarrow", batch_size=65536))
-    schema = pa.schema([(c, pa.string()) for c in columns])
-    tables = [t if isinstance(t, pa.Table) else pa.Table.from_batches([t]) for t in tables]
-    tables = [t for t in tables if t.num_rows]
-    if not tables:
-        return schema.empty_table()
-    return pa.concat_tables(tables)
+    folded = fold_table(ds)
+    if folded is None:
+        return pa.schema([(c, pa.string()) for c in columns]).empty_table()
+    return folded
 
 
 # ------------------------------------------------------------------ image
@@ -1241,20 +1239,6 @@ def q_quality_scores(sf_dir: str):
     return quality_score(_t(sf_dir, "documents"))
 
 
-def _small_ids(ds, col: str = "doc_id") -> pa.Array:
-    """Fold a SMALL id Dataset (dedup survivors, clean-set ids) into one
-    Arrow array — the broadcast side of an anti/semi filter. No pandas,
-    no Python sets; O(ids) memory, which is the floor for a broadcast."""
-    parts = [
-        (b if isinstance(b, pa.Table) else pa.Table.from_batches([b])).select([col])
-        for b in ds.iter_batches(batch_format="pyarrow", batch_size=None)
-    ]
-    parts = [t for t in parts if t.num_rows]
-    if not parts:
-        return pa.array([], pa.int64())
-    return pa.concat_tables(parts)[col].combine_chunks()
-
-
 SCRUB_PATTERN = "(vector|stream)"
 
 
@@ -1570,7 +1554,8 @@ def q_corpus_clean(sf_dir: str):
 
     docs = _t(sf_dir, "documents")
     kept_ref = ray.put(
-        _small_ids(exact_dedup_keep_first(docs, key="text", id_col="doc_id"))
+        fold_column(exact_dedup_keep_first(docs, key="text", id_col="doc_id"),
+                    "doc_id")
     )
 
     def filt(t: pa.Table) -> pa.Table:
@@ -1629,7 +1614,7 @@ def q_corpus_rejected(sf_dir: str):
     import pyarrow.compute as pc
     import ray
 
-    kept_ref = ray.put(_small_ids(q_corpus_clean(sf_dir)))
+    kept_ref = ray.put(fold_column(q_corpus_clean(sf_dir), "doc_id"))
 
     def filt(t: pa.Table) -> pa.Table:
         ids = t["doc_id"].combine_chunks()
@@ -3804,8 +3789,6 @@ def q_dataset_card(sf_dir: str):
                 "v": pc.cast(u, pa.string()),
             }))
         return pa.concat_tables(parts)
-
-    from ..stages._fold import fold_table
 
     dfold = fold_table(ds.map_batches(
         distinct_partial, batch_format="pyarrow", zero_copy_batch=True))
@@ -8264,7 +8247,6 @@ def q_conform_repair_summary(sf_dir: str):
     vectorized compare per batch, 5-int partials folded driver-side."""
     import pyarrow.compute as pc
 
-    from ..stages._fold import fold_table
     from .validate_pipeline import FusedConformer, read_images
 
     cols = ["w", "h", "fmt", "caption", "phash"]
@@ -8491,9 +8473,6 @@ def q_dedup_yield_report(sf_dir: str):
     per-component counts -> per-size partials, driver fold bounded by
     DISTINCT CLUSTER SIZES (a few dozen at any scale), never by docs
     or pairs."""
-    import pyarrow.compute as pc
-
-    from ..stages._fold import fold_table
     from ..stages.components import components_distributed
 
     docs = _t(sf_dir, "documents")
@@ -8511,25 +8490,10 @@ def q_dedup_yield_report(sf_dir: str):
         return schema.empty_table()
     sizes = bucket_combine(components_distributed(pairs), "component",
                            {"cluster_size": ("component", "count_all")})
-
-    def hist_partial(t: pa.Table) -> pa.Table:
-        return t.group_by("cluster_size").aggregate(
-            [([], "count_all")]).rename_columns(["cluster_size", "n"])
-
-    folded = fold_table(
-        sizes.map_batches(hist_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-    )
-    if folded is None:
-        return schema.empty_table()
-    merged = (
-        folded.group_by("cluster_size").aggregate([("n", "sum")])
-        .rename_columns(["cluster_size", "n_clusters"])
-    )
-    size = merged["cluster_size"].to_numpy(zero_copy_only=False)
-    n = pc.cast(merged["n_clusters"], pa.int64()).to_numpy(
-        zero_copy_only=False
-    )
+    merged = fold_combine(sizes, "cluster_size",
+                          {"n_clusters": ("cluster_size", "count_all")})
+    size = merged["cluster_size"].to_numpy().astype(np.int64)
+    n = merged["n_clusters"].to_numpy().astype(np.int64)
     return pa.table({
         "cluster_size": pa.array(size, pa.int64()),
         "n_clusters": pa.array(n, pa.int64()),
@@ -8791,7 +8755,6 @@ def q_shipping_priority(sf_dir: str):
     bucketed shuffle equi-joins on narrow projections, then per-block local
     top-10 with a bounded driver merge — no full sort, no broadcast of
     a large side."""
-    from ..stages._fold import fold_table
     from ..stages.join import shuffle_hash_join
 
     li = rd.read_parquet(
@@ -8999,7 +8962,6 @@ def q_regional_revenue(sf_dir: str):
     never shuffles anything."""
     import pyarrow.parquet as pq
 
-    from ..stages._fold import fold_table
     from ..stages.join import shuffle_hash_join
 
     sup = pq.read_table(f"{sf_dir}/supplier.parquet",
@@ -9059,7 +9021,7 @@ def q_regional_revenue(sf_dir: str):
         cust, on="o_custkey", right_on="c_custkey",
     )
 
-    def conation_partial(t: pa.Table) -> pa.Table:
+    def conation(t: pa.Table) -> pa.Table:
         sk = t["l_suppkey"].to_numpy(zero_copy_only=False).astype(np.int64)
         if len(sup_keys) == 0:
             s_nat = np.full(len(sk), -1, np.int64)
@@ -9071,28 +9033,21 @@ def q_regional_revenue(sf_dir: str):
         c_nat = pc.cast(t["c_nationkey"], pa.int64()).to_numpy(
             zero_copy_only=False)
         keep = s_nat == c_nat
-        g = pa.table({
+        return pa.table({
             "n_nationkey": pa.array(c_nat[keep], pa.int64()),
             "revenue_c4": pa.array(
                 t["rev"].to_numpy(zero_copy_only=False)[keep],
                 pa.int64()),
-        }).group_by("n_nationkey").aggregate([("revenue_c4", "sum")])
-        return g.rename_columns(["n_nationkey", "revenue_c4"])
-
-    folded = fold_table(
-        joined.map_batches(conation_partial, batch_format="pyarrow")
-    )
-    if folded is None or folded.num_rows == 0:
-        return pa.table({
-            "n_name": pa.array([], pa.string()),
-            "revenue_c4": pa.array([], pa.int64()),
         })
-    agg = folded.group_by("n_nationkey").aggregate([("revenue_c4", "sum")])
+
+    agg = fold_combine(
+        joined.map_batches(conation, batch_format="pyarrow"),
+        "n_nationkey", {"revenue_c4": ("revenue_c4", "sum")})
     keys = agg["n_nationkey"].to_pylist()
     return pa.table({
         "n_name": pa.array([names.get(int(k), "?") for k in keys],
                            pa.string()),
-        "revenue_c4": pc.cast(agg["revenue_c4_sum"], pa.int64()),
+        "revenue_c4": pc.cast(agg["revenue_c4"], pa.int64()),
     })
 
 
@@ -9104,7 +9059,6 @@ def q_returned_revenue_customers(sf_dir: str):
     customer join — so each shuffle carries strictly shrinking keyed
     partials, never fact rows. Top-20 via per-block local top-k and a
     bounded driver merge (no global sort)."""
-    from ..stages._fold import fold_table
     from ..stages.join import shuffle_hash_join
 
     li = rd.read_parquet(

@@ -21,6 +21,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..stages._bucket import semi_join
+from ..stages._fold import fold_column
 
 EMAIL_PATTERN = r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"
 
@@ -492,7 +493,7 @@ def prepare_resumable(
         prepped = row_local(rd.read_parquet(all_files))
         kept = exact_dedup_keep_first(prepped, key=text_col, id_col=id_col)
         if cap_per_source > 0:
-            kept_ids = _fold_id_array(kept, id_col)
+            kept_ids = fold_column(kept, id_col)
             kref = ray.put(kept_ids)
 
             def kfilter(t: pa.Table) -> pa.Table:
@@ -504,9 +505,9 @@ def prepare_resumable(
             capped = cap_per_key(
                 survivors, key_col=source_col, id_col=id_col,
                 n=cap_per_source)
-            final_ids = _fold_id_array(capped, id_col)
+            final_ids = fold_column(capped, id_col)
         else:
-            final_ids = _fold_id_array(kept, id_col)
+            final_ids = fold_column(kept, id_col)
         plan_dir.mkdir(parents=True, exist_ok=True)
         tmp = ids_path.with_suffix(".tmp")
         pq.write_table(pa.table({id_col: final_ids}), tmp)
@@ -590,16 +591,3 @@ def prepare_resumable(
         records.append(record)
         ran += 1
     return records
-
-
-def _fold_id_array(ds, id_col: str) -> pa.Array:
-    """Driver fold of an id Dataset into one Arrow array (the broadcast
-    side — bounded by the survivor-id contract of the broadcast path)."""
-    parts = []
-    for b in ds.iter_batches(batch_format="pyarrow", batch_size=None):
-        t = b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-        if t.num_rows:
-            parts.append(t[id_col].combine_chunks())
-    if not parts:
-        return pa.array([], pa.int64())
-    return pa.concat_arrays(parts)

@@ -22,6 +22,16 @@ bounds every key to one row per batch before the shuffle, and one more
 once per group in a Python loop, and which cannot sort a string key
 column that holds nulls.
 
+A caller that reads the per-key totals on the driver (statistics,
+audits, histogram bins, duplicate keys) uses ``fold_combine``, the
+eager form of the same combine: the same per-batch partial, then one
+final ``group_by``. Its partials go through ``fold_small`` once, so
+they fold onto the driver when they are few and are summed on the
+exchange past ``_DRIVER_FOLD_ROWS``, and only the combined rows its
+caller's filter keeps (duplicated keys, pairs sharing enough
+fingerprints) come back. ``bucket_combine`` itself stays lazy: nothing
+runs while a plan that uses it is built.
+
 Two-sided keyed work (equi-joins, the referential anti-join, semi-joins,
 attaching payloads to pair slots) is ``bucket_cogroup``: both sides
 route by their own keys into the same buckets on the same exchange, and
@@ -296,6 +306,15 @@ def bucket_combine(ds, key, aggs: dict):
     (``sum`` of int32 is int64, ``count`` is int64). Rows come out in no
     particular order.
     """
+    keys, partials, combine = _combiner(ds, key, aggs)
+    return bucket_apply(partials, keys, combine, num_buckets=NUM_BUCKETS,
+                        schema={name: name for name in [*keys, *aggs]})
+
+
+def _combiner(ds, key, aggs: dict):
+    """``(keys, partials, combine)`` of a keyed aggregation: the key
+    columns, ``ds`` behind the per-batch ``group_by`` partial, and the
+    function that finalizes any set of partial rows."""
     keys = [key] if isinstance(key, str) else list(key)
     for col, op in aggs.values():
         if op not in _FINAL:
@@ -308,10 +327,57 @@ def bucket_combine(ds, key, aggs: dict):
     def combine(t: pa.Table) -> pa.Table:
         return _group(t, keys, final)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    return bucket_apply(partials, keys, combine, num_buckets=NUM_BUCKETS,
-                        schema={name: name for name in [*keys, *aggs]})
+    return keys, ds.map_batches(partial, batch_format="pyarrow",
+                                zero_copy_batch=True), combine
+
+
+def fold_combine(ds, key, aggs: dict, where=None) -> pa.Table:
+    """``bucket_combine(ds, key, aggs)`` collected on the driver as one
+    ``pa.Table`` of ``[*keys, *aggs]``, typed as there: the eager keyed
+    fold for a caller that reads the totals. ``where`` (a ``pyarrow
+    .compute`` expression over those columns) keeps only the combined
+    rows it holds for, such as keys counted more than once.
+
+    The per-batch partials go through ``fold_small`` once. Partials that
+    fold are finalized by one ``group_by`` on the driver; past
+    ``_DRIVER_FOLD_ROWS`` the materialized partial blocks are summed and
+    filtered per bucket on ``bucket_apply``'s exchange, and only the
+    rows ``where`` keeps come back. Without rows the types come from the
+    partial blocks. An input without rows leaves none with columns (Ray
+    runs no map over an empty block): keys are then null-typed and
+    aggregates int64, and ``ds`` is not run again to type them.
+    """
+    keys, partials, combine = _combiner(ds, key, aggs)
+    if where is not None:
+        combine = _filtered(combine, where)
+    mat, rows = fold_small(partials)
+    if rows is None:
+        out = bucket_apply(mat, keys, combine, num_buckets=NUM_BUCKETS,
+                           schema={name: name for name in [*keys, *aggs]})
+        return _concat(out.materialize())
+    if rows.num_columns:
+        return combine(rows)
+    return pa.table({**{k: pa.array([], pa.null()) for k in keys},
+                     **{name: pa.array([], pa.int64()) for name in aggs}})
+
+
+def _filtered(combine, where):
+    """``combine`` followed by a filter on the expression ``where``."""
+
+    def combine_where(t: pa.Table) -> pa.Table:
+        return combine(t).filter(where)
+
+    return combine_where
+
+
+def _concat(mat) -> pa.Table:
+    """Every row of the materialized ``mat`` as one ``pa.Table``: an
+    empty one of its columns without rows, of none without columns."""
+    import ray
+
+    blocks = [t for t in ray.get(mat.to_arrow_refs()) if t.num_columns]
+    full = [t for t in blocks if t.num_rows] or blocks[:1]
+    return pa.concat_tables(full) if full else pa.table({})
 
 
 def fold_small(ds, limit: int | None = None, max_bytes: int | None = None):
@@ -322,16 +388,12 @@ def fold_small(ds, limit: int | None = None, max_bytes: int | None = None):
     to run on. Neither the count nor a later run on ``mat`` reads ``ds``
     again. With no rows, ``rows`` is an empty table of ``ds``'s columns,
     or of none when no block carries any."""
-    import ray
-
     mat = ds.materialize()
     limit = _DRIVER_FOLD_ROWS if limit is None else limit
     if mat.count() > limit or (max_bytes is not None
                                and mat.size_bytes() > max_bytes):
         return mat, None
-    blocks = [t for t in ray.get(mat.to_arrow_refs()) if t.num_columns]
-    full = [t for t in blocks if t.num_rows] or blocks[:1]
-    return mat, pa.concat_tables(full) if full else pa.table({})
+    return mat, _concat(mat)
 
 
 def fold_or_apply(ds, key, fn, *, schema, combine=None):

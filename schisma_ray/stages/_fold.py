@@ -2,11 +2,14 @@
 
 Several operators end with a deliberately SMALL driver-resident result
 (local top-k rows per block, distinct-id arrays, non-keeper label ids,
-|terms|-row partials). They all fold the same way; keeping one
+one partial row per block). They all fold the same way; keeping one
 implementation stops the copies from drifting and gives tests a single
-place to reason about. Never use this on anything O(rows-of-corpus):
-a keyed step whose input may be large picks the driver or the keyed
-exchange by its observed size through ``_bucket.fold_or_apply``.
+place to reason about. ``fold_table`` is for row sets bounded by
+construction. Never use it on anything O(rows-of-corpus), and never to
+sum per-key partials: a keyed sum, count, min or max read on the driver
+is ``_bucket.fold_combine``, and a keyed step whose input may be large
+picks the driver or the keyed exchange by its observed size through
+``_bucket.fold_or_apply``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,15 @@ def fold_table(ds) -> pa.Table | None:
     ]
     parts = [t for t in parts if t.num_rows]
     return pa.concat_tables(parts) if parts else None
+
+
+def fold_column(ds, column: str) -> pa.Array:
+    """One column of a (bounded) Dataset as one Arrow array, such as the
+    id side of a broadcast filter; an empty int64 array without rows."""
+    folded = fold_table(ds.select_columns([column]))
+    if folded is None:
+        return pa.array([], pa.int64())
+    return folded[column].combine_chunks()
 
 
 def column_type(ds, column: str) -> pa.DataType:

@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
+from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine, fold_combine
 
 
 def _word_ngrams(text: str, n: int) -> set:
@@ -531,8 +531,7 @@ def token_budget_sample(ds, *, budget: int, group_col: str = "lang",
     import ray
 
     from ._digest import md5_hex
-    from ._fold import fold_table
-    from .rank import zip_with_cumsum
+    from .rank import group_starts, zip_with_cumsum
 
     def prep(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[group_col]))
@@ -550,14 +549,8 @@ def token_budget_sample(ds, *, budget: int, group_col: str = "lang",
     narrow = ds.map_batches(prep, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    def sum_partial(t: pa.Table) -> pa.Table:
-        agg = (t.select([group_col, "n_toks"]).group_by(group_col)
-               .aggregate([("n_toks", "sum")]))
-        return agg.rename_columns([group_col, "s"])
-
-    folded = fold_table(narrow.map_batches(
-        sum_partial, batch_format="pyarrow", zero_copy_batch=True))
-    if folded is None:
+    starts, sums = group_starts(narrow, group_col, "n_toks")
+    if not sums:
         return narrow.map_batches(
             lambda t: pa.table({
                 id_col: t[id_col], group_col: t[group_col],
@@ -566,14 +559,6 @@ def token_budget_sample(ds, *, budget: int, group_col: str = "lang",
             }),
             batch_format="pyarrow", zero_copy_batch=True,
         )
-    sums: dict = {}
-    for g, s_ in zip(folded[group_col].to_pylist(), folded["s"].to_pylist()):
-        sums[g] = sums.get(g, 0) + s_
-    starts: dict = {}
-    acc = 0
-    for g in sorted(sums):
-        starts[g] = acc
-        acc += sums[g]
     state_ref = ray.put(starts)
 
     srt = narrow.sort([group_col, "h", id_col])
@@ -675,8 +660,7 @@ def stratified_exact_split(ds, fractions: dict, *, group_col: str = "lang",
     import ray
 
     from ._digest import md5_hex
-    from ._fold import fold_table
-    from .rank import zip_with_index
+    from .rank import group_starts, zip_with_index
 
     names = list(fractions)
     cum = np.cumsum([fractions[k] for k in names])
@@ -695,24 +679,7 @@ def stratified_exact_split(ds, fractions: dict, *, group_col: str = "lang",
     narrow = ds.map_batches(prep, batch_format="pyarrow",
                             zero_copy_batch=True)
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        agg = (t.select([group_col]).group_by(group_col)
-               .aggregate([([], "count_all")]))
-        return agg.rename_columns([group_col, "n"])
-
-    folded = fold_table(narrow.map_batches(
-        count_partial, batch_format="pyarrow", zero_copy_batch=True))
-    counts: dict = {}
-    if folded is not None:
-        for g, c in zip(folded[group_col].to_pylist(),
-                        folded["n"].to_pylist()):
-            counts[g] = counts.get(g, 0) + c
-    starts: dict = {}
-    acc = 0
-    for g in sorted(counts):
-        starts[g] = acc
-        acc += counts[g]
-    state_ref = ray.put((starts, counts))
+    state_ref = ray.put(group_starts(narrow, group_col))
 
     ranked = zip_with_index(
         narrow.sort([group_col, "h", id_col]), index_col="__rank")
@@ -842,31 +809,20 @@ def split_balance(ds, *, group_col: str, id_col: str,
     Null strata are excluded on both sides. All shares are exact
     half-up integer math (``(2e6*x + d) // (2d)``)."""
     from ._digest import md5_u32
-    from ._fold import fold_table
 
-    def partial(t: pa.Table) -> pa.Table:
+    def sides(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[group_col]))
-        if t.num_rows == 0:
-            return pa.schema(
-                [(group_col, pa.string()), ("n_train", pa.int64()),
-                 ("n_val", pa.int64())]
-            ).empty_table()
-        u = md5_u32(t[id_col].combine_chunks())
-        is_train = (u % mod) < train_pct
-        g = pa.table({
+        is_train = (md5_u32(t[id_col].combine_chunks()) % mod) < train_pct
+        return pa.table({
             group_col: t[group_col],
             "n_train": pa.array(is_train.astype(np.int64), pa.int64()),
             "n_val": pa.array((~is_train).astype(np.int64), pa.int64()),
-        }).group_by(group_col).aggregate(
-            [("n_train", "sum"), ("n_val", "sum")]
-        )
-        return g.rename_columns([group_col, "n_train", "n_val"])
+        })
 
-    folded = fold_table(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-    )
-    if folded is None:
+    merged = fold_combine(
+        ds.map_batches(sides, batch_format="pyarrow", zero_copy_batch=True),
+        group_col, {"n_train": ("n_train", "sum"), "n_val": ("n_val", "sum")})
+    if not merged.num_rows:
         return pa.table({
             group_col: pa.array([], pa.string()),
             "n_train": pa.array([], pa.int64()),
@@ -876,9 +832,6 @@ def split_balance(ds, *, group_col: str, id_col: str,
             "diff_e6": pa.array([], pa.int64()),
             "flagged": pa.array([], pa.bool_()),
         })
-    merged = folded.group_by(group_col).aggregate(
-        [("n_train", "sum"), ("n_val", "sum")]
-    ).rename_columns([group_col, "n_train", "n_val"])
     tr = merged["n_train"].to_numpy(zero_copy_only=False).astype(np.int64)
     va = merged["n_val"].to_numpy(zero_copy_only=False).astype(np.int64)
     tot = tr + va
@@ -973,17 +926,14 @@ def source_overlap(ds, *, group_col: str = "source", col: str = "text",
     C(|sources|, 2) pair counts fold as integers from per-batch
     popcount partials. The |sources|^2 result never exceeds a driver
     dict by contract."""
-    from ._fold import fold_table
 
-    def src_partial(t: pa.Table) -> pa.Table:
+    def valid(t: pa.Table) -> pa.Table:
         s = t[group_col].combine_chunks()
-        s = s.filter(pc.is_valid(s))
-        return pa.table({group_col: s.unique()})
+        return pa.table({group_col: s.filter(pc.is_valid(s))})
 
-    folded = fold_table(
-        ds.map_batches(src_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-    )
+    found = fold_combine(
+        ds.map_batches(valid, batch_format="pyarrow", zero_copy_batch=True),
+        group_col, {})
     empty = pa.table({
         "src_a": pa.array([], pa.string()),
         "src_b": pa.array([], pa.string()),
@@ -992,9 +942,9 @@ def source_overlap(ds, *, group_col: str = "source", col: str = "text",
         "n_b": pa.array([], pa.int64()),
         "jaccard_e6": pa.array([], pa.int64()),
     })
-    if folded is None or folded.num_rows == 0:
+    if found.num_rows == 0:
         return empty
-    sources = sorted(set(folded[group_col].to_pylist()))
+    sources = sorted(found[group_col].to_pylist())
     if len(sources) > 63:
         raise ValueError("source_overlap: more than 63 sources needs "
                          "chunked masks")
@@ -1066,19 +1016,17 @@ def source_overlap(ds, *, group_col: str = "source", col: str = "text",
                 [int(singles[j]) for j in rows_b], pa.int64()),
         })
 
-    pf = fold_table(
+    agg = fold_combine(
         masks.map_batches(pair_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-    )
-    if pf is None or pf.num_rows == 0:
+                          zero_copy_batch=True),
+        ["ai", "bi"], {c: (c, "sum") for c in ("inter", "sa", "sb")})
+    if agg.num_rows == 0:
         return empty
-    agg = pf.group_by(["ai", "bi"]).aggregate(
-        [("inter", "sum"), ("sa", "sum"), ("sb", "sum")])
     ai = agg["ai"].to_pylist()
     bi = agg["bi"].to_pylist()
-    inter = np.array(agg["inter_sum"].to_pylist(), np.int64)
-    na = np.array(agg["sa_sum"].to_pylist(), np.int64)
-    nb = np.array(agg["sb_sum"].to_pylist(), np.int64)
+    inter = np.array(agg["inter"].to_pylist(), np.int64)
+    na = np.array(agg["sa"].to_pylist(), np.int64)
+    nb = np.array(agg["sb"].to_pylist(), np.int64)
     union = na + nb - inter
     jac = np.where(union > 0,
                    (2_000_000 * inter + union) // (2 * np.maximum(

@@ -39,8 +39,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 from ._bucket import (bucket_apply, bucket_cogroup, bucket_combine,
-                      fold_or_apply, fold_small, keep_columns, resolve_schema,
-                      semi_join)
+                      fold_combine, fold_or_apply, fold_small, keep_columns,
+                      resolve_schema, semi_join)
 
 #: distinct candidate pairs whose payloads the driver fetches and
 #: verifies itself; beyond it each pair verifies in a bucket
@@ -165,22 +165,16 @@ def winnow_overlap_pairs(ds, col: str, id_col: str, *, k: int = 8,
     """Candidate near-dup/plagiarism pairs: docs sharing >= min_shared
     winnow fingerprints. Same banded-bucket shape as MinHash LSH — the
     all-to-all carries (fingerprint, id) rows only."""
-    from ._fold import fold_table
-
     fps = winnow_fingerprints(ds, col, id_col, k=k, window=window)
-    cand = fold_table(_bucket_pairs(fps, ["fingerprint"], id_col, max_bucket))
-    if cand is None:
+    counted = fold_combine(
+        _bucket_pairs(fps, ["fingerprint"], id_col, max_bucket),
+        ["a", "b"], {"shared": ("a", "count_all")},
+        where=pc.field("shared") >= min_shared)
+    if not counted.num_rows:
         return pa.table({"a": pa.array([], pa.int64()),
                          "b": pa.array([], pa.int64()),
                          "shared": pa.array([], pa.int64())})
-    counted = (
-        cand.group_by(["a", "b"])
-        .aggregate([([], "count_all")])
-        .rename_columns(["a", "b", "shared"])
-    )
-    return counted.filter(
-        pc.greater_equal(counted["shared"], min_shared)
-    ).sort_by([("a", "ascending"), ("b", "ascending")])
+    return counted.sort_by([("a", "ascending"), ("b", "ascending")])
 
 
 def content_fingerprint(ds, col: str, id_col: str):

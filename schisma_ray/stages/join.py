@@ -27,25 +27,14 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-
-def _as_arrow(ref) -> pa.Table | None:
-    if isinstance(ref, pa.Table):
-        return ref
-    if hasattr(ref, "iter_batches"):
-        parts = [
-            b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
-            for b in ref.iter_batches(batch_format="pyarrow", batch_size=None)
-        ]
-        parts = [t for t in parts if t.num_rows]
-        return pa.concat_tables(parts) if parts else None
-    raise TypeError(type(ref))
+from ._fold import fold_table
 
 
 def broadcast_hash_join(ds, ref, on: str, right_on: str | None = None,
                         *, how: str = "inner"):
     """Join ``ds`` (fact Dataset) with ``ref`` (small side: Arrow table
     or Dataset) on an equi-key. ``how``: "inner" or "left outer"."""
-    right = _as_arrow(ref)
+    right = ref if isinstance(ref, pa.Table) else fold_table(ref)
     right_key = right_on or on
     ref_handle = ray.put(right)
 
@@ -193,7 +182,7 @@ def range_join(ds, intervals, *, ts_col: str, start_col: str, end_col: str,
     import numpy as np
     import pyarrow.compute as pc
 
-    it = _as_arrow(intervals)
+    it = intervals if isinstance(intervals, pa.Table) else fold_table(intervals)
     if it is None:
         raise ValueError("intervals side has no schema (empty Dataset); "
                          "pass an Arrow table so the joined schema is known")

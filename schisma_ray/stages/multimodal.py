@@ -755,11 +755,11 @@ def tier_fmt_residuals(ds, *, breaks: tuple = (32, 128, 384, 768),
 
     import pyarrow.compute as pc
 
-    from ._fold import fold_table
+    from ._bucket import fold_combine
 
     bks = np.asarray(breaks, np.int64)
 
-    def partial(t: pa.Table) -> pa.Table:
+    def cell(t: pa.Table) -> pa.Table:
         w = pc.cast(t[w_col], pa.int64())
         h = pc.cast(t[h_col], pa.int64())
         keep = pc.and_(
@@ -774,27 +774,18 @@ def tier_fmt_residuals(ds, *, breaks: tuple = (32, 128, 384, 768),
         hv = pc.cast(t2[h_col], pa.int64()).to_numpy(zero_copy_only=False)
         tier = np.searchsorted(bks, np.minimum(wv, hv),
                                side="right").astype(np.int64)
-        agg = (
-            pa.table({"tier": pa.array(tier, pa.int64()),
-                      fmt_col: t2[fmt_col]})
-            .group_by(["tier", fmt_col]).aggregate([([], "count_all")])
-        )
-        return agg.rename_columns(["tier", fmt_col, "n"])
+        return pa.table({"tier": pa.array(tier, pa.int64()),
+                         fmt_col: t2[fmt_col]})
 
-    folded = fold_table(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    schema = pa.schema([
-        ("tier", pa.int64()), (fmt_col, pa.string()),
-        ("n", pa.int64()), ("expected_e6", pa.int64()),
-        ("resid_e6", pa.int64()),
-    ])
-    if folded is None:
-        return schema.empty_table()
-    cells = (
-        folded.group_by(["tier", fmt_col]).aggregate([("n", "sum")])
-        .rename_columns(["tier", fmt_col, "n"])
-    )
+    cells = fold_combine(
+        ds.map_batches(cell, batch_format="pyarrow", zero_copy_batch=True),
+        ["tier", fmt_col], {"n": ("tier", "count_all")})
+    if not cells.num_rows:
+        return pa.schema([
+            ("tier", pa.int64()), (fmt_col, pa.string()),
+            ("n", pa.int64()), ("expected_e6", pa.int64()),
+            ("resid_e6", pa.int64()),
+        ]).empty_table()
     tiers = cells["tier"].to_pylist()
     fmts = cells[fmt_col].to_pylist()
     ns = cells["n"].to_pylist()

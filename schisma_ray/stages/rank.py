@@ -22,6 +22,8 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from ._bucket import fold_combine
+
 
 @ray.remote
 def _add_index(block, column: str, offset: int):
@@ -287,6 +289,23 @@ def ntile_pct_rank(ds, sort_keys: list[str], *, k: int = 100,
                                  zero_copy_batch=True)
 
 
+def group_starts(ds, group_col: str, value_col: str | None = None):
+    """``(starts, totals)``: each group's total (its row count, or the
+    sum of ``value_col``) and the sum of the totals of the groups before
+    it in (group, ...) sort order, keyed in that order: a group's first
+    global 0-based ordinal or prefix-sum offset. None sorts first in
+    Ray's sort, and here."""
+    t = fold_combine(ds, group_col, {"n": (
+        (group_col, "count_all") if value_col is None else (value_col, "sum"))})
+    totals = dict(zip(t[group_col].to_pylist(), t["n"].to_pylist()))
+    starts: dict = {}
+    acc = 0
+    for g in sorted(totals, key=lambda x: (x is not None, x)):
+        starts[g] = acc
+        acc += totals[g]
+    return starts, totals
+
+
 def grouped_ntile(ds, group_col: str, sort_keys: list[str], *, k: int = 4,
                   keep_cols: list[str] | None = None):
     """NTILE(k) PARTITIONED BY a (low-cardinality) group column —
@@ -301,32 +320,11 @@ def grouped_ntile(ds, group_col: str, sort_keys: list[str], *, k: int = 4,
     assumption is group cardinality that fits a dict (languages,
     formats, sources), NOT per-user grouping.
     """
-    import pyarrow.compute as pc
     import ray
 
-    # per-group counts: per-batch combiner partials -> tiny driver fold
-    def count_partial(t: pa.Table) -> pa.Table:
-        agg = t.select([group_col]).group_by(group_col).aggregate([([], "count_all")])
-        return agg.rename_columns([group_col, "n"])
-
-    from ._fold import fold_table
-
-    folded = fold_table(
-        ds.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    if folded is None:
+    starts, counts = group_starts(ds, group_col)
+    if not counts:
         return ds
-    counts: dict = {}
-    for g, n in zip(folded[group_col].to_pylist(), folded["n"].to_pylist()):
-        counts[g] = counts.get(g, 0) + n
-    # group start offsets in (group, *sort_keys) sort order; None sorts
-    # first in Ray's sort, match that
-    ordered = sorted(counts, key=lambda x: (x is not None, x))
-    starts: dict = {}
-    acc = 0
-    for g in ordered:
-        starts[g] = acc
-        acc += counts[g]
     state_ref = ray.put((starts, counts))
 
     with_rank = ranked(ds, [group_col] + list(sort_keys), index_col="__rank")
@@ -371,29 +369,12 @@ def grouped_exact_quantiles(ds, group_col: str, col: str,
     ``floor((n_g - 1) * q) + 1`` so a SQL row_number oracle reproduces
     it exactly. Group cardinality must fit a dict (formats, languages).
     """
-    from ._fold import fold_table
-
-    def count_partial(t: pa.Table) -> pa.Table:
-        agg = t.select([group_col]).group_by(group_col).aggregate([([], "count_all")])
-        return agg.rename_columns([group_col, "n"])
-
-    folded = fold_table(
-        ds.map_batches(count_partial, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    starts, counts = group_starts(ds, group_col)
     empty = pa.table({group_col: pa.array([], pa.string()),
                       "q": pa.array([], pa.float64()),
                       "value": pa.array([], pa.float64())})
-    if folded is None:
+    if not counts:
         return empty
-    counts: dict = {}
-    for g, n in zip(folded[group_col].to_pylist(), folded["n"].to_pylist()):
-        counts[g] = counts.get(g, 0) + n
-    ordered = sorted(counts, key=lambda x: (x is not None, x))
-    starts: dict = {}
-    acc = 0
-    for g in ordered:
-        starts[g] = acc
-        acc += counts[g]
 
     mat = ds.sort([group_col, col]).materialize()
     refs: list = []
@@ -412,7 +393,7 @@ def grouped_exact_quantiles(ds, group_col: str, col: str,
         return [t[col][i].as_py() for i in local_idx]
 
     targets = []  # (group, q, global 0-based index)
-    for g in ordered:
+    for g in starts:
         for q in qs:
             targets.append((g, q, starts[g] + int(np.floor((counts[g] - 1) * q))))
     wanted: dict[int, list[tuple[int, int]]] = {}
@@ -496,37 +477,23 @@ def quantile_bins(ds, val_col: str, id_cols: list[str], *,
 
     import pyarrow.compute as pc
 
-    from ._fold import fold_table
-
-    def cpart(t: pa.Table) -> pa.Table:
+    def scaled(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[val_col]))
         v = np.floor(
             t[val_col].to_numpy(zero_copy_only=False) * val_scale + 0.5
         ).astype(np.int64)
-        agg = (
-            pa.table({"v": pa.array(v, pa.int64())})
-            .group_by("v").aggregate([([], "count_all")])
-        )
-        return agg.rename_columns(["v", "n"])
+        return pa.table({"v": pa.array(v, pa.int64())})
 
-    folded = fold_table(
-        ds.map_batches(cpart, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    if folded is None:
-        breaks = np.array([], np.int64)
-    else:
-        counts = (
-            folded.group_by("v").aggregate([("n", "sum")])
-            .rename_columns(["v", "n"]).sort_by("v")
-        )
-        vals = counts["v"].to_numpy(zero_copy_only=False)
-        cum = np.cumsum(counts["n"].to_numpy(zero_copy_only=False))
-        total = int(cum[-1]) if len(cum) else 0
-        breaks = np.array(
-            [vals[int(np.searchsorted(cum, math.ceil(q * total)))]
-             for q in qs],
-            np.int64,
-        ) if total else np.array([], np.int64)
+    counts = fold_combine(
+        ds.map_batches(scaled, batch_format="pyarrow", zero_copy_batch=True),
+        "v", {"n": ("v", "count_all")}).sort_by("v")
+    vals = counts["v"].to_numpy()
+    cum = np.cumsum(counts["n"].to_numpy())
+    total = int(cum[-1]) if len(cum) else 0
+    breaks = np.array(
+        [vals[int(np.searchsorted(cum, math.ceil(q * total)))] for q in qs],
+        np.int64,
+    ) if total else np.array([], np.int64)
     breaks.sort()
 
     def assign(t: pa.Table) -> pa.Table:
@@ -718,19 +685,18 @@ def exact_quantiles_select(ds, col: str, qs_e6: list[int], *,
                 "cnt": pa.array(np.concatenate(cnt_out), pa.int64()),
             })
 
-        hfold = fold_table(
+        merged = fold_combine(
             ds.map_batches(hist_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        )
-        if hfold is None or hfold.num_rows == 0:
+                           zero_copy_batch=True),
+            ["q", "bin"], {"cnt": ("cnt", "sum")})
+        if merged.num_rows == 0:
             break
-        merged = hfold.group_by(["q", "bin"]).aggregate([("cnt", "sum")])
         df = merged.to_pandas()
         for q, s in active.items():
             lo, hi, width = plan[q]
             sub = df[df["q"] == q].sort_values("bin")
             cum = 0
-            for b, c in zip(sub["bin"], sub["cnt_sum"]):
+            for b, c in zip(sub["bin"], sub["cnt"]):
                 if cum + int(c) > s["rank"]:
                     s["lo"] = lo + int(b) * width
                     s["hi"] = min(hi, s["lo"] + width - 1)
@@ -760,39 +726,18 @@ def grouped_quantiles_select(ds, group_col: str, col: str,
     value rows are excluded."""
     import pyarrow.compute as pc
 
-    from ._fold import fold_table
-
-    def mm_partial(t: pa.Table) -> pa.Table:
+    def valid(t: pa.Table) -> pa.Table:
         x = pc.cast(t[col], pa.int64())
         keep = pc.and_(pc.is_valid(t[group_col]), pc.is_valid(x))
-        tt = pa.table({group_col: t[group_col], "x": x}).filter(keep)
-        if tt.num_rows == 0:
-            return pa.schema([
-                (group_col, pa.string()), ("n", pa.int64()),
-                ("lo", pa.int64()), ("hi", pa.int64()),
-            ]).empty_table()
-        agg = tt.group_by(group_col).aggregate(
-            [("x", "count"), ("x", "min"), ("x", "max")])
-        return agg.rename_columns([group_col, "n", "lo", "hi"])
+        return pa.table({group_col: t[group_col], "x": x}).filter(keep)
 
-    folded = fold_table(
-        ds.map_batches(mm_partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-    )
-    empty = pa.table({
-        group_col: pa.array([], pa.string()),
-        "q_e6": pa.array([], pa.int64()),
-        "value": pa.array([], pa.int64()),
-    })
-    if folded is None or folded.num_rows == 0:
-        return empty
-    m = folded.group_by(group_col).aggregate(
-        [("n", "sum"), ("lo", "min"), ("hi", "max")])
+    m = fold_combine(
+        ds.map_batches(valid, batch_format="pyarrow", zero_copy_batch=True),
+        group_col, {"n": ("x", "count"), "lo": ("x", "min"),
+                    "hi": ("x", "max")})
     state = {}
-    for g, n, lo, hi in zip(m[group_col].to_pylist(),
-                            m["n_sum"].to_pylist(),
-                            m["lo_min"].to_pylist(),
-                            m["hi_max"].to_pylist()):
+    for g, n, lo, hi in zip(m[group_col].to_pylist(), m["n"].to_pylist(),
+                            m["lo"].to_pylist(), m["hi"].to_pylist()):
         for q in qs_e6:
             rank = (int(n) - 1) * int(q) // 1_000_000
             state[(str(g), int(q))] = {
@@ -840,20 +785,19 @@ def grouped_quantiles_select(ds, group_col: str, col: str,
                 "cnt": pa.array(np.concatenate(cnts), pa.int64()),
             })
 
-        hfold = fold_table(
+        merged = fold_combine(
             ds.map_batches(hist_partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-        )
-        if hfold is None or hfold.num_rows == 0:
+                           zero_copy_batch=True),
+            ["g", "q", "bin"], {"cnt": ("cnt", "sum")})
+        if merged.num_rows == 0:
             break
-        merged = hfold.group_by(["g", "q", "bin"]).aggregate(
-            [("cnt", "sum")]).to_pandas()
+        merged = merged.to_pandas()
         for (g, q), s in active.items():
             lo, hi, width = plan[(g, q)]
             sub = merged[(merged["g"] == g)
                          & (merged["q"] == q)].sort_values("bin")
             cum = 0
-            for b, c in zip(sub["bin"], sub["cnt_sum"]):
+            for b, c in zip(sub["bin"], sub["cnt"]):
                 if cum + int(c) > s["rank"]:
                     s["lo"] = lo + int(b) * width
                     s["hi"] = min(hi, s["lo"] + width - 1)

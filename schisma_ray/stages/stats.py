@@ -1,11 +1,18 @@
 """Distributed column statistics: null-rate, min/max/mean, HyperLogLog
 distinct counts, histograms / value counts.
 
-All custom aggregates are *mergeable sketches* driven through Ray Data's
-``Dataset.aggregate`` tree (accumulate per block, pairwise merge) — no
-driver-side loops, no full-column materialization, one pass over the
-data for the whole stats profile. This is the partial-per-batch +
-final-merge pattern from SURVEY.md §2 aggregations.
+The column sketches (HLL, null and value counts, histograms,
+Count-Min) are *mergeable* ``AggregateFn``s driven through Ray Data's
+``Dataset.aggregate`` tree (accumulate per block, pairwise merge), one
+pass over the data for the whole stats profile. The keyed audits
+(per-group moments, per-day and per-hour counts, drift halves) project
+each row and sum per key through ``_bucket.fold_combine``: an Arrow
+``group_by`` per batch, then one final ``group_by`` over the partials
+on the driver, or on the keyed exchange when the partials pass the
+driver fold limit. Some audits end in a driver-side pass over that
+key-sized table (the EWMA and CUSUM recursions, apportionment). This
+is the partial-per-batch + final-merge pattern from SURVEY.md §2
+aggregations.
 
 Hashing uses ``pandas.util.hash_array`` (vectorized, deterministic
 64-bit) so HLL register updates are numpy-only per block.
@@ -20,7 +27,7 @@ import pandas as pd
 import pyarrow as pa
 from ray.data.aggregate import AggregateFn, Count, Max, Mean, Min, Std
 
-from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
+from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine, fold_combine
 from ._math import chi2_sf, frac_e6 as _share_e6, ks_pvalue
 
 
@@ -324,6 +331,8 @@ def heavy_hitters_cm(ds, col: str, *, k: int = 10, w: int = 4096, d: int = 4,
     """
     import pyarrow.compute as pc
 
+    from ._fold import column_type, fold_table
+
     def local_top(batch: pa.Table) -> pa.Table:
         # null keys are excluded (the CM hash drops nulls, and SQL
         # GROUP BY semantics for the oracle count them separately)
@@ -332,19 +341,12 @@ def heavy_hitters_cm(ds, col: str, *, k: int = 10, w: int = 4096, d: int = 4,
         t = t.rename_columns([col, "n"])
         return t.sort_by([("n", "descending")]).slice(0, candidates_per_batch)
 
-    cand_parts = [
-        t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
-        for t in ds.map_batches(
-            local_top, batch_format="pyarrow", zero_copy_batch=True
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-    ]
-    cand_parts = [t for t in cand_parts if t.num_rows]
-    if not cand_parts:
-        from ._fold import column_type
-
+    cand = fold_table(ds.map_batches(local_top, batch_format="pyarrow",
+                                     zero_copy_batch=True))
+    if cand is None:
         return pa.table({col: pa.array([], column_type(ds, col)),
                          "est_n": pa.array([], pa.int64())})
-    cand = pc.unique(pa.concat_tables(cand_parts)[col].combine_chunks())
+    cand = pc.unique(cand[col].combine_chunks())
 
     mat = np.asarray(ds.aggregate(CountMin(col, w=w, d=d, alias_name="cm"))["cm"])
     est = cm_estimate(mat, cand, w, d)
@@ -365,40 +367,21 @@ def zscore_by_group(ds, value_col: str, group_col: str, id_cols: list,
     import pyarrow.compute as pc
     import ray
 
-    def partial(batch) -> pa.Table:
-        t = pa.table(
-            {
-                group_col: batch[group_col],
-                "v": pc.cast(batch[value_col], pa.float64()),
-            }
-        )
+    def moments(batch) -> pa.Table:
+        v = pc.cast(batch[value_col], pa.float64())
         # null values don't contribute to the moments (SQL AVG/STDDEV
         # semantics); their rows are dropped from the output too
-        t = t.filter(pc.is_valid(t["v"]))
-        agg = t.group_by(group_col).aggregate(
-            [([], "count_all"), ("v", "sum"),]
-        )
-        sq = t.set_column(1, "v", pc.multiply(t["v"], t["v"]))
-        agg2 = sq.group_by(group_col).aggregate([("v", "sum")])
-        out = agg.rename_columns([group_col, "n", "s"])
-        out2 = agg2.rename_columns([group_col, "ss"])
-        return out.join(out2, keys=group_col)
+        return pa.table({group_col: batch[group_col], "v": v,
+                         "vv": pc.multiply(v, v)}).filter(pc.is_valid(v))
 
-    parts = [
-        t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
-        for t in ds.map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-    ]
-    merged = (
-        pa.concat_tables(parts)
-        .group_by(group_col)
-        .aggregate([("n", "sum"), ("s", "sum"), ("ss", "sum")])
-    )
+    merged = fold_combine(
+        ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
+        group_col, {"n": ("v", "count_all"), "s": ("v", "sum"),
+                    "ss": ("vv", "sum")})
     stats = {}
     for g, n, s, ss in zip(
-        merged[group_col].to_pylist(), merged["n_sum"].to_pylist(),
-        merged["s_sum"].to_pylist(), merged["ss_sum"].to_pylist(),
+        merged[group_col].to_pylist(), merged["n"].to_pylist(),
+        merged["s"].to_pylist(), merged["ss"].to_pylist(),
     ):
         mean = s / n
         var = (ss - n * mean * mean) / (n - ddof) if n > ddof else 0.0
@@ -436,39 +419,19 @@ def _grouped_int_sums(ds, key_col: str, val_col):
     counts rows instead of summing a column."""
     import pyarrow.compute as pc
 
-    def partial(batch: pa.Table) -> pa.Table:
-        if val_col is None:
-            t = pa.table({key_col: batch[key_col]})
-            agg = t.group_by(key_col).aggregate([([], "count_all")])
-            return agg.rename_columns([key_col, "total"]).set_column(
-                1, "total", pc.cast(agg.column(1), pa.int64())
-            )
-        t = pa.table(
-            {
-                key_col: batch[key_col],
-                "v": pc.cast(batch[val_col], pa.int64()),
-            }
-        )
-        agg = t.group_by(key_col).aggregate([("v", "sum")])
-        # a key whose batch values are ALL null sums to null; freeze it
-        # to 0 here (SQL SUM-skips-nulls semantics) so the int64 cast
-        # downstream can never smuggle a NaN into the grand total
-        return agg.rename_columns([key_col, "total"]).set_column(
-            1, "total", pc.fill_null(pc.cast(agg.column(1), pa.int64()), 0)
-        )
+    def project(batch: pa.Table) -> pa.Table:
+        return pa.table({key_col: batch[key_col],
+                         "v": pc.cast(batch[val_col], pa.int64())})
 
-    parts = [
-        t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
-        for t in ds.map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-    ]
-    merged = (
-        pa.concat_tables(parts)
-        .group_by(key_col)
-        .aggregate([("total", "sum")])
-        .rename_columns([key_col, "total"])
-    )
+    if val_col is None:
+        merged = fold_combine(ds, key_col, {"total": (key_col, "count_all")})
+    else:
+        merged = fold_combine(
+            ds.map_batches(project, batch_format="pyarrow",
+                           zero_copy_batch=True),
+            key_col, {"total": ("v", "sum")})
+    # a key whose values are ALL null sums to null; freeze it to 0 (SQL
+    # SUM-skips-nulls semantics) so no NaN reaches the grand total
     return merged.set_column(
         1, "total", pc.fill_null(pc.cast(merged["total"], pa.int64()), 0)
     )
@@ -508,58 +471,22 @@ def grouped_moments(ds, key_col: str, x_col: str, y_col: str) -> pa.Table:
     partial rows; the fold is over partials only."""
     import pyarrow.compute as pc
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def products(batch: pa.Table) -> pa.Table:
         x = pc.cast(batch[x_col], pa.int64())
         y = pc.cast(batch[y_col], pa.int64())
         keep = pc.and_(pc.is_valid(batch[key_col]),
                        pc.and_(pc.is_valid(x), pc.is_valid(y)))
-        t = pa.table({
-            key_col: batch[key_col].combine_chunks()
-            if isinstance(batch[key_col], pa.ChunkedArray)
-            else batch[key_col],
-            "sum_x": x,
-            "sum_y": y,
-            "sum_xx": pc.multiply(x, x),
-            "sum_yy": pc.multiply(y, y),
-            "sum_xy": pc.multiply(x, y),
+        return pa.table({
+            key_col: batch[key_col], "x": x, "y": y,
+            "xx": pc.multiply(x, x), "yy": pc.multiply(y, y),
+            "xy": pc.multiply(x, y),
         }).filter(keep)
-        agg = t.group_by(key_col).aggregate(
-            [("sum_x", "count")] + [(c, "sum") for c in
-                                    ("sum_x", "sum_y", "sum_xx",
-                                     "sum_yy", "sum_xy")]
-        )
-        return agg.rename_columns(
-            [key_col, "n", "sum_x", "sum_y", "sum_xx", "sum_yy", "sum_xy"]
-        )
 
-    parts = [
-        t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
-        for t in ds.map_batches(
-            partial, batch_format="pyarrow", zero_copy_batch=True
-        ).iter_batches(batch_format="pyarrow", batch_size=None)
-    ]
-    if not parts:  # zero blocks: derive the key type from the dataset
-        try:
-            key_type = ds.schema().base_schema.field(key_col).type
-        except Exception:
-            key_type = pa.string()
-        return pa.schema(
-            [(key_col, key_type)]
-            + [(c, pa.int64()) for c in
-               ("n", "sum_x", "sum_y", "sum_xx", "sum_yy", "sum_xy")]
-        ).empty_table()
-    cols = ["n", "sum_x", "sum_y", "sum_xx", "sum_yy", "sum_xy"]
-    merged = (
-        pa.concat_tables(parts)
-        .group_by(key_col)
-        .aggregate([(c, "sum") for c in cols])
-        .rename_columns([key_col] + cols)
-    )
-    for i, c in enumerate(cols, start=1):
-        merged = merged.set_column(
-            i, c, pc.cast(merged[c], pa.int64())
-        )
-    return merged
+    return fold_combine(
+        ds.map_batches(products, batch_format="pyarrow", zero_copy_batch=True),
+        key_col, {"n": ("x", "count"),
+                  **{f"sum_{c}": (c, "sum")
+                     for c in ("x", "y", "xx", "yy", "xy")}})
 
 
 def share_of_group_total(ds, key_col: str, val_col: str, id_cols: list):
@@ -877,27 +804,21 @@ def volume_drift(ds, ts_col: str, key_col: str, *,
     mx = max(bounds["mx"].to_pylist())
     mid = (mn + mx) // 2
 
-    def partial(t: pa.Table) -> pa.Table:
+    def halves(t: pa.Table) -> pa.Table:
         us = pc.cast(t[ts_col].combine_chunks(), pa.int64())
-        tt = pa.table({
+        return pa.table({
             key_col: t[key_col],
             "second": pc.greater_equal(us, mid),
         }).filter(
             pc.and_(pc.is_valid(t[key_col].combine_chunks()),
                     pc.is_valid(us))
         )
-        agg = tt.group_by([key_col, "second"]).aggregate([([], "count_all")])
-        return agg.rename_columns([key_col, "second", "n"])
 
-    folded = fold_table(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    if folded is None:
+    merged = fold_combine(
+        ds.map_batches(halves, batch_format="pyarrow", zero_copy_batch=True),
+        [key_col, "second"], {"n": ("second", "count_all")})
+    if not merged.num_rows:
         return schema.empty_table()
-    merged = (
-        folded.group_by([key_col, "second"]).aggregate([("n", "sum")])
-        .rename_columns([key_col, "second", "n"])
-    )
     df = merged.to_pandas().pivot_table(
         index=key_col, columns="second", values="n",
         aggfunc="sum", fill_value=0,
@@ -927,6 +848,23 @@ def volume_drift(ds, ts_col: str, key_col: str, *,
     })
 
 
+def _day_counts(ds, ts_col: str, day_us: int):
+    """``(days, ns)``: each day holding a non-null ``ts_col`` (integer
+    microseconds // ``day_us``, SQL's ``epoch_us // day_us``) in
+    ascending order, and its row count, as int64 arrays."""
+    import pyarrow.compute as pc
+
+    def day(t: pa.Table) -> pa.Table:
+        us = pc.cast(t[ts_col].combine_chunks(), pa.int64()).drop_null()
+        return pa.table({"day_idx": pc.divide(us, day_us)})  # floor division
+
+    counts = fold_combine(
+        ds.map_batches(day, batch_format="pyarrow", zero_copy_batch=True),
+        "day_idx", {"n": ("day_idx", "count_all")}).sort_by("day_idx")
+    return (counts["day_idx"].to_numpy().astype(np.int64),
+            counts["n"].to_numpy().astype(np.int64))
+
+
 def ewma_anomalies(ds, ts_col: str, *, alpha_e6: int = 300_000,
                    threshold_e6: int = 100_000,
                    day_us: int = 86_400_000_000) -> pa.Table:
@@ -945,34 +883,7 @@ def ewma_anomalies(ds, ts_col: str, *, alpha_e6: int = 300_000,
     integer fixed-point: ``s_t = halfup((a*n_t*1e6 + (1e6-a)*s_{t-1}) /
     1e6)`` — bit-identical to the recursive-CTE oracle. The first day
     has no baseline: ``ewma_prev_e6 = -1``, never anomalous."""
-    import pyarrow.compute as pc
-
-    from ._fold import fold_table
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t[ts_col].combine_chunks(), pa.int64()).drop_null()
-        day = pc.divide(us, day_us)  # int64 floor division
-        tt = pa.table({"day_idx": day})
-        agg = tt.group_by("day_idx").aggregate([([], "count_all")])
-        return agg.rename_columns(["day_idx", "n"])
-
-    schema = pa.schema([
-        ("day_idx", pa.int64()), ("n", pa.int64()),
-        ("ewma_prev_e6", pa.int64()), ("anomalous", pa.bool_()),
-    ])
-    folded = fold_table(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    if folded is None:
-        return schema.empty_table()
-    merged = (
-        folded.group_by("day_idx").aggregate([("n", "sum")])
-        .rename_columns(["day_idx", "n"])
-    )
-    days = merged["day_idx"].to_numpy(zero_copy_only=False)
-    ns = merged["n"].to_numpy(zero_copy_only=False)
-    order = np.argsort(days, kind="stable")
-    days, ns = days[order], ns[order]
+    days, ns = _day_counts(ds, ts_col, day_us)
     prev_e6, flags = [], []
     s = None
     for n in ns:
@@ -1010,8 +921,6 @@ def daily_active_users(ds, ts_col: str, user_col: str, *,
     days-sized driver table. Null timestamps / users are excluded."""
     import pyarrow.compute as pc
 
-    from ._fold import fold_table
-
     def pairs(t: pa.Table) -> pa.Table:
         us = pc.cast(t[ts_col].combine_chunks(), pa.int64())
         return pa.table({
@@ -1030,40 +939,16 @@ def daily_active_users(ds, ts_col: str, user_col: str, *,
         ["day_idx", user_col], {},
     ).materialize()
 
-    def day_partial(t: pa.Table) -> pa.Table:
-        agg = t.select(["day_idx"]).group_by("day_idx").aggregate(
-            [([], "count_all")]
-        )
-        return agg.rename_columns(["day_idx", "n"])
+    def per_day(rows) -> dict:
+        m = fold_combine(rows, "day_idx", {"n": ("day_idx", "count_all")})
+        return dict(zip(m["day_idx"].to_pylist(), m["n"].to_pylist()))
 
-    schema = pa.schema([
-        ("day_idx", pa.int64()), ("dau", pa.int64()),
-        ("new_users", pa.int64()),
-    ])
-    dau_folded = fold_table(
-        distinct.map_batches(day_partial, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    )
-    if dau_folded is None:
-        return schema.empty_table()
-    m = (dau_folded.group_by("day_idx").aggregate([("n", "sum")])
-         .rename_columns(["day_idx", "n"]))
-    dau = dict(zip(m["day_idx"].to_pylist(), m["n"].to_pylist()))
-    first = bucket_combine(distinct, user_col, {"day_idx": ("day_idx", "min")})
-
-    def first_partial(t: pa.Table) -> pa.Table:
-        agg = t.group_by("day_idx").aggregate([([], "count_all")])
-        return agg.rename_columns(["day_idx", "n"])
-
-    new_folded = fold_table(
-        first.map_batches(first_partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-    )
-    new = {}
-    if new_folded is not None:
-        m = (new_folded.group_by("day_idx").aggregate([("n", "sum")])
-             .rename_columns(["day_idx", "n"]))
-        new = dict(zip(m["day_idx"].to_pylist(), m["n"].to_pylist()))
+    dau = per_day(distinct)
+    if not dau:
+        return pa.schema([("day_idx", pa.int64()), ("dau", pa.int64()),
+                          ("new_users", pa.int64())]).empty_table()
+    new = per_day(bucket_combine(distinct, user_col,
+                                 {"day_idx": ("day_idx", "min")}))
     days = sorted(dau)
     return pa.table({
         "day_idx": pa.array(days, pa.int64()),
@@ -1166,29 +1051,19 @@ def hourly_profile_drift(ds, ts_col: str, *,
         return schema.empty_table()
     mid = (min(bounds["mn"].to_pylist()) + max(bounds["mx"].to_pylist())) // 2
 
-    def partial(t: pa.Table) -> pa.Table:
+    def hours(t: pa.Table) -> pa.Table:
         us = pc.cast(t[ts_col].combine_chunks(), pa.int64()).drop_null()
         v = us.to_numpy(zero_copy_only=False)
-        hour = (v // hour_us) % 24
-        second = (v >= mid).astype(np.int64)
-        counts = np.zeros((24, 2), np.int64)
-        np.add.at(counts, (hour, second), 1)
-        return pa.table({
-            "hour": pa.array(np.arange(24, dtype=np.int64), pa.int64()),
-            "f": pa.array(counts[:, 0], pa.int64()),
-            "s": pa.array(counts[:, 1], pa.int64()),
-        })
+        return pa.table({"hour": pa.array((v // hour_us) % 24, pa.int64()),
+                         "second": pa.array((v >= mid).astype(np.int64))})
 
-    folded = fold_table(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    if folded is None:
-        return schema.empty_table()
-    m = (folded.group_by("hour").aggregate([("f", "sum"), ("s", "sum")])
-         .rename_columns(["hour", "f", "s"]))
-    order = np.argsort(m["hour"].to_numpy(zero_copy_only=False))
-    f = m["f"].to_numpy(zero_copy_only=False)[order].astype(np.int64)
-    s = m["s"].to_numpy(zero_copy_only=False)[order].astype(np.int64)
+    m = fold_combine(
+        ds.map_batches(hours, batch_format="pyarrow", zero_copy_batch=True),
+        ["hour", "second"], {"n": ("hour", "count_all")})
+    counts = np.zeros((24, 2), np.int64)
+    np.add.at(counts, (m["hour"].to_numpy(), m["second"].to_numpy()),
+              m["n"].to_numpy())
+    f, s = counts[:, 0], counts[:, 1]
     tf, ts_ = int(f.sum()), int(s.sum())
     sf = (
         (2 * f * 1_000_000 + tf) // (2 * tf) if tf > 0
@@ -1418,36 +1293,16 @@ def neyman_allocation(ds, *, group_col: str = "lang",
     value rows are excluded on both sides."""
     import pyarrow.compute as pc
 
-    from ._fold import fold_table
-
-    def partial(t: pa.Table) -> pa.Table:
+    def moments(t: pa.Table) -> pa.Table:
         x = pc.cast(t[value_col], pa.int64())
         keep = pc.and_(pc.is_valid(t[group_col]), pc.is_valid(x))
-        g = pa.table({
-            group_col: t[group_col],
-            "n": pa.array(np.ones(t.num_rows, np.int64), pa.int64()),
-            "sx": x,
-            "sxx": pc.multiply(x, x),
-        }).filter(keep).group_by(group_col).aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sxx", "sum")]
-        )
-        return g.rename_columns([group_col, "n", "sx", "sxx"])
+        return pa.table({group_col: t[group_col], "sx": x,
+                         "sxx": pc.multiply(x, x)}).filter(keep)
 
-    folded = fold_table(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-    )
-    empty = pa.table({
-        group_col: pa.array([], pa.string()),
-        "n_docs": pa.array([], pa.int64()),
-        "weight_e6": pa.array([], pa.int64()),
-        "alloc": pa.array([], pa.int64()),
-    })
-    if folded is None or folded.num_rows == 0:
-        return empty
-    m = folded.group_by(group_col).aggregate(
-        [("n", "sum"), ("sx", "sum"), ("sxx", "sum")]
-    ).rename_columns([group_col, "n", "sx", "sxx"])
+    m = fold_combine(
+        ds.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
+        group_col, {"n": ("sx", "count_all"), "sx": ("sx", "sum"),
+                    "sxx": ("sxx", "sum")})
     keys = [str(k) for k in m[group_col].to_pylist()]
     n = m["n"].to_numpy(zero_copy_only=False).astype(object)
     sx = m["sx"].to_numpy(zero_copy_only=False).astype(object)
@@ -1498,36 +1353,14 @@ def cusum_drift(ds, ts_col: str, *, slack_pct: int = 5,
     Distributed shape: identical to ``ewma_anomalies`` — per-batch
     (day, count) partials bounded by distinct days; the recursion runs
     over the day table only."""
-    import pyarrow.compute as pc
-
-    from ._fold import fold_table
-
-    def partial(t: pa.Table) -> pa.Table:
-        us = pc.cast(t[ts_col].combine_chunks(), pa.int64()).drop_null()
-        day = pc.divide(us, day_us)
-        tt = pa.table({"day_idx": day})
-        agg = tt.group_by("day_idx").aggregate([([], "count_all")])
-        return agg.rename_columns(["day_idx", "n"])
-
     schema = pa.schema([
         ("day_idx", pa.int64()), ("n", pa.int64()),
         ("cusum_hi", pa.int64()), ("cusum_lo", pa.int64()),
         ("alarm", pa.bool_()),
     ])
-    folded = fold_table(
-        ds.map_batches(partial, batch_format="pyarrow",
-                       zero_copy_batch=True)
-    )
-    if folded is None:
+    days, ns = _day_counts(ds, ts_col, day_us)
+    if not len(days):
         return schema.empty_table()
-    merged = (
-        folded.group_by("day_idx").aggregate([("n", "sum")])
-        .rename_columns(["day_idx", "n"])
-    )
-    days = merged["day_idx"].to_numpy(zero_copy_only=False)
-    ns = merged["n"].to_numpy(zero_copy_only=False)
-    order = np.argsort(days, kind="stable")
-    days, ns = days[order], ns[order]
     total = int(ns.sum())
     nd = len(ns)
     mu = (2 * total + nd) // (2 * nd)

@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
+from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine, fold_combine
 from ._math import frac_e6 as _frac_e6
 
 _STOPWORDS = {
@@ -330,26 +330,16 @@ def tfidf_top_terms(ds, *, k: int = 5, col: str = "text",
     totals = bucket_combine(partials, [lang_col, "word"],
                             {"tf": ("tf", "sum"), "df": ("df", "sum")})
 
-    # per-language doc totals: one combiner pass -> 5-row driver fold
-    def lang_counts(t: pa.Table) -> pa.Table:
-        agg = t.select([lang_col]).group_by(lang_col).aggregate([([], "count_all")])
-        return agg.rename_columns([lang_col, "n"])
-
-    n_docs: dict = {}
-    for t in ds.map_batches(
-        lang_counts, batch_format="pyarrow", zero_copy_batch=True
-    ).iter_batches(batch_format="pyarrow", batch_size=None):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_batches([t])
-        for lang, n in zip(t[lang_col].to_pylist(), t["n"].to_pylist()):
-            n_docs[lang] = n_docs.get(lang, 0) + n
+    # per-language doc totals: a 5-row keyed fold
+    n = fold_combine(ds, lang_col, {"n": (lang_col, "count_all")})
+    n_docs = dict(zip(n[lang_col].to_pylist(), n["n"].to_pylist()))
 
     # Scores are ROW-LOCAL once totals are collapsed (each (lang, word)
     # exists exactly once), so the final top-k never needs a
     # vocabulary-sized group task: score + local top-k per lang within
     # each block, then merge the <= k-per-lang-per-block survivors —
     # the bm25_topk shape. A language's whole vocab never co-locates.
-    n_ref = ray.put(dict(n_docs))
+    n_ref = ray.put(n_docs)
     locals_ds = totals.map_batches(
         _tfidf_local_topk_fn(n_ref, k, lang_col), batch_format="pyarrow"
     )
@@ -474,21 +464,18 @@ def bm25_topk(ds, query_terms, *, k: int = 10, k1: float = 1.5,
 
     # df per term: per-batch count_distinct partials sum exactly (a doc
     # lives in exactly one matched batch); the fold is |terms| rows
-    def df_partial(t: pa.Table) -> pa.Table:
+    def batch_df(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["stats"], 0))
         agg = t.select(["term", id_col]).group_by("term").aggregate(
             [(id_col, "count_distinct")]
         )
         return agg.rename_columns(["term", "df"])
 
-    df: dict = {}
-    for t in matched.map_batches(
-        df_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).iter_batches(batch_format="pyarrow", batch_size=None):
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_batches([t])
-        for term, n in zip(t["term"].to_pylist(), t["df"].to_pylist()):
-            df[term] = df.get(term, 0) + n
+    df = fold_combine(
+        matched.map_batches(batch_df, batch_format="pyarrow",
+                            zero_copy_batch=True),
+        "term", {"df": ("df", "sum")})
+    df = dict(zip(df["term"].to_pylist(), df["df"].to_pylist()))
     if not df:
         return pa.table({id_col: pa.array([], pa.int64()),
                          "score": pa.array([], pa.float64())})
@@ -1572,10 +1559,9 @@ def script_mix(ds, *, col: str = "text", id_col: str = "doc_id"):
 
 
 class LangConfusion(LangId):
-    """Per-batch (declared, predicted) language confusion partials —
-    LangMismatch's aggregate sibling: the whole matrix, not just the
-    disagreeing rows. Emits a tiny grouped count per batch (bounded by
-    langs^2), so the driver fold is O(blocks x langs^2)."""
+    """Per-batch (declared, predicted) language pairs — LangMismatch's
+    aggregate sibling: the whole matrix, not just the disagreeing rows,
+    counted per cell by ``lang_confusion``."""
 
     def __init__(self, col: str = "text", id_col: str = "doc_id",
                  lang_col: str = "lang"):
@@ -1592,11 +1578,7 @@ class LangConfusion(LangId):
         # LangMismatch row count exactly (its null != pred compare is
         # null -> filtered; a (NULL, pred) cell here would break the
         # invariant on corpora with unlabeled rows)
-        t = t.filter(pc.is_valid(t[self.lang_col].combine_chunks()))
-        agg = t.group_by([self.lang_col, "lang_pred"]).aggregate(
-            [([], "count_all")]
-        )
-        return agg.rename_columns([self.lang_col, "lang_pred", "n"])
+        return t.filter(pc.is_valid(t[self.lang_col].combine_chunks()))
 
 
 def lang_confusion(ds, *, col: str = "text", id_col: str = "doc_id",
@@ -1604,29 +1586,17 @@ def lang_confusion(ds, *, col: str = "text", id_col: str = "doc_id",
     """Declared-vs-predicted language confusion matrix: (lang,
     lang_pred, n) — the label-quality summary behind the
     ``lang_mismatches`` row-level audit (which cell is big tells you
-    WHICH mislabeling happened, not just how much). Per-batch partials
-    in a task fused into the read, driver fold bounded by langs^2."""
-    from ._fold import fold_table
-
-    partials = ds.map_batches(
-        LangConfusion(col, id_col, lang_col),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-    folded = fold_table(partials)
-    schema = pa.schema([
-        (lang_col, pa.string()), ("lang_pred", pa.string()),
-        ("n", pa.int64()),
-    ])
-    if folded is None:
-        return schema.empty_table()
-    merged = (
-        folded.group_by([lang_col, "lang_pred"]).aggregate([("n", "sum")])
-        .rename_columns([lang_col, "lang_pred", "n"])
-    )
-    return merged.set_column(
-        2, "n", pc.cast(merged["n"], pa.int64())
-    )
+    WHICH mislabeling happened, not just how much). The classifier runs
+    in a task fused into the read; the keyed fold is bounded by
+    langs^2."""
+    merged = fold_combine(
+        ds.map_batches(LangConfusion(col, id_col, lang_col),
+                       batch_format="pyarrow", zero_copy_batch=True),
+        [lang_col, "lang_pred"], {"n": ("lang_pred", "count_all")})
+    if not merged.num_rows:
+        return pa.schema([(lang_col, pa.string()), ("lang_pred", pa.string()),
+                          ("n", pa.int64())]).empty_table()
+    return merged
 
 
 def token_fertility(ds, *, col: str = "text", key_col: str = "lang"):
@@ -1641,33 +1611,25 @@ def token_fertility(ds, *, col: str = "text", key_col: str = "lang"):
     text contributes 0/0, null keys are dropped. Integer-exact vs the
     SQL oracle (DuckDB ``strlen`` = bytes, ``regexp_extract_all('\\S+')``
     = the same token rule)."""
-    from ._fold import fold_table
 
-    def partial(t: pa.Table) -> pa.Table:
+    def lengths(t: pa.Table) -> pa.Table:
         texts = pc.fill_null(t[col].combine_chunks(), "")
-        tt = pa.table({
+        return pa.table({
             key_col: t[key_col],
             "b": pc.cast(pc.binary_length(texts), pa.int64()),
             "tok": pc.cast(
                 pc.count_substring_regex(texts, r"\S+"), pa.int64()
             ),
         }).filter(pc.is_valid(t[key_col].combine_chunks()))
-        agg = tt.group_by(key_col).aggregate([("b", "sum"), ("tok", "sum")])
-        return agg.rename_columns([key_col, "b", "tok"])
 
-    schema = pa.schema([
-        (key_col, pa.string()), ("n_bytes", pa.int64()),
-        ("n_tokens", pa.int64()), ("bytes_per_token_e6", pa.int64()),
-    ])
-    folded = fold_table(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    if folded is None:
-        return schema.empty_table()
-    merged = (
-        folded.group_by(key_col).aggregate([("b", "sum"), ("tok", "sum")])
-        .rename_columns([key_col, "b", "tok"])
-    )
+    merged = fold_combine(
+        ds.map_batches(lengths, batch_format="pyarrow", zero_copy_batch=True),
+        key_col, {"b": ("b", "sum"), "tok": ("tok", "sum")})
+    if not merged.num_rows:
+        return pa.schema([
+            (key_col, pa.string()), ("n_bytes", pa.int64()),
+            ("n_tokens", pa.int64()), ("bytes_per_token_e6", pa.int64()),
+        ]).empty_table()
     b = merged["b"].to_numpy(zero_copy_only=False).astype(np.int64)
     tok = merged["tok"].to_numpy(zero_copy_only=False).astype(np.int64)
     bpt = np.where(

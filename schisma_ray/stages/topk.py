@@ -238,9 +238,9 @@ def cube_counts(ds, dims: list[str], val_col: str, *,
 
     import pyarrow.compute as pc
 
-    from ._fold import fold_table
+    from ._bucket import fold_combine
 
-    def partial(t: pa.Table) -> pa.Table:
+    def scaled(t: pa.Table) -> pa.Table:
         keep = pc.is_valid(t[val_col])
         for d in dims:
             keep = pc.and_(keep, pc.is_valid(t[d]))
@@ -250,23 +250,15 @@ def cube_counts(ds, dims: list[str], val_col: str, *,
         ).astype(np.int64)
         cols = {d: pc.cast(t[d], pa.string()) for d in dims}
         cols["s"] = pa.array(v, pa.int64())
-        agg = (
-            pa.table(cols).group_by(dims)
-            .aggregate([([], "count_all"), ("s", "sum")])
-        )
-        return agg.rename_columns(list(dims) + ["n", "s"])
+        return pa.table(cols)
 
-    folded = fold_table(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    )
-    schema = pa.schema([(d, pa.string()) for d in dims]
-                       + [("n", pa.int64()), ("sum_val", pa.int64())])
-    if folded is None:
-        return schema.empty_table()
-    finest = (
-        folded.group_by(dims).aggregate([("n", "sum"), ("s", "sum")])
-        .rename_columns(list(dims) + ["n", "s"])
-    )
+    finest = fold_combine(
+        ds.map_batches(scaled, batch_format="pyarrow", zero_copy_batch=True),
+        dims, {"n": ("s", "count_all"), "s": ("s", "sum")})
+    if not finest.num_rows:
+        return pa.schema([(d, pa.string()) for d in dims]
+                         + [("n", pa.int64()), ("sum_val", pa.int64())]
+                         ).empty_table()
     import pandas as pd
 
     fin = finest.to_pandas()

@@ -23,30 +23,23 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from ._bucket import fold_combine
 from ._digest import md5_u32
 from ._math import frac_e6
 
 
 def _bucket_counts(ds, col: str, num_partitions: int) -> np.ndarray:
-    """Fold per-batch md5-bucket bincounts into one length-P vector."""
+    """The rows of each md5 bucket of ``col``, as one length-P vector."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def part(batch: pa.Table) -> pa.Table:
         b = md5_u32(batch[col]) % num_partitions
-        counts = np.bincount(b, minlength=num_partitions).astype(np.int64)
-        nz = np.flatnonzero(counts)
-        return pa.table({
-            "part_id": pa.array(nz.astype(np.int64), pa.int64()),
-            "n": pa.array(counts[nz], pa.int64()),
-        })
+        return pa.table({"part_id": pa.array(b, pa.int64())})
 
+    counts = fold_combine(
+        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
+        "part_id", {"n": ("part_id", "count_all")})
     total = np.zeros(num_partitions, dtype=np.int64)
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    for t in parts.iter_batches(batch_format="pyarrow", batch_size=None):
-        tbl = t if isinstance(t, pa.Table) else pa.Table.from_batches([t])
-        if tbl.num_rows:
-            idx = tbl["part_id"].to_numpy(zero_copy_only=False)
-            np.add.at(total, idx, tbl["n"].to_numpy(zero_copy_only=False))
+    total[counts["part_id"].to_numpy().astype(np.int64)] = counts["n"].to_numpy()
     return total
 
 

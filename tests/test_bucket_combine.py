@@ -5,22 +5,31 @@ Properties checked here, on small inputs:
 * re-blocking invariance against one Arrow ``group_by`` over all rows —
   int, string and composite keys, with an empty block and a block whose
   key is all null among the blocks, for every op (string ``min``/``max``
-  too, and ``count`` against ``count_all`` on null values);
-* keys keep their input types, aggregates carry their partial types;
+  too, and ``count`` against ``count_all`` on null values) — for
+  ``bucket_combine`` and for the eager ``fold_combine`` on both sides
+  of its size switch (driver fold, and the exchange with
+  ``_DRIVER_FOLD_ROWS`` patched to 0);
+* keys keep their input types, aggregates carry their partial types,
+  also when ``fold_combine``'s ``where`` keeps no row; an input of no
+  rows gives ``[*keys, *aggs]`` without a second run of its plan;
 * ``tumbling_window_agg``'s plan holds no Ray ``Aggregate`` operator and
   building it executes nothing;
 * a nullable string key split over several blocks aggregates (Ray's
   sort aggregate raised ``TypeError`` comparing None with str there).
 """
 
+from unittest import mock
+
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 import ray.data as rd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schisma_ray.stages._bucket import bucket_combine
+from schisma_ray.stages import _bucket
+from schisma_ray.stages._bucket import bucket_combine, fold_combine
 
 #: output column -> (input column, op); pyarrow's own name for each
 AGGS = {
@@ -59,10 +68,14 @@ def _check(key_cols: dict, values, strings, cuts, n_null):
         "s": pa.array(["q", *[None] * (n_null - 1)], pa.string()),
     }))
     keys = list(key_cols)
+    want = _rows(_expected(blocks, keys))
     got = pa.concat_tables([
         b for b in bucket_combine(rd.from_arrow(blocks), keys, AGGS)
         .iter_batches(batch_format="pyarrow", batch_size=None) if b.num_rows])
-    assert _rows(got) == _rows(_expected(blocks, keys))
+    assert _rows(got) == want
+    assert _rows(fold_combine(rd.from_arrow(blocks), keys, AGGS)) == want
+    with mock.patch.object(_bucket, "_DRIVER_FOLD_ROWS", 0):
+        assert _rows(fold_combine(rd.from_arrow(blocks), keys, AGGS)) == want
 
 
 def _paired(keys):
@@ -140,6 +153,40 @@ def test_output_columns_and_types(ray_session):
     want = pa.schema([("k", pa.int32()), ("total", pa.int64()),
                       ("hi", pa.string()), ("n", pa.int64())])
     assert all(b.schema.equals(want) for b in blocks)
+
+
+@pytest.mark.parametrize("side", ["driver", "exchange"])
+def test_fold_combine_where_keeps_types_without_rows(ray_session, side):
+    """A ``where`` that drops every combined row leaves the columns and
+    types of the partials, on both sides of the switch."""
+    t = pa.table({"k": pa.array([3, 3, 9], pa.int32()),
+                  "k2": pa.array(["a", "a", None], pa.string()),
+                  "v": pa.array([1, 2, 3], pa.int32()),
+                  "s": ["x", "y", "z"]})
+    aggs = {"total": ("v", "sum"), "hi": ("s", "max"),
+            "n": ("s", "count"), "rows": ("v", "count_all")}
+    limit = 0 if side == "exchange" else _bucket._DRIVER_FOLD_ROWS
+    with mock.patch.object(_bucket, "_DRIVER_FOLD_ROWS", limit):
+        kept = fold_combine(rd.from_arrow(t).repartition(2), ["k", "k2"], aggs,
+                            where=pc.field("rows") > 1)
+        out = fold_combine(rd.from_arrow(t), ["k", "k2"], aggs,
+                           where=pc.field("rows") > 3)
+    assert kept.to_pylist() == [{"k": 3, "k2": "a", "total": 3, "hi": "y",
+                                 "n": 2, "rows": 2}]
+    assert out.num_rows == 0
+    assert out.schema.equals(pa.schema([
+        ("k", pa.int32()), ("k2", pa.string()), ("total", pa.int64()),
+        ("hi", pa.string()), ("n", pa.int64()), ("rows", pa.int64())]))
+
+
+def test_fold_combine_of_no_rows_has_its_columns(ray_session):
+    """An input without rows leaves no partial block with columns (Ray
+    runs no map over an empty block): the result has ``[*keys, *aggs]``,
+    keys null-typed and aggregates int64, and ``ds`` is not run again."""
+    empty = pa.table({"k": pa.array([], pa.int32()), "v": pa.array([], pa.int32())})
+    out = fold_combine(rd.from_arrow(empty), "k", {"total": ("v", "sum")})
+    assert out.num_rows == 0
+    assert out.schema.equals(pa.schema([("k", pa.null()), ("total", pa.int64())]))
 
 
 def test_unknown_op_is_rejected():

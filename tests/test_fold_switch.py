@@ -199,6 +199,102 @@ def test_pair_producer_declares_columns_without_pairs(ray_session, side, name):
     assert out.schema().names == columns
 
 
+# ------------------------------------------- one eager keyed fold, both sides
+def _events() -> rd.Dataset:
+    day = 86_400_000_000
+    ts = [d * day + h * 3_600_000_000 for d in range(5) for h in range(d + 2)]
+    n = len(ts)
+    texts = ["the cat sat on the mat with the dog", "le chat est sur le tapis",
+             "der Hund ist auf der Matte", None]
+    return rd.from_arrow(pa.table({
+        "ts": pa.array(ts, pa.int64()),
+        "g": pa.array([["a", "b", None][i % 3] for i in range(n)], pa.string()),
+        "x": pa.array([i % 4 for i in range(n)], pa.int64()),
+        "y": pa.array([None if i % 5 == 0 else i for i in range(n)], pa.int64()),
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": pa.array([texts[i % 4] for i in range(n)], pa.string()),
+        "lang": pa.array([["en", "fr", "de", None][i % 4] for i in range(n)],
+                         pa.string()),
+    })).repartition(3)
+
+
+def _keyed_folds():
+    from schisma_ray.stages import stats, text
+
+    return {
+        "ewma_anomalies": lambda ds: stats.ewma_anomalies(ds, "ts"),
+        "grouped_moments": lambda ds: stats.grouped_moments(ds, "g", "x", "y"),
+        "lang_confusion": lambda ds: text.lang_confusion(ds),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_keyed_folds()))
+def test_keyed_fold_sides_agree(ray_session, monkeypatch, name):
+    """Past ``_DRIVER_FOLD_ROWS`` a keyed fold sums its partials on the
+    keyed exchange (a spy on ``bucket_apply`` shows it ran) and returns
+    the rows the driver fold returns."""
+    run = _keyed_folds()[name]
+    applied = []
+    apply = _bucket.bucket_apply
+
+    def spy(*args, **kwargs):
+        applied.append(args[2].__name__)
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(_bucket, "bucket_apply", spy)
+    driver = run(_events())
+    assert not applied
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    exchange = run(_events())
+    assert applied
+    assert driver.num_rows
+    assert exchange.schema == driver.schema
+    assert sorted(map(repr, exchange.to_pylist())) == sorted(
+        map(repr, driver.to_pylist()))
+
+
+def test_duplicate_keys_collects_only_duplicated_keys(ray_session, monkeypatch):
+    """Past ``_DRIVER_FOLD_ROWS`` each bucket of the exchange keeps only
+    its keys counted more than once: a spy on what ``_bucket._concat``
+    brings to the driver sees the one duplicated key of 2,001, not a row
+    per distinct key."""
+    from schisma_ray.stages.uniqueness import duplicate_keys
+
+    keys = pa.array([*range(2_000), 7], pa.int64())
+    ds = rd.from_arrow(pa.table({"k": keys})).repartition(4)
+    collected = []
+    concat = _bucket._concat
+
+    def spy(mat):
+        out = concat(mat)
+        collected.append(out.num_rows)
+        return out
+
+    monkeypatch.setattr(_bucket, "_concat", spy)
+    monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
+    dup = duplicate_keys(ds, "k")
+    assert dup.to_pylist() == [{"k": 7, "partial": 2}]
+    assert collected == [1]
+
+
+def test_fold_combine_of_filtered_out_input_runs_its_plan_once(
+        ray_session, tmp_path):
+    """A projection that drops every row leaves no partial block with
+    columns; the empty result is not typed by running the plan again."""
+    t = pa.table({"k": pa.array([1, 2, 2], pa.int32()),
+                  "v": pa.array([1, 2, 3], pa.int64())})
+    calls = tmp_path / "calls"
+
+    def drop(b: pa.Table) -> pa.Table:
+        return b.filter(pc.greater(b["k"], 100))
+
+    ds = _counted(rd.from_arrow(t), calls).map_batches(
+        drop, batch_format="pyarrow", zero_copy_batch=True)
+    out = _bucket.fold_combine(ds, "k", {"n": ("v", "count_all")})
+    assert out.num_rows == 0 and out.column_names == ["k", "n"]
+    assert _calls(calls) == 1
+
+
 # ----------------------------------------------- typed empty fold results
 def test_duplicate_keys_of_empty_string_keys_feed_is_in(ray_session):
     from schisma_ray.stages.uniqueness import duplicate_keys

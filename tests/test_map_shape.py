@@ -202,3 +202,85 @@ def test_one_row_kernel_bridge():
                     and f"{rel}:{owner}" not in KERNEL_BRIDGE):
                 found.append(f"{rel}:{node.lineno} {owner}.{node.func.attr}")
     assert not found, "row kernel calls outside the bridge:\n" + "\n".join(found)
+
+
+#: the one eager keyed fold, and the one bounded fold it may sit beside
+FOLDS = {"schisma_ray/stages/_bucket.py", "schisma_ray/stages/_fold.py"}
+
+#: former copies of ``fold_table``'s loop, now calls of it
+FORMER_FOLD_COPIES = {"_small_ids", "_as_arrow", "_fold_id_array"}
+
+
+def _collects(node) -> bool:
+    """Whether ``node`` holds a ``fold_table(...)`` or ``.iter_batches(``
+    call."""
+    return any(isinstance(n, ast.Call)
+               and (getattr(n.func, "id", "") == "fold_table"
+                    or getattr(n.func, "attr", "") == "iter_batches")
+               for n in ast.walk(node))
+
+
+def _folded_names(fn) -> set[str]:
+    """Names bound in ``fn`` from an expression that collects a Dataset
+    (``fold_table(...)``, a list built from ``iter_batches``) or by a
+    ``for`` loop over ``.iter_batches(...)``."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and _collects(node.value):
+            targets = node.targets
+        elif isinstance(node, ast.For) and _collects(node.iter):
+            targets = [node.target]
+        else:
+            continue
+        names |= {n.id for t in targets for n in ast.walk(t)
+                  if isinstance(n, ast.Name)}
+    return names
+
+
+def test_keyed_sums_use_the_one_eager_fold():
+    """No function outside ``_bucket.py`` merges fold partials by hand:
+    a ``.group_by(`` on rows collected by ``fold_table(...)`` or an
+    ``iter_batches`` loop is a keyed combine, which is
+    ``_bucket.fold_combine``'s job."""
+    found = []
+    for rel, tree in _sources((PACKAGE,)):
+        if rel in FOLDS:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            folded = _folded_names(node)
+            for call in ast.walk(node):
+                if not (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "group_by"):
+                    continue
+                receiver = call.func.value
+                if _collects(receiver) or any(
+                        isinstance(n, ast.Name) and n.id in folded
+                        for n in ast.walk(receiver)):
+                    found.append(f"{rel}:{call.lineno} {node.name}")
+    assert not found, "hand-rolled keyed combines:\n" + "\n".join(found)
+
+
+def test_no_copy_of_fold_table():
+    """``fold_table`` is the one loop that collects a bounded Dataset:
+    no function outside ``_fold.py`` turns ``iter_batches`` output into
+    tables (``from_batches``) and concatenates them (``concat_tables``
+    or ``concat_arrays``), and none of its former copies is defined
+    again."""
+    found = []
+    for rel, tree in _sources((PACKAGE,)):
+        if rel in FOLDS:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name in FORMER_FOLD_COPIES:
+                found.append(f"{rel}:{node.lineno} {node.name} defined")
+            attrs = {n.attr for n in ast.walk(node)
+                     if isinstance(n, ast.Attribute)}
+            if ({"iter_batches", "from_batches"} <= attrs
+                    and attrs & {"concat_tables", "concat_arrays"}):
+                found.append(f"{rel}:{node.lineno} {node.name}")
+    assert not found, "copies of fold_table:\n" + "\n".join(found)
