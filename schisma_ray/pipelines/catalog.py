@@ -27,7 +27,7 @@ import ray.data as rd
 from ..schema import BigInt, String
 from ..sources import image_table
 from ..stages import ColumnSpec, TableSchema, in_set, not_empty, range_check
-from ..stages._bucket import bucket_apply, bucket_combine, fold_combine
+from ..stages._bucket import bucket_combine, fold_combine
 from ..stages._fold import fold_column, fold_table
 from ..stages.conform import TableConformer
 from ..stages.dedup import (
@@ -3801,15 +3801,11 @@ def q_dataset_card(sf_dir: str):
         h = md5_hex(pc.fill_null(t["text"].combine_chunks(), ""))
         return pa.table({"h": pa.array(h, pa.string())})
 
-    def dup_partial(t: pa.Table) -> pa.Table:
-        counts = t.group_by("h").aggregate([([], "count_all")])["count_all"]
-        n_dup = pc.sum(pc.if_else(pc.greater(counts, 1), counts, 0))
-        return pa.table({"n_dup": [n_dup.as_py() or 0]})
-
-    n_dup = bucket_apply(ds.map_batches(digest, batch_format="pyarrow",
-                                        zero_copy_batch=True),
-                         "h", dup_partial, num_buckets=32,
-                         schema={"n_dup": pa.int64()}).sum("n_dup")
+    dups = fold_combine(ds.map_batches(digest, batch_format="pyarrow",
+                                       zero_copy_batch=True),
+                        "h", {"n": ("h", "count_all")},
+                        where=pc.field("n") > 1)
+    n_dup = pc.sum(dups["n"]).as_py()
 
     return pa.table({
         "n_docs": pa.array([folded["sum(n_docs)"]], pa.int64()),

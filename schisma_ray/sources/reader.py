@@ -21,13 +21,12 @@ except ImportError:
     HAVE_LANCE = False
 
 
-def read_table(path: str | Path, columns: list[str] | None = None,
-               override_num_blocks: int | None = None):
+def read_table(path: str | Path, columns: list[str] | None = None):
     """Read a dataset directory or file by format:
 
     * ``.lance`` dataset via ``read_lance`` when the dependency exists
-    * parquet fragments (one block per file unless overridden — the
-      bytes-heavy-block countermeasure, see NOTES.md)
+    * parquet fragments, one block per file (the bytes-heavy-block
+      countermeasure, see NOTES.md)
     * ``.csv`` via ``read_csv``; ``.json``/``.jsonl`` via ``read_json``
       (ingest formats for raw drops; projection happens post-read via
       ``select_columns`` since text readers can't prune at the scan)
@@ -46,16 +45,12 @@ def read_table(path: str | Path, columns: list[str] | None = None,
         jsons = sorted(str(p) for p in path.glob("*.json*"))
         files = sorted(str(p) for p in path.glob("*.parquet"))
         if files:
-            return rd.read_parquet(
-                files,
-                columns=columns,
-                override_num_blocks=override_num_blocks or len(files),
-            )
+            return rd.read_parquet(files, columns=columns,
+                                   override_num_blocks=len(files))
         if csvs:
             ds = rd.read_csv(csvs)
             return ds.select_columns(columns) if columns else ds
         if jsons:
             ds = rd.read_json(jsons)
             return ds.select_columns(columns) if columns else ds
-    return rd.read_parquet(str(path), columns=columns,
-                           override_num_blocks=override_num_blocks)
+    return rd.read_parquet(str(path), columns=columns)

@@ -64,7 +64,10 @@ import pyarrow.compute as pc
 #: the routing column; dropped before the per-bucket function runs
 BUCKET = "__bucket"
 
-#: buckets of a ``bucket_combine`` or ``bucket_cogroup`` exchange
+#: the width of every keyed exchange: ``bucket_apply`` and
+#: ``bucket_cogroup`` read it once, when a plan is built, and route
+#: every row by ``key_bucket(key, NUM_BUCKETS)``. No caller picks a
+#: width; one bucket holds about 1/64 of an exchange's input.
 NUM_BUCKETS = 64
 
 #: ``bucket_cogroup``'s packed columns: the side (0 left, 1 right) and
@@ -121,7 +124,7 @@ def key_bucket(key, num_buckets: int) -> pa.Array:
     return pa.array((h % np.uint64(num_buckets)).astype(np.int32), pa.int32())
 
 
-def bucket_apply(ds, key, fn, *, schema, num_buckets: int):
+def bucket_apply(ds, key, fn, *, schema):
     """Run ``fn`` on every hash bucket of ``key`` (a column name or a
     list of them) and return the union of its outputs.
 
@@ -138,16 +141,18 @@ def bucket_apply(ds, key, fn, *, schema, num_buckets: int):
     Rows with equal keys always meet in one call; a call may hold many
     keys. The routing column is appended in a ``map_batches`` that Ray
     fuses with the caller's own projection, and the exchange is one
-    sort shuffle. Ray's sort emits a column-less block for a partition
-    that receives no rows and passes empty blocks through map stages
-    without calling them, so those blocks stay column-less; every block
-    ``fn`` produces carries ``schema``, empty ones included.
+    sort shuffle over ``NUM_BUCKETS`` buckets, a width read once here,
+    when the plan is built. Ray's sort emits a column-less block for a
+    partition that receives no rows and passes empty blocks through map
+    stages without calling them, so those blocks stay column-less; every
+    block ``fn`` produces carries ``schema``, empty ones included.
     """
     keys = [key] if isinstance(key, str) else list(key)
+    width = NUM_BUCKETS
 
     def route(t: pa.Table) -> pa.Table:
         cols = [t[k].combine_chunks() for k in keys]
-        return t.append_column(BUCKET, key_bucket(cols, num_buckets))
+        return t.append_column(BUCKET, key_bucket(cols, width))
 
     def apply(t: pa.Table) -> pa.Table:
         body = t.drop_columns([BUCKET])
@@ -206,16 +211,16 @@ def _exchange(routed, apply, name: str):
     return routed.groupby(BUCKET).map_groups(apply, batch_format="pyarrow")
 
 
-def _pack(t: pa.Table, keys: list, side: int, num_buckets: int) -> pa.Table:
+def _pack(t: pa.Table, keys: list, side: int, width: int) -> pa.Table:
     """One ``(BUCKET, _SIDE, _PAYLOAD)`` row per bucket: the rows of
     ``t`` whose ``keys`` hash into it, as an Arrow IPC stream. Empty
     slices are packed too, so each bucket learns the side's schema."""
     import numpy as np
 
     bucket = key_bucket([t[k].combine_chunks() for k in keys],
-                        num_buckets).to_numpy()
+                        width).to_numpy()
     t = t.take(np.argsort(bucket, kind="stable"))
-    ends = np.cumsum(np.bincount(bucket, minlength=num_buckets))
+    ends = np.cumsum(np.bincount(bucket, minlength=width))
     payloads = []
     for end, n in zip(ends, np.diff(ends, prepend=0)):
         sink = pa.BufferOutputStream()
@@ -223,14 +228,13 @@ def _pack(t: pa.Table, keys: list, side: int, num_buckets: int) -> pa.Table:
             writer.write_table(t.slice(end - n, n))
         payloads.append(sink.getvalue().to_pybytes())
     return pa.table({
-        BUCKET: pa.array(np.arange(num_buckets, dtype=np.int32)),
-        _SIDE: pa.array(np.full(num_buckets, side, np.int8)),
+        BUCKET: pa.array(np.arange(width, dtype=np.int32)),
+        _SIDE: pa.array(np.full(width, side, np.int8)),
         _PAYLOAD: pa.array(payloads, pa.large_binary()),
     })
 
 
-def bucket_cogroup(left, right, keys, right_keys, fn, *, num_buckets: int,
-                   schema=None):
+def bucket_cogroup(left, right, keys, right_keys, fn, *, schema=None):
     """Run ``fn(l, r)`` on every hash bucket of two Datasets and return
     the union of its outputs: ``l`` holds the bucket's rows of ``left``
     by ``keys`` and ``r`` those of ``right`` by ``right_keys`` (a column
@@ -255,10 +259,11 @@ def bucket_cogroup(left, right, keys, right_keys, fn, *, num_buckets: int,
     """
     keys = [keys] if isinstance(keys, str) else list(keys)
     right_keys = [right_keys] if isinstance(right_keys, str) else list(right_keys)
+    width = NUM_BUCKETS
 
     def packer(side: int, on: list):
         def pack(t: pa.Table) -> pa.Table:
-            return _pack(t, on, side, num_buckets)
+            return _pack(t, on, side, width)
 
         return pack
 
@@ -307,7 +312,7 @@ def bucket_combine(ds, key, aggs: dict):
     particular order.
     """
     keys, partials, combine = _combiner(ds, key, aggs)
-    return bucket_apply(partials, keys, combine, num_buckets=NUM_BUCKETS,
+    return bucket_apply(partials, keys, combine,
                         schema={name: name for name in [*keys, *aggs]})
 
 
@@ -352,7 +357,7 @@ def fold_combine(ds, key, aggs: dict, where=None) -> pa.Table:
         combine = _filtered(combine, where)
     mat, rows = fold_small(partials)
     if rows is None:
-        out = bucket_apply(mat, keys, combine, num_buckets=NUM_BUCKETS,
+        out = bucket_apply(mat, keys, combine,
                            schema={name: name for name in [*keys, *aggs]})
         return _concat(out.materialize())
     if rows.num_columns:
@@ -420,8 +425,7 @@ def fold_or_apply(ds, key, fn, *, schema, combine=None):
     mat, rows = fold_small(ds, max_bytes=_DRIVER_FOLD_BYTES)
     if rows is None:
         declared = resolve_schema(schema, [mat.schema().base_schema])
-        out = bucket_apply(mat, key, fn, schema=declared,
-                           num_buckets=NUM_BUCKETS)
+        out = bucket_apply(mat, key, fn, schema=declared)
         if combine is not None:
             out = bucket_combine(out, *combine)
         return keep_columns(out, declared)
@@ -536,5 +540,4 @@ def semi_join(ds, column: str, keys, emit=_rows, *, anti: bool = False,
                             batch_format="pyarrow", zero_copy_batch=True)
     keys = mat.map_batches(select([key_column]), batch_format="pyarrow",
                            zero_copy_batch=True)
-    return bucket_cogroup(ds, keys, column, key_column, match,
-                          num_buckets=NUM_BUCKETS)
+    return bucket_cogroup(ds, keys, column, key_column, match)

@@ -10,14 +10,14 @@ timestamps, then a segmented ``np.maximum.accumulate`` of last-seen
 right-row positions (reset at key boundaries) gives every left row its
 at-or-before match. One Python call per bucket, never per key — the
 same shape as session_agg (window.py): 10^9 distinct keys cost
-``num_buckets`` group tasks, not 10^9.
+``_bucket.NUM_BUCKETS`` group tasks, not 10^9.
 
 The shuffle carries only (key, ts, side, id) — never the wide payloads.
 NULL keys follow SQL equi-join semantics: a null never matches anything
 (each null row is its own segment in the scan), unlike the pre-round-3
 per-key groupby which co-grouped nulls.
-Partitioning assumption: one BUCKET (≈ total_rows / num_buckets, both
-sides) fits a group task; raise ``num_buckets`` for bigger inputs.
+Partitioning assumption: one BUCKET (≈ total_rows / ``NUM_BUCKETS``,
+both sides, with the exchange's fixed width of 64) fits a group task.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ def asof_join_latest(
     right_ts: str = "ts",
     left_id: str = "event_id",
     tolerance_s: int | None = None,
-    num_buckets: int = 64,
 ):
     """(left_id, key, asof_ts) — asof_ts = max right ts <= left ts, or
     null. ``tolerance_s`` bounds staleness (pandas ``merge_asof``
@@ -108,7 +107,6 @@ def asof_join_latest(
         )
 
     joined = bucket_apply(left.union(right), "k", resolve_bucket,
-                          num_buckets=num_buckets,
                           schema={"row_id": pa.int64(), "k": pa.int64(),
                                   "asof_ts_us": pa.float64()})
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import _bucket
 from ._bucket import bucket_apply, fold_small, semi_join
 
 #: pairs ``near_dedup_survivors`` folds into the driver union-find. On 1M
@@ -63,8 +64,7 @@ def _union_find(edges: list[tuple]) -> dict:
     return {x: find(x) for x in nodes}
 
 
-def components_distributed(pairs, *, num_buckets: int = 64,
-                           max_rounds: int = 64):
+def components_distributed(pairs, *, max_rounds: int = 64):
     """(node, component) Dataset via bucketed min-label propagation.
 
     ``pairs``: pa.Table or Dataset of (a, b) int64 edges. Component id =
@@ -175,16 +175,16 @@ def components_distributed(pairs, *, num_buckets: int = 64,
     # would double every round (exponential per-block overhead, measured).
     # Repartitioning the (V-row, narrow) labels state each round keeps
     # every round's plan the same size.
-    label_blocks = max(1, min(num_buckets, und.num_blocks()))
+    label_blocks = max(1, min(_bucket.NUM_BUCKETS, und.num_blocks()))
     converged = False
     for _ in range(max_rounds):
         ptr = labels.map_batches(pointer_edges, batch_format="pyarrow")
         merged = labels.union(und).union(ptr)
-        msgs = bucket_apply(merged, "node", send_min, num_buckets=num_buckets,
+        msgs = bucket_apply(merged, "node", send_min,
                             schema={"node": pa.int64(), "label": pa.int64(),
                                     "flag": pa.int8()})
         folded = (
-            bucket_apply(msgs, "node", fold_min, num_buckets=num_buckets,
+            bucket_apply(msgs, "node", fold_min,
                          schema={"node": pa.int64(), "other": pa.int64(),
                                  "label": pa.int64(), "flag": pa.int8(),
                                  "changed": pa.int8()})

@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine, fold_combine
+from ._bucket import bucket_apply, bucket_combine, fold_combine
 
 
 def _word_ngrams(text: str, n: int) -> set:
@@ -235,8 +235,7 @@ def cap_per_key(ds, *, key_col: str = "source", id_col: str = "doc_id",
         kept = df.groupby(key_col, sort=False, dropna=False).head(n)
         return kept[[key_col, id_col] + carry]
 
-    return bucket_apply(partials, key_col, merge, schema=None,
-                        num_buckets=NUM_BUCKETS)
+    return bucket_apply(partials, key_col, merge, schema=None)
 
 
 def split_assign(ds, fractions: dict, *, id_col: str = "doc_id",
@@ -432,8 +431,7 @@ def decontam_attribution(corpus, bench, *, n: int = 4, col: str = "text",
 
 
 def concat_chunks(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                  chunk_tokens: int = 256, eos: str = "<|eos|>",
-                  num_buckets: int = 64):
+                  chunk_tokens: int = 256, eos: str = "<|eos|>"):
     """Materialized concat-and-chunk LM shards: documents concatenated
     in ``id_col`` order with an ``eos`` token after each, the global
     token stream split every ``chunk_tokens`` tokens, each chunk's TEXT
@@ -502,7 +500,7 @@ def concat_chunks(ds, *, text_col: str = "text", id_col: str = "doc_id",
             text=("piece", " ".join), n_tokens=("n", "sum")
         ).reset_index()
 
-    return bucket_apply(pcs, "chunk_id", assemble, num_buckets=num_buckets,
+    return bucket_apply(pcs, "chunk_id", assemble,
                         schema={"chunk_id": pa.int64(), "text": pa.string(),
                                 "n_tokens": pa.int64()})
 

@@ -522,8 +522,7 @@ def _verify_candidates(ds, cand, col: str, id_col: str, pair_fn, finish,
 
 
 def _verify_pairs_bucketed(ds, cand, col: str, id_col: str, id_type,
-                           finish, pair_fn, prepare_fn, schema: pa.Schema,
-                           *, num_buckets: int = 64):
+                           finish, pair_fn, prepare_fn, schema: pa.Schema):
     """Distributed pair verification: attach both payloads of every
     candidate pair via two bucketed shuffles over CANDIDATE-sized data,
     then run ``pair_fn`` on the prepared payloads inside buckets.
@@ -593,7 +592,7 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str, id_type,
         return slots.join(first, "id", join_type="left outer")
 
     attached = bucket_cogroup(
-        slots, payloads, "id", "id", attach, num_buckets=num_buckets,
+        slots, payloads, "id", "id", attach,
         schema={"id": "id", "pair_id": pa.int64(), "slot": pa.int8(),
                 "payload": pa.string()})
 
@@ -608,8 +607,7 @@ def _verify_pairs_bucketed(ds, cand, col: str, id_col: str, id_type,
             {"a": g0["id"].to_numpy(), "b": g1["id"].to_numpy(), "metric": metric}
         ))
 
-    return bucket_apply(attached, "pair_id", verify, num_buckets=num_buckets,
-                        schema=schema)
+    return bucket_apply(attached, "pair_id", verify, schema=schema)
 
 
 def _distinct_pairs_ds(pairs_ds):
@@ -752,8 +750,7 @@ def _distinct_gram_rows(batch: pa.Table, col: str, id_col: str,
     )
 
 
-def dup_gram_stats(ds, col: str, id_col: str, *, shingle: int = 3,
-                   num_buckets: int = 32):
+def dup_gram_stats(ds, col: str, id_col: str, *, shingle: int = 3):
     """Cross-document duplicated n-gram audit — the exact-substring
     memorization-risk signal of Lee et al. 2021 ("Deduplicating
     Training Data Makes Language Models Better", arXiv:2107.06499) at
@@ -791,7 +788,7 @@ def dup_gram_stats(ds, col: str, id_col: str, *, shingle: int = 3,
         )
 
     partials = bucket_apply(
-        grams, "gram", bucket_partials, num_buckets=num_buckets,
+        grams, "gram", bucket_partials,
         schema={id_col: id_col, "n_grams": pa.int64(), "n_dup": pa.int64()})
 
     def fold_doc(t: pa.Table) -> pd.DataFrame:
@@ -807,14 +804,13 @@ def dup_gram_stats(ds, col: str, id_col: str, *, shingle: int = 3,
         return out
 
     return bucket_apply(
-        partials, id_col, fold_doc, num_buckets=num_buckets,
+        partials, id_col, fold_doc,
         schema={id_col: id_col, "n_grams": pa.int64(),
                 "n_dup_grams": pa.int64(), "dup_frac_e6": pa.int64()})
 
 
 def ngram_jaccard_pairs(ds, col: str, id_col: str, *, threshold: float = 0.8,
-                        shingle: int = 3, num_buckets: int = 32,
-                        max_bucket: int = 1000):
+                        shingle: int = 3, max_bucket: int = 1000):
     """Exact n-gram Jaccard near-dup pairs WITHOUT sketching — the
     prefix-filtered AllPairs set-similarity join (Bayardo et al., WWW'07
     "Scaling Up All Pairs Similarity Search"; public algorithm).
@@ -849,7 +845,7 @@ def ngram_jaccard_pairs(ds, col: str, id_col: str, *, threshold: float = 0.8,
         return group
 
     with_df = bucket_apply(
-        grams, "gram", annotate_df, num_buckets=num_buckets,
+        grams, "gram", annotate_df,
         schema={id_col: id_col, "gram": pa.int64(), "n": pa.int64(),
                 "df": pa.int64()})
 
@@ -864,7 +860,7 @@ def ngram_jaccard_pairs(ds, col: str, id_col: str, *, threshold: float = 0.8,
         req = np.ceil(threshold * n - 1e-9)
         return g.loc[pos < (n - req + 1), [id_col, "gram"]]
 
-    pref = bucket_apply(with_df, id_col, prefix, num_buckets=num_buckets,
+    pref = bucket_apply(with_df, id_col, prefix,
                         schema={id_col: id_col, "gram": pa.int64()})
 
     cand = _bucket_pairs(pref, ["gram"], id_col, max_bucket)
@@ -1247,7 +1243,7 @@ def _gram_emitter(granularity: str):
     raise ValueError(f"unknown granularity {granularity!r}")
 
 
-def _dup_positions(ds, col: str, id_col: str, k: int, num_buckets: int,
+def _dup_positions(ds, col: str, id_col: str, k: int,
                    granularity: str = "word"):
     """Dataset of ``(id, pos)`` — every k-gram start position whose
     shingle occurs at >= 2 positions corpus-wide (cross- OR intra-doc:
@@ -1265,7 +1261,7 @@ def _dup_positions(ds, col: str, id_col: str, k: int, num_buckets: int,
         cnt = group.groupby("gram")["gram"].transform("size")
         return group.loc[cnt > 1, [id_col, "pos"]]
 
-    return bucket_apply(grams, "gram", bucket_dups, num_buckets=num_buckets,
+    return bucket_apply(grams, "gram", bucket_dups,
                         schema={id_col: id_col, "pos": pa.int64()})
 
 
@@ -1273,7 +1269,7 @@ from ._math import merge_constant_windows as _merge_spans  # shared kernel
 
 
 def exact_substr_spans(ds, col: str, id_col: str, *, k: int = 5,
-                       num_buckets: int = 32, granularity: str = "word"):
+                       granularity: str = "word"):
     """Maximal duplicated-substring spans per document — the span
     EXTRACTION half of ExactSubstr dedup (Lee et al. 2021,
     arXiv:2107.06499 §4.1) at word granularity: any duplicated token
@@ -1292,8 +1288,7 @@ def exact_substr_spans(ds, col: str, id_col: str, *, k: int = 5,
     whitespace tokens (pick a larger ``k``, e.g. 20-50) — the mode for
     unsegmented scripts; span bounds and span_toks are then codepoint
     units."""
-    dup = _dup_positions(ds, col, id_col, k, num_buckets,
-                         granularity=granularity)
+    dup = _dup_positions(ds, col, id_col, k, granularity=granularity)
 
     schema = {id_col: id_col, "span_start": pa.int64(), "span_end": pa.int64(),
               "span_toks": pa.int64()}
@@ -1310,13 +1305,12 @@ def exact_substr_spans(ds, col: str, id_col: str, *, k: int = 5,
         return (pd.concat(outs, ignore_index=True) if outs
                 else pd.DataFrame(columns=list(schema)))
 
-    return bucket_apply(dup, id_col, fold_spans, num_buckets=num_buckets,
-                        schema=schema)
+    return bucket_apply(dup, id_col, fold_spans, schema=schema)
 
 
 def exact_substr_clean(ds, col: str, id_col: str, *, k: int = 5,
-                       num_buckets: int = 32, emit_all: bool = False,
-                       carry_cols: tuple = (), granularity: str = "word"):
+                       emit_all: bool = False, carry_cols: tuple = (),
+                       granularity: str = "word"):
     """The REMOVAL half of ExactSubstr dedup: for every document that
     contains at least one duplicated span, drop all covered tokens and
     rebuild the text (single-space joined, '' when fully covered).
@@ -1333,8 +1327,7 @@ def exact_substr_clean(ds, col: str, id_col: str, *, k: int = 5,
     ``granularity="char"`` removes covered CODEPOINTS (rebuilt with no
     separator) — the unsegmented-script mode; n_removed_toks then
     counts codepoints."""
-    dup = _dup_positions(ds, col, id_col, k, num_buckets,
-                         granularity=granularity)
+    dup = _dup_positions(ds, col, id_col, k, granularity=granularity)
 
     def tag_pos(t: pa.Table) -> pa.Table:
         return pa.table({
@@ -1393,14 +1386,13 @@ def exact_substr_clean(ds, col: str, id_col: str, *, k: int = 5,
                              "n_removed_toks": removed, **carry_out})
 
     return bucket_apply(
-        both, id_col, rebuild, num_buckets=num_buckets,
+        both, id_col, rebuild,
         schema={id_col: id_col, "clean_text": pa.string(),
                 "n_removed_toks": pa.int64(),
                 **{c: pa.string() for c in carry_cols}})
 
 
-def normalized_text_dups(ds, *, col: str = "text", id_col: str = "doc_id",
-                         num_buckets: int = 32):
+def normalized_text_dups(ds, *, col: str = "text", id_col: str = "doc_id"):
     """(id, keeper, group_size) for every document whose NORMALIZED
     text (lowercase, non-alphanumerics stripped, whitespace collapsed)
     collides with another's — casing/punctuation-invariant exact dedup,
@@ -1433,7 +1425,7 @@ def normalized_text_dups(ds, *, col: str = "text", id_col: str = "doc_id",
 
     return bucket_apply(
         ds.map_batches(norm, batch_format="pyarrow", zero_copy_batch=True),
-        "norm", dups, num_buckets=num_buckets,
+        "norm", dups,
         schema={id_col: id_col, "keeper": id_col, "group_size": pa.int64()})
 
 

@@ -41,8 +41,7 @@ def row_hashes(batch: pa.Table, key: str, columns: list[str]) -> pa.Table:
     return pa.table({key: batch[key], "h": pa.array(hashes, pa.string())})
 
 
-def table_diff(ds_old, ds_new, key: str, columns: list[str],
-               *, num_buckets: int = 64):
+def table_diff(ds_old, ds_new, key: str, columns: list[str]):
     """Dataset of (key, change) with change in added/removed/changed.
 
     Keys present only in ``ds_new`` -> added; only in ``ds_old`` ->
@@ -81,5 +80,5 @@ def table_diff(ds_old, ds_new, key: str, columns: list[str],
             }
         )
 
-    return bucket_apply(old.union(new), key, classify, num_buckets=num_buckets,
+    return bucket_apply(old.union(new), key, classify,
                         schema={key: key, "change": pa.string()})

@@ -73,7 +73,7 @@ def shuffle_hash_join(ds, ref, on, right_on=None, *, how: str = "inner"):
     """
     import ray.data as rd
 
-    from ._bucket import NUM_BUCKETS, bucket_cogroup
+    from ._bucket import bucket_cogroup
 
     known = _known_schema(ds), _known_schema(ref)
     if not hasattr(ref, "map_batches"):
@@ -102,8 +102,7 @@ def shuffle_hash_join(ds, ref, on, right_on=None, *, how: str = "inner"):
             r = stand_in("right", known[1], l, right_keys, keys)
         return l.join(r, keys=keys, right_keys=right_keys, join_type=how)
 
-    return bucket_cogroup(ds, ref, keys, right_keys, join,
-                          num_buckets=NUM_BUCKETS)
+    return bucket_cogroup(ds, ref, keys, right_keys, join)
 
 
 def salted_shuffle_join(ds, ref, on: str, right_on: str | None = None,
@@ -263,8 +262,7 @@ def range_join(ds, intervals, *, ts_col: str, start_col: str, end_col: str,
     return ds.map_batches(probe, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def upsert_compact(base, updates, *, key: str, ts_col: str,
-                   num_buckets: int = 32):
+def upsert_compact(base, updates, *, key: str, ts_col: str):
     """CDC snapshot compaction (lakehouse MERGE/upsert): one surviving
     row per key — the latest version by (``ts_col``, source), updates
     winning exact-timestamp ties against the base snapshot.
@@ -297,4 +295,4 @@ def upsert_compact(base, updates, *, key: str, ts_col: str,
                                       kind="mergesort")
         return g[~g.duplicated(key)].drop(columns=["_src"])
 
-    return bucket_apply(u, key, latest, num_buckets=num_buckets, schema=None)
+    return bucket_apply(u, key, latest, schema=None)

@@ -59,8 +59,7 @@ def _explode_fn(text_col: str, id_col: str, sep: str, carry_cols: tuple = ()):
 
 
 def line_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
-               sep: str = "\n", num_buckets: int = 64,
-               carry_cols: tuple = ()):
+               sep: str = "\n", carry_cols: tuple = ()):
     """Dataset of (id, text, n_kept, n_total[, carry_cols...]): each
     document rebuilt from the lines whose globally-first occurrence
     (min (doc_id, pos)) it owns. The per-doc string join is per-KEY CPU
@@ -78,7 +77,7 @@ def line_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
         return g.drop_duplicates(subset="line", keep="first")
 
     kept = bucket_apply(
-        exploded, "line", keep_first, num_buckets=num_buckets,
+        exploded, "line", keep_first,
         schema={id_col: id_col, "pos": pa.int64(), "line": "line",
                 "n_total": pa.int64(), **carry})
 
@@ -92,7 +91,7 @@ def line_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id",
         ).reset_index()
 
     return bucket_apply(
-        kept, id_col, rebuild, num_buckets=num_buckets,
+        kept, id_col, rebuild,
         schema={id_col: id_col, "text": pa.string(), "n_kept": pa.int64(),
                 "n_total": pa.int64(), **carry})
 
@@ -167,8 +166,7 @@ def c4_clean(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
 
 def duplicated_lines(ds, *, text_col: str = "text", id_col: str = "doc_id",
-                     sep: str = "\n", min_count: int = 2,
-                     num_buckets: int = 64):
+                     sep: str = "\n", min_count: int = 2):
     """Dataset of (line, n): lines occurring >= min_count times across
     the corpus (the boilerplate report). Per-bucket counts are globally
     exact — identical lines co-locate by hash."""
@@ -182,5 +180,5 @@ def duplicated_lines(ds, *, text_col: str = "text", id_col: str = "doc_id",
         n = n[n >= min_count]
         return pd.DataFrame({"line": n.index.to_numpy(), "n": n.to_numpy()})
 
-    return bucket_apply(exploded, "line", count_lines, num_buckets=num_buckets,
+    return bucket_apply(exploded, "line", count_lines,
                         schema={"line": pa.string(), "n": pa.int64()})

@@ -129,8 +129,7 @@ def coverage_gaps(ds, *, cols: list[str], expected: dict[str, list]):
         pa.table({c: pa.array([], pa.array(expected[c]).type) for c in cols})
 
 
-def fd_violations(ds, *, lhs: str, rhs: str, min_group: int = 1,
-                  num_buckets: int = 64):
+def fd_violations(ds, *, lhs: str, rhs: str, min_group: int = 1):
     """Functional-dependency audit ``lhs -> rhs``: every lhs value that
     maps to MORE than one distinct rhs value, with its group size
     (total occurrences) and distinct-rhs count — the "same key,
@@ -162,7 +161,7 @@ def fd_violations(ds, *, lhs: str, rhs: str, min_group: int = 1,
         bad = agg[(agg["n_rhs"] > 1) & (agg["n_rows"] >= min_group)]
         return bad.reset_index()
 
-    return bucket_apply(pairs, lhs, per_bucket, num_buckets=num_buckets,
+    return bucket_apply(pairs, lhs, per_bucket,
                         schema={lhs: lhs, "n_rows": pa.int64(),
                                 "n_rhs": pa.int64()})
 

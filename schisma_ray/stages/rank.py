@@ -418,7 +418,7 @@ def grouped_exact_quantiles(ds, group_col: str, col: str,
     )
 
 
-def grouped_mode(ds, key_col: str, val_col: str, *, num_buckets: int = 64):
+def grouped_mode(ds, key_col: str, val_col: str):
     """Per-key mode (most frequent value, ties broken by smallest
     value) — the categorical "typical value" aggregate SQL spells as a
     row_number-over-counts window.
@@ -453,7 +453,7 @@ def grouped_mode(ds, key_col: str, val_col: str, *, num_buckets: int = 64):
         return (c.drop_duplicates(key_col, keep="first")
                 .rename(columns={val_col: "mode"}))
 
-    return bucket_apply(parts, key_col, per_bucket, num_buckets=num_buckets,
+    return bucket_apply(parts, key_col, per_bucket,
                         schema={key_col: key_col, "mode": val_col,
                                 "n": pa.int64()})
 

@@ -24,7 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ._bucket import NUM_BUCKETS, bucket_apply, fold_or_apply
+from ._bucket import bucket_apply, fold_or_apply
 
 
 def _normalize(mat: np.ndarray) -> np.ndarray:
@@ -92,8 +92,7 @@ def _merge_topk(locals_, k: int):
         out["sim"] = out["sim"].round(6)
         return out
 
-    return bucket_apply(locals_, "query_id", merge_topk, schema=None,
-                        num_buckets=NUM_BUCKETS)
+    return bucket_apply(locals_, "query_id", merge_topk, schema=None)
 
 
 #: the output of both embedding pair producers

@@ -27,7 +27,7 @@ import pandas as pd
 import pyarrow as pa
 from ray.data.aggregate import AggregateFn, Count, Max, Mean, Min, Std
 
-from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine, fold_combine
+from ._bucket import bucket_apply, bucket_combine, fold_combine
 from ._math import chi2_sf, frac_e6 as _share_e6, ks_pvalue
 
 
@@ -40,6 +40,37 @@ def _hash64(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return pd.util.hash_array(np_vals).astype(np.uint64)
 
 
+def hll_slots(col: pa.ChunkedArray | pa.Array,
+              p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(register, rank)`` of every value of ``col`` in a HyperLogLog
+    of ``2**p`` registers: the top ``p`` bits of the value's 64-bit hash
+    pick the register, and the rank is 1 plus the leading zeros of the
+    other ``64 - p`` bits. A null gets rank 0, which raises no register."""
+    valid = col.is_valid().to_numpy(zero_copy_only=False)
+    h = np.zeros(len(col), np.uint64)
+    h[valid] = _hash64(col)
+    rest = h << np.uint64(p)
+    # the bit length of ``rest``, from the float exponents of its 32-bit
+    # halves (a float64 holds each one exactly)
+    hi = np.frexp((rest >> np.uint64(32)).astype(np.float64))[1]
+    lo = np.frexp((rest & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    zeros = 64 - np.where(hi > 0, hi + 32, lo)
+    rank = np.where(valid, np.minimum(zeros, 64 - p) + 1, 0)
+    return (h >> np.uint64(64 - p)).astype(np.int64), rank.astype(np.uint8)
+
+
+def hll_estimate(regs: np.ndarray) -> int:
+    """The distinct count a HyperLogLog's register ranks estimate, with
+    the small-range correction while registers are still zero."""
+    m = len(regs)
+    alpha = 0.7213 / (1 + 1.079 / m)
+    est = alpha * m * m / np.sum(2.0 ** (-regs.astype(np.float64)))
+    zeros = int((regs == 0).sum())
+    if est <= 2.5 * m and zeros:
+        est = m * np.log(m / zeros)  # small-range correction
+    return int(round(est))
+
+
 class HLL(AggregateFn):
     """HyperLogLog distinct-count sketch (p=12 -> ~1.6% rel. error).
 
@@ -50,44 +81,20 @@ class HLL(AggregateFn):
 
     def __init__(self, on: str, p: int = 12, alias_name: str | None = None):
         m = 1 << p
-        alpha = 0.7213 / (1 + 1.079 / m)
 
         def accumulate_block(regs: np.ndarray, block) -> np.ndarray:
             if isinstance(block, pd.DataFrame):
                 block = pa.Table.from_pandas(block, preserve_index=False)
-            h = _hash64(block[on])
-            if len(h) == 0:
-                return regs
-            idx = (h >> np.uint64(64 - p)).astype(np.int64)
-            rest = h << np.uint64(p)
-            # rank = leading zeros of the remaining 64-p bits, + 1
-            rank = np.ones(len(h), dtype=np.uint8)
-            mask = np.uint64(1) << np.uint64(63)
-            remaining = rest
-            live = np.ones(len(h), dtype=bool)
-            for _ in range(64 - p):
-                zero = live & ((remaining & mask) == 0)
-                rank[zero] += 1
-                live &= zero
-                if not live.any():
-                    break
-                remaining = remaining << np.uint64(1)
+            idx, rank = hll_slots(block[on], p)
             regs = regs.copy()
             np.maximum.at(regs, idx, rank)
             return regs
-
-        def finalize(regs: np.ndarray) -> int:
-            est = alpha * m * m / np.sum(2.0 ** (-regs.astype(np.float64)))
-            zeros = int((regs == 0).sum())
-            if est <= 2.5 * m and zeros:
-                est = m * np.log(m / zeros)  # small-range correction
-            return int(round(est))
 
         super().__init__(
             init=lambda k: np.zeros(m, dtype=np.uint8),
             merge=lambda a, b: np.maximum(a, b),
             accumulate_block=accumulate_block,
-            finalize=finalize,
+            finalize=hll_estimate,
             name=alias_name or f"hll({on})",
         )
 
@@ -1266,7 +1273,7 @@ def grouped_trend_slope(ds, group_col: str, ts_col: str = "ts"):
             "slope": pa.array(vals, pa.float64()),
         })
 
-    return bucket_apply(totals, group_col, slopes, num_buckets=NUM_BUCKETS,
+    return bucket_apply(totals, group_col, slopes,
                         schema={group_col: group_col, "slope": pa.float64()})
 
 

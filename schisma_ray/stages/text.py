@@ -18,7 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine, fold_combine
+from ._bucket import bucket_apply, bucket_combine, fold_combine
 from ._math import frac_e6 as _frac_e6
 
 _STOPWORDS = {
@@ -348,8 +348,7 @@ def tfidf_top_terms(ds, *, k: int = 5, col: str = "text",
         return _top_terms(t.to_pandas(), k, lang_col)
 
     # a language's rows here are bounded by k * blocks, not vocab
-    return bucket_apply(locals_ds, lang_col, merge_topk,
-                        num_buckets=NUM_BUCKETS, schema=None)
+    return bucket_apply(locals_ds, lang_col, merge_topk, schema=None)
 
 
 def redact_all(ds, patterns, *, col: str = "text", id_col: str = "doc_id"):
@@ -561,7 +560,7 @@ def _index_partial_fn(col: str, id_col: str, max_postings: int):
 
 
 def inverted_index(ds, *, col: str = "text", id_col: str = "doc_id",
-                   max_postings: int = 20, num_buckets: int = 32):
+                   max_postings: int = 20):
     """(term, df, postings): the search-infra build step — per term, the
     global document frequency and the ``max_postings`` lowest doc ids as
     a comma-joined posting string.
@@ -599,7 +598,7 @@ def inverted_index(ds, *, col: str = "text", id_col: str = "doc_id",
             }
         )
 
-    return bucket_apply(partials, "term", merge, num_buckets=num_buckets,
+    return bucket_apply(partials, "term", merge,
                         schema={"term": pa.string(), "df": pa.int64(),
                                 "postings": pa.string()})
 
@@ -1745,9 +1744,9 @@ def word_pmi_top(ds, *, col: str = "text", id_col: str = "doc_id",
         return t.sort_by([("pmi", "descending"), ("word_a", "ascending"),
                           ("word_b", "ascending")]).slice(0, top_pairs)
 
-    # one bucket: the final top-k sees every scored pair
-    return bucket_apply(scored, "word_a", final_topk, schema=None,
-                        num_buckets=1)
+    # one task: the final top-k sees every scored pair
+    return scored.repartition(1).map_batches(
+        final_topk, batch_format="pyarrow", batch_size=None)
 
 
 def vocab_stats(ds, *, col: str = "text", lang_col: str = "lang"):

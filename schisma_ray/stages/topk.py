@@ -14,7 +14,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
+from ._bucket import bucket_apply, bucket_combine
 
 
 def _count_local_topk_fn(group_col: str, item_col: str, k: int):
@@ -56,8 +56,7 @@ def grouped_count_topk(ds, group_col: str, item_col: str, *, k: int = 3):
                             {"n": (item_col, "count")})
     local_topk = _count_local_topk_fn(group_col, item_col, k)
     locals_ds = totals.map_batches(local_topk, batch_format="pyarrow")
-    return bucket_apply(locals_ds, group_col, local_topk,
-                        num_buckets=NUM_BUCKETS, schema=None)
+    return bucket_apply(locals_ds, group_col, local_topk, schema=None)
 
 
 def grouped_vector_mean(ds, group_col: str, vec_col: str):
@@ -107,7 +106,7 @@ def grouped_vector_mean(ds, group_col: str, vec_col: str):
         })
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    return bucket_apply(partials, group_col, fold, num_buckets=NUM_BUCKETS,
+    return bucket_apply(partials, group_col, fold,
                         schema={group_col: group_col, "dim": pa.int64(),
                                 "mean_v": pa.float64()})
 
@@ -142,28 +141,46 @@ def grouped_distinct_hll(ds, group_col: str, item_col: str, *, p: int = 12):
     """(group, n_distinct): APPROXIMATE distinct items per group via a
     per-group HyperLogLog — the constant-state-per-group scale path next
     to the exact ``grouped_distinct_count`` (whose memory floor is the
-    distinct-pair count). Registers tree-merge by elementwise max inside
-    Ray's grouped aggregation; ~1.6% relative error at p=12.
+    distinct-pair count); ~1.6% relative error at p=12.
+
+    Combiner-first on the keyed exchange: each batch emits one
+    (group, register, rank) row per register a group touches, its
+    largest rank there (``stats.hll_slots``); ``bucket_apply`` routes
+    them by group, takes the max rank per (group, register) over all
+    batches and estimates each group (``stats.hll_estimate``). A null
+    item raises no register, so a group of only null items comes out at
+    0; a null group is one group, as in SQL ``GROUP BY``.
     """
-    from .stats import HLL
+    from .stats import hll_estimate, hll_slots
 
-    out = ds.groupby(group_col).aggregate(HLL(item_col, p=p, alias_name="n_distinct"))
+    def registers(batch: pa.Table) -> pa.Table:
+        reg, rank = hll_slots(batch[item_col], p)
+        t = pa.table({group_col: batch[group_col], "reg": reg, "rank": rank})
+        return t.group_by([group_col, "reg"], use_threads=False).aggregate(
+            [("rank", "max")])
 
-    def project(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    def estimate(t: pa.Table) -> pa.Table:
+        codes, _ = pd.factorize(t[group_col].to_numpy(zero_copy_only=False),
+                                use_na_sentinel=False)
+        order = np.argsort(codes, kind="stable")
+        starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+        reg, rank = t["reg"].to_numpy(), t["rank_max"].to_numpy()
+        n = []
+        for seg in np.split(order, starts)[1:]:
+            regs = np.zeros(1 << p, np.uint8)
+            np.maximum.at(regs, reg[seg], rank[seg])
+            n.append(hll_estimate(regs))
+        return pa.table({group_col: t[group_col].take(order[starts]),
+                         "n_distinct": pa.array(n, pa.int64())})
 
-        return pa.table(
-            {
-                group_col: t[group_col],
-                "n_distinct": pc.cast(t["n_distinct"], pa.int64()),
-            }
-        )
-
-    return out.map_batches(project, batch_format="pyarrow", zero_copy_batch=True)
+    partials = ds.map_batches(registers, batch_format="pyarrow",
+                              zero_copy_batch=True)
+    return bucket_apply(partials, group_col, estimate,
+                        schema={group_col: group_col,
+                                "n_distinct": pa.int64()})
 
 
-def pivot_counts(ds, row_key: str, col_key: str, categories: list[str], *,
-                 num_buckets: int = 32):
+def pivot_counts(ds, row_key: str, col_key: str, categories: list[str]):
     """Wide pivot table: one row per ``row_key`` value, one BIGINT count
     column per category in the FIXED ``categories`` list (explicit so
     the output schema is stable no matter which categories appear in
@@ -193,7 +210,7 @@ def pivot_counts(ds, row_key: str, col_key: str, categories: list[str], *,
         wide.columns = list(categories)
         return wide.reset_index()
 
-    return bucket_apply(partials, row_key, merge, num_buckets=num_buckets,
+    return bucket_apply(partials, row_key, merge,
                         schema={row_key: row_key,
                                 **{c: pa.int64() for c in categories}})
 

@@ -90,8 +90,7 @@ def canonicalize_urls(urls) -> pa.Array:
     return out
 
 
-def url_canonical_dups(ds, *, url_col: str = "url", id_col: str = "doc_id",
-                       num_buckets: int = 32):
+def url_canonical_dups(ds, *, url_col: str = "url", id_col: str = "doc_id"):
     """(id, canon_url, group_size) for every row whose CANONICAL url is
     shared with at least one other row — duplicate detection that exact
     byte-equality misses (scheme/www/fragment/tracking-param variants
@@ -114,6 +113,6 @@ def url_canonical_dups(ds, *, url_col: str = "url", id_col: str = "doc_id",
 
     return bucket_apply(
         ds.map_batches(canon, batch_format="pyarrow", zero_copy_batch=True),
-        "canon_url", dups, num_buckets=num_buckets,
+        "canon_url", dups,
         schema={id_col: id_col, "canon_url": pa.string(),
                 "group_size": pa.int64()})

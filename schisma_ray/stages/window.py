@@ -19,8 +19,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-
-from ._bucket import bucket_apply, bucket_combine
+from ._bucket import NUM_BUCKETS, bucket_apply, bucket_combine
 
 
 def session_agg(
@@ -29,7 +28,7 @@ def session_agg(
     ts_col: str = "ts",
     key_col: str = "user_id",
     gap_s: int = 1800,
-    num_buckets: int = 64,
+    num_buckets: int = NUM_BUCKETS,
 ):
     """Sessionization: (key, n_sessions, n_events) with a gap threshold.
 
@@ -40,6 +39,9 @@ def session_agg(
     over ALL its users at once: one Python call per bucket, not per
     user. The partitioning assumption is per-bucket, not per-user, so
     a single giant user no longer bounds the group task alone.
+
+    ``num_buckets`` is read by no code; it stays only because
+    ``perfbench/layers.py:283`` reads its default through ``inspect``.
     """
     import numpy as np
     import pandas as pd
@@ -68,7 +70,7 @@ def session_agg(
             .reset_index()
         )
 
-    return bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+    return bucket_apply(narrow, key_col, per_bucket,
                         schema={key_col: key_col, "n_sessions": pa.int64(),
                                 "n_events": pa.int64()})
 
@@ -181,7 +183,6 @@ def session_ids(
     key_col: str = "user_id",
     id_col: str = "event_id",
     gap_s: int = 1800,
-    num_buckets: int = 64,
 ):
     """Per-EVENT session assignment: (event_id, key, session_id) where
     session_id is the 1-based index of the session within its key (the
@@ -237,7 +238,7 @@ def session_ids(
             }
         )
 
-    return bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+    return bucket_apply(narrow, key_col, per_bucket,
                         schema={id_col: id_col, key_col: key_col,
                                 "session_id": pa.int64()})
 
@@ -250,7 +251,6 @@ def grouped_rolling_mean(
     value_col: str = "value",
     id_col: str = "event_id",
     window: int = 3,
-    num_buckets: int = 64,
 ):
     """Per-key moving average over the last ``window`` events (inclusive,
     ordered by ts then id) — SQL ``AVG(v) OVER (PARTITION BY key ORDER
@@ -309,7 +309,7 @@ def grouped_rolling_mean(
             }
         )
 
-    return bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+    return bucket_apply(narrow, key_col, per_bucket,
                         schema={id_col: id_col, key_col: key_col,
                                 "rolling_mean": pa.float64()})
 
@@ -321,7 +321,6 @@ def event_transitions(
     key_col: str = "user_id",
     id_col: str = "event_id",
     type_col: str = "event_type",
-    num_buckets: int = 64,
 ):
     """Markov transition counts: for each key's event stream ordered by
     (ts, id), count (previous type -> type) pairs globally — the
@@ -361,7 +360,7 @@ def event_transitions(
             .reset_index()
         )
 
-    partials = bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+    partials = bucket_apply(narrow, key_col, per_bucket,
                             schema={"prev_type": type_col, type_col: type_col,
                                     "n": pa.int64()})
     return bucket_combine(partials, ["prev_type", type_col],
@@ -375,7 +374,6 @@ def funnel_counts(
     ts_col: str = "ts",
     key_col: str = "user_id",
     type_col: str = "event_type",
-    num_buckets: int = 64,
 ):
     """Ordered funnel conversion: how many users performed step 1, then
     step 2 strictly after their first step-1 event, then step 3 after
@@ -441,8 +439,7 @@ def funnel_counts(
         },
         schema=pa.schema(schema),
     ))
-    per = bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
-                       schema=schema)
+    per = bucket_apply(narrow, key_col, per_bucket, schema=schema)
     return bucket_combine(per.union(zeros), ["step", "step_name"],
                           {"users": ("users", "sum")})
 
@@ -533,7 +530,6 @@ def event_time_dedup(
     ts_col: str = "ts",
     key_cols: tuple = ("user_id", "event_type"),
     min_gap_s: int = 600,
-    num_buckets: int = 64,
 ):
     """Time-window event dedup: drop an event when ANOTHER event with
     the same key tuple occurred within the previous ``min_gap_s``
@@ -574,7 +570,7 @@ def event_time_dedup(
         return g.loc[keep, [id_col] + keys + ["ts_us"]]
 
     deduped = bucket_apply(
-        narrow, keys, per_bucket, num_buckets=num_buckets,
+        narrow, keys, per_bucket,
         schema={id_col: id_col, **{k: k for k in keys}, "ts_us": pa.int64()})
 
     def restore_ts(t: pa.Table) -> pa.Table:
@@ -596,7 +592,6 @@ def event_gaps(
     ts_col: str = "ts",
     key_col: str = "user_id",
     min_gap_s: int = 21600,
-    num_buckets: int = 64,
 ):
     """Telemetry gap report: per key, every consecutive-event gap longer
     than ``min_gap_s`` as (key, gap_start_ts, gap_us) — the monitoring
@@ -634,7 +629,7 @@ def event_gaps(
             }
         )
 
-    gaps = bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+    gaps = bucket_apply(narrow, key_col, per_bucket,
                         schema={key_col: key_col, "start_us": pa.int64(),
                                 "gap_us": pa.int64()})
 
@@ -658,7 +653,6 @@ def event_type_cooccurrence(
     *,
     key_col: str = "user_id",
     type_col: str = "event_type",
-    num_buckets: int = 64,
     max_types_per_key: int | None = 64,
 ):
     """(type_a, type_b, n_users) for every unordered type pair with
@@ -741,7 +735,7 @@ def event_type_cooccurrence(
         )
         return with_overflow(out)
 
-    per = bucket_apply(pairs_in, key_col, per_bucket, num_buckets=num_buckets,
+    per = bucket_apply(pairs_in, key_col, per_bucket,
                        schema={"type_a": type_col, "type_b": type_col,
                                "n": pa.int64()})
     return bucket_combine(per, ["type_a", "type_b"], {"n_users": ("n", "sum")})
@@ -755,7 +749,6 @@ def monotonic_violations(
     key_col: str = "user_id",
     value_col: str = "value",
     strict: bool = False,
-    num_buckets: int = 64,
 ):
     """Monotonicity constraint: per key, every row whose ``value_col``
     DECREASES versus the previous row in (ts, id) order (``strict=True``
@@ -804,7 +797,7 @@ def monotonic_violations(
             }
         )
 
-    return bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+    return bucket_apply(narrow, key_col, per_bucket,
                         schema={key_col: key_col, id_col: id_col,
                                 value_col: value_col, "prev_value": value_col})
 
@@ -816,7 +809,6 @@ def event_transition_counts(
     ts_col: str = "ts",
     key_col: str = "user_id",
     type_col: str = "event_type",
-    num_buckets: int = 64,
 ):
     """Markov transition counts: (prev_type, next_type, n) over every
     key's (ts, id)-ordered consecutive event pair — the behavioral
@@ -850,7 +842,7 @@ def event_transition_counts(
             .size().rename("n").reset_index()
         )
 
-    per = bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+    per = bucket_apply(narrow, key_col, per_bucket,
                        schema={"prev_type": pa.string(),
                                "next_type": pa.string(), "n": pa.int64()})
     return bucket_combine(per, ["prev_type", "next_type"], {"n": ("n", "sum")})
@@ -862,7 +854,6 @@ def first_repeat_gap(
     key_col: str = "o_custkey",
     ts_col: str = "o_orderdate",
     id_col: str = "o_orderkey",
-    num_buckets: int = 64,
 ):
     """Time-to-repeat (survival-style): for every key with >= 2 rows,
     the whole-day gap between its FIRST and SECOND row in (ts, id)
@@ -897,7 +888,7 @@ def first_repeat_gap(
             "gap_days": gaps[hit] // 86_400_000_000,
         })
 
-    return bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+    return bucket_apply(narrow, key_col, per_bucket,
                         schema={key_col: key_col, "gap_days": pa.int64()})
 
 
@@ -907,7 +898,6 @@ def session_bounce_by_day(
     ts_col: str = "ts",
     key_col: str = "user_id",
     gap_s: int = 1800,
-    num_buckets: int = 64,
 ):
     """Bounce-rate audit: per DAY of session start, how many sessions
     began and how many were single-event "bounces", plus the bounce
@@ -961,7 +951,7 @@ def session_bounce_by_day(
         )
 
     folded = bucket_combine(
-        bucket_apply(narrow, key_col, per_bucket, num_buckets=num_buckets,
+        bucket_apply(narrow, key_col, per_bucket,
                      schema={"day": pa.int64(), "n_sessions": pa.int64(),
                              "n_bounce": pa.int64()}),
         "day", {"n_sessions": ("n_sessions", "sum"),
@@ -989,7 +979,6 @@ def event_type_lift(
     *,
     key_col: str = "user_id",
     type_col: str = "event_type",
-    num_buckets: int = 64,
     max_types_per_key: int | None = 64,
 ):
     """Association-rule audit over type pairs: for every unordered pair
@@ -1012,7 +1001,7 @@ def event_type_lift(
 
     pairs = fold_table(event_type_cooccurrence(
         ds, key_col=key_col, type_col=type_col,
-        num_buckets=num_buckets, max_types_per_key=max_types_per_key,
+        max_types_per_key=max_types_per_key,
     ))
 
     def partial(t: pa.Table) -> pa.Table:
@@ -1037,7 +1026,7 @@ def event_type_lift(
         return pd.concat([m, keys], ignore_index=True)
 
     marg = fold_table(bucket_apply(
-        deduped, key_col, per_bucket, num_buckets=num_buckets,
+        deduped, key_col, per_bucket,
         schema={type_col: pa.string(), "n": pa.int64()}))
     n_of: dict[str, int] = {}
     n_keys = 0
@@ -1085,8 +1074,7 @@ def event_type_lift(
 
 
 def late_events(ds, *, user_col: str = "user_id",
-                order_col: str = "event_id", ts_col: str = "ts",
-                num_buckets: int = 64):
+                order_col: str = "event_id", ts_col: str = "ts"):
     """Watermark/ordering audit: per user, how many events arrive (in
     ``order_col`` order — the ingestion sequence) with a timestamp
     BEHIND the running max of that user's earlier events, plus the
@@ -1132,6 +1120,6 @@ def late_events(ds, *, user_col: str = "user_id",
         agg["late_e6"] = (2_000_000 * d + n) // (2 * n)
         return agg
 
-    return bucket_apply(narrow, user_col, per_bucket, num_buckets=num_buckets,
+    return bucket_apply(narrow, user_col, per_bucket,
                         schema={user_col: user_col, "n_events": pa.int64(),
                                 "n_late": pa.int64(), "late_e6": pa.int64()})

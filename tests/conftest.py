@@ -35,6 +35,21 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def exchange_width(monkeypatch):
+    """Set the keyed exchange's width (``_bucket.NUM_BUCKETS``) for one
+    test: ``exchange_width(n)`` routes every exchange whose plan is built
+    after the call into ``n`` buckets, so a small input puts many keys in
+    one bucket. The width is read when the plan is built, so it reaches
+    the Ray tasks."""
+    from schisma_ray.stages import _bucket
+
+    def set_width(n: int) -> None:
+        monkeypatch.setattr(_bucket, "NUM_BUCKETS", n)
+
+    return set_width
+
+
 @pytest.fixture(scope="session")
 def sf_dir():
     return "/root/testdata/sf0.001"

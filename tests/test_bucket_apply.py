@@ -29,6 +29,13 @@ from schisma_ray.stages._bucket import bucket_apply, key_bucket
 NUM_BUCKETS = 8
 
 
+@pytest.fixture(autouse=True)
+def _narrow_exchange(exchange_width):
+    """Every exchange here routes into ``NUM_BUCKETS`` buckets, so the
+    small inputs put many keys in one bucket."""
+    exchange_width(NUM_BUCKETS)
+
+
 def _per_key():
     # built inside a function so Ray ships it by value: workers cannot
     # import this test module
@@ -60,7 +67,6 @@ def _blocks(keys, values, cuts, key_type, n_null):
 def _check_reblocking(keys, values, cuts, key_type, n_null):
     blocks = _blocks(keys, values, cuts, key_type, n_null)
     out = bucket_apply(rd.from_arrow(blocks), "k", _per_key(),
-                       num_buckets=NUM_BUCKETS,
                        schema={"k": "k", "n": pa.int64(), "s": pa.int64()})
     want = _per_key()(pa.concat_tables(blocks))
     assert _rows(out.to_pandas()) == _rows(want)
@@ -112,7 +118,7 @@ def test_every_produced_block_carries_the_declared_schema(ray_session):
     t = pa.table({"k": [f"key{i % 7}" for i in range(30)],
                   "v": pa.array(range(30), pa.int64())})
     out = bucket_apply(rd.from_arrow([t.slice(0, 12), t.slice(12)]), "k",
-                       keep_even, num_buckets=NUM_BUCKETS, schema=declared)
+                       keep_even, schema=declared)
     blocks = _blocks_of(out)
     produced = [b for b in blocks if b.num_columns]
     assert produced
@@ -124,7 +130,7 @@ def test_every_produced_block_carries_the_declared_schema(ray_session):
 
     # a function that never returns a row still yields typed blocks
     nothing = bucket_apply(rd.from_arrow(t), "k", lambda t: t.slice(0, 0),
-                           num_buckets=NUM_BUCKETS, schema=None)
+                           schema=None)
     produced = [b for b in _blocks_of(nothing) if b.num_columns]
     assert produced and all(b.schema.equals(t.schema) for b in produced)
     assert nothing.count() == 0
@@ -133,7 +139,7 @@ def test_every_produced_block_carries_the_declared_schema(ray_session):
 def test_empty_input_yields_no_rows(ray_session):
     empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64()),
                                     "v": pa.array([], pa.int64())}))
-    out = bucket_apply(empty, "k", _per_key(), num_buckets=NUM_BUCKETS,
+    out = bucket_apply(empty, "k", _per_key(),
                        schema={"k": "k", "n": pa.int64(), "s": pa.int64()})
     blocks = _blocks_of(out)
     assert sum(b.num_rows for b in blocks) == 0
@@ -152,8 +158,7 @@ def test_rows_route_like_key_bucket(ray_session, key_type, keys):
         return pa.table({"k": ks, "call": [uuid.uuid4().hex] * len(ks)})
 
     out = bucket_apply(rd.from_arrow([t.slice(0, 90), t.slice(90)]), "k",
-                       calls, num_buckets=NUM_BUCKETS,
-                       schema={"k": "k", "call": pa.string()})
+                       calls, schema={"k": "k", "call": pa.string()})
     got = out.to_pandas()
     assert got["k"].is_unique  # a key meets all its rows in one call
     got["bucket"] = key_bucket(pa.array(got["k"].tolist(), key_type),
@@ -179,7 +184,7 @@ def test_building_the_plan_executes_nothing(ray_session):
         raise AssertionError("executed while building the plan")
 
     ds = rd.from_items([{"k": 1, "v": 2}]).map_batches(boom)
-    out = bucket_apply(ds, "k", _per_key(), num_buckets=NUM_BUCKETS,
+    out = bucket_apply(ds, "k", _per_key(),
                        schema={"k": "k", "n": pa.int64(), "s": pa.int64()})
     assert isinstance(out, rd.Dataset)
     with pytest.raises(Exception, match="executed while building"):
@@ -194,7 +199,6 @@ def test_composite_key_meets_in_one_call(ray_session):
         return group.group_by(["a", "b"]).aggregate([("v", "count")])
 
     out = bucket_apply(rd.from_arrow([t.slice(0, 25), t.slice(25)]), ["a", "b"],
-                       count, num_buckets=NUM_BUCKETS,
-                       schema={"a": "a", "b": "b", "v_count": pa.int64()})
+                       count, schema={"a": "a", "b": "b", "v_count": pa.int64()})
     got = out.to_pandas()
     assert len(got) == 12 and (got["v_count"] == 5).all()

@@ -454,6 +454,73 @@ def test_grouped_distinct_hll_accuracy(ray_session):
         assert rel < 0.05, (g, approx[g], exact[g])
 
 
+def test_grouped_distinct_hll_equals_one_sketch_per_group(ray_session,
+                                                          exchange_width):
+    """The keyed max of (register, rank) rows builds the same registers
+    as one ``stats.HLL`` sketch over each group's rows, with many groups
+    in one bucket."""
+    import numpy as np
+    import pyarrow.compute as pc
+    import ray.data as rd
+    from schisma_ray.stages.stats import HLL
+    from schisma_ray.stages.topk import grouped_distinct_hll
+
+    rng = np.random.default_rng(5)
+    g = rng.integers(0, 6, 3000)
+    v = rng.integers(0, 900, 3000) * (g + 1)
+    t = pa.table({"g": pa.array(g.astype(str)), "v": pa.array(v)})
+    exchange_width(2)
+    out = grouped_distinct_hll(rd.from_arrow(t).repartition(5), "g", "v")
+    got = {r["g"]: r["n_distinct"] for r in out.take_all()}
+    want = {}
+    for key in set(t["g"].to_pylist()):
+        part = t.filter(pc.equal(t["g"], key))
+        want[key] = rd.from_arrow(part).repartition(3).aggregate(
+            HLL("v", alias_name="n"))["n"]
+    assert got == want
+
+
+@pytest.mark.parametrize("p", [4, 12, 16])
+def test_hll_slots_match_the_bit_loop(monkeypatch, p):
+    """``stats.hll_slots`` counts leading zeros from float exponents; the
+    bit-by-bit loop it replaced is the reference, on random hashes and on
+    every bit length, zero included."""
+    import numpy as np
+    import pandas as pd
+    from schisma_ray.stages.stats import hll_slots
+
+    rng = np.random.default_rng(p)
+    edge = [0, 2**64 - 1] + [2**k + d for k in range(64) for d in (-1, 0, 1)
+                             if 0 <= 2**k + d < 2**64]
+    h = np.concatenate([rng.integers(0, 2**64 - 1, 5000, np.uint64,
+                                     endpoint=True),
+                        np.array(edge, np.uint64)])
+    monkeypatch.setattr(pd.util, "hash_array", lambda values: h)
+
+    rank = np.ones(len(h), np.uint8)
+    rest, live = h << np.uint64(p), np.ones(len(h), bool)
+    for _ in range(64 - p):
+        live &= (rest >> np.uint64(63)) == 0
+        rank[live] += 1
+        rest = rest << np.uint64(1)
+    reg, got = hll_slots(pa.array(range(len(h))), p)
+    assert (reg == (h >> np.uint64(64 - p)).astype(np.int64)).all()
+    assert (got == rank).all()
+
+
+def test_grouped_distinct_hll_null_group_spans_blocks(ray_session):
+    """A null group key is one group, even when its rows sit in several
+    blocks; a null item counts toward no group."""
+    import ray.data as rd
+    from schisma_ray.stages.topk import grouped_distinct_hll
+
+    t = pa.table({"g": ["a", None, "b", None, "a", None],
+                  "v": [1, 2, 3, 4, 5, None]})
+    out = grouped_distinct_hll(rd.from_arrow(t).repartition(3), "g", "v")
+    got = {r["g"]: r["n_distinct"] for r in out.take_all()}
+    assert got == {"a": 2, "b": 1, None: 2}
+
+
 # -------------------------------------------------------------- k-means
 def test_kmeans_separable_blobs(ray_session):
     import numpy as np

@@ -157,8 +157,7 @@ def _producers():
             lambda ds: dedup.minhash_dedup_pairs(ds, "text", "doc_id"),
             ["a", "b", "jaccard"]),
         "ngram_jaccard_pairs": (
-            lambda ds: dedup.ngram_jaccard_pairs(ds, "text", "doc_id",
-                                                 num_buckets=4),
+            lambda ds: dedup.ngram_jaccard_pairs(ds, "text", "doc_id"),
             ["a", "b", "jaccard"]),
         "simhash_dup_pairs": (
             lambda ds: dedup.simhash_dup_pairs(ds, "text", "doc_id",
@@ -191,7 +190,9 @@ def _producers():
 
 
 @pytest.mark.parametrize("name", sorted(_producers()))
-def test_pair_producer_declares_columns_without_pairs(ray_session, side, name):
+def test_pair_producer_declares_columns_without_pairs(ray_session, side, name,
+                                                     exchange_width):
+    exchange_width(4)
     produce, columns = _producers()[name]
     out = produce(_docs())
     assert isinstance(out, rd.Dataset)

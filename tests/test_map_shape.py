@@ -17,7 +17,10 @@ the key into a bucket, so a nullable key never reaches Ray's sort
 comparisons. Joins too: a two-sided keyed step runs on
 ``bucket_cogroup`` (``join.shuffle_hash_join`` for a plain equi-join),
 never on Ray's ``Dataset.join``, whose hash shuffle runs on a second
-exchange of aggregator actors.
+exchange of aggregator actors. Keyed aggregation too: no code calls
+Ray's ``groupby(key).aggregate``, whose sort cannot compare a nullable
+key. The exchange owns its width: no function takes a ``num_buckets``
+except those of a stored bucketed table and the hash itself.
 
 One pair path: a pair producer picks its driver or bucketed body by the
 size it observes (``_bucket.fold_or_apply``, ``_bucket.fold_small``),
@@ -137,8 +140,11 @@ PATH_FLAGS = {"as_dataset", "verify_driver_limit", "strategy",
               "driver_merge_limit"}
 
 #: (function, flag) kept although no code reads it:
-#: ``perfbench/layers.py:227`` passes ``strategy="broadcast"``
-UNREAD_FLAGS = {("referential_violations", "strategy")}
+#: ``perfbench/layers.py:227`` passes ``strategy="broadcast"``, and
+#: ``perfbench/layers.py:283`` reads ``session_agg``'s default width
+#: through ``inspect``
+UNREAD_FLAGS = {("referential_violations", "strategy"),
+                ("session_agg", "num_buckets")}
 
 
 def test_no_function_takes_a_path_flag():
@@ -284,3 +290,43 @@ def test_no_copy_of_fold_table():
                     and attrs & {"concat_tables", "concat_arrays"}):
                 found.append(f"{rel}:{node.lineno} {node.name}")
     assert not found, "copies of fold_table:\n" + "\n".join(found)
+
+
+#: functions that take a bucket count: ``bucketed.py``'s, where the
+#: count is a property of a stored table, and ``key_bucket``, the hash
+#: itself (``perfbench/layers.py:284`` calls it with a width)
+BUCKET_COUNT_TAKERS = {"schisma_ray/stages/bucketed.py",
+                       "schisma_ray/stages/_bucket.py:key_bucket"}
+
+
+def test_no_function_takes_a_bucket_count():
+    """``_bucket.NUM_BUCKETS`` is the width of every keyed exchange: no
+    other function takes ``num_buckets``."""
+    found = []
+    for rel, tree in _sources((PACKAGE,)):
+        for _, node in _functions(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and "num_buckets" in _params(node)
+                    and (node.name, "num_buckets") not in UNREAD_FLAGS
+                    and rel not in BUCKET_COUNT_TAKERS
+                    and f"{rel}:{node.name}" not in BUCKET_COUNT_TAKERS):
+                found.append(f"{rel}:{node.lineno} {node.name}")
+    assert not found, "functions with a bucket count:\n" + "\n".join(found)
+
+
+def test_no_ray_keyed_aggregate():
+    """No ``groupby(...).aggregate(...)`` chain: keyed aggregation runs
+    on ``_bucket.bucket_combine`` or ``bucket_apply``. (Arrow spells its
+    grouping ``group_by``, and pandas code uses ``.agg``.)"""
+    roots = (PACKAGE, TESTS, REPO / "tools", REPO / "perfbench")
+    found = []
+    for rel, tree in _sources(roots):
+        for owner, node in _functions(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "aggregate"
+                    and isinstance(node.func.value, ast.Call)
+                    and isinstance(node.func.value.func, ast.Attribute)
+                    and node.func.value.func.attr == "groupby"):
+                found.append(f"{rel}:{node.lineno} {owner}")
+    assert not found, "Ray keyed aggregates:\n" + "\n".join(found)

@@ -100,7 +100,7 @@ def test_zip_with_index_empty_keeps_schema(ray_session):
     assert out.select_columns(["rank"]).count() == 0
 
 
-def test_asof_segmented_key_boundary_and_ties(ray_session):
+def test_asof_segmented_key_boundary_and_ties(ray_session, exchange_width):
     """Segmented as-of (one scan per bucket): a right row must not leak
     across a key boundary, and an equal-timestamp right row matches."""
     from schisma_ray.stages.asof import asof_join_latest
@@ -114,8 +114,9 @@ def test_asof_segmented_key_boundary_and_ties(ray_session):
         "user_id": pa.array([1, 2], pa.int64()),
         "ts": pa.array([50_000_000, 30_000_000], pa.int64()),
     }))
+    exchange_width(4)
     out = (
-        asof_join_latest(left, right, key="user_id", num_buckets=4)
+        asof_join_latest(left, right, key="user_id")
         .to_pandas()
         .set_index("row_id")
     )
@@ -238,7 +239,7 @@ def test_prepare_corpus_c4_and_gopher_stages(ray_session):
     assert kept_ids == {i for i in range(12) if i % 4 >= 2}
 
 
-def test_line_ops_tolerate_null_text(ray_session):
+def test_line_ops_tolerate_null_text(ray_session, exchange_width):
     """A null text row must vanish cleanly (not corrupt offsets of the
     docs after it in the batch, not crash c4_clean)."""
     from schisma_ray.stages.lines import c4_clean, duplicated_lines, line_dedup
@@ -247,10 +248,11 @@ def test_line_ops_tolerate_null_text(ray_session):
         "doc_id": pa.array([1, 2, 3], pa.int64()),
         "text": pa.array(["alpha\nbeta", None, "gamma\nalpha"], pa.string()),
     })
-    out = line_dedup(rd.from_arrow(t), num_buckets=2).to_pandas()
+    exchange_width(2)
+    out = line_dedup(rd.from_arrow(t)).to_pandas()
     got = {int(r.doc_id): r.text for r in out.itertuples()}
     assert got == {1: "alpha\nbeta", 3: "gamma"}
-    dup = duplicated_lines(rd.from_arrow(t), num_buckets=2).to_pandas()
+    dup = duplicated_lines(rd.from_arrow(t)).to_pandas()
     assert dict(zip(dup["line"], dup["n"])) == {"alpha": 2}
     c4 = pa.table({
         "doc_id": pa.array([1, 2], pa.int64()),
@@ -260,7 +262,7 @@ def test_line_ops_tolerate_null_text(ray_session):
     assert sorted(outc["doc_id"]) == [1]
 
 
-def test_concat_chunks_exotic_whitespace(ray_session):
+def test_concat_chunks_exotic_whitespace(ray_session, exchange_width):
     """\\x0b and \\xa0 are NOT separators under the RE2 tokenizer; the
     slicer must agree with the counter (one token 'a\\x0bb', not two)."""
     from schisma_ray.stages.corpus import concat_chunks
@@ -269,8 +271,9 @@ def test_concat_chunks_exotic_whitespace(ray_session):
         "doc_id": pa.array([1, 2], pa.int64()),
         "text": pa.array(["a\x0bb c", "d\xa0e f"], pa.string()),
     })
-    out = concat_chunks(rd.from_arrow(t), chunk_tokens=3,
-                        num_buckets=2).to_pandas().sort_values("chunk_id")
+    exchange_width(2)
+    out = (concat_chunks(rd.from_arrow(t), chunk_tokens=3).to_pandas()
+           .sort_values("chunk_id"))
     texts = list(out["text"])
     assert texts == ["a\x0bb c <|eos|>", "d\xa0e f <|eos|>"]
     assert list(out["n_tokens"]) == [3, 3]
@@ -349,7 +352,7 @@ def test_lm_score_large_string_and_mixed_routing(ray_session):
     assert got2 == got
 
 
-def test_line_dedup_empty_lines_participate(ray_session):
+def test_line_dedup_empty_lines_participate(ray_session, exchange_width):
     """Empty lines are real lines (SQL string_split keeps them): the
     corpus-first empty line survives, later ones drop."""
     from schisma_ray.stages.lines import line_dedup
@@ -358,7 +361,8 @@ def test_line_dedup_empty_lines_participate(ray_session):
         "doc_id": pa.array([1, 2], pa.int64()),
         "text": pa.array(["a\n\nb", "c\n\nd"], pa.string()),
     })
-    out = line_dedup(rd.from_arrow(t), num_buckets=2).to_pandas()
+    exchange_width(2)
+    out = line_dedup(rd.from_arrow(t)).to_pandas()
     got = {int(r.doc_id): (r.text, int(r.n_kept), int(r.n_total))
            for r in out.itertuples()}
     assert got == {1: ("a\n\nb", 3, 3), 2: ("c\nd", 2, 3)}

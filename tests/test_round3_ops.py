@@ -362,7 +362,7 @@ def test_assign_with_centroids_matches_numpy(ray_session):
                 for i in range(3)}) == 3
 
 
-def test_inverted_index_bruteforce(ray_session):
+def test_inverted_index_bruteforce(ray_session, exchange_width):
     from collections import defaultdict
 
     from schisma_ray.stages.text import inverted_index
@@ -381,7 +381,8 @@ def test_inverted_index_bruteforce(ray_session):
         pa.table({"doc_id": pa.array(sorted(docs), pa.int64()),
                   "text": pa.array([docs[k] for k in sorted(docs)])})
     ).repartition(2)
-    out = inverted_index(ds, max_postings=2, num_buckets=4).to_pandas()
+    exchange_width(4)
+    out = inverted_index(ds, max_postings=2).to_pandas()
     got = {r.term: (r.df, r.postings) for r in out.itertuples()}
     assert got == {
         w: (len(ids), ",".join(str(i) for i in sorted(ids)[:2]))
@@ -389,7 +390,7 @@ def test_inverted_index_bruteforce(ray_session):
     }
 
 
-def test_upsert_compact_latest_wins(ray_session):
+def test_upsert_compact_latest_wins(ray_session, exchange_width):
     """One survivor per key: updates beat base on equal ts; newer ts
     beats older regardless of source."""
     import pandas as pd
@@ -406,7 +407,8 @@ def test_upsert_compact_latest_wins(ray_session):
         "ts": pa.array([20, 25, 50], pa.int64()),  # tie on 2, older on 3
         "v": pa.array(["u2", "u3", "u5"]),
     })).repartition(2)
-    out = (upsert_compact(base, upd, key="k", ts_col="ts", num_buckets=4)
+    exchange_width(4)
+    out = (upsert_compact(base, upd, key="k", ts_col="ts")
            .to_pandas().sort_values("k").reset_index(drop=True))
     exp = pd.DataFrame({
         "k": [1, 2, 3, 4, 5],
@@ -418,7 +420,7 @@ def test_upsert_compact_latest_wins(ray_session):
     assert "_src" not in out.columns and "_kb" not in out.columns
 
 
-def test_pivot_counts_fixed_schema(ray_session):
+def test_pivot_counts_fixed_schema(ray_session, exchange_width):
     """Every row carries every category column (0-filled), int64."""
     from schisma_ray.stages.topk import pivot_counts
 
@@ -426,7 +428,8 @@ def test_pivot_counts_fixed_schema(ray_session):
         "u": pa.array([1, 1, 1, 2, 2, 3], pa.int64()),
         "e": pa.array(["a", "a", "b", "b", "zz", "a"]),  # zz not listed
     })).repartition(3)
-    out = (pivot_counts(ds, "u", "e", ["a", "b", "c"], num_buckets=4)
+    exchange_width(4)
+    out = (pivot_counts(ds, "u", "e", ["a", "b", "c"])
            .to_pandas().sort_values("u").reset_index(drop=True))
     assert list(out.columns) == ["u", "a", "b", "c"]
     assert out["a"].tolist() == [2, 0, 1]
@@ -491,10 +494,10 @@ def test_semdedup_survivors_drop_non_keepers(ray_session):
     assert kept == [i for i in range(20) if i not in (3, 4)]
 
 
-def test_line_dedup_bruteforce(ray_session):
+def test_line_dedup_bruteforce(ray_session, exchange_width):
     """line_dedup == brute-force first-occurrence filter; intra-doc
-    repeats drop, all-dropped docs disappear, num_buckets is routing
-    only (results identical at 1, 2 and 64 buckets)."""
+    repeats drop, all-dropped docs disappear, the exchange width is
+    routing only (results identical at 1, 2 and 64 buckets)."""
     from schisma_ray.stages.lines import duplicated_lines, line_dedup
 
     docs = {
@@ -521,15 +524,17 @@ def test_line_dedup_bruteforce(ray_session):
             want[did] = ("\n".join(kept), len(kept), len(lines))
 
     for nb in (1, 2, 64):
+        exchange_width(nb)
         ds = rd.from_arrow(tbl).repartition(3)
-        out = line_dedup(ds, num_buckets=nb).to_pandas().sort_values("doc_id")
+        out = line_dedup(ds).to_pandas().sort_values("doc_id")
         got = {
             int(r.doc_id): (r.text, int(r.n_kept), int(r.n_total))
             for r in out.itertuples()
         }
         assert got == want, nb
 
-    dup = duplicated_lines(rd.from_arrow(tbl), num_buckets=2).to_pandas()
+    exchange_width(2)
+    dup = duplicated_lines(rd.from_arrow(tbl)).to_pandas()
     got_counts = dict(zip(dup["line"], dup["n"]))
     assert got_counts == {"header": 3, "alpha beta": 3, "gamma": 2}
 
@@ -622,7 +627,7 @@ def test_gopher_quality_null_text(ray_session):
         assert not out.loc[did, "passed"]
 
 
-def test_concat_chunks_bruteforce(ray_session):
+def test_concat_chunks_bruteforce(ray_session, exchange_width):
     from schisma_ray.stages.corpus import concat_chunks
 
     docs = {i: " ".join([f"w{i}_{j}" for j in range(5 + 3 * i)])
@@ -640,8 +645,9 @@ def test_concat_chunks_bruteforce(ray_session):
             len(stream[k * C:(k + 1) * C]))
         for k in range((len(stream) + C - 1) // C)
     }
+    exchange_width(3)
     out = concat_chunks(
-        rd.from_arrow(tbl).repartition(4), chunk_tokens=C, num_buckets=3
+        rd.from_arrow(tbl).repartition(4), chunk_tokens=C
     ).to_pandas()
     got = {int(r.chunk_id): (r.text, int(r.n_tokens)) for r in out.itertuples()}
     assert got == want
@@ -649,7 +655,7 @@ def test_concat_chunks_bruteforce(ray_session):
     assert " ".join(got[k][0] for k in sorted(got)) == " ".join(stream)
 
 
-def test_event_time_dedup_lag_semantics(ray_session):
+def test_event_time_dedup_lag_semantics(ray_session, exchange_width):
     """Lag-based keep rule: each event compares to the immediately
     previous event of its key, kept or not (chain of 3 events 400s
     apart with a 600s gap drops BOTH followers). String keys work."""
@@ -672,8 +678,9 @@ def test_event_time_dedup_lag_semantics(ray_session):
         "event_type": pa.array([r["event_type"] for r in rows]),
         "ts": pa.array([r["ts"] for r in rows], pa.timestamp("us")),
     })
+    exchange_width(4)
     out = event_time_dedup(
-        rd.from_arrow(t).repartition(3), min_gap_s=600, num_buckets=4
+        rd.from_arrow(t).repartition(3), min_gap_s=600
     ).to_pandas()
     assert sorted(out["event_id"]) == [1, 4, 5, 6]
 
@@ -774,7 +781,7 @@ def test_binary_fingerprint_matches_duckdb(ray_session):
     assert out.loc[0] == out.loc[4] and out.loc[2] is None
 
 
-def test_event_gaps_bruteforce(ray_session):
+def test_event_gaps_bruteforce(ray_session, exchange_width):
     import pandas as pd
 
     from schisma_ray.stages.window import event_gaps
@@ -794,8 +801,9 @@ def test_event_gaps_bruteforce(ray_session):
         "user_id": pa.array([r[1] for r in rows], pa.int64()),
         "ts": pa.array([r[2] for r in rows], pa.timestamp("us")),
     })
-    out = event_gaps(rd.from_arrow(t).repartition(3), min_gap_s=21600,
-                     num_buckets=4).to_pandas()
+    exchange_width(4)
+    out = event_gaps(rd.from_arrow(t).repartition(3),
+                     min_gap_s=21600).to_pandas()
     assert len(out) == 1
     r = out.iloc[0]
     assert int(r.user_id) == 1 and int(r.gap_us) == 25200 * us
@@ -836,15 +844,16 @@ def test_lm_score_nonascii_and_mixed_batches(ray_session):
                    5: brute("world hello")}
 
 
-def test_fd_violations_bruteforce(ray_session):
+def test_fd_violations_bruteforce(ray_session, exchange_width):
     from schisma_ray.stages.profile import fd_violations
 
     t = pa.table({
         "k": pa.array(["a", "a", "b", "b", "c", None, "d"], pa.string()),
         "v": pa.array(["x", "y", "x", "x", "x", "z", "w"], pa.string()),
     })
+    exchange_width(2)
     out = fd_violations(
-        rd.from_arrow(t).repartition(3), lhs="k", rhs="v", num_buckets=2
+        rd.from_arrow(t).repartition(3), lhs="k", rhs="v"
     ).to_pandas()
     got = dict(zip(out["k"], out["n_rhs"]))
     assert got == {"a": 2}          # b maps to one v; c/d singletons; null dropped
@@ -855,7 +864,7 @@ def test_fd_violations_bruteforce(ray_session):
     assert len(out2) == 0           # 'a' only has 2 rows
 
 
-def test_event_type_cooccurrence_bruteforce(ray_session):
+def test_event_type_cooccurrence_bruteforce(ray_session, exchange_width):
     from itertools import combinations
 
     from schisma_ray.stages.window import event_type_cooccurrence
@@ -872,8 +881,9 @@ def test_event_type_cooccurrence_bruteforce(ray_session):
     for types in by_user.values():
         for a, b in combinations(sorted(types), 2):
             want[(a, b)] = want.get((a, b), 0) + 1
+    exchange_width(3)
     out = event_type_cooccurrence(
-        rd.from_arrow(t).repartition(4), num_buckets=3
+        rd.from_arrow(t).repartition(4)
     ).to_pandas()
     got = {(r.type_a, r.type_b): int(r.n_users) for r in out.itertuples()}
     assert got == want

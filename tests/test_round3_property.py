@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_asof_matches_merge_asof(ray_session, seed):
+def test_asof_matches_merge_asof(ray_session, exchange_width, seed):
     rng = np.random.default_rng(seed)
     n_l, n_r = 60, 40
     left = pd.DataFrame({
@@ -35,11 +35,12 @@ def test_asof_matches_merge_asof(ray_session, seed):
     })
     from schisma_ray.stages.asof import asof_join_latest
 
+    exchange_width(4)
     got = (
         asof_join_latest(
             rd.from_pandas(left).repartition(3),
             rd.from_pandas(right).repartition(2),
-            key="user_id", num_buckets=4,
+            key="user_id",
         )
         .to_pandas()
         .set_index("row_id")["asof_epoch_s"]
@@ -60,7 +61,7 @@ def test_asof_matches_merge_asof(ray_session, seed):
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_rolling_mean_matches_pandas(ray_session, seed):
+def test_rolling_mean_matches_pandas(ray_session, exchange_width, seed):
     rng = np.random.default_rng(seed)
     n = 80
     df = pd.DataFrame({
@@ -72,9 +73,9 @@ def test_rolling_mean_matches_pandas(ray_session, seed):
     })
     from schisma_ray.stages.window import grouped_rolling_mean
 
+    exchange_width(4)
     got = (
-        grouped_rolling_mean(rd.from_pandas(df).repartition(3), window=3,
-                             num_buckets=4)
+        grouped_rolling_mean(rd.from_pandas(df).repartition(3), window=3)
         .to_pandas()
         .set_index("event_id")["rolling_mean"]
         .sort_index()
@@ -150,7 +151,7 @@ def test_hamming_banding_full_recall(ray_session, seed):
 
 
 @pytest.mark.parametrize("seed", [11])
-def test_funnel_matches_brute_force(ray_session, seed):
+def test_funnel_matches_brute_force(ray_session, exchange_width, seed):
     rng = np.random.default_rng(seed)
     n = 120
     steps = ("view", "click", "purchase")
@@ -162,8 +163,9 @@ def test_funnel_matches_brute_force(ray_session, seed):
     })
     from schisma_ray.stages.window import funnel_counts
 
+    exchange_width(4)
     got = (
-        funnel_counts(rd.from_pandas(df).repartition(4), steps, num_buckets=4)
+        funnel_counts(rd.from_pandas(df).repartition(4), steps)
         .to_pandas()
         .set_index("step")["users"]
     )
@@ -196,7 +198,8 @@ def _brute_jaccard_pairs(texts: dict, threshold: float, shingle: int = 3):
 
 
 @pytest.mark.parametrize("seed,threshold", [(0, 0.8), (1, 0.8), (2, 0.6)])
-def test_ngram_jaccard_matches_bruteforce(ray_session, seed, threshold):
+def test_ngram_jaccard_matches_bruteforce(ray_session, exchange_width, seed,
+                                          threshold):
     """Prefix-filtered AllPairs is EXACT: on random corpora with planted
     near-dups, the distributed pair set equals the all-pairs brute force
     (100% recall AND precision — no sketch, no probabilistic bound)."""
@@ -218,14 +221,16 @@ def test_ngram_jaccard_matches_bruteforce(ray_session, seed, threshold):
         pa.table({"doc_id": pa.array(sorted(texts), pa.int64()),
                   "text": pa.array([texts[k] for k in sorted(texts)])})
     ).repartition(4)
+    exchange_width(4)
     got = ngram_jaccard_pairs(
-        ds, "text", "doc_id", threshold=threshold, num_buckets=4
+        ds, "text", "doc_id", threshold=threshold
     ).to_pandas()
     got_pairs = set(zip(got["a"], got["b"]))
     assert got_pairs == _brute_jaccard_pairs(texts, threshold)
 
 
-def test_ngram_jaccard_dataset_chain_parity(ray_session, monkeypatch):
+def test_ngram_jaccard_dataset_chain_parity(ray_session, exchange_width,
+                                           monkeypatch):
     """Both sides of every size switch (pair emission and verification
     forced per bucket) return the driver side's pair set."""
     from schisma_ray.stages import _bucket, dedup
@@ -240,18 +245,18 @@ def test_ngram_jaccard_dataset_chain_parity(ray_session, monkeypatch):
         pa.table({"doc_id": pa.array(sorted(texts), pa.int64()),
                   "text": pa.array([texts[k] for k in sorted(texts)])})
     ).repartition(3)
-    drv = ngram_jaccard_pairs(ds, "text", "doc_id", threshold=0.8,
-                              num_buckets=4).to_pandas()
+    exchange_width(4)
+    drv = ngram_jaccard_pairs(ds, "text", "doc_id", threshold=0.8).to_pandas()
     monkeypatch.setattr(_bucket, "_DRIVER_FOLD_ROWS", 0)
     monkeypatch.setattr(dedup, "_VERIFY_DRIVER_PAIRS", 0)
-    chain = ngram_jaccard_pairs(ds, "text", "doc_id", threshold=0.8,
-                                num_buckets=4).to_pandas()
+    chain = ngram_jaccard_pairs(ds, "text", "doc_id", threshold=0.8).to_pandas()
     drv_pairs = set(zip(drv["a"], drv["b"]))
     assert drv_pairs and set(zip(chain["a"], chain["b"])) == drv_pairs
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_line_dedup_matches_bruteforce_random(ray_session, seed):
+def test_line_dedup_matches_bruteforce_random(ray_session, seed,
+                                             exchange_width):
     """Random corpora with a small line vocabulary (forcing heavy
     cross-doc and intra-doc collisions): line_dedup == the sequential
     first-occurrence scan, at several bucket counts."""
@@ -273,8 +278,9 @@ def test_line_dedup_matches_bruteforce_random(ray_session, seed):
         if kept:
             want[did] = ("\n".join(kept), len(kept), len(lines))
 
+    exchange_width(5)
     out = line_dedup(
-        rd.from_arrow(tbl).repartition(4), num_buckets=5
+        rd.from_arrow(tbl).repartition(4)
     ).to_pandas()
     got = {int(r.doc_id): (r.text, int(r.n_kept), int(r.n_total))
            for r in out.itertuples()}
@@ -282,7 +288,8 @@ def test_line_dedup_matches_bruteforce_random(ray_session, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_concat_chunks_matches_bruteforce_random(ray_session, seed):
+def test_concat_chunks_matches_bruteforce_random(ray_session, exchange_width,
+                                                 seed):
     from schisma_ray.stages.corpus import concat_chunks
 
     rng = np.random.default_rng(seed)
@@ -299,15 +306,17 @@ def test_concat_chunks_matches_bruteforce_random(ray_session, seed):
     C = int(rng.integers(5, 40))
     want = {k: " ".join(stream[k * C:(k + 1) * C])
             for k in range((len(stream) + C - 1) // C)}
+    exchange_width(4)
     out = concat_chunks(
-        rd.from_arrow(tbl).repartition(6), chunk_tokens=C, num_buckets=4
+        rd.from_arrow(tbl).repartition(6), chunk_tokens=C
     ).to_pandas()
     got = dict(zip(out["chunk_id"].astype(int), out["text"]))
     assert got == want
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_event_time_dedup_matches_bruteforce_random(ray_session, seed):
+def test_event_time_dedup_matches_bruteforce_random(ray_session, seed,
+                                                    exchange_width):
     from schisma_ray.stages.window import event_time_dedup
 
     rng = np.random.default_rng(seed)
@@ -334,8 +343,9 @@ def test_event_time_dedup_matches_bruteforce_random(ray_session, seed):
         "event_type": pa.array(df["event_type"]),
         "ts": pa.array(df["ts_i"], pa.timestamp("us")),
     })
+    exchange_width(4)
     out = event_time_dedup(
-        rd.from_arrow(t).repartition(5), min_gap_s=gap_s, num_buckets=4
+        rd.from_arrow(t).repartition(5), min_gap_s=gap_s
     ).to_pandas()
     assert set(out["event_id"]) == want
 

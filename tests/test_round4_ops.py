@@ -171,7 +171,7 @@ def test_prepare_corpus_line_dedup_removes_boilerplate(ray_session):
     assert header not in texts[1]
 
 
-def test_line_dedup_carry_cols(ray_session):
+def test_line_dedup_carry_cols(ray_session, exchange_width):
     from schisma_ray.stages.lines import line_dedup
 
     t = pa.table({
@@ -180,9 +180,9 @@ def test_line_dedup_carry_cols(ray_session):
         "lang": pa.array(["en", "de"], pa.string()),
         "source": pa.array(["s1", "s2"], pa.string()),
     })
+    exchange_width(2)
     out = (
-        line_dedup(rd.from_arrow(t), num_buckets=2,
-                   carry_cols=("lang", "source"))
+        line_dedup(rd.from_arrow(t), carry_cols=("lang", "source"))
         .to_pandas().set_index("doc_id")
     )
     assert out.loc[1, "lang"] == "en" and out.loc[2, "lang"] == "de"

@@ -45,12 +45,13 @@ def test_inverted_index_partials_are_capped(ray_session):
     assert sorted(w0) == list(range(m))
 
 
-def test_inverted_index_end_to_end_replicated_vocab(ray_session):
+def test_inverted_index_end_to_end_replicated_vocab(ray_session, exchange_width):
     from schisma_ray.stages.text import inverted_index
 
+    exchange_width(4)
     out = inverted_index(
         rd.from_arrow(_replicated_corpus()).repartition(8),
-        max_postings=5, num_buckets=4,
+        max_postings=5,
     ).to_pandas().set_index("term").sort_index()
     assert len(out) == len(VOCAB)
     assert (out["df"] == N_REP).all()
