@@ -8,10 +8,13 @@ here (or in schisma_ray) calls ``ray.init``/``ray.shutdown``.
   pipeline (schema + decode + uniqueness + referential); returns the
   violations Dataset.
 * ``queries()`` — one callable per implemented operator/pipeline
-  (SURVEY.md §2 + the training-data battery); see
-  schisma_ray/pipelines/catalog.py.
+  (SURVEY.md §2 + the training-data battery): ``catalog.QUERIES``,
+  derived from schisma_ray/pipelines/catalog.py's ``q_*`` functions.
 * ``oracle_sql()`` — DuckDB-equivalent SQL for every SQL-expressible
-  query, column names matched to the Ray outputs.
+  query, column names matched to the Ray outputs, rendered for sf0.01.
+  ``catalog.ORACLES`` names the oracled queries without rendering, and
+  ``catalog.oracle(name, sf_dir)`` renders one of them for any scale,
+  generating only the fixtures it reads.
 """
 
 from __future__ import annotations
@@ -100,12 +103,7 @@ def _wrap(name: str, fn: Callable[[str], Any]) -> Callable[[str], Any]:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     from schisma_ray.pipelines import catalog
-    from schisma_ray.sources import image_table
 
-    # pre-generate the image tables the oracle SQL reads, so the check
-    # passes regardless of whether the driver runs SQL or Ray first
-    image_table.generate_for_sf("/root/testdata/sf0.001")
-    image_table.generate_for_sf(catalog.ORACLE_SF_DIR)
     return {name: _wrap(name, fn) for name, fn in catalog.QUERIES.items()}
 
 

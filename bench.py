@@ -103,7 +103,7 @@ def run_bench() -> dict:
     bench_queries = {
         # fused: schema, decode, uniqueness and referential checks in one
         # read task (no object-store round trip for bytes, no union)
-        "image_validate_full": lambda: validate_images(table_dir, fused=True),
+        "image_validate_full": lambda: validate_images(table_dir),
         "image_conform_full": lambda: catalog.q_image_conform_full(SF_DIR),
         "image_stats": lambda: catalog.q_image_stats(SF_DIR),
         "image_distinct_hll": lambda: catalog.q_image_distinct_hll(SF_DIR),

@@ -21,12 +21,15 @@ import json
 import sys
 
 
-def _init_ray(num_cpus: int | None):
+def _init_ray(num_cpus: int | None) -> bool:
+    """Start Ray unless the caller already runs a session; True when this
+    call started it (and so ``main`` stops it)."""
     import os
 
     import ray
 
-    if not ray.is_initialized():
+    started = not ray.is_initialized()
+    if started:
         # local mode in the sandbox; under `ray job submit` the job
         # runner sets RAY_ADDRESS to the cluster and the CLI joins it
         # (num_cpus is a local-mode knob only)
@@ -43,7 +46,7 @@ def _init_ray(num_cpus: int | None):
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
-    return ray
+    return started
 
 
 def main(argv=None) -> int:
@@ -236,19 +239,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     if args.cmd == "run" and args.list:
-        from schisma_ray.pipelines.catalog import QUERIES, oracle_sql
+        from schisma_ray.pipelines.catalog import ORACLES, QUERIES
 
-        # rendering the oracle SQL generates fixture parquet for the
-        # pinned oracle sf dir as a side effect; on a machine without
-        # that testdata the LISTING must still work
-        try:
-            oracled = set(oracle_sql())
-        except Exception:
-            oracled = None
-        for name in sorted(QUERIES):
-            status = ("unknown" if oracled is None
-                      else "oracle" if name in oracled else "rows-only")
-            print(f"{name}\t{status}")
+        for name in QUERIES:
+            print(f"{name}\t{'oracle' if name in ORACLES else 'rows-only'}")
         return 0
 
     if args.cmd == "report":
@@ -297,7 +291,7 @@ def main(argv=None) -> int:
                 regressions += 1
         return 1 if (failed or regressions) else 0
 
-    ray = _init_ray(args.num_cpus)
+    started = _init_ray(args.num_cpus)
     try:
         if args.cmd == "generate":
             from schisma_ray.sources import image_table
@@ -325,7 +319,7 @@ def main(argv=None) -> int:
             else:
                 from schisma_ray.pipelines import validate_images
 
-                ds = validate_images(args.table, fused=True)
+                ds = validate_images(args.table)
                 ds.write_parquet(args.out)
                 if args.stats_out:
                     from pathlib import Path as _Path
@@ -645,7 +639,10 @@ def main(argv=None) -> int:
             lit = infer_schema_literal(read_table(args.table))
             print(json.dumps({k: literal_repr(v) for k, v in lit.items()}))
     finally:
-        ray.shutdown()
+        if started:
+            import ray
+
+            ray.shutdown()
     return 0
 
 

@@ -1,21 +1,24 @@
 """Query catalog: every operator exposed through the driver contract.
 
-Each entry pairs a Ray Data pipeline (callable of ``sf_dir``) with an
-ANSI-SQL oracle (DuckDB) that reproduces it bit-for-bit on the same
-parquet inputs — column names INCLUDED (the driver hashes values under
-sorted column names). Queries without a SQL-expressible semantics
-(decoding, sketches, heuristics) carry no oracle and get the driver's
-rows-only check.
+Each query is one ``q_<name>`` function of ``sf_dir`` (a Ray Data
+pipeline); ``QUERIES`` is derived from them, and ``ALIASES`` names the
+queries that share another's code or oracle. Most queries also have an
+ANSI-SQL oracle template (``_SQL``) that DuckDB runs to reproduce them
+bit-for-bit on the same parquet inputs, column names included (the
+check hashes values under sorted column names). Queries without a
+SQL-expressible semantics (decoding, sketches, heuristics) carry no
+oracle and get a rows-only check.
 
-The image+caption table is generated deterministically per sf
-(sources/image_table.py); oracle SQL reads the generated parquet
-directly. Oracle strings are pinned to sf0.01 (the driver's correctness
-scale); the Ray callables parametrize by ``sf_dir``.
+``oracle(name, sf_dir)`` renders one template for any scale: each
+``{placeholder}`` names a generated fixture (the image+caption table of
+sources/image_table.py, a seeded companion table, a model artifact),
+and rendering generates only the fixtures it names.
 """
 
 from __future__ import annotations
 
-import os
+import re
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,16 @@ import pyarrow.compute as pc  # noqa: F401 — closures shipped to workers rely 
 import ray.data as rd
 
 from ..schema import BigInt, String
-from ..sources import image_table
+from ..sources import (
+    brightness_fixture,
+    embedding_fixture,
+    fidelity_fixture,
+    html_fixture,
+    image_table,
+    line_fixture,
+    struct_fixture,
+    url_fixture,
+)
 from ..stages import ColumnSpec, TableSchema, in_set, not_empty, range_check
 from ..stages._bucket import bucket_combine, fold_combine
 from ..stages._fold import fold_column, fold_table
@@ -55,6 +67,7 @@ from .validate_pipeline import (
     validate_images,
 )
 
+#: the scale ``oracle_sql()`` renders for
 ORACLE_SF_DIR = "/root/testdata/sf0.01"
 DOC_LANGS = ["de", "en", "es", "fr", "zh"]
 
@@ -107,7 +120,7 @@ def q_image_decode_violations(sf_dir: str):
 
 
 def q_image_validate_full(sf_dir: str):
-    return _project_violations(validate_images(_img_dir(sf_dir), fused=True))
+    return _project_violations(validate_images(_img_dir(sf_dir)))
 
 
 def q_image_phash_duplicates(sf_dir: str):
@@ -171,57 +184,12 @@ def q_image_near_dedup_survivors(sf_dir: str):
     )
 
 
-def q_image_phash_duplicates_bloom(sf_dir: str):
-    """``image_phash_duplicates`` under a former variant's name: the one
-    ``uniqueness_violations`` path, whose partials and duplicate keys
-    pick the driver fold or the keyed exchange by their size. Same
-    oracle."""
-    ds = read_images(_img_dir(sf_dir), ["image_id", "phash"])
-    vio = uniqueness_violations(ds, "phash", id_column="image_id")
-    return vio.map_batches(
-        lambda t: t.select(["row_ref", "path", "code", "expected"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
-def q_image_phash_duplicates_join(sf_dir: str):
-    """``image_phash_duplicates`` under a former variant's name: the one
-    ``uniqueness_violations`` path semi-joins the rows against the
-    duplicate keys on the keyed exchange whenever those keys do not
-    fold on the driver. Same oracle."""
-    ds = read_images(_img_dir(sf_dir), ["image_id", "phash"])
-    vio = uniqueness_violations(ds, "phash", id_column="image_id")
-    return vio.map_batches(
-        lambda t: t.select(["row_ref", "path", "code", "expected"]),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
 def q_image_referential_orphans(sf_dir: str):
     ref = rd.read_parquet(_ref_ids(sf_dir))
     ids = read_images(_img_dir(sf_dir), ["image_id"])
     return _project_violations(
         referential_violations(ids, "image_id", ref)
     )
-
-
-def q_image_referential_orphans_shuffle(sf_dir: str):
-    """``image_referential_orphans`` under a former variant's name: the
-    one ``referential_violations`` path meets the ids per hash bucket
-    whenever the reference ids do not fold on the driver. Same oracle."""
-    ref = rd.read_parquet(_ref_ids(sf_dir))
-    ids = read_images(_img_dir(sf_dir), ["image_id"])
-    return _project_violations(referential_violations(ids, "image_id", ref))
-
-
-def q_image_referential_orphans_bloom(sf_dir: str):
-    """``image_referential_orphans`` under a former variant's name: the
-    one ``referential_violations`` path. Same oracle."""
-    ref = rd.read_parquet(_ref_ids(sf_dir))
-    ids = read_images(_img_dir(sf_dir), ["image_id"])
-    return _project_violations(referential_violations(ids, "image_id", ref))
 
 
 def q_image_stats(sf_dir: str):
@@ -1906,19 +1874,6 @@ def q_cross_corpus_dups(sf_dir: str):
     return cross_corpus_duplicates(new, base)
 
 
-def q_cross_corpus_dups_shuffle(sf_dir: str):
-    """``cross_corpus_dups`` under a former variant's name: the one
-    ``cross_corpus_duplicates`` path meets both sides per hash bucket
-    whenever the base fingerprints do not fold on the driver. Same
-    oracle."""
-    from ..stages.dedup import cross_corpus_duplicates
-
-    base = _t(sf_dir, "documents")
-    new = base.map_batches(_synth_new_crawl, batch_format="pyarrow",
-                           zero_copy_batch=True)
-    return cross_corpus_duplicates(new, base)
-
-
 def _simhash_sigs_file(sf_dir: str) -> Path:
     """Persist the (doc_id, simhash) signature table computed by the
     SAME deterministic kernel the pipeline uses (simhash64_batch), so
@@ -1933,9 +1888,8 @@ def _simhash_sigs_file(sf_dir: str) -> Path:
 
     src = Path(sf_dir) / "documents.parquet"
     tag = _h.md5(src.read_bytes()).hexdigest()[:10]
-    out = Path(f"/tmp/schisma_ray_cache/simhash_sigs_{tag}.parquet")
-    if not out.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+
+    def build(tmp: Path) -> None:
         docs = pq.read_table(src, columns=["doc_id", "text"])
         sigs = simhash64_batch(docs["text"].to_pylist())
         pq.write_table(
@@ -1945,9 +1899,10 @@ def _simhash_sigs_file(sf_dir: str) -> Path:
                     "simhash": pa.array(sigs, pa.int64()),
                 }
             ),
-            out,
+            tmp,
         )
-    return out
+
+    return image_table.cached(f"simhash_sigs_{tag}.parquet", build)
 
 
 def _winnow_fps_file(sf_dir: str, k: int = 12, window: int = 6) -> Path:
@@ -1964,9 +1919,8 @@ def _winnow_fps_file(sf_dir: str, k: int = 12, window: int = 6) -> Path:
 
     src = Path(sf_dir) / "documents.parquet"
     tag = _h.md5(src.read_bytes()).hexdigest()[:10]
-    out = Path(f"/tmp/schisma_ray_cache/winnow_fps_{tag}_k{k}_w{window}.parquet")
-    if not out.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+
+    def build(tmp: Path) -> None:
         docs = pq.read_table(src, columns=["doc_id", "text"])
         ids_out, fps_out = [], []
         for rid, text in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
@@ -1983,9 +1937,10 @@ def _winnow_fps_file(sf_dir: str, k: int = 12, window: int = 6) -> Path:
                     "fingerprint": pa.array(flat, pa.int64()),
                 }
             ),
-            out,
+            tmp,
         )
-    return out
+
+    return image_table.cached(f"winnow_fps_{tag}_k{k}_w{window}.parquet", build)
 
 
 ANN_N_BITS = 6
@@ -1997,13 +1952,11 @@ def _lsh_planes_file(dim: int) -> Path:
     oracle can recompute bucket assignments with list_dot_product —
     sign(dot) is normalization-invariant, so the oracle works on raw
     embeddings. Cached per (dim, n_bits, seed)."""
+    import pyarrow.parquet as pq
+
     from ..stages.similarity import _lsh_planes
 
-    out = Path(f"/tmp/schisma_ray_cache/lsh_planes_d{dim}_b{ANN_N_BITS}_s{ANN_SEED}.parquet")
-    if not out.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-        import pyarrow.parquet as pq
-
+    def build(tmp: Path) -> None:
         planes = _lsh_planes(dim, ANN_N_BITS, ANN_SEED)
         pq.write_table(
             pa.table(
@@ -2014,9 +1967,11 @@ def _lsh_planes_file(dim: int) -> Path:
                     ),
                 }
             ),
-            out,
+            tmp,
         )
-    return out
+
+    return image_table.cached(
+        f"lsh_planes_d{dim}_b{ANN_N_BITS}_s{ANN_SEED}.parquet", build)
 
 
 def q_ann_lsh(sf_dir: str):
@@ -2041,9 +1996,8 @@ def _ivf_centroids_file(sf_dir: str) -> Path:
     # content-keyed cache: path alone would serve stale centroids if the
     # embeddings file were regenerated in place
     tag = _h.md5(src.read_bytes()).hexdigest()[:10]
-    out = Path(f"/tmp/schisma_ray_cache/ivf_cents_{tag}_c16_i5_s13.parquet")
-    if not out.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+
+    def build(tmp: Path) -> None:
         emb = pq.read_table(src)
         train = _normalize(
             np.stack(
@@ -2061,9 +2015,10 @@ def _ivf_centroids_file(sf_dir: str) -> Path:
                     ),
                 }
             ),
-            out,
+            tmp,
         )
-    return out
+
+    return image_table.cached(f"ivf_cents_{tag}_c16_i5_s13.parquet", build)
 
 
 def q_ann_ivf(sf_dir: str):
@@ -2215,27 +2170,6 @@ def q_pack_sequences(sf_dir: str):
     return pack_sequences(_t(sf_dir, "documents"), seq_len=512)
 
 
-def q_minhash_dedup_ds(sf_dir: str):
-    """The same run as minhash_dedup (the pair producer has one path, a
-    Dataset at every size); same oracle as minhash_dedup."""
-    return minhash_dedup_pairs(
-        _t(sf_dir, "documents"), col="text", id_col="doc_id", threshold=0.8,
-    )
-
-
-def q_minhash_dedup_groups_ds(sf_dir: str):
-    """``minhash_dedup_groups`` under a former variant's name: the one
-    ``near_dedup_survivors`` path picks union-find or distributed
-    components, and a broadcast or bucketed anti-join, by observed
-    size. Same oracle."""
-    from ..stages.components import near_dedup_survivors
-
-    docs = _t(sf_dir, "documents")
-    pairs = minhash_dedup_pairs(docs, col="text", id_col="doc_id",
-                                threshold=0.8)
-    return _collect(near_dedup_survivors(docs, pairs, "doc_id"), ["doc_id"])
-
-
 def q_embedding_kmeans(sf_dir: str):
     """Iterative distributed k-means over the embedding column (5 Lloyd
     iterations; centroids broadcast per round, per-batch matmul assign +
@@ -2267,9 +2201,8 @@ def _centroids_file_for(src: Path, *, k: int = 8, iters: int = 5) -> Path:
     from ..stages.cluster import kmeans_train_numpy
 
     tag = _h.md5(Path(src).read_bytes()).hexdigest()[:10]
-    out = Path(f"/tmp/schisma_ray_cache/kmeans_cents_{tag}_k{k}_i{iters}.parquet")
-    if not out.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+
+    def build(tmp: Path) -> None:
         emb = pq.read_table(src)
         x = np.stack(
             [np.asarray(v, np.float64) for v in emb["embedding"].to_pylist()]
@@ -2286,9 +2219,10 @@ def _centroids_file_for(src: Path, *, k: int = 8, iters: int = 5) -> Path:
                     ),
                 }
             ),
-            out,
+            tmp,
         )
-    return out
+
+    return image_table.cached(f"kmeans_cents_{tag}_k{k}_i{iters}.parquet", build)
 
 
 def q_embedding_kmeans_assign(sf_dir: str):
@@ -2851,13 +2785,9 @@ def _log2_table_file() -> Path:
 
     from ..stages.text import LOG2_TABLE_SIZE, build_log2_table
 
-    out = Path(f"/tmp/schisma_ray_cache/log2_e12_m{LOG2_TABLE_SIZE}.parquet")
-    if not out.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-        tmp = out.with_name(out.name + f".tmp{os.getpid()}")
-        pq.write_table(build_log2_table(LOG2_TABLE_SIZE), tmp)
-        os.replace(tmp, out)
-    return out
+    return image_table.cached(
+        f"log2_e12_m{LOG2_TABLE_SIZE}.parquet",
+        lambda tmp: pq.write_table(build_log2_table(LOG2_TABLE_SIZE), tmp))
 
 
 def q_char_entropy(sf_dir: str):
@@ -2889,22 +2819,18 @@ def _bigram_lm_file(sf_dir: str) -> Path:
 
     src = Path(sf_dir) / "documents.parquet"
     tag = _h.md5(src.read_bytes()).hexdigest()[:10]
-    # v2: trainer counts codepoint (not byte) bigrams
-    out = Path(f"/tmp/schisma_ray_cache/bigram_lm2_{tag}.parquet")
-    if not out.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+
+    def build(tmp: Path) -> None:
         docs = pq.read_table(src, columns=["doc_id", "text"])
         texts = [
             t for i, t in zip(docs["doc_id"].to_pylist(),
                               docs["text"].to_pylist())
             if i % 10 == 0
         ]
-        # atomic: a crashed/concurrent writer must never leave a
-        # truncated artifact at the final path
-        tmp = out.with_name(out.name + f".tmp{os.getpid()}")
         pq.write_table(train_char_bigram_lm(texts), tmp)
-        os.replace(tmp, out)
-    return out
+
+    # v2: trainer counts codepoint (not byte) bigrams
+    return image_table.cached(f"bigram_lm2_{tag}.parquet", build)
 
 
 def _word_classifier_file(sf_dir: str) -> Path:
@@ -2920,9 +2846,8 @@ def _word_classifier_file(sf_dir: str) -> Path:
 
     src = Path(sf_dir) / "documents.parquet"
     tag = _h.md5(src.read_bytes()).hexdigest()[:10]
-    out = Path(f"/tmp/schisma_ray_cache/word_clf_{tag}.parquet")
-    if not out.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+
+    def build(tmp: Path) -> None:
         docs = pq.read_table(src, columns=["doc_id", "text", "lang"])
         held = [
             (t, lg == "en")
@@ -2931,14 +2856,13 @@ def _word_classifier_file(sf_dir: str) -> Path:
                                 docs["lang"].to_pylist())
             if i % 10 == 0
         ]
-        tmp = out.with_name(out.name + f".tmp{os.getpid()}")
         pq.write_table(
             train_word_classifier([t for t, _ in held],
                                   [l for _, l in held]),
             tmp,
         )
-        os.replace(tmp, out)
-    return out
+
+    return image_table.cached(f"word_clf_{tag}.parquet", build)
 
 
 def q_classifier_scores(sf_dir: str):
@@ -3359,7 +3283,7 @@ def q_partition_verdicts(sf_dir: str):
     from ..stages.verdict import partition_verdicts
 
     imgs = read_images(_img_dir(sf_dir), ["image_id"])
-    vio = _project_violations(validate_images(_img_dir(sf_dir), fused=True))
+    vio = _project_violations(validate_images(_img_dir(sf_dir)))
     return partition_verdicts(imgs, vio)
 
 
@@ -3448,21 +3372,18 @@ def _rp_matrix_file(in_dim: int) -> Path:
 
     from ..stages.similarity import rademacher_matrix
 
-    out = Path(f"/tmp/schisma_ray_cache/"
-               f"rp_{in_dim}x{RP_OUT_DIM}_s{RP_SEED}.parquet")
-    if not out.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    def build(tmp: Path) -> None:
         R = rademacher_matrix(in_dim, RP_OUT_DIM, RP_SEED)
         oo, ii = np.meshgrid(np.arange(RP_OUT_DIM), np.arange(in_dim),
                              indexing="ij")
-        tmp = out.with_suffix(".tmp")
         pq.write_table(pa.table({
             "dim_out": pa.array(oo.ravel() + 1, pa.int64()),
             "dim_in": pa.array(ii.ravel() + 1, pa.int64()),
             "w": pa.array(R.ravel(), pa.int64()),
         }), tmp)
-        os.replace(tmp, out)
-    return out
+
+    return image_table.cached(
+        f"rp_{in_dim}x{RP_OUT_DIM}_s{RP_SEED}.parquet", build)
 
 
 def q_embedding_projected(sf_dir: str):
@@ -4004,7 +3925,7 @@ def q_violation_samples(sf_dir: str, k: int = 5):
 
     from ..stages._digest import md5_u32
 
-    vio = _project_violations(validate_images(_img_dir(sf_dir), fused=True))
+    vio = _project_violations(validate_images(_img_dir(sf_dir)))
 
     def local_topk(df: _pd.DataFrame) -> _pd.DataFrame:
         if not len(df):
@@ -4040,7 +3961,7 @@ def q_run_verdict(sf_dir: str):
 
     n_rows = read_images(_img_dir(sf_dir), ["image_id"]).count()
     n_vio = _project_violations(
-        validate_images(_img_dir(sf_dir), fused=True)
+        validate_images(_img_dir(sf_dir))
     ).count()
     counts = read_images(_img_dir(sf_dir), ["fmt"]).aggregate(
         ValueCounts("fmt", alias_name="vc")
@@ -4059,63 +3980,113 @@ def q_run_verdict(sf_dir: str):
 
 
 # ------------------------------------------------------------------ oracle
-def _oracle_sql() -> dict[str, str]:
-    from ..sources.embedding_fixture import seeded_near_dup_embeddings
+def _parquet(path_of: Callable[[str], object]) -> Callable[[str], str]:
+    return lambda sf_dir: f"read_parquet('{path_of(sf_dir)}')"
 
-    img = f"read_parquet('{image_table.generate_for_sf(ORACLE_SF_DIR) / 'images' / '*.parquet'}')"
-    emb_seeded = f"read_parquet('{seeded_near_dup_embeddings(ORACLE_SF_DIR)}')"
-    semded_cents = (
-        f"read_parquet('{_centroids_file_for(seeded_near_dup_embeddings(ORACLE_SF_DIR))}')"
+
+def _image_file(name: str) -> Callable[[str], str]:
+    return _parquet(lambda sf_dir: _img_dir(sf_dir) / name)
+
+
+#: oracle placeholder -> its text for one ``sf_dir``. A file placeholder
+#: renders as ``read_parquet('<path>')`` and generates its fixture (or
+#: model artifact) only when a template that names it is rendered.
+_PLACEHOLDERS: dict[str, Callable[[str], str]] = {
+    "img": _image_file("images/*.parquet"),
+    # the generator's own bookkeeping of every violation the pipeline
+    # must produce (sources/image_table.py writes it alongside the
+    # corrupted rows): the oracle for checks SQL cannot recompute
+    # (decode needs the codec)
+    "expviol": _image_file("expected_violations.parquet"),
+    "expconf": _image_file("expected_conform.parquet"),
+    "refprof": _image_file("reference_profile.parquet"),
+    "refids": _image_file("reference_ids.parquet"),
+    "emb_seeded": _parquet(embedding_fixture.seeded_near_dup_embeddings),
+    "seeded_cents": _parquet(lambda sf_dir: _centroids_file_for(
+        embedding_fixture.seeded_near_dup_embeddings(sf_dir))),
+    "pair_emb": _parquet(embedding_fixture.paired_caption_embeddings),
+    "emb_corrupt": _parquet(embedding_fixture.corrupt_embeddings),
+    "line_docs": _parquet(line_fixture.line_documents),
+    "c4_docs": _parquet(line_fixture.c4_documents),
+    "fmt_docs": _parquet(line_fixture.format_documents),
+    "hyg_docs": _parquet(line_fixture.hygiene_documents),
+    "url_docs": _parquet(url_fixture.url_documents),
+    "url_bl": _parquet(url_fixture.blocklist_file),
+    "html_docs": _parquet(html_fixture.html_documents),
+    "bright": _parquet(brightness_fixture.brightness_expected),
+    "fid_exp": _parquet(fidelity_fixture.fidelity_expected),
+    "struct_ev": _parquet(struct_fixture.struct_events),
+    "map_ev": _parquet(struct_fixture.map_events),
+    "audio_exp": _parquet(
+        lambda sf_dir: _audio_dir(sf_dir) / "expected_violations.parquet"),
+    "silence_exp": _parquet(
+        lambda sf_dir: _silence_audio_dir(sf_dir) / "expected_silence.parquet"),
+    "video_tbl": _parquet(lambda sf_dir: _video_dir(sf_dir) / "video.parquet"),
+    "scene_cuts": _parquet(
+        lambda sf_dir: _scene_video_dir(sf_dir) / "expected_cuts.parquet"),
+    "log2_table": _parquet(lambda sf_dir: _log2_table_file()),
+    "word_clf": _parquet(_word_classifier_file),
+    "bigram_lm": _parquet(_bigram_lm_file),
+    "simhash_sigs": _parquet(_simhash_sigs_file),
+    "winnow_fps": _parquet(_winnow_fps_file),
+    "rp_matrix": _parquet(
+        lambda sf_dir: _rp_matrix_file(_embedding_dim(sf_dir))),
+    "lsh_planes": _parquet(
+        lambda sf_dir: _lsh_planes_file(_embedding_dim(sf_dir))),
+    "kmeans_cents": _parquet(_kmeans_centroids_file),
+    "ivf_cents": _parquet(_ivf_centroids_file),
+    "ann_n_bits": lambda sf_dir: str(ANN_N_BITS),
+}
+
+
+def _word_pagerank_sql(vocab_k: int = 30, iters: int = 5,
+                       damping_pct: int = 85) -> str:
+    """Unrolled fixed-iteration PageRank oracle: pr0..pr{iters} CTEs,
+    each one exact HUGEINT floor-division arithmetic mirroring
+    stages.text.word_pagerank step for step."""
+    head = r"""
+WITH w AS (
+  SELECT DISTINCT doc_id, word
+    FROM (SELECT doc_id,
+                 unnest(list_filter(string_split_regex(
+                     coalesce(text, ''), '\s+'), x -> x <> '')) AS word
+            FROM documents)),
+df AS (SELECT word, count(*) AS df FROM w GROUP BY 1),
+v AS (SELECT word FROM df ORDER BY df DESC, word LIMIT {K}),
+e0 AS (SELECT a.word AS wa, b.word AS wb, CAST(count(*) AS HUGEINT) AS n
+        FROM w a JOIN w b USING (doc_id)
+        JOIN v va ON va.word = a.word
+        JOIN v vb ON vb.word = b.word
+       WHERE a.word < b.word GROUP BY 1, 2),
+e AS (SELECT wa AS u, wb AS t, n FROM e0
+      UNION ALL SELECT wb, wa, n FROM e0),
+ow AS (SELECT u, SUM(n) AS ow FROM e GROUP BY 1),
+nn AS (SELECT CAST(count(*) AS HUGEINT) AS n_nodes FROM v),
+pr0 AS (SELECT word, CAST(1000000 AS HUGEINT) // n_nodes AS pr
+          FROM v CROSS JOIN nn)""".replace("{K}", str(vocab_k))
+    base_e6 = 1_000_000 - damping_pct * 10_000
+    step = """,
+pr{i} AS (SELECT v.word,
+               CAST({B} AS HUGEINT) // nn.n_nodes
+               + ({D} * coalesce(c.s, CAST(0 AS HUGEINT))) // 100 AS pr
+          FROM v CROSS JOIN nn
+          LEFT JOIN (SELECT e.t AS word, SUM((p.pr * e.n) // ow.ow) AS s
+                       FROM e JOIN pr{j} p ON p.word = e.u
+                       JOIN ow ON ow.u = e.u
+                      GROUP BY 1) c ON c.word = v.word)"""
+    body = "".join(
+        step.replace("{i}", str(i)).replace("{j}", str(i - 1))
+            .replace("{B}", str(base_e6)).replace("{D}", str(damping_pct))
+        for i in range(1, iters + 1)
     )
-    from ..sources.embedding_fixture import paired_caption_embeddings
-    from ..sources.line_fixture import c4_documents, line_documents
+    return (head + body
+            + f"\nSELECT word, CAST(pr AS BIGINT) AS pr_e6 FROM pr{iters}\n")
 
-    pair_emb = f"read_parquet('{paired_caption_embeddings(ORACLE_SF_DIR)}')"
-    from ..sources.embedding_fixture import corrupt_embeddings
 
-    emb_corrupt = f"read_parquet('{corrupt_embeddings(ORACLE_SF_DIR)}')"
-
-    line_docs = f"read_parquet('{line_documents(ORACLE_SF_DIR)}')"
-    c4_docs = f"read_parquet('{c4_documents(ORACLE_SF_DIR)}')"
-    from ..sources.url_fixture import blocklist_file, url_documents
-
-    url_docs = f"read_parquet('{url_documents(ORACLE_SF_DIR)}')"
-    url_bl = f"read_parquet('{blocklist_file(ORACLE_SF_DIR)}')"
-    from ..sources.html_fixture import html_documents
-
-    html_docs = f"read_parquet('{html_documents(ORACLE_SF_DIR)}')"
-    from ..sources.brightness_fixture import brightness_expected
-
-    bright = f"read_parquet('{brightness_expected(ORACLE_SF_DIR)}')"
-    from ..sources.fidelity_fixture import fidelity_expected
-
-    fid_exp = f"read_parquet('{fidelity_expected(ORACLE_SF_DIR)}')"
-    from ..sources.line_fixture import format_documents
-
-    fmt_docs = f"read_parquet('{format_documents(ORACLE_SF_DIR)}')"
-    from ..sources.line_fixture import hygiene_documents
-
-    hyg_docs = f"read_parquet('{hygiene_documents(ORACLE_SF_DIR)}')"
-    from ..sources.struct_fixture import struct_events
-
-    struct_ev = f"read_parquet('{struct_events(ORACLE_SF_DIR)}')"
-    from ..sources.struct_fixture import map_events
-
-    map_ev = f"read_parquet('{map_events(ORACLE_SF_DIR)}')"
-    # seeded-expectation table: the generator's independent bookkeeping of
-    # every violation the pipeline must produce (sources/image_table.py
-    # writes it alongside the corrupted rows) — the oracle for the checks
-    # SQL can't recompute (decode needs the codec)
-    expviol = f"read_parquet('{image_table.generate_for_sf(ORACLE_SF_DIR) / 'expected_violations.parquet'}')"
-    expconf = f"read_parquet('{image_table.generate_for_sf(ORACLE_SF_DIR) / 'expected_conform.parquet'}')"
-    refprof = f"read_parquet('{image_table.generate_for_sf(ORACLE_SF_DIR) / 'reference_profile.parquet'}')"
-    refids = f"read_parquet('{image_table.generate_for_sf(ORACLE_SF_DIR) / 'reference_ids.parquet'}')"
-    fmt_set = "('png', 'jpeg', 'webp')"
-    # SQL-escaped versions of the engine's in_set expected strings
-    in_set_fmt = "one of [''png'', ''jpeg'', ''webp'']"
-    in_set_lang = "one of [''de'', ''en'', ''es'', ''fr'', ''zh'']"
-    return {
-        "image_schema_violations": f"""
+#: one DuckDB template per oracled query, in ANSI SQL over the same
+#: parquet inputs; ``{name}`` is a ``_PLACEHOLDERS`` entry
+_SQL = {
+    "image_schema_violations": """
 WITH im AS (SELECT * FROM {img})
 SELECT image_id AS row_ref, 'caption' AS path, 'missing key' AS code,
        CAST(NULL AS VARCHAR) AS expected, CAST(NULL AS VARCHAR) AS received
@@ -4135,44 +4106,41 @@ UNION ALL
 SELECT image_id, 'h', 'invalid', 'in [1, 65535]', CAST(h AS VARCHAR)
   FROM im WHERE h IS NOT NULL AND (h < 1 OR h > 65535)
 UNION ALL
-SELECT image_id, 'fmt', 'invalid', '{in_set_fmt}', fmt
-  FROM im WHERE fmt IS NOT NULL AND fmt NOT IN {fmt_set}
+SELECT image_id, 'fmt', 'invalid', 'one of [''png'', ''jpeg'', ''webp'']', fmt
+  FROM im WHERE fmt IS NOT NULL AND fmt NOT IN ('png', 'jpeg', 'webp')
 """,
-        "audio_decode_violations": f"""
+    "audio_decode_violations": """
 SELECT row_ref, path, code, expected, received
-  FROM read_parquet('{{AUDIO_EXPECTED}}')
-""".replace("{AUDIO_EXPECTED}", str(_audio_dir(ORACLE_SF_DIR) / "expected_violations.parquet")),
-        "audio_silence_runs": f"""
+  FROM {audio_exp}
+""",
+    "audio_silence_runs": """
 SELECT audio_id, win_start, win_end
-  FROM read_parquet('{_silence_audio_dir(ORACLE_SF_DIR) / "expected_silence.parquet"}')
+  FROM {silence_exp}
 """,
-        "video_scene_cuts": f"""
+    "video_scene_cuts": """
 SELECT video_id, CAST(frame_idx AS BIGINT) AS frame_idx
-  FROM read_parquet('{_scene_video_dir(ORACLE_SF_DIR) / "expected_cuts.parquet"}')
+  FROM {scene_cuts}
 """,
-        "video_frame_explode": f"""
+    "video_frame_explode": """
 SELECT video_id, CAST(unnest(range(0, n_frames, 3)) AS INTEGER) AS frame_idx,
        w, h, fmt
-  FROM read_parquet('{{VIDEO_TBL}}')
-""".replace("{VIDEO_TBL}", str(_video_dir(ORACLE_SF_DIR) / "video.parquet")),
-        "frame_sample": f"""
+  FROM {video_tbl}
+""",
+    "frame_sample": """
 SELECT image_id, w, h, fmt FROM {img}
  WHERE CAST(concat('0x', substr(md5(image_id), 1, 8)) AS BIGINT) % 10 = 0
 """,
-        "image_conform_full": f"""
+    "image_conform_full": """
 SELECT image_id, w, h, fmt, caption, phash FROM {expconf}
 """,
-        "image_conform_selective": f"""
-SELECT image_id, w, h, fmt, caption, phash FROM {expconf}
-""",
-        "image_decode_violations": f"""
+    "image_decode_violations": """
 SELECT row_ref, path, code, expected, received
   FROM {expviol} WHERE "check" = 'decode'
 """,
-        "image_validate_full": f"""
+    "image_validate_full": """
 SELECT row_ref, path, code, expected, received FROM {expviol}
 """,
-        "image_cross_field_violations": f"""
+    "image_cross_field_violations": """
 WITH im AS (SELECT * FROM {img})
 SELECT image_id AS row_ref, 'w/h' AS path, 'invalid' AS code,
        'aspect_e6 in [500000, 2000000]' AS expected,
@@ -4192,7 +4160,7 @@ SELECT image_id, 'caption', 'invalid', 'length in [1, 256]',
   FROM im WHERE caption IS NOT NULL
    AND (length(caption) < 1 OR length(caption) > 256)
 """,
-        "partition_verdicts": f"""
+    "partition_verdicts": """
 WITH im AS (SELECT CAST(concat('0x', substr(md5(image_id), 1, 8)) AS BIGINT)
                    % 16 AS part_id FROM {img}),
 rp AS (SELECT part_id, count(*) AS n_rows FROM im GROUP BY part_id),
@@ -4207,7 +4175,7 @@ SELECT rp.part_id, rp.n_rows,
          // (2 * rp.n_rows)) <= 75000 AS passed
   FROM rp LEFT JOIN vp ON rp.part_id = vp.part_id
 """,
-        "caption_area_moments": f"""
+    "caption_area_moments": """
 WITH src AS (
   SELECT fmt, CAST(w AS BIGINT) * h AS x, CAST(length(caption) AS BIGINT) AS y
     FROM {img}
@@ -4220,7 +4188,7 @@ SELECT fmt, CAST(count(*) AS BIGINT) AS n,
        CAST(SUM(x * y) AS BIGINT) AS sum_xy
   FROM src GROUP BY fmt
 """,
-        "dup_gram_docs": r"""
+    "dup_gram_docs": r"""
 WITH toks AS (
   SELECT doc_id, list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS w
     FROM documents),
@@ -4240,7 +4208,7 @@ SELECT doc_id, CAST(n_grams AS BIGINT) AS n_grams,
          AS dup_frac_e6
   FROM per
 """,
-        "embedding_projected": f"""
+    "embedding_projected": """
 WITH flat AS (
   SELECT vec_id,
          CAST(floor(CAST(unnest(CAST(embedding AS DOUBLE[])) AS DOUBLE)
@@ -4249,11 +4217,11 @@ WITH flat AS (
     FROM embeddings WHERE embedding IS NOT NULL)
 SELECT f.vec_id, r.dim_out AS dim, CAST(SUM(f.q * r.w) AS BIGINT) AS p
   FROM flat f
-  JOIN read_parquet('{_rp_matrix_file(_embedding_dim(ORACLE_SF_DIR))}') r
+  JOIN {rp_matrix} r
     ON r.dim_in = f.j
  GROUP BY f.vec_id, r.dim_out
 """,
-        "flesch_scores": r"""
+    "flesch_scores": r"""
 WITH d AS (
   SELECT doc_id,
          len(regexp_extract_all(coalesce(text, ''), '\S+')) AS w,
@@ -4268,7 +4236,7 @@ SELECT doc_id, CAST(w AS BIGINT) AS n_words,
                    - (2 * 84600 * y + w) // (2 * w) AS BIGINT) AS flesch_e3
   FROM d WHERE w > 0
 """,
-        "license_tags": r"""
+    "license_tags": r"""
 WITH aug AS (
   SELECT doc_id,
          CASE WHEN doc_id % 6 = 0 THEN coalesce(text, '') || ' ' ||
@@ -4289,7 +4257,7 @@ SELECT doc_id,
        ELSE 'none' END AS license_tag
   FROM aug
 """,
-        "normalized_text_dups": """
+    "normalized_text_dups": """
 WITH aug AS (
   SELECT doc_id, text FROM documents
   UNION ALL
@@ -4310,7 +4278,7 @@ g AS (
 SELECT doc_id, keeper, CAST(group_size AS BIGINT) AS group_size
   FROM g WHERE group_size > 1
 """,
-        "truncation_waste": """
+    "truncation_waste": """
 WITH d AS (
   SELECT doc_id,
          len(string_split(coalesce(text, ''), ' ')) AS n_toks
@@ -4319,7 +4287,7 @@ SELECT doc_id, CAST(n_toks AS BIGINT) AS n_toks,
        CAST(n_toks - 60 AS BIGINT) AS n_lost
   FROM d WHERE n_toks > 60
 """,
-        "doc_repeat_upsample": """
+    "doc_repeat_upsample": """
 WITH d AS (
   SELECT doc_id, lang,
          CAST(concat('0x', substr(md5(CAST(doc_id AS VARCHAR)), 1, 8))
@@ -4334,7 +4302,7 @@ r AS (
 SELECT doc_id, lang, CAST(j AS BIGINT) AS copy_idx
   FROM r, unnest(range(0, reps)) AS t(j)
 """,
-        "stratified_split": """
+    "stratified_split": """
 WITH d AS (
   SELECT doc_id, lang, md5(CAST(doc_id AS VARCHAR)) AS h
     FROM documents WHERE lang IS NOT NULL),
@@ -4349,7 +4317,7 @@ SELECT doc_id, lang,
             ELSE 'test' END AS split
   FROM r
 """,
-        "token_budget_sample": """
+    "token_budget_sample": """
 WITH d AS (
   SELECT doc_id, lang,
          len(string_split(coalesce(text, ''), ' ')) AS n_toks,
@@ -4366,7 +4334,7 @@ SELECT doc_id, lang, CAST(n_toks AS BIGINT) AS n_toks,
        CAST(toks_before AS BIGINT) AS toks_before
   FROM c WHERE toks_before < 4000
 """,
-        "event_user_cardinality": """
+    "event_user_cardinality": """
 SELECT user_id, CAST(count(*) AS BIGINT) AS n_rows,
        CASE WHEN count(*) < 55 THEN 'group too small'
             ELSE 'group too large' END AS code
@@ -4374,7 +4342,7 @@ SELECT user_id, CAST(count(*) AS BIGINT) AS n_rows,
  GROUP BY user_id
 HAVING count(*) < 55 OR count(*) > 70
 """,
-        "events_monotonic": """
+    "events_monotonic": """
 WITH e AS (
   SELECT user_id, event_id, ts, value FROM events
    WHERE user_id IS NOT NULL AND ts IS NOT NULL AND value IS NOT NULL),
@@ -4386,7 +4354,7 @@ l AS (
 SELECT user_id, event_id, value, prev_value
   FROM l WHERE value < prev_value
 """,
-        "exact_substr_spans": r"""
+    "exact_substr_spans": r"""
 WITH toks AS (
   SELECT doc_id, list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS w
     FROM documents),
@@ -4410,7 +4378,7 @@ SELECT doc_id, CAST(MIN(p) AS BIGINT) AS span_start,
        CAST(MAX(p) + 5 - MIN(p) AS BIGINT) AS span_toks
   FROM grp GROUP BY doc_id, gid
 """,
-        "exact_substr_clean": r"""
+    "exact_substr_clean": r"""
 WITH toks AS (
   SELECT doc_id, list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS w
     FROM documents),
@@ -4437,25 +4405,25 @@ SELECT d.doc_id,
          AS n_removed_toks
   FROM (SELECT DISTINCT doc_id FROM dup) d
 """,
-        "image_brightness": f"""
+    "image_brightness": """
 SELECT image_id, n_px, sum_r, mean_r_e6, sum_g, mean_g_e6,
        sum_b, mean_b_e6
   FROM {bright}
 """,
-        "pair_fidelity": f"""
+    "pair_fidelity": """
 SELECT image_id, sse, n_samples,
        (10000 * sse <= 65025 * n_samples) AS psnr_ok,
        caption_equal AS caption_ok,
        ((10000 * sse <= 65025 * n_samples) AND caption_equal) AS ok
   FROM {fid_exp}
 """,
-        "image_resized": f"""
+    "image_resized": """
 SELECT i.image_id,
        CASE WHEN b.image_id IS NOT NULL THEN CAST(32 AS BIGINT) END AS w,
        CASE WHEN b.image_id IS NOT NULL THEN CAST(32 AS BIGINT) END AS h
   FROM {img} i LEFT JOIN {bright} b USING (image_id)
 """,
-        "violation_samples": f"""
+    "violation_samples": """
 SELECT path, code, row_ref FROM (
   SELECT path, code, row_ref,
          row_number() OVER (
@@ -4465,7 +4433,7 @@ SELECT path, code, row_ref FROM (
     FROM {expviol}) t
  WHERE rn <= 5
 """,
-        "run_verdict": f"""
+    "run_verdict": """
 WITH v AS (SELECT count(*) AS n_violations FROM {expviol}),
 r AS (SELECT count(*) AS n_rows FROM {img}),
 c AS (SELECT fmt, CAST(count(*) AS DOUBLE) AS cnt FROM {img} GROUP BY fmt),
@@ -4486,7 +4454,7 @@ SELECT n_rows, n_violations, rate_e6,
        (rate_e6 <= 100000 AND drift_statistic <= 9.21) AS verdict
   FROM g
 """,
-        "dataset_card": """
+    "dataset_card": """
 SELECT CAST(count(*) AS BIGINT) AS n_docs,
        CAST(count(DISTINCT lang) AS BIGINT) AS n_langs,
        CAST(count(DISTINCT source) AS BIGINT) AS n_sources,
@@ -4500,7 +4468,7 @@ SELECT CAST(count(*) AS BIGINT) AS n_docs,
          AS n_dup_docs
   FROM documents
 """,
-        "caption_lang_dist": f"""
+    "caption_lang_dist": """
 WITH t AS (SELECT image_id, caption AS text,
                   string_split(lower(caption), ' ') AS words
              FROM {img}),
@@ -4523,7 +4491,7 @@ p AS (SELECT
   FROM s)
 SELECT lang_pred, CAST(count(*) AS BIGINT) AS n FROM p GROUP BY 1
 """,
-        "fmt_magic_mismatches": f"""
+    "fmt_magic_mismatches": """
 WITH im AS (SELECT image_id, fmt, bytes FROM {img}),
 s AS (
   SELECT image_id, fmt,
@@ -4535,7 +4503,7 @@ s AS (
 SELECT image_id, fmt, sniffed_fmt
   FROM s WHERE sniffed_fmt IS DISTINCT FROM fmt
 """,
-        "image_payload_violations": f"""
+    "image_payload_violations": """
 WITH im AS (SELECT * FROM {img})
 SELECT image_id AS row_ref, 'bytes' AS path, 'invalid' AS code,
        'payload_e6_per_px >= 1000000' AS expected,
@@ -4547,14 +4515,14 @@ SELECT image_id AS row_ref, 'bytes' AS path, 'invalid' AS code,
    AND CAST(octet_length(bytes) AS BIGINT) * 1000000
        // (CAST(w AS BIGINT) * h) < 1000000
 """,
-        "image_caption_conform": f"""
+    "image_caption_conform": """
 SELECT image_id,
        CASE WHEN caption IS NULL THEN ''
             WHEN length(caption) > 256 THEN substr(caption, 1, 256)
             ELSE caption END AS caption
   FROM {img}
 """,
-        "image_curation": f"""
+    "image_curation": """
 WITH RECURSIVE im AS (SELECT image_id, bytes, phash FROM {img}),
 clean0 AS (
   SELECT * FROM im
@@ -4587,18 +4555,18 @@ root AS (SELECT n AS image_id, LEAST(n, min(m)) AS rep FROM reach GROUP BY n)
 SELECT image_id FROM sig
  WHERE image_id NOT IN (SELECT image_id FROM root WHERE image_id != rep)
 """,
-        "image_clean_ids": f"""
+    "image_clean_ids": """
 SELECT image_id FROM {img}
  WHERE image_id NOT IN (SELECT row_ref FROM {expviol})
 """,
-        "fmt_area_rollup": f"""
+    "fmt_area_rollup": """
 SELECT fmt, CAST(count(*) AS BIGINT) AS n_rows,
        CAST(SUM(CAST(w AS BIGINT) * h) AS BIGINT) AS sum_area
   FROM {img}
  WHERE fmt IS NOT NULL AND w IS NOT NULL AND h IS NOT NULL
  GROUP BY ROLLUP(fmt)
 """,
-        "html_extracted": f"""
+    "html_extracted": """
 WITH s0 AS (SELECT doc_id,
         regexp_replace(html, '(?s)<head[^>]*>.*?</head>', '', 'g') AS t
         FROM {html_docs}),
@@ -4623,7 +4591,7 @@ s6 AS (SELECT doc_id,
 s7 AS (SELECT doc_id, regexp_replace(t, '\\s+', ' ', 'g') AS t FROM s6)
 SELECT doc_id, trim(t, ' ') AS text FROM s7
 """,
-        "event_transitions": """
+    "event_transitions": """
 WITH s AS (
   SELECT event_type AS prev_type,
          lead(event_type) OVER (PARTITION BY user_id
@@ -4632,7 +4600,7 @@ WITH s AS (
 SELECT prev_type, next_type, CAST(count(*) AS BIGINT) AS n
   FROM s WHERE next_type IS NOT NULL GROUP BY 1, 2
 """,
-        "repeat_purchase_gap": """
+    "repeat_purchase_gap": """
 WITH r AS (
   SELECT o_custkey, o_orderdate,
          row_number() OVER (PARTITION BY o_custkey
@@ -4644,7 +4612,7 @@ SELECT a.o_custkey,
   FROM r a JOIN r b USING (o_custkey)
  WHERE a.rn = 1 AND b.rn = 2
 """,
-        "event_trend_slope": """
+    "event_trend_slope": """
 WITH d AS (
   SELECT event_type,
          CAST(epoch_us(ts) // 86400000000 AS BIGINT) AS day,
@@ -4663,7 +4631,7 @@ SELECT event_type,
              / CAST(n * sxx - sx * sx AS DOUBLE), 6) AS slope
   FROM m WHERE n >= 2 AND n * sxx - sx * sx <> 0
 """,
-        "weighted_median_price": """
+    "weighted_median_price": """
 WITH w AS (
   SELECT l_returnflag, l_extendedprice AS v,
          sum(CAST(l_quantity AS BIGINT)) AS wt
@@ -4676,7 +4644,7 @@ c AS (
 SELECT l_returnflag, min(v) AS wmedian
   FROM c WHERE cum * 2 >= tot GROUP BY l_returnflag
 """,
-        "embedding_dim_profile": """
+    "embedding_dim_profile": """
 SELECT CAST(dim AS BIGINT) AS dim,
        round(sum(v) / count(*), 6) AS mean_v,
        round(sqrt(greatest(sum(v * v) / count(*)
@@ -4687,7 +4655,7 @@ SELECT CAST(dim AS BIGINT) AS dim,
           FROM embeddings)
  GROUP BY dim
 """,
-        "word_pmi_top": r"""
+    "word_pmi_top": r"""
 WITH w AS (
   SELECT DISTINCT doc_id, word
     FROM (SELECT doc_id,
@@ -4714,7 +4682,7 @@ s AS (
 SELECT word_a, word_b, n_ab, pmi FROM s
  ORDER BY pmi DESC, word_a, word_b LIMIT 20
 """,
-        "exact_substr_char_spans": r"""
+    "exact_substr_char_spans": r"""
 WITH src AS (
   SELECT doc_id,
          translate(coalesce(text, ''), 'abcdefghijklmnopqrstuvwxyz ',
@@ -4744,7 +4712,7 @@ SELECT doc_id, CAST(MIN(p) AS BIGINT) AS span_start,
        CAST(MAX(p) + 25 - MIN(p) AS BIGINT) AS span_toks
   FROM grp GROUP BY doc_id, gid
 """,
-        "exact_substr_char_clean": r"""
+    "exact_substr_char_clean": r"""
 WITH src AS (
   SELECT doc_id,
          translate(coalesce(text, ''), 'abcdefghijklmnopqrstuvwxyz ',
@@ -4777,7 +4745,7 @@ SELECT d.doc_id,
          AS n_removed_toks
   FROM (SELECT DISTINCT doc_id FROM dup) d
 """,
-        "url_canonical_dups": rf"""
+    "url_canonical_dups": r"""
 WITH canon AS (
   SELECT doc_id,
          regexp_replace(regexp_replace(regexp_replace(regexp_replace(
@@ -4793,10 +4761,10 @@ sz AS (SELECT doc_id, canon_url,
 SELECT doc_id, canon_url, CAST(group_size AS BIGINT) AS group_size
   FROM sz WHERE group_size > 1
 """,
-        # phash near-dups: same >>/& banding + bit_count(xor) Hamming
-        # reproduction as simhash_dedup, but with zero artifacts — the
-        # signature IS a stored column
-        "image_phash_near_dups": f"""
+    # phash near-dups: same >>/& banding + bit_count(xor) Hamming
+    # reproduction as simhash_dedup, but with zero artifacts — the
+    # signature IS a stored column
+    "image_phash_near_dups": """
 WITH sig AS (SELECT image_id, phash FROM {img}
               WHERE image_id IS NOT NULL AND phash IS NOT NULL),
 bands AS (
@@ -4810,7 +4778,7 @@ SELECT a, b, CAST(bit_count(xor(sa, sb)) AS INTEGER) AS hamming
   FROM cand
  WHERE bit_count(xor(sa, sb)) <= 3
 """,
-        "image_near_dedup_survivors": f"""
+    "image_near_dedup_survivors": """
 WITH RECURSIVE sig AS (SELECT image_id, phash FROM {img}
               WHERE image_id IS NOT NULL AND phash IS NOT NULL),
 bands AS (
@@ -4830,7 +4798,7 @@ root AS (SELECT n AS image_id, LEAST(n, min(m)) AS rep FROM reach GROUP BY n)
 SELECT image_id FROM sig
  WHERE image_id NOT IN (SELECT image_id FROM root WHERE image_id != rep)
 """,
-        "image_w_quantiles_by_fmt": f"""
+    "image_w_quantiles_by_fmt": """
 WITH src AS (SELECT fmt, w FROM {img}
               WHERE fmt IS NOT NULL AND w IS NOT NULL),
 r AS (SELECT fmt, w,
@@ -4841,43 +4809,19 @@ SELECT fmt, t.q, CAST(w AS DOUBLE) AS value
   FROM r, unnest([0.25, 0.5, 0.75]) AS t(q)
  WHERE rn = CAST(floor((n - 1) * t.q) AS BIGINT) + 1
 """,
-        "image_phash_duplicates": f"""
+    "image_phash_duplicates": """
 WITH im AS (SELECT * FROM {img})
 SELECT image_id AS row_ref, 'phash' AS path, 'invalid' AS code, 'unique' AS expected
   FROM im
  WHERE phash IN (SELECT phash FROM im GROUP BY phash HAVING count(*) > 1)
 """,
-        "image_phash_duplicates_bloom": f"""
-WITH im AS (SELECT * FROM {img})
-SELECT image_id AS row_ref, 'phash' AS path, 'invalid' AS code, 'unique' AS expected
-  FROM im
- WHERE phash IN (SELECT phash FROM im GROUP BY phash HAVING count(*) > 1)
-""",
-        "image_phash_duplicates_join": f"""
-WITH im AS (SELECT * FROM {img})
-SELECT image_id AS row_ref, 'phash' AS path, 'invalid' AS code, 'unique' AS expected
-  FROM im
- WHERE phash IN (SELECT phash FROM im GROUP BY phash HAVING count(*) > 1)
-""",
-        "image_referential_orphans": f"""
+    "image_referential_orphans": """
 WITH im AS (SELECT * FROM {img})
 SELECT image_id AS row_ref, 'image_id' AS path, 'invalid' AS code,
        'known image_id' AS expected, image_id AS received
   FROM im WHERE image_id NOT IN (SELECT image_id FROM {refids})
 """,
-        "image_referential_orphans_shuffle": f"""
-WITH im AS (SELECT * FROM {img})
-SELECT image_id AS row_ref, 'image_id' AS path, 'invalid' AS code,
-       'known image_id' AS expected, image_id AS received
-  FROM im WHERE image_id NOT IN (SELECT image_id FROM {refids})
-""",
-        "image_referential_orphans_bloom": f"""
-WITH im AS (SELECT * FROM {img})
-SELECT image_id AS row_ref, 'image_id' AS path, 'invalid' AS code,
-       'known image_id' AS expected, image_id AS received
-  FROM im WHERE image_id NOT IN (SELECT image_id FROM {refids})
-""",
-        "image_stats": f"""
+    "image_stats": """
 WITH im AS (SELECT * FROM {img})
 SELECT 'w' AS "column", count(*) AS n_rows,
        CAST(sum(CASE WHEN w IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS n_nulls,
@@ -4894,10 +4838,10 @@ SELECT 'phash', count(*), CAST(sum(CASE WHEN phash IS NULL THEN 1 ELSE 0 END) AS
        CAST(min(phash) AS DOUBLE), CAST(max(phash) AS DOUBLE),
        CAST(NULL AS DOUBLE), CAST(NULL AS DOUBLE) FROM im
 """,
-        "image_fmt_counts": f"""
+    "image_fmt_counts": """
 SELECT fmt, count(*) AS n FROM {img} GROUP BY fmt ORDER BY fmt
 """,
-        "image_drift_fmt": f"""
+    "image_drift_fmt": """
 WITH c AS (SELECT fmt, CAST(count(*) AS DOUBLE) AS cnt FROM {img} GROUP BY fmt),
      n AS (SELECT sum(cnt) AS total FROM c),
      e AS (SELECT * FROM (VALUES ('png', 0.70), ('jpeg', 0.25), ('webp', 0.05)) AS p(fmt, freq))
@@ -4905,7 +4849,7 @@ SELECT ROUND(SUM(POWER(COALESCE(c.cnt, 0) - e.freq * n.total, 2) / (e.freq * n.t
        2 AS dof, CAST(n.total AS BIGINT) AS n
   FROM e CROSS JOIN n LEFT JOIN c ON c.fmt = e.fmt GROUP BY n.total
 """,
-        "image_drift_vs_profile": f"""
+    "image_drift_vs_profile": """
 WITH c AS (SELECT fmt, CAST(count(*) AS DOUBLE) AS cnt FROM {img} GROUP BY fmt),
      n AS (SELECT sum(cnt) AS total FROM c),
      e AS (SELECT bucket AS fmt, freq FROM {refprof} WHERE "column" = 'fmt')
@@ -4914,7 +4858,7 @@ SELECT ROUND(SUM(POWER(COALESCE(c.cnt, 0) - e.freq * n.total, 2) / (e.freq * n.t
        CAST(n.total AS BIGINT) AS n
   FROM e CROSS JOIN n LEFT JOIN c ON c.fmt = e.fmt GROUP BY n.total
 """,
-        "drift_mktsegment": """
+    "drift_mktsegment": """
 WITH c AS (SELECT c_mktsegment AS seg, CAST(count(*) AS DOUBLE) AS cnt
              FROM customer GROUP BY c_mktsegment),
      n AS (SELECT sum(cnt) AS total, count(*) AS k FROM c)
@@ -4922,7 +4866,7 @@ SELECT ROUND(SUM(POWER(c.cnt - 0.2 * n.total, 2) / (0.2 * n.total)), 6) AS stati
        CAST(n.k - 1 AS INTEGER) AS dof, CAST(n.total AS BIGINT) AS n
   FROM c CROSS JOIN n GROUP BY n.k, n.total
 """,
-        "image_drift_psi": f"""
+    "image_drift_psi": """
 WITH c AS (SELECT fmt, CAST(count(*) AS DOUBLE) AS cnt FROM {img}
             WHERE fmt IS NOT NULL GROUP BY fmt),
      n AS (SELECT sum(cnt) AS total FROM c),
@@ -4936,20 +4880,20 @@ SELECT ROUND(SUM(term), 6) AS statistic, CAST(total AS BIGINT) AS n,
        (SUM(term) > 0.25) AS shifted
   FROM terms GROUP BY total
 """,
-        "label_centroids": """
+    "label_centroids": """
 SELECT label, CAST(dim AS BIGINT) AS dim, ROUND(AVG(v), 6) AS mean_v
   FROM (SELECT label, unnest(CAST(embedding AS DOUBLE[])) AS v,
                generate_subscripts(embedding, 1) AS dim
           FROM embeddings)
  GROUP BY label, dim
 """,
-        "image_schema_conform": f"""
+    "image_schema_conform": """
 SELECT image_id, COALESCE(w, 0) AS w, COALESCE(h, 0) AS h,
        COALESCE(fmt, '') AS fmt, COALESCE(caption, '') AS caption,
        COALESCE(phash, 0) AS phash
   FROM {img}
 """,
-        "validate_documents": f"""
+    "validate_documents": """
 SELECT CAST(doc_id AS VARCHAR) AS row_ref, 'text' AS path, 'missing key' AS code,
        CAST(NULL AS VARCHAR) AS expected, CAST(NULL AS VARCHAR) AS received
   FROM documents WHERE text IS NULL
@@ -4966,18 +4910,18 @@ UNION ALL
 SELECT CAST(doc_id AS VARCHAR), 'text', 'invalid', 'non-empty string', text
   FROM documents WHERE text = ''
 UNION ALL
-SELECT CAST(doc_id AS VARCHAR), 'lang', 'invalid', '{in_set_lang}', lang
+SELECT CAST(doc_id AS VARCHAR), 'lang', 'invalid', 'one of [''de'', ''en'', ''es'', ''fr'', ''zh'']', lang
   FROM documents WHERE lang IS NOT NULL AND lang NOT IN ('de','en','es','fr','zh')
 UNION ALL
 SELECT CAST(doc_id AS VARCHAR), 'n_chars', 'invalid', '>=0', CAST(n_chars AS VARCHAR)
   FROM documents WHERE n_chars IS NOT NULL AND n_chars < 0
 """,
-        "conform_documents": """
+    "conform_documents": """
 SELECT doc_id, COALESCE(text, '') AS text, COALESCE(lang, '') AS lang,
        COALESCE(source, '') AS source, COALESCE(n_chars, 0) AS n_chars
   FROM documents
 """,
-        "stats_lineitem": """
+    "stats_lineitem": """
 SELECT 'l_quantity' AS "column", count(*) AS n_rows,
        CAST(sum(CASE WHEN l_quantity IS NULL THEN 1 ELSE 0 END) AS BIGINT) AS n_nulls,
        ROUND(CAST(min(l_quantity) AS DOUBLE), 6) AS min_v,
@@ -4997,25 +4941,25 @@ SELECT 'l_discount', count(*), CAST(sum(CASE WHEN l_discount IS NULL THEN 1 ELSE
        ROUND(AVG(l_discount), 6),
        ROUND(stddev_samp(l_discount), 6) FROM lineitem
 """,
-        "referential_orders_customers": """
+    "referential_orders_customers": """
 SELECT CAST(o_custkey AS VARCHAR) AS row_ref, 'o_custkey' AS path, 'invalid' AS code,
        'known o_custkey' AS expected, CAST(o_custkey AS VARCHAR) AS received
   FROM orders WHERE o_custkey NOT IN (SELECT c_custkey FROM customer)
 """,
-        "unique_event_ids": """
+    "unique_event_ids": """
 SELECT CAST(event_id AS VARCHAR) AS row_ref, 'event_id' AS path,
        'invalid' AS code, 'unique' AS expected
   FROM events
  WHERE event_id IN (SELECT event_id FROM events GROUP BY event_id HAVING count(*) > 1)
 """,
-        "events_windowed": """
+    "events_windowed": """
 SELECT event_type,
        (CAST(epoch_us(ts) AS BIGINT) // 3600000000) * 3600 AS window_start,
        count(*) AS n,
        CAST(ROUND(SUM(value) * 100) AS BIGINT) AS value_sum_cents
   FROM events GROUP BY 1, 2
 """,
-        "validate_events": """
+    "validate_events": """
 SELECT CAST(event_id AS VARCHAR) AS row_ref, 'user_id' AS path, 'missing key' AS code,
        CAST(NULL AS VARCHAR) AS expected, CAST(NULL AS VARCHAR) AS received
   FROM events WHERE user_id IS NULL
@@ -5042,13 +4986,13 @@ SELECT CAST(event_id AS VARCHAR), 'value', 'invalid', '>=0',
             ELSE CAST(value AS VARCHAR) END
   FROM events WHERE value IS NOT NULL AND value < 0
 """,
-        "conform_event_props": """
+    "conform_event_props": """
 SELECT event_id,
        '{"k":' || CAST(CAST(json_extract(props, '$.k') AS BIGINT) AS VARCHAR)
        || ',"m":0}' AS props
   FROM events WHERE props IS NOT NULL
 """,
-        "validate_event_props": """
+    "validate_event_props": """
 WITH p AS (SELECT event_id, CAST(json_extract(props, '$.k') AS DOUBLE) AS k
              FROM events WHERE props IS NOT NULL)
 SELECT CAST(event_id AS VARCHAR) AS row_ref, 'props.k' AS path,
@@ -5059,7 +5003,7 @@ UNION ALL
 SELECT CAST(event_id AS VARCHAR), 'props.k', 'missing key', CAST(NULL AS VARCHAR)
   FROM p WHERE k IS NULL
 """,
-        "events_hopping": """
+    "events_hopping": """
 WITH w AS (
   SELECT event_type, (CAST(epoch_us(ts) AS BIGINT) // 1800000000) * 1800 AS ws
     FROM events
@@ -5069,12 +5013,12 @@ WITH w AS (
 SELECT event_type, ws AS window_start, count(*) AS n
   FROM w GROUP BY event_type, ws
 """,
-        "documents_ranked": """
+    "documents_ranked": """
 SELECT doc_id, n_chars,
        row_number() OVER (ORDER BY n_chars, doc_id) AS rank
   FROM documents
 """,
-        "event_session_ids": """
+    "event_session_ids": """
 WITH o AS (
   SELECT event_id, user_id, ts,
          CASE WHEN lag(ts) OVER w IS NULL
@@ -5087,7 +5031,7 @@ SELECT event_id, user_id,
                              ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_id
   FROM o
 """,
-        "event_sessions": """
+    "event_sessions": """
 WITH o AS (
   SELECT user_id, ts,
          CASE WHEN lag(ts) OVER (PARTITION BY user_id ORDER BY ts) IS NULL
@@ -5098,18 +5042,18 @@ SELECT user_id, CAST(SUM(new_s) AS BIGINT) AS n_sessions,
        count(*) AS n_events
   FROM o GROUP BY user_id
 """,
-        "top_duplicated_phashes": f"""
+    "top_duplicated_phashes": """
 SELECT phash, count(*) AS n
   FROM {img}
  GROUP BY phash HAVING count(*) > 1
  ORDER BY n DESC, phash
  LIMIT 10
 """,
-        "documents_conform_diff": """
+    "documents_conform_diff": """
 SELECT doc_id, 'changed' AS change FROM documents
  WHERE lang = 'en' AND text <> upper(text)
 """,
-        "profile_images": f"""
+    "profile_images": """
 WITH im AS (SELECT * FROM {img}),
      v AS (
   SELECT 'image_id' AS "column", count(*) AS n_rows,
@@ -5123,7 +5067,7 @@ SELECT "column", n_rows, n_nulls,
        ROUND(CAST(n_nulls AS DOUBLE) / GREATEST(CAST(n_rows AS DOUBLE), 1.0), 6) AS null_rate
   FROM v
 """,
-        "lineitem_quantiles": """
+    "lineitem_quantiles": """
 WITH o AS (SELECT CAST(l_extendedprice AS DOUBLE) AS v,
                   row_number() OVER (ORDER BY l_extendedprice) AS rn,
                   count(*) OVER () AS c
@@ -5132,7 +5076,7 @@ SELECT t.q, o.v AS value
   FROM o, (VALUES (0.5), (0.9), (0.99)) AS t(q)
  WHERE o.rn = CAST(floor((o.c - 1) * t.q) AS BIGINT) + 1
 """,
-        "lineitem_winsorized": """
+    "lineitem_winsorized": """
 WITH o AS (SELECT CAST(l_extendedprice AS DOUBLE) AS v,
                   row_number() OVER (ORDER BY l_extendedprice) AS rn,
                   count(*) OVER () AS c
@@ -5147,15 +5091,15 @@ SELECT l_orderkey, l_linenumber,
          AS winsorized_cents
   FROM lineitem
 """,
-        "distinct_sources_by_lang": """
+    "distinct_sources_by_lang": """
 SELECT lang, CAST(COUNT(DISTINCT source) AS BIGINT) AS n_distinct
   FROM documents GROUP BY lang
 """,
-        # reproduces the deterministic histogram sketch bit-for-bit:
-        # same linspace edge arithmetic, np.histogram edge-comparison
-        # binning (edges join, not the floor formula — they differ at
-        # edge ulps), same cumsum/interpolation term order
-        "lineitem_quantiles_approx": """
+    # reproduces the deterministic histogram sketch bit-for-bit:
+    # same linspace edge arithmetic, np.histogram edge-comparison
+    # binning (edges join, not the floor formula — they differ at
+    # edge ulps), same cumsum/interpolation term order
+    "lineitem_quantiles_approx": """
 WITH b AS (SELECT min(l_extendedprice) AS lo, max(l_extendedprice) AS hi,
                   CAST(count(l_extendedprice) AS DOUBLE) AS n FROM lineitem),
 edges AS (
@@ -5187,14 +5131,14 @@ SELECT p.q,
   JOIN cdf cb ON cb.bin = p.b0
   LEFT JOIN cdf cp ON cp.bin = p.b0 - 1
 """,
-        "lineitem_ntile": """
+    "lineitem_ntile": """
 SELECT l_orderkey, l_linenumber, l_extendedprice,
        CAST(NTILE(100) OVER w AS BIGINT) AS ntile,
        ROUND(percent_rank() OVER w, 6) AS pct_rank
   FROM lineitem
 WINDOW w AS (ORDER BY l_extendedprice, l_orderkey, l_linenumber)
 """,
-        "lineitem_zscore": """
+    "lineitem_zscore": """
 SELECT l_orderkey, l_linenumber, l_returnflag,
        ROUND(CASE WHEN stddev_samp(l_quantity) OVER w > 0
                   THEN (l_quantity - AVG(l_quantity) OVER w)
@@ -5202,17 +5146,13 @@ SELECT l_orderkey, l_linenumber, l_returnflag,
                   ELSE 0 END, 6) AS z
   FROM lineitem WINDOW w AS (PARTITION BY l_returnflag)
 """,
-        "distinct_sources_by_lang_hll": """
-SELECT lang, CAST(COUNT(DISTINCT source) AS BIGINT) AS n_distinct
-  FROM documents GROUP BY lang
-""",
-        # valid because the deterministic MinHash/LSH pipeline achieves
-        # 100% recall on this corpus (verified: its 25 pairs equal the
-        # exhaustive jaccard>=0.8 pair set) and its verifier outputs
-        # EXACT n-gram jaccard — so the exhaustive SQL is the semantics,
-        # not an approximation of them. word_shingles uses whitespace-run
-        # splitting and a whole-text shingle for docs under 3 words.
-        "minhash_dedup": r"""
+    # valid because the deterministic MinHash/LSH pipeline achieves
+    # 100% recall on this corpus (verified: its 25 pairs equal the
+    # exhaustive jaccard>=0.8 pair set) and its verifier outputs
+    # EXACT n-gram jaccard — so the exhaustive SQL is the semantics,
+    # not an approximation of them. word_shingles uses whitespace-run
+    # splitting and a whole-text shingle for docs under 3 words.
+    "minhash_dedup": r"""
 WITH toks AS (
   SELECT doc_id, list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS w
     FROM documents),
@@ -5231,7 +5171,7 @@ SELECT a, b, ROUND(CAST(i AS DOUBLE) / (sa.n + sb.n - i), 6) AS jaccard
              JOIN sizes sb ON sb.doc_id = inter.b
  WHERE CAST(i AS DOUBLE) / (sa.n + sb.n - i) >= 0.8
 """,
-        "minhash_dedup_groups": r"""
+    "minhash_dedup_groups": r"""
 WITH RECURSIVE toks AS (
   SELECT doc_id, list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS w
     FROM documents),
@@ -5258,27 +5198,22 @@ root AS (SELECT n AS doc_id, LEAST(n, min(m)) AS rep FROM reach GROUP BY n)
 SELECT doc_id FROM documents
  WHERE doc_id NOT IN (SELECT doc_id FROM root WHERE doc_id != rep)
 """,
-        "orders_enriched": """
+    "orders_enriched": """
 SELECT o.o_orderkey, o.o_custkey, c.c_name, c.c_mktsegment,
        CAST(ROUND(o.o_totalprice * 100) AS BIGINT) AS total_cents
   FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
 """,
-        "orders_left_enriched": """
+    "orders_left_enriched": """
 SELECT o.o_orderkey, o.o_custkey, c.c_name
   FROM orders o LEFT JOIN (SELECT c_custkey, c_name FROM customer
                             WHERE c_mktsegment = 'BUILDING') c
     ON o.o_custkey = c.c_custkey
 """,
-        "orders_enriched_shuffle": """
-SELECT o.o_orderkey, o.o_custkey, c.c_name, c.c_mktsegment,
-       CAST(ROUND(o.o_totalprice * 100) AS BIGINT) AS total_cents
-  FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-""",
-        "events_enriched_salted": """
+    "events_enriched_salted": """
 SELECT e.event_id, e.user_id, e.event_type, c.c_name, c.c_mktsegment
   FROM events e JOIN customer c ON e.user_id = c.c_custkey
 """,
-        "orders_customer_full": """
+    "orders_customer_full": """
 WITH o AS (SELECT o_custkey,
                   CAST(SUM(CAST(ROUND(o_totalprice * 100) AS BIGINT))
                        AS BIGINT) AS total_cents,
@@ -5290,11 +5225,11 @@ SELECT COALESCE(o.o_custkey, c.c_custkey) AS o_custkey,
        o.n_orders, o.total_cents, c.c_name, c.c_mktsegment
   FROM o FULL OUTER JOIN c ON o.o_custkey = c.c_custkey
 """,
-        "heavy_event_users_cm": """
+    "heavy_event_users_cm": """
 WITH c AS (SELECT user_id, count(*) AS est_n FROM events GROUP BY user_id)
 SELECT user_id, est_n FROM c ORDER BY est_n DESC, user_id LIMIT 10
 """,
-        "events_in_campaigns": """
+    "events_in_campaigns": """
 WITH camp AS (
   SELECT CAST(i AS BIGINT) AS campaign_id,
          TIMESTAMP '2024-01-01 00:00:00' + to_hours(24 * i) AS start_ts,
@@ -5303,7 +5238,7 @@ WITH camp AS (
 SELECT e.event_id, c.campaign_id
   FROM events e JOIN camp c ON e.ts >= c.start_ts AND e.ts < c.end_ts
 """,
-        "top_users_per_event_type": """
+    "top_users_per_event_type": """
 SELECT event_type, user_id, n FROM (
   SELECT event_type, user_id, count(*) AS n,
          row_number() OVER (PARTITION BY event_type
@@ -5311,18 +5246,18 @@ SELECT event_type, user_id, n FROM (
     FROM events GROUP BY event_type, user_id)
  WHERE rn <= 3
 """,
-        "events_last_order": """
+    "events_last_order": """
 SELECT e.event_id AS row_id, e.user_id AS k,
        CAST(floor(epoch((SELECT max(o.o_orderdate) FROM orders o
                           WHERE o.o_custkey = e.user_id
                             AND o.o_orderdate <= e.ts))) AS BIGINT) AS asof_epoch_s
   FROM events e
 """,
-        "fmt_stats_salted": f"""
+    "fmt_stats_salted": """
 SELECT fmt, count(*) AS n, ROUND(AVG(CAST(w AS DOUBLE)), 6) AS mean_w
   FROM {img} GROUP BY fmt
 """,
-        "violation_summary": f"""
+    "violation_summary": """
 WITH im AS (SELECT * FROM {img}), v AS (
   SELECT 'caption' AS path, 'missing key' AS code FROM im WHERE caption IS NULL
   UNION ALL SELECT 'w', 'missing key' FROM im WHERE w IS NULL
@@ -5335,29 +5270,29 @@ WITH im AS (SELECT * FROM {img}), v AS (
      WHERE fmt IS NOT NULL AND fmt NOT IN ('png', 'jpeg', 'webp'))
 SELECT path, code, count(*) AS n FROM v GROUP BY path, code
 """,
-        "dedup_exact_documents": """
+    "dedup_exact_documents": """
 SELECT min(doc_id) AS doc_id FROM documents GROUP BY text
 """,
-        "doc_fingerprints": """
+    "doc_fingerprints": """
 SELECT doc_id, md5(text) AS fingerprint FROM documents
 """,
-        "text_metrics": """
+    "text_metrics": """
 SELECT doc_id, length(text) AS n_chars,
        len(string_split(text, ' ')) AS n_words,
        length(regexp_replace(text, '[^A-Z]', '', 'g')) AS n_upper
   FROM documents
 """,
-        "token_count_by_lang": """
+    "token_count_by_lang": """
 SELECT lang, CAST(SUM(len(string_split(text, ' '))) AS BIGINT) AS tokens
   FROM documents GROUP BY lang
 """,
-        "bpe_token_counts": """
+    "bpe_token_counts": """
 SELECT doc_id,
        CAST(len(regexp_extract_all(text,
             '''[a-z]+| ?[A-Za-z]+| ?[0-9]+| ?[^A-Za-z0-9\\s]+')) AS BIGINT) AS n_tokens
   FROM documents
 """,
-        "quality_scores": """
+    "quality_scores": """
 WITH m AS (
   SELECT doc_id,
          CAST(length(text) AS DOUBLE) AS n_chars,
@@ -5375,7 +5310,7 @@ SELECT doc_id,
        , 6) AS score
   FROM m
 """,
-        "image_w_drift_ks": f"""
+    "image_w_drift_ks": """
 WITH b AS (SELECT LEAST(CAST(LEAST(GREATEST(w, 8), 33) AS INTEGER) - 8, 24) AS bin
              FROM {img} WHERE w IS NOT NULL),
      g AS (SELECT r.range AS bin, COALESCE(c.cnt, 0) AS cnt
@@ -5395,10 +5330,10 @@ SELECT ROUND(stat, 6) AS statistic, CAST(total AS BIGINT) AS n,
              + exp(-18 * lam * lam) - exp(-32 * lam * lam)) < 0.01) AS drifted
   FROM l
 """,
-        "docs_regex_filtered": """
+    "docs_regex_filtered": """
 SELECT doc_id FROM documents WHERE NOT regexp_matches(text, '(vector|stream)')
 """,
-        "doc_decontaminate": """
+    "doc_decontaminate": """
 WITH toks AS (SELECT doc_id, string_split(text, ' ') AS w FROM documents),
 grams AS (
   SELECT doc_id, array_to_string(w[i:i+3], ' ') AS g
@@ -5410,7 +5345,7 @@ SELECT g.doc_id, CAST(count(DISTINCT g.g) AS BIGINT) AS n_hits
  WHERE g.doc_id % 11 != 0
  GROUP BY g.doc_id
 """,
-        "decontam_attribution": """
+    "decontam_attribution": """
 WITH toks AS (SELECT doc_id, string_split(text, ' ') AS w FROM documents),
 grams AS (
   SELECT DISTINCT doc_id, array_to_string(w[i:i+3], ' ') AS g
@@ -5420,7 +5355,7 @@ SELECT DISTINCT c.doc_id, b.doc_id AS bench_id
   FROM grams c JOIN grams b USING (g)
  WHERE c.doc_id % 11 != 0 AND b.doc_id % 11 = 0
 """,
-        "event_funnel": """
+    "event_funnel": """
 WITH s1 AS (SELECT user_id, min(ts) AS t FROM events
              WHERE event_type = 'view' GROUP BY 1),
 s2 AS (SELECT e.user_id, min(e.ts) AS t
@@ -5435,17 +5370,17 @@ SELECT 2, 'click', count(*) FROM s2
 UNION ALL
 SELECT 3, 'purchase', count(*) FROM s3
 """,
-        "doc_mixture_sample": """
+    "doc_mixture_sample": """
 SELECT * FROM documents
  WHERE CAST(concat('0x', substr(md5(CAST(doc_id AS VARCHAR)), 1, 8)) AS BIGINT) % 10000
        < CASE lang WHEN 'en' THEN 5000 WHEN 'de' THEN 2500 ELSE 1000 END
 """,
-        "doc_chunks": """
+    "doc_chunks": """
 SELECT doc_id, CAST(i // 60 AS BIGINT) AS chunk_idx,
        substring(text, CAST(i+1 AS BIGINT), 80) AS chunk_text
   FROM documents, unnest(range(0, greatest(length(text), 1), 60)) AS t(i)
 """,
-        "tfidf_top_terms": """
+    "tfidf_top_terms": """
 WITH w AS (SELECT doc_id, lang, unnest(string_split(text, ' ')) AS word
              FROM documents),
 agg AS (SELECT lang, word, CAST(count(*) AS DOUBLE) AS tf,
@@ -5458,7 +5393,7 @@ r AS (SELECT *, row_number() OVER (PARTITION BY lang
                                    ORDER BY score DESC, word) AS rn FROM sc)
 SELECT lang, word, score FROM r WHERE rn <= 5
 """,
-        "doc_pii_multi": r"""
+    "doc_pii_multi": r"""
 WITH aug AS (
   SELECT doc_id,
          text
@@ -5485,18 +5420,18 @@ SELECT doc_id,
          '\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b', '[IP]', 'g') AS redacted
   FROM aug
 """,
-        "orders_high_value": """
+    "orders_high_value": """
 SELECT o_orderkey, o_totalprice, o_orderpriority
   FROM orders WHERE o_totalprice > 350000.0
 """,
-        "doc_splits": """
+    "doc_splits": """
 SELECT *, CASE
             WHEN CAST(concat('0x', substr(md5(CAST(doc_id AS VARCHAR)), 1, 8)) AS BIGINT) % 10000 < 8000 THEN 'train'
             WHEN CAST(concat('0x', substr(md5(CAST(doc_id AS VARCHAR)), 1, 8)) AS BIGINT) % 10000 < 9000 THEN 'val'
             ELSE 'test' END AS split
   FROM documents
 """,
-        "events_since_last_purchase": """
+    "events_since_last_purchase": """
 SELECT e.event_id AS row_id, e.user_id AS k,
        (SELECT max(epoch_us(p.ts)) FROM events p
          WHERE p.user_id = e.user_id AND p.event_type = 'purchase'
@@ -5505,7 +5440,7 @@ SELECT e.event_id AS row_id, e.user_id AS k,
          AS asof_epoch_s
   FROM events e
 """,
-        "doc_cap_per_source": """
+    "doc_cap_per_source": """
 WITH r AS (
   SELECT source, doc_id,
          row_number() OVER (PARTITION BY source
@@ -5513,7 +5448,7 @@ WITH r AS (
     FROM documents)
 SELECT source, doc_id FROM r WHERE rn <= 10
 """,
-        "top_event_types_per_window": """
+    "top_event_types_per_window": """
 WITH w AS (SELECT (CAST(epoch_us(ts) AS BIGINT) // 3600000000) * 3600 AS window_start,
                   event_type
              FROM events),
@@ -5522,7 +5457,7 @@ r AS (SELECT *, row_number() OVER (PARTITION BY window_start
                                    ORDER BY n DESC, event_type) AS rn FROM c)
 SELECT window_start, event_type, n FROM r WHERE rn <= 3
 """,
-        "embedding_quantized": """
+    "embedding_quantized": """
 WITH flat AS (
   SELECT vec_id, CAST(unnest(CAST(embedding AS DOUBLE[])) AS DOUBLE) AS v,
          CAST(generate_subscripts(embedding, 1) AS BIGINT) AS dim
@@ -5534,7 +5469,7 @@ SELECT f.vec_id, f.dim,
        CAST(floor(s * 1e6 + 0.5) AS BIGINT) AS scale_e6
   FROM flat f JOIN scales USING (vec_id)
 """,
-        "doc_pii_redacted": """
+    "doc_pii_redacted": """
 WITH aug AS (
   SELECT doc_id,
          CASE WHEN doc_id % 7 = 0
@@ -5546,7 +5481,7 @@ SELECT doc_id,
        CAST(len(regexp_extract_all(text, '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}')) AS BIGINT) AS n_redacted
   FROM aug
 """,
-        "lang_id": """
+    "lang_id": """
 WITH t AS (SELECT doc_id, text, string_split(lower(text), ' ') AS words
              FROM documents),
      s AS (SELECT doc_id, text,
@@ -5567,7 +5502,7 @@ SELECT doc_id,
        ELSE 'es' END AS lang_pred
   FROM s
 """,
-        "doc_repetition": """
+    "doc_repetition": """
 WITH w AS (SELECT doc_id, string_split(text, ' ') AS words FROM documents)
 SELECT doc_id,
        CAST(len(words) AS BIGINT) AS n_words,
@@ -5577,7 +5512,7 @@ SELECT doc_id,
                   ELSE 0.0 END, 6) AS diversity
   FROM w
 """,
-        "corpus_prepare": r"""
+    "corpus_prepare": r"""
 WITH toks AS (SELECT doc_id, string_split(text, ' ') AS w FROM documents),
 grams AS (
   SELECT doc_id, array_to_string(w[i:i+3], ' ') AS g
@@ -5629,7 +5564,7 @@ SELECT doc_id, CAST(i // 60 AS BIGINT) AS chunk_idx,
        substring(text, CAST(i+1 AS BIGINT), 80) AS chunk_text
   FROM capped, unnest(range(0, greatest(length(text), 1), 60)) AS t(i)
 """,
-        "corpus_clean": """
+    "corpus_clean": """
 WITH m AS (
   SELECT doc_id, lang,
          CAST(length(text) AS DOUBLE) AS n_chars,
@@ -5651,29 +5586,7 @@ WITH m AS (
 SELECT doc_id, score FROM s
  WHERE doc_id = keeper AND score >= 0.6 AND lang = 'en'
 """,
-        "corpus_clean_join": """
-WITH m AS (
-  SELECT doc_id, lang,
-         CAST(length(text) AS DOUBLE) AS n_chars,
-         CAST(len(string_split(text, ' ')) AS DOUBLE) AS n_words,
-         CAST(length(regexp_replace(text, '[^A-Z]', '', 'g')) AS DOUBLE) AS n_upper,
-         min(doc_id) OVER (PARTITION BY text) AS keeper
-    FROM documents),
- s AS (
-  SELECT doc_id, lang, keeper,
-         ROUND(
-           0.4 * LEAST(1.0, n_words / 64.0)
-           + 0.3 * (CASE WHEN n_words > 0
-                          AND (n_chars - (n_words - 1)) / n_words >= 3
-                          AND (n_chars - (n_words - 1)) / n_words <= 12
-                         THEN 1.0 ELSE 0.0 END)
-           + 0.3 * (1.0 - CASE WHEN n_chars > 0 THEN n_upper / n_chars ELSE 0.0 END)
-         , 6) AS score
-    FROM m)
-SELECT doc_id, score FROM s
- WHERE doc_id = keeper AND score >= 0.6 AND lang = 'en'
-""",
-        "corpus_rejected": """
+    "corpus_rejected": """
 WITH m AS (
   SELECT doc_id, lang,
          CAST(length(text) AS DOUBLE) AS n_chars,
@@ -5696,39 +5609,39 @@ SELECT doc_id FROM documents
 EXCEPT
 SELECT doc_id FROM s WHERE doc_id = keeper AND score >= 0.6 AND lang = 'en'
 """,
-        "embedding_dedup_survivors": f"""
+    "embedding_dedup_survivors": """
 WITH e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM {emb_seeded}),
      p AS (SELECT x.vec_id AS a, y.vec_id AS b
              FROM e x JOIN e y ON x.vec_id < y.vec_id
             WHERE list_cosine_similarity(x.v, y.v) >= 0.9)
 SELECT vec_id FROM e WHERE vec_id NOT IN (SELECT b FROM p)
 """,
-        # valid for the same reason as the seeded variant: the LSH
-        # pipeline's recall is certified against this exhaustive SQL by
-        # the seeded fixture; on the base table both sides agree there
-        # are NO pairs at the threshold — an oracled 0=0, not a vacuous
-        # rows-only pass
-        "embedding_near_dups": """
+    # valid for the same reason as the seeded variant: the LSH
+    # pipeline's recall is certified against this exhaustive SQL by
+    # the seeded fixture; on the base table both sides agree there
+    # are NO pairs at the threshold — an oracled 0=0, not a vacuous
+    # rows-only pass
+    "embedding_near_dups": """
 WITH e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM embeddings),
      p AS (SELECT x.vec_id AS a, y.vec_id AS b,
                   list_cosine_similarity(x.v, y.v) AS sim
              FROM e x JOIN e y ON x.vec_id < y.vec_id)
 SELECT a, b, ROUND(sim, 6) AS sim FROM p WHERE sim >= 0.9
 """,
-        "embedding_near_dups_seeded": f"""
+    "embedding_near_dups_seeded": """
 WITH e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM {emb_seeded}),
      p AS (SELECT x.vec_id AS a, y.vec_id AS b,
                   list_cosine_similarity(x.v, y.v) AS sim
              FROM e x JOIN e y ON x.vec_id < y.vec_id)
 SELECT a, b, ROUND(sim, 6) AS sim FROM p WHERE sim >= 0.9
 """,
-        # line dedup: first occurrence by (doc_id, pos) wins; documents
-        # with zero surviving lines drop out of the GROUP BY on both
-        # sides (documented contract)
-        # encoding hygiene: U+FFFD counted by length-diff after a
-        # single-char replace; C0 controls by RE2 class strip — DuckDB
-        # length() counts codepoints like pc.utf8_length
-        "text_hygiene": f"""
+    # line dedup: first occurrence by (doc_id, pos) wins; documents
+    # with zero surviving lines drop out of the GROUP BY on both
+    # sides (documented contract)
+    # encoding hygiene: U+FFFD counted by length-diff after a
+    # single-char replace; C0 controls by RE2 class strip — DuckDB
+    # length() counts codepoints like pc.utf8_length
+    "text_hygiene": """
 WITH d AS (SELECT doc_id, coalesce(text, '') AS text FROM {hyg_docs}),
 c AS (SELECT doc_id,
              CAST(length(text) AS BIGINT) AS n_chars,
@@ -5742,10 +5655,10 @@ SELECT doc_id, n_chars, n_replacement, n_control,
        (n_replacement = 0 AND n_control = 0) AS passed
   FROM c
 """,
-        # gopher format rules: same integer fraction expression as
-        # gopher_repetition; '#'/'…' counted by length-diff, '...' by
-        # non-overlapping RE2 extract on both sides
-        "gopher_format": f"""
+    # gopher format rules: same integer fraction expression as
+    # gopher_repetition; '#'/'…' counted by length-diff, '...' by
+    # non-overlapping RE2 extract on both sides
+    "gopher_format": """
 WITH d AS (SELECT doc_id, coalesce(text, '') AS text FROM {fmt_docs}),
 base AS (SELECT doc_id, text,
   CAST(len(list_filter(string_split_regex(text, '\\s+'),
@@ -5792,10 +5705,10 @@ SELECT doc_id, symbol_ratio_e6, bullet_frac_e6, ellipsis_frac_e6,
         AND alpha_word_frac_e6 >= 800000) AS passed
   FROM f
 """,
-        # url blocklist: exact suffix semantics (host = d OR host ends
-        # with '.' || d — ends_with, not LIKE, so '_' in a domain can't
-        # wildcard) against the SAME persisted blocklist parquet
-        "url_blocked": f"""
+    # url blocklist: exact suffix semantics (host = d OR host ends
+    # with '.' || d — ends_with, not LIKE, so '_' in a domain can't
+    # wildcard) against the SAME persisted blocklist parquet
+    "url_blocked": """
 WITH u AS (SELECT doc_id, url,
                   regexp_extract(url, '^[a-z][a-z0-9+.-]*://([^/?#]+)', 1)
                     AS host
@@ -5807,11 +5720,11 @@ SELECT u.doc_id, u.host,
                    OR ends_with(u.host, '.' || b.domain)) AS blocked
   FROM u
 """,
-        # gopher repetition: every fraction is the exact integer
-        # expression floor(num*1e6/den + .5) = (2*num*1e6 + den)//(2*den);
-        # top-2-gram tie-break (count DESC, char-len DESC) makes the
-        # selected num = c*cl unique even under gram ties
-        "gopher_repetition": f"""
+    # gopher repetition: every fraction is the exact integer
+    # expression floor(num*1e6/den + .5) = (2*num*1e6 + den)//(2*den);
+    # top-2-gram tie-break (count DESC, char-len DESC) makes the
+    # selected num = c*cl unique even under gram ties
+    "gopher_repetition": """
 WITH d AS (SELECT doc_id, coalesce(text, '') AS text FROM {line_docs}),
 ls AS (SELECT doc_id, string_split(text, chr(10)) AS ls FROM d),
 lines AS (SELECT doc_id, ls[i] AS line
@@ -5870,9 +5783,9 @@ SELECT d.doc_id,
   LEFT JOIN top2 t2 USING (doc_id)
   LEFT JOIN dup5 d5 USING (doc_id)
 """,
-        # percent-of-total shares: pure int64 arithmetic on both sides
-        # (floor(v*1e6/tot + 0.5) == (2*v*1e6 + tot) // (2*tot))
-        "event_type_shares": """
+    # percent-of-total shares: pure int64 arithmetic on both sides
+    # (floor(v*1e6/tot + 0.5) == (2*v*1e6 + tot) // (2*tot))
+    "event_type_shares": """
 WITH g AS (SELECT event_type, CAST(count(*) AS BIGINT) AS total
              FROM events GROUP BY 1),
 t AS (SELECT CAST(SUM(total) AS BIGINT) AS grand FROM g)
@@ -5881,7 +5794,7 @@ SELECT g.event_type, g.total,
          AS share_e6
   FROM g, t
 """,
-        "lineitem_qty_share": """
+    "lineitem_qty_share": """
 WITH l AS (SELECT l_orderkey, CAST(l_linenumber AS BIGINT) AS l_linenumber,
                   l_returnflag, CAST(l_quantity AS BIGINT) AS val
              FROM lineitem WHERE l_quantity IS NOT NULL),
@@ -5892,7 +5805,7 @@ SELECT l_orderkey, l_linenumber, l_returnflag, val,
        CAST((2 * val * 1000000 + tot) // (2 * tot) AS BIGINT) AS share_e6
   FROM g
 """,
-        "line_dedup_docs": f"""
+    "line_dedup_docs": """
 WITH l0 AS (SELECT doc_id, string_split(text, chr(10)) AS ls FROM {line_docs}),
 lines AS (
   SELECT doc_id, i AS pos, ls[i] AS line, len(ls) AS n_total
@@ -5907,9 +5820,9 @@ SELECT doc_id, string_agg(line, chr(10) ORDER BY pos) AS text,
   FROM firsts WHERE rn = 1
  GROUP BY doc_id
 """,
-        # cross-corpus fuzzy dedup: exhaustive Jaccard between the two
-        # doc_id % 3 slices, same shingle semantics as minhash_dedup
-        "cross_corpus_near_dups": r"""
+    # cross-corpus fuzzy dedup: exhaustive Jaccard between the two
+    # doc_id % 3 slices, same shingle semantics as minhash_dedup
+    "cross_corpus_near_dups": r"""
 WITH toks AS (
   SELECT doc_id, list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS w
     FROM documents),
@@ -5930,10 +5843,10 @@ SELECT new_id, base_id,
              JOIN sizes sb ON sb.doc_id = inter.base_id
  WHERE CAST(i AS DOUBLE) / (sn.n + sb.n - i) >= 0.8
 """,
-        # corpus_prepare_minhash: the corpus_prepare chain with the
-        # exact-dup window replaced by the minhash_dedup_groups
-        # recursive-CTE components over the FILTERED, REDACTED text
-        "corpus_prepare_minhash": r"""
+    # corpus_prepare_minhash: the corpus_prepare chain with the
+    # exact-dup window replaced by the minhash_dedup_groups
+    # recursive-CTE components over the FILTERED, REDACTED text
+    "corpus_prepare_minhash": r"""
 WITH RECURSIVE red AS (
   SELECT doc_id, source, lang,
          regexp_replace(text,
@@ -5990,11 +5903,11 @@ SELECT doc_id, CAST(i // 60 AS BIGINT) AS chunk_idx,
        substring(text, CAST(i+1 AS BIGINT), 80) AS chunk_text
   FROM capped, unnest(range(0, greatest(length(text), 1), 60)) AS t(i)
 """,
-        # corpus_prepare_lines: the production composite with the CCNet
-        # line-dedup stage prepended — the line_dedup_docs CTE chain
-        # feeding the corpus_prepare chain (no bench/injection fixtures;
-        # the line fixture carries lang/source through the rebuild)
-        "corpus_prepare_lines": f"""
+    # corpus_prepare_lines: the production composite with the CCNet
+    # line-dedup stage prepended — the line_dedup_docs CTE chain
+    # feeding the corpus_prepare chain (no bench/injection fixtures;
+    # the line fixture carries lang/source through the rebuild)
+    "corpus_prepare_lines": """
 WITH l0 AS (SELECT doc_id, lang, source,
                    string_split(text, chr(10)) AS ls FROM {line_docs}),
 lines AS (
@@ -6012,7 +5925,7 @@ rebuilt AS (
 red AS (
   SELECT doc_id, source, lang,
          regexp_replace(text,
-           '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{{2,}}',
+           '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}',
            '[EMAIL]', 'g') AS text
     FROM rebuilt),
 m AS (
@@ -6043,11 +5956,11 @@ SELECT doc_id, CAST(i // 60 AS BIGINT) AS chunk_idx,
        substring(text, CAST(i+1 AS BIGINT), 80) AS chunk_text
   FROM capped, unnest(range(0, greatest(length(text), 1), 60)) AS t(i)
 """,
-        "corpus_prepare_hygiene": f"""
+    "corpus_prepare_hygiene": """
 WITH red AS (
   SELECT doc_id, source, lang,
          regexp_replace(text,
-           '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{{2,}}',
+           '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}',
            '[EMAIL]', 'g') AS text
     FROM {hyg_docs}),
 m AS (
@@ -6082,7 +5995,7 @@ SELECT doc_id, CAST(i // 60 AS BIGINT) AS chunk_idx,
        substring(text, CAST(i+1 AS BIGINT), 80) AS chunk_text
   FROM capped, unnest(range(0, greatest(length(text), 1), 60)) AS t(i)
 """,
-        "corpus_prepare_substr": r"""
+    "corpus_prepare_substr": r"""
 WITH red AS (
   SELECT doc_id, source, lang,
          regexp_replace(text,
@@ -6145,7 +6058,7 @@ SELECT doc_id, CAST(i // 60 AS BIGINT) AS chunk_idx,
        substring(text, CAST(i+1 AS BIGINT), 80) AS chunk_text
   FROM capped, unnest(range(0, greatest(length(text), 1), 60)) AS t(i)
 """,
-        "c4_clean": f"""
+    "c4_clean": """
 WITH l0 AS (SELECT doc_id, text AS fulltext,
                    string_split(text, chr(10)) AS ls FROM {c4_docs}),
 lines AS (
@@ -6159,14 +6072,14 @@ kept AS (
 pages AS (
   SELECT doc_id, len(ls) AS n_total FROM l0
    WHERE NOT contains(lower(fulltext), 'lorem ipsum')
-     AND NOT contains(fulltext, '{{'))
+     AND NOT contains(fulltext, '{'))
 SELECT k.doc_id, string_agg(k.line, chr(10) ORDER BY k.pos) AS text,
        CAST(count(*) AS BIGINT) AS n_kept,
        CAST(min(p.n_total) AS BIGINT) AS n_total
   FROM kept k JOIN pages p USING (doc_id)
  GROUP BY k.doc_id HAVING count(*) >= 5
 """,
-        "supplier_acctbal_by_region": """
+    "supplier_acctbal_by_region": """
 SELECT r.r_name,
        CAST(SUM(CAST(ROUND(s.s_acctbal * 100) AS BIGINT)) AS BIGINT)
          AS acctbal_cents,
@@ -6176,14 +6089,14 @@ SELECT r.r_name,
   JOIN region r ON n.n_regionkey = r.r_regionkey
  GROUP BY 1
 """,
-        "part_type_stats": """
+    "part_type_stats": """
 SELECT p_type,
        CAST(SUM(CAST(ROUND(p_retailprice * 100) AS BIGINT)) AS BIGINT)
          AS retail_cents,
        CAST(count(*) AS BIGINT) AS n_parts
   FROM part GROUP BY 1
 """,
-        "validate_struct_events": f"""
+    "validate_struct_events": """
 WITH t AS (SELECT event_id, meta FROM {struct_ev})
 SELECT event_id, 'meta.k' AS path, 'missing key' AS code,
        CAST(NULL AS VARCHAR) AS expected
@@ -6208,7 +6121,7 @@ SELECT event_id, 'meta.geo.lon', 'invalid', 'in [-180, 180]'
    AND meta.geo.lon IS NOT NULL
    AND (meta.geo.lon < -180 OR meta.geo.lon > 180)
 """,
-        "validate_map_events": f"""
+    "validate_map_events": """
 WITH t AS (SELECT event_id, attrs FROM {map_ev}),
 en AS (SELECT event_id, u.e.key AS k, u.e.value AS v
          FROM t, unnest(map_entries(attrs)) AS u(e))
@@ -6219,7 +6132,7 @@ UNION ALL
 SELECT event_id, 'attrs.' || k, 'invalid', 'in [0, 99]'
   FROM en WHERE v IS NOT NULL AND (v < 0 OR v > 99)
 """,
-        "validate_embedding_lists": """
+    "validate_embedding_lists": """
 WITH e AS (SELECT vec_id, embedding FROM embeddings),
 el AS (SELECT vec_id, i - 1 AS idx, embedding[i] AS v
          FROM e, unnest(range(1, len(embedding) + 1)) AS t(i))
@@ -6231,7 +6144,7 @@ SELECT vec_id, 'embedding', 'invalid', 'length in [1, 64]'
   FROM e WHERE embedding IS NOT NULL
    AND (len(embedding) < 1 OR len(embedding) > 64)
 """,
-        "embedding_validity": f"""
+    "embedding_validity": """
 WITH e AS (SELECT vec_id, embedding FROM {emb_corrupt}),
 el AS (SELECT vec_id, i - 1 AS idx, embedding[i] AS v
          FROM e, unnest(range(1, len(embedding) + 1)) AS t(i))
@@ -6251,7 +6164,7 @@ SELECT vec_id, 'embedding', 'invalid', 'length in [4, 64]'
   FROM e WHERE embedding IS NOT NULL
    AND (len(embedding) < 4 OR len(embedding) > 64)
 """,
-        "lang_mismatches": """
+    "lang_mismatches": """
 WITH t AS (SELECT doc_id, lang, text, string_split(lower(text), ' ') AS words
              FROM documents),
      s AS (SELECT doc_id, lang, text,
@@ -6273,7 +6186,7 @@ p AS (SELECT doc_id, lang,
   FROM s)
 SELECT doc_id, lang, lang_pred FROM p WHERE lang != lang_pred
 """,
-        "top_tokens": r"""
+    "top_tokens": r"""
 WITH toks AS (
   SELECT unnest(list_filter(string_split_regex(text, '\s+'),
                             x -> x <> '')) AS token
@@ -6282,7 +6195,7 @@ SELECT token, CAST(count(*) AS BIGINT) AS n
   FROM toks GROUP BY token
  ORDER BY n DESC, token LIMIT 25
 """,
-        "event_type_cooccurrence": """
+    "event_type_cooccurrence": """
 WITH d AS (SELECT DISTINCT user_id, event_type FROM events)
 SELECT a.event_type AS type_a, b.event_type AS type_b,
        CAST(count(*) AS BIGINT) AS n_users
@@ -6290,7 +6203,7 @@ SELECT a.event_type AS type_a, b.event_type AS type_b,
     ON a.user_id = b.user_id AND a.event_type < b.event_type
  GROUP BY 1, 2
 """,
-        "lineitem_pricing_summary": """
+    "lineitem_pricing_summary": """
 SELECT l_returnflag, l_linestatus,
        CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty,
        CAST(SUM(CAST(ROUND(l_extendedprice * 100) AS BIGINT)) AS BIGINT)
@@ -6307,7 +6220,7 @@ SELECT l_returnflag, l_linestatus,
  WHERE l_shipdate <= TIMESTAMP '1998-09-02 00:00:00'
  GROUP BY 1, 2
 """,
-        "revenue_by_nation": """
+    "revenue_by_nation": """
 SELECT n.n_name,
        CAST(SUM(CAST(ROUND(o.o_totalprice * 100) AS BIGINT)) AS BIGINT)
          AS revenue_cents,
@@ -6317,14 +6230,14 @@ SELECT n.n_name,
   JOIN nation n ON c.c_nationkey = n.n_nationkey
  GROUP BY 1
 """,
-        "fd_violations": f"""
+    "fd_violations": """
 SELECT phash, CAST(count(*) AS BIGINT) AS n_rows,
        CAST(count(DISTINCT fmt) AS BIGINT) AS n_rhs
   FROM {img} WHERE phash IS NOT NULL
  GROUP BY phash
 HAVING count(DISTINCT fmt) > 1 AND count(*) >= 2
 """,
-        "coverage_gaps": f"""
+    "coverage_gaps": """
 WITH grid AS (
   SELECT f.fmt, b.w_bucket
     FROM (VALUES ('gif'), ('jpeg'), ('png'), ('webp')) f(fmt)
@@ -6336,14 +6249,14 @@ obs AS (
 SELECT fmt, CAST(w_bucket AS BIGINT) AS w_bucket
   FROM grid ANTI JOIN obs USING (fmt, w_bucket)
 """,
-        "caption_conflicts": f"""
+    "caption_conflicts": """
 SELECT phash, CAST(count(*) AS BIGINT) AS n_rows,
        CAST(count(DISTINCT caption) AS BIGINT) AS n_rhs
   FROM {img} WHERE phash IS NOT NULL
  GROUP BY phash
 HAVING count(DISTINCT caption) > 1 AND count(*) >= 2
 """,
-        "lineitem_mad_outliers": """
+    "lineitem_mad_outliers": """
 WITH c AS (SELECT l_orderkey, l_linenumber,
                   CAST(ROUND(l_extendedprice * 100) AS BIGINT) AS cents
              FROM lineitem),
@@ -6360,7 +6273,7 @@ md AS (SELECT dev AS v FROM (
 SELECT l_orderkey, l_linenumber, cents, dev
   FROM d WHERE dev * 10 > 19 * (SELECT v FROM md)
 """,
-        "event_gaps": """
+    "event_gaps": """
 WITH x AS (SELECT user_id, ts,
                   lead(ts) OVER (PARTITION BY user_id
                                  ORDER BY ts, event_id) AS nxt
@@ -6371,21 +6284,21 @@ SELECT user_id, ts AS gap_start_ts,
  WHERE nxt IS NOT NULL
    AND date_diff('microsecond', ts, nxt) > 21600000000
 """,
-        "image_byte_dupes": f"""
+    "image_byte_dupes": """
 SELECT md5(hex(bytes)) AS fp, CAST(count(*) AS BIGINT) AS n
   FROM {img} WHERE bytes IS NOT NULL
  GROUP BY 1 HAVING count(*) >= 2
 """,
-        # char_entropy: the SAME frozen integer-log2 parquet the engine
-        # broadcasts; all arithmetic below is integer (HUGEINT products,
-        # floor division), so no float summation order exists to diverge
-        "char_entropy": f"""
+    # char_entropy: the SAME frozen integer-log2 parquet the engine
+    # broadcasts; all arithmetic below is integer (HUGEINT products,
+    # floor division), so no float summation order exists to diverge
+    "char_entropy": """
 WITH d AS (SELECT doc_id, coalesce(text, '') AS text FROM documents),
 ch AS (SELECT doc_id, substring(text, i, 1) AS c
          FROM d, unnest(range(1, length(text) + 1)) AS t(i)),
 cnt AS (SELECT doc_id, c, CAST(count(*) AS BIGINT) AS n
           FROM ch GROUP BY 1, 2),
-l AS (SELECT m, l_e12 FROM read_parquet('{_log2_table_file()}')),
+l AS (SELECT m, l_e12 FROM {log2_table}),
 s AS (SELECT cnt.doc_id,
              CAST(SUM(CAST(cnt.n AS HUGEINT) * ln.l_e12) AS HUGEINT)
                AS sum_nl,
@@ -6404,15 +6317,15 @@ SELECT doc_id, CAST(0 AS BIGINT) AS n_chars,
        CAST(0 AS BIGINT) AS entropy_e6
   FROM d WHERE length(text) = 0
 """,
-        # classifier_scores: LEFT-join explode against the SAME frozen
-        # weight artifact; integer SUM is order-independent
-        "classifier_scores": f"""
+    # classifier_scores: LEFT-join explode against the SAME frozen
+    # weight artifact; integer SUM is order-independent
+    "classifier_scores": """
 WITH d AS (SELECT doc_id, coalesce(text, '') AS text FROM documents),
 w AS (SELECT doc_id, x AS word
         FROM d, unnest(list_filter(string_split_regex(text, '\\s+'),
                                    x -> x <> '')) AS t(x)),
 m AS (SELECT word, weight_e6
-        FROM read_parquet('{_word_classifier_file(ORACLE_SF_DIR)}')),
+        FROM {word_clf}),
 j AS (SELECT w.doc_id, m.weight_e6
         FROM w JOIN m USING (word)),
 s AS (SELECT doc_id, CAST(SUM(weight_e6) AS BIGINT) AS score_e6,
@@ -6423,12 +6336,12 @@ SELECT d.doc_id,
        coalesce(s.n_hits, 0) AS n_hits
   FROM d LEFT JOIN s USING (doc_id)
 """,
-        "lm_scores": f"""
+    "lm_scores": """
 WITH m AS (SELECT bigram, lp_e6
-             FROM read_parquet('{_bigram_lm_file(ORACLE_SF_DIR)}')
+             FROM {bigram_lm}
             WHERE bigram <> ''),
 flr AS (SELECT lp_e6 AS lp0
-          FROM read_parquet('{_bigram_lm_file(ORACLE_SF_DIR)}')
+          FROM {bigram_lm}
          WHERE bigram = ''),
 d AS (SELECT doc_id, text FROM documents
        WHERE text IS NOT NULL AND length(text) >= 2),
@@ -6440,7 +6353,7 @@ SELECT bg.doc_id,
   FROM bg LEFT JOIN m ON bg.b = m.bigram
  GROUP BY bg.doc_id
 """,
-        "aspect_buckets": f"""
+    "aspect_buckets": """
 WITH b(bidx, bw, bh) AS (
   SELECT * FROM (VALUES (0, 16, 32), (1, 16, 24), (2, 24, 24),
                         (3, 24, 16), (4, 32, 16)) t),
@@ -6462,7 +6375,7 @@ SELECT image_id, ar_e6, CAST(bw AS BIGINT) AS bucket_w,
           FROM im CROSS JOIN be)
  WHERE rn = 1
 """,
-        "image_res_tiers": f"""
+    "image_res_tiers": """
 SELECT image_id,
        CAST(least(w, h) AS BIGINT) AS min_side,
        CAST(CASE WHEN least(w, h) >= 32 THEN 4
@@ -6478,7 +6391,7 @@ SELECT image_id,
   FROM {img}
  WHERE w IS NOT NULL AND h IS NOT NULL AND w > 0 AND h > 0
 """,
-        "tier_fmt_residuals": f"""
+    "tier_fmt_residuals": """
 WITH base AS (
   SELECT CAST(CASE WHEN least(w, h) >= 32 THEN 4
                    WHEN least(w, h) >= 24 THEN 3
@@ -6502,7 +6415,7 @@ SELECT c.tier, c.fmt, CAST(c.n AS BIGINT) AS n,
                   * 1e6 + 0.5) AS BIGINT) AS resid_e6
   FROM cells c JOIN tt USING (tier) JOIN ft USING (fmt), g
 """,
-        "image_tiles": f"""
+    "image_tiles": """
 WITH g AS (SELECT image_id, CAST(w AS BIGINT) AS w, CAST(h AS BIGINT) AS h,
                   CAST(CEIL(w / 8.0) AS BIGINT) AS nx,
                   CAST(CEIL(h / 8.0) AS BIGINT) AS ny
@@ -6518,7 +6431,7 @@ SELECT image_id, tile_x, tile_y,
        LEAST(8, h - tile_y * 8) AS th
   FROM txy
 """,
-        "aspect_bucket_waste": f"""
+    "aspect_bucket_waste": """
 WITH b(bidx, bw, bh) AS (
   SELECT * FROM (VALUES (0, 16, 32), (1, 16, 24), (2, 24, 24),
                         (3, 24, 16), (4, 32, 16)) t),
@@ -6550,21 +6463,21 @@ SELECT bw AS bucket_w, bh AS bucket_h,
        CAST(max(waste) AS BIGINT) AS max_waste_px
   FROM sc GROUP BY 1, 2
 """,
-        "clip_score_filter": f"""
+    "clip_score_filter": """
 WITH p AS (SELECT pair_id,
                   list_cosine_similarity(CAST(img_emb AS DOUBLE[]),
                                          CAST(cap_emb AS DOUBLE[])) AS sim
              FROM {pair_emb})
 SELECT pair_id, ROUND(sim, 6) AS sim FROM p WHERE sim >= 0.5
 """,
-        "clip_score_rejects": f"""
+    "clip_score_rejects": """
 WITH p AS (SELECT pair_id,
                   list_cosine_similarity(CAST(img_emb AS DOUBLE[]),
                                          CAST(cap_emb AS DOUBLE[])) AS sim
              FROM {pair_emb})
 SELECT pair_id, ROUND(sim, 6) AS sim FROM p WHERE sim < 0.5
 """,
-        "events_time_deduped": """
+    "events_time_deduped": """
 WITH x AS (
   SELECT event_id, user_id, event_type, ts,
          lag(ts) OVER (PARTITION BY user_id, event_type
@@ -6574,7 +6487,7 @@ SELECT event_id, user_id, event_type, ts FROM x
  WHERE prev_ts IS NULL
     OR date_diff('microsecond', prev_ts, ts) > 600 * 1000000
 """,
-        "docs_quality_top75": """
+    "docs_quality_top75": """
 WITH m AS (
   SELECT doc_id,
          CAST(length(text) AS DOUBLE) AS n_chars,
@@ -6599,7 +6512,7 @@ thr AS (SELECT score AS v FROM r
          WHERE rn = CAST(floor((c - 1) * 0.25) AS BIGINT) + 1)
 SELECT doc_id, score FROM s WHERE score >= (SELECT v FROM thr)
 """,
-        "concat_chunks": r"""
+    "concat_chunks": r"""
 WITH d AS (
   SELECT doc_id,
          list_append(list_filter(string_split_regex(text, '\s+'),
@@ -6615,7 +6528,7 @@ SELECT gidx // 256 AS chunk_id,
        CAST(count(*) AS BIGINT) AS n_tokens
   FROM ordered GROUP BY 1
 """,
-        "gopher_quality": r"""
+    "gopher_quality": r"""
 WITH d AS (
   SELECT doc_id, coalesce(text, '') AS text FROM documents),
 m AS (
@@ -6648,7 +6561,7 @@ SELECT doc_id, n_words, mean_len_e6, n_stop,
         AND n_stop >= 1) AS passed
   FROM e
 """,
-        "duplicated_lines": f"""
+    "duplicated_lines": """
 WITH l0 AS (SELECT doc_id, string_split(text, chr(10)) AS ls FROM {line_docs}),
 lines AS (
   SELECT doc_id, i AS pos, ls[i] AS line
@@ -6656,13 +6569,13 @@ lines AS (
 SELECT line, CAST(count(*) AS BIGINT) AS n
   FROM lines GROUP BY line HAVING count(*) >= 2
 """,
-        # SemDeDup: the persisted-centroid assignment is reproduced in
-        # SQL (row_number over score DESC, cid = numpy's first-max
-        # argmax), then pairs come from the within-cluster cross join —
-        # the exact cluster-partitioned semantics of the operator, not
-        # a recall certificate
-        "semdedup_pairs": f"""
-WITH cents AS (SELECT cid, vec FROM {semded_cents}),
+    # SemDeDup: the persisted-centroid assignment is reproduced in
+    # SQL (row_number over score DESC, cid = numpy's first-max
+    # argmax), then pairs come from the within-cluster cross join —
+    # the exact cluster-partitioned semantics of the operator, not
+    # a recall certificate
+    "semdedup_pairs": """
+WITH cents AS (SELECT cid, vec FROM {seeded_cents}),
 e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM {emb_seeded}),
 asg AS (
   SELECT vec_id, cid AS cluster, v FROM (
@@ -6678,8 +6591,8 @@ p AS (SELECT x.vec_id AS a, y.vec_id AS b,
           ON x.cluster = y.cluster AND x.vec_id < y.vec_id)
 SELECT a, b, ROUND(sim, 6) AS sim FROM p WHERE sim >= 0.9
 """,
-        "semdedup_survivors": f"""
-WITH RECURSIVE cents AS (SELECT cid, vec FROM {semded_cents}),
+    "semdedup_survivors": """
+WITH RECURSIVE cents AS (SELECT cid, vec FROM {seeded_cents}),
 e AS (SELECT vec_id, CAST(embedding AS DOUBLE[]) AS v FROM {emb_seeded}),
 asg AS (
   SELECT vec_id, cid AS cluster, v FROM (
@@ -6702,7 +6615,7 @@ root AS (SELECT n AS vec_id, LEAST(n, min(m)) AS rep FROM reach GROUP BY n)
 SELECT vec_id FROM e
  WHERE vec_id NOT IN (SELECT vec_id FROM root WHERE vec_id != rep)
 """,
-        "knn_cosine_filtered": """
+    "knn_cosine_filtered": """
 WITH q AS (SELECT vec_id AS query_id, embedding AS qe
              FROM embeddings ORDER BY vec_id LIMIT 5),
      s AS (SELECT q.query_id, e.vec_id AS neighbor_id,
@@ -6720,8 +6633,8 @@ SELECT query_id, neighbor_id, ROUND(sim, 6) AS sim
     # >>/& (verified to match two's-complement uint64 semantics) and the
     # Hamming verification with bit_count(xor()) — logic independently
     # re-derived, values pinned end-to-end
-    "simhash_dedup": f"""
-WITH sig AS (SELECT doc_id, simhash FROM read_parquet('{_simhash_sigs_file(ORACLE_SF_DIR)}')),
+    "simhash_dedup": """
+WITH sig AS (SELECT doc_id, simhash FROM {simhash_sigs}),
 bands AS (
   SELECT doc_id, simhash, t.b AS band, ((simhash >> (16 * t.b)) & 65535) AS key
     FROM sig, unnest([0, 1, 2, 3]) AS t(b)),
@@ -6735,9 +6648,9 @@ SELECT a, b, CAST(bit_count(xor(sa, sb)) AS INTEGER) AS hamming
 """,
     # winnow fingerprints likewise persist as the deterministic artifact;
     # the overlap query is then exact SQL (self-join + HAVING)
-    "doc_winnow_overlap": f"""
+    "doc_winnow_overlap": """
 WITH fp AS (SELECT DISTINCT doc_id, fingerprint
-              FROM read_parquet('{_winnow_fps_file(ORACLE_SF_DIR)}')),
+              FROM {winnow_fps}),
 pairs AS (
   SELECT x.doc_id AS a, y.doc_id AS b, count(*) AS shared
     FROM fp x JOIN fp y
@@ -7505,8 +7418,8 @@ SELECT term, CAST(df AS BIGINT) AS df,
     # global probe set is shared across queries, mirroring the Ray
     # implementation); float behavior checked: bucket signs and ROUND-6
     # sims agree between numpy and DuckDB on this fixed input
-    "ann_lsh": f"""
-WITH planes AS (SELECT bit, vec FROM read_parquet('{_lsh_planes_file(64)}')),
+    "ann_lsh": """
+WITH planes AS (SELECT bit, vec FROM {lsh_planes}),
 emb_bits AS (
   SELECT e.vec_id, p.bit,
          CASE WHEN list_dot_product(CAST(e.embedding AS DOUBLE[]), p.vec) > 0
@@ -7519,7 +7432,7 @@ probes AS (
   SELECT bucket AS pb FROM qb
   UNION
   SELECT xor(qb.bucket, CAST(1 AS BIGINT) << CAST(t.i AS INTEGER))
-    FROM qb, unnest(range(0, {ANN_N_BITS})) t(i)),
+    FROM qb, unnest(range(0, {ann_n_bits})) t(i)),
 cand AS (
   SELECT DISTINCT e.vec_id AS neighbor_id, e.embedding
     FROM probes pr JOIN buckets b ON b.bucket = pr.pb
@@ -7536,8 +7449,8 @@ SELECT query_id, neighbor_id, ROUND(sim, 6) AS sim
     # centroids; score = x.c - 0.5|c|^2 (same argmax as squared L2),
     # ties (none observed on this input) break to the lowest cid on
     # both sides
-    "embedding_kmeans_assign": f"""
-WITH cents AS (SELECT cid, vec FROM read_parquet('{_kmeans_centroids_file(ORACLE_SF_DIR)}')),
+    "embedding_kmeans_assign": """
+WITH cents AS (SELECT cid, vec FROM {kmeans_cents}),
 sc AS (
   SELECT e.vec_id, c.cid,
          list_dot_product(CAST(e.embedding AS DOUBLE[]), c.vec)
@@ -7550,8 +7463,8 @@ SELECT vec_id, CAST(cid AS BIGINT) AS cluster
           FROM sc)
  WHERE rn = 1
 """,
-    "ann_ivf": f"""
-WITH cents AS (SELECT cid, vec FROM read_parquet('{_ivf_centroids_file(ORACLE_SF_DIR)}')),
+    "ann_ivf": """
+WITH cents AS (SELECT cid, vec FROM {ivf_cents}),
 cells AS (
   SELECT vec_id, cid FROM (
     SELECT e.vec_id, c.cid,
@@ -7592,7 +7505,7 @@ SELECT query_id, neighbor_id, ROUND(sim, 6) AS sim
           FROM s)
  WHERE rn <= 10
 """,
-        "script_mix": """
+    "script_mix": """
 WITH aug AS (
   SELECT doc_id,
          CASE WHEN doc_id % 5 = 0
@@ -7632,7 +7545,7 @@ SELECT doc_id, n_latin, n_digit, n_cjk, n_cyrillic, n_space,
          ELSE 'other' END AS dominant
   FROM c
 """,
-        "lexical_diversity": r"""
+    "lexical_diversity": r"""
 WITH w AS (
   SELECT doc_id,
          unnest(regexp_extract_all(coalesce(text, ''), '\S+')) AS word
@@ -7648,7 +7561,7 @@ SELECT doc_id, n_words, n_distinct, n_hapax,
        (2 * n_distinct * 1000000 + n_words) // (2 * n_words) AS ttr_e6
   FROM per WHERE n_words > 0
 """,
-        "benford_totalprice": """
+    "benford_totalprice": """
 WITH c AS (
   SELECT CAST(substr(CAST(CAST(floor(o_totalprice * 100 + 0.5) AS BIGINT)
                           AS VARCHAR), 1, 1) AS BIGINT) AS digit
@@ -7676,7 +7589,7 @@ SELECT CAST(digit AS BIGINT) AS digit,
          AS chi2_term_e6
   FROM d
 """,
-        "order_totals_reconcile": """
+    "order_totals_reconcile": """
 WITH l AS (
   SELECT l_orderkey,
          CAST(SUM(CAST(floor(l_extendedprice * 100 + 0.5) AS BIGINT))
@@ -7691,7 +7604,7 @@ SELECT o.o_orderkey, o.o_cents,
        (o.o_cents - coalesce(l.line_cents, 0)) = 0 AS matched
   FROM o LEFT JOIN l ON l.l_orderkey = o.o_orderkey
 """,
-        "event_volume_drift": """
+    "event_volume_drift": """
 WITH b AS (SELECT (CAST(epoch_us(min(ts)) AS BIGINT)
                    + CAST(epoch_us(max(ts)) AS BIGINT)) // 2 AS mid
              FROM events WHERE ts IS NOT NULL),
@@ -7712,12 +7625,12 @@ SELECT event_type, n_first, n_second, ratio_e6,
        (n_first = 0 OR abs(ratio_e6 - 1000000) > 50000) AS drifted
   FROM r
 """,
-        "lineitem_shipdate_violations": """
+    "lineitem_shipdate_violations": """
 SELECT l.l_orderkey, l.l_linenumber, l.l_shipdate, o.o_orderdate
   FROM lineitem l JOIN orders o ON o.o_orderkey = l.l_orderkey
  WHERE l.l_shipdate < o.o_orderdate
 """,
-        "dedup_yield_report": r"""
+    "dedup_yield_report": r"""
 WITH RECURSIVE toks AS (
   SELECT doc_id, list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS w
     FROM documents),
@@ -7748,7 +7661,7 @@ SELECT cluster_size,
        CAST((cluster_size - 1) * count(*) AS BIGINT) AS docs_removed
   FROM cl GROUP BY cluster_size
 """,
-        "null_cooccurrence": """
+    "null_cooccurrence": """
 WITH aug AS (
   SELECT CASE WHEN doc_id % 7 = 0 THEN NULL ELSE text END AS text,
          CASE WHEN doc_id % 14 = 0 THEN NULL ELSE lang END AS lang,
@@ -7777,7 +7690,7 @@ SELECT col_a, col_b, n_a_null, n_b_null, n_both_null,
          AS jaccard_e6
   FROM p
 """,
-        "lang_confusion": """
+    "lang_confusion": """
 WITH t AS (SELECT doc_id, text, lang,
                   string_split(lower(text), ' ') AS words
              FROM documents WHERE lang IS NOT NULL),
@@ -7801,7 +7714,7 @@ pred AS (SELECT lang,
 SELECT lang, lang_pred, CAST(count(*) AS BIGINT) AS n
   FROM pred GROUP BY lang, lang_pred
 """,
-        "mixture_plan": """
+    "mixture_plan": """
 WITH g AS (SELECT lang AS key, CAST(SUM(n_chars) AS BIGINT) AS n_tokens
              FROM documents WHERE lang IS NOT NULL GROUP BY lang),
 w AS (SELECT * FROM (VALUES ('de', 150000), ('en', 400000),
@@ -7822,7 +7735,7 @@ SELECT key, n_tokens, weight_e6, target_tokens,
          AS repeat_e6
   FROM t
 """,
-        "token_fertility": r"""
+    "token_fertility": r"""
 WITH g AS (
   SELECT lang,
          CAST(SUM(strlen(coalesce(text, ''))) AS BIGINT) AS n_bytes,
@@ -7835,7 +7748,7 @@ SELECT lang, n_bytes, n_tokens,
          AS bytes_per_token_e6
   FROM g
 """,
-        "user_behavior_entropy": f"""
+    "user_behavior_entropy": """
 WITH c AS (SELECT user_id, event_type, CAST(count(*) AS BIGINT) AS c
              FROM events
             WHERE user_id IS NOT NULL AND event_type IS NOT NULL
@@ -7845,15 +7758,15 @@ per AS (SELECT c.user_id,
                CAST(count(*) AS BIGINT) AS n_keys,
                CAST(SUM(CAST(c.c AS HUGEINT) * l.l_e12) AS HUGEINT)
                  AS sum_cl
-          FROM c JOIN read_parquet('{_log2_table_file()}') l ON l.m = c.c
+          FROM c JOIN {log2_table} l ON l.m = c.c
          GROUP BY 1)
 SELECT per.user_id, per.n, per.n_keys,
        CAST((CAST(per.n AS HUGEINT) * ln.l_e12 - per.sum_cl
              + CAST(per.n AS HUGEINT) * 500000)
             // (CAST(per.n AS HUGEINT) * 1000000) AS BIGINT) AS entropy_e6
-  FROM per JOIN read_parquet('{_log2_table_file()}') ln ON ln.m = per.n
+  FROM per JOIN {log2_table} ln ON ln.m = per.n
 """,
-        "event_share_ci": """
+    "event_share_ci": """
 WITH c AS (SELECT event_type, CAST(count(*) AS BIGINT) AS v
              FROM events WHERE event_type IS NOT NULL
             GROUP BY event_type),
@@ -7872,7 +7785,7 @@ SELECT c.event_type, c.v AS n_key,
              / (1.0 + 1.96 * 1.96 / t.n), 6) AS hi
   FROM c CROSS JOIN t
 """,
-        "hourly_profile_drift": """
+    "hourly_profile_drift": """
 WITH b AS (SELECT (CAST(epoch_us(min(ts)) AS BIGINT)
                    + CAST(epoch_us(max(ts)) AS BIGINT)) // 2 AS mid
              FROM events WHERE ts IS NOT NULL),
@@ -7901,7 +7814,7 @@ SELECT c.hour, c.n_first, c.n_second,
                  ELSE 0 END AS BIGINT) AS delta_e6
   FROM c CROSS JOIN t
 """,
-        "conform_repair_summary": f"""
+    "conform_repair_summary": """
 WITH j AS (
   SELECT r.w AS rw, e.w AS ew, r.h AS rh, e.h AS eh,
          r.fmt AS rf, e.fmt AS ef, r.caption AS rc, e.caption AS ec,
@@ -7926,11 +7839,11 @@ u AS (
               AS BIGINT) FROM j)
 SELECT * FROM u
 """,
-        "corpus_prepare_classifier": f"""
+    "corpus_prepare_classifier": """
 WITH red AS (
   SELECT doc_id, source, lang,
          regexp_replace(text,
-           '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{{2,}}',
+           '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\\.[A-Za-z]{2,}',
            '[EMAIL]', 'g') AS text
     FROM documents),
 m AS (
@@ -7955,7 +7868,7 @@ wrd AS (
                                   x -> x <> '')) AS t(x)),
 clf AS (
   SELECT w.doc_id, CAST(SUM(mm.weight_e6) AS BIGINT) AS clf_score
-    FROM wrd w JOIN read_parquet('{_word_classifier_file(ORACLE_SF_DIR)}') mm
+    FROM wrd w JOIN {word_clf} mm
       USING (word)
    GROUP BY 1),
 kept AS (
@@ -7974,7 +7887,7 @@ SELECT doc_id, CAST(i // 60 AS BIGINT) AS chunk_idx,
        substring(text, CAST(i+1 AS BIGINT), 80) AS chunk_text
   FROM capped, unnest(range(0, greatest(length(text), 1), 60)) AS t(i)
 """,
-        "string_length_profile": """
+    "string_length_profile": """
 WITH u AS (
   SELECT 'text' AS "column", text AS v FROM documents
   UNION ALL SELECT 'lang', lang FROM documents
@@ -7992,7 +7905,7 @@ SELECT "column",
          AS mean_len_e6
   FROM u GROUP BY "column"
 """,
-        "error_rate_ci": """
+    "error_rate_ci": """
 WITH c AS (SELECT CAST(count(*) AS BIGINT) AS n,
                   CAST(SUM(CASE WHEN event_type = 'error' THEN 1 ELSE 0 END)
                        AS BIGINT) AS k
@@ -8011,7 +7924,7 @@ SELECT n, k,
              / (1.0 + 1.96 * 1.96 / n), 6) AS hi
   FROM c WHERE n > 0
 """,
-        "daily_active_users": """
+    "daily_active_users": """
 WITH e AS (SELECT CAST(epoch_us(ts) // 86400000000 AS BIGINT) AS day_idx,
                   user_id
              FROM events
@@ -8025,7 +7938,7 @@ SELECT d.day_idx, d.dau,
        CAST(coalesce(n.new_users, 0) AS BIGINT) AS new_users
   FROM d LEFT JOIN n USING (day_idx)
 """,
-        "daily_volume_anomalies": """
+    "daily_volume_anomalies": """
 WITH RECURSIVE d AS (
   SELECT CAST(epoch_us(ts) // 86400000000 AS BIGINT) AS day_idx,
          CAST(count(*) AS BIGINT) AS n
@@ -8047,13 +7960,13 @@ SELECT e.day_idx, e.n,
                  > 100000 * p.s END AS anomalous
   FROM e LEFT JOIN e p ON p.rn = e.rn - 1
 """,
-        "caption_dupes": f"""
+    "caption_dupes": """
 SELECT caption, CAST(count(*) AS BIGINT) AS n
   FROM {img}
  WHERE caption IS NOT NULL
  GROUP BY caption HAVING count(*) > 1
 """,
-        "image_bytes_outliers": f"""
+    "image_bytes_outliers": """
 WITH s AS (SELECT image_id, fmt, octet_length(bytes) AS b
              FROM {img}
             WHERE fmt IS NOT NULL AND bytes IS NOT NULL),
@@ -8065,7 +7978,8 @@ z AS (SELECT image_id, fmt,
         FROM s WINDOW w AS (PARTITION BY fmt))
 SELECT image_id, fmt, z FROM z WHERE abs(z) >= 2.5
 """,
-    }
+    "word_pagerank": _word_pagerank_sql(),
+}
 
 
 # pure-script replacement texts for the script_mix falsifiability
@@ -9280,8 +9194,6 @@ def q_orders_enriched_bucketed(sf_dir: str):
     doctrine as a runnable query. Result is mathematically identical
     to orders_enriched (shared oracle)."""
     import hashlib as _h
-    import shutil
-    import tempfile
 
     from ..stages.bucketed import bucket_write, bucketed_join
 
@@ -9291,26 +9203,21 @@ def q_orders_enriched_bucketed(sf_dir: str):
                         for p in (Path(sf_dir, "orders.parquet"),
                                   Path(sf_dir, "customer.parquet"))]
     tag = _h.md5("|".join(stamp).encode()).hexdigest()[:10]
-    cache = image_table.CACHE_ROOT / f"bucketed_{tag}"
-    if not (cache / "_SUCCESS").exists():
-        cache.parent.mkdir(parents=True, exist_ok=True)
-        tmp = Path(tempfile.mkdtemp(dir=cache.parent,
-                                    prefix=cache.name + ".tmp-"))
-        try:
-            bucket_write(
-                rd.read_parquet(f"{sf_dir}/orders.parquet",
-                                columns=["o_orderkey", "o_custkey",
-                                         "o_totalprice"]),
-                "o_custkey", str(tmp / "orders"))
-            bucket_write(
-                rd.read_parquet(f"{sf_dir}/customer.parquet",
-                                columns=["c_custkey", "c_name",
-                                         "c_mktsegment"]),
-                "c_custkey", str(tmp / "customer"))
-            (tmp / "_SUCCESS").touch()
-            image_table.publish_dir(tmp, cache)
-        finally:
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    def build(tmp: Path) -> None:
+        tmp.mkdir()
+        bucket_write(
+            rd.read_parquet(f"{sf_dir}/orders.parquet",
+                            columns=["o_orderkey", "o_custkey",
+                                     "o_totalprice"]),
+            "o_custkey", str(tmp / "orders"))
+        bucket_write(
+            rd.read_parquet(f"{sf_dir}/customer.parquet",
+                            columns=["c_custkey", "c_name",
+                                     "c_mktsegment"]),
+            "c_custkey", str(tmp / "customer"))
+
+    cache = image_table.cached(f"bucketed_{tag}", build)
     joined = bucketed_join(str(cache / "orders"), str(cache / "customer"),
                            on="o_custkey", right_on="c_custkey")
 
@@ -9420,332 +9327,52 @@ def q_source_overlap(sf_dir: str):
     return source_overlap(ds, group_col="source", col="text", n=3)
 
 
-def _word_pagerank_sql(vocab_k: int = 30, iters: int = 5,
-                       damping_pct: int = 85) -> str:
-    """Unrolled fixed-iteration PageRank oracle: pr0..pr{iters} CTEs,
-    each one exact HUGEINT floor-division arithmetic mirroring
-    stages.text.word_pagerank step for step."""
-    head = r"""
-WITH w AS (
-  SELECT DISTINCT doc_id, word
-    FROM (SELECT doc_id,
-                 unnest(list_filter(string_split_regex(
-                     coalesce(text, ''), '\s+'), x -> x <> '')) AS word
-            FROM documents)),
-df AS (SELECT word, count(*) AS df FROM w GROUP BY 1),
-v AS (SELECT word FROM df ORDER BY df DESC, word LIMIT {K}),
-e0 AS (SELECT a.word AS wa, b.word AS wb, CAST(count(*) AS HUGEINT) AS n
-        FROM w a JOIN w b USING (doc_id)
-        JOIN v va ON va.word = a.word
-        JOIN v vb ON vb.word = b.word
-       WHERE a.word < b.word GROUP BY 1, 2),
-e AS (SELECT wa AS u, wb AS t, n FROM e0
-      UNION ALL SELECT wb, wa, n FROM e0),
-ow AS (SELECT u, SUM(n) AS ow FROM e GROUP BY 1),
-nn AS (SELECT CAST(count(*) AS HUGEINT) AS n_nodes FROM v),
-pr0 AS (SELECT word, CAST(1000000 AS HUGEINT) // n_nodes AS pr
-          FROM v CROSS JOIN nn)""".replace("{K}", str(vocab_k))
-    base_e6 = 1_000_000 - damping_pct * 10_000
-    step = """,
-pr{i} AS (SELECT v.word,
-               CAST({B} AS HUGEINT) // nn.n_nodes
-               + ({D} * coalesce(c.s, CAST(0 AS HUGEINT))) // 100 AS pr
-          FROM v CROSS JOIN nn
-          LEFT JOIN (SELECT e.t AS word, SUM((p.pr * e.n) // ow.ow) AS s
-                       FROM e JOIN pr{j} p ON p.word = e.u
-                       JOIN ow ON ow.u = e.u
-                      GROUP BY 1) c ON c.word = v.word)"""
-    body = "".join(
-        step.replace("{i}", str(i)).replace("{j}", str(i - 1))
-            .replace("{B}", str(base_e6)).replace("{D}", str(damping_pct))
-        for i in range(1, iters + 1)
-    )
-    return (head + body
-            + f"\nSELECT word, CAST(pr AS BIGINT) AS pr_e6 FROM pr{iters}\n")
-
-
-QUERIES = {
-    "user_behavior_entropy": q_user_behavior_entropy,
-    "event_share_ci": q_event_share_ci,
-    "hourly_profile_drift": q_hourly_profile_drift,
-    "conform_repair_summary": q_conform_repair_summary,
-    "corpus_prepare_classifier": q_corpus_prepare_classifier,
-    "string_length_profile": q_string_length_profile,
-    "error_rate_ci": q_error_rate_ci,
-    "daily_active_users": q_daily_active_users,
-    "daily_volume_anomalies": q_daily_volume_anomalies,
-    "caption_dupes": q_caption_dupes,
-    "image_bytes_outliers": q_image_bytes_outliers,
-    "mixture_plan": q_mixture_plan,
-    "token_fertility": q_token_fertility,
-    "null_cooccurrence": q_null_cooccurrence,
-    "lang_confusion": q_lang_confusion,
-    "dedup_yield_report": q_dedup_yield_report,
-    "event_volume_drift": q_event_volume_drift,
-    "lineitem_shipdate_violations": q_lineitem_shipdate_violations,
-    "script_mix": q_script_mix,
-    "lexical_diversity": q_lexical_diversity,
-    "benford_totalprice": q_benford_totalprice,
-    "order_totals_reconcile": q_order_totals_reconcile,
-    "image_schema_violations": q_image_schema_violations,
-    "image_decode_violations": q_image_decode_violations,
-    "image_validate_full": q_image_validate_full,
-    "image_cross_field_violations": q_image_cross_field_violations,
-    "partition_verdicts": q_partition_verdicts,
-    "caption_area_moments": q_caption_area_moments,
-    "dup_gram_docs": q_dup_gram_docs,
-    "exact_substr_spans": q_exact_substr_spans,
-    "exact_substr_clean": q_exact_substr_clean,
-    "exact_substr_char_spans": q_exact_substr_char_spans,
-    "exact_substr_char_clean": q_exact_substr_char_clean,
-    "event_user_cardinality": q_event_user_cardinality,
-    "events_monotonic": q_events_monotonic,
-    "token_budget_sample": q_token_budget_sample,
-    "stratified_split": q_stratified_split,
-    "doc_repeat_upsample": q_doc_repeat_upsample,
-    "truncation_waste": q_truncation_waste,
-    "embedding_projected": q_embedding_projected,
-    "normalized_text_dups": q_normalized_text_dups,
-    "flesch_scores": q_flesch_scores,
-    "license_tags": q_license_tags,
-    "url_canonical_dups": q_url_canonical_dups,
-    "image_payload_violations": q_image_payload_violations,
-    "fmt_magic_mismatches": q_fmt_magic_mismatches,
-    "caption_lang_dist": q_caption_lang_dist,
-    "dataset_card": q_dataset_card,
-    "image_caption_conform": q_image_caption_conform,
-    "image_clean_ids": q_image_clean_ids,
-    "image_curation": q_image_curation,
-    "fmt_area_rollup": q_fmt_area_rollup,
-    "html_extracted": q_html_extracted,
-    "image_brightness": q_image_brightness,
-    "pair_fidelity": q_pair_fidelity,
-    "image_resized": q_image_resized,
-    "violation_samples": q_violation_samples,
-    "run_verdict": q_run_verdict,
-    "image_phash_duplicates": q_image_phash_duplicates,
-    "image_phash_near_dups": q_image_phash_near_dups,
-    "image_near_dedup_survivors": q_image_near_dedup_survivors,
-    "image_phash_duplicates_bloom": q_image_phash_duplicates_bloom,
-    "image_phash_duplicates_join": q_image_phash_duplicates_join,
-    "image_referential_orphans": q_image_referential_orphans,
-    "image_referential_orphans_shuffle": q_image_referential_orphans_shuffle,
-    "image_referential_orphans_bloom": q_image_referential_orphans_bloom,
-    "image_stats": q_image_stats,
-    "image_fmt_counts": q_image_fmt_counts,
-    "image_drift_fmt": q_image_drift_fmt,
-    "image_drift_vs_profile": q_image_drift_vs_profile,
-    "image_drift_psi": q_image_drift_psi,
-    "label_centroids": q_label_centroids,
-    "image_distinct_hll": q_image_distinct_hll,
-    "image_schema_conform": q_image_schema_conform,
-    "image_features": q_image_features,
-    "frame_sample": q_frame_sample,
-    "audio_decode_violations": q_audio_decode_violations,
-    "audio_features": q_audio_features,
-    "video_frame_explode": q_video_frame_explode,
-    "video_scene_cuts": q_video_scene_cuts,
-    "audio_silence_runs": q_audio_silence_runs,
-    "image_conform_full": q_image_conform_full,
-    "image_conform_selective": q_image_conform_selective,
-    "validate_documents": q_validate_documents,
-    "conform_documents": q_conform_documents,
-    "stats_lineitem": q_stats_lineitem,
-    "referential_orders_customers": q_referential_orders_customers,
-    "unique_event_ids": q_unique_event_ids,
-    "drift_mktsegment": q_drift_mktsegment,
-    "events_windowed": q_events_windowed,
-    "validate_events": q_validate_events,
-    "validate_event_props": q_validate_event_props,
-    "conform_event_props": q_conform_event_props,
-    "image_w_drift_ks": q_image_w_drift_ks,
-    "events_last_order": q_events_last_order,
-    "orders_enriched": q_orders_enriched,
-    "orders_left_enriched": q_orders_left_enriched,
-    "orders_enriched_shuffle": q_orders_enriched_shuffle,
-    "events_enriched_salted": q_events_enriched_salted,
-    "orders_customer_full": q_orders_customer_full,
-    "image_tiles": q_image_tiles,
-    "image_res_tiers": q_image_res_tiers,
-    "tier_fmt_residuals": q_tier_fmt_residuals,
-    "aspect_bucket_waste": q_aspect_bucket_waste,
-    "top_users_per_event_type": q_top_users_per_event_type,
-    "events_in_campaigns": q_events_in_campaigns,
-    "heavy_event_users_cm": q_heavy_event_users_cm,
-    "documents_conform_diff": q_documents_conform_diff,
-    "profile_images": q_profile_images,
-    "lineitem_quantiles": q_lineitem_quantiles,
-    "lineitem_winsorized": q_lineitem_winsorized,
-    "lineitem_quantiles_approx": q_lineitem_quantiles_approx,
-    "distinct_sources_by_lang": q_distinct_sources_by_lang,
-    "distinct_sources_by_lang_hll": q_distinct_sources_by_lang_hll,
-    "event_sessions": q_event_sessions,
-    "event_session_ids": q_event_session_ids,
-    "events_hopping": q_events_hopping,
-    "documents_ranked": q_documents_ranked,
-    "top_duplicated_phashes": q_top_duplicated_phashes,
-    "fmt_stats_salted": q_fmt_stats_salted,
-    "violation_summary": q_violation_summary,
-    "lineitem_ntile": q_lineitem_ntile,
-    "lineitem_zscore": q_lineitem_zscore,
-    "dedup_exact_documents": q_dedup_exact_documents,
-    "doc_fingerprints": q_doc_fingerprints,
-    "doc_winnow_overlap": q_doc_winnow_overlap,
-    "minhash_dedup": q_minhash_dedup,
-    "ngram_jaccard_dedup": q_ngram_jaccard_dedup,
-    "inverted_index": q_inverted_index,
-    "orders_upserted": q_orders_upserted,
-    "events_pivot": q_events_pivot,
-    "simhash_dedup": q_simhash_dedup,
-    "text_metrics": q_text_metrics,
-    "token_count_by_lang": q_token_count_by_lang,
-    "bpe_token_counts": q_bpe_token_counts,
-    "lang_id": q_lang_id,
-    "quality_scores": q_quality_scores,
-    "docs_regex_filtered": q_docs_regex_filtered,
-    "doc_repetition": q_doc_repetition,
-    "doc_decontaminate": q_doc_decontaminate,
-    "decontam_attribution": q_decontam_attribution,
-    "event_funnel": q_event_funnel,
-    "doc_mixture_sample": q_doc_mixture_sample,
-    "doc_chunks": q_doc_chunks,
-    "doc_pii_redacted": q_doc_pii_redacted,
-    "doc_pii_multi": q_doc_pii_multi,
-    "tfidf_top_terms": q_tfidf_top_terms,
-    "orders_high_value": q_orders_high_value,
-    "doc_splits": q_doc_splits,
-    "events_pivot_long": q_events_pivot_long,
-    "events_user_skew": q_events_user_skew,
-    "split_leakage": q_split_leakage,
-    "split_leakage_near": q_split_leakage_near,
-    "split_balance": q_split_balance,
-    "vocab_stats": q_vocab_stats,
-    "doc_novelty": q_doc_novelty,
-    "word_pagerank": q_word_pagerank,
-    "session_bounce": q_session_bounce,
-    "dedup_lang_shift": q_dedup_lang_shift,
-    "shipping_priority": q_shipping_priority,
-    "promo_revenue_share": q_promo_revenue_share,
-    "big_volume_orders": q_big_volume_orders,
-    "regional_revenue": q_regional_revenue,
-    "returned_revenue_customers": q_returned_revenue_customers,
-    "doc_hash_sample": q_doc_hash_sample,
-    "customer_name_fuzzy": q_customer_name_fuzzy,
-    "neyman_allocation": q_neyman_allocation,
-    "price_quantiles_select": q_price_quantiles_select,
-    "knn_label_noise": q_knn_label_noise,
-    "hard_negatives": q_hard_negatives,
-    "customer_linkage": q_customer_linkage,
-    "compression_flags": q_compression_flags,
-    "join_cardinality": q_join_cardinality,
-    "cusum_drift": q_cusum_drift,
-    "orders_enriched_bucketed": q_orders_enriched_bucketed,
-    "ann_recall_report": q_ann_recall_report,
-    "late_events": q_late_events,
-    "qty_quantiles_by_flag": q_qty_quantiles_by_flag,
-    "part_name_fuzzy2": q_part_name_fuzzy2,
-    "source_overlap": q_source_overlap,
-    "event_type_lift": q_event_type_lift,
-    "embedding_pair_sample": q_embedding_pair_sample,
-    "lineitem_corr": q_lineitem_corr,
-    "events_cube": q_events_cube,
-    "user_event_mode": q_user_event_mode,
-    "lineitem_qty_bins": q_lineitem_qty_bins,
-    "doc_sentences": q_doc_sentences,
-    "events_since_last_purchase": q_events_since_last_purchase,
-    "doc_cap_per_source": q_doc_cap_per_source,
-    "top_event_types_per_window": q_top_event_types_per_window,
-    "embedding_quantized": q_embedding_quantized,
-    "corpus_prepare": q_corpus_prepare,
-    "corpus_clean": q_corpus_clean,
-    "corpus_clean_join": q_corpus_clean_join,
-    "corpus_rejected": q_corpus_rejected,
-    "knn_cosine": q_knn_cosine,
-    "knn_cosine_filtered": q_knn_cosine_filtered,
-    "cross_corpus_dups": q_cross_corpus_dups,
-    "cross_corpus_dups_shuffle": q_cross_corpus_dups_shuffle,
-    "ann_lsh": q_ann_lsh,
-    "ann_ivf": q_ann_ivf,
-    "event_transitions": q_event_transitions,
-    "repeat_purchase_gap": q_repeat_purchase_gap,
-    "event_trend_slope": q_event_trend_slope,
-    "weighted_median_price": q_weighted_median_price,
-    "embedding_dim_profile": q_embedding_dim_profile,
-    "word_pmi_top": q_word_pmi_top,
-    "ann_ivf_distributed": q_ann_ivf_distributed,
-    "minhash_dedup_groups": q_minhash_dedup_groups,
-    "image_w_quantiles_by_fmt": q_image_w_quantiles_by_fmt,
-    "retention_weekly": q_retention_weekly,
-    "doc_ntile_by_lang": q_doc_ntile_by_lang,
-    "weighted_sample": q_weighted_sample,
-    "bm25_topk": q_bm25_topk,
-    "events_rolling_mean": q_events_rolling_mean,
-    "pack_sequences": q_pack_sequences,
-    "minhash_dedup_ds": q_minhash_dedup_ds,
-    "minhash_dedup_groups_ds": q_minhash_dedup_groups_ds,
-    "embedding_kmeans": q_embedding_kmeans,
-    "embedding_kmeans_assign": q_embedding_kmeans_assign,
-    "embedding_near_dups": q_embedding_near_dups,
-    "embedding_near_dups_seeded": q_embedding_near_dups_seeded,
-    "embedding_dedup_survivors": q_embedding_dedup_survivors,
-    "semdedup_pairs": q_semdedup_pairs,
-    "semdedup_survivors": q_semdedup_survivors,
-    "line_dedup_docs": q_line_dedup_docs,
-    "corpus_prepare_lines": q_corpus_prepare_lines,
-    "corpus_prepare_hygiene": q_corpus_prepare_hygiene,
-    "corpus_prepare_substr": q_corpus_prepare_substr,
-    "event_type_shares": q_event_type_shares,
-    "gopher_repetition": q_gopher_repetition,
-    "url_blocked": q_url_blocked,
-    "gopher_format": q_gopher_format,
-    "text_hygiene": q_text_hygiene,
-    "classifier_scores": q_classifier_scores,
-    "corpus_prepare_minhash": q_corpus_prepare_minhash,
-    "cross_corpus_near_dups": q_cross_corpus_near_dups,
-    "lineitem_qty_share": q_lineitem_qty_share,
-    "duplicated_lines": q_duplicated_lines,
-    "c4_clean": q_c4_clean,
-    "gopher_quality": q_gopher_quality,
-    "concat_chunks": q_concat_chunks,
-    "supplier_acctbal_by_region": q_supplier_acctbal_by_region,
-    "part_type_stats": q_part_type_stats,
-    "validate_struct_events": q_validate_struct_events,
-    "validate_map_events": q_validate_map_events,
-    "validate_embedding_lists": q_validate_embedding_lists,
-    "embedding_validity": q_embedding_validity,
-    "lang_mismatches": q_lang_mismatches,
-    "top_tokens": q_top_tokens,
-    "event_type_cooccurrence": q_event_type_cooccurrence,
-    "lineitem_pricing_summary": q_lineitem_pricing_summary,
-    "revenue_by_nation": q_revenue_by_nation,
-    "fd_violations": q_fd_violations,
-    "caption_conflicts": q_caption_conflicts,
-    "coverage_gaps": q_coverage_gaps,
-    "lineitem_mad_outliers": q_lineitem_mad_outliers,
-    "event_gaps": q_event_gaps,
-    "image_byte_dupes": q_image_byte_dupes,
-    "lm_scores": q_lm_scores,
-    "char_entropy": q_char_entropy,
-    "aspect_buckets": q_aspect_buckets,
-    "clip_score_filter": q_clip_score_filter,
-    "clip_score_rejects": q_clip_score_rejects,
-    "events_time_deduped": q_events_time_deduped,
-    "docs_quality_top75": q_docs_quality_top75,
+#: a query name -> the query whose code or oracle it shares
+ALIASES = {
+    # former variants whose code became the canonical query's: one
+    # function and one oracle under both names
+    "image_phash_duplicates_bloom": "image_phash_duplicates",
+    "image_phash_duplicates_join": "image_phash_duplicates",
+    "image_referential_orphans_shuffle": "image_referential_orphans",
+    "image_referential_orphans_bloom": "image_referential_orphans",
+    "minhash_dedup_ds": "minhash_dedup",
+    "minhash_dedup_groups_ds": "minhash_dedup_groups",
+    "cross_corpus_dups_shuffle": "cross_corpus_dups",
+    # their own code, the canonical query's result by construction: the
+    # oracle only (exact AllPairs computes the pair set the exhaustive
+    # SQL defines; the bucketed co-located join, the identical enrichment)
+    "ngram_jaccard_dedup": "minhash_dedup",
+    "orders_enriched_shuffle": "orders_enriched",
+    "orders_enriched_bucketed": "orders_enriched",
+    "corpus_clean_join": "corpus_clean",
+    "distinct_sources_by_lang_hll": "distinct_sources_by_lang",
+    "image_conform_selective": "image_conform_full",
 }
+
+_FUNCTIONS = {name[2:]: fn for name, fn in globals().items()
+              if name.startswith("q_")}
+#: query name -> pipeline callable of ``sf_dir``: every ``q_<name>``
+#: function, plus the aliases that have none of their own
+QUERIES = {name: _FUNCTIONS.get(name) or _FUNCTIONS[ALIASES[name]]
+           for name in sorted({*_FUNCTIONS, *ALIASES})}
+
+#: query name -> its oracle template; the keys are the oracled queries
+ORACLES = {name: _SQL[ALIASES.get(name, name)] for name in QUERIES
+           if ALIASES.get(name, name) in _SQL}
+
+_PLACEHOLDER = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
+
+
+def oracle(name: str, sf_dir: str) -> str:
+    """Query ``name``'s DuckDB oracle for the inputs in ``sf_dir``. Only
+    the fixtures its template names are generated."""
+    template = ORACLES[name]
+    text = {p: _PLACEHOLDERS[p](sf_dir)
+            for p in set(_PLACEHOLDER.findall(template))}
+    return _PLACEHOLDER.sub(lambda m: text[m[1]], template)
 
 
 def oracle_sql() -> dict[str, str]:
-    out = _oracle_sql()
-    # the Dataset-chain variants compute the same mathematical result
-    # as their driver-path twins — identical oracles
-    out["minhash_dedup_ds"] = out["minhash_dedup"]
-    # exact AllPairs computes the same pair set the exhaustive SQL
-    # defines — shared oracle by construction, not by recall certificate
-    out["ngram_jaccard_dedup"] = out["minhash_dedup"]
-    out["cross_corpus_dups_shuffle"] = out["cross_corpus_dups"]
-    out["minhash_dedup_groups_ds"] = out["minhash_dedup_groups"]
-    out["word_pagerank"] = _word_pagerank_sql()
-    # the bucketed co-located join computes the identical enrichment —
-    # shared oracle by construction
-    out["orders_enriched_bucketed"] = out["orders_enriched"]
-    return out
+    """Every oracle, rendered for ``ORACLE_SF_DIR`` (sf0.01, the scale of
+    the ``__ray_entry__`` correctness check)."""
+    return {name: oracle(name, ORACLE_SF_DIR) for name in ORACLES}

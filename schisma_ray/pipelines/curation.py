@@ -37,7 +37,7 @@ def clean_image_ids(table_dir):
     from ..stages._bucket import semi_join
     from .validate_pipeline import read_images, validate_images
 
-    vio_refs = validate_images(table_dir, fused=True).map_batches(
+    vio_refs = validate_images(table_dir).map_batches(
         lambda t: pa.table({"image_id": t["row_ref"]}),
         batch_format="pyarrow", zero_copy_batch=True,
     )

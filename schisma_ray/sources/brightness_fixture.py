@@ -17,8 +17,6 @@ invalidates it together with the images.
 
 from __future__ import annotations
 
-import os
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +24,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from . import codec
-from .image_table import CACHE_ROOT, rows_for, rows_for_sf
+from .image_table import cached, rows_for, rows_for_sf
 
 
 def brightness_expected(sf_dir: str, *, seed: int = 42,
@@ -34,41 +32,31 @@ def brightness_expected(sf_dir: str, *, seed: int = 42,
     """Generate (or reuse) the expected brightness table; returns path."""
     n = rows_for_sf(sf_dir)
     suffix = "" if px == (8, 33) else f"_px{px[0]}-{px[1]}"
-    out_dir = CACHE_ROOT / f"brightness_v3_n{n}_s{seed}{suffix}"
-    out = out_dir / "brightness_expected.parquet"
-    if out.exists():
-        return out
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
 
-    ids, npx, sums = [], [], []
-    chunk = 2000
-    for start in range(0, n, chunk):
-        t = rows_for(np.arange(start, min(start + chunk, n)), seed, px)
-        for rid, blob in zip(t["image_id"].to_pylist(),
-                             t["bytes"].to_pylist()):
-            try:
-                pixels, _ = codec.decode(blob)
-            except (codec.CodecError, TypeError):
-                continue
-            ids.append(rid)
-            npx.append(pixels.shape[0] * pixels.shape[1])
-            sums.append(pixels.astype(np.int64).sum(axis=(0, 1)))
+    def build(tmp: Path) -> None:
+        ids, npx, sums = [], [], []
+        chunk = 2000
+        for start in range(0, n, chunk):
+            t = rows_for(np.arange(start, min(start + chunk, n)), seed, px)
+            for rid, blob in zip(t["image_id"].to_pylist(),
+                                 t["bytes"].to_pylist()):
+                try:
+                    pixels, _ = codec.decode(blob)
+                except (codec.CodecError, TypeError):
+                    continue
+                ids.append(rid)
+                npx.append(pixels.shape[0] * pixels.shape[1])
+                sums.append(pixels.astype(np.int64).sum(axis=(0, 1)))
 
-    s = (np.stack(sums) if sums else np.empty((0, 3), np.int64))
-    nn = np.asarray(npx, np.int64)
-    safe = np.where(nn > 0, nn, 1)
-    cols = {"image_id": pa.array(ids, pa.string()),
-            "n_px": pa.array(nn, pa.int64())}
-    for c, name in enumerate(("r", "g", "b")):
-        cols[f"sum_{name}"] = pa.array(s[:, c], pa.int64())
-        cols[f"mean_{name}_e6"] = pa.array(
-            s[:, c] * 1_000_000 // safe, pa.int64())
-    pq.write_table(pa.table(cols), tmp_dir / "brightness_expected.parquet")
+        s = (np.stack(sums) if sums else np.empty((0, 3), np.int64))
+        nn = np.asarray(npx, np.int64)
+        safe = np.where(nn > 0, nn, 1)
+        cols = {"image_id": pa.array(ids, pa.string()),
+                "n_px": pa.array(nn, pa.int64())}
+        for c, name in enumerate(("r", "g", "b")):
+            cols[f"sum_{name}"] = pa.array(s[:, c], pa.int64())
+            cols[f"mean_{name}_e6"] = pa.array(
+                s[:, c] * 1_000_000 // safe, pa.int64())
+        pq.write_table(pa.table(cols), tmp)
 
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    os.rename(tmp_dir, out_dir)
-    return out
+    return cached(f"brightness_v3_n{n}_s{seed}{suffix}/brightness_expected.parquet", build)

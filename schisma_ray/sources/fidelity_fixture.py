@@ -27,8 +27,6 @@ them the same way). Cached atomically, keyed by the generator tag.
 
 from __future__ import annotations
 
-import os
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -36,17 +34,11 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from . import codec
-from .image_table import CACHE_ROOT, rows_for, rows_for_sf
+from .image_table import cached, rows_for, rows_for_sf
 
 NOISE_EVERY = 11
 CAPTION_EVERY = 13
 _NOISE_SEED = 77
-
-
-def _dirs_for(sf_dir: str, seed: int, px: tuple[int, int]) -> Path:
-    n = rows_for_sf(sf_dir)
-    suffix = "" if px == (8, 33) else f"_px{px[0]}-{px[1]}"
-    return CACHE_ROOT / f"fidelity_v1_n{n}_s{seed}{suffix}"
 
 
 def fidelity_pairs(sf_dir: str, *, seed: int = 42,
@@ -62,74 +54,68 @@ def fidelity_expected(sf_dir: str, *, seed: int = 42,
 
 
 def _generate(sf_dir: str, seed: int, px: tuple[int, int]) -> Path:
-    out_dir = _dirs_for(sf_dir, seed, px)
-    if (out_dir / "pairs.parquet").exists():
-        return out_dir
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
-
     n = rows_for_sf(sf_dir)
-    ids, blobs_a, blobs_b, caps_a, caps_b = [], [], [], [], []
-    sses, samples, cap_eq = [], [], []
-    chunk = 2000
-    for start in range(0, n, chunk):
-        idx = np.arange(start, min(start + chunk, n))
-        t = rows_for(idx, seed, px)
-        for i, rid, blob, cap in zip(
-            idx.tolist(),
-            t["image_id"].to_pylist(),
-            t["bytes"].to_pylist(),
-            t["caption"].to_pylist(),
-        ):
-            try:
-                pixels, _ = codec.decode(blob)
-            except (codec.CodecError, TypeError):
-                continue  # no pixels to compare; the stage drops these too
-            if i % NOISE_EVERY == 0:
-                rng = np.random.default_rng([_NOISE_SEED, i])
-                noise = rng.integers(-60, 61, pixels.shape, np.int64)
-                mutated = np.clip(pixels.astype(np.int64) + noise,
-                                  0, 255).astype(np.uint8)
-                blob_b = codec.encode(mutated, "png")  # lossless carrier
-            else:
-                blob_b = codec.encode(pixels, "jpeg")  # >=40 dB by design
-            cap_b = (cap + " [alt]") if (cap is not None
-                                         and i % NOISE_EVERY != 0
-                                         and i % CAPTION_EVERY == 0) else cap
+    suffix = "" if px == (8, 33) else f"_px{px[0]}-{px[1]}"
 
-            dec_b, _ = codec.decode(blob_b)
-            diff = pixels.astype(np.int64) - dec_b.astype(np.int64)
-            ids.append(rid)
-            blobs_a.append(blob)
-            blobs_b.append(blob_b)
-            caps_a.append(cap)
-            caps_b.append(cap_b)
-            sses.append(int((diff * diff).sum()))
-            samples.append(int(diff.size))
-            cap_eq.append(bool(cap == cap_b))  # None == None -> equal
+    def build(tmp: Path) -> None:
+        tmp.mkdir()
+        ids, blobs_a, blobs_b, caps_a, caps_b = [], [], [], [], []
+        sses, samples, cap_eq = [], [], []
+        chunk = 2000
+        for start in range(0, n, chunk):
+            idx = np.arange(start, min(start + chunk, n))
+            t = rows_for(idx, seed, px)
+            for i, rid, blob, cap in zip(
+                idx.tolist(),
+                t["image_id"].to_pylist(),
+                t["bytes"].to_pylist(),
+                t["caption"].to_pylist(),
+            ):
+                try:
+                    pixels, _ = codec.decode(blob)
+                except (codec.CodecError, TypeError):
+                    continue  # no pixels to compare; the stage drops these too
+                if i % NOISE_EVERY == 0:
+                    rng = np.random.default_rng([_NOISE_SEED, i])
+                    noise = rng.integers(-60, 61, pixels.shape, np.int64)
+                    mutated = np.clip(pixels.astype(np.int64) + noise,
+                                      0, 255).astype(np.uint8)
+                    blob_b = codec.encode(mutated, "png")  # lossless carrier
+                else:
+                    blob_b = codec.encode(pixels, "jpeg")  # >=40 dB by design
+                cap_b = (cap + " [alt]") if (cap is not None
+                                             and i % NOISE_EVERY != 0
+                                             and i % CAPTION_EVERY == 0) else cap
 
-    pq.write_table(
-        pa.table({
-            "image_id": pa.array(ids, pa.string()),
-            "bytes_a": pa.array(blobs_a, pa.binary()),
-            "bytes_b": pa.array(blobs_b, pa.binary()),
-            "caption_a": pa.array(caps_a, pa.string()),
-            "caption_b": pa.array(caps_b, pa.string()),
-        }),
-        tmp_dir / "pairs.parquet",
-    )
-    pq.write_table(
-        pa.table({
-            "image_id": pa.array(ids, pa.string()),
-            "sse": pa.array(sses, pa.int64()),
-            "n_samples": pa.array(samples, pa.int64()),
-            "caption_equal": pa.array(cap_eq, pa.bool_()),
-        }),
-        tmp_dir / "expected.parquet",
-    )
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    os.rename(tmp_dir, out_dir)
-    return out_dir
+                dec_b, _ = codec.decode(blob_b)
+                diff = pixels.astype(np.int64) - dec_b.astype(np.int64)
+                ids.append(rid)
+                blobs_a.append(blob)
+                blobs_b.append(blob_b)
+                caps_a.append(cap)
+                caps_b.append(cap_b)
+                sses.append(int((diff * diff).sum()))
+                samples.append(int(diff.size))
+                cap_eq.append(bool(cap == cap_b))  # None == None -> equal
+
+        pq.write_table(
+            pa.table({
+                "image_id": pa.array(ids, pa.string()),
+                "bytes_a": pa.array(blobs_a, pa.binary()),
+                "bytes_b": pa.array(blobs_b, pa.binary()),
+                "caption_a": pa.array(caps_a, pa.string()),
+                "caption_b": pa.array(caps_b, pa.string()),
+            }),
+            tmp / "pairs.parquet",
+        )
+        pq.write_table(
+            pa.table({
+                "image_id": pa.array(ids, pa.string()),
+                "sse": pa.array(sses, pa.int64()),
+                "n_samples": pa.array(samples, pa.int64()),
+                "caption_equal": pa.array(cap_eq, pa.bool_()),
+            }),
+            tmp / "expected.parquet",
+        )
+
+    return cached(f"fidelity_v1_n{n}_s{seed}{suffix}", build)

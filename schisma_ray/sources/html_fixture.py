@@ -25,61 +25,50 @@ identical file.
 from __future__ import annotations
 
 import hashlib
-import os
-import shutil
 from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .image_table import CACHE_ROOT
+from .image_table import cached
 
 
 def html_documents(sf_dir: str) -> Path:
     """Generate (or reuse) the (doc_id, html) page table."""
     base_path = Path(sf_dir) / "documents.parquet"
     tag = hashlib.md5(base_path.read_bytes()).hexdigest()[:10]
-    out_dir = CACHE_ROOT / f"html_docs_{tag}"
-    out = out_dir / "html_documents.parquet"
-    if out.exists():
-        return out
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
 
-    base = pq.read_table(base_path, columns=["doc_id", "text"])
-    pages = []
-    for doc_id, text in zip(base["doc_id"].to_pylist(),
-                            base["text"].to_pylist()):
-        body = text or ""
-        if doc_id % 4 == 0:
-            body = "save &amp; load " + body
-        if doc_id % 3 == 0:
-            words = body.split(" ", 2)
-            if len(words) == 3:
-                body = f"<b>{words[0]}</b> <em>{words[1]}</em> {words[2]}"
-        pages.append(
-            "<!DOCTYPE html><html><head>"
-            f"<title>Doc {doc_id}</title>"
-            "<style>body { color: #333; } .nav { display: none; }</style>"
-            f"<script>var docId = {doc_id}; if (docId > 1) {{ track(); }}"
-            "</script></head><body>"
-            "<!-- generated page -->"
-            '<div class="nav"><a href="/">home</a> <a href="/about">about'
-            "</a></div>"
-            f"<h1>Document {doc_id}</h1>"
-            f"<p>{body}</p>"
-            "<div class=\"footer\">site footer</div>"
-            "</body></html>"
+    def build(tmp: Path) -> None:
+        base = pq.read_table(base_path, columns=["doc_id", "text"])
+        pages = []
+        for doc_id, text in zip(base["doc_id"].to_pylist(),
+                                base["text"].to_pylist()):
+            body = text or ""
+            if doc_id % 4 == 0:
+                body = "save &amp; load " + body
+            if doc_id % 3 == 0:
+                words = body.split(" ", 2)
+                if len(words) == 3:
+                    body = f"<b>{words[0]}</b> <em>{words[1]}</em> {words[2]}"
+            pages.append(
+                "<!DOCTYPE html><html><head>"
+                f"<title>Doc {doc_id}</title>"
+                "<style>body { color: #333; } .nav { display: none; }</style>"
+                f"<script>var docId = {doc_id}; if (docId > 1) {{ track(); }}"
+                "</script></head><body>"
+                "<!-- generated page -->"
+                '<div class="nav"><a href="/">home</a> <a href="/about">about'
+                "</a></div>"
+                f"<h1>Document {doc_id}</h1>"
+                f"<p>{body}</p>"
+                "<div class=\"footer\">site footer</div>"
+                "</body></html>"
+            )
+
+        pq.write_table(
+            pa.table({"doc_id": base["doc_id"],
+                      "html": pa.array(pages, pa.string())}),
+            tmp,
         )
 
-    pq.write_table(
-        pa.table({"doc_id": base["doc_id"],
-                  "html": pa.array(pages, pa.string())}),
-        tmp_dir / "html_documents.parquet",
-    )
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    os.rename(tmp_dir, out_dir)
-    return out
+    return cached(f"html_docs_{tag}/html_documents.parquet", build)

@@ -34,8 +34,10 @@ conform repairs w/h/fmt from the decoded truth and replaces undecodable
 payloads with the deterministic 8x8 placeholder.
 
 Everything is a pure function of (n, seed); outputs are cached under
-``/tmp/schisma_ray_cache`` and written atomically (tmp dir + rename) so
-concurrent callers and reruns are safe.
+``CACHE_ROOT`` (``$SCHISMA_RAY_CACHE``, default ``/tmp/schisma_ray_cache``)
+and written atomically (tmp dir + rename) so concurrent callers and
+reruns are safe. ``cached`` gives every other cached fixture and model
+artifact the same guarantee.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import errno
 import os
 import shutil
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +273,40 @@ def publish_dir(tmp: Path, out: Path) -> None:
         if (ex.errno not in (errno.EEXIST, errno.ENOTEMPTY)
                 or not (out / "_SUCCESS").exists()):
             raise
+
+
+def cached(name: str, build: Callable[[Path], object]) -> Path:
+    """The cache entry ``CACHE_ROOT / name``, built on first use.
+
+    ``build(tmp)`` writes the entry (a file, or a directory it makes) at
+    a temporary path of this process next to it, which is renamed to the
+    final path once ``build`` returns. A write killed midway leaves only
+    that temporary path, which no caller reads, so the next call builds
+    the entry again. Concurrent writers each build the same content in a
+    path of their own, so a caller only ever sees a complete entry."""
+    out = CACHE_ROOT / name
+    if out.exists():
+        return out
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.with_name(f"{out.name}.tmp-{os.getpid()}")
+    try:
+        _remove(tmp)
+        build(tmp)
+        try:
+            os.replace(tmp, out)
+        except OSError as ex:  # a directory another writer published
+            if ex.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                raise
+    finally:
+        _remove(tmp)
+    return out
+
+
+def _remove(path: Path) -> None:
+    if path.is_dir():
+        shutil.rmtree(path, ignore_errors=True)
+    else:
+        path.unlink(missing_ok=True)
 
 
 def generate(n: int, seed: int = 42, force: bool = False,

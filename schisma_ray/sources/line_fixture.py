@@ -19,14 +19,12 @@ identical file.
 from __future__ import annotations
 
 import hashlib
-import os
-import shutil
 from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .image_table import CACHE_ROOT
+from .image_table import cached
 
 HEADER = "cookie notice please accept our terms of service"
 FOOTER = "copyright example-crawler all rights reserved"
@@ -45,51 +43,42 @@ def c4_documents(sf_dir: str, *, words_per_line: int = 8) -> Path:
     """
     base_path = Path(sf_dir) / "documents.parquet"
     tag = hashlib.md5(base_path.read_bytes()).hexdigest()[:10]
-    out_dir = CACHE_ROOT / f"c4_docs_{tag}_w{words_per_line}"
-    out = out_dir / "c4_documents.parquet"
-    if out.exists():
-        return out
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
 
-    suffixes = [".", "!", "?", '"', ""]
-    base = pq.read_table(base_path, columns=["doc_id", "text", "lang", "source"])
-    out_texts = []
-    for doc_id, text in zip(base["doc_id"].to_pylist(), base["text"].to_pylist()):
-        words = text.split()
-        lines = [
-            " ".join(words[i:i + words_per_line])
-            for i in range(0, len(words), words_per_line)
-        ]
-        if not lines:
-            lines = [""]
-        lines = [
-            ln + suffixes[(doc_id * 31 + pos) % 5]
-            for pos, ln in enumerate(lines)
-        ]
-        if doc_id % 17 == 0:
-            lines.insert(len(lines) // 2, "lorem ipsum dolor sit amet.")
-        if doc_id % 19 == 0:
-            lines.insert(0, "window.dataLayer = { push: true }.")
-        if doc_id % 23 == 0:
-            lines.append("please enable javascript to view this page.")
-        out_texts.append("\n".join(lines))
+    def build(tmp: Path) -> None:
+        suffixes = [".", "!", "?", '"', ""]
+        base = pq.read_table(base_path, columns=["doc_id", "text", "lang", "source"])
+        out_texts = []
+        for doc_id, text in zip(base["doc_id"].to_pylist(), base["text"].to_pylist()):
+            words = text.split()
+            lines = [
+                " ".join(words[i:i + words_per_line])
+                for i in range(0, len(words), words_per_line)
+            ]
+            if not lines:
+                lines = [""]
+            lines = [
+                ln + suffixes[(doc_id * 31 + pos) % 5]
+                for pos, ln in enumerate(lines)
+            ]
+            if doc_id % 17 == 0:
+                lines.insert(len(lines) // 2, "lorem ipsum dolor sit amet.")
+            if doc_id % 19 == 0:
+                lines.insert(0, "window.dataLayer = { push: true }.")
+            if doc_id % 23 == 0:
+                lines.append("please enable javascript to view this page.")
+            out_texts.append("\n".join(lines))
 
-    tbl = pa.table(
-        {
-            "doc_id": base["doc_id"],
-            "text": pa.array(out_texts, pa.string()),
-            "lang": base["lang"],
-            "source": base["source"],
-        }
-    )
-    pq.write_table(tbl, tmp_dir / "c4_documents.parquet")
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    os.rename(tmp_dir, out_dir)
-    return out
+        tbl = pa.table(
+            {
+                "doc_id": base["doc_id"],
+                "text": pa.array(out_texts, pa.string()),
+                "lang": base["lang"],
+                "source": base["source"],
+            }
+        )
+        pq.write_table(tbl, tmp)
+
+    return cached(f"c4_docs_{tag}_w{words_per_line}/c4_documents.parquet", build)
 
 
 def format_documents(sf_dir: str, *, words_per_line: int = 8) -> Path:
@@ -104,51 +93,42 @@ def format_documents(sf_dir: str, *, words_per_line: int = 8) -> Path:
     """
     base_path = Path(sf_dir) / "documents.parquet"
     tag = hashlib.md5(base_path.read_bytes()).hexdigest()[:10]
-    out_dir = CACHE_ROOT / f"format_docs_{tag}_w{words_per_line}"
-    out = out_dir / "format_documents.parquet"
-    if out.exists():
-        return out
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
 
-    base = pq.read_table(base_path, columns=["doc_id", "text", "lang", "source"])
-    out_texts = []
-    for doc_id, text in zip(base["doc_id"].to_pylist(), base["text"].to_pylist()):
-        words = (text or "").split()
-        if doc_id % 29 == 0:
-            words = [str(doc_id * 31 + j) for j in range(len(words))]
-        lines = [
-            " ".join(words[i:i + words_per_line])
-            for i in range(0, len(words), words_per_line)
-        ]
-        if not lines:
-            lines = [""]
-        if doc_id % 13 == 0:
+    def build(tmp: Path) -> None:
+        base = pq.read_table(base_path, columns=["doc_id", "text", "lang", "source"])
+        out_texts = []
+        for doc_id, text in zip(base["doc_id"].to_pylist(), base["text"].to_pylist()):
+            words = (text or "").split()
+            if doc_id % 29 == 0:
+                words = [str(doc_id * 31 + j) for j in range(len(words))]
             lines = [
-                ln + "..." if pos % 2 == 0 else ln
-                for pos, ln in enumerate(lines)
+                " ".join(words[i:i + words_per_line])
+                for i in range(0, len(words), words_per_line)
             ]
-        if doc_id % 7 == 0:
-            lines = ["- " + ln for ln in lines]
-        if doc_id % 5 == 0:
-            lines.append("# " * 13 + "#")
-        out_texts.append("\n".join(lines))
+            if not lines:
+                lines = [""]
+            if doc_id % 13 == 0:
+                lines = [
+                    ln + "..." if pos % 2 == 0 else ln
+                    for pos, ln in enumerate(lines)
+                ]
+            if doc_id % 7 == 0:
+                lines = ["- " + ln for ln in lines]
+            if doc_id % 5 == 0:
+                lines.append("# " * 13 + "#")
+            out_texts.append("\n".join(lines))
 
-    tbl = pa.table(
-        {
-            "doc_id": base["doc_id"],
-            "text": pa.array(out_texts, pa.string()),
-            "lang": base["lang"],
-            "source": base["source"],
-        }
-    )
-    pq.write_table(tbl, tmp_dir / "format_documents.parquet")
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    os.rename(tmp_dir, out_dir)
-    return out
+        tbl = pa.table(
+            {
+                "doc_id": base["doc_id"],
+                "text": pa.array(out_texts, pa.string()),
+                "lang": base["lang"],
+                "source": base["source"],
+            }
+        )
+        pq.write_table(tbl, tmp)
+
+    return cached(f"format_docs_{tag}_w{words_per_line}/format_documents.parquet", build)
 
 
 def hygiene_documents(sf_dir: str) -> Path:
@@ -165,85 +145,67 @@ def hygiene_documents(sf_dir: str) -> Path:
     """
     base_path = Path(sf_dir) / "documents.parquet"
     tag = hashlib.md5(base_path.read_bytes()).hexdigest()[:10]
-    out_dir = CACHE_ROOT / f"hygiene_docs_{tag}_v1"
-    out = out_dir / "hygiene_documents.parquet"
-    if out.exists():
-        return out
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
 
-    base = pq.read_table(base_path, columns=["doc_id", "text", "lang", "source"])
-    out_texts = []
-    for doc_id, text in zip(base["doc_id"].to_pylist(), base["text"].to_pylist()):
-        t = text or ""
-        mid = len(t) // 2
-        if doc_id % 13 == 0:
-            t = t[:mid] + "��" + t[mid:]
-        if doc_id % 17 == 0:
-            third = len(t) // 3
-            t = t[:third] + "\x07" + t[third:] + "\x1b"
-        out_texts.append(t)
+    def build(tmp: Path) -> None:
+        base = pq.read_table(base_path, columns=["doc_id", "text", "lang", "source"])
+        out_texts = []
+        for doc_id, text in zip(base["doc_id"].to_pylist(), base["text"].to_pylist()):
+            t = text or ""
+            mid = len(t) // 2
+            if doc_id % 13 == 0:
+                t = t[:mid] + "��" + t[mid:]
+            if doc_id % 17 == 0:
+                third = len(t) // 3
+                t = t[:third] + "\x07" + t[third:] + "\x1b"
+            out_texts.append(t)
 
-    tbl = pa.table(
-        {
-            "doc_id": base["doc_id"],
-            "text": pa.array(out_texts, pa.string()),
-            "lang": base["lang"],
-            "source": base["source"],
-        }
-    )
-    pq.write_table(tbl, tmp_dir / "hygiene_documents.parquet")
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    os.rename(tmp_dir, out_dir)
-    return out
+        tbl = pa.table(
+            {
+                "doc_id": base["doc_id"],
+                "text": pa.array(out_texts, pa.string()),
+                "lang": base["lang"],
+                "source": base["source"],
+            }
+        )
+        pq.write_table(tbl, tmp)
+
+    return cached(f"hygiene_docs_{tag}_v1/hygiene_documents.parquet", build)
 
 
 def line_documents(sf_dir: str, *, words_per_line: int = 8) -> Path:
     """Generate (or reuse) the line-wrapped table; returns the parquet path."""
     base_path = Path(sf_dir) / "documents.parquet"
     tag = hashlib.md5(base_path.read_bytes()).hexdigest()[:10]
-    out_dir = CACHE_ROOT / f"line_docs_{tag}_w{words_per_line}"
-    out = out_dir / "line_documents.parquet"
-    if out.exists():
-        return out
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
 
-    base = pq.read_table(base_path, columns=["doc_id", "text", "lang", "source"])
-    doc_ids = base["doc_id"].to_pylist()
-    texts = base["text"].to_pylist()
-    out_texts = []
-    for doc_id, text in zip(doc_ids, texts):
-        words = text.split()
-        lines = [
-            " ".join(words[i:i + words_per_line])
-            for i in range(0, len(words), words_per_line)
-        ]
-        if not lines:
-            lines = [""]
-        if doc_id % 11 == 0 and len(lines) >= 2:
-            lines[1] = lines[0]
-        if doc_id % 5 == 0:
-            lines.insert(0, HEADER)
-        if doc_id % 7 == 0:
-            lines.append(FOOTER)
-        out_texts.append("\n".join(lines))
+    def build(tmp: Path) -> None:
+        base = pq.read_table(base_path, columns=["doc_id", "text", "lang", "source"])
+        doc_ids = base["doc_id"].to_pylist()
+        texts = base["text"].to_pylist()
+        out_texts = []
+        for doc_id, text in zip(doc_ids, texts):
+            words = text.split()
+            lines = [
+                " ".join(words[i:i + words_per_line])
+                for i in range(0, len(words), words_per_line)
+            ]
+            if not lines:
+                lines = [""]
+            if doc_id % 11 == 0 and len(lines) >= 2:
+                lines[1] = lines[0]
+            if doc_id % 5 == 0:
+                lines.insert(0, HEADER)
+            if doc_id % 7 == 0:
+                lines.append(FOOTER)
+            out_texts.append("\n".join(lines))
 
-    tbl = pa.table(
-        {
-            "doc_id": base["doc_id"],
-            "text": pa.array(out_texts, pa.string()),
-            "lang": base["lang"],
-            "source": base["source"],
-        }
-    )
-    pq.write_table(tbl, tmp_dir / "line_documents.parquet")
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    os.rename(tmp_dir, out_dir)
-    return out
+        tbl = pa.table(
+            {
+                "doc_id": base["doc_id"],
+                "text": pa.array(out_texts, pa.string()),
+                "lang": base["lang"],
+                "source": base["source"],
+            }
+        )
+        pq.write_table(tbl, tmp)
+
+    return cached(f"line_docs_{tag}_w{words_per_line}/line_documents.parquet", build)

@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import shutil
 from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .image_table import CACHE_ROOT
+from .image_table import cached
 
 _DEVICES = ("ios", "android", "web")
 
@@ -35,48 +33,39 @@ _DEVICES = ("ios", "android", "web")
 def struct_events(sf_dir: str) -> Path:
     base_path = Path(sf_dir) / "events.parquet"
     tag = hashlib.md5(base_path.read_bytes()).hexdigest()[:10]
-    out_dir = CACHE_ROOT / f"struct_events_{tag}"
-    out = out_dir / "struct_events.parquet"
-    if out.exists():
-        return out
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
 
-    base = pq.read_table(base_path, columns=["event_id", "props"])
-    eids = base["event_id"].to_pylist()
-    props = base["props"].to_pylist()
-    metas = []
-    for eid, pr in zip(eids, props):
-        k = None if eid % 89 == 0 else json.loads(pr or "{}").get("k")
-        device = "unknown_os" if eid % 53 == 0 else _DEVICES[eid % 3]
-        version = -1 if eid % 97 == 0 else 1 + (eid % 9)
-        lat = 123.5 if eid % 71 == 0 else float((eid % 180) - 90) / 2.0
-        lon = float((eid % 360) - 180) / 2.0
-        metas.append(
-            {"k": k, "device": device, "version": version,
-             "geo": {"lat": lat, "lon": lon}}
+    def build(tmp: Path) -> None:
+        base = pq.read_table(base_path, columns=["event_id", "props"])
+        eids = base["event_id"].to_pylist()
+        props = base["props"].to_pylist()
+        metas = []
+        for eid, pr in zip(eids, props):
+            k = None if eid % 89 == 0 else json.loads(pr or "{}").get("k")
+            device = "unknown_os" if eid % 53 == 0 else _DEVICES[eid % 3]
+            version = -1 if eid % 97 == 0 else 1 + (eid % 9)
+            lat = 123.5 if eid % 71 == 0 else float((eid % 180) - 90) / 2.0
+            lon = float((eid % 360) - 180) / 2.0
+            metas.append(
+                {"k": k, "device": device, "version": version,
+                 "geo": {"lat": lat, "lon": lon}}
+            )
+        meta_type = pa.struct(
+            [
+                ("k", pa.int64()),
+                ("device", pa.string()),
+                ("version", pa.int64()),
+                ("geo", pa.struct([("lat", pa.float64()), ("lon", pa.float64())])),
+            ]
         )
-    meta_type = pa.struct(
-        [
-            ("k", pa.int64()),
-            ("device", pa.string()),
-            ("version", pa.int64()),
-            ("geo", pa.struct([("lat", pa.float64()), ("lon", pa.float64())])),
-        ]
-    )
-    tbl = pa.table(
-        {
-            "event_id": base["event_id"],
-            "meta": pa.array(metas, meta_type),
-        }
-    )
-    pq.write_table(tbl, tmp_dir / "struct_events.parquet")
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    os.rename(tmp_dir, out_dir)
-    return out
+        tbl = pa.table(
+            {
+                "event_id": base["event_id"],
+                "meta": pa.array(metas, meta_type),
+            }
+        )
+        pq.write_table(tbl, tmp)
+
+    return cached(f"struct_events_{tag}/struct_events.parquet", build)
 
 
 def map_events(sf_dir: str) -> Path:
@@ -90,33 +79,24 @@ def map_events(sf_dir: str) -> Path:
     """
     base_path = Path(sf_dir) / "events.parquet"
     tag = hashlib.md5(base_path.read_bytes()).hexdigest()[:10]
-    out_dir = CACHE_ROOT / f"map_events_{tag}"
-    out = out_dir / "map_events.parquet"
-    if out.exists():
-        return out
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
 
-    base = pq.read_table(base_path, columns=["event_id"])
-    eids = base["event_id"].to_pylist()
-    attrs = []
-    for eid in eids:
-        entries = [(f"k{i}", (eid * 7 + i) % 100) for i in range(1 + eid % 3)]
-        if eid % 61 == 0:
-            entries.append(("BAD KEY!", 1))
-        if eid % 67 == 0:
-            entries.append(("k9", 999))
-        attrs.append(entries)
-    tbl = pa.table(
-        {
-            "event_id": base["event_id"],
-            "attrs": pa.array(attrs, pa.map_(pa.string(), pa.int64())),
-        }
-    )
-    pq.write_table(tbl, tmp_dir / "map_events.parquet")
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    os.rename(tmp_dir, out_dir)
-    return out
+    def build(tmp: Path) -> None:
+        base = pq.read_table(base_path, columns=["event_id"])
+        eids = base["event_id"].to_pylist()
+        attrs = []
+        for eid in eids:
+            entries = [(f"k{i}", (eid * 7 + i) % 100) for i in range(1 + eid % 3)]
+            if eid % 61 == 0:
+                entries.append(("BAD KEY!", 1))
+            if eid % 67 == 0:
+                entries.append(("k9", 999))
+            attrs.append(entries)
+        tbl = pa.table(
+            {
+                "event_id": base["event_id"],
+                "attrs": pa.array(attrs, pa.map_(pa.string(), pa.int64())),
+            }
+        )
+        pq.write_table(tbl, tmp)
+
+    return cached(f"map_events_{tag}/map_events.parquet", build)

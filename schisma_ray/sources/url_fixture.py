@@ -21,14 +21,12 @@ atomically cached.
 from __future__ import annotations
 
 import hashlib
-import os
-import shutil
 from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from .image_table import CACHE_ROOT
+from .image_table import cached
 
 BLOCKED_DOMAINS = tuple(
     [f"badhost{k}.com" for k in range(5)]
@@ -41,54 +39,36 @@ _TLDS = ("com", "org", "net", "io")
 
 def blocklist_file(sf_dir: str) -> Path:
     """Persist the (domain) blocklist parquet consumed by both sides."""
-    out_dir = CACHE_ROOT / "url_blocklist_v1"
-    out = out_dir / "blocklist.parquet"
-    if out.exists():
-        return out
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
-    pq.write_table(
-        pa.table({"domain": pa.array(sorted(BLOCKED_DOMAINS), pa.string())}),
-        tmp_dir / "blocklist.parquet",
-    )
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    os.rename(tmp_dir, out_dir)
-    return out
+    def build(tmp: Path) -> None:
+        pq.write_table(
+            pa.table({"domain": pa.array(sorted(BLOCKED_DOMAINS), pa.string())}),
+            tmp,
+        )
+
+    return cached("url_blocklist_v1/blocklist.parquet", build)
 
 
 def url_documents(sf_dir: str) -> Path:
     """Generate (or reuse) the (doc_id, url) table; returns the path."""
     base_path = Path(sf_dir) / "documents.parquet"
     tag = hashlib.md5(base_path.read_bytes()).hexdigest()[:10]
-    out_dir = CACHE_ROOT / f"url_docs_{tag}"
-    out = out_dir / "url_documents.parquet"
-    if out.exists():
-        return out
-    tmp_dir = out_dir.with_name(out_dir.name + ".tmp")
-    if tmp_dir.exists():
-        shutil.rmtree(tmp_dir)
-    tmp_dir.mkdir(parents=True)
 
-    base = pq.read_table(base_path, columns=["doc_id"])
-    urls = []
-    for doc_id in base["doc_id"].to_pylist():
-        if doc_id % 13 == 0:
-            host = f"badhost{doc_id % 5}.com"
-        elif doc_id % 17 == 0:
-            host = f"cdn.tracker{doc_id % 3}.net"
-        else:
-            host = f"www{doc_id % 3}.site{doc_id % 37}.{_TLDS[doc_id % 4]}"
-        urls.append(f"https://{host}/path{doc_id % 7}/page?id={doc_id}")
+    def build(tmp: Path) -> None:
+        base = pq.read_table(base_path, columns=["doc_id"])
+        urls = []
+        for doc_id in base["doc_id"].to_pylist():
+            if doc_id % 13 == 0:
+                host = f"badhost{doc_id % 5}.com"
+            elif doc_id % 17 == 0:
+                host = f"cdn.tracker{doc_id % 3}.net"
+            else:
+                host = f"www{doc_id % 3}.site{doc_id % 37}.{_TLDS[doc_id % 4]}"
+            urls.append(f"https://{host}/path{doc_id % 7}/page?id={doc_id}")
 
-    pq.write_table(
-        pa.table({"doc_id": base["doc_id"],
-                  "url": pa.array(urls, pa.string())}),
-        tmp_dir / "url_documents.parquet",
-    )
-    if out_dir.exists():
-        shutil.rmtree(out_dir)
-    os.rename(tmp_dir, out_dir)
-    return out
+        pq.write_table(
+            pa.table({"doc_id": base["doc_id"],
+                      "url": pa.array(urls, pa.string())}),
+            tmp,
+        )
+
+    return cached(f"url_docs_{tag}/url_documents.parquet", build)

@@ -1,58 +1,47 @@
-"""Every queries() entry runs at sf0.001 (the driver-contract guard).
+"""Every queries() entry runs at sf0.001, and every oracled one gives its
+DuckDB oracle's values there: the ``__ray_entry__`` contract guard and
+the value gate in one pass.
 
-Complements tools/check_oracle.py (which verifies values vs DuckDB at
-sf0.01 but is not part of pytest): any refactor that breaks a query's
-ability to RUN fails here.
+A query whose name is a key of ``catalog.ORACLES`` is compared with
+``catalog.oracle(name, SF)`` on the same inputs: rows, sorted column
+names and the order-insensitive value hash, through the ``compare``
+that ``tools/check_oracle.py`` runs at any scale. Each query runs once.
 """
 
-import pandas as pd
-import pyarrow as pa
 import pytest
+
+from tools.check_oracle import compare, duckdb_views, to_pandas
 
 SF = "/root/testdata/sf0.001"
 
 
-def _queries():
-    import sys
-    from pathlib import Path
-
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+@pytest.fixture(scope="module")
+def queries(ray_session):
     import __ray_entry__ as e
 
     return e.queries()
 
 
-_QUERIES = None
-
-
 @pytest.fixture(scope="module")
-def queries(ray_session):
-    global _QUERIES
-    if _QUERIES is None:
-        _QUERIES = _queries()
-    return _QUERIES
+def duck():
+    """DuckDB views of the sf0.001 tables, for the oracles."""
+    con = duckdb_views(SF)
+    yield con
+    con.close()
 
 
 def _names():
     # enumerate without initializing ray (names only)
-    import sys
-    from pathlib import Path
-
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from schisma_ray.pipelines import catalog
 
-    return sorted(catalog.QUERIES)
+    return list(catalog.QUERIES)
 
 
 @pytest.mark.parametrize("name", _names())
-def test_query_runs(queries, name):
-    out = queries[name](SF)
-    if isinstance(out, pd.DataFrame):
-        n = len(out)
-    elif isinstance(out, pa.Table):
-        n = out.num_rows
-    else:
-        n = sum(
-            b.num_rows for b in out.iter_batches(batch_format="pyarrow", batch_size=65536)
-        )
-    assert n >= 0
+def test_query_runs(queries, duck, name):
+    from schisma_ray.pipelines.catalog import ORACLES, oracle
+
+    out = to_pandas(queries[name](SF))
+    if name in ORACLES:
+        problems = compare(out, duck.execute(oracle(name, SF)).df())
+        assert not problems, f"{name} vs its oracle: " + "; ".join(problems)

@@ -1,21 +1,54 @@
-"""CLI smoke tests (subprocess — the CLI owns its own Ray session)."""
+"""CLI smoke tests. They call ``cli.main`` in this process against the
+session's Ray cluster, which ``main`` leaves running; one test runs
+``python -m schisma_ray.cli`` as a subprocess that starts and stops its
+own Ray session."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 
 
+@pytest.fixture(autouse=True)
+def _cluster(ray_session):
+    """Every CLI call joins the session's cluster instead of starting one."""
+
+
 def _run(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "schisma_ray.cli", "--num-cpus", "4", *args],
-        cwd=REPO,
-        capture_output=True,
-        text=True,
-        timeout=300,
+    """``main(args)`` with its exit code and captured output, as a
+    subprocess would report them."""
+    from schisma_ray.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["--num-cpus", "4", *args])
+        except SystemExit as ex:  # argparse
+            code = ex.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def test_cli_module_runs_with_its_own_ray_session(sf_dir):
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    res = subprocess.run(
+        [sys.executable, "-m", "schisma_ray.cli", "--num-cpus", "1", "infer",
+         "--table", f"{sf_dir}/events.parquet"],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
     )
+    assert res.returncode == 0, res.stderr[-2000:]
+    lit = json.loads(res.stdout.strip().splitlines()[-1])
+    assert lit["event_id"] == "BigInt"
 
 
 def test_cli_generate_validate_report(tmp_path):
@@ -42,6 +75,10 @@ def test_cli_infer():
     assert lit["event_type"] == "String"
     assert lit["value"] == "Number"
     assert lit["event_id"] == "BigInt"
+
+    import ray
+
+    assert ray.is_initialized()  # main stops only a session it started
 
 
 def test_cli_prepare(tmp_path):

@@ -140,11 +140,41 @@ PATH_FLAGS = {"as_dataset", "verify_driver_limit", "strategy",
               "driver_merge_limit"}
 
 #: (function, flag) kept although no code reads it:
-#: ``perfbench/layers.py:227`` passes ``strategy="broadcast"``, and
+#: ``perfbench/layers.py:227`` passes ``strategy="broadcast"``,
 #: ``perfbench/layers.py:283`` reads ``session_agg``'s default width
-#: through ``inspect``
+#: through ``inspect``, and ``perfbench/workloads.py:86`` and
+#: ``perfbench/layers.py`` pass ``validate_images(fused=True)``
 UNREAD_FLAGS = {("referential_violations", "strategy"),
-                ("session_agg", "num_buckets")}
+                ("session_agg", "num_buckets"),
+                ("validate_images", "fused")}
+
+
+def test_unread_flags_are_passed_only_by_the_benchmark():
+    """Each ``UNREAD_FLAGS`` keyword stays in its function's signature,
+    which never reads it, and no code outside ``perfbench/`` passes it."""
+    defs = {node.name: (rel, node) for rel, tree in _sources((PACKAGE,))
+            for _, node in _functions(tree)
+            if isinstance(node, ast.FunctionDef)}
+    found = []
+    for fn, flag in sorted(UNREAD_FLAGS):
+        rel, node = defs[fn]
+        reads = [n for stmt in node.body for n in ast.walk(stmt)
+                 if isinstance(n, ast.Name) and n.id == flag]
+        if flag not in _params(node) or reads:
+            found.append(f"{rel}:{node.lineno} {fn} reads or lost {flag}")
+    roots = (PACKAGE, TESTS, REPO / "tools", REPO / "jobs")
+    top = [(p.name, ast.parse(p.read_text(), filename=p.name))
+           for p in sorted(REPO.glob("*.py"))]
+    for rel, tree in [*_sources(roots), *top]:
+        for owner, node in _functions(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            for kw in node.keywords:
+                if (callee, kw.arg) in UNREAD_FLAGS:
+                    found.append(f"{rel}:{node.lineno} {owner} passes "
+                                 f"{callee}({kw.arg}=)")
+    assert not found, "unread flags in use:\n" + "\n".join(found)
 
 
 def test_no_function_takes_a_path_flag():

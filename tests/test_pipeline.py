@@ -55,11 +55,11 @@ def test_conform_round_trip_fidelity(table_dir):
 
 
 def test_fused_matches_unfused(table_dir):
-    """``fused`` selects nothing: ``validate_images(fused=True)`` runs the
-    one read of every check family and emits exactly the seeded rows."""
+    """``validate_images`` runs the one read of every check family and
+    emits exactly the seeded rows."""
     from schisma_ray.pipelines import validate_images
 
-    fused = _vio_set(validate_images(table_dir, fused=True).to_pandas())
+    fused = _vio_set(validate_images(table_dir).to_pandas())
     exp = _vio_set(pq.read_table(table_dir / "expected_violations.parquet").to_pandas())
     assert fused == exp
     assert {c for *_, c in fused} == {"schema", "decode", "uniqueness", "referential"}

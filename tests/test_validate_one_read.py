@@ -91,9 +91,8 @@ def test_one_read_matches_families_one_by_one(base, tmp_path, case):
 
     d = _case(base, tmp_path, case)
     reference = _one_by_one(d)
-    for fused in (True, False):
-        got = _rows(validate_images(d, fused=fused))
-        assert got == reference, (case, fused)
+    got = _rows(validate_images(d))
+    assert got == reference, case
 
     t = pq.read_table(d / "images")
     uniq = [r for r in got if r[6] == "uniqueness"]
@@ -126,7 +125,7 @@ def test_validate_images_reads_the_table_once(base, monkeypatch):
         return real(table_dir, columns)
 
     monkeypatch.setattr(vp, "read_images", spy)
-    ds = vp.validate_images(base, fused=True)
+    ds = vp.validate_images(base)
 
     def walk(op):
         yield type(op).__name__

@@ -1,15 +1,18 @@
 """Local stand-in for the driver's correctness gate.
 
-Runs every ``queries()`` entry at sf0.01 and compares row count, sorted
-column names and an order-insensitive value hash against the matching
-``oracle_sql()`` DuckDB result. Queries without an oracle get a
-rows-only sanity check. The oracles build their fixtures from
-``catalog.ORACLE_SF_DIR`` whatever ``--sf`` says, so at any other scale
-the tool says so once and runs no oracle comparison. Every query that
-runs prints its own rows and value hash (columns included), so two
-checkouts compare by diffing their runs with the trailing seconds cut:
+Runs every ``queries()`` entry at ``--sf`` (default sf0.01) and compares
+row count, sorted column names and an order-insensitive value hash
+against the DuckDB result of its oracle, ``catalog.oracle(name, sf)``,
+rendered for the same directory. Queries without an oracle (the
+registry ``catalog.ORACLES`` has no key for them) get a rows-only
+sanity check. Every query that runs prints its own rows and value hash
+(columns included), so two checkouts compare by diffing their runs with
+the trailing seconds cut:
 
     diff <(sed 's/ *[0-9.]*s$//' a.log) <(sed 's/ *[0-9.]*s$//' b.log)
+
+``compare`` and ``duckdb_views`` are the comparison that
+``tests/test_all_queries_smoke.py`` runs in tier-1 at sf0.001.
 
 Ray gets one CPU per core this process may run on.
 
@@ -31,15 +34,23 @@ sys.path.insert(0, str(REPO))
 import duckdb  # noqa: E402
 import pandas as pd  # noqa: E402
 
+#: the testdata tables an oracle reads by name
+TABLES = ("region nation customer supplier part orders lineitem events "
+          "documents embeddings").split()
+
+
+def duckdb_views(sf_dir: str) -> duckdb.DuckDBPyConnection:
+    """A DuckDB connection with one view per testdata table of ``sf_dir``."""
+    con = duckdb.connect()
+    for t in TABLES:
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{sf_dir}/{t}.parquet')")
+    return con
+
 
 def to_pandas(result) -> pd.DataFrame:
-    import pyarrow as pa
-
-    if isinstance(result, pd.DataFrame):
-        return result
-    if isinstance(result, pa.Table):
-        return result.to_pandas()
-    return result.to_pandas()  # ray Dataset
+    """A query's result (DataFrame, Arrow table or Ray Dataset) as pandas."""
+    return result if isinstance(result, pd.DataFrame) else result.to_pandas()
 
 
 def value_hash(df: pd.DataFrame) -> str:
@@ -55,6 +66,26 @@ def value_hash(df: pd.DataFrame) -> str:
         h.update("\x1f".join(r).encode())
         h.update(b"\x1e")
     return h.hexdigest()
+
+
+def compare(mine: pd.DataFrame, ref: pd.DataFrame) -> list[str]:
+    """How a query's result differs from its oracle's: row count, sorted
+    column names, then the value hash, followed by up to three rows
+    found on one side only. Empty when they agree."""
+    problems = []
+    if len(mine) != len(ref):
+        problems.append(f"rows {len(mine)} != {len(ref)}")
+    if sorted(map(str, mine.columns)) != sorted(map(str, ref.columns)):
+        return problems + [f"cols {sorted(mine.columns)} != {sorted(ref.columns)}"]
+    if value_hash(mine) == value_hash(ref):
+        return problems
+    problems.append("value-hash mismatch")
+    m = mine[sorted(mine.columns)]
+    r = ref[sorted(ref.columns)]
+    ms = set(map(tuple, m.astype(str).values.tolist()))
+    rs = set(map(tuple, r.astype(str).values.tolist()))
+    return problems + [f"mine-only: {sorted(ms - rs)[:3]}",
+                       f"ref-only: {sorted(rs - ms)[:3]}"]
 
 
 def main() -> int:
@@ -74,24 +105,11 @@ def main() -> int:
     DataContext.get_current().enable_progress_bars = False
 
     import __ray_entry__ as e
-    from schisma_ray.pipelines.catalog import ORACLE_SF_DIR
+    from schisma_ray.pipelines.catalog import ORACLES, oracle
 
-    qs = e.queries()
-    oracles = e.oracle_sql()
-    at_scale = Path(args.sf).resolve() == Path(ORACLE_SF_DIR).resolve()
-    if not at_scale:
-        print(f"oracles read {ORACLE_SF_DIR}, not {args.sf}: rows and hash "
-              "only (checkout parity), oracle comparisons not run")
-
-    con = duckdb.connect()
-    for t in ("region nation customer supplier part orders lineitem events "
-              "documents embeddings").split():
-        con.execute(
-            f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{args.sf}/{t}.parquet')"
-        )
-
+    con = duckdb_views(args.sf)
     failures = 0
-    for name, fn in qs.items():
+    for name, fn in e.queries().items():
         if args.only and args.only not in name:
             continue
         t0 = time.monotonic()
@@ -102,36 +120,20 @@ def main() -> int:
             failures += 1
             continue
         dt = time.monotonic() - t0
-        mine_hash = value_hash(mine)
-        got = f"rows={len(mine):6d} hash={mine_hash[:16]}"
-        if name not in oracles or not at_scale:
-            note = ("(rows-only)" if name not in oracles
-                    else "(oracle not run at this scale)")
-            print(f"ok   {name:32s} {got} {note} {dt:5.1f}s")
+        got = f"rows={len(mine):6d} hash={value_hash(mine)[:16]}"
+        if name not in ORACLES:
+            print(f"ok   {name:32s} {got} (rows-only) {dt:5.1f}s")
             continue
         try:
-            ref = con.execute(oracles[name]).df()
+            ref = con.execute(oracle(name, args.sf)).df()
         except Exception as ex:
             print(f"FAIL {name}: oracle raised {ex} ({got}) {dt:5.1f}s")
             failures += 1
             continue
-        problems = []
-        if len(mine) != len(ref):
-            problems.append(f"rows {len(mine)} != {len(ref)}")
-        if sorted(map(str, mine.columns)) != sorted(map(str, ref.columns)):
-            problems.append(f"cols {sorted(mine.columns)} != {sorted(ref.columns)}")
-        elif mine_hash != value_hash(ref):
-            problems.append("value-hash mismatch")
+        problems = compare(mine, ref)
         if problems:
             failures += 1
             print(f"FAIL {name}: {'; '.join(problems)} ({got}) {dt:5.1f}s")
-            if "value-hash mismatch" in problems or len(mine) != len(ref):
-                m = mine[sorted(mine.columns)]
-                r = ref[sorted(ref.columns)]
-                ms = set(map(tuple, m.astype(str).values.tolist()))
-                rs = set(map(tuple, r.astype(str).values.tolist()))
-                print("   mine-only:", sorted(ms - rs)[:3])
-                print("   ref-only: ", sorted(rs - ms)[:3])
         else:
             print(f"ok   {name:32s} {got} (oracle)    {dt:5.1f}s")
     print(f"{failures} failures")
